@@ -10,15 +10,15 @@ from .config import (PRESETS, RunConfig, TrainerConfig, apply_overrides,
 from .errors import (ConfigError, ContractError, InsufficientHistoryError,
                      NumericalError, SequencingError)
 from .flow import (Block, FlowState, GeneratorConfig, Latent, ReplayTuple,
-                   RolloutResult, attention, generate_block, interpolate,
-                   ode_step, rollout, true_velocity, velocity_eval, write_back)
+                   RolloutResult, generate_block, ode_step, rollout,
+                   velocity_eval, write_back)
 from .network import NetworkShape, build_layout, param_init, shape_from_layout
 from .params import GradVector, Layout, Params
 from .policy import (Advantages, LossBreakdown, PolicyConfig, PolicyEval,
                      advantages, contrastive_grad_reference, gibbs, guard,
                      kl_penalty, latent_l2_energies, log_ratio, ppo_loss,
-                     replay_energy, replay_velocities, surrogate_energies,
-                     total_loss, total_loss_grad)
+                     replay_energy, surrogate_energies, total_loss,
+                     total_loss_grad)
 from .rewards import RewardSpec, composite, reward_smoothness, reward_target
 from .routing import (BranchTrajectory, GroupSeeds, ReplayContexts,
                       RolloutGroup, RoutingDecision, build_branch_cache,

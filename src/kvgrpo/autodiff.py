@@ -2,10 +2,12 @@
 
 Every operation here accepts either plain ``numpy`` arrays or tape-backed
 :class:`Var` handles.  With array-only inputs the functions evaluate eagerly in
-numpy and return arrays, so model code written against this module runs
-unchanged in a fast value-only mode (used by ``fd_grad`` and by rollouts, which
-never need gradients).  As soon as one operand is a :class:`Var`, the result is
-recorded on the tape and :func:`grad` can backpropagate through it.
+numpy and return arrays, so the loss code written against this module runs
+unchanged in a fast value-only mode (used by ``fd_grad`` and for bookkeeping).
+As soon as one operand is a :class:`Var`, the result is recorded on the tape
+and :func:`grad` can backpropagate through it.  The velocity network is not
+composed from these ops: it records itself as a single node with a
+hand-derived backward (see :func:`kvgrpo.network.velocity_forward`).
 
 All numerics are float64.  Evaluation is pure with respect to the parameter
 vector, and backpropagation visits nodes in a fixed reverse order, so repeated
@@ -194,19 +196,6 @@ def _unbroadcast(g, shape) -> Array:
     return g
 
 
-def tanh(x):
-    tape = _tape_of(x)
-    if tape is None:
-        return np.tanh(x)
-    xv, xi = _operand(x, tape)
-    out = np.tanh(xv)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return tape.push(out, (xi,), bwd)
-
-
 def exp(x):
     tape = _tape_of(x)
     if tape is None:
@@ -216,19 +205,6 @@ def exp(x):
 
     def bwd(g):
         return (g * out,)
-
-    return tape.push(out, (xi,), bwd)
-
-
-def log(x):
-    tape = _tape_of(x)
-    if tape is None:
-        return np.log(x)
-    xv, xi = _operand(x, tape)
-    out = np.log(xv)
-
-    def bwd(g):
-        return (g / xv,)
 
     return tape.push(out, (xi,), bwd)
 
@@ -279,7 +255,7 @@ def clip(x, lo: float, hi: float):
 
 
 # ---------------------------------------------------------------------------
-# Reductions and linear algebra
+# Reductions
 # ---------------------------------------------------------------------------
 
 
@@ -297,98 +273,6 @@ def asum(x):
     return tape.push(out, (xi,), bwd)
 
 
-def mean(x):
-    n = np.size(value(x))
-    return mul(asum(x), 1.0 / n)
-
-
-def matmul(a, b):
-    """Matrix product; either operand may also be a 1-D vector, as with ``@``."""
-    tape = _tape_of(a, b)
-    if tape is None:
-        return value(a) @ value(b)
-    av, ai = _operand(a, tape)
-    bv, bi = _operand(b, tape)
-    out = av @ bv
-
-    def bwd(g):
-        a2 = av[None, :] if av.ndim == 1 else av
-        b2 = bv[:, None] if bv.ndim == 1 else bv
-        g2 = np.atleast_2d(g)
-        if av.ndim == 1 and bv.ndim == 1:      # inner product, g scalar
-            return g * bv, g * av
-        if bv.ndim == 1:                        # (m,k)@(k,) -> (m,)
-            g2 = np.asarray(g).reshape(-1, 1)
-        elif av.ndim == 1:                      # (k,)@(k,n) -> (n,)
-            g2 = np.asarray(g).reshape(1, -1)
-        ga = g2 @ b2.T if ai != _CONST else None
-        gb = a2.T @ g2 if bi != _CONST else None
-        if ga is not None and av.ndim == 1:
-            ga = ga.ravel()
-        if gb is not None and bv.ndim == 1:
-            gb = gb.ravel()
-        return ga, gb
-
-    return tape.push(out, (ai, bi), bwd)
-
-
-def reshape(x, shape):
-    tape = _tape_of(x)
-    if tape is None:
-        return np.reshape(value(x), shape)
-    xv, xi = _operand(x, tape)
-
-    def bwd(g):
-        return (np.reshape(g, xv.shape),)
-
-    return tape.push(np.reshape(xv, shape), (xi,), bwd)
-
-
-def transpose(x):
-    tape = _tape_of(x)
-    if tape is None:
-        return value(x).T
-    xv, xi = _operand(x, tape)
-
-    def bwd(g):
-        return (g.T,)
-
-    return tape.push(xv.T, (xi,), bwd)
-
-
-def add_bias(x, b):
-    """Add a bias row vector to every row of a matrix."""
-    tape = _tape_of(x, b)
-    if tape is None:
-        return value(x) + value(b)
-    xv, xi = _operand(x, tape)
-    bv, bi = _operand(b, tape)
-    out = xv + bv
-
-    def bwd(g):
-        gb = g.sum(axis=0) if np.ndim(xv) == 2 else g
-        return g, gb
-
-    return tape.push(out, (xi, bi), bwd)
-
-
-def concat_rows(parts: Sequence):
-    """Concatenate matrices along axis 0 (mixed constants and Vars allowed)."""
-    tape = _tape_of(*parts)
-    vals = [value(p) for p in parts]
-    if tape is None:
-        return np.concatenate(vals, axis=0)
-    idxs = tuple(_operand(p, tape)[1] for p in parts)
-    sizes = [v.shape[0] for v in vals]
-    out = np.concatenate(vals, axis=0)
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return tape.push(out, idxs, bwd)
-
-
 def pack(scalars: Sequence):
     """Stack scalars into a 1-D vector."""
     tape = _tape_of(*scalars)
@@ -402,27 +286,6 @@ def pack(scalars: Sequence):
         return tuple(g[i] for i in range(len(vals)))
 
     return tape.push(out, idxs, bwd)
-
-
-def row_softmax(x):
-    """Numerically stable softmax along the last axis of a 2-D array."""
-    tape = _tape_of(x)
-    if tape is None:
-        return _softmax_rows(value(x))
-    xv, xi = _operand(x, tape)
-    out = _softmax_rows(xv)
-
-    def bwd(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return tape.push(out, (xi,), bwd)
-
-
-def _softmax_rows(x: Array) -> Array:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def logsumexp(x):
@@ -453,9 +316,9 @@ def _logsumexp(x: Array):
 class TapeReader:
     """Hands out parameter segments as tape leaves.
 
-    ``segment`` returns a recorded (differentiable) view; ``raw`` returns the
-    plain array, and ``detached`` the underlying :class:`Params`, for code paths
-    that must evaluate without gradient tracking.
+    ``segment`` returns a recorded (differentiable) view, and ``detached`` the
+    underlying :class:`Params`, for code paths that must evaluate without
+    gradient tracking.
     """
 
     def __init__(self, tape: Tape, params: Params) -> None:
@@ -469,23 +332,19 @@ class TapeReader:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
-        offset, shape = self.layout.segments[name]
-        size = int(np.prod(shape))
-        val = self.params.values[offset:offset + size].reshape(shape)
+        span = self.layout.slices[name]
+        val = self.params.values[span].reshape(self.layout.segments[name][1])
         flat_idx = self._flat.idx
         total = self.layout.total
 
         def bwd(g):
             out = np.zeros(total)
-            out[offset:offset + size] = np.asarray(g).ravel()
+            out[span] = np.asarray(g).ravel()
             return (out,)
 
         var = self.tape.push(val, (flat_idx,), bwd)
         self._cache[name] = var
         return var
-
-    def raw(self, name: str) -> Array:
-        return self.params.segment(name)
 
     def detached(self) -> Params:
         return self.params
@@ -498,7 +357,7 @@ class TapeReader:
 def grad(params: Params, f) -> tuple[float, GradVector]:
     """Value and exact reverse-mode gradient of a scalar function of the parameters.
 
-    ``f`` receives a reader exposing ``segment(name)``/``raw(name)``/``layout``;
+    ``f`` receives a reader exposing ``segment(name)``/``detached()``/``layout``;
     :class:`Params` itself satisfies the same protocol for value-only calls.
     Raises :class:`NumericalError` if the value or any gradient entry is
     non-finite, naming the offending layout segments.
@@ -522,8 +381,7 @@ def grad(params: Params, f) -> tuple[float, GradVector]:
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         bad = ~np.isfinite(g)
-        names = [n for n, (off, shape) in params.layout.segments.items()
-                 if bad[off:off + int(np.prod(shape))].any()]
+        names = [n for n, span in params.layout.slices.items() if bad[span].any()]
         raise NumericalError(f"non-finite gradient entries in segments: {names}")
     return val, GradVector(g)
 

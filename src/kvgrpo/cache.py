@@ -46,10 +46,6 @@ class KVCache:
         return KVCache(self.sink_size, self.local_capacity, self.layout_tag,
                        list(self.sink), list(self.local))
 
-    @property
-    def occupied(self) -> int:
-        return len(self.sink) + len(self.local)
-
     def entries(self) -> list[KVEntry]:
         return self.sink + self.local
 

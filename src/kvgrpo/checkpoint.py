@@ -62,19 +62,25 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     version, header_len = struct.unpack("<II", raw[8:16])
     if version != VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    layout = Layout.from_json(header["layout"])
-    count = header["param_count"]
+    offset = 16 + header_len
+    if offset > len(raw):
+        raise ConfigError(f"checkpoint truncated: header needs {header_len} bytes")
+    try:
+        header = json.loads(raw[16:offset].decode("utf-8"))
+        layout = Layout.from_json(header["layout"])
+        count, has_ema = header["param_count"], header["has_ema"]
+        config, iteration = header["config"], header["iteration"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} has a corrupt checkpoint header: {exc!r}") from None
     if count != layout.total:
         raise ConfigError(f"checkpoint count {count} disagrees with layout {layout.total}")
-    offset = 16 + header_len
-    need = count * 8 * (2 if header["has_ema"] else 1)
+    need = count * 8 * (2 if has_ema else 1)
     if len(raw) - offset < need:
         raise ConfigError(f"checkpoint truncated: need {need} value bytes")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     params = Params(values.astype(np.float64), layout)
     ema = None
-    if header["has_ema"]:
+    if has_ema:
         ema_values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + count * 8)
         ema = Params(ema_values.astype(np.float64), layout)
-    return CheckpointData(params, header["config"], header["iteration"], ema)
+    return CheckpointData(params, config, iteration, ema)

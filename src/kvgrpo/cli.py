@@ -75,8 +75,11 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if cfg.out_dir is None:
         cfg.out_dir = "runs/default"
-    result = run(cfg)
+    # Written first, so a run that crashes still leaves its config beside
+    # the metrics and checkpoints it wrote.
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     save_config(cfg, Path(cfg.out_dir) / "config.json")
+    result = run(cfg)
     done = len(result.records)
     skipped = sum(r.skipped for r in result.records)
     print(f"completed {done} iterations ({skipped} skipped); "

@@ -71,34 +71,6 @@ class ReplayTuple:
     t: float
 
 
-def interpolate(x0: np.ndarray, xT: np.ndarray, t: float) -> np.ndarray:
-    """Point on the straight path from noise (t=0) to the clean sample (t=1)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation time must lie in [0, 1], got {t}")
-    return t * np.asarray(x0) + (1.0 - t) * np.asarray(xT)
-
-
-def true_velocity(x0: np.ndarray, xT: np.ndarray) -> np.ndarray:
-    """Ground-truth velocity of the linear path: x0 - xT, constant in t."""
-    x0, xT = np.asarray(x0), np.asarray(xT)
-    if x0.shape != xT.shape:
-        raise ContractError(f"shape mismatch: {x0.shape} vs {xT.shape}")
-    return x0 - xT
-
-
-def attention(query: np.ndarray, cache: KVCache, current_kv: list[KVEntry]) -> np.ndarray:
-    """Softmax-weighted value sum for one query over [sink; local; current]."""
-    entries = cache.entries() + list(current_kv)
-    if not entries:
-        raise ValueError("attention requires at least one key/value entry")
-    keys = np.stack([e.key for e in entries])
-    values = np.stack([e.value for e in entries])
-    scores = keys @ np.asarray(query) / np.sqrt(keys.shape[1])
-    shifted = np.exp(scores - scores.max())
-    weights = shifted / shifted.sum()
-    return weights @ values
-
-
 def velocity_eval(params: Params, state: FlowState, cache: KVCache,
                   prompt: np.ndarray) -> np.ndarray:
     """Deterministic forward pass of the velocity network for a whole block."""

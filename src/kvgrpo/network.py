@@ -1,9 +1,11 @@
 """Velocity-field network: per-frame embedding, single-head attention over the
 key/value memory, and a two-layer head.
 
-The forward pass is written once against :mod:`kvgrpo.autodiff` operations, so
-it runs either in plain numpy (rollouts, finite differences) or on a tape
-(replay gradients), depending on the reader it is given.
+The forward pass is plain numpy.  Given a :class:`Params` it returns the
+velocity array (rollouts, finite differences); given a
+:class:`~kvgrpo.autodiff.TapeReader` it records the whole network as one tape
+node whose backward is the hand-derived vector-Jacobian product
+(replay gradients).
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericalError
 from .params import Layout, Params
+
+# Parameter segments in layout order; also the parent order of the tape node.
+SEGMENTS = ("embed_w", "embed_b", "wq", "bq", "wk", "bk", "wv", "bv",
+            "head1_w", "head1_b", "head2_w", "head2_b")
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,10 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     layout = build_layout(shape)
     rng = np.random.default_rng(seed)
     values = np.zeros(layout.total)
-    for name, (offset, seg_shape) in layout.segments.items():
-        size = int(np.prod(seg_shape))
+    for name, span in layout.slices.items():
+        seg_shape = layout.segments[name][1]
         if len(seg_shape) == 2:
-            fan_in = seg_shape[0]
-            values[offset:offset + size] = rng.standard_normal(size) / np.sqrt(fan_in)
+            values[span] = rng.standard_normal(span.stop - span.start) / np.sqrt(seg_shape[0])
     return Params(values, layout)
 
 
@@ -82,19 +87,12 @@ def _augment(x: np.ndarray, t: float, prompt: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def embed_frames(reader, x: np.ndarray, t: float, prompt: np.ndarray):
-    aug = _augment(x, t, prompt)
-    return ad.tanh(ad.add_bias(ad.matmul(aug, reader.segment("embed_w")),
-                               reader.segment("embed_b")))
-
-
-def kv_for_frames(reader, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
+def kv_for_frames(params: Params, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
     """Key/value projections for frames.  Finished frames are embedded at t=1
     (the clean end of the flow path)."""
-    e = embed_frames(reader, x, t, prompt)
-    k = ad.add_bias(ad.matmul(e, reader.segment("wk")), reader.segment("bk"))
-    v = ad.add_bias(ad.matmul(e, reader.segment("wv")), reader.segment("bv"))
-    return k, v
+    seg = params.segment
+    e = np.tanh(_augment(x, t, prompt) @ seg("embed_w") + seg("embed_b"))
+    return e @ seg("wk") + seg("bk"), e @ seg("wv") + seg("bv")
 
 
 def velocity_forward(reader, x: np.ndarray, t: float, context_keys, context_values,
@@ -104,24 +102,63 @@ def velocity_forward(reader, x: np.ndarray, t: float, context_keys, context_valu
     ``x`` is the (frames, d) in-flight latent matrix; ``context_keys`` /
     ``context_values`` hold the cached memory as (M, h) arrays (``None`` for an
     empty memory).  Attention runs over [context ; current-block] jointly.
+    Returns an array for a :class:`Params` reader, and for a tape reader one
+    tape node whose parents are the parameter segments in ``SEGMENTS`` order.
     """
-    e = embed_frames(reader, x, t, prompt)
-    q = ad.add_bias(ad.matmul(e, reader.segment("wq")), reader.segment("bq"))
-    k_cur = ad.add_bias(ad.matmul(e, reader.segment("wk")), reader.segment("bk"))
-    v_cur = ad.add_bias(ad.matmul(e, reader.segment("wv")), reader.segment("bv"))
-    if context_keys is not None and np.shape(context_keys)[0] > 0:
-        keys = ad.concat_rows([context_keys, k_cur])
-        vals = ad.concat_rows([context_values, v_cur])
+    aug = _augment(x, t, prompt)
+    n_ctx = 0 if context_keys is None else np.shape(context_keys)[0]
+    leaves = [reader.segment(name) for name in SEGMENTS]
+    if not isinstance(reader, ad.TapeReader):
+        return _forward(leaves, aug, context_keys, context_values, n_ctx)[0]
+    w = [leaf.value for leaf in leaves]
+    out, saved = _forward(w, aug, context_keys, context_values, n_ctx)
+    return reader.tape.push(out, tuple(leaf.idx for leaf in leaves),
+                            lambda g: _vjp(g, w, aug, saved, n_ctx))
+
+
+def _forward(w, aug, context_keys, context_values, n_ctx):
+    """Network output and the intermediates its backward needs."""
+    ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
+    e = np.tanh(aug @ ew + eb)
+    q = e @ wq + bq
+    k = e @ wk + bk
+    v = e @ wv + bv
+    if n_ctx > 0:
+        keys = np.concatenate([context_keys, k], axis=0)
+        vals = np.concatenate([context_values, v], axis=0)
     else:
-        keys, vals = k_cur, v_cur
-    d_k = np.shape(ad.value(keys))[1]
-    scores = ad.mul(ad.matmul(q, ad.transpose(keys)), 1.0 / np.sqrt(d_k))
-    weights = ad.row_softmax(scores)
-    attended = ad.matmul(weights, vals)
-    hid = ad.tanh(ad.add_bias(ad.matmul(attended, reader.segment("head1_w")),
-                              reader.segment("head1_b")))
-    return ad.add_bias(ad.matmul(hid, reader.segment("head2_w")),
-                       reader.segment("head2_b"))
+        keys, vals = k, v
+    scale = 1.0 / np.sqrt(keys.shape[1])
+    scores = (q @ keys.T) * scale
+    p = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    p = p / np.sum(p, axis=-1, keepdims=True)
+    att = p @ vals
+    hid = np.tanh(att @ w1 + b1)
+    return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)
+
+
+def _vjp(g, w, aug, saved, n_ctx):
+    """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint
+    ``g``.  The order of every product and transpose, and of the embedding
+    adjoint sum (from v + from k) + from q, is part of the bit-reproducibility
+    contract: reordering them moves the last bits of fixed-seed runs."""
+    ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
+    e, q, keys, vals, p, att, hid, scale = saved
+    g_pre1 = (g @ w2.T) * (1.0 - hid * hid)
+    g_att = g_pre1 @ w1.T
+    g_p = g_att @ vals.T
+    g_scores = p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * scale
+    g_q = g_scores @ keys
+    g_k = (q.T @ g_scores).T[n_ctx:]
+    g_v = (p.T @ g_att)[n_ctx:]
+    g_e = (g_v @ wv.T + g_k @ wk.T) + g_q @ wq.T
+    g_pre = g_e * (1.0 - e * e)
+    return (aug.T @ g_pre, g_pre.sum(axis=0),
+            e.T @ g_q, g_q.sum(axis=0),
+            e.T @ g_k, g_k.sum(axis=0),
+            e.T @ g_v, g_v.sum(axis=0),
+            att.T @ g_pre1, g_pre1.sum(axis=0),
+            hid.T @ g, g.sum(axis=0))
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -11,25 +11,29 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Layout:
-    """Maps segment names to (offset, shape) within a flat float64 vector.
+    """Maps segment names to (offset, shape) within a flat float64 vector, and
+    to the matching ``slice`` of that vector.
 
     Segments are disjoint and cover [0, total).
     """
 
     segments: dict[str, tuple[int, tuple[int, ...]]]
     total: int
+    slices: dict[str, slice]
 
     @staticmethod
     def build(shapes: dict[str, tuple[int, ...]]) -> "Layout":
         segments: dict[str, tuple[int, tuple[int, ...]]] = {}
+        slices: dict[str, slice] = {}
         offset = 0
         for name, shape in shapes.items():
             size = int(np.prod(shape))
             if size <= 0:
                 raise ConfigError(f"segment {name!r} has zero size (shape {shape})")
             segments[name] = (offset, tuple(shape))
+            slices[name] = slice(offset, offset + size)
             offset += size
-        return Layout(segments, offset)
+        return Layout(segments, offset, slices)
 
     def to_json(self) -> dict:
         return {name: {"offset": off, "shape": list(shape)}
@@ -57,12 +61,8 @@ class Params:
                 f"parameter vector has length {self.values.size}, layout expects {self.layout.total}")
 
     def segment(self, name: str) -> np.ndarray:
-        offset, shape = self.layout.segments[name]
-        size = int(np.prod(shape))
-        return self.values[offset:offset + size].reshape(shape)
-
-    # Reader-protocol aliases (see autodiff.TapeReader).
-    raw = segment
+        layout = self.layout
+        return self.values[layout.slices[name]].reshape(layout.segments[name][1])
 
     def detached(self) -> "Params":
         return self

@@ -72,19 +72,6 @@ class LossBreakdown:
     per_branch_ratio: np.ndarray
 
 
-def replay_velocities(params, branch: BranchTrajectory,
-                      contexts: ReplayContexts) -> list[np.ndarray]:
-    """Re-evaluate every cached solver step of a branch under its restored
-    default-layout context, one velocity matrix per replay tuple."""
-    out = []
-    for tup in branch.replay:
-        cache = contexts.for_block(branch.branch_id, tup.block)
-        keys, values = cache.stacked()
-        out.append(np.asarray(network.velocity_forward(
-            params, tup.z, tup.t, keys, values, contexts.prompt)))
-    return out
-
-
 def replay_energy(reader, branch: BranchTrajectory, contexts: ReplayContexts,
                   grad_steps: int | None = None, include_all_steps: bool = True):
     """Summed per-dimension-normalized squared residual between the cached

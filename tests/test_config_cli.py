@@ -135,14 +135,32 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="magic"):
             load_checkpoint(path)
 
-    def test_truncated_rejected(self, tmp_path):
+    def test_truncated_rejected(self, tmp_path, capsys):
         params = param_init(NetworkShape(3, 5, 2), 9)
         path = tmp_path / "ck.kvc"
         save_checkpoint(path, params, {}, 0, None)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-16])
-        with pytest.raises(ConfigError, match="truncated"):
-            load_checkpoint(path)
+        header_len = int.from_bytes(blob[12:16], "little")
+        header = blob[16:16 + header_len]
+        faults = {
+            "values cut": (blob[:-16], "truncated"),
+            "header length past the end": (
+                blob[:12] + (len(blob) + 1).to_bytes(4, "little") + blob[16:], "truncated"),
+            "cut inside the header": (blob[:16 + header_len // 2], "truncated"),
+            "header not UTF-8": (blob[:16] + b"\xff" * header_len + blob[16 + header_len:],
+                                 "corrupt"),
+            "header not JSON": (blob[:16] + b"{" * header_len + blob[16 + header_len:],
+                                "corrupt"),
+            "header key missing": (
+                blob[:16] + header.replace(b'"has_ema"', b'"has_em_"') + blob[16 + header_len:],
+                "corrupt"),
+        }
+        for fault, (data, message) in faults.items():
+            path.write_bytes(data)
+            with pytest.raises(ConfigError, match=message):
+                load_checkpoint(path)
+            assert main(["inspect", str(path)]) == 1, fault
+            assert "configuration error" in capsys.readouterr().err
 
 
 class TestCli:
@@ -171,6 +189,20 @@ class TestCli:
         saved = load_config(out / "config.json")
         assert saved.trainer.seed == 3
 
+    def test_train_writes_config_before_a_crash(self, tmp_path, capsys, monkeypatch):
+        import kvgrpo.trainer as trainer
+
+        def crash(cfg, on_record=None):
+            raise RuntimeError("injected crash")
+
+        monkeypatch.setattr(trainer, "run", crash)
+        cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "crashed"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out), "train"])
+        assert code == 3
+        assert "injected crash" in capsys.readouterr().err
+        assert load_config(out / "config.json").trainer.seed == 3
+
     def test_unknown_override_exits_one(self, tmp_path, capsys):
         cfg_path = write_small_config(tmp_path)
         code = main(["--config", str(cfg_path), "--set", "bogus=1", "train"])
@@ -194,24 +226,15 @@ class TestCli:
         assert "all gradient checks passed" in capsys.readouterr().out
 
     def test_gradcheck_detects_injected_bad_backward(self, capsys, monkeypatch):
-        # Negative control: corrupt one backward pass and expect exit 2.
-        import kvgrpo.autodiff as ad
-        true_tanh = ad.tanh
+        # Negative control: corrupt the network's backward and expect exit 2.
+        import kvgrpo.network as network
+        true_vjp = network._vjp
 
-        def bad_tanh(x):
-            tape = ad._tape_of(x)
-            if tape is None:
-                return np.tanh(x)
-            xv, xi = ad._operand(x, tape)
-            out = np.tanh(xv)
-            return tape.push(out, (xi,), lambda g: (g * (1.0 - 0.9 * out * out),))
+        def bad_vjp(*args):
+            return tuple(0.9 * g for g in true_vjp(*args))
 
-        monkeypatch.setattr(ad, "tanh", bad_tanh)
-        try:
-            code = main(["gradcheck"])
-        finally:
-            monkeypatch.setattr(ad, "tanh", true_tanh)
-        assert code == 2
+        monkeypatch.setattr(network, "_vjp", bad_vjp)
+        assert main(["gradcheck"]) == 2
         assert "FAILED" in capsys.readouterr().out
 
     def test_gradcheck_reports_are_reproducible(self, capsys):

@@ -1,14 +1,14 @@
-"""Generator mechanics: interpolation path, attention, Euler solve, block
-generation, cache write-back, and full rollouts."""
+"""Generator mechanics: velocity evaluation, Euler solve, block generation,
+cache write-back, and full rollouts."""
 
 import numpy as np
 import pytest
 
 from kvgrpo.cache import FrameHistory, KVCache, KVEntry
 from kvgrpo.errors import ContractError, SequencingError
-from kvgrpo.flow import (Block, FlowState, GeneratorConfig, Latent, attention,
-                         block_noise, generate_block, interpolate, ode_step,
-                         rollout, true_velocity, velocity_eval, write_back)
+from kvgrpo.flow import (Block, FlowState, GeneratorConfig, Latent, block_noise,
+                         generate_block, ode_step, rollout, velocity_eval,
+                         write_back)
 from kvgrpo.network import NetworkShape, param_init
 
 TINY = NetworkShape(3, 5, 2)
@@ -19,79 +19,6 @@ def tiny_rollout(seed=0, num_blocks=5, record=False):
     params = param_init(TINY, seed)
     return params, rollout(params, PROMPT, num_blocks, noise_seed=seed,
                            record_replay=record)
-
-
-class TestInterpolate:
-    def test_endpoint_noise(self):
-        x0, xT = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        np.testing.assert_array_equal(interpolate(x0, xT, 0.0), xT)
-
-    def test_endpoint_clean(self):
-        x0, xT = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        np.testing.assert_array_equal(interpolate(x0, xT, 1.0), x0)
-
-    def test_midpoint(self):
-        out = interpolate(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5)
-        np.testing.assert_array_equal(out, np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("t", [-0.1, 1.1])
-    def test_domain_error(self, t):
-        with pytest.raises(ValueError):
-            interpolate(np.zeros(2), np.zeros(2), t)
-
-
-class TestTrueVelocity:
-    def test_identical_endpoints(self):
-        np.testing.assert_array_equal(true_velocity(np.ones(3), np.ones(3)), np.zeros(3))
-
-    def test_simple(self):
-        np.testing.assert_array_equal(true_velocity(np.ones(2), np.zeros(2)), np.ones(2))
-
-    def test_random_matches_elementwise(self):
-        rng = np.random.default_rng(0)
-        x0, xT = rng.normal(size=5), rng.normal(size=5)
-        expected = np.array([x0[i] - xT[i] for i in range(5)])
-        np.testing.assert_array_equal(true_velocity(x0, xT), expected)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            true_velocity(np.zeros(2), np.zeros(3))
-
-
-def entry(k, v, idx):
-    return KVEntry(np.asarray(k, dtype=float), np.asarray(v, dtype=float), idx)
-
-
-class TestAttention:
-    def test_single_entry_returns_value(self):
-        cache = KVCache(sink_size=1, local_capacity=1)
-        cache.sink.append(entry([1.0, 2.0], [3.0, 4.0], 1))
-        out = attention(np.array([0.5, -0.5]), cache, [])
-        np.testing.assert_allclose(out, np.array([3.0, 4.0]))
-
-    def test_identical_keys_and_values(self):
-        cache = KVCache()
-        cache.sink = [entry([1.0, 0.0], [5.0, 6.0], 1), entry([1.0, 0.0], [5.0, 6.0], 2)]
-        out = attention(np.array([2.0, 1.0]), cache, [])
-        np.testing.assert_allclose(out, np.array([5.0, 6.0]))
-
-    def test_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(3)
-        cache = KVCache()
-        entries = [entry(rng.normal(size=4), rng.normal(size=4), i + 1) for i in range(5)]
-        cache.sink = entries[:3]
-        cache.local = entries[3:]
-        q = rng.normal(size=4)
-        out = attention(q, cache, [])
-        # direct softmax-weighted sum
-        scores = [k_ @ q / np.sqrt(4) for k_ in (e.key for e in entries)]
-        weights = np.exp(scores) / np.sum(np.exp(scores))
-        expected = sum(w * e.value for w, e in zip(weights, entries))
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            attention(np.zeros(2), KVCache(), [])
 
 
 class TestVelocityEval:

@@ -7,7 +7,7 @@ import pytest
 from kvgrpo.cache import ROUTED_LAYOUT
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import GeneratorConfig, rollout
-from kvgrpo.network import NetworkShape, param_init
+from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.policy import replay_energy
 from kvgrpo.routing import (GroupSeeds, RoutingDecision, build_branch_cache,
                             build_replay_contexts, rollout_group, routable_set,
@@ -15,6 +15,16 @@ from kvgrpo.routing import (GroupSeeds, RoutingDecision, build_branch_cache,
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
+
+
+def replay_velocities(params, branch, contexts):
+    """Each cached solver step of a branch, re-evaluated under its restored
+    default-layout context."""
+    out = []
+    for tup in branch.replay:
+        keys, values = contexts.for_block(branch.branch_id, tup.block).stacked()
+        out.append(velocity_forward(params, tup.z, tup.t, keys, values, contexts.prompt))
+    return out
 
 
 def make_group(seed=0, num_blocks=8, pivot=6, window=2, branches=4, **kw):
@@ -233,7 +243,6 @@ class TestReplayContexts:
         assert float(energy) == 0.0
 
     def test_anchor_replay_velocities_equal_cached_targets_bitwise(self, check_instance):
-        from kvgrpo.policy import replay_velocities
         anchor = check_instance.group.anchor
         velocities = replay_velocities(check_instance.params, anchor,
                                        check_instance.contexts)
@@ -242,7 +251,6 @@ class TestReplayContexts:
             assert np.array_equal(v, tup.u_hat)
 
     def test_branch_replay_velocities_differ_from_targets(self, check_instance):
-        from kvgrpo.policy import replay_velocities
         branch = check_instance.group.branches[0]
         velocities = replay_velocities(check_instance.params, branch,
                                        check_instance.contexts)
