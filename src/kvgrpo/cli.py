@@ -138,6 +138,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .checkpoint import MAGIC, load_checkpoint
+    from .errors import ConfigError
 
     path = Path(args.path)
     if not path.exists():
@@ -157,15 +158,24 @@ def cmd_inspect(args) -> int:
         return EXIT_OK
     text = path.read_text()
     if path.suffix == ".jsonl" or "\n{" in text.strip():
-        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-        print(f"metrics: {path} ({len(lines)} records)")
-        if lines:
-            first, last = lines[0], lines[-1]
+        lines = text.split("\n")
+        records = []
+        for number, line in enumerate(lines, 1):
+            try:
+                records += [json.loads(line)] if line.strip() else []
+            except json.JSONDecodeError as exc:
+                if number < len(lines):  # a complete line: the file is corrupt
+                    raise ConfigError(f"{path}: line {number} is not valid JSON ({exc})")
+                # A cut last line (no trailing newline) is what a crash mid-write leaves.
+                print(f"note: ignoring cut final line {number}")
+        print(f"metrics: {path} ({len(records)} records)")
+        if records:
+            first, last = records[0], records[-1]
             for tag, rec in (("first", first), ("last", last)):
                 print(f"  {tag}: iteration {rec.get('iteration')}, "
                       f"anchor_reward {rec.get('anchor_reward'):.6f}, "
                       f"skipped {rec.get('skipped')}")
-            skipped = sum(bool(r.get("skipped")) for r in lines)
+            skipped = sum(bool(r.get("skipped")) for r in records)
             print(f"  skipped iterations: {skipped}")
         return EXIT_OK
     obj = json.loads(text)

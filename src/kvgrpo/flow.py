@@ -29,11 +29,6 @@ class GeneratorConfig:
     def dt(self) -> float:
         return 1.0 / self.num_steps
 
-    def step_time(self, step_index: int) -> float:
-        # Solver step s evaluates the field at t = (s-1)/S; the final Euler
-        # step lands exactly on t = 1.
-        return (step_index - 1) / self.num_steps
-
 
 @dataclass(frozen=True)
 class Latent:
@@ -71,10 +66,10 @@ class ReplayTuple:
     t: float
 
 
-def velocity_eval(params: Params, state: FlowState, cache: KVCache,
-                  prompt: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass of the velocity network for a whole block."""
-    keys, values = cache.stacked()
+def velocity_eval(params: Params, state: FlowState, keys: np.ndarray | None,
+                  values: np.ndarray | None, prompt: np.ndarray) -> np.ndarray:
+    """Deterministic forward pass of the velocity network for a whole block,
+    attending over the memory's stacked keys and values."""
     out = network.velocity_forward(params, state.x, state.t, keys, values, prompt)
     return network.check_finite(np.asarray(out), "velocity output")
 
@@ -112,9 +107,11 @@ def generate_block(params: Params, cache: KVCache, block_index: int, noise_seed:
     d = network.shape_from_layout(params.layout).latent_dim
     x = block_noise(noise_seed, block_index, cfg.frames_per_block, d)
     state = FlowState(x, 0.0, 1)
+    # The memory only changes between blocks, so it is stacked once per solve.
+    keys, values = cache.stacked()
     tuples: list[ReplayTuple] = []
     for s in range(1, cfg.num_steps + 1):
-        v = velocity_eval(params, state, cache, prompt)
+        v = velocity_eval(params, state, keys, values, prompt)
         if record_replay:
             tuples.append(ReplayTuple(state.x.copy(), np.asarray(v).copy(),
                                       block_index, s, state.t))

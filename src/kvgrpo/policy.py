@@ -91,8 +91,7 @@ def replay_energy(reader, branch: BranchTrajectory, contexts: ReplayContexts,
         if tup.z.shape[-1] != shape.latent_dim:
             raise ContractError(
                 f"replay latent dim {tup.z.shape[-1]} != network dim {shape.latent_dim}")
-        cache = contexts.for_block(branch.branch_id, tup.block)
-        keys, values = cache.stacked()
+        keys, values = contexts.for_block(branch.branch_id, tup.block)
         r = reader if carrying else reader.detached()
         v = network.velocity_forward(r, tup.z, tup.t, keys, values, contexts.prompt)
         diff = ad.sub(v, tup.u_hat)
@@ -196,11 +195,15 @@ def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
 
 
 def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
-                eval_old: PolicyEval, eval_ref: PolicyEval, adv: Advantages,
+                eval_old: PolicyEval | None, eval_ref: PolicyEval, adv: Advantages,
                 cfg: PolicyConfig):
-    """Loss composition shared by bookkeeping and gradient passes."""
+    """Loss composition shared by bookkeeping and gradient passes.  With
+    ``eval_old=None`` the parameters are theta_old (PPO's first epoch), so the
+    old policy is this pass's own energies, held constant; it is returned last."""
     _check_eps(cfg.eps_low, cfg.eps_high)
     energies = surrogate_energies(reader, group, contexts, cfg)
+    if eval_old is None:
+        eval_old = gibbs(np.array([float(ad.value(e)) for e in energies]), cfg.tau)
     logits = ad.mul(ad.pack(energies), -1.0 / cfg.tau)
     log_probs = ad.sub(logits, ad.logsumexp(logits))
     log_rho = ad.sub(log_probs, eval_old.log_probs)
@@ -210,7 +213,7 @@ def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
     ppo = ad.mul(ad.asum(ad.minimum(unclipped, clipped)), -1.0 / len(group.branches))
     kl = ad.asum(ad.mul(ad.exp(log_probs), ad.sub(log_probs, eval_ref.log_probs)))
     total = ad.add(ppo, ad.mul(kl, cfg.beta))
-    return total, ppo, kl, rho, energies
+    return total, ppo, kl, rho, energies, eval_old
 
 
 def total_loss(params: Params, group: RolloutGroup, contexts: ReplayContexts,
@@ -218,8 +221,8 @@ def total_loss(params: Params, group: RolloutGroup, contexts: ReplayContexts,
                cfg: PolicyConfig) -> LossBreakdown:
     """Numeric loss breakdown at the given parameters (no gradient)."""
     adv = advantages(group.branch_rewards(), cfg.adv_clip_max)
-    total, ppo, kl, rho, _ = _build_loss(params, group, contexts, eval_old,
-                                         eval_ref, adv, cfg)
+    total, ppo, kl, rho, *_ = _build_loss(params, group, contexts, eval_old,
+                                          eval_ref, adv, cfg)
     skipped = guard(group.branch_rewards(), group.anchor.reward)
     kl_val = float(ad.value(kl))
     return LossBreakdown(float(ad.value(ppo)), kl_val if kl_val > 0 else 0.0,
@@ -228,17 +231,18 @@ def total_loss(params: Params, group: RolloutGroup, contexts: ReplayContexts,
 
 
 def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContexts,
-                    eval_old: PolicyEval, eval_ref: PolicyEval, cfg: PolicyConfig
-                    ) -> tuple[LossBreakdown, np.ndarray, GradVector]:
-    """Loss breakdown, per-branch energies, and the reverse-mode gradient."""
+                    eval_old: PolicyEval | None, eval_ref: PolicyEval, cfg: PolicyConfig
+                    ) -> tuple[LossBreakdown, np.ndarray, GradVector, PolicyEval]:
+    """Loss breakdown, per-branch energies, the reverse-mode gradient, and the
+    old policy (see :func:`_build_loss` for ``eval_old=None``)."""
     adv = advantages(group.branch_rewards(), cfg.adv_clip_max)
     parts: dict = {}
 
     def f(reader):
-        total, ppo, kl, rho, energies = _build_loss(reader, group, contexts,
-                                                    eval_old, eval_ref, adv, cfg)
+        total, ppo, kl, rho, energies, old = _build_loss(
+            reader, group, contexts, eval_old, eval_ref, adv, cfg)
         parts.update(ppo=ad.value(ppo), kl=ad.value(kl), rho=ad.value(rho),
-                     energies=[float(ad.value(e)) for e in energies])
+                     energies=[float(ad.value(e)) for e in energies], old=old)
         return total
 
     total_val, g = ad_grad(params, f)
@@ -247,7 +251,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
     breakdown = LossBreakdown(float(parts["ppo"]), kl_val if kl_val > 0 else 0.0,
                               total_val, skipped,
                               np.asarray(parts["rho"], dtype=np.float64))
-    return breakdown, np.array(parts["energies"]), g
+    return breakdown, np.array(parts["energies"]), g, parts["old"]
 
 
 def contrastive_grad_reference(params: Params, group: RolloutGroup,

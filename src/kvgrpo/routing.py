@@ -10,11 +10,11 @@ the default-layout memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import DEFAULT_LAYOUT, ROUTED_LAYOUT, FrameHistory, KVCache
+from .cache import ROUTED_LAYOUT, FrameHistory, KVCache
 from .errors import ConfigError, ContractError, InsufficientHistoryError
 from .flow import (Block, GeneratorConfig, ReplayTuple, generate_block, write_back)
 from .params import Params
@@ -242,18 +242,18 @@ def _run_branch(params, prompt, prefix, prefix_history, pivot_frame, pivot, wind
 class ReplayContexts:
     """Default-layout memories for replaying each trajectory's window steps.
 
-    ``caches[branch_id][j]`` conditions the j-th window block.  Entries come
-    from the stored rollout history, so the contexts are plain numbers: replay
-    gradients flow through the velocity evaluation only, exactly as at rollout
-    time.
+    ``caches[branch_id][j]`` holds the stacked ``(keys, values)`` that condition
+    the j-th window block.  Entries come from the stored rollout history, so
+    the contexts are plain numbers: replay gradients flow through the velocity
+    evaluation only, exactly as at rollout time.
     """
 
     window_blocks: list[int]
-    caches: dict[int, list[KVCache]]
+    caches: dict[int, list[tuple[np.ndarray | None, np.ndarray | None]]]
     prompt: np.ndarray
-    gen_cfg: GeneratorConfig
 
-    def for_block(self, branch_id: int, block: int) -> KVCache:
+    def for_block(self, branch_id: int, block: int
+                  ) -> tuple[np.ndarray | None, np.ndarray | None]:
         return self.caches[branch_id][block - self.window_blocks[0]]
 
 
@@ -267,12 +267,13 @@ def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> Replay
     if source not in ("branch", "anchor"):
         raise ConfigError(f"replay context source must be 'branch' or 'anchor', got {source!r}")
     cfg = group.gen_cfg
-    caches: dict[int, list[KVCache]] = {}
+    caches: dict[int, list[tuple]] = {}
     for traj in group.all_trajectories():
         hist = group.anchor.history if source == "anchor" else traj.history
         per_block = []
         for b in group.window_block_indices:
             upto = cfg.frames_per_block * (b - 1)
-            per_block.append(hist.default_cache(upto, cfg.sink_size, cfg.local_size))
+            cache = hist.default_cache(upto, cfg.sink_size, cfg.local_size)
+            per_block.append(cache.stacked())
         caches[traj.branch_id] = per_block
-    return ReplayContexts(group.window_block_indices, caches, group.prompt, cfg)
+    return ReplayContexts(group.window_block_indices, caches, group.prompt)

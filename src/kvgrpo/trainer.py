@@ -8,6 +8,7 @@ path is pure numpy in a fixed order.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass, field
@@ -98,22 +99,17 @@ class TrainerState:
     params: Params
     ema: Params
     ref: Params              # frozen at initialization, the KL reference
-    old: Params              # refreshed at each iteration start
     opt: Adam
     iteration: int = 0
+    group: RolloutGroup | None = None   # the last iteration's scored group
 
 
 def init_state(cfg: TrainerConfig) -> TrainerState:
     shape = NetworkShape(cfg.latent_dim, cfg.hidden_dim, cfg.prompt_dim)
     seed = int(np.random.SeedSequence((cfg.seed, _TAG_INIT)).generate_state(1)[0])
     params = param_init(shape, seed)
-    return TrainerState(params, params.copy(), params.copy(), params.copy(),
+    return TrainerState(params, params.copy(), params.copy(),
                         Adam(params.layout.total))
-
-
-def _gen_cfg(cfg: TrainerConfig) -> GeneratorConfig:
-    return GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps,
-                           cfg.sink_size, cfg.local_size)
 
 
 def _policy_cfg(cfg: TrainerConfig) -> PolicyConfig:
@@ -151,21 +147,25 @@ def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
 
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
-    """One full iteration.  On a guard skip or a non-finite loss the parameters
-    are left untouched (bitwise) and the record says so."""
+    """One full iteration.  On a guard skip or a numerical error the parameters
+    and the optimizer are left untouched (bitwise) and the record says so.  One
+    value-only replay runs: at the parameters if skipped, else at the reference;
+    the old policy comes from the first taped epoch."""
     started = time.perf_counter()
     state.iteration += 1
     it = state.iteration
     pivot, seeds = iteration_seeds(cfg, it)
     window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
-    prompt = cfg.prompt()
-    state.old = snapshot(state.params)
+    state.group = None  # release the previous group before rolling out the next
 
-    group = rollout_group(state.params, prompt, cfg.num_blocks, pivot, window,
-                          cfg.branch_number, seeds, _gen_cfg(cfg),
+    group = rollout_group(state.params, cfg.prompt(), cfg.num_blocks, pivot, window,
+                          cfg.branch_number, seeds,
+                          GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps,
+                                          cfg.sink_size, cfg.local_size),
                           tuple(tuple(c) for c in cfg.local_kv_choices),
                           cfg.routing_mode == "per_block")
     score_group(group, cfg)
+    state.group = group
     rewards = group.branch_rewards()
     record = IterationRecord(
         iteration=it, pivot_block=pivot, window=window,
@@ -178,41 +178,34 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
 
     pcfg = _policy_cfg(cfg)
     contexts = build_replay_contexts(group, cfg.replay_context)
-    eval_old = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        state.old, group, contexts, pcfg)]), cfg.temperature)
-    eval_ref = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        state.ref, group, contexts, pcfg)]), cfg.temperature)
-    record.branch_energies = [float(e) for e in eval_old.energies]
-
-    if guard(rewards, group.anchor.reward):
-        record.skipped = True
-        record.wall_clock_s = time.perf_counter() - started
-        return record
-
+    entering = snapshot(state.params), copy.deepcopy(state.opt)
     try:
-        for _ in range(cfg.ppo_epochs):
-            breakdown, energies, grad = policy.total_loss_grad(
-                state.params, group, contexts, eval_old, eval_ref, pcfg)
-            if not np.isfinite(breakdown.total):
-                raise NumericalError("non-finite total loss")
-            clipped, norm = clip_gradient(grad, cfg.max_grad_norm)
-            state.params = state.opt.apply(state.params, clipped,
-                                           learning_rate_at(cfg, it))
-            record.branch_energies = [float(e) for e in energies]
-            record.per_branch_ratio = [float(r) for r in breakdown.per_branch_ratio]
-            record.loss_ppo = breakdown.ppo
-            record.kl_value = breakdown.kl
-            record.loss_total = breakdown.total
-            record.grad_norm = norm
+        if guard(rewards, group.anchor.reward):
+            record.skipped = True
+            record.branch_energies = [float(e) for e in policy.surrogate_energies(
+                state.params, group, contexts, pcfg)]
+        else:
+            eval_ref = gibbs(np.array([float(e) for e in policy.surrogate_energies(
+                state.ref, group, contexts, pcfg)]), cfg.temperature)
+            eval_old = None
+            for _ in range(cfg.ppo_epochs):
+                breakdown, energies, grad, eval_old = policy.total_loss_grad(
+                    state.params, group, contexts, eval_old, eval_ref, pcfg)
+                clipped, norm = clip_gradient(grad, cfg.max_grad_norm)
+                state.params = state.opt.apply(state.params, clipped,
+                                               learning_rate_at(cfg, it))
+                record.branch_energies = [float(e) for e in energies]
+                record.per_branch_ratio = [float(r) for r in breakdown.per_branch_ratio]
+                record.loss_ppo = breakdown.ppo
+                record.kl_value = breakdown.kl
+                record.loss_total = breakdown.total
+                record.grad_norm = norm
+            state.ema = ema_update(state.ema, state.params, cfg.ema_decay)
     except NumericalError as exc:
-        # Abort the iteration: roll the parameters back to the snapshot.
-        state.params = snapshot(state.old)
+        # Abort the iteration: roll parameters and optimizer back.
+        state.params, state.opt = entering
         record.skipped = True
         record.error = str(exc)
-        record.wall_clock_s = time.perf_counter() - started
-        return record
-
-    state.ema = ema_update(state.ema, state.params, cfg.ema_decay)
     record.wall_clock_s = time.perf_counter() - started
     return record
 
@@ -259,7 +252,7 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
                 metrics_file.write(json.dumps(record.to_json()) + "\n")
                 metrics_file.flush()
             if traj_file is not None:
-                _dump_trajectories(traj_file, state, cfg, record)
+                _dump_trajectories(traj_file, state.group, record)
             if on_record is not None:
                 on_record(record)
             if (run_cfg.checkpoint_every > 0
@@ -274,15 +267,8 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     return result
 
 
-def _dump_trajectories(fh, state: TrainerState, cfg: TrainerConfig,
-                       record: IterationRecord) -> None:
-    """Re-derive the iteration's group and dump one record per trajectory."""
-    pivot, seeds = iteration_seeds(cfg, record.iteration)
-    group = rollout_group(state.old, cfg.prompt(), cfg.num_blocks, pivot,
-                          record.window, cfg.branch_number, seeds, _gen_cfg(cfg),
-                          tuple(tuple(c) for c in cfg.local_kv_choices),
-                          cfg.routing_mode == "per_block")
-    score_group(group, cfg)
+def _dump_trajectories(fh, group: RolloutGroup, record: IterationRecord) -> None:
+    """Dump one record per trajectory of the group the iteration trained on."""
     for traj in group.all_trajectories():
         fh.write(json.dumps({
             "iteration": record.iteration,

@@ -3,7 +3,8 @@
 Each test implements one acceptance criterion at its stated tolerance and
 prints one `ACCEPTANCE <n> PASS|FAIL` line (run with ``-s`` to see the lines
 as they complete).  The training-based criteria share a session-scoped matrix
-of full 200-iteration runs.
+of full 200-iteration runs; they are marked ``slow``, so
+``pytest -m "not slow"`` runs everything else.
 """
 
 import time
@@ -266,6 +267,7 @@ class TestCriterion8KlSuite:
             assert kl_penalty(ev, ev) == 0.0
 
 
+@pytest.mark.slow
 class TestCriterion9DeskScaleLearning:
     def test_default_run_improves(self, training_matrix):
         with criterion(9, "desk-scale learning: final-20 mean reward exceeds "
@@ -279,6 +281,7 @@ class TestCriterion9DeskScaleLearning:
                   f"in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion10SurrogateAblation:
     def test_replay_surrogate_beats_latent_l2(self, training_matrix):
         with criterion(10, "surrogate ablation: replay-energy >= latent-l2 "
@@ -293,6 +296,7 @@ class TestCriterion10SurrogateAblation:
             assert wins >= 2, f"replay surrogate won on only {wins}/3 seeds"
 
 
+@pytest.mark.slow
 class TestCriterion11KlWeightDirection:
     def test_beta_zero_does_not_outperform(self, training_matrix):
         with criterion(11, "KL-weight direction: beta=0 does not outperform "

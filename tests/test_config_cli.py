@@ -295,5 +295,29 @@ class TestCli:
         assert main(["inspect", str(out_dir / "metrics.jsonl")]) == 0
         assert "records" in capsys.readouterr().out
 
+    def _metrics_lines(self, tmp_path, capsys) -> list[str]:
+        cfg_path = write_small_config(tmp_path)
+        out_dir = tmp_path / "runc"
+        main(["--config", str(cfg_path), "--out-dir", str(out_dir), "train"])
+        capsys.readouterr()
+        return (out_dir / "metrics.jsonl").read_text().splitlines(keepends=True)
+
+    def test_inspect_metrics_with_cut_final_line(self, tmp_path, capsys):
+        # What a crash mid-write leaves: the last record stops without a newline.
+        lines = self._metrics_lines(tmp_path, capsys)
+        path = tmp_path / "cut.jsonl"
+        path.write_text(lines[0] + lines[1][:len(lines[1]) // 2])
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "ignoring cut final line 2" in out
+        assert "(1 records)" in out
+
+    def test_inspect_metrics_with_bad_inner_line(self, tmp_path, capsys):
+        lines = self._metrics_lines(tmp_path, capsys)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(lines[0][:len(lines[0]) // 2] + "\n" + lines[1])
+        assert main(["inspect", str(path)]) == 1
+        assert "line 1 is not valid JSON" in capsys.readouterr().err
+
     def test_inspect_missing_file(self, capsys):
         assert main(["inspect", "/definitely/not/here"]) == 1

@@ -24,9 +24,9 @@ def tiny_rollout(seed=0, num_blocks=5, record=False):
 class TestVelocityEval:
     def test_deterministic(self, tiny_params):
         state = FlowState(np.ones((3, 3)), 0.25, 2)
-        cache = KVCache()
-        a = velocity_eval(tiny_params, state, cache, PROMPT)
-        b = velocity_eval(tiny_params, state, cache, PROMPT)
+        keys, values = KVCache().stacked()
+        a = velocity_eval(tiny_params, state, keys, values, PROMPT)
+        b = velocity_eval(tiny_params, state, keys, values, PROMPT)
         assert np.array_equal(a, b)
 
     def test_zero_head_gives_zero_velocity(self, tiny_params):
@@ -34,18 +34,18 @@ class TestVelocityEval:
         p.segment("head2_w")[:] = 0.0
         p.segment("head2_b")[:] = 0.0
         state = FlowState(np.ones((3, 3)), 0.0, 1)
-        out = velocity_eval(p, state, KVCache(), PROMPT)
+        out = velocity_eval(p, state, *KVCache().stacked(), PROMPT)
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
     def test_perturbing_local_entry_changes_output(self):
         params, res = tiny_rollout(seed=2, num_blocks=5)
         cache = res.history.default_cache(len(res.history))
         state = FlowState(np.full((3, 3), 0.2), 0.5, 3)
-        before = velocity_eval(params, state, cache, PROMPT)
+        before = velocity_eval(params, state, *cache.stacked(), PROMPT)
         bumped = cache.copy()
         old = bumped.local[4]
         bumped.local[4] = KVEntry(old.key, old.value + 0.5, old.frame_index)
-        after = velocity_eval(params, state, bumped, PROMPT)
+        after = velocity_eval(params, state, *bumped.stacked(), PROMPT)
         assert not np.array_equal(before, after)
 
 

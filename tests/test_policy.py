@@ -35,7 +35,6 @@ class TestReplayEnergy:
         # One frame, d=3, residual (1,0,0): energy = 1/d = 1/3.  Build a fake
         # branch whose cached velocity differs from the replayed one by exactly
         # that residual.
-        from kvgrpo.flow import GeneratorConfig
         from kvgrpo.network import velocity_forward
         z = np.zeros((1, 3))
         cache = KVCache()
@@ -46,7 +45,7 @@ class TestReplayEnergy:
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
         branch = BranchTrajectory([], None, [ReplayTuple(z, u_hat, 5, 1, 0.25)],
                                   branch_id=1, history=None)
-        contexts = ReplayContexts([5], {1: [cache]}, prompt, GeneratorConfig())
+        contexts = ReplayContexts([5], {1: [(keys, values)]}, prompt)
         energy = replay_energy(tiny_params, branch, contexts)
         assert float(energy) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -59,8 +58,7 @@ class TestReplayEnergy:
         total = 0.0
         d = 3
         for tup in branch.replay:
-            cache = inst.contexts.for_block(branch.branch_id, tup.block)
-            keys, values = cache.stacked()
+            keys, values = inst.contexts.for_block(branch.branch_id, tup.block)
             v = np.asarray(velocity_forward(inst.params, tup.z, tup.t, keys,
                                             values, inst.contexts.prompt))
             for frame in range(v.shape[0]):
@@ -91,6 +89,22 @@ class TestReplayEnergy:
         _, g_restr = grad(inst.params,
                           lambda r: replay_energy(r, b, inst.contexts, 2, False))
         np.testing.assert_array_equal(g_all.values, g_restr.values)
+
+    @pytest.mark.parametrize("grad_steps", [2, None])
+    @pytest.mark.parametrize("include_all_steps", [True, False])
+    def test_taped_energies_equal_value_only_bitwise(self, check_instance,
+                                                     grad_steps, include_all_steps):
+        # The trainer takes the old policy from the first taped pass, so its
+        # energies must be the value-only ones bit for bit.
+        from kvgrpo.policy import surrogate_energies
+        inst = check_instance
+        pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
+        plain = [float(e) for e in surrogate_energies(inst.params, inst.group,
+                                                      inst.contexts, pcfg)]
+        reader = ad.TapeReader(ad.Tape(), inst.params)
+        taped = surrogate_energies(reader, inst.group, inst.contexts, pcfg)
+        assert all(isinstance(e, ad.Var) for e in taped)
+        assert [float(ad.value(e)) for e in taped] == plain
 
     def test_dimension_mismatch_rejected(self, check_instance):
         inst = check_instance
@@ -422,8 +436,10 @@ class TestTotalLoss:
                                                inst.contexts, pcfg))
         eval_old = gibbs(energies, pcfg.tau)
         eval_ref = gibbs(energies, pcfg.tau)
-        breakdown, _, g = total_loss_grad(inst.params, inst.group, inst.contexts,
-                                          eval_old, eval_ref, pcfg)
+        breakdown, _, g, used_old = total_loss_grad(inst.params, inst.group,
+                                                    inst.contexts, eval_old,
+                                                    eval_ref, pcfg)
+        assert used_old is eval_old
         np.testing.assert_array_equal(g.values, np.zeros_like(g.values))
         np.testing.assert_allclose(breakdown.per_branch_ratio, np.ones(8), atol=1e-15)
 

@@ -22,7 +22,7 @@ def replay_velocities(params, branch, contexts):
     default-layout context."""
     out = []
     for tup in branch.replay:
-        keys, values = contexts.for_block(branch.branch_id, tup.block).stacked()
+        keys, values = contexts.for_block(branch.branch_id, tup.block)
         out.append(velocity_forward(params, tup.z, tup.t, keys, values, contexts.prompt))
     return out
 
@@ -279,19 +279,17 @@ class TestReplayContexts:
         own_ctx = build_replay_contexts(group, source="branch")
         b = group.branches[0].branch_id
         first_block = group.pivot_block
-        shared = anchor_ctx.for_block(b, first_block)
-        own = own_ctx.for_block(b, first_block)
+        shared_keys, shared_values = anchor_ctx.for_block(b, first_block)
+        own_keys, own_values = own_ctx.for_block(b, first_block)
         # At the first window block both sources coincide (prefix is shared).
-        assert shared.frame_indices() == own.frame_indices()
+        assert np.array_equal(shared_keys, own_keys)
+        assert np.array_equal(shared_values, own_values)
         later = group.pivot_block + 1
-        anchor_later = anchor_ctx.for_block(b, later)
-        own_later = own_ctx.for_block(b, later)
-        assert [e.frame_index for e in anchor_later.entries()] == \
-            [e.frame_index for e in own_later.entries()]
-        diverged = any(
-            not np.array_equal(a.key, o.key)
-            for a, o in zip(anchor_later.entries(), own_later.entries()))
-        assert diverged
+        anchor_keys, _ = anchor_ctx.for_block(b, later)
+        own_keys, _ = own_ctx.for_block(b, later)
+        # Same slots, but the branch's own frames differ from the anchor's.
+        assert anchor_keys.shape == own_keys.shape
+        assert not np.array_equal(anchor_keys, own_keys)
 
     def test_bad_source_rejected(self):
         _, group = make_group(seed=15)

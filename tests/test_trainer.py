@@ -35,12 +35,68 @@ class TestSnapshot:
             train_iteration(state, cfg)
         assert np.array_equal(state.ref.values, ref0)
 
-    def test_old_snapshot_equals_params_entering_iteration(self):
-        cfg = small_config()
+    def test_aborted_epoch_restores_params_and_optimizer(self, monkeypatch):
+        # A NumericalError in the second PPO epoch must undo the first
+        # epoch's update of the parameters and of Adam's m, v and step.
+        from kvgrpo import policy
+        from kvgrpo.errors import NumericalError
+        cfg = small_config(seed=2, ppo_epochs=2)
         state = init_state(cfg)
-        entering = state.params.values.copy()
-        train_iteration(state, cfg)
-        assert np.array_equal(state.old.values, entering)
+        while train_iteration(state, cfg).skipped:
+            pass
+        assert state.opt.step == 2
+        real = policy.total_loss_grad
+        calls = []
+
+        def second_epoch_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "total_loss_grad", second_epoch_fails)
+        while True:
+            calls.clear()
+            params, m, v = (state.params.values.copy(), state.opt.m.copy(),
+                            state.opt.v.copy())
+            step = state.opt.step
+            record = train_iteration(state, cfg)
+            if calls:
+                break
+        assert record.skipped and record.error == "injected"
+        assert np.array_equal(state.params.values, params)
+        assert np.array_equal(state.opt.m, m)
+        assert np.array_equal(state.opt.v, v)
+        assert state.opt.step == step
+
+    def test_ref_pass_error_skips_iteration(self, monkeypatch, tmp_path):
+        # A NumericalError in the value-only reference pass aborts the
+        # iteration like any other, and the run still writes its final
+        # checkpoint.
+        from kvgrpo import policy, trainer
+        from kvgrpo.errors import NumericalError
+        real_energies, real_init, states = policy.surrogate_energies, init_state, []
+
+        def keep_state(c):
+            states.append(real_init(c))
+            return states[-1]
+
+        def ref_pass_fails(reader, *args, **kwargs):
+            if reader is states[0].ref:
+                raise NumericalError("injected ref failure")
+            return real_energies(reader, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "init_state", keep_state)
+        monkeypatch.setattr(policy, "surrogate_energies", ref_pass_fails)
+        cfg = RunConfig(trainer=small_config(seed=2, max_iterations=6),
+                        out_dir=str(tmp_path / "r")).validate()
+        fresh = real_init(cfg.trainer).params.values
+        result = run(cfg)
+        errored = [r for r in result.records if r.error is not None]
+        assert errored and all(r.skipped for r in errored)
+        assert all(r.error == "injected ref failure" for r in errored)
+        assert (tmp_path / "r" / "checkpoint_final.kvc").exists()
+        assert np.array_equal(result.state.params.values, fresh)
 
 
 class TestApplyUpdate:
@@ -157,8 +213,13 @@ class TestTrainIteration:
         eval_old = gibbs(energies, pcfg.tau)
         eval_ref = gibbs(energies, pcfg.tau)
         adv = advantages(inst.rewards, pcfg.adv_clip_max)
-        _, _, g = policy.total_loss_grad(inst.params, inst.group, inst.contexts,
-                                         eval_old, eval_ref, pcfg)
+        _, _, g, _ = policy.total_loss_grad(inst.params, inst.group, inst.contexts,
+                                            eval_old, eval_ref, pcfg)
+        # The old policy taken from the pass itself gives the same gradient.
+        _, _, g_own, own_old = policy.total_loss_grad(
+            inst.params, inst.group, inst.contexts, None, eval_ref, pcfg)
+        np.testing.assert_array_equal(g_own.values, g.values)
+        np.testing.assert_array_equal(own_old.log_probs, eval_old.log_probs)
         per_branch = []
         for b in inst.group.branches:
             _, gb = grad(inst.params, lambda r, br=b: policy.replay_energy(
@@ -248,6 +309,44 @@ class TestRun:
         for key in ("iteration", "anchor_reward", "branch_rewards", "loss_total",
                     "kl_value", "grad_norm", "skipped", "wall_clock_s"):
             assert key in rec
+
+    def test_dump_equals_reroll_at_entering_params(self, tmp_path):
+        # Reference for the dump: re-roll each iteration's group from the
+        # parameters entering that iteration and score it again.
+        import json
+        from kvgrpo.flow import GeneratorConfig
+        from kvgrpo.routing import rollout_group
+        from kvgrpo.trainer import iteration_seeds, score_group
+        tcfg = small_config(max_iterations=5, routing_mode="per_block",
+                            local_kv_choices=[[6, 3], [9, 6]])
+        run(RunConfig(trainer=tcfg, out_dir=str(tmp_path / "d"),
+                      dump_trajectories=True).validate())
+        lines = (tmp_path / "d" / "trajectories.jsonl").read_text().splitlines()
+
+        state = init_state(tcfg)
+        expected, updated = [], 0
+        for _ in range(tcfg.max_iterations):
+            entering = state.params.copy()
+            record = train_iteration(state, tcfg)
+            updated += not record.skipped
+            pivot, seeds = iteration_seeds(tcfg, record.iteration)
+            group = rollout_group(
+                entering, tcfg.prompt(), tcfg.num_blocks, pivot, record.window,
+                tcfg.branch_number, seeds,
+                GeneratorConfig(tcfg.frames_per_block, tcfg.denoise_steps,
+                                tcfg.sink_size, tcfg.local_size),
+                tuple(tuple(c) for c in tcfg.local_kv_choices), True)
+            score_group(group, tcfg)
+            for traj in group.all_trajectories():
+                expected.append({
+                    "iteration": record.iteration,
+                    "branch_id": traj.branch_id,
+                    "routing": list(traj.routing.indices) if traj.routing else None,
+                    "reward": traj.reward,
+                    "blocks": [b.matrix().tolist() for b in traj.blocks],
+                })
+        assert updated, "no update in the run; the check would not see stale params"
+        assert [json.loads(line) for line in lines] == expected
 
     def test_trajectory_dump(self, tmp_path):
         import json
