@@ -3,15 +3,14 @@ flow-matching generator, with KV-cache-routing exploration and a
 velocity-space surrogate policy."""
 
 from .autodiff import Tape, TapeReader, Var, fd_grad, grad
-from .cache import FrameHistory, KVCache, KVEntry
+from .cache import FrameHistory, KVCache
 from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from .config import (PRESETS, RunConfig, TrainerConfig, apply_overrides,
                      from_flat_dict, load_config, save_config, to_flat_dict)
 from .errors import (ConfigError, ContractError, InsufficientHistoryError,
                      NumericalError, SequencingError)
-from .flow import (Block, FlowState, GeneratorConfig, Latent, ReplayTuple,
-                   RolloutResult, generate_block, ode_step, rollout,
-                   velocity_eval, write_back)
+from .flow import (Block, FlowState, GeneratorConfig, ReplayTuple, RolloutResult,
+                   generate_block, ode_step, rollout, velocity_eval, write_back)
 from .network import NetworkShape, build_layout, param_init, shape_from_layout
 from .params import GradVector, Layout, Params
 from .policy import (Advantages, LossBreakdown, PolicyConfig, PolicyEval,

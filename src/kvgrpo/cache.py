@@ -1,114 +1,113 @@
 """Sink + sliding-local key/value memory, and the retained per-frame history.
 
-The memory splits into a persistent sink (the first three frames, never
-evicted) and a bounded local window of recent frames.  A separate
-:class:`FrameHistory` keeps every frame's entry alive after it leaves the
-window, since branch caches route from frames the window has already dropped.
+A frame's key and value are one row each of an ``(M, h)`` array; this module
+alone knows how those rows are laid out.  The memory splits into a persistent
+sink (the first three frames, never evicted) and a bounded local window of
+recent frames.  A separate :class:`FrameHistory` keeps every frame's row after
+it leaves the window, since branch memories route from frames the window has
+already dropped.  Arrays are never written in place: an update builds new
+arrays, so memories and history copies share their arrays safely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-
-DEFAULT_LAYOUT = "default"
-ROUTED_LAYOUT = "routed"
-
-
-@dataclass(frozen=True)
-class KVEntry:
-    key: np.ndarray
-    value: np.ndarray
-    frame_index: int
 
 
 @dataclass
 class KVCache:
     """Attention memory with a fixed sink and a bounded local window.
 
-    In the default layout the local slots hold the most recent frames in
-    ascending frame order.  In the routed layout the leading slots hold
-    stochastically routed older frames and the trailing slots the most recent
-    ones; eviction is positional (slots shift left), which keeps the trailing
-    slots pointing at the newest frames either way.
+    ``keys`` and ``values`` hold one row per slot, sink rows first (``None``
+    while empty), and ``frames`` the frame index of each row.  In the default
+    layout the local slots hold the most recent frames in ascending frame
+    order.  In the routed layout the leading local slots hold stochastically
+    routed older frames and the trailing slots the most recent ones; eviction
+    is positional (the oldest slots go first), which keeps the trailing slots
+    pointing at the newest frames either way.
     """
 
     sink_size: int = 3
     local_capacity: int = 9
-    layout_tag: str = DEFAULT_LAYOUT
-    sink: list[KVEntry] = field(default_factory=list)
-    local: list[KVEntry] = field(default_factory=list)
-
-    def copy(self) -> "KVCache":
-        return KVCache(self.sink_size, self.local_capacity, self.layout_tag,
-                       list(self.sink), list(self.local))
-
-    def entries(self) -> list[KVEntry]:
-        return self.sink + self.local
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
+    frames: tuple[int, ...] = ()
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
         """Keys and values as (M, h) matrices, sink rows first."""
-        ents = self.entries()
-        if not ents:
-            return None, None
-        return (np.stack([e.key for e in ents]),
-                np.stack([e.value for e in ents]))
+        return self.keys, self.values
 
-    def append(self, entry: KVEntry) -> None:
-        """Insert a newly generated frame: fill the sink first, then shift the
-        local window, evicting from the leading slot."""
-        if len(self.sink) < self.sink_size:
-            if entry.frame_index != len(self.sink) + 1:
-                raise ContractError(
-                    f"sink frames must arrive in order, got frame {entry.frame_index} "
-                    f"with {len(self.sink)} sink entries")
-            self.sink.append(entry)
-            return
-        self.local.append(entry)
-        if len(self.local) > self.local_capacity:
-            del self.local[0]
-
-    def frame_indices(self) -> list[int]:
-        return [e.frame_index for e in self.entries()]
+    def append(self, keys: np.ndarray, values: np.ndarray, frames) -> None:
+        """Insert one block's rows: fill the sink first, then the local window,
+        dropping its oldest rows beyond capacity."""
+        filled = min(len(self.frames), self.sink_size)
+        frames = self.frames + tuple(frames)
+        sink = min(len(frames), self.sink_size)
+        if frames[filled:sink] != tuple(range(filled + 1, sink + 1)):
+            raise ContractError(
+                f"sink frames must arrive in order, got frames {list(frames[filled:sink])} "
+                f"with {filled} sink entries")
+        if self.keys is not None:
+            keys = np.concatenate([self.keys, keys])
+            values = np.concatenate([self.values, values])
+        drop = len(frames) - sink - self.local_capacity
+        if drop > 0:
+            keys = np.concatenate([keys[:sink], keys[sink + drop:]])
+            values = np.concatenate([values[:sink], values[sink + drop:]])
+            frames = frames[:sink] + frames[sink + drop:]
+        self.keys, self.values, self.frames = keys, values, frames
 
 
 @dataclass
 class FrameHistory:
-    """Every generated frame's final latent and KV entry, in frame order."""
+    """Every generated frame's key and value, as (N, h) arrays in frame order:
+    row ``i`` holds frame ``i + 1``."""
 
-    latents: list[np.ndarray] = field(default_factory=list)
-    entries: list[KVEntry] = field(default_factory=list)
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return 0 if self.keys is None else len(self.keys)
 
     def copy(self) -> "FrameHistory":
-        return FrameHistory(list(self.latents), list(self.entries))
+        return FrameHistory(self.keys, self.values)
 
-    def append(self, latent: np.ndarray, entry: KVEntry) -> None:
-        if entry.frame_index != len(self.entries) + 1:
+    def append(self, keys: np.ndarray, values: np.ndarray, frames) -> None:
+        """Append one block's rows; ``frames`` must continue the history."""
+        frames = list(frames)
+        if frames != list(range(len(self) + 1, len(self) + len(frames) + 1)):
             raise ContractError(
-                f"history frames must be appended in order, got {entry.frame_index} "
-                f"after {len(self.entries)}")
-        self.latents.append(latent)
-        self.entries.append(entry)
+                f"history frames must be appended in order, got {frames} "
+                f"after {len(self)}")
+        if self.keys is not None:
+            keys = np.concatenate([self.keys, keys])
+            values = np.concatenate([self.values, values])
+        self.keys, self.values = keys, values
 
-    def entry(self, frame_index: int) -> KVEntry:
-        if not 1 <= frame_index <= len(self.entries):
-            raise ContractError(f"frame {frame_index} not in history of length {len(self.entries)}")
-        return self.entries[frame_index - 1]
+    def gather(self, frames, sink_size: int = 3, local_capacity: int = 9) -> KVCache:
+        """A memory whose rows are the given frames, in the given order."""
+        frames = tuple(frames)
+        if not frames:
+            return KVCache(sink_size, local_capacity)
+        bad = [f for f in frames if not 1 <= f <= len(self)]
+        if bad:
+            raise ContractError(f"frame {bad[0]} not in history of length {len(self)}")
+        rows = np.array(frames) - 1
+        return KVCache(sink_size, local_capacity, self.keys[rows], self.values[rows],
+                       frames)
 
     def default_cache(self, upto_frame: int, sink_size: int = 3,
                       local_capacity: int = 9) -> KVCache:
         """Default-layout cache as it stands after ``upto_frame`` frames: the
         sink plus the most recent frames, oldest first."""
-        if upto_frame > len(self.entries):
+        if upto_frame > len(self):
             raise ContractError(
-                f"history holds {len(self.entries)} frames, cannot rebuild at {upto_frame}")
-        sink = [self.entries[i] for i in range(min(sink_size, upto_frame))]
+                f"history holds {len(self)} frames, cannot rebuild at {upto_frame}")
         first_local = max(sink_size, upto_frame - local_capacity)
-        local = [self.entries[i] for i in range(first_local, upto_frame)]
-        return KVCache(sink_size, local_capacity, DEFAULT_LAYOUT, sink, local)
+        frames = [*range(1, min(sink_size, upto_frame) + 1),
+                  *range(first_local + 1, upto_frame + 1)]
+        return self.gather(frames, sink_size, local_capacity)

@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
     done = len(result.records)
     skipped = sum(r.skipped for r in result.records)
     print(f"completed {done} iterations ({skipped} skipped); "
-          f"final mean reward {result.final_mean_reward():.6f}")
+          f"final mean reward {_reward(result.final_mean_reward())}")
     print(f"outputs in {cfg.out_dir}")
     return EXIT_OK
 
@@ -127,11 +127,12 @@ def cmd_ablate(args) -> int:
             "skipped": sum(r.skipped for r in result.records),
         })
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_root / "summary.json").write_text(
+        json.dumps(summary, indent=2, allow_nan=False) + "\n")
     width = max(len(s["variant"]) for s in summary)
     print(f"{'variant'.ljust(width)}  final_mean_reward")
     for s in summary:
-        print(f"{s['variant'].ljust(width)}  {s['final_mean_reward']:.6f}")
+        print(f"{s['variant'].ljust(width)}  {_reward(s['final_mean_reward'])}")
     print(f"summary written to {out_root / 'summary.json'}")
     return EXIT_OK
 
@@ -169,14 +170,12 @@ def cmd_inspect(args) -> int:
                 # A cut last line (no trailing newline) is what a crash mid-write leaves.
                 print(f"note: ignoring cut final line {number}")
         print(f"metrics: {path} ({len(records)} records)")
-        if records:
-            first, last = records[0], records[-1]
-            for tag, rec in (("first", first), ("last", last)):
-                print(f"  {tag}: iteration {rec.get('iteration')}, "
-                      f"anchor_reward {rec.get('anchor_reward'):.6f}, "
-                      f"skipped {rec.get('skipped')}")
-            skipped = sum(bool(r.get("skipped")) for r in records)
-            print(f"  skipped iterations: {skipped}")
+        # A record whose rollout failed carries no rewards.
+        rewarded = [r for r in records if r.get("anchor_reward") is not None]
+        for tag, rec in zip(("first", "last"), rewarded[:1] + rewarded[-1:]):
+            print(f"  {tag}: iteration {rec.get('iteration')}, "
+                  f"anchor_reward {rec['anchor_reward']:.6f}, skipped {rec.get('skipped')}")
+        print(f"  skipped iterations: {sum(bool(r.get('skipped')) for r in records)}")
         return EXIT_OK
     obj = json.loads(text)
     print(f"config: {path}")
@@ -185,11 +184,34 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _reward(value: float | None) -> str:
+    return "none" if value is None else f"{value:.6f}"
+
+
+def _thread_cap(args) -> int | None:
+    """The ``threads`` setting, read without numpy: ``--threads``, else the
+    last ``--set threads=N``, else the config file's key.  None unless it is a
+    positive integer: the config validation reports a bad value."""
+    value = args.threads
+    sets = [v for k, _, v in (item.partition("=") for item in args.overrides)
+            if k.strip() == "threads"]
+    try:
+        if value is None and sets:
+            value = json.loads(sets[-1])
+        elif value is None and args.config:
+            value = json.loads(Path(args.config).read_text())
+            value = value.get("threads") if isinstance(value, dict) else None
+    except (OSError, ValueError):  # not JSON, or not readable
+        return None
+    return value if type(value) is int and value >= 1 else None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
+    threads = _thread_cap(args)
+    if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(threads)
 
     from .errors import ConfigError
 

@@ -2,8 +2,9 @@
 
 A block of frames starts from seeded Gaussian noise at t=0 and is carried to
 t=1 by Euler steps of the learned velocity field, attending over the sink/local
-memory of previously generated frames.  Finished frames are projected to
-key/value entries and written back into the memory.
+memory of previously generated frames.  A block is an (F, d) matrix, one row
+per frame.  When it is finished, the whole block is projected to (F, h) key and
+value rows in one call and pushed into the memory and the history.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network
-from .cache import FrameHistory, KVCache, KVEntry
+from .cache import FrameHistory, KVCache
 from .errors import ContractError, SequencingError
 from .params import Params
 
@@ -31,21 +32,18 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
-class Latent:
-    values: np.ndarray
-    frame_index: int
-
-
-@dataclass(frozen=True)
 class Block:
-    frames: tuple[Latent, ...]
+    """A finished block: its (F, d) final latents, one row per frame."""
+
+    frames: np.ndarray
     block_index: int
 
     def matrix(self) -> np.ndarray:
-        return np.stack([f.values for f in self.frames])
+        return self.frames
 
-    def frame_indices(self) -> list[int]:
-        return [f.frame_index for f in self.frames]
+    def frame_indices(self) -> range:
+        first = (self.block_index - 1) * len(self.frames) + 1
+        return range(first, first + len(self.frames))
 
 
 @dataclass
@@ -116,23 +114,18 @@ def generate_block(params: Params, cache: KVCache, block_index: int, noise_seed:
             tuples.append(ReplayTuple(state.x.copy(), np.asarray(v).copy(),
                                       block_index, s, state.t))
         state = ode_step(state, v, cfg.dt, cfg.num_steps)
-    first_frame = (block_index - 1) * cfg.frames_per_block + 1
-    frames = tuple(Latent(state.x[i].copy(), first_frame + i)
-                   for i in range(cfg.frames_per_block))
-    return Block(frames, block_index), tuples
+    return Block(state.x, block_index), tuples
 
 
 def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray,
                history: FrameHistory | None = None) -> KVCache:
-    """Project the finished block's frames to KV entries and push them into the
+    """Project the finished block to key/value rows and push them into the
     memory (and the retained history, if given).  Mutates and returns ``cache``."""
-    k, v = network.kv_for_frames(params, block.matrix(), prompt)
-    k, v = np.asarray(k), np.asarray(v)
-    for i, frame in enumerate(block.frames):
-        entry = KVEntry(k[i].copy(), v[i].copy(), frame.frame_index)
-        cache.append(entry)
-        if history is not None:
-            history.append(frame.values, entry)
+    keys, values = network.kv_for_frames(params, block.frames, prompt)
+    frames = block.frame_indices()
+    cache.append(keys, values, frames)
+    if history is not None:
+        history.append(keys, values, frames)
     return cache
 
 

@@ -70,9 +70,6 @@ class Params:
     def copy(self) -> "Params":
         return Params(self.values.copy(), self.layout)
 
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 @dataclass
 class GradVector:

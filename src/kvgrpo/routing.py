@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import ROUTED_LAYOUT, FrameHistory, KVCache
+from .cache import FrameHistory, KVCache
 from .errors import ConfigError, ContractError, InsufficientHistoryError
 from .flow import (Block, GeneratorConfig, ReplayTuple, generate_block, write_back)
 from .params import Params
@@ -25,8 +25,6 @@ class RoutingDecision:
     """Frame indices filling the routed local slots of one branch, in slot order."""
 
     indices: tuple[int, ...]
-    branch_id: int = 0
-    pivot_block: int = 0
     local_size: int = 9
 
 
@@ -82,8 +80,7 @@ def routable_set(L: int, near_count: int = 3, min_count: int = 6,
     return indices
 
 
-def sample_routing(omega, rng_seed, count: int = 6, branch_id: int = 0,
-                   pivot_block: int = 0, local_size: int = 9) -> RoutingDecision:
+def sample_routing(omega, rng_seed, count: int = 6, local_size: int = 9) -> RoutingDecision:
     """Draw ``count`` distinct indices uniformly without replacement."""
     omega = sorted(omega)
     if len(omega) < count:
@@ -91,8 +88,7 @@ def sample_routing(omega, rng_seed, count: int = 6, branch_id: int = 0,
             f"routable set of size {len(omega)} cannot fill {count} slots")
     rng = np.random.default_rng(rng_seed)
     picked = rng.choice(omega, size=count, replace=False)
-    return RoutingDecision(tuple(int(i) for i in picked), branch_id, pivot_block,
-                           local_size)
+    return RoutingDecision(tuple(int(i) for i in picked), local_size)
 
 
 def build_branch_cache(history: FrameHistory, L: int, routing: RoutingDecision,
@@ -113,10 +109,9 @@ def build_branch_cache(history: FrameHistory, L: int, routing: RoutingDecision,
         if r in seen:
             raise ContractError(f"routed frame {r} repeated")
         seen.add(r)
-    sink = [history.entry(i) for i in range(1, sink_size + 1)]
-    local = [history.entry(r) for r in routing.indices]
-    local += [history.entry(i) for i in range(L - near_count + 1, L + 1)]
-    return KVCache(sink_size, routing.local_size, ROUTED_LAYOUT, sink, local)
+    frames = [*range(1, sink_size + 1), *routing.indices,
+              *range(L - near_count + 1, L + 1)]
+    return history.gather(frames, sink_size, routing.local_size)
 
 
 def _branch_routing_seed(seeds: GroupSeeds, branch_id: int, block: int | None = None):
@@ -155,8 +150,9 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     each branch generates under its routed memory (updated by positional
     write-back shifts, or rebuilt per block when ``routing_per_block``); beyond
     it, generation reverts to the default layout over the branch's own frames.
-    Replay tuples are recorded for every solver step of every window block, for
-    the anchor as well.
+    The anchor is branch 0: it is never routed and keeps the default memory
+    throughout.  Replay tuples are recorded for every solver step of every
+    window block, for the anchor as well.
     """
     if window < 1 or pivot < 1:
         raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
@@ -176,54 +172,43 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
         prefix.append(block)
     pivot_frame = len(history)
 
-    anchor = _continue_default(params, prompt, prefix, cache.copy(), history.copy(),
-                               pivot, window, num_blocks, seeds, cfg, branch_id=0)
-
-    branches: list[BranchTrajectory] = []
-    for g in range(1, num_branches + 1):
-        branches.append(_run_branch(
-            params, prompt, prefix, history, pivot_frame, pivot, window, num_blocks,
-            seeds, cfg, g, local_kv_choices, routing_per_block,
-            None if routing_overrides is None else routing_overrides.get(g)))
-    return RolloutGroup(anchor, branches, pivot, window, seeds, np.asarray(prompt),
-                        cfg)
-
-
-def _continue_default(params, prompt, prefix, cache, history, pivot, window,
-                      num_blocks, seeds, cfg, branch_id) -> BranchTrajectory:
-    blocks = list(prefix)
-    replay: list[ReplayTuple] = []
-    for b in range(pivot, num_blocks + 1):
-        record = pivot <= b < pivot + window
-        block, reps = generate_block(params, cache, b, seeds.noise, prompt, record, cfg)
-        write_back(cache, block, params, prompt, history)
-        blocks.append(block)
-        replay.extend(reps)
-    return BranchTrajectory(blocks, None, replay, branch_id, history)
+    trajectories = [_run_branch(
+        params, prompt, prefix, history, pivot_frame, pivot, window, num_blocks,
+        seeds, cfg, g, local_kv_choices, routing_per_block,
+        None if routing_overrides is None else routing_overrides.get(g))
+        for g in range(num_branches + 1)]
+    return RolloutGroup(trajectories[0], trajectories[1:], pivot, window, seeds,
+                        np.asarray(prompt), cfg)
 
 
 def _run_branch(params, prompt, prefix, prefix_history, pivot_frame, pivot, window,
                 num_blocks, seeds, cfg, branch_id, local_kv_choices,
                 routing_per_block, override) -> BranchTrajectory:
+    """Blocks from the pivot on for one trajectory; branch 0 is the anchor."""
     history = prefix_history.copy()
-    local_size, routed_slots = _pick_local_size(seeds, branch_id, local_kv_choices,
-                                                pivot_frame, cfg.sink_size)
+    routing = None
+    if branch_id == 0:
+        cache = history.default_cache(pivot_frame, cfg.sink_size, cfg.local_size)
+    else:
+        local_size, routed_slots = _pick_local_size(seeds, branch_id, local_kv_choices,
+                                                    pivot_frame, cfg.sink_size)
 
-    def decide(L: int, block: int | None) -> RoutingDecision:
-        if override is not None:
-            return RoutingDecision(tuple(override), branch_id, pivot, local_size)
-        omega = routable_set(L, local_size - routed_slots, routed_slots, cfg.sink_size)
-        seed = _branch_routing_seed(seeds, branch_id, block)
-        return sample_routing(omega, seed, routed_slots, branch_id, pivot, local_size)
+        def decide(L: int, block: int | None) -> RoutingDecision:
+            if override is not None:
+                return RoutingDecision(tuple(override), local_size)
+            omega = routable_set(L, local_size - routed_slots, routed_slots,
+                                 cfg.sink_size)
+            seed = _branch_routing_seed(seeds, branch_id, block)
+            return sample_routing(omega, seed, routed_slots, local_size)
 
-    routing = decide(pivot_frame, pivot if routing_per_block else None)
-    cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
+        routing = decide(pivot_frame, pivot if routing_per_block else None)
+        cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
 
     blocks = list(prefix)
     replay: list[ReplayTuple] = []
     for b in range(pivot, num_blocks + 1):
         in_window = pivot <= b < pivot + window
-        if in_window and routing_per_block and b > pivot:
+        if routing is not None and in_window and routing_per_block and b > pivot:
             cache = build_branch_cache(history, len(history),
                                        decide(len(history), b), cfg.sink_size)
         if b == pivot + window:

@@ -36,10 +36,10 @@ class IterationRecord:
     iteration: int
     pivot_block: int
     window: int
-    anchor_reward: float
+    anchor_reward: float | None      # None when the rollout or the rewards failed
     branch_rewards: list[float]
-    reward_mean: float
-    reward_std: float
+    reward_mean: float | None
+    reward_std: float | None
     branch_energies: list[float]
     per_branch_ratio: list[float]
     loss_ppo: float
@@ -148,38 +148,40 @@ def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
     """One full iteration.  On a guard skip or a numerical error the parameters
-    and the optimizer are left untouched (bitwise) and the record says so.  One
-    value-only replay runs: at the parameters if skipped, else at the reference;
-    the old policy comes from the first taped epoch."""
+    and the optimizer are left untouched (bitwise) and the record says so; an
+    error in the rollout or the rewards leaves the record without rewards and
+    ``state.group`` empty.  One value-only replay runs: at the parameters if
+    skipped, else at the reference; the old policy comes from the first taped
+    epoch."""
     started = time.perf_counter()
     state.iteration += 1
     it = state.iteration
     pivot, seeds = iteration_seeds(cfg, it)
     window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
     state.group = None  # release the previous group before rolling out the next
-
-    group = rollout_group(state.params, cfg.prompt(), cfg.num_blocks, pivot, window,
-                          cfg.branch_number, seeds,
-                          GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps,
-                                          cfg.sink_size, cfg.local_size),
-                          tuple(tuple(c) for c in cfg.local_kv_choices),
-                          cfg.routing_mode == "per_block")
-    score_group(group, cfg)
-    state.group = group
-    rewards = group.branch_rewards()
     record = IterationRecord(
-        iteration=it, pivot_block=pivot, window=window,
-        anchor_reward=float(group.anchor.reward),
-        branch_rewards=[float(r) for r in rewards],
-        reward_mean=float(rewards.mean()), reward_std=float(rewards.std()),
+        iteration=it, pivot_block=pivot, window=window, anchor_reward=None,
+        branch_rewards=[], reward_mean=None, reward_std=None,
         branch_energies=[], per_branch_ratio=[], loss_ppo=0.0, kl_value=0.0,
         loss_total=0.0, grad_norm=0.0, learning_rate=learning_rate_at(cfg, it),
         skipped=False, wall_clock_s=0.0)
 
     pcfg = _policy_cfg(cfg)
-    contexts = build_replay_contexts(group, cfg.replay_context)
     entering = snapshot(state.params), copy.deepcopy(state.opt)
     try:
+        group = rollout_group(state.params, cfg.prompt(), cfg.num_blocks, pivot, window,
+                              cfg.branch_number, seeds,
+                              GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps,
+                                              cfg.sink_size, cfg.local_size),
+                              tuple(tuple(c) for c in cfg.local_kv_choices),
+                              cfg.routing_mode == "per_block")
+        score_group(group, cfg)
+        state.group = group
+        rewards = group.branch_rewards()
+        record.anchor_reward = float(group.anchor.reward)
+        record.branch_rewards = [float(r) for r in rewards]
+        record.reward_mean, record.reward_std = float(rewards.mean()), float(rewards.std())
+        contexts = build_replay_contexts(group, cfg.replay_context)
         if guard(rewards, group.anchor.reward):
             record.skipped = True
             record.branch_energies = [float(e) for e in policy.surrogate_energies(
@@ -215,11 +217,12 @@ class TrainResult:
     state: TrainerState
     records: list[IterationRecord] = field(default_factory=list)
 
-    def final_mean_reward(self, tail: int = 20) -> float:
-        tail_records = self.records[-tail:] if self.records else []
-        if not tail_records:
-            return float("nan")
-        return float(np.mean([r.anchor_reward for r in tail_records]))
+    def final_mean_reward(self, tail: int = 20) -> float | None:
+        """Mean anchor reward over the last ``tail`` records that have one;
+        None if none has."""
+        rewards = [r.anchor_reward for r in self.records[-tail:]
+                   if r.anchor_reward is not None]
+        return float(np.mean(rewards)) if rewards else None
 
 
 def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
@@ -249,9 +252,9 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
             record = train_iteration(state, cfg)
             result.records.append(record)
             if metrics_file is not None:
-                metrics_file.write(json.dumps(record.to_json()) + "\n")
+                metrics_file.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
                 metrics_file.flush()
-            if traj_file is not None:
+            if traj_file is not None and state.group is not None:
                 _dump_trajectories(traj_file, state.group, record)
             if on_record is not None:
                 on_record(record)
@@ -276,5 +279,5 @@ def _dump_trajectories(fh, group: RolloutGroup, record: IterationRecord) -> None
             "routing": list(traj.routing.indices) if traj.routing else None,
             "reward": traj.reward,
             "blocks": [b.matrix().tolist() for b in traj.blocks],
-        }) + "\n")
+        }, allow_nan=False) + "\n")
     fh.flush()

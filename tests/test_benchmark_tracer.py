@@ -1,13 +1,16 @@
 """The benchmark's tracer still finds every layer it patches.
 
 ``perfbench/tracer.py`` wraps kvgrpo functions and methods by name; a layer
-that is renamed or deleted makes ``perfbench/run.py --trace 1`` fail.  This
-installs and removes the tracer without running anything, so such a break
-shows up in the fast suite.
+that is renamed or deleted, or that a workload stops calling, makes
+``perfbench/run.py --trace 1`` fail.  The first test installs and removes the
+tracer without running anything; the second runs one traced pass of each
+workload and summarizes it, as ``--trace 1`` does.
 """
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 import kvgrpo.network as network
 from kvgrpo.autodiff import Tape
@@ -28,3 +31,13 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         tracer.restore()
     assert (network.velocity_forward, Params.segment, Tape.push) == originals
+
+
+@pytest.mark.parametrize("workload", ["train-default", "replay-grad", "explore-wide"])
+def test_traced_pass_fires_every_layer(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    measure = importlib.import_module("measure")
+    tracer = importlib.import_module("tracer").Tracer()
+    traced = measure.run_pass(tmp_path, workload, 0, 0, tracer=tracer)
+    # Raises MissingLayer if a required layer never fired.
+    tracer.summarize(workload, traced.records, traced.enter, traced.leave, traced.scale())

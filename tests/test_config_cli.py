@@ -1,6 +1,7 @@
 """Config round-trips, override handling, checkpoint format, and the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ class TestCli:
         for s in summary:
             assert (out_dir / s["variant"] / "metrics.jsonl").exists()
 
+    def test_ablate_without_iterations_writes_strict_json(self, tmp_path, capsys):
+        # No iteration, no reward: the summary says null, never a bare NaN.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg_path = write_small_config(tmp_path)
+        out_dir = tmp_path / "ab0"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "ablate", "surrogate", "--max-iters", "0"])
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)
+        assert [s["final_mean_reward"] for s in summary] == [None, None]
+
     @pytest.mark.parametrize("preset,expected", [
         ("kl-weight", ["beta-0", "beta-1", "beta-3", "beta-5", "beta-10",
                        "beta-20"]),
@@ -318,6 +332,23 @@ class TestCli:
         path.write_text(lines[0][:len(lines[0]) // 2] + "\n" + lines[1])
         assert main(["inspect", str(path)]) == 1
         assert "line 1 is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], "2"),                                          # the config file's key
+        (["--set", "threads=3"], "3"),                      # --set beats the file
+        (["--threads", "4", "--set", "threads=3"], "4"),    # --threads beats both
+    ])
+    def test_threads_setting_pins_blas_env(self, tmp_path, capsys, monkeypatch,
+                                           flags, expected):
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.delenv(var, raising=False)
+        cfg = small_run_config(tmp_path)
+        cfg.threads = 2
+        path = tmp_path / "threads.json"
+        save_config(cfg, path)
+        assert main(["--config", str(path), *flags, "inspect", str(path)]) == 0
+        assert [os.environ.get(var) for var in variables] == [expected] * 3
 
     def test_inspect_missing_file(self, capsys):
         assert main(["inspect", "/definitely/not/here"]) == 1

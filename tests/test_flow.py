@@ -1,15 +1,17 @@
 """Generator mechanics: velocity evaluation, Euler solve, block generation,
-cache write-back, and full rollouts."""
+cache write-back, the row-array memory, and full rollouts."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from kvgrpo.cache import FrameHistory, KVCache, KVEntry
+from kvgrpo.cache import FrameHistory, KVCache
 from kvgrpo.errors import ContractError, SequencingError
-from kvgrpo.flow import (Block, FlowState, GeneratorConfig, Latent, block_noise,
-                         generate_block, ode_step, rollout, velocity_eval,
-                         write_back)
+from kvgrpo.flow import (FlowState, block_noise, generate_block, ode_step, rollout,
+                         velocity_eval, write_back)
 from kvgrpo.network import NetworkShape, param_init
+from kvgrpo.routing import build_branch_cache, routable_set, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -41,11 +43,11 @@ class TestVelocityEval:
         params, res = tiny_rollout(seed=2, num_blocks=5)
         cache = res.history.default_cache(len(res.history))
         state = FlowState(np.full((3, 3), 0.2), 0.5, 3)
-        before = velocity_eval(params, state, *cache.stacked(), PROMPT)
-        bumped = cache.copy()
-        old = bumped.local[4]
-        bumped.local[4] = KVEntry(old.key, old.value + 0.5, old.frame_index)
-        after = velocity_eval(params, state, *bumped.stacked(), PROMPT)
+        keys, values = cache.stacked()
+        before = velocity_eval(params, state, keys, values, PROMPT)
+        bumped = values.copy()
+        bumped[3 + 4] += 0.5  # local slot 4, after the 3 sink rows
+        after = velocity_eval(params, state, keys, bumped, PROMPT)
         assert not np.array_equal(before, after)
 
 
@@ -124,22 +126,24 @@ class TestWriteBack:
         cache, hist = KVCache(), FrameHistory()
         block, _ = generate_block(tiny_params, cache, 1, 0, PROMPT)
         write_back(cache, block, tiny_params, PROMPT, hist)
-        assert [e.frame_index for e in cache.sink] == [1, 2, 3]
-        assert cache.local == []
+        assert cache.frames == (1, 2, 3)  # the sink, and an empty local window
+        assert cache.keys.shape == (3, 5)
 
     def test_local_window_after_12_frames(self):
         _, res = tiny_rollout(num_blocks=4)
         cache = res.history.default_cache(12)
-        assert [e.frame_index for e in cache.sink] == [1, 2, 3]
-        assert [e.frame_index for e in cache.local] == list(range(4, 13))
+        assert cache.frames[:3] == (1, 2, 3)
+        assert cache.frames[3:] == tuple(range(4, 13))
 
     def test_eviction_after_15_frames_keeps_history(self):
         _, res = tiny_rollout(num_blocks=5)
         cache = res.history.default_cache(15)
-        assert [e.frame_index for e in cache.local] == list(range(7, 16))
+        assert cache.frames[3:] == tuple(range(7, 16))
         # evicted frames remain addressable in the history store
-        for idx in (4, 5, 6):
-            assert res.history.entry(idx).frame_index == idx
+        evicted = res.history.gather([4, 5, 6])
+        assert evicted.frames == (4, 5, 6)
+        assert np.array_equal(evicted.keys, res.history.keys[3:6])
+        assert np.array_equal(evicted.values, res.history.values[3:6])
 
     def test_incremental_equals_rebuilt(self, tiny_params):
         cache, hist = KVCache(), FrameHistory()
@@ -147,9 +151,145 @@ class TestWriteBack:
             block, _ = generate_block(tiny_params, cache, b, 3, PROMPT)
             write_back(cache, block, tiny_params, PROMPT, hist)
         rebuilt = hist.default_cache(len(hist))
-        assert cache.frame_indices() == rebuilt.frame_indices()
-        for a, b in zip(cache.entries(), rebuilt.entries()):
-            assert np.array_equal(a.key, b.key) and np.array_equal(a.value, b.value)
+        assert cache.frames == rebuilt.frames
+        assert np.array_equal(cache.keys, rebuilt.keys)
+        assert np.array_equal(cache.values, rebuilt.values)
+
+
+@dataclass(frozen=True)
+class RefEntry:
+    key: np.ndarray
+    value: np.ndarray
+    frame_index: int
+
+
+class ListMemory:
+    """Reference: the per-frame list memory that the row arrays replaced.  It
+    holds one entry per frame in ``sink`` and ``local`` lists, appends frames
+    one at a time, and stacks its rows on every call."""
+
+    def __init__(self, sink_size=3, local_capacity=9, sink=(), local=()):
+        self.sink_size, self.local_capacity = sink_size, local_capacity
+        self.sink, self.local = list(sink), list(local)
+
+    def append(self, entry):
+        if len(self.sink) < self.sink_size:
+            if entry.frame_index != len(self.sink) + 1:
+                raise ContractError("sink out of order")
+            self.sink.append(entry)
+            return
+        self.local.append(entry)
+        if len(self.local) > self.local_capacity:
+            del self.local[0]
+
+    def stacked(self):
+        entries = self.sink + self.local
+        if not entries:
+            return None, None
+        return (np.stack([e.key for e in entries]),
+                np.stack([e.value for e in entries]))
+
+    def frame_indices(self):
+        return tuple(e.frame_index for e in self.sink + self.local)
+
+
+def assert_same_memory(cache, ref):
+    assert cache.frames == ref.frame_indices()
+    for mine, theirs in zip(cache.stacked(), ref.stacked()):
+        if theirs is None:  # an empty memory
+            assert mine is None
+            continue
+        assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def rows(count, h=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, h)), rng.standard_normal((count, h))
+
+
+class TestRowMemory:
+    @pytest.mark.parametrize("frames_per_block", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout", ["default", "routed"])
+    def test_block_append_matches_per_frame_reference(self, frames_per_block, layout):
+        F, num_blocks = frames_per_block, 32 // frames_per_block
+        blocks = [rows(F, seed=b) for b in range(num_blocks)]
+        entries = [RefEntry(k[i], v[i], b * F + i + 1)
+                   for b, (k, v) in enumerate(blocks) for i in range(F)]
+        history = FrameHistory()
+        for b, (k, v) in enumerate(blocks):
+            history.append(k, v, range(b * F + 1, b * F + F + 1))
+        assert history.keys.tobytes() == np.stack([e.key for e in entries]).tobytes()
+        assert history.values.tobytes() == np.stack([e.value for e in entries]).tobytes()
+
+        if layout == "default":
+            start = 0
+            cache, ref = KVCache(3, 9), ListMemory(3, 9)
+        else:
+            start = F * -(-15 // F)  # the first block boundary with 15+ frames
+            routed = sample_routing(routable_set(start), rng_seed=F)
+            cache = build_branch_cache(history, start, routed)
+            near = [entries[i - 1] for i in range(start - 2, start + 1)]
+            ref = ListMemory(3, 9, entries[:3],
+                             [entries[r - 1] for r in routed.indices] + near)
+        assert_same_memory(cache, ref)
+        for b in range(start // F, num_blocks):
+            k, v = blocks[b]
+            cache.append(k, v, range(b * F + 1, b * F + F + 1))
+            for entry in entries[b * F:(b + 1) * F]:
+                ref.append(entry)
+            assert_same_memory(cache, ref)
+
+    def test_default_rebuild_matches_per_frame_reference(self):
+        history = FrameHistory()
+        for b in range(6):
+            k, v = rows(3, seed=b)
+            history.append(k, v, range(3 * b + 1, 3 * b + 4))
+        for upto in range(0, 19):
+            ref = ListMemory()
+            for i in range(upto):
+                ref.append(RefEntry(history.keys[i], history.values[i], i + 1))
+            assert_same_memory(history.default_cache(upto), ref)
+
+    def test_sink_frames_must_arrive_in_order(self):
+        k, v = rows(2)
+        with pytest.raises(ContractError):
+            KVCache().append(k, v, [2, 3])
+        cache = KVCache()
+        cache.append(k, v, [1, 2])
+        with pytest.raises(ContractError):
+            cache.append(k, v, [4, 5])
+
+    def test_history_frames_must_continue(self):
+        k, v = rows(3)
+        history = FrameHistory()
+        history.append(k, v, [1, 2, 3])
+        with pytest.raises(ContractError):
+            history.append(k, v, [5, 6, 7])
+        assert len(history) == 3
+
+    def test_gather_rejects_frames_outside_history(self):
+        k, v = rows(3)
+        history = FrameHistory()
+        history.append(k, v, [1, 2, 3])
+        for bad in ([0], [4], [1, 2, 4]):
+            with pytest.raises(ContractError):
+                history.gather(bad)
+        with pytest.raises(ContractError):
+            history.default_cache(4)
+
+    def test_appends_leave_shared_arrays_alone(self):
+        history = FrameHistory()
+        history.append(*rows(12), range(1, 13))
+        keys, values = history.keys, history.values
+        snapshot = keys.copy(), values.copy()
+        twin = history.copy()
+        twin.append(*rows(3, seed=1), [13, 14, 15])
+        cache = history.default_cache(12)
+        cache.append(*rows(3, seed=2), [13, 14, 15])
+        assert history.keys is keys and history.values is values and len(history) == 12
+        assert np.array_equal(keys, snapshot[0]) and np.array_equal(values, snapshot[1])
+        assert len(twin) == 15 and cache.frames == (1, 2, 3, *range(7, 16))
 
 
 class TestRollout:
@@ -161,7 +301,7 @@ class TestRollout:
     def test_ten_blocks_thirty_frames(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 10, 0)
         assert res.frame_count() == 30
-        assert len(res.history.entries) == 30
+        assert res.history.keys.shape == (30, 5)
 
     def test_fixed_seed_reproducible(self, tiny_params):
         r1 = rollout(tiny_params, PROMPT, 6, 123)
@@ -180,9 +320,8 @@ class TestRollout:
             write_back(cache, block, tiny_params, PROMPT, hist)
             frames = len(hist)
             if frames >= 12:
-                assert [e.frame_index for e in cache.local] == \
-                    list(range(frames - 8, frames + 1))
-                assert [e.frame_index for e in cache.sink] == [1, 2, 3]
+                assert cache.frames[3:] == tuple(range(frames - 8, frames + 1))
+                assert cache.frames[:3] == (1, 2, 3)
 
     def test_rejects_zero_blocks(self, tiny_params):
         with pytest.raises(ContractError):
@@ -190,5 +329,5 @@ class TestRollout:
 
     def test_frame_indices_consecutive(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 3, 0)
-        indices = [f.frame_index for b in res.blocks for f in b.frames]
+        indices = [i for b in res.blocks for i in b.frame_indices()]
         assert indices == list(range(1, 10))

@@ -4,7 +4,6 @@ rollouts, and replay contexts."""
 import numpy as np
 import pytest
 
-from kvgrpo.cache import ROUTED_LAYOUT
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import GeneratorConfig, rollout
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
@@ -90,26 +89,28 @@ class TestBuildBranchCache:
         self.res = rollout(self.params, PROMPT, 5, noise_seed=1)
 
     def test_layout_order(self):
-        decision = RoutingDecision((4, 7, 5, 9, 8, 6), branch_id=1, pivot_block=5)
+        decision = RoutingDecision((4, 7, 5, 9, 8, 6))
         cache = build_branch_cache(self.res.history, 12, decision)
-        assert cache.layout_tag == ROUTED_LAYOUT
-        assert [e.frame_index for e in cache.local] == [4, 7, 5, 9, 8, 6, 10, 11, 12]
-        assert [e.frame_index for e in cache.sink] == [1, 2, 3]
+        assert cache.frames[3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
+        assert cache.frames[:3] == (1, 2, 3)
+        rows = np.array(cache.frames) - 1
+        assert np.array_equal(cache.keys, self.res.history.keys[rows])
+        assert np.array_equal(cache.values, self.res.history.values[rows])
 
     def test_identity_routing_equals_default(self):
         L = 15
         decision = RoutingDecision(tuple(range(L - 8, L - 2)))
         routed = build_branch_cache(self.res.history, L, decision)
         default = self.res.history.default_cache(L)
-        assert routed.frame_indices() == default.frame_indices()
-        for a, b in zip(routed.entries(), default.entries()):
-            assert np.array_equal(a.key, b.key) and np.array_equal(a.value, b.value)
+        assert routed.frames == default.frames
+        assert np.array_equal(routed.keys, default.keys)
+        assert np.array_equal(routed.values, default.values)
 
     def test_near_slots_always_newest(self):
         for seed in range(10):
             decision = sample_routing(routable_set(15), rng_seed=seed)
             cache = build_branch_cache(self.res.history, 15, decision)
-            assert [e.frame_index for e in cache.local[-3:]] == [13, 14, 15]
+            assert cache.frames[-3:] == (13, 14, 15)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ContractError):

@@ -98,6 +98,44 @@ class TestSnapshot:
         assert (tmp_path / "r" / "checkpoint_final.kvc").exists()
         assert np.array_equal(result.state.params.values, fresh)
 
+    def test_rollout_error_skips_iteration(self, monkeypatch, tmp_path):
+        # A NumericalError raised mid-rollout at iteration 2 of 3 skips that
+        # iteration with no rewards, and the run goes on to its final checkpoint.
+        import json
+        from kvgrpo import flow, trainer
+        from kvgrpo.errors import NumericalError
+        real_eval, real_rollout, rollouts = flow.velocity_eval, trainer.rollout_group, []
+
+        def counted_rollout(*args, **kwargs):
+            rollouts.append(1)
+            return real_rollout(*args, **kwargs)
+
+        def second_rollout_fails(*args, **kwargs):
+            if len(rollouts) == 2:
+                raise NumericalError("injected rollout failure")
+            return real_eval(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "rollout_group", counted_rollout)
+        monkeypatch.setattr(flow, "velocity_eval", second_rollout_fails)
+        out = tmp_path / "r"
+        result = run(RunConfig(trainer=small_config(seed=2, max_iterations=3),
+                               out_dir=str(out), dump_trajectories=True).validate())
+        assert len(result.records) == 3
+        first, failed, last = result.records
+        assert failed.skipped and failed.error == "injected rollout failure"
+        assert failed.branch_rewards == [] and failed.branch_energies == []
+        assert (failed.anchor_reward, failed.reward_mean, failed.reward_std) == (None,) * 3
+        assert first.error is None and last.error is None
+        assert (out / "checkpoint_final.kvc").exists()
+        assert result.final_mean_reward() == np.mean([first.anchor_reward,
+                                                      last.anchor_reward])
+        logged = [json.loads(line) for line in
+                  (out / "metrics.jsonl").read_text().splitlines()]
+        assert logged[1]["skipped"] and logged[1]["anchor_reward"] is None
+        dumped = [json.loads(line)["iteration"] for line in
+                  (out / "trajectories.jsonl").read_text().splitlines()]
+        assert sorted(set(dumped)) == [1, 3]
+
 
 class TestApplyUpdate:
     def test_zero_gradient_leaves_params_unchanged(self, tiny_params):
