@@ -15,6 +15,7 @@ Layout (all multi-byte integers little-endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,13 +47,23 @@ def save_checkpoint(path: str | Path, params: Params, config: dict,
         "has_ema": ema is not None,
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(params.values.astype("<f8").tobytes())
-        if ema is not None:
-            fh.write(ema.values.astype("<f8").tobytes())
+    # A temp file renamed over the target: a crash mid-write leaves the old one whole.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(params.values.astype("<f8").tobytes())
+            if ema is not None:
+                fh.write(ema.values.astype("<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> CheckpointData:

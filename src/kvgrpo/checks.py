@@ -80,11 +80,10 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
 def check_total_grad(inst: CheckInstance, pcfg: PolicyConfig,
                      old_params: Params, ref_params: Params) -> float:
     """Relative L2 error of the total-loss gradient against finite differences."""
-    tau = pcfg.tau
     eval_old = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        old_params, inst.group, inst.contexts, pcfg)]), tau)
+        old_params, inst.group, inst.contexts, pcfg)]), pcfg.tau)
     eval_ref = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        ref_params, inst.group, inst.contexts, pcfg)]), tau)
+        ref_params, inst.group, inst.contexts, pcfg)]), pcfg.tau)
     adv = advantages(inst.rewards, pcfg.adv_clip_max)
 
     def f(reader):
@@ -126,9 +125,6 @@ class GradCheckReport:
     energy_max_rel: float = 0.0
     total_max_rel: float = 0.0
     identity_max_rel: float = 0.0
-    energy_tol: float = ENERGY_TOL
-    total_tol: float = TOTAL_TOL
-    identity_tol: float = IDENTITY_TOL
     instances: int = 0
     failures: list[str] = field(default_factory=list)
 
@@ -139,11 +135,11 @@ class GradCheckReport:
     def lines(self) -> list[str]:
         return [
             f"replay-energy grad vs finite differences: max rel err "
-            f"{self.energy_max_rel:.3e} (tol {self.energy_tol:.0e})",
+            f"{self.energy_max_rel:.3e} (tol {ENERGY_TOL:.0e})",
             f"total-loss grad vs finite differences:    max rel err "
-            f"{self.total_max_rel:.3e} (tol {self.total_tol:.0e})",
+            f"{self.total_max_rel:.3e} (tol {TOTAL_TOL:.0e})",
             f"contrastive reference vs autodiff:        max rel err "
-            f"{self.identity_max_rel:.3e} (tol {self.identity_tol:.0e})",
+            f"{self.identity_max_rel:.3e} (tol {IDENTITY_TOL:.0e})",
         ]
 
 
@@ -175,10 +171,10 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
         report.identity_max_rel = max(
             report.identity_max_rel,
             check_pg_identity(inst, tau, rewards, PolicyConfig(grad_steps=2)))
-    if report.energy_max_rel > report.energy_tol:
+    if report.energy_max_rel > ENERGY_TOL:
         report.failures.append("replay-energy gradient check")
-    if report.total_max_rel > report.total_tol:
+    if report.total_max_rel > TOTAL_TOL:
         report.failures.append("total-loss gradient check")
-    if report.identity_max_rel > report.identity_tol:
+    if report.identity_max_rel > IDENTITY_TOL:
         report.failures.append("contrastive-gradient identity check")
     return report

@@ -69,7 +69,7 @@ def _load_run_config(args):
 
 
 def cmd_train(args) -> int:
-    from .config import save_config, to_flat_dict
+    from .config import save_config
     from .trainer import run
 
     cfg = _load_run_config(args)
@@ -139,6 +139,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .checkpoint import MAGIC, load_checkpoint
+    from .config import load_json_object
     from .errors import ConfigError
 
     path = Path(args.path)
@@ -157,7 +158,10 @@ def cmd_inspect(args) -> int:
         print(f"  ema present: {data.ema is not None}")
         print(f"  segments: {', '.join(data.params.layout.segments)}")
         return EXIT_OK
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     if path.suffix == ".jsonl" or "\n{" in text.strip():
         lines = text.split("\n")
         records = []
@@ -177,7 +181,7 @@ def cmd_inspect(args) -> int:
                   f"anchor_reward {rec['anchor_reward']:.6f}, skipped {rec.get('skipped')}")
         print(f"  skipped iterations: {sum(bool(r.get('skipped')) for r in records)}")
         return EXIT_OK
-    obj = json.loads(text)
+    obj = load_json_object(path)
     print(f"config: {path}")
     for key in sorted(obj):
         print(f"  {key} = {obj[key]!r}")

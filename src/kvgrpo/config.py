@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -83,10 +84,11 @@ class TrainerConfig:
         def positive(name):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        _require_finite(self)
         for name in ("latent_dim", "hidden_dim", "prompt_dim", "frames_per_block",
                      "denoise_steps", "num_blocks", "branch_number",
                      "perturbed_blocks", "temperature", "learning_rate",
-                     "max_grad_norm", "ppo_epochs", "l2_sigma"):
+                     "max_grad_norm", "ppo_epochs", "l2_sigma", "advantage_clip_max"):
             positive(name)
         if self.max_iterations < 0:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
@@ -144,11 +146,24 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.trainer.validate()
+        _require_finite(self)
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         return self
+
+
+def _require_finite(cfg) -> None:
+    """Reject NaN and infinities, which JSON and ``--set`` parse, in every field."""
+    def finite(value) -> bool:
+        if isinstance(value, (list, tuple)):
+            return all(finite(v) for v in value)
+        return not isinstance(value, float) or math.isfinite(value)
+
+    for f in fields(cfg):
+        if not finite(getattr(cfg, f.name)):
+            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
 
 
 _TRAINER_FIELDS = {f.name: f for f in fields(TrainerConfig)}
@@ -175,17 +190,23 @@ def from_flat_dict(data: dict) -> RunConfig:
     return cfg.validate()
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object a config file holds, unvalidated.  Raises ConfigError
+    naming the file when it is missing, not UTF-8, not JSON or not an object."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        data = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return from_flat_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return from_flat_dict(load_json_object(path))
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

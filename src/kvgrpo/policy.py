@@ -45,22 +45,13 @@ class PolicyEval:
     """Energies and the categorical policy they induce, for one parameter set."""
 
     energies: np.ndarray
-    logits: np.ndarray
     log_probs: np.ndarray
     probs: np.ndarray
-    tau: float
-
-    @property
-    def size(self) -> int:
-        return self.energies.size
 
 
 @dataclass
 class Advantages:
     values: np.ndarray       # group-normalized and clamped
-    mean_reward: float
-    std: float
-    clip_max: float
 
 
 @dataclass
@@ -68,8 +59,16 @@ class LossBreakdown:
     ppo: float
     kl: float
     total: float
-    skipped: bool
     per_branch_ratio: np.ndarray
+
+    @classmethod
+    def of(cls, total, ppo, kl, rho) -> "LossBreakdown":
+        """Plain numbers from the terms of :func:`ppo_kl_loss`, values or tape
+        nodes.  The KL is non-negative mathematically but can round just below
+        zero at near-identical policies, so the reported value is clamped."""
+        kl_val = float(ad.value(kl))
+        return cls(float(ad.value(ppo)), kl_val if kl_val > 0 else 0.0,
+                   float(ad.value(total)), np.asarray(ad.value(rho), dtype=np.float64))
 
 
 def replay_energy(reader, branch: BranchTrajectory, contexts: ReplayContexts,
@@ -137,14 +136,7 @@ def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
     weights = np.exp(shifted)
     total = weights.sum()
     log_probs = shifted - np.log(total)
-    return PolicyEval(energies, logits, log_probs, weights / total, tau)
-
-
-def log_ratio(eval_new: PolicyEval, eval_old: PolicyEval) -> np.ndarray:
-    """Per-branch log importance ratios, new against old."""
-    if eval_new.size != eval_old.size:
-        raise ContractError(f"group sizes differ: {eval_new.size} vs {eval_old.size}")
-    return eval_new.log_probs - eval_old.log_probs
+    return PolicyEval(energies, log_probs, weights / total)
 
 
 def advantages(rewards: np.ndarray, clip_max: float = 2.5) -> Advantages:
@@ -156,37 +148,31 @@ def advantages(rewards: np.ndarray, clip_max: float = 2.5) -> Advantages:
     if np.all(r == r[0]):
         # In exact arithmetic the centered rewards are zero; skip the formula
         # so mean-rounding noise cannot leak through the epsilon guard.
-        return Advantages(np.zeros(r.size), mean, 0.0, clip_max)
+        return Advantages(np.zeros(r.size))
     std = float(np.sqrt(np.mean((r - mean) ** 2)))
     raw = (r - mean) / (std + ADV_EPS)
-    return Advantages(np.clip(raw, -clip_max, clip_max), mean, std, clip_max)
+    return Advantages(np.clip(raw, -clip_max, clip_max))
 
 
-def ppo_loss(log_ratios: np.ndarray, adv: Advantages, eps_low: float = 0.1,
-             eps_high: float = 0.2) -> float:
-    """Clipped surrogate loss (negated objective), averaged over the group."""
-    _check_eps(eps_low, eps_high)
-    rho = np.exp(np.asarray(log_ratios, dtype=np.float64))
-    a = adv.values
-    terms = np.minimum(rho * a, np.clip(rho, 1.0 - eps_low, 1.0 + eps_high) * a)
-    return float(-terms.mean())
-
-
-def _check_eps(eps_low: float, eps_high: float) -> None:
-    for name, e in (("eps_low", eps_low), ("eps_high", eps_high)):
+def ppo_kl_loss(log_probs, old_log_probs: np.ndarray, ref_log_probs: np.ndarray,
+                adv_values: np.ndarray, cfg: PolicyConfig):
+    """The trained loss: clipped PPO (the negated objective, averaged over the
+    group) plus ``beta`` times the discrete KL of the policy from the reference.
+    ``log_probs`` is an array or a tape node; the rest are constants.  Returns
+    ``(total, ppo, kl, rho)``: numbers for an array, tape nodes for a node."""
+    for name, e in (("eps_low", cfg.eps_low), ("eps_high", cfg.eps_high)):
         if not 0.0 < e < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {e}")
-
-
-def kl_penalty(eval_cur: PolicyEval, eval_ref: PolicyEval) -> float:
-    """Discrete KL divergence of the current policy from the reference."""
-    if eval_cur.size != eval_ref.size:
-        raise ContractError(f"group sizes differ: {eval_cur.size} vs {eval_ref.size}")
-    if np.any((eval_cur.probs > 0) & ~np.isfinite(eval_ref.log_probs)):
-        raise ValueError("reference policy assigns zero probability to a live branch")
-    kl = float(np.sum(eval_cur.probs * (eval_cur.log_probs - eval_ref.log_probs)))
-    # Non-negative mathematically; guard against rounding at near-identical policies.
-    return kl if kl > 0.0 else 0.0
+    sizes = [np.size(x) for x in (ad.value(log_probs), old_log_probs, ref_log_probs, adv_values)]
+    if len(set(sizes)) != 1:
+        raise ContractError(f"group sizes differ (new, old, ref, advantages): {sizes}")
+    n = sizes[0]
+    rho = ad.exp(ad.sub(log_probs, old_log_probs))
+    unclipped = ad.mul(rho, adv_values)
+    clipped = ad.mul(ad.clip(rho, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high), adv_values)
+    ppo = ad.mul(ad.asum(ad.minimum(unclipped, clipped)), -1.0 / n)
+    kl = ad.asum(ad.mul(ad.exp(log_probs), ad.sub(log_probs, ref_log_probs)))
+    return ad.add(ppo, ad.mul(kl, cfg.beta)), ppo, kl, rho
 
 
 def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
@@ -197,37 +183,17 @@ def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
 def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
                 eval_old: PolicyEval | None, eval_ref: PolicyEval, adv: Advantages,
                 cfg: PolicyConfig):
-    """Loss composition shared by bookkeeping and gradient passes.  With
-    ``eval_old=None`` the parameters are theta_old (PPO's first epoch), so the
-    old policy is this pass's own energies, held constant; it is returned last."""
-    _check_eps(cfg.eps_low, cfg.eps_high)
+    """:func:`ppo_kl_loss` of the surrogate policy at ``reader``, followed by the
+    energies and the old policy.  With ``eval_old=None`` the parameters are
+    theta_old (PPO's first epoch), so the old policy is this pass's own
+    energies, held constant."""
     energies = surrogate_energies(reader, group, contexts, cfg)
     if eval_old is None:
         eval_old = gibbs(np.array([float(ad.value(e)) for e in energies]), cfg.tau)
     logits = ad.mul(ad.pack(energies), -1.0 / cfg.tau)
     log_probs = ad.sub(logits, ad.logsumexp(logits))
-    log_rho = ad.sub(log_probs, eval_old.log_probs)
-    rho = ad.exp(log_rho)
-    unclipped = ad.mul(rho, adv.values)
-    clipped = ad.mul(ad.clip(rho, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high), adv.values)
-    ppo = ad.mul(ad.asum(ad.minimum(unclipped, clipped)), -1.0 / len(group.branches))
-    kl = ad.asum(ad.mul(ad.exp(log_probs), ad.sub(log_probs, eval_ref.log_probs)))
-    total = ad.add(ppo, ad.mul(kl, cfg.beta))
-    return total, ppo, kl, rho, energies, eval_old
-
-
-def total_loss(params: Params, group: RolloutGroup, contexts: ReplayContexts,
-               eval_old: PolicyEval, eval_ref: PolicyEval,
-               cfg: PolicyConfig) -> LossBreakdown:
-    """Numeric loss breakdown at the given parameters (no gradient)."""
-    adv = advantages(group.branch_rewards(), cfg.adv_clip_max)
-    total, ppo, kl, rho, *_ = _build_loss(params, group, contexts, eval_old,
-                                          eval_ref, adv, cfg)
-    skipped = guard(group.branch_rewards(), group.anchor.reward)
-    kl_val = float(ad.value(kl))
-    return LossBreakdown(float(ad.value(ppo)), kl_val if kl_val > 0 else 0.0,
-                         float(ad.value(total)), skipped,
-                         np.asarray(ad.value(rho), dtype=np.float64))
+    terms = ppo_kl_loss(log_probs, eval_old.log_probs, eval_ref.log_probs, adv.values, cfg)
+    return *terms, energies, eval_old
 
 
 def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContexts,
@@ -241,17 +207,12 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
     def f(reader):
         total, ppo, kl, rho, energies, old = _build_loss(
             reader, group, contexts, eval_old, eval_ref, adv, cfg)
-        parts.update(ppo=ad.value(ppo), kl=ad.value(kl), rho=ad.value(rho),
-                     energies=[float(ad.value(e)) for e in energies], old=old)
+        parts.update(breakdown=LossBreakdown.of(total, ppo, kl, rho), old=old,
+                     energies=[float(ad.value(e)) for e in energies])
         return total
 
-    total_val, g = ad_grad(params, f)
-    skipped = guard(group.branch_rewards(), group.anchor.reward)
-    kl_val = float(parts["kl"])
-    breakdown = LossBreakdown(float(parts["ppo"]), kl_val if kl_val > 0 else 0.0,
-                              total_val, skipped,
-                              np.asarray(parts["rho"], dtype=np.float64))
-    return breakdown, np.array(parts["energies"]), g, parts["old"]
+    _, g = ad_grad(params, f)
+    return parts["breakdown"], np.array(parts["energies"]), g, parts["old"]
 
 
 def contrastive_grad_reference(params: Params, group: RolloutGroup,
@@ -277,11 +238,7 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
 
 def pg_surrogate_value(reader, group: RolloutGroup, contexts: ReplayContexts,
                        eval_old: PolicyEval, adv: Advantages, cfg: PolicyConfig):
-    """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], built
-    through the importance-ratio path with the old policy held constant."""
-    energies = surrogate_energies(reader, group, contexts, cfg)
-    logits = ad.mul(ad.pack(energies), -1.0 / cfg.tau)
-    log_probs = ad.sub(logits, ad.logsumexp(logits))
-    ratios = ad.exp(ad.sub(log_probs, eval_old.log_probs))
-    weighted = ad.mul(ratios, eval_old.probs * adv.values)
-    return ad.asum(weighted)
+    """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], built on
+    the trained loss's importance ratios with the old policy held constant."""
+    _, _, _, rho, *_ = _build_loss(reader, group, contexts, eval_old, eval_old, adv, cfg)
+    return ad.asum(ad.mul(rho, eval_old.probs * adv.values))

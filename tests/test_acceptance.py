@@ -20,7 +20,8 @@ from kvgrpo.checks import (check_pg_identity, check_total_grad, check_energy_gra
                            make_instance, rel_l2)
 from kvgrpo.config import RunConfig, TrainerConfig
 from kvgrpo.network import NetworkShape, param_init
-from kvgrpo.policy import (PolicyConfig, advantages, gibbs, guard, kl_penalty)
+from kvgrpo.policy import (LossBreakdown, PolicyConfig, advantages, gibbs, guard,
+                           ppo_kl_loss)
 from kvgrpo.routing import GroupSeeds, rollout_group
 from kvgrpo.trainer import init_state, run, train_iteration
 
@@ -172,21 +173,29 @@ class TestCriterion5ClippingTrustRegion:
 
             rng = np.random.default_rng(3)
             h = 1e-6
-            eps_low, eps_high = 0.1, 0.2
+            pcfg = PolicyConfig(eps_low=0.1, eps_high=0.2)
 
-            def term(log_rho, a):
-                rho = np.exp(log_rho)
-                return min(rho * a, np.clip(rho, 1 - eps_low, 1 + eps_high) * a)
+            def ppo(log_rho, a):
+                """The trained loss's PPO term of one branch: a number for a
+                float log-ratio, a tape node for a tape leaf."""
+                return ppo_kl_loss(log_rho, np.zeros(1), np.zeros(1), np.array([a]),
+                                   pcfg)[1]
+
+            def partials(log_rho, a):
+                fd = (ppo(np.array([log_rho + h]), a)
+                      - ppo(np.array([log_rho - h]), a)) / (2 * h)
+                tape = ad.Tape()
+                leaf = tape.leaf(np.array([log_rho]))
+                exact = tape.backward(ppo(leaf, a))[leaf.idx]
+                return float(fd), 0.0 if exact is None else float(exact[0])
 
             for _ in range(200):
                 a = rng.uniform(0.1, 2.5)
-                log_rho = np.log(rng.uniform(1.25, 3.0))
-                fd = (term(log_rho + h, a) - term(log_rho - h, a)) / (2 * h)
-                assert abs(fd) < 1e-12
+                fd, exact = partials(np.log(rng.uniform(1.25, 3.0)), a)
+                assert abs(fd) < 1e-12 and abs(exact) < 1e-12
                 a = -rng.uniform(0.1, 2.5)
-                log_rho = np.log(rng.uniform(0.3, 0.85))
-                fd = (term(log_rho + h, a) - term(log_rho - h, a)) / (2 * h)
-                assert abs(fd) < 1e-12
+                fd, exact = partials(np.log(rng.uniform(0.3, 0.85)), a)
+                assert abs(fd) < 1e-12 and abs(exact) < 1e-12
 
 
 class TestCriterion6Determinism:
@@ -254,17 +263,23 @@ class TestCriterion8KlSuite:
     def test_nonnegative_identity_and_oracle(self):
         with criterion(8, "KL: >= 0 always, == 0 at matching policies, "
                           "oracle match at 1e-12"):
+            def reported_kl(cur, ref):
+                """The KL the trainer records as ``kl_value``."""
+                terms = ppo_kl_loss(cur.log_probs, cur.log_probs, ref.log_probs,
+                                    np.zeros(8), PolicyConfig())
+                return LossBreakdown.of(*terms).kl
+
             rng = np.random.default_rng(13)
             for _ in range(2000):
                 scale = 10.0 ** rng.uniform(-2, 2)
                 cur = gibbs(rng.normal(size=8) * scale, tau=1.0)
                 ref = gibbs(rng.normal(size=8) * scale, tau=1.0)
-                kl = kl_penalty(cur, ref)
+                kl = reported_kl(cur, ref)
                 assert kl >= 0.0
                 oracle = float(np.sum(cur.probs * (cur.log_probs - ref.log_probs)))
                 assert abs(kl - oracle) < 1e-12
             ev = gibbs(rng.normal(size=8), tau=1.0)
-            assert kl_penalty(ev, ev) == 0.0
+            assert reported_kl(ev, ev) == 0.0
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,10 +80,27 @@ class TestConfig:
         {"reward_target_values": [0.0]},   # wrong length for latent_dim=3
         {"reward_components": [["sharpness", 1.0]]},
         {"local_kv_choices": [[30, 6]]},   # never routable at the pivots
+        {"advantage_clip_max": 0.0},
     ])
     def test_field_validation(self, bad):
         with pytest.raises(ConfigError):
             small_run_config(**bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", [
+        "learning_rate", "temperature", "l2_sigma", "max_grad_norm",
+        "kl_penalty_weight", "advantage_clip_max", "clip_eps_high", "ema_decay",
+        "prompt_values", "reward_target_values", "threads"])
+    def test_non_finite_values_rejected(self, key, value):
+        flat = to_flat_dict(small_run_config())
+        if key == "prompt_values":
+            flat[key] = [0.5, value]
+        elif key == "reward_target_values":
+            flat[key] = [0.0, value, 0.0]
+        else:
+            flat[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            from_flat_dict(flat)
 
     def test_presets_cover_required_axes(self):
         assert len(PRESETS["surrogate"]) == 2
@@ -129,6 +148,24 @@ class TestCheckpoint:
         path = tmp_path / "ck.kvc"
         save_checkpoint(path, params, {}, 0, None)
         assert load_checkpoint(path).ema is None
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        params = param_init(NetworkShape(3, 5, 2), 9)
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {"seed": 3}, iteration=1, ema=params)
+        first = path.read_bytes()
+
+        class FailingEma:  # the disk fills after the header and the parameters
+            @property
+            def values(self):
+                raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, param_init(NetworkShape(3, 5, 2), 10), {"seed": 3},
+                            iteration=2, ema=FailingEma())
+        assert path.read_bytes() == first
+        assert load_checkpoint(path).iteration == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.kvc"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kvc"
@@ -203,6 +240,19 @@ class TestCli:
         assert code == 3
         assert "injected crash" in capsys.readouterr().err
         assert load_config(out / "config.json").trainer.seed == 3
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["learning_rate", "kl_penalty_weight",
+                                     "advantage_clip_max"])
+    def test_non_finite_override_exits_one_before_training(self, tmp_path, capsys,
+                                                           key, text):
+        cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "nonfinite"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out),
+                     "--set", f"{key}={text}", "train", "--max-iters", "1"])
+        assert code == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_override_exits_one(self, tmp_path, capsys):
         cfg_path = write_small_config(tmp_path)
@@ -349,6 +399,40 @@ class TestCli:
         save_config(cfg, path)
         assert main(["--config", str(path), *flags, "inspect", str(path)]) == 0
         assert [os.environ.get(var) for var in variables] == [expected] * 3
+
+    @pytest.mark.parametrize("content", [
+        b'{"a": 1,',                 # cut mid-object
+        b"[1, 2]",                   # JSON, but not an object
+        b'{"seed": "\xff"}',        # not UTF-8
+    ])
+    def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad-config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad-config.json"):
+            load_config(path)
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "bad-config.json" in captured.err
+        assert " = " not in captured.out
+        assert main(["--config", str(path), "train"]) == 1
+
+    def test_importing_the_cli_leaves_numpy_unloaded(self):
+        # The CLI pins the BLAS thread count before numpy loads; importing the
+        # package must not load it first.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        probe = ("import sys, kvgrpo.cli; "
+                 "print('numpy' in sys.modules, kvgrpo.from_flat_dict.__module__, "
+                 "kvgrpo.init_state.__module__)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["False", "kvgrpo.config", "kvgrpo.trainer"]
+
+    def test_every_export_resolves(self):
+        import kvgrpo
+        for name in kvgrpo.__all__:
+            assert getattr(kvgrpo, name) is not None, name
+        with pytest.raises(AttributeError):
+            kvgrpo.not_an_export
 
     def test_inspect_missing_file(self, capsys):
         assert main(["inspect", "/definitely/not/here"]) == 1

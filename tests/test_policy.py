@@ -8,20 +8,44 @@ from hypothesis import given, settings, strategies as st
 import kvgrpo.autodiff as ad
 from kvgrpo.autodiff import fd_grad, grad
 from kvgrpo.checks import rel_l2
-from kvgrpo.errors import ContractError
+from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import ReplayTuple
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import Params
-from kvgrpo.policy import (ADV_EPS, PolicyConfig, advantages,
+from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, advantages,
                            contrastive_grad_reference, gibbs, guard,
-                           kl_penalty, latent_l2_energies, log_ratio,
-                           replay_energy, ppo_loss, total_loss,
+                           latent_l2_energies, ppo_kl_loss, replay_energy,
                            total_loss_grad)
 from kvgrpo.routing import BranchTrajectory, ReplayContexts, build_replay_contexts
 
 finite_energies = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
     min_size=2, max_size=12)
+
+
+def ratios(eval_new, eval_old):
+    """Importance ratios of the trained loss, new policy against old."""
+    n = eval_new.log_probs.size
+    *_, rho = ppo_kl_loss(eval_new.log_probs, eval_old.log_probs, np.zeros(n),
+                          np.zeros(n), PolicyConfig())
+    return rho
+
+
+def ppo_part(log_ratios, adv_values, eps_low=0.1, eps_high=0.2):
+    """The trained loss's clipped PPO term for the given log ratios."""
+    n = np.size(log_ratios)
+    _, ppo, _, _ = ppo_kl_loss(np.asarray(log_ratios, dtype=np.float64), np.zeros(n),
+                               np.zeros(n), adv_values,
+                               PolicyConfig(eps_low=eps_low, eps_high=eps_high))
+    return float(ppo)
+
+
+def reported_kl(eval_cur, eval_ref):
+    """KL(cur || ref) as the trainer reports it (clamped at zero)."""
+    n = eval_cur.log_probs.size
+    terms = ppo_kl_loss(eval_cur.log_probs, eval_cur.log_probs, eval_ref.log_probs,
+                        np.zeros(n), PolicyConfig())
+    return LossBreakdown.of(*terms).kl
 
 
 class TestReplayEnergy:
@@ -157,7 +181,7 @@ class TestGibbs:
 class TestLogRatio:
     def test_identical_evals_zero(self):
         ev = gibbs(np.array([1.0, 2.0, 3.0]), 1.0)
-        np.testing.assert_array_equal(log_ratio(ev, ev), np.zeros(3))
+        np.testing.assert_array_equal(ratios(ev, ev), np.ones(3))
 
     def test_constant_logit_shift_invariant(self):
         rng = np.random.default_rng(0)
@@ -165,7 +189,7 @@ class TestLogRatio:
         old = gibbs(energies + 0.3, 1.0)
         new1 = gibbs(energies, 1.0)
         new2 = gibbs(energies + 5.0, 1.0)  # adds a constant to all logits
-        np.testing.assert_allclose(log_ratio(new1, old), log_ratio(new2, old),
+        np.testing.assert_allclose(np.log(ratios(new1, old)), np.log(ratios(new2, old)),
                                    atol=1e-12)
 
     def test_matches_probability_ratio_oracle(self):
@@ -173,11 +197,11 @@ class TestLogRatio:
         new = gibbs(rng.normal(size=8), 1.0)
         old = gibbs(rng.normal(size=8), 1.0)
         expected = new.probs / old.probs
-        np.testing.assert_allclose(np.exp(log_ratio(new, old)), expected, rtol=1e-12)
+        np.testing.assert_allclose(ratios(new, old), expected, rtol=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(ContractError):
-            log_ratio(gibbs(np.zeros(3), 1.0), gibbs(np.zeros(4), 1.0))
+            ratios(gibbs(np.zeros(3), 1.0), gibbs(np.zeros(4), 1.0))
 
 
 class TestAdvantages:
@@ -222,56 +246,55 @@ class TestAdvantages:
 class TestPpoLoss:
     def test_unit_ratios_give_negative_mean_advantage(self):
         adv = advantages(np.array([3.0, 1.0, -1.0, -3.0]))
-        loss = ppo_loss(np.zeros(4), adv)
+        loss = ppo_part(np.zeros(4), adv.values)
         assert loss == pytest.approx(-adv.values.mean(), abs=1e-12)
 
     def test_high_side_clip(self):
         adv = advantages(np.array([1.0, -1.0]))
         adv.values[:] = [1.0, 0.0]
-        loss = ppo_loss(np.log(np.array([1.5, 1.0])), adv, eps_low=0.1, eps_high=0.2)
+        loss = ppo_part(np.log(np.array([1.5, 1.0])), adv.values, eps_low=0.1, eps_high=0.2)
         # branch 1 term min(1.5, 1.2)*1 = 1.2; branch 2 term 0
         assert loss == pytest.approx(-1.2 / 2, abs=1e-12)
 
     def test_low_side_clip(self):
         adv = advantages(np.array([1.0, -1.0]))
         adv.values[:] = [0.0, -1.0]
-        loss = ppo_loss(np.log(np.array([1.0, 0.5])), adv, eps_low=0.1, eps_high=0.2)
+        loss = ppo_part(np.log(np.array([1.0, 0.5])), adv.values, eps_low=0.1, eps_high=0.2)
         # branch 2 term min(-0.5, -0.9) = -0.9
         assert loss == pytest.approx(0.9 / 2, abs=1e-12)
 
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
-            ppo_loss(np.zeros(2), advantages(np.array([1.0, -1.0])), eps_low=0.0)
+            ppo_part(np.zeros(2), advantages(np.array([1.0, -1.0])).values, eps_low=0.0)
 
     def test_trust_region_flat_regions(self):
         # For A > 0 the term is constant beyond 1 + eps_high; for A < 0,
         # constant below 1 - eps_low.  Checked by finite differences on log rho.
         h = 1e-6
+
+        def term(lr, a):  # one branch's min(rho A, clip(rho) A)
+            return -ppo_part([lr], np.array([a]))
+
         for a, log_rho in ((1.7, np.log(1.35)), (-0.8, np.log(0.8))):
-            def term(lr):
-                rho = np.exp(lr)
-                return min(rho * a, np.clip(rho, 0.9, 1.2) * a)
-            deriv = (term(log_rho + h) - term(log_rho - h)) / (2 * h)
+            deriv = (term(log_rho + h, a) - term(log_rho - h, a)) / (2 * h)
             assert abs(deriv) < 1e-12
         # interior point: derivative equals rho * A
         lr0 = np.log(1.05)
         a = 1.7
-        deriv = ((min(np.exp(lr0 + h) * a, np.clip(np.exp(lr0 + h), 0.9, 1.2) * a)
-                  - min(np.exp(lr0 - h) * a, np.clip(np.exp(lr0 - h), 0.9, 1.2) * a))
-                 / (2 * h))
+        deriv = (term(lr0 + h, a) - term(lr0 - h, a)) / (2 * h)
         assert deriv == pytest.approx(np.exp(lr0) * a, rel=1e-6)
 
 
 class TestKlPenalty:
     def test_identical_policies_zero(self):
         ev = gibbs(np.array([0.3, -0.2, 1.0, 0.5]), 1.0)
-        assert kl_penalty(ev, ev) == 0.0
+        assert reported_kl(ev, ev) == 0.0
 
     def test_near_deterministic_vs_uniform_approaches_log_g(self):
         energies = np.array([0.0] + [60.0] * 7)
         cur = gibbs(energies, 1.0)
         ref = gibbs(np.zeros(8), 1.0)
-        assert kl_penalty(cur, ref) == pytest.approx(np.log(8), abs=1e-6)
+        assert reported_kl(cur, ref) == pytest.approx(np.log(8), abs=1e-6)
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(2)
@@ -280,7 +303,7 @@ class TestKlPenalty:
             ref = gibbs(rng.normal(size=8), 1.0)
             expected = sum(cur.probs[i] * (np.log(cur.probs[i]) - np.log(ref.probs[i]))
                            for i in range(8))
-            assert kl_penalty(cur, ref) == pytest.approx(expected, abs=1e-12)
+            assert reported_kl(cur, ref) == pytest.approx(expected, abs=1e-12)
 
     @given(finite_energies)
     @settings(max_examples=200, deadline=None)
@@ -288,14 +311,17 @@ class TestKlPenalty:
         rng = np.random.default_rng(abs(hash(tuple(energies))) % 2**31)
         cur = gibbs(np.array(energies), 1.0)
         ref = gibbs(rng.normal(size=len(energies)), 1.0)
-        assert kl_penalty(cur, ref) >= 0.0
+        assert reported_kl(cur, ref) >= 0.0
 
-    def test_zero_reference_probability_rejected(self):
-        cur = gibbs(np.array([0.0, 1.0]), 1.0)
-        ref = gibbs(np.array([0.0, 1.0]), 1.0)
-        ref.log_probs = np.array([0.0, -np.inf])
-        with pytest.raises(ValueError):
-            kl_penalty(cur, ref)
+    def test_zero_reference_probability_rejected(self, check_instance):
+        # The KL to such a reference is infinite: the gradient pass rejects the
+        # loss, and the trainer skips the iteration.
+        inst = check_instance
+        ref = gibbs(np.zeros(len(inst.group.branches)), 1.0)
+        ref.log_probs[1] = -np.inf
+        with pytest.raises(NumericalError):
+            total_loss_grad(inst.params, inst.group, inst.contexts, None, ref,
+                            PolicyConfig())
 
 
 class TestGuard:
@@ -370,15 +396,15 @@ class TestTotalLoss:
     def test_beta_zero_equals_ppo(self, check_instance):
         pcfg = PolicyConfig(beta=0.0)
         eval_old, eval_ref = self._evals(check_instance, pcfg)
-        breakdown = total_loss(check_instance.params, check_instance.group,
-                               check_instance.contexts, eval_old, eval_ref, pcfg)
+        breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
+                                        check_instance.contexts, eval_old, eval_ref, pcfg)
         assert breakdown.total == pytest.approx(breakdown.ppo, abs=1e-15)
 
     def test_total_is_ppo_plus_beta_kl(self, check_instance):
         pcfg = PolicyConfig(beta=5.0)
         eval_old, eval_ref = self._evals(check_instance, pcfg)
-        breakdown = total_loss(check_instance.params, check_instance.group,
-                               check_instance.contexts, eval_old, eval_ref, pcfg)
+        breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
+                                        check_instance.contexts, eval_old, eval_ref, pcfg)
         assert breakdown.total == pytest.approx(
             breakdown.ppo + 5.0 * breakdown.kl, rel=1e-12)
         assert breakdown.kl >= 0.0
@@ -386,8 +412,8 @@ class TestTotalLoss:
     def test_ratios_are_one_against_matching_old(self, check_instance):
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(check_instance, pcfg)
-        breakdown = total_loss(check_instance.params, check_instance.group,
-                               check_instance.contexts, eval_old, eval_ref, pcfg)
+        breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
+                                        check_instance.contexts, eval_old, eval_ref, pcfg)
         np.testing.assert_allclose(breakdown.per_branch_ratio, np.ones(8), atol=1e-12)
 
     @pytest.mark.parametrize("part,beta", [("total", 5.0), ("ppo", 0.0),
@@ -408,22 +434,21 @@ class TestTotalLoss:
         fd = fd_grad(inst.params, f, 1e-5)
         assert rel_l2(g.values, fd.values) < 1e-4
 
-    def test_guard_sets_skipped_flag(self, check_instance):
+    def test_value_only_terms_equal_taped_terms_bitwise(self, check_instance):
+        # One formula: at plain parameters it gives the numbers the gradient
+        # pass records.
+        from kvgrpo.policy import _build_loss
         inst = check_instance
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(inst, pcfg)
-        saved = [b.reward for b in inst.group.branches] + [inst.group.anchor.reward]
-        try:
-            inst.group.anchor.reward = 10.0
-            for b in inst.group.branches:
-                b.reward = -10.0
-            breakdown = total_loss(inst.params, inst.group, inst.contexts,
-                                   eval_old, eval_ref, pcfg)
-            assert breakdown.skipped is True
-        finally:
-            for b, r in zip(inst.group.branches, saved):
-                b.reward = r
-            inst.group.anchor.reward = saved[-1]
+        adv = advantages(inst.group.branch_rewards(), pcfg.adv_clip_max)
+        total, ppo, kl, rho, *_ = _build_loss(inst.params, inst.group, inst.contexts,
+                                              eval_old, eval_ref, adv, pcfg)
+        plain = LossBreakdown.of(total, ppo, kl, rho)
+        taped, *_ = total_loss_grad(inst.params, inst.group, inst.contexts,
+                                    eval_old, eval_ref, pcfg)
+        assert (plain.total, plain.ppo, plain.kl) == (taped.total, taped.ppo, taped.kl)
+        np.testing.assert_array_equal(plain.per_branch_ratio, taped.per_branch_ratio)
 
     def test_l2_surrogate_has_zero_gradient(self, check_instance):
         inst = check_instance
