@@ -13,13 +13,13 @@ _EXPORTS = {
               "load_config save_config to_flat_dict",
     "errors": "ConfigError ContractError InsufficientHistoryError NumericalError "
               "SequencingError",
-    "flow": "Block FlowState GeneratorConfig ReplayTuple RolloutResult generate_block "
-            "ode_step rollout velocity_eval write_back",
+    "flow": "Block FlowState GeneratorConfig ReplaySteps generate_block ode_step "
+            "velocity_eval write_back",
     "network": "NetworkShape build_layout param_init shape_from_layout",
     "params": "GradVector Layout Params",
-    "policy": "Advantages LossBreakdown PolicyConfig PolicyEval advantages "
+    "policy": "LossBreakdown PolicyConfig PolicyEval advantages "
               "contrastive_grad_reference gibbs guard latent_l2_energies ppo_kl_loss "
-              "replay_energy surrogate_energies total_loss_grad",
+              "replay_energies surrogate_energies total_loss_grad",
     "rewards": "RewardSpec composite reward_smoothness reward_target",
     "routing": "BranchTrajectory GroupSeeds ReplayContexts RolloutGroup RoutingDecision "
                "build_branch_cache build_replay_contexts rollout_group routable_set "

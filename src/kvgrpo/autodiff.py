@@ -209,20 +209,6 @@ def exp(x):
     return tape.push(out, (xi,), bwd)
 
 
-def square(x):
-    tape = _tape_of(x)
-    if tape is None:
-        xv = value(x)
-        return xv * xv
-    xv, xi = _operand(x, tape)
-    out = xv * xv
-
-    def bwd(g):
-        return (2.0 * g * xv,)
-
-    return tape.push(out, (xi,), bwd)
-
-
 def minimum(a, b):
     """Elementwise minimum; at ties the gradient follows the first operand."""
     tape = _tape_of(a, b)

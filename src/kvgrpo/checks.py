@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import policy
 from .autodiff import fd_grad, grad
 from .network import NetworkShape, param_init
@@ -69,8 +70,8 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
     worst = 0.0
     for branch in branches:
         def f(reader, b=branch):
-            return policy.replay_energy(reader, b, inst.contexts,
-                                        pcfg.grad_steps, pcfg.include_all_steps)
+            return ad.asum(policy.replay_energies(reader, [b], inst.contexts,
+                                                  pcfg.grad_steps, pcfg.include_all_steps))
         _, g = grad(inst.params, f)
         fd = fd_grad(inst.params, f, FD_STEP)
         worst = max(worst, rel_l2(g.values, fd.values))
@@ -80,10 +81,10 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
 def check_total_grad(inst: CheckInstance, pcfg: PolicyConfig,
                      old_params: Params, ref_params: Params) -> float:
     """Relative L2 error of the total-loss gradient against finite differences."""
-    eval_old = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        old_params, inst.group, inst.contexts, pcfg)]), pcfg.tau)
-    eval_ref = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-        ref_params, inst.group, inst.contexts, pcfg)]), pcfg.tau)
+    eval_old = gibbs(policy.surrogate_energies(old_params, inst.group, inst.contexts, pcfg),
+                     pcfg.tau)
+    eval_ref = gibbs(policy.surrogate_energies(ref_params, inst.group, inst.contexts, pcfg),
+                     pcfg.tau)
     adv = advantages(inst.rewards, pcfg.adv_clip_max)
 
     def f(reader):
@@ -103,9 +104,7 @@ def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
     params = eval_params if eval_params is not None else inst.params
     cfg = PolicyConfig(tau=tau, grad_steps=pcfg.grad_steps,
                        include_all_steps=pcfg.include_all_steps)
-    energies = np.array([float(e) for e in policy.surrogate_energies(
-        params, inst.group, inst.contexts, cfg)])
-    eval_cur = gibbs(energies, tau)
+    eval_cur = gibbs(policy.surrogate_energies(params, inst.group, inst.contexts, cfg), tau)
     adv = advantages(rewards, clip_max=np.inf)
 
     def f(reader):

@@ -166,13 +166,19 @@ def cmd_inspect(args) -> int:
         lines = text.split("\n")
         records = []
         for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
             try:
-                records += [json.loads(line)] if line.strip() else []
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 if number < len(lines):  # a complete line: the file is corrupt
                     raise ConfigError(f"{path}: line {number} is not valid JSON ({exc})")
                 # A cut last line (no trailing newline) is what a crash mid-write leaves.
                 print(f"note: ignoring cut final line {number}")
+                continue
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path}: line {number} is not a JSON object")
+            records.append(record)
         print(f"metrics: {path} ({len(records)} records)")
         # A record whose rollout failed carries no rewards.
         rewarded = [r for r in records if r.get("anchor_reward") is not None]

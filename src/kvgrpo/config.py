@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -84,7 +85,7 @@ class TrainerConfig:
         def positive(name):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        _require_finite(self)
+        _check_fields(self)
         for name in ("latent_dim", "hidden_dim", "prompt_dim", "frames_per_block",
                      "denoise_steps", "num_blocks", "branch_number",
                      "perturbed_blocks", "temperature", "learning_rate",
@@ -146,7 +147,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.trainer.validate()
-        _require_finite(self)
+        _check_fields(self)
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.threads < 1:
@@ -154,16 +155,32 @@ class RunConfig:
         return self
 
 
-def _require_finite(cfg) -> None:
-    """Reject NaN and infinities, which JSON and ``--set`` parse, in every field."""
-    def finite(value) -> bool:
-        if isinstance(value, (list, tuple)):
-            return all(finite(v) for v in value)
-        return not isinstance(value, float) or math.isfinite(value)
-
+def _check_fields(cfg) -> None:
+    """Reject NaN and infinities, which JSON and ``--set`` parse, and any value
+    that does not fit its field's annotation, element by element for lists.
+    A bool is not an int, and an int is a float."""
+    hints = typing.get_type_hints(type(cfg))
     for f in fields(cfg):
-        if not finite(getattr(cfg, f.name)):
-            raise ConfigError(f"{f.name} must be finite, got {getattr(cfg, f.name)!r}")
+        value = getattr(cfg, f.name)
+        for ok, want in ((_finite(value), "finite"), (_fits(value, hints[f.name]), f.type)):
+            if not ok:
+                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _fits(value, hint) -> bool:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union
+        return any(_fits(value, a) for a in args)
+    return (isinstance(value, (int, float) if hint is float else hint)
+            and (hint is bool or not isinstance(value, bool)))
 
 
 _TRAINER_FIELDS = {f.name: f for f in fields(TrainerConfig)}

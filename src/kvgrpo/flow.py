@@ -4,18 +4,19 @@ A block of frames starts from seeded Gaussian noise at t=0 and is carried to
 t=1 by Euler steps of the learned velocity field, attending over the sink/local
 memory of previously generated frames.  A block is an (F, d) matrix, one row
 per frame.  When it is finished, the whole block is projected to (F, h) key and
-value rows in one call and pushed into the memory and the history.
+value rows in one call and pushed into the memory and the history.  Solver
+steps kept for replay are rows too: one (F, d) latent block per step, stacked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import network
 from .cache import FrameHistory, KVCache
-from .errors import ContractError, SequencingError
+from .errors import SequencingError
 from .params import Params
 
 
@@ -54,14 +55,24 @@ class FlowState:
 
 
 @dataclass(frozen=True)
-class ReplayTuple:
-    """One cached solver step: pre-step latents and the velocity they received."""
+class ReplaySteps:
+    """Cached solver steps, one row each: the latents entering the step, the
+    velocity they received, and the step's time, 1-based index and block."""
 
-    z: np.ndarray          # (frames_per_block, d) latents entering the step
-    u_hat: np.ndarray      # (frames_per_block, d) rollout velocity at that step
-    block: int
-    step: int
-    t: float
+    z: np.ndarray          # (R, frames_per_block, d)
+    u_hat: np.ndarray      # (R, frames_per_block, d)
+    t: np.ndarray          # (R,) accumulated flow time, as the solver saw it
+    step: np.ndarray       # (R,)
+    block: np.ndarray      # (R,)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @staticmethod
+    def concat(parts: list["ReplaySteps"]) -> "ReplaySteps":
+        """The rows of ``parts``, in order."""
+        return ReplaySteps(*(np.concatenate([getattr(p, f.name) for p in parts])
+                             for f in fields(ReplaySteps)))
 
 
 def velocity_eval(params: Params, state: FlowState, keys: np.ndarray | None,
@@ -95,26 +106,29 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
 
 def generate_block(params: Params, cache: KVCache, block_index: int, noise_seed: int,
                    prompt: np.ndarray, record_replay: bool = False,
-                   cfg: GeneratorConfig = GeneratorConfig()) -> tuple[Block, list[ReplayTuple]]:
+                   cfg: GeneratorConfig = GeneratorConfig()
+                   ) -> tuple[Block, ReplaySteps | None]:
     """Solve one block from seeded noise to the clean sample.
 
     Deterministic in (params, cache, block_index, noise_seed, prompt).  With
     ``record_replay`` the pre-step latents and the velocities they received are
-    kept, one tuple per solver step.
+    kept, one row per solver step; otherwise the second result is ``None``.
     """
     d = network.shape_from_layout(params.layout).latent_dim
     x = block_noise(noise_seed, block_index, cfg.frames_per_block, d)
     state = FlowState(x, 0.0, 1)
     # The memory only changes between blocks, so it is stacked once per solve.
     keys, values = cache.stacked()
-    tuples: list[ReplayTuple] = []
-    for s in range(1, cfg.num_steps + 1):
+    rows = []
+    for _ in range(cfg.num_steps):
         v = velocity_eval(params, state, keys, values, prompt)
-        if record_replay:
-            tuples.append(ReplayTuple(state.x.copy(), np.asarray(v).copy(),
-                                      block_index, s, state.t))
+        rows.append((state.x, v, state.t))
         state = ode_step(state, v, cfg.dt, cfg.num_steps)
-    return Block(state.x, block_index), tuples
+    if not record_replay:
+        return Block(state.x, block_index), None
+    z, u_hat, t = (np.array(column) for column in zip(*rows))
+    return Block(state.x, block_index), ReplaySteps(
+        z, u_hat, t, np.arange(1, cfg.num_steps + 1), np.full(cfg.num_steps, block_index))
 
 
 def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray,
@@ -127,32 +141,3 @@ def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray,
     if history is not None:
         history.append(keys, values, frames)
     return cache
-
-
-@dataclass
-class RolloutResult:
-    blocks: list[Block]
-    history: FrameHistory
-    replay: list[ReplayTuple] = field(default_factory=list)
-
-    def frame_count(self) -> int:
-        return len(self.history)
-
-
-def rollout(params: Params, prompt: np.ndarray, num_blocks: int, noise_seed: int,
-            cfg: GeneratorConfig = GeneratorConfig(),
-            record_replay: bool = False) -> RolloutResult:
-    """Sequential block generation under the default sliding-window memory."""
-    if num_blocks < 1:
-        raise ContractError(f"num_blocks must be >= 1, got {num_blocks}")
-    cache = KVCache(cfg.sink_size, cfg.local_size)
-    history = FrameHistory()
-    blocks: list[Block] = []
-    tuples: list[ReplayTuple] = []
-    for b in range(1, num_blocks + 1):
-        block, reps = generate_block(params, cache, b, noise_seed, prompt,
-                                     record_replay, cfg)
-        write_back(cache, block, params, prompt, history)
-        blocks.append(block)
-        tuples.extend(reps)
-    return RolloutResult(blocks, history, tuples)

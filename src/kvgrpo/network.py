@@ -1,11 +1,12 @@
 """Velocity-field network: per-frame embedding, single-head attention over the
 key/value memory, and a two-layer head.
 
-The forward pass is plain numpy.  Given a :class:`Params` it returns the
-velocity array (rollouts, finite differences); given a
-:class:`~kvgrpo.autodiff.TapeReader` it records the whole network as one tape
-node whose backward is the hand-derived vector-Jacobian product
-(replay gradients).
+The forward pass is plain numpy, on one block or on a stack of them (a
+replay pass runs every cached solver step as one row).  Given a
+:class:`Params` it returns the velocity array (rollouts, replay values, finite
+differences); given a :class:`~kvgrpo.autodiff.TapeReader` it records the whole
+call as one tape node whose backward is the hand-derived vector-Jacobian
+product (replay gradients).
 """
 
 from __future__ import annotations
@@ -79,12 +80,16 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     return Params(values, layout)
 
 
-def _augment(x: np.ndarray, t: float, prompt: np.ndarray) -> np.ndarray:
-    """Constant network input: [latents | time | prompt] per frame row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    cols = [x, np.full((n, 1), float(t)), np.tile(np.asarray(prompt, dtype=np.float64), (n, 1))]
-    return np.concatenate(cols, axis=1)
+def _augment(x: np.ndarray, t, prompt: np.ndarray) -> np.ndarray:
+    """Constant network input: [latents | time | prompt] per frame row.  ``t``
+    is a float, or one time per (F, d) block of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    aug = np.empty(x.shape[:-1] + (d + 1 + len(prompt),))
+    aug[..., :d] = x
+    aug[..., d] = np.reshape(t, np.shape(t) + (1,))
+    aug[..., d + 1:] = prompt
+    return aug
 
 
 def kv_for_frames(params: Params, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
@@ -95,41 +100,43 @@ def kv_for_frames(params: Params, x: np.ndarray, prompt: np.ndarray, t: float = 
     return e @ seg("wk") + seg("bk"), e @ seg("wv") + seg("bv")
 
 
-def velocity_forward(reader, x: np.ndarray, t: float, context_keys, context_values,
+def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values,
                      prompt: np.ndarray):
-    """Predicted velocity for every frame of the current block.
+    """Predicted velocity for every frame of a block, or of a stack of blocks.
 
-    ``x`` is the (frames, d) in-flight latent matrix; ``context_keys`` /
-    ``context_values`` hold the cached memory as (M, h) arrays (``None`` for an
-    empty memory).  Attention runs over [context ; current-block] jointly.
-    Returns an array for a :class:`Params` reader, and for a tape reader one
-    tape node whose parents are the parameter segments in ``SEGMENTS`` order.
+    ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
+    (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
+    ``context_keys`` / ``context_values`` (``None``: an empty memory).
+    Attention runs over [memory ; block] jointly.  Returns an array for a
+    :class:`Params` reader, and for a tape reader one tape node whose parents
+    are the parameter segments in ``SEGMENTS`` order.
     """
     aug = _augment(x, t, prompt)
-    n_ctx = 0 if context_keys is None else np.shape(context_keys)[0]
+    n_ctx = 0 if context_keys is None else np.shape(context_keys)[-2]
     leaves = [reader.segment(name) for name in SEGMENTS]
     if not isinstance(reader, ad.TapeReader):
-        return _forward(leaves, aug, context_keys, context_values, n_ctx)[0]
+        return _forward(leaves, aug, context_keys, context_values)[0]
     w = [leaf.value for leaf in leaves]
-    out, saved = _forward(w, aug, context_keys, context_values, n_ctx)
+    out, saved = _forward(w, aug, context_keys, context_values)
     return reader.tape.push(out, tuple(leaf.idx for leaf in leaves),
-                            lambda g: _vjp(g, w, aug, saved, n_ctx))
+                            lambda g: list(_vjp(g, w, aug, saved, n_ctx)))
 
 
-def _forward(w, aug, context_keys, context_values, n_ctx):
-    """Network output and the intermediates its backward needs."""
+def _forward(w, aug, context_keys, context_values):
+    """Network output for an (F, in) block or (R, F, in) rows, and the
+    intermediates its backward needs."""
     ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
     e = np.tanh(aug @ ew + eb)
     q = e @ wq + bq
     k = e @ wk + bk
     v = e @ wv + bv
-    if n_ctx > 0:
-        keys = np.concatenate([context_keys, k], axis=0)
-        vals = np.concatenate([context_values, v], axis=0)
+    if context_keys is not None:
+        keys = np.concatenate([context_keys, k], axis=-2)
+        vals = np.concatenate([context_values, v], axis=-2)
     else:
         keys, vals = k, v
-    scale = 1.0 / np.sqrt(keys.shape[1])
-    scores = (q @ keys.T) * scale
+    scale = 1.0 / np.sqrt(keys.shape[-1])
+    scores = (q @ keys.swapaxes(-1, -2)) * scale
     p = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     p = p / np.sum(p, axis=-1, keepdims=True)
     att = p @ vals
@@ -138,27 +145,30 @@ def _forward(w, aug, context_keys, context_values, n_ctx):
 
 
 def _vjp(g, w, aug, saved, n_ctx):
-    """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint
-    ``g``.  The order of every product and transpose, and of the embedding
+    """Adjoints of the segments in ``SEGMENTS`` order, given the output
+    adjoint ``g``.  For (R, F, d) rows each is summed over the rows last row
+    first, the order in which the tape adds them when each row is its own
+    node.  The order of every product and transpose, and of the embedding
     adjoint sum (from v + from k) + from q, is part of the bit-reproducibility
     contract: reordering them moves the last bits of fixed-seed runs."""
     ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
     e, q, keys, vals, p, att, hid, scale = saved
+
+    def tr(a):
+        return a.swapaxes(-1, -2)
+
     g_pre1 = (g @ w2.T) * (1.0 - hid * hid)
     g_att = g_pre1 @ w1.T
-    g_p = g_att @ vals.T
+    g_p = g_att @ tr(vals)
     g_scores = p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * scale
     g_q = g_scores @ keys
-    g_k = (q.T @ g_scores).T[n_ctx:]
-    g_v = (p.T @ g_att)[n_ctx:]
+    g_k = tr(tr(q) @ g_scores)[..., n_ctx:, :]
+    g_v = (tr(p) @ g_att)[..., n_ctx:, :]
     g_e = (g_v @ wv.T + g_k @ wk.T) + g_q @ wq.T
     g_pre = g_e * (1.0 - e * e)
-    return (aug.T @ g_pre, g_pre.sum(axis=0),
-            e.T @ g_q, g_q.sum(axis=0),
-            e.T @ g_k, g_k.sum(axis=0),
-            e.T @ g_v, g_v.sum(axis=0),
-            att.T @ g_pre1, g_pre1.sum(axis=0),
-            hid.T @ g, g.sum(axis=0))
+    for inputs, g_out in ((aug, g_pre), (e, g_q), (e, g_k), (e, g_v), (att, g_pre1), (hid, g)):
+        for adjoint in (tr(inputs) @ g_out, g_out.sum(axis=-2)):
+            yield adjoint if g.ndim == 2 else np.ascontiguousarray(adjoint[::-1]).sum(axis=0)
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:

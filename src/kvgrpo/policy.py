@@ -2,7 +2,8 @@
 
 Each branch gets an energy: by default the replay residual (squared error
 between cached rollout velocities and their re-evaluations under the restored
-default-layout context, normalized by latent dimension), or optionally a plain
+default-layout context, normalized by latent dimension, with every cached step
+of every branch replayed as rows of one network call), or optionally a plain
 latent-space distance to the anchor.  A softmax over negative energies turns
 the group into a categorical policy; PPO ratios against a frozen snapshot and a
 KL pull toward the reference policy are all computed in the log domain.
@@ -21,6 +22,7 @@ from . import autodiff as ad
 from . import network
 from .autodiff import grad as ad_grad
 from .errors import ContractError
+from .flow import ReplaySteps
 from .params import GradVector, Params
 from .routing import BranchTrajectory, ReplayContexts, RolloutGroup
 
@@ -50,11 +52,6 @@ class PolicyEval:
 
 
 @dataclass
-class Advantages:
-    values: np.ndarray       # group-normalized and clamped
-
-
-@dataclass
 class LossBreakdown:
     ppo: float
     kl: float
@@ -71,53 +68,67 @@ class LossBreakdown:
                    float(ad.value(total)), np.asarray(ad.value(rho), dtype=np.float64))
 
 
-def replay_energy(reader, branch: BranchTrajectory, contexts: ReplayContexts,
-                  grad_steps: int | None = None, include_all_steps: bool = True):
-    """Summed per-dimension-normalized squared residual between the cached
-    rollout velocities and their replay under the default-layout context.
-
-    Only the first ``grad_steps`` solver steps of each block are evaluated on
-    the tape; later steps are either added as constants (``include_all_steps``)
-    or dropped from the value entirely.  Returns a float for a value-only
-    reader and a tape node otherwise.
-    """
-    shape = network.shape_from_layout(reader.layout)
-    total = 0.0
-    for tup in branch.replay:
-        carrying = grad_steps is None or tup.step <= grad_steps
-        if not carrying and not include_all_steps:
-            continue
-        if tup.z.shape[-1] != shape.latent_dim:
-            raise ContractError(
-                f"replay latent dim {tup.z.shape[-1]} != network dim {shape.latent_dim}")
-        keys, values = contexts.for_block(branch.branch_id, tup.block)
-        r = reader if carrying else reader.detached()
-        v = network.velocity_forward(r, tup.z, tup.t, keys, values, contexts.prompt)
-        diff = ad.sub(v, tup.u_hat)
-        term = ad.mul(ad.asum(ad.square(diff)), 1.0 / shape.latent_dim)
-        total = ad.add(total, ad.value(term) if not carrying else term)
-    return total
+def replay_energies(reader, branches: list[BranchTrajectory], contexts: ReplayContexts,
+                    grad_steps: int | None = None, include_all_steps: bool = True):
+    """Per-branch sum of the per-dimension-normalized squared residuals between
+    the cached rollout velocities and their replay under the default-layout
+    contexts, with one network call per pass and memory size over the rows of
+    all branches.  Only the first ``grad_steps`` solver steps of each block
+    are evaluated on the tape; later steps are either added as constants
+    (``include_all_steps``) or dropped from the value entirely.  Returns a
+    (branches,) array for a value-only reader and a tape node otherwise."""
+    d = network.shape_from_layout(reader.layout).latent_dim
+    steps = ReplaySteps.concat([b.replay for b in branches])
+    if steps.z.shape[-1] != d:
+        raise ContractError(f"replay latent dim {steps.z.shape[-1]} != network dim {d}")
+    owner = np.repeat(np.arange(len(branches)), [len(b.replay) for b in branches])
+    traj = np.array([b.branch_id for b in branches], dtype=int)[owner]
+    window = steps.block - contexts.window_blocks[0]
+    sizes = contexts.sizes[window]
+    carrying = steps.step <= (np.inf if grad_steps is None else grad_steps)
+    counted = carrying | include_all_steps
+    passes = (((reader.detached(), counted & ~carrying), (reader, carrying))
+              if isinstance(reader, ad.TapeReader) else ((reader, counted),))
+    terms, nodes = np.zeros(len(steps)), []
+    for r, rows in passes:
+        # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
+        for n in sorted(set(sizes[rows].tolist())):
+            sel = rows & (sizes == n)
+            i, j = traj[sel], window[sel]
+            v = network.velocity_forward(r, steps.z[sel], steps.t[sel], contexts.keys[i, j, :n],
+                                         contexts.values[i, j, :n], contexts.prompt)
+            diff = ad.value(v) - steps.u_hat[sel]
+            terms[sel] = np.sum(diff * diff, axis=(-2, -1)) * (1.0 / d)
+            if isinstance(v, ad.Var):
+                nodes.append((v.idx, owner[sel], diff))
+    # Each branch's sum runs over its rows in order from 0.0, through exact
+    # zeros for the other branches' rows and the rows left out.
+    table = np.zeros((len(branches), 1 + len(steps)))
+    table[owner, 1 + np.arange(len(steps))] = terms
+    energies = np.cumsum(table, axis=1)[:, -1]
+    if not nodes:
+        return energies
+    return reader.tape.push(energies, tuple(idx for idx, *_ in nodes), lambda g: tuple(
+        (2.0 * (g[branch] * (1.0 / d)))[:, None, None] * diff for _, branch, diff in nodes))
 
 
 def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
     """Squared latent distance to the anchor over the window's final frames,
     scaled by 1/(2 sigma^2).  A drop-in surrogate energy for ablation; it
     depends only on the rolled-out latents, not on the parameters."""
-    pivot, window = group.pivot_block, group.window
-    anchor = np.vstack([b.matrix() for b in group.anchor.window_blocks(pivot, window)])
-    out = []
-    for br in group.branches:
-        mine = np.vstack([b.matrix() for b in br.window_blocks(pivot, window)])
-        out.append(float(np.sum((mine - anchor) ** 2)) / (2.0 * sigma * sigma))
-    return np.array(out)
+    frames = np.array([[b.matrix() for b in traj.window_blocks(group.pivot_block, group.window)]
+                       for traj in [group.anchor, *group.branches]])
+    return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2, 3)) / (2.0 * sigma * sigma)
 
 
 def surrogate_energies(reader, group: RolloutGroup, contexts: ReplayContexts,
-                       cfg: PolicyConfig) -> list:
+                       cfg: PolicyConfig):
+    """The group's per-branch energies: an array, or a tape node for a taped
+    replay surrogate."""
     if cfg.surrogate == "latent_l2":
-        return list(latent_l2_energies(group, cfg.l2_sigma))
-    return [replay_energy(reader, br, contexts, cfg.grad_steps, cfg.include_all_steps)
-            for br in group.branches]
+        return latent_l2_energies(group, cfg.l2_sigma)
+    return replay_energies(reader, group.branches, contexts, cfg.grad_steps,
+                           cfg.include_all_steps)
 
 
 def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
@@ -139,7 +150,7 @@ def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
     return PolicyEval(energies, log_probs, weights / total)
 
 
-def advantages(rewards: np.ndarray, clip_max: float = 2.5) -> Advantages:
+def advantages(rewards: np.ndarray, clip_max: float = 2.5) -> np.ndarray:
     """Group-normalized rewards (population std, epsilon-guarded), then clamped."""
     r = np.asarray(rewards, dtype=np.float64)
     if r.size < 2:
@@ -148,10 +159,10 @@ def advantages(rewards: np.ndarray, clip_max: float = 2.5) -> Advantages:
     if np.all(r == r[0]):
         # In exact arithmetic the centered rewards are zero; skip the formula
         # so mean-rounding noise cannot leak through the epsilon guard.
-        return Advantages(np.zeros(r.size))
+        return np.zeros(r.size)
     std = float(np.sqrt(np.mean((r - mean) ** 2)))
     raw = (r - mean) / (std + ADV_EPS)
-    return Advantages(np.clip(raw, -clip_max, clip_max))
+    return np.clip(raw, -clip_max, clip_max)
 
 
 def ppo_kl_loss(log_probs, old_log_probs: np.ndarray, ref_log_probs: np.ndarray,
@@ -181,7 +192,7 @@ def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
 
 
 def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
-                eval_old: PolicyEval | None, eval_ref: PolicyEval, adv: Advantages,
+                eval_old: PolicyEval | None, eval_ref: PolicyEval, adv: np.ndarray,
                 cfg: PolicyConfig):
     """:func:`ppo_kl_loss` of the surrogate policy at ``reader``, followed by the
     energies and the old policy.  With ``eval_old=None`` the parameters are
@@ -189,10 +200,10 @@ def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
     energies, held constant."""
     energies = surrogate_energies(reader, group, contexts, cfg)
     if eval_old is None:
-        eval_old = gibbs(np.array([float(ad.value(e)) for e in energies]), cfg.tau)
-    logits = ad.mul(ad.pack(energies), -1.0 / cfg.tau)
+        eval_old = gibbs(ad.value(energies), cfg.tau)
+    logits = ad.mul(energies, -1.0 / cfg.tau)
     log_probs = ad.sub(logits, ad.logsumexp(logits))
-    terms = ppo_kl_loss(log_probs, eval_old.log_probs, eval_ref.log_probs, adv.values, cfg)
+    terms = ppo_kl_loss(log_probs, eval_old.log_probs, eval_ref.log_probs, adv, cfg)
     return *terms, energies, eval_old
 
 
@@ -208,16 +219,16 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
         total, ppo, kl, rho, energies, old = _build_loss(
             reader, group, contexts, eval_old, eval_ref, adv, cfg)
         parts.update(breakdown=LossBreakdown.of(total, ppo, kl, rho), old=old,
-                     energies=[float(ad.value(e)) for e in energies])
+                     energies=ad.value(energies))
         return total
 
     _, g = ad_grad(params, f)
-    return parts["breakdown"], np.array(parts["energies"]), g, parts["old"]
+    return parts["breakdown"], parts["energies"], g, parts["old"]
 
 
 def contrastive_grad_reference(params: Params, group: RolloutGroup,
                                contexts: ReplayContexts, eval_cur: PolicyEval,
-                               adv: Advantages, tau: float,
+                               adv: np.ndarray, tau: float,
                                cfg: PolicyConfig = PolicyConfig()) -> GradVector:
     """Closed-form gradient of the unclipped policy-gradient objective.
 
@@ -227,18 +238,18 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
     autodiff path.
     """
     pi = eval_cur.probs
-    mu = float(np.sum(pi * adv.values))
+    mu = float(np.sum(pi * adv))
     out = np.zeros(params.layout.total)
     for g_idx, branch in enumerate(group.branches):
-        _, gvec = ad_grad(params, lambda r, b=branch: replay_energy(
-            r, b, contexts, cfg.grad_steps, cfg.include_all_steps))
-        out += pi[g_idx] * (adv.values[g_idx] - mu) * gvec.values
+        _, gvec = ad_grad(params, lambda r, b=branch: ad.asum(replay_energies(
+            r, [b], contexts, cfg.grad_steps, cfg.include_all_steps)))
+        out += pi[g_idx] * (adv[g_idx] - mu) * gvec.values
     return GradVector(-out / tau)
 
 
 def pg_surrogate_value(reader, group: RolloutGroup, contexts: ReplayContexts,
-                       eval_old: PolicyEval, adv: Advantages, cfg: PolicyConfig):
+                       eval_old: PolicyEval, adv: np.ndarray, cfg: PolicyConfig):
     """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], built on
     the trained loss's importance ratios with the old policy held constant."""
     _, _, _, rho, *_ = _build_loss(reader, group, contexts, eval_old, eval_old, adv, cfg)
-    return ad.asum(ad.mul(rho, eval_old.probs * adv.values))
+    return ad.asum(ad.mul(rho, eval_old.probs * adv))

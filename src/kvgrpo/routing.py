@@ -4,8 +4,8 @@ A group rollout shares a deterministic prefix up to a pivot block, then each
 branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
 all variation between branches comes from the memory composition alone.  The
-solver steps inside the perturbation window are cached for later replay under
-the default-layout memory.
+solver steps inside the perturbation window are cached as rows for later
+replay under default-layout memories, stacked into one array per group.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .cache import FrameHistory, KVCache
 from .errors import ConfigError, ContractError, InsufficientHistoryError
-from .flow import (Block, GeneratorConfig, ReplayTuple, generate_block, write_back)
+from .flow import Block, GeneratorConfig, ReplaySteps, generate_block, write_back
 from .params import Params
 
 
@@ -32,7 +32,7 @@ class RoutingDecision:
 class BranchTrajectory:
     blocks: list[Block]
     routing: RoutingDecision | None
-    replay: list[ReplayTuple]
+    replay: ReplaySteps          # the window's solver steps, as rows
     branch_id: int
     history: FrameHistory
     reward: float | None = None
@@ -151,8 +151,8 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     write-back shifts, or rebuilt per block when ``routing_per_block``); beyond
     it, generation reverts to the default layout over the branch's own frames.
     The anchor is branch 0: it is never routed and keeps the default memory
-    throughout.  Replay tuples are recorded for every solver step of every
-    window block, for the anchor as well.
+    throughout.  Every solver step of every window block is recorded for
+    replay, for the anchor as well.
     """
     if window < 1 or pivot < 1:
         raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
@@ -205,7 +205,7 @@ def _run_branch(params, prompt, prefix, prefix_history, pivot_frame, pivot, wind
         cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
 
     blocks = list(prefix)
-    replay: list[ReplayTuple] = []
+    replay: list[ReplaySteps] = []
     for b in range(pivot, num_blocks + 1):
         in_window = pivot <= b < pivot + window
         if routing is not None and in_window and routing_per_block and b > pivot:
@@ -215,31 +215,32 @@ def _run_branch(params, prompt, prefix, prefix_history, pivot_frame, pivot, wind
             # Window over: revert to the default sliding layout over the
             # branch's own written-back frames.
             cache = history.default_cache(len(history), cfg.sink_size, cfg.local_size)
-        block, reps = generate_block(params, cache, b, seeds.noise, prompt,
-                                     in_window, cfg)
+        block, steps = generate_block(params, cache, b, seeds.noise, prompt,
+                                      in_window, cfg)
         write_back(cache, block, params, prompt, history)
         blocks.append(block)
-        replay.extend(reps)
-    return BranchTrajectory(blocks, routing, replay, branch_id, history)
+        replay += [steps] if in_window else []
+    return BranchTrajectory(blocks, routing, ReplaySteps.concat(replay), branch_id,
+                            history)
 
 
 @dataclass
 class ReplayContexts:
     """Default-layout memories for replaying each trajectory's window steps.
 
-    ``caches[branch_id][j]`` holds the stacked ``(keys, values)`` that condition
-    the j-th window block.  Entries come from the stored rollout history, so
-    the contexts are plain numbers: replay gradients flow through the velocity
-    evaluation only, exactly as at rollout time.
+    ``keys[i, j]`` and ``values[i, j]`` condition trajectory ``i`` (its branch
+    id) at the j-th window block; their first ``sizes[j]`` rows are filled (a
+    window starting before the memory is full has shorter memories at first).
+    Entries come from the stored rollout history, so the contexts are plain
+    numbers: replay gradients flow through the velocity evaluation only,
+    exactly as at rollout time.
     """
 
     window_blocks: list[int]
-    caches: dict[int, list[tuple[np.ndarray | None, np.ndarray | None]]]
+    keys: np.ndarray       # (trajectories, window blocks, M, h)
+    values: np.ndarray     # (trajectories, window blocks, M, h)
+    sizes: np.ndarray      # (window blocks,)
     prompt: np.ndarray
-
-    def for_block(self, branch_id: int, block: int
-                  ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        return self.caches[branch_id][block - self.window_blocks[0]]
 
 
 def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> ReplayContexts:
@@ -252,13 +253,15 @@ def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> Replay
     if source not in ("branch", "anchor"):
         raise ConfigError(f"replay context source must be 'branch' or 'anchor', got {source!r}")
     cfg = group.gen_cfg
-    caches: dict[int, list[tuple]] = {}
-    for traj in group.all_trajectories():
-        hist = group.anchor.history if source == "anchor" else traj.history
-        per_block = []
-        for b in group.window_block_indices:
-            upto = cfg.frames_per_block * (b - 1)
-            cache = hist.default_cache(upto, cfg.sink_size, cfg.local_size)
-            per_block.append(cache.stacked())
-        caches[traj.branch_id] = per_block
-    return ReplayContexts(group.window_block_indices, caches, group.prompt)
+    memories = [[(group.anchor.history if source == "anchor" else traj.history)
+                 .default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
+                                cfg.local_size).stacked()
+                 for b in group.window_block_indices] for traj in group.all_trajectories()]
+    # A default memory's length depends only on how many frames precede it.
+    sizes = np.array([0 if k is None else len(k) for k, _ in memories[0]])
+    shape = (len(memories), len(sizes), sizes.max(), group.anchor.history.keys.shape[1])
+    keys, values = np.zeros(shape), np.zeros(shape)
+    for i, row in enumerate(memories):
+        for j, (k, v) in enumerate(row):
+            keys[i, j, :sizes[j]], values[i, j, :sizes[j]] = k, v
+    return ReplayContexts(group.window_block_indices, keys, values, sizes, group.prompt)

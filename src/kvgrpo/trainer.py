@@ -187,8 +187,8 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
             record.branch_energies = [float(e) for e in policy.surrogate_energies(
                 state.params, group, contexts, pcfg)]
         else:
-            eval_ref = gibbs(np.array([float(e) for e in policy.surrogate_energies(
-                state.ref, group, contexts, pcfg)]), cfg.temperature)
+            eval_ref = gibbs(policy.surrogate_energies(state.ref, group, contexts, pcfg),
+                             cfg.temperature)
             eval_old = None
             for _ in range(cfg.ppo_epochs):
                 breakdown, energies, grad, eval_old = policy.total_loss_grad(

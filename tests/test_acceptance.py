@@ -147,13 +147,13 @@ class TestCriterion4AdvantageSuite:
                     continue
                 checked += 1
                 adv = advantages(rewards, clip_max=np.inf)
-                assert abs(float(np.mean(adv.values))) < 1e-12
-                assert abs(float(np.std(adv.values)) - 1.0) < 1e-9
+                assert abs(float(np.mean(adv))) < 1e-12
+                assert abs(float(np.std(adv)) - 1.0) < 1e-9
             assert checked > 900
-            np.testing.assert_array_equal(advantages(np.full(8, 2.5)).values,
+            np.testing.assert_array_equal(advantages(np.full(8, 2.5)),
                                           np.zeros(8))
             outlier = advantages(np.array([1e6, 0, 0, 0, 0, 0, 0, 0]), clip_max=2.5)
-            assert np.max(np.abs(outlier.values)) <= 2.5
+            assert np.max(np.abs(outlier)) <= 2.5
 
 
 class TestCriterion5ClippingTrustRegion:

@@ -35,6 +35,24 @@ def write_small_config(tmp_path, **overrides):
     return path
 
 
+# Values of the wrong type, as ``--set KEY=TEXT`` would give them.
+WRONG_TYPES = [
+    ("learning_rate", "abc"), ("latent_dim", "2.5"), ("branch_number", "true"),
+    ("energy_includes_all_steps", "1"), ("surrogate", "3"), ("pivot_blocks", "5"),
+    ("pivot_blocks", '[5, "6"]'), ("local_kv_choices", "[[9, 6.5]]"),
+    ("prompt_values", '["a", "b"]'), ("reward_components", '["target"]'),
+    ("checkpoint_every", "1.5"), ("dump_trajectories", '"yes"'), ("threads", "false"),
+]
+
+
+def parsed(text):
+    """A ``--set`` value as the CLI parses it: JSON when it is JSON, else text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 class TestConfig:
     def test_roundtrip_identity(self, tmp_path):
         cfg = small_run_config(tmp_path)
@@ -101,6 +119,18 @@ class TestConfig:
             flat[key] = value
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             from_flat_dict(flat)
+
+    @pytest.mark.parametrize("key,text", WRONG_TYPES)
+    def test_wrong_types_rejected(self, key, text):
+        flat = to_flat_dict(small_run_config())
+        flat[key] = parsed(text)
+        with pytest.raises(ConfigError, match=f"{key} must be "):
+            from_flat_dict(flat)
+
+    def test_ints_are_floats_but_bools_are_not_ints(self):
+        assert small_run_config(learning_rate=1).trainer.learning_rate == 1
+        with pytest.raises(ConfigError, match="seed must be int"):
+            small_run_config(seed=True)
 
     def test_presets_cover_required_axes(self):
         assert len(PRESETS["surrogate"]) == 2
@@ -254,6 +284,17 @@ class TestCli:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,text", WRONG_TYPES)
+    def test_wrong_type_override_exits_one_before_training(self, tmp_path, capsys,
+                                                           key, text):
+        cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "wrongtype"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out),
+                     "--set", f"{key}={text}", "train", "--max-iters", "1"])
+        assert code == 1
+        assert f"{key} must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_override_exits_one(self, tmp_path, capsys):
         cfg_path = write_small_config(tmp_path)
         code = main(["--config", str(cfg_path), "--set", "bogus=1", "train"])
@@ -382,6 +423,16 @@ class TestCli:
         path.write_text(lines[0][:len(lines[0]) // 2] + "\n" + lines[1])
         assert main(["inspect", str(path)]) == 1
         assert "line 1 is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
+    def test_inspect_metrics_with_non_object_line(self, tmp_path, capsys, line):
+        lines = self._metrics_lines(tmp_path, capsys)
+        path = tmp_path / "list.jsonl"
+        path.write_text(lines[0] + line + "\n" + lines[1])
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 2 is not a JSON object" in captured.err
+        assert "records)" not in captured.out
 
     @pytest.mark.parametrize("flags,expected", [
         ([], "2"),                                          # the config file's key

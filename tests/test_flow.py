@@ -8,13 +8,31 @@ import pytest
 
 from kvgrpo.cache import FrameHistory, KVCache
 from kvgrpo.errors import ContractError, SequencingError
-from kvgrpo.flow import (FlowState, block_noise, generate_block, ode_step, rollout,
-                         velocity_eval, write_back)
+from kvgrpo.flow import (FlowState, GeneratorConfig, ReplaySteps, block_noise,
+                         generate_block, ode_step, velocity_eval, write_back)
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.routing import build_branch_cache, routable_set, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
+
+
+@dataclass
+class Rollout:
+    blocks: list
+    history: FrameHistory
+    replay: ReplaySteps | None
+
+
+def rollout(params, prompt, num_blocks, noise_seed, record_replay=False) -> Rollout:
+    """Sequential block generation under the default sliding-window memory."""
+    cache, history, blocks, replay = KVCache(), FrameHistory(), [], []
+    for b in range(1, num_blocks + 1):
+        block, steps = generate_block(params, cache, b, noise_seed, prompt, record_replay)
+        write_back(cache, block, params, prompt, history)
+        blocks.append(block)
+        replay += [steps] if record_replay else []
+    return Rollout(blocks, history, ReplaySteps.concat(replay) if replay else None)
 
 
 def tiny_rollout(seed=0, num_blocks=5, record=False):
@@ -89,11 +107,20 @@ class TestGenerateBlock:
         assert np.array_equal(b1.matrix(), b2.matrix())
 
     def test_replay_tuple_count_matches_steps(self, tiny_params):
-        _, tuples = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
-                                   record_replay=True)
-        assert len(tuples) == 4
-        assert [t.step for t in tuples] == [1, 2, 3, 4]
-        assert [t.t for t in tuples] == [0.0, 0.25, 0.5, 0.75]
+        _, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
+                                  record_replay=True)
+        assert len(steps) == 4 and steps.z.shape == steps.u_hat.shape == (4, 3, 3)
+        assert steps.step.tolist() == [1, 2, 3, 4]
+        assert steps.block.tolist() == [1, 1, 1, 1]
+        assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
+        assert generate_block(tiny_params, KVCache(), 1, 9, PROMPT)[1] is None
+
+    def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
+        # With dt = 1/3 the accumulated time differs from step * dt in the
+        # last bits; the network must see the time the rollout saw.
+        cfg = GeneratorConfig(num_steps=3)
+        _, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT, True, cfg)
+        assert steps.t.tolist() == [0.0, cfg.dt, cfg.dt + cfg.dt]
 
     def test_different_noise_seeds_differ(self, tiny_params):
         b1, _ = generate_block(tiny_params, KVCache(), 1, 9, PROMPT)
@@ -111,14 +138,15 @@ class TestGenerateBlock:
         np.testing.assert_array_equal(block.matrix(), xT + np.array([0.5, -1.0, 2.0]))
 
     def test_replay_tuples_carry_prestep_latents(self, tiny_params):
-        block, tuples = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
-                                       record_replay=True)
-        np.testing.assert_array_equal(tuples[0].z, block_noise(9, 1, 3, 3))
-        # z + dt*u_hat telescopes to the final block
-        x = tuples[0].z
-        for t in tuples:
-            x = x + 0.25 * t.u_hat
-        np.testing.assert_allclose(x, block.matrix(), atol=1e-15)
+        block, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
+                                      record_replay=True)
+        np.testing.assert_array_equal(steps.z[0], block_noise(9, 1, 3, 3))
+        # z + dt*u_hat gives the next row's z, and telescopes to the final block
+        x = steps.z[0]
+        for z, u_hat in zip(steps.z, steps.u_hat):
+            np.testing.assert_array_equal(x, z)
+            x = x + 0.25 * u_hat
+        np.testing.assert_array_equal(x, block.matrix())
 
 
 class TestWriteBack:
@@ -300,7 +328,7 @@ class TestRollout:
 
     def test_ten_blocks_thirty_frames(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 10, 0)
-        assert res.frame_count() == 30
+        assert len(res.history) == 30
         assert res.history.keys.shape == (30, 5)
 
     def test_fixed_seed_reproducible(self, tiny_params):
@@ -312,6 +340,7 @@ class TestRollout:
     def test_replay_count_invariant(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 7, 0, record_replay=True)
         assert len(res.replay) == 7 * 4
+        assert res.replay.block.tolist() == [b for b in range(1, 8) for _ in range(4)]
 
     def test_cache_layout_invariant_all_points(self, tiny_params):
         cache, hist = KVCache(), FrameHistory()
@@ -322,10 +351,6 @@ class TestRollout:
             if frames >= 12:
                 assert cache.frames[3:] == tuple(range(frames - 8, frames + 1))
                 assert cache.frames[:3] == (1, 2, 3)
-
-    def test_rejects_zero_blocks(self, tiny_params):
-        with pytest.raises(ContractError):
-            rollout(tiny_params, PROMPT, 0, 0)
 
     def test_frame_indices_consecutive(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 3, 0)

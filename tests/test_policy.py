@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kvgrpo.autodiff as ad
+from kvgrpo import network
 from kvgrpo.autodiff import fd_grad, grad
 from kvgrpo.checks import rel_l2
 from kvgrpo.errors import ContractError, NumericalError
-from kvgrpo.flow import ReplayTuple
+from kvgrpo.flow import GeneratorConfig, ReplaySteps
 from kvgrpo.network import NetworkShape, param_init
-from kvgrpo.params import Params
 from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, advantages,
                            contrastive_grad_reference, gibbs, guard,
-                           latent_l2_energies, ppo_kl_loss, replay_energy,
-                           total_loss_grad)
-from kvgrpo.routing import BranchTrajectory, ReplayContexts, build_replay_contexts
+                           latent_l2_energies, ppo_kl_loss, replay_energies,
+                           surrogate_energies, total_loss_grad)
+from kvgrpo.routing import (BranchTrajectory, GroupSeeds, ReplayContexts,
+                            build_replay_contexts, rollout_group)
+from test_routing import memory
 
 finite_energies = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -48,67 +50,112 @@ def reported_kl(eval_cur, eval_ref):
     return LossBreakdown.of(*terms).kl
 
 
+def energy(reader, branch, contexts, grad_steps=None, include_all_steps=True):
+    """One branch's replay energy: a number, or a tape node."""
+    return ad.asum(replay_energies(reader, [branch], contexts, grad_steps,
+                                   include_all_steps))
+
+
+def reference_energy(reader, branch, contexts, grad_steps=None, include_all_steps=True):
+    """The per-step loop the batched replay replaced, kept as its oracle: one
+    network call and five tape ops per cached solver step, summed in order.
+    (It squared with a tape op of its own; a product with a shared operand
+    gets the same adjoint, (g * diff) + (g * diff) = (2 * g) * diff, exactly.)"""
+    d = reader.layout.segments["head2_w"][1][1]
+    steps = branch.replay
+    total = 0.0
+    for z, u_hat, t, step, block in zip(steps.z, steps.u_hat, steps.t, steps.step,
+                                        steps.block):
+        carrying = grad_steps is None or step <= grad_steps
+        if not carrying and not include_all_steps:
+            continue
+        keys, values = memory(contexts, branch.branch_id, block)
+        r = reader if carrying else reader.detached()
+        v = network.velocity_forward(r, z, t, keys, values, contexts.prompt)
+        diff = ad.sub(v, u_hat)
+        term = ad.mul(ad.asum(ad.mul(diff, diff)), 1.0 / d)
+        total = ad.add(total, ad.value(term) if not carrying else term)
+    return total
+
+
+def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
+    """The trained loss on the per-step oracle's energies, packed branch by
+    branch, with the old policy taken from its own values."""
+    adv = advantages(group.branch_rewards(), pcfg.adv_clip_max)
+    old = gibbs(np.array([float(reference_energy(params, b, contexts, pcfg.grad_steps,
+                                                 pcfg.include_all_steps))
+                          for b in group.branches]), pcfg.tau)
+
+    def f(reader):
+        energies = [reference_energy(reader, b, contexts, pcfg.grad_steps,
+                                     pcfg.include_all_steps) for b in group.branches]
+        logits = ad.mul(ad.pack(energies), -1.0 / pcfg.tau)
+        log_probs = ad.sub(logits, ad.logsumexp(logits))
+        return ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
+
+    return grad(params, f)
+
+
 class TestReplayEnergy:
     def test_zero_residual_gives_zero(self, check_instance):
-        assert float(replay_energy(check_instance.params,
-                                   check_instance.group.anchor,
-                                   check_instance.contexts)) == 0.0
+        assert replay_energies(check_instance.params, [check_instance.group.anchor],
+                               check_instance.contexts).tolist() == [0.0]
 
     def test_single_tuple_hand_case(self, tiny_params):
         # One frame, d=3, residual (1,0,0): energy = 1/d = 1/3.  Build a fake
         # branch whose cached velocity differs from the replayed one by exactly
         # that residual.
-        from kvgrpo.network import velocity_forward
         z = np.zeros((1, 3))
         keys, values = np.ones((1, 5)), np.ones((1, 5))  # a one-frame memory
         prompt = np.array([0.3, -0.2])
-        v = np.asarray(velocity_forward(tiny_params, z, 0.25, keys, values, prompt))
+        v = np.asarray(network.velocity_forward(tiny_params, z, 0.25, keys, values, prompt))
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
-        branch = BranchTrajectory([], None, [ReplayTuple(z, u_hat, 5, 1, 0.25)],
-                                  branch_id=1, history=None)
-        contexts = ReplayContexts([5], {1: [(keys, values)]}, prompt)
-        energy = replay_energy(tiny_params, branch, contexts)
-        assert float(energy) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        steps = ReplaySteps(z[None], u_hat[None], np.array([0.25]), np.array([1]),
+                            np.array([5]))
+        branch = BranchTrajectory([], None, steps, branch_id=0, history=None)
+        contexts = ReplayContexts([5], keys[None, None], values[None, None],
+                                  np.array([1]), prompt)
+        energies = replay_energies(tiny_params, [branch], contexts)
+        assert energies.shape == (1,)
+        assert energies[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_double_loop_oracle(self, check_instance):
         inst = check_instance
         branch = inst.group.branches[2]
-        energy = float(replay_energy(inst.params, branch, inst.contexts))
+        got = float(energy(inst.params, branch, inst.contexts))
         # direct two-level summation using only public pieces
-        from kvgrpo.network import velocity_forward
         total = 0.0
         d = 3
-        for tup in branch.replay:
-            keys, values = inst.contexts.for_block(branch.branch_id, tup.block)
-            v = np.asarray(velocity_forward(inst.params, tup.z, tup.t, keys,
-                                            values, inst.contexts.prompt))
+        for z, u_hat, t, block in zip(branch.replay.z, branch.replay.u_hat,
+                                      branch.replay.t, branch.replay.block):
+            keys, values = memory(inst.contexts, branch.branch_id, block)
+            v = np.asarray(network.velocity_forward(inst.params, z, t, keys, values,
+                                                    inst.contexts.prompt))
             for frame in range(v.shape[0]):
                 for dim in range(d):
-                    total += (v[frame, dim] - tup.u_hat[frame, dim]) ** 2 / d
-        assert abs(energy - total) < 1e-12 * max(1.0, abs(total))
+                    total += (v[frame, dim] - u_hat[frame, dim]) ** 2 / d
+        assert abs(got - total) < 1e-12 * max(1.0, abs(total))
 
     def test_grad_steps_do_not_change_value_when_all_included(self, check_instance):
         inst = check_instance
         b = inst.group.branches[0]
-        full = float(replay_energy(inst.params, b, inst.contexts, None))
-        restricted_grad = replay_energy(inst.params, b, inst.contexts, 2, True)
+        full = float(energy(inst.params, b, inst.contexts, None))
+        restricted_grad = energy(inst.params, b, inst.contexts, 2, True)
         assert float(restricted_grad) == pytest.approx(full, rel=1e-15)
 
     def test_value_restriction_drops_late_steps(self, check_instance):
         inst = check_instance
         b = inst.group.branches[0]
-        only_early = float(replay_energy(inst.params, b, inst.contexts, 2, False))
-        full = float(replay_energy(inst.params, b, inst.contexts, None))
+        only_early = float(energy(inst.params, b, inst.contexts, 2, False))
+        full = float(energy(inst.params, b, inst.contexts, None))
         assert only_early < full
 
     def test_restricted_gradient_equals_restricted_value_gradient(self, check_instance):
         # Constants added by include_all_steps must not change the gradient.
         inst = check_instance
         b = inst.group.branches[1]
-        _, g_all = grad(inst.params,
-                        lambda r: replay_energy(r, b, inst.contexts, 2, True))
-        _, g_restr = grad(inst.params,
-                          lambda r: replay_energy(r, b, inst.contexts, 2, False))
+        _, g_all = grad(inst.params, lambda r: energy(r, b, inst.contexts, 2, True))
+        _, g_restr = grad(inst.params, lambda r: energy(r, b, inst.contexts, 2, False))
         np.testing.assert_array_equal(g_all.values, g_restr.values)
 
     @pytest.mark.parametrize("grad_steps", [2, None])
@@ -117,24 +164,102 @@ class TestReplayEnergy:
                                                      grad_steps, include_all_steps):
         # The trainer takes the old policy from the first taped pass, so its
         # energies must be the value-only ones bit for bit.
-        from kvgrpo.policy import surrogate_energies
         inst = check_instance
         pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
-        plain = [float(e) for e in surrogate_energies(inst.params, inst.group,
-                                                      inst.contexts, pcfg)]
+        plain = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
         reader = ad.TapeReader(ad.Tape(), inst.params)
         taped = surrogate_energies(reader, inst.group, inst.contexts, pcfg)
-        assert all(isinstance(e, ad.Var) for e in taped)
-        assert [float(ad.value(e)) for e in taped] == plain
+        assert isinstance(taped, ad.Var)
+        assert taped.value.tobytes() == plain.tobytes()
 
     def test_dimension_mismatch_rejected(self, check_instance):
         inst = check_instance
-        bad = BranchTrajectory([], None,
-                               [ReplayTuple(np.zeros((1, 7)), np.zeros((1, 7)),
-                                            inst.contexts.window_blocks[0], 1, 0.0)],
-                               branch_id=1, history=None)
+        rows = np.zeros((1, 1, 7))
+        steps = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
+                            np.array([inst.contexts.window_blocks[0]]))
+        bad = BranchTrajectory([], None, steps, branch_id=1, history=None)
         with pytest.raises(ContractError):
-            replay_energy(inst.params, bad, inst.contexts)
+            replay_energies(inst.params, [bad], inst.contexts)
+
+
+def replay_group(mixed: bool):
+    """A default-size group with a four-block window.  ``mixed`` pivots early
+    enough that the first window block's memory is shorter than the rest, with
+    routed slots that still leave the branches a choice of frames."""
+    params = param_init(NetworkShape(), 3)
+    pivot, choices = (4, ((5, 2),)) if mixed else (5, ((9, 6),))
+    group = rollout_group(params, np.linspace(0.5, -0.5, 4), 8, pivot, 4, 6,
+                          GroupSeeds(31, 32), GeneratorConfig(), choices)
+    rng = np.random.default_rng(4)
+    for traj in group.all_trajectories():
+        traj.reward = float(rng.normal())
+    return params, group
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["uniform", "mixed"])
+def replay_case(request):
+    return request.param, *replay_group(request.param)
+
+
+class TestBatchedReplay:
+    """One network call per pass and memory size must give the per-step
+    loop's energies bit for bit, and its gradient bit for bit when every
+    memory has one size.  Mixed sizes make one tape node per size, whose
+    adjoints the tape adds size by size instead of row by row."""
+
+    @pytest.mark.parametrize("source", ["branch", "anchor"])
+    @pytest.mark.parametrize("include_all_steps", [True, False])
+    @pytest.mark.parametrize("grad_steps", [2, 4, None])
+    def test_energies_and_gradient_match_per_step_loop(self, replay_case, source,
+                                                       include_all_steps, grad_steps):
+        mixed, params, group = replay_case
+        contexts = build_replay_contexts(group, source)
+        pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
+        ref_params = param_init(NetworkShape(), 8)
+        expected = np.array([float(reference_energy(params, b, contexts, grad_steps,
+                                                    include_all_steps))
+                             for b in group.branches])
+        plain = surrogate_energies(params, group, contexts, pcfg)
+        assert plain.tobytes() == expected.tobytes()
+        taped = surrogate_energies(ad.TapeReader(ad.Tape(), params), group, contexts, pcfg)
+        assert taped.value.tobytes() == expected.tobytes()
+
+        eval_ref = gibbs(surrogate_energies(ref_params, group, contexts, pcfg), pcfg.tau)
+        breakdown, energies, g, _ = total_loss_grad(params, group, contexts, None,
+                                                    eval_ref, pcfg)
+        total, g_ref = reference_loss_grad(params, group, contexts, eval_ref, pcfg)
+        assert energies.tobytes() == expected.tobytes()
+        assert breakdown.total == total
+        assert np.linalg.norm(g_ref.values) > 1e-3
+        if mixed:
+            assert rel_l2(g.values, g_ref.values) < 1e-12
+        else:
+            np.testing.assert_array_equal(g.values, g_ref.values)
+
+    def test_mixed_case_has_two_memory_sizes(self):
+        _, group = replay_group(mixed=True)
+        assert build_replay_contexts(group).sizes.tolist() == [9, 12, 12, 12]
+
+    def test_one_network_call_per_pass_and_memory_size(self, replay_case, monkeypatch):
+        _, params, group = replay_case
+        contexts = build_replay_contexts(group)
+        sizes = len(np.unique(contexts.sizes))
+        calls = []
+        real = network.velocity_forward
+
+        def counted(reader, *args, **kwargs):
+            calls.append(isinstance(reader, ad.TapeReader))
+            return real(reader, *args, **kwargs)
+
+        monkeypatch.setattr(network, "velocity_forward", counted)
+        pcfg = PolicyConfig(grad_steps=2, include_all_steps=True)
+        surrogate_energies(params, group, contexts, pcfg)
+        assert calls == [False] * sizes
+        calls.clear()
+        eval_ref = gibbs(np.zeros(len(group.branches)), pcfg.tau)
+        total_loss_grad(params, group, contexts, None, eval_ref, pcfg)
+        # taped calls for the carrying steps, value-only ones for the rest
+        assert sorted(calls) == [False] * sizes + [True] * sizes
 
 
 class TestGibbs:
@@ -207,11 +332,11 @@ class TestLogRatio:
 class TestAdvantages:
     def test_all_equal_rewards_zero(self):
         adv = advantages(np.full(8, 3.25))
-        np.testing.assert_array_equal(adv.values, np.zeros(8))
+        np.testing.assert_array_equal(adv, np.zeros(8))
 
     def test_two_point_case(self):
         adv = advantages(np.array([1.0, -1.0]))
-        np.testing.assert_allclose(adv.values, [1.0, -1.0], atol=1e-7)
+        np.testing.assert_allclose(adv, [1.0, -1.0], atol=1e-7)
 
     def test_hand_case_ten_zero(self):
         adv = advantages(np.array([10.0, 0.0, 0.0, 0.0]), clip_max=2.5)
@@ -219,12 +344,12 @@ class TestAdvantages:
         std = np.sqrt(18.75)
         expected = np.array([7.5, -2.5, -2.5, -2.5]) / (std + ADV_EPS)
         assert expected[0] == pytest.approx(np.sqrt(3), rel=1e-8)
-        np.testing.assert_allclose(adv.values, expected, atol=1e-12)
+        np.testing.assert_allclose(adv, expected, atol=1e-12)
 
     def test_clipping_bounds(self):
         adv = advantages(np.array([100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
                          clip_max=2.5)
-        assert np.max(np.abs(adv.values)) <= 2.5
+        assert np.max(np.abs(adv)) <= 2.5
 
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                     min_size=2, max_size=16))
@@ -234,38 +359,38 @@ class TestAdvantages:
         adv = advantages(r, clip_max=np.inf)
         std = float(np.sqrt(np.mean((r - r.mean()) ** 2)))
         if np.all(r == r[0]):
-            np.testing.assert_array_equal(adv.values, np.zeros(r.size))
+            np.testing.assert_array_equal(adv, np.zeros(r.size))
         elif std > 0.0:
             # exact identity: std(A) = std / (std + eps)
-            got = float(np.sqrt(np.mean((adv.values - adv.values.mean()) ** 2)))
+            got = float(np.sqrt(np.mean((adv - adv.mean()) ** 2)))
             assert got == pytest.approx(std / (std + ADV_EPS), rel=1e-9)
-            assert abs(adv.values.mean()) < 1e-9
+            assert abs(adv.mean()) < 1e-9
         # an underflowing-but-nonzero spread exercises neither contract
 
 
 class TestPpoLoss:
     def test_unit_ratios_give_negative_mean_advantage(self):
         adv = advantages(np.array([3.0, 1.0, -1.0, -3.0]))
-        loss = ppo_part(np.zeros(4), adv.values)
-        assert loss == pytest.approx(-adv.values.mean(), abs=1e-12)
+        loss = ppo_part(np.zeros(4), adv)
+        assert loss == pytest.approx(-adv.mean(), abs=1e-12)
 
     def test_high_side_clip(self):
         adv = advantages(np.array([1.0, -1.0]))
-        adv.values[:] = [1.0, 0.0]
-        loss = ppo_part(np.log(np.array([1.5, 1.0])), adv.values, eps_low=0.1, eps_high=0.2)
+        adv[:] = [1.0, 0.0]
+        loss = ppo_part(np.log(np.array([1.5, 1.0])), adv, eps_low=0.1, eps_high=0.2)
         # branch 1 term min(1.5, 1.2)*1 = 1.2; branch 2 term 0
         assert loss == pytest.approx(-1.2 / 2, abs=1e-12)
 
     def test_low_side_clip(self):
         adv = advantages(np.array([1.0, -1.0]))
-        adv.values[:] = [0.0, -1.0]
-        loss = ppo_part(np.log(np.array([1.0, 0.5])), adv.values, eps_low=0.1, eps_high=0.2)
+        adv[:] = [0.0, -1.0]
+        loss = ppo_part(np.log(np.array([1.0, 0.5])), adv, eps_low=0.1, eps_high=0.2)
         # branch 2 term min(-0.5, -0.9) = -0.9
         assert loss == pytest.approx(0.9 / 2, abs=1e-12)
 
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
-            ppo_part(np.zeros(2), advantages(np.array([1.0, -1.0])).values, eps_low=0.0)
+            ppo_part(np.zeros(2), advantages(np.array([1.0, -1.0])), eps_low=0.0)
 
     def test_trust_region_flat_regions(self):
         # For A > 0 the term is constant beyond 1 + eps_high; for A < 0,
@@ -385,9 +510,7 @@ class TestLatentL2:
 
 class TestTotalLoss:
     def _evals(self, inst, pcfg):
-        from kvgrpo.policy import surrogate_energies
-        energies = np.array([float(e) for e in surrogate_energies(
-            inst.params, inst.group, inst.contexts, pcfg)])
+        energies = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
         # reference from per-branch perturbed energies (a constant shift would
         # leave the distribution unchanged and make the KL term degenerate)
         jitter = np.random.default_rng(99).normal(scale=0.3, size=energies.size)
@@ -453,9 +576,7 @@ class TestTotalLoss:
     def test_l2_surrogate_has_zero_gradient(self, check_instance):
         inst = check_instance
         pcfg = PolicyConfig(surrogate="latent_l2")
-        from kvgrpo.policy import surrogate_energies
-        energies = np.array(surrogate_energies(inst.params, inst.group,
-                                               inst.contexts, pcfg))
+        energies = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
         eval_old = gibbs(energies, pcfg.tau)
         eval_ref = gibbs(energies, pcfg.tau)
         breakdown, _, g, used_old = total_loss_grad(inst.params, inst.group,
@@ -469,9 +590,7 @@ class TestTotalLoss:
 class TestContrastiveReference:
     def test_equal_advantages_give_zero(self, check_instance):
         inst = check_instance
-        energies = np.array([float(replay_energy(inst.params, b, inst.contexts,
-                                                 2, True))
-                             for b in inst.group.branches])
+        energies = replay_energies(inst.params, inst.group.branches, inst.contexts, 2, True)
         ev = gibbs(energies, 1.0)
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
         ref = contrastive_grad_reference(inst.params, inst.group, inst.contexts,
@@ -493,7 +612,7 @@ class TestContrastiveReference:
         pcfg = PolicyConfig()
         grads = []
         for b in sub.branches:
-            _, g = grad(inst.params, lambda r, br=b: replay_energy(
+            _, g = grad(inst.params, lambda r, br=b: energy(
                 r, br, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
             grads.append(g.values)
         expected = -(grads[0] - grads[1]) / (2 * 2.0)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
-from kvgrpo.flow import GeneratorConfig, rollout
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
-from kvgrpo.policy import replay_energy
+from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RoutingDecision, build_branch_cache,
                             build_replay_contexts, rollout_group, routable_set,
                             sample_routing)
+from test_flow import rollout
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -20,10 +20,17 @@ def replay_velocities(params, branch, contexts):
     """Each cached solver step of a branch, re-evaluated under its restored
     default-layout context."""
     out = []
-    for tup in branch.replay:
-        keys, values = contexts.for_block(branch.branch_id, tup.block)
-        out.append(velocity_forward(params, tup.z, tup.t, keys, values, contexts.prompt))
+    for z, t, block in zip(branch.replay.z, branch.replay.t, branch.replay.block):
+        keys, values = memory(contexts, branch.branch_id, block)
+        out.append(velocity_forward(params, z, t, keys, values, contexts.prompt))
     return out
+
+
+def memory(contexts, branch_id, block):
+    """The filled rows of one trajectory's replay memory at one window block."""
+    j = block - contexts.window_blocks[0]
+    n = contexts.sizes[j]
+    return contexts.keys[branch_id, j, :n], contexts.values[branch_id, j, :n]
 
 
 def make_group(seed=0, num_blocks=8, pivot=6, window=2, branches=4, **kw):
@@ -151,7 +158,7 @@ class TestRolloutGroup:
     def test_branches_share_block_noise(self):
         # every trajectory's pivot block starts from the same x_T
         _, group = make_group(seed=16, pivot=6, window=2)
-        starts = [t.replay[0].z for t in group.all_trajectories()]
+        starts = [t.replay.z[0] for t in group.all_trajectories()]
         for z in starts[1:]:
             assert np.array_equal(z, starts[0])
 
@@ -239,35 +246,35 @@ class TestRolloutGroup:
 
 class TestReplayContexts:
     def test_anchor_replay_energy_is_exactly_zero(self, check_instance):
-        energy = replay_energy(check_instance.params, check_instance.group.anchor,
-                               check_instance.contexts)
-        assert float(energy) == 0.0
+        energy = replay_energies(check_instance.params, [check_instance.group.anchor],
+                                 check_instance.contexts)
+        assert energy.tolist() == [0.0]
 
     def test_anchor_replay_velocities_equal_cached_targets_bitwise(self, check_instance):
         anchor = check_instance.group.anchor
         velocities = replay_velocities(check_instance.params, anchor,
                                        check_instance.contexts)
         assert len(velocities) == len(anchor.replay)
-        for v, tup in zip(velocities, anchor.replay):
-            assert np.array_equal(v, tup.u_hat)
+        for v, u_hat in zip(velocities, anchor.replay.u_hat):
+            assert np.array_equal(v, u_hat)
 
     def test_branch_replay_velocities_differ_from_targets(self, check_instance):
         branch = check_instance.group.branches[0]
         velocities = replay_velocities(check_instance.params, branch,
                                        check_instance.contexts)
-        assert any(not np.array_equal(v, tup.u_hat)
-                   for v, tup in zip(velocities, branch.replay))
+        assert any(not np.array_equal(v, u_hat)
+                   for v, u_hat in zip(velocities, branch.replay.u_hat))
 
     def test_branch_energies_positive(self, check_instance):
-        for branch in check_instance.group.branches:
-            assert float(replay_energy(check_instance.params, branch,
-                                       check_instance.contexts)) > 0.0
+        energies = replay_energies(check_instance.params, check_instance.group.branches,
+                                   check_instance.contexts)
+        assert np.all(energies > 0.0)
 
     def test_replay_deterministic(self, check_instance):
         b = check_instance.group.branches[0]
-        e1 = replay_energy(check_instance.params, b, check_instance.contexts)
-        e2 = replay_energy(check_instance.params, b, check_instance.contexts)
-        assert float(e1) == float(e2)
+        e1 = replay_energies(check_instance.params, [b], check_instance.contexts)
+        e2 = replay_energies(check_instance.params, [b], check_instance.contexts)
+        assert e1.tobytes() == e2.tobytes()
 
     def test_replay_eval_count(self, check_instance):
         group = check_instance.group
@@ -280,14 +287,14 @@ class TestReplayContexts:
         own_ctx = build_replay_contexts(group, source="branch")
         b = group.branches[0].branch_id
         first_block = group.pivot_block
-        shared_keys, shared_values = anchor_ctx.for_block(b, first_block)
-        own_keys, own_values = own_ctx.for_block(b, first_block)
+        shared_keys, shared_values = memory(anchor_ctx, b, first_block)
+        own_keys, own_values = memory(own_ctx, b, first_block)
         # At the first window block both sources coincide (prefix is shared).
         assert np.array_equal(shared_keys, own_keys)
         assert np.array_equal(shared_values, own_values)
         later = group.pivot_block + 1
-        anchor_keys, _ = anchor_ctx.for_block(b, later)
-        own_keys, _ = own_ctx.for_block(b, later)
+        anchor_keys, _ = memory(anchor_ctx, b, later)
+        own_keys, _ = memory(own_ctx, b, later)
         # Same slots, but the branch's own frames differ from the anchor's.
         assert anchor_keys.shape == own_keys.shape
         assert not np.array_equal(anchor_keys, own_keys)

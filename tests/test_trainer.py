@@ -239,6 +239,7 @@ class TestTrainIteration:
         # the unclipped empirical surrogate -(1/G) sum rho_g A_g, which in
         # closed form is (1/(G tau)) [sum_g A_g grad E_g
         #                             - (sum_g A_g) sum_k pi_k grad E_k].
+        from kvgrpo import autodiff as ad
         from kvgrpo import policy
         from kvgrpo.autodiff import grad
         from kvgrpo.checks import make_instance
@@ -260,13 +261,13 @@ class TestTrainIteration:
         np.testing.assert_array_equal(own_old.log_probs, eval_old.log_probs)
         per_branch = []
         for b in inst.group.branches:
-            _, gb = grad(inst.params, lambda r, br=b: policy.replay_energy(
-                r, br, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
+            _, gb = grad(inst.params, lambda r, br=b: ad.asum(policy.replay_energies(
+                r, [br], inst.contexts, pcfg.grad_steps, pcfg.include_all_steps)))
             per_branch.append(gb.values)
         per_branch = np.array(per_branch)
         G, tau = len(per_branch), pcfg.tau
         mix = eval_old.probs @ per_branch
-        expected = (adv.values @ per_branch - adv.values.sum() * mix) / (G * tau)
+        expected = (adv @ per_branch - adv.sum() * mix) / (G * tau)
         assert rel_l2(g.values, expected) < 1e-10
 
     def test_seeds_advance_on_skip(self):
