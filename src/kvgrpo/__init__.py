@@ -11,10 +11,8 @@ _EXPORTS = {
     "checkpoint": "CheckpointData load_checkpoint save_checkpoint",
     "config": "PRESETS RunConfig TrainerConfig apply_overrides from_flat_dict "
               "load_config save_config to_flat_dict",
-    "errors": "ConfigError ContractError InsufficientHistoryError NumericalError "
-              "SequencingError",
-    "flow": "Block FlowState GeneratorConfig ReplaySteps generate_block ode_step "
-            "velocity_eval write_back",
+    "errors": "ConfigError ContractError InsufficientHistoryError NumericalError",
+    "flow": "Block GeneratorConfig ReplaySteps generate_block velocity_eval write_back",
     "network": "NetworkShape build_layout param_init shape_from_layout",
     "params": "GradVector Layout Params",
     "policy": "LossBreakdown PolicyConfig PolicyEval advantages "

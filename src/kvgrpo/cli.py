@@ -178,6 +178,9 @@ def cmd_inspect(args) -> int:
                 continue
             if not isinstance(record, dict):
                 raise ConfigError(f"{path}: line {number} is not a JSON object")
+            reward = record.get("anchor_reward")
+            if isinstance(reward, bool) or not isinstance(reward, (int, float, type(None))):
+                raise ConfigError(f"{path}: line {number} has a non-numeric anchor_reward")
             records.append(record)
         print(f"metrics: {path} ({len(records)} records)")
         # A record whose rollout failed carries no rewards.

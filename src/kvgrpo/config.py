@@ -115,6 +115,13 @@ class TrainerConfig:
         if max(self.pivot_blocks) > self.num_blocks:
             raise ConfigError(
                 f"pivot block {max(self.pivot_blocks)} exceeds num_blocks {self.num_blocks}")
+        if any(len(c) != 2 for c in self.local_kv_choices):
+            raise ConfigError(f"local_kv_choices entries must be [local_size, routed_slots] "
+                              f"pairs, got {self.local_kv_choices!r}")
+        if not all(len(c) == 2 and isinstance(c[0], str) and _fits(c[1], float)
+                   for c in self.reward_components):
+            raise ConfigError(f"reward_components entries must be [name, weight] pairs, "
+                              f"got {self.reward_components!r}")
         min_frames = self.frames_per_block * (min(self.pivot_blocks) - 1)
         feasible = [n for n, _ in self.local_kv_choices if n + self.sink_size <= min_frames]
         if not feasible:

@@ -9,10 +9,6 @@ class ContractError(RuntimeError):
     """A caller violated an operation's precondition."""
 
 
-class SequencingError(RuntimeError):
-    """An operation was invoked out of order (e.g. stepping past the time grid)."""
-
-
 class InsufficientHistoryError(ValueError):
     """Not enough generated frames to route from (the routable set is too small)."""
 

@@ -3,9 +3,13 @@
 A block of frames starts from seeded Gaussian noise at t=0 and is carried to
 t=1 by Euler steps of the learned velocity field, attending over the sink/local
 memory of previously generated frames.  A block is an (F, d) matrix, one row
-per frame.  When it is finished, the whole block is projected to (F, h) key and
-value rows in one call and pushed into the memory and the history.  Solver
-steps kept for replay are rows too: one (F, d) latent block per step, stacked.
+per frame.  The trajectories of a group are solved in lockstep: their blocks
+stack to (G, F, d) from the same start noise, and each solver step makes one
+network call per memory-length bucket (the rows whose memories have one
+length).  When the block is finished, the whole group's block is projected to
+key and value rows in one call, and each trajectory's rows are pushed into its
+memory and history.  Solver steps kept for replay are rows too: one (F, d)
+latent block per step, stacked.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 
 from . import network
 from .cache import FrameHistory, KVCache
-from .errors import SequencingError
 from .params import Params
 
 
@@ -34,7 +37,8 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class Block:
-    """A finished block: its (F, d) final latents, one row per frame."""
+    """A finished block: its (F, d) final latents, one row per frame, or a
+    group's (G, F, d) stack of them."""
 
     frames: np.ndarray
     block_index: int
@@ -43,15 +47,9 @@ class Block:
         return self.frames
 
     def frame_indices(self) -> range:
-        first = (self.block_index - 1) * len(self.frames) + 1
-        return range(first, first + len(self.frames))
-
-
-@dataclass
-class FlowState:
-    x: np.ndarray          # (frames_per_block, d) in-flight latents
-    t: float
-    step_index: int        # 1-based; num_steps + 1 marks a finished solve
+        size = self.frames.shape[-2]
+        first = (self.block_index - 1) * size + 1
+        return range(first, first + size)
 
 
 @dataclass(frozen=True)
@@ -75,23 +73,13 @@ class ReplaySteps:
                              for f in fields(ReplaySteps)))
 
 
-def velocity_eval(params: Params, state: FlowState, keys: np.ndarray | None,
+def velocity_eval(params: Params, x: np.ndarray, t: float, keys: np.ndarray | None,
                   values: np.ndarray | None, prompt: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass of the velocity network for a whole block,
-    attending over the memory's stacked keys and values."""
-    out = network.velocity_forward(params, state.x, state.t, keys, values, prompt)
+    """Deterministic forward pass of the velocity network for (rows, F, d)
+    latents at flow time ``t``, each row over its own memory, stacked to
+    (rows, M, h) keys and values (``None``: empty memories)."""
+    out = network.velocity_forward(params, x, t, keys, values, prompt)
     return network.check_finite(np.asarray(out), "velocity output")
-
-
-def ode_step(state: FlowState, v: np.ndarray, dt: float, num_steps: int = 4) -> FlowState:
-    """One explicit Euler step along the flow."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if state.step_index > num_steps:
-        raise SequencingError(f"solver already finished ({num_steps} steps)")
-    if state.t + dt > 1.0 + 1e-12:
-        raise SequencingError(f"step from t={state.t} by dt={dt} overshoots t=1")
-    return FlowState(state.x + dt * np.asarray(v), state.t + dt, state.step_index + 1)
 
 
 def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.ndarray:
@@ -104,40 +92,57 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
     return rng.standard_normal((frames, dim))
 
 
-def generate_block(params: Params, cache: KVCache, block_index: int, noise_seed: int,
-                   prompt: np.ndarray, record_replay: bool = False,
+def generate_block(params: Params, caches: list[KVCache], block_index: int,
+                   noise_seed: int, prompt: np.ndarray, record_replay: bool = False,
                    cfg: GeneratorConfig = GeneratorConfig()
-                   ) -> tuple[Block, ReplaySteps | None]:
-    """Solve one block from seeded noise to the clean sample.
+                   ) -> tuple[Block, list[ReplaySteps] | None]:
+    """Solve one block from seeded noise to the clean sample for every
+    trajectory at once: row i runs over the memory ``caches[i]``, and all rows
+    start from the same noise.
 
-    Deterministic in (params, cache, block_index, noise_seed, prompt).  With
-    ``record_replay`` the pre-step latents and the velocities they received are
-    kept, one row per solver step; otherwise the second result is ``None``.
+    Each solver step makes one network call per memory-length bucket.  Rows
+    are not padded to one length: that would change the reduction lengths and
+    so the bits.  Deterministic in (params, caches, block_index, noise_seed,
+    prompt).  Returns the (rows, F, d) block and, with ``record_replay``, one
+    :class:`ReplaySteps` per row of its pre-step latents and the velocities
+    they received; otherwise ``None``.
     """
     d = network.shape_from_layout(params.layout).latent_dim
-    x = block_noise(noise_seed, block_index, cfg.frames_per_block, d)
-    state = FlowState(x, 0.0, 1)
-    # The memory only changes between blocks, so it is stacked once per solve.
-    keys, values = cache.stacked()
-    rows = []
+    x = np.tile(block_noise(noise_seed, block_index, cfg.frames_per_block, d),
+                (len(caches), 1, 1))
+    # The memories only change between blocks, so they are stacked once per solve.
+    memories = [cache.stacked() for cache in caches]
+    lengths = [0 if keys is None else len(keys) for keys, _ in memories]
+    buckets = []
+    # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
+    for n in sorted(set(lengths)):
+        rows = [i for i, m in enumerate(lengths) if m == n]
+        stacked = [np.stack([memories[i][j] for i in rows]) if n else None for j in (0, 1)]
+        buckets.append((rows if len(rows) < len(caches) else slice(None), *stacked))
+    t, zs, us, ts = 0.0, [], [], []
     for _ in range(cfg.num_steps):
-        v = velocity_eval(params, state, keys, values, prompt)
-        rows.append((state.x, v, state.t))
-        state = ode_step(state, v, cfg.dt, cfg.num_steps)
-    if not record_replay:
-        return Block(state.x, block_index), None
-    z, u_hat, t = (np.array(column) for column in zip(*rows))
-    return Block(state.x, block_index), ReplaySteps(
-        z, u_hat, t, np.arange(1, cfg.num_steps + 1), np.full(cfg.num_steps, block_index))
+        v = np.empty_like(x)
+        for rows, keys, values in buckets:
+            v[rows] = velocity_eval(params, x[rows], t, keys, values, prompt)
+        zs.append(x)
+        us.append(v)
+        ts.append(t)
+        x, t = x + cfg.dt * v, t + cfg.dt
+    replay = None
+    if record_replay:
+        columns = np.array(ts), np.arange(1, cfg.num_steps + 1), np.full(cfg.num_steps,
+                                                                          block_index)
+        replay = [ReplaySteps(z, u_hat, *columns)
+                  for z, u_hat in zip(np.stack(zs, axis=1), np.stack(us, axis=1))]
+    return Block(x, block_index), replay
 
 
-def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray,
-               history: FrameHistory | None = None) -> KVCache:
-    """Project the finished block to key/value rows and push them into the
-    memory (and the retained history, if given).  Mutates and returns ``cache``."""
+def write_back(caches: list[KVCache], block: Block, params: Params, prompt: np.ndarray,
+               histories: list[FrameHistory]) -> None:
+    """Project a group's finished (rows, F, d) block to key/value rows in one
+    call, and push row i into ``caches[i]`` and ``histories[i]``."""
     keys, values = network.kv_for_frames(params, block.frames, prompt)
     frames = block.frame_indices()
-    cache.append(keys, values, frames)
-    if history is not None:
-        history.append(keys, values, frames)
-    return cache
+    for cache, history, k, v in zip(caches, histories, keys, values):
+        cache.append(k, v, frames)
+        history.append(k, v, frames)

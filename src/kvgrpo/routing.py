@@ -4,8 +4,11 @@ A group rollout shares a deterministic prefix up to a pivot block, then each
 branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
 all variation between branches comes from the memory composition alone.  The
-solver steps inside the perturbation window are cached as rows for later
-replay under default-layout memories, stacked into one array per group.
+group is generated in lockstep: each block is solved once for all
+trajectories, with one network call per solver step and memory-length bucket
+(mixed ``local_kv_choices`` give memories of several lengths).  The solver
+steps inside the perturbation window are cached as rows for later replay under
+default-layout memories, stacked into one array per group.
 """
 
 from __future__ import annotations
@@ -114,27 +117,32 @@ def build_branch_cache(history: FrameHistory, L: int, routing: RoutingDecision,
     return history.gather(frames, sink_size, routing.local_size)
 
 
-def _branch_routing_seed(seeds: GroupSeeds, branch_id: int, block: int | None = None):
-    # Documented derivation: fixed-mode decisions use (routing, branch), the
-    # per-block mode appends the block index.
-    if block is None:
-        return np.random.SeedSequence((seeds.routing, branch_id))
-    return np.random.SeedSequence((seeds.routing, branch_id, block))
-
-
-def _pick_local_size(seeds: GroupSeeds, branch_id: int, choices, L: int,
-                     sink_size: int) -> tuple[int, int]:
-    """Choose a (local_size, routed_slots) pair feasible at L frames of history."""
-    feasible = [c for c in choices if L - sink_size - (c[0] - c[1]) >= c[1]]
+def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int,
+                    sink_size: int, override: tuple[int, ...] | None):
+    """One branch's routing.  Its (local_size, routed_slots) pair is drawn once
+    from the choices feasible at the pivot; ``decide(L, block)`` then routes L
+    frames of history."""
+    feasible = [c for c in choices if pivot_frame - sink_size - (c[0] - c[1]) >= c[1]]
     if not feasible:
         raise InsufficientHistoryError(
-            f"no local-window choice from {list(choices)} is routable at L={L}")
-    if len(feasible) == 1:
-        n, r = feasible[0]
-        return int(n), int(r)
-    rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, branch_id, 997)))
-    n, r = feasible[int(rng.integers(len(feasible)))]
-    return int(n), int(r)
+            f"no local-window choice from {list(choices)} is routable at L={pivot_frame}")
+    pick = 0
+    if len(feasible) > 1:
+        rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, branch_id, 997)))
+        pick = int(rng.integers(len(feasible)))
+    local_size, routed_slots = (int(c) for c in feasible[pick])
+
+    def decide(L: int, block: int | None) -> RoutingDecision:
+        if override is not None:
+            return RoutingDecision(tuple(override), local_size)
+        omega = routable_set(L, local_size - routed_slots, routed_slots, sink_size)
+        # Documented derivation: fixed-mode decisions use (routing, branch), the
+        # per-block mode appends the block index.
+        entropy = (seeds.routing, branch_id) + (() if block is None else (block,))
+        return sample_routing(omega, np.random.SeedSequence(entropy), routed_slots,
+                              local_size)
+
+    return decide
 
 
 def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: int,
@@ -146,13 +154,15 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
                   ) -> RolloutGroup:
     """Anchor plus ``num_branches`` routed branches sharing prefix and noise.
 
-    Blocks before the pivot are generated once and shared.  Within the window
-    each branch generates under its routed memory (updated by positional
-    write-back shifts, or rebuilt per block when ``routing_per_block``); beyond
-    it, generation reverts to the default layout over the branch's own frames.
-    The anchor is branch 0: it is never routed and keeps the default memory
-    throughout.  Every solver step of every window block is recorded for
-    replay, for the anchor as well.
+    One loop over blocks.  Blocks before the pivot are generated once, as a
+    single trajectory, and shared.  From the pivot on, the anchor and every
+    branch are rows of one :func:`generate_block` and one :func:`write_back`
+    call per block.  Within the window each branch generates under its routed
+    memory (updated by positional write-back shifts, or rebuilt per block when
+    ``routing_per_block``); beyond it, generation reverts to the default layout
+    over the branch's own frames.  The anchor is branch 0: it is never routed
+    and keeps the default memory throughout.  Every solver step of every
+    window block is recorded for replay, for the anchor as well.
     """
     if window < 1 or pivot < 1:
         raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
@@ -162,66 +172,47 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     if num_branches < 1:
         raise ConfigError("need at least one branch")
 
-    # Shared prefix under the default memory.
-    cache = KVCache(cfg.sink_size, cfg.local_size)
-    history = FrameHistory()
-    prefix: list[Block] = []
-    for b in range(1, pivot):
-        block, _ = generate_block(params, cache, b, seeds.noise, prompt, False, cfg)
-        write_back(cache, block, params, prompt, history)
-        prefix.append(block)
-    pivot_frame = len(history)
+    # Row i of every call is trajectory i: the shared prefix alone until the
+    # pivot, then the anchor and the branches.
+    caches = [KVCache(cfg.sink_size, cfg.local_size)]
+    histories = [FrameHistory()]
+    blocks: list[list[Block]] = [[]]
+    routings: list[RoutingDecision | None] = [None]
+    replay: list[list[ReplaySteps]] = [[]]
+    for b in range(1, num_blocks + 1):
+        in_window = pivot <= b < pivot + window
+        if b == pivot:
+            pivot_frame = len(histories[0])
+            deciders = [_branch_decider(
+                seeds, g, local_kv_choices, pivot_frame, cfg.sink_size,
+                None if routing_overrides is None else routing_overrides.get(g))
+                for g in range(1, num_branches + 1)]
+            routings += [decide(pivot_frame, pivot if routing_per_block else None)
+                         for decide in deciders]
+            histories += [histories[0].copy() for _ in deciders]
+            caches += [build_branch_cache(h, pivot_frame, r, cfg.sink_size)
+                       for h, r in zip(histories[1:], routings[1:])]
+            blocks = [list(blocks[0]) for _ in routings]
+            replay = [[] for _ in routings]
+        elif in_window and routing_per_block:
+            caches[1:] = [build_branch_cache(h, len(h), decide(len(h), b), cfg.sink_size)
+                          for h, decide in zip(histories[1:], deciders)]
+        elif b == pivot + window:
+            # Window over: revert to the default sliding layout over each
+            # branch's own written-back frames.
+            caches[1:] = [h.default_cache(len(h), cfg.sink_size, cfg.local_size)
+                          for h in histories[1:]]
+        block, steps = generate_block(params, caches, b, seeds.noise, prompt, in_window, cfg)
+        write_back(caches, block, params, prompt, histories)
+        for trajectory_blocks, frames in zip(blocks, block.frames):
+            trajectory_blocks.append(Block(frames, b))
+        for trajectory_replay, rows in zip(replay, steps if in_window else ()):
+            trajectory_replay.append(rows)
 
-    trajectories = [_run_branch(
-        params, prompt, prefix, history, pivot_frame, pivot, window, num_blocks,
-        seeds, cfg, g, local_kv_choices, routing_per_block,
-        None if routing_overrides is None else routing_overrides.get(g))
-        for g in range(num_branches + 1)]
+    trajectories = [BranchTrajectory(blocks[g], routings[g], ReplaySteps.concat(replay[g]),
+                                     g, histories[g]) for g in range(len(routings))]
     return RolloutGroup(trajectories[0], trajectories[1:], pivot, window, seeds,
                         np.asarray(prompt), cfg)
-
-
-def _run_branch(params, prompt, prefix, prefix_history, pivot_frame, pivot, window,
-                num_blocks, seeds, cfg, branch_id, local_kv_choices,
-                routing_per_block, override) -> BranchTrajectory:
-    """Blocks from the pivot on for one trajectory; branch 0 is the anchor."""
-    history = prefix_history.copy()
-    routing = None
-    if branch_id == 0:
-        cache = history.default_cache(pivot_frame, cfg.sink_size, cfg.local_size)
-    else:
-        local_size, routed_slots = _pick_local_size(seeds, branch_id, local_kv_choices,
-                                                    pivot_frame, cfg.sink_size)
-
-        def decide(L: int, block: int | None) -> RoutingDecision:
-            if override is not None:
-                return RoutingDecision(tuple(override), local_size)
-            omega = routable_set(L, local_size - routed_slots, routed_slots,
-                                 cfg.sink_size)
-            seed = _branch_routing_seed(seeds, branch_id, block)
-            return sample_routing(omega, seed, routed_slots, local_size)
-
-        routing = decide(pivot_frame, pivot if routing_per_block else None)
-        cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
-
-    blocks = list(prefix)
-    replay: list[ReplaySteps] = []
-    for b in range(pivot, num_blocks + 1):
-        in_window = pivot <= b < pivot + window
-        if routing is not None and in_window and routing_per_block and b > pivot:
-            cache = build_branch_cache(history, len(history),
-                                       decide(len(history), b), cfg.sink_size)
-        if b == pivot + window:
-            # Window over: revert to the default sliding layout over the
-            # branch's own written-back frames.
-            cache = history.default_cache(len(history), cfg.sink_size, cfg.local_size)
-        block, steps = generate_block(params, cache, b, seeds.noise, prompt,
-                                      in_window, cfg)
-        write_back(cache, block, params, prompt, history)
-        blocks.append(block)
-        replay += [steps] if in_window else []
-    return BranchTrajectory(blocks, routing, ReplaySteps.concat(replay), branch_id,
-                            history)
 
 
 @dataclass

@@ -43,6 +43,14 @@ WRONG_TYPES = [
     ("prompt_values", '["a", "b"]'), ("reward_components", '["target"]'),
     ("checkpoint_every", "1.5"), ("dump_trajectories", '"yes"'), ("threads", "false"),
 ]
+# Pair-valued entries of the right element type but the wrong shape or kinds.
+BAD_PAIRS = [
+    ("local_kv_choices", "[[9]]"), ("local_kv_choices", "[[9, 6, 3]]"),
+    ("local_kv_choices", "[[9, 6], []]"), ("reward_components", '[["target"]]'),
+    ("reward_components", '[["target", "x"]]'), ("reward_components", '[[0.7, "target"]]'),
+    ("reward_components", '[["target", true]]'),
+    ("reward_components", '[["target", 0.7, "smoothness"]]'),
+]
 
 
 def parsed(text):
@@ -125,6 +133,13 @@ class TestConfig:
         flat = to_flat_dict(small_run_config())
         flat[key] = parsed(text)
         with pytest.raises(ConfigError, match=f"{key} must be "):
+            from_flat_dict(flat)
+
+    @pytest.mark.parametrize("key,text", BAD_PAIRS)
+    def test_bad_pairs_rejected(self, key, text):
+        flat = to_flat_dict(small_run_config())
+        flat[key] = parsed(text)
+        with pytest.raises(ConfigError, match=f"{key} entries must be "):
             from_flat_dict(flat)
 
     def test_ints_are_floats_but_bools_are_not_ints(self):
@@ -295,6 +310,16 @@ class TestCli:
         assert f"{key} must be " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,text", BAD_PAIRS)
+    def test_bad_pair_override_exits_one_before_training(self, tmp_path, capsys, key, text):
+        cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "badpair"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out),
+                     "--set", f"{key}={text}", "train", "--max-iters", "1"])
+        assert code == 1
+        assert f"{key} entries must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_override_exits_one(self, tmp_path, capsys):
         cfg_path = write_small_config(tmp_path)
         code = main(["--config", str(cfg_path), "--set", "bogus=1", "train"])
@@ -423,6 +448,15 @@ class TestCli:
         path.write_text(lines[0][:len(lines[0]) // 2] + "\n" + lines[1])
         assert main(["inspect", str(path)]) == 1
         assert "line 1 is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reward", ['"x"', "true", "[0.5]", '{"a": 1}'])
+    def test_inspect_metrics_with_non_numeric_anchor_reward(self, tmp_path, capsys, reward):
+        path = tmp_path / "reward.jsonl"
+        path.write_text(f'{{"iteration": 1, "anchor_reward": {reward}, "skipped": false}}\n')
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "line 1 has a non-numeric anchor_reward" in captured.err
+        assert "records)" not in captured.out
 
     @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
     def test_inspect_metrics_with_non_object_line(self, tmp_path, capsys, line):

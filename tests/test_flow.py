@@ -1,5 +1,6 @@
 """Generator mechanics: velocity evaluation, Euler solve, block generation,
-cache write-back, the row-array memory, and full rollouts."""
+cache write-back, the row-array memory, and full rollouts.  Single-trajectory
+generation is the one-row case of the group engine: one memory in a list."""
 
 from dataclasses import dataclass
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from kvgrpo.cache import FrameHistory, KVCache
-from kvgrpo.errors import ContractError, SequencingError
-from kvgrpo.flow import (FlowState, GeneratorConfig, ReplaySteps, block_noise,
-                         generate_block, ode_step, velocity_eval, write_back)
+from kvgrpo.errors import ContractError
+from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
+                         velocity_eval, write_back)
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.routing import build_branch_cache, routable_set, sample_routing
 
@@ -24,12 +25,25 @@ class Rollout:
     replay: ReplaySteps | None
 
 
+def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=False,
+                 cfg=GeneratorConfig()):
+    """One trajectory's block: the (F, d) frames and its replay rows (or None)."""
+    block, steps = generate_block(params, [cache], block_index, noise_seed, prompt,
+                                  record_replay, cfg)
+    return Block(block.frames[0], block_index), None if steps is None else steps[0]
+
+
+def write_one(cache, block, params, prompt, history):
+    write_back([cache], Block(block.frames[None], block.block_index), params, prompt,
+               [history])
+
+
 def rollout(params, prompt, num_blocks, noise_seed, record_replay=False) -> Rollout:
     """Sequential block generation under the default sliding-window memory."""
     cache, history, blocks, replay = KVCache(), FrameHistory(), [], []
     for b in range(1, num_blocks + 1):
-        block, steps = generate_block(params, cache, b, noise_seed, prompt, record_replay)
-        write_back(cache, block, params, prompt, history)
+        block, steps = generate_one(params, cache, b, noise_seed, prompt, record_replay)
+        write_one(cache, block, params, prompt, history)
         blocks.append(block)
         replay += [steps] if record_replay else []
     return Rollout(blocks, history, ReplaySteps.concat(replay) if replay else None)
@@ -43,102 +57,97 @@ def tiny_rollout(seed=0, num_blocks=5, record=False):
 
 class TestVelocityEval:
     def test_deterministic(self, tiny_params):
-        state = FlowState(np.ones((3, 3)), 0.25, 2)
         keys, values = KVCache().stacked()
-        a = velocity_eval(tiny_params, state, keys, values, PROMPT)
-        b = velocity_eval(tiny_params, state, keys, values, PROMPT)
+        a = velocity_eval(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
+        b = velocity_eval(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
         assert np.array_equal(a, b)
 
     def test_zero_head_gives_zero_velocity(self, tiny_params):
         p = tiny_params.copy()
         p.segment("head2_w")[:] = 0.0
         p.segment("head2_b")[:] = 0.0
-        state = FlowState(np.ones((3, 3)), 0.0, 1)
-        out = velocity_eval(p, state, *KVCache().stacked(), PROMPT)
-        np.testing.assert_array_equal(out, np.zeros((3, 3)))
+        out = velocity_eval(p, np.ones((1, 3, 3)), 0.0, *KVCache().stacked(), PROMPT)
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_perturbing_local_entry_changes_output(self):
         params, res = tiny_rollout(seed=2, num_blocks=5)
         cache = res.history.default_cache(len(res.history))
-        state = FlowState(np.full((3, 3), 0.2), 0.5, 3)
+        x = np.full((1, 3, 3), 0.2)
         keys, values = cache.stacked()
-        before = velocity_eval(params, state, keys, values, PROMPT)
+        before = velocity_eval(params, x, 0.5, keys[None], values[None], PROMPT)
         bumped = values.copy()
         bumped[3 + 4] += 0.5  # local slot 4, after the 3 sink rows
-        after = velocity_eval(params, state, keys, bumped, PROMPT)
+        after = velocity_eval(params, x, 0.5, keys[None], bumped[None], PROMPT)
         assert not np.array_equal(before, after)
 
 
-class TestOdeStep:
-    def test_zero_velocity(self):
-        s = FlowState(np.ones((1, 2)), 0.0, 1)
-        out = ode_step(s, np.zeros((1, 2)), 0.25)
-        np.testing.assert_array_equal(out.x, s.x)
-        assert out.t == 0.25 and out.step_index == 2
+def constant_field(velocity):
+    """Parameters whose velocity is ``velocity`` everywhere: every weight
+    zeroed, the output bias set."""
+    params = param_init(TINY, 0)
+    params.values[:] = 0.0
+    params.segment("head2_b")[:] = velocity
+    return params
 
-    def test_basic_step(self):
-        s = FlowState(np.zeros((1, 2)), 0.0, 1)
-        out = ode_step(s, np.ones((1, 2)), 0.25)
-        np.testing.assert_array_equal(out.x, np.full((1, 2), 0.25))
 
-    def test_telescoping_constant_velocity(self):
-        v = np.array([[1.0, 1.0]])
-        s = FlowState(np.array([[0.3, -0.7]]), 0.0, 1)
-        for _ in range(4):
-            s = ode_step(s, v, 0.25)
-        np.testing.assert_allclose(s.x, np.array([[1.3, 0.3]]), atol=1e-15)
-        assert s.t == pytest.approx(1.0)
+class TestEulerSolve:
+    def test_zero_velocity_leaves_the_noise(self):
+        block, steps = generate_one(constant_field(0.0), KVCache(), 1, 5, PROMPT, True)
+        xT = block_noise(5, 1, 3, 3)
+        np.testing.assert_array_equal(block.matrix(), xT)
+        for z in steps.z:
+            np.testing.assert_array_equal(z, xT)
 
-    def test_grid_overflow(self):
-        s = FlowState(np.zeros((1, 2)), 1.0, 5)
-        with pytest.raises(SequencingError):
-            ode_step(s, np.zeros((1, 2)), 0.25)
-
-    def test_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            ode_step(FlowState(np.zeros((1, 2)), 0.0, 1), np.zeros((1, 2)), 0.0)
+    def test_every_row_of_a_group_starts_from_the_same_noise(self, tiny_params):
+        caches = [KVCache(), KVCache()]
+        block, steps = generate_block(tiny_params, caches, 1, 9, PROMPT, True)
+        assert block.frames.shape == (2, 3, 3) and len(steps) == 2
+        np.testing.assert_array_equal(steps[0].z[0], block_noise(9, 1, 3, 3))
+        np.testing.assert_array_equal(steps[1].z[0], block_noise(9, 1, 3, 3))
+        assert block.frames[0].tobytes() == block.frames[1].tobytes()
 
 
 class TestGenerateBlock:
     def test_bit_identical_for_same_inputs(self, tiny_params):
         cache = KVCache()
-        b1, _ = generate_block(tiny_params, cache, 1, 9, PROMPT)
-        b2, _ = generate_block(tiny_params, cache, 1, 9, PROMPT)
+        b1, _ = generate_one(tiny_params, cache, 1, 9, PROMPT)
+        b2, _ = generate_one(tiny_params, cache, 1, 9, PROMPT)
         assert np.array_equal(b1.matrix(), b2.matrix())
 
     def test_replay_tuple_count_matches_steps(self, tiny_params):
-        _, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
+        _, steps = generate_one(tiny_params, KVCache(), 1, 9, PROMPT,
                                   record_replay=True)
         assert len(steps) == 4 and steps.z.shape == steps.u_hat.shape == (4, 3, 3)
         assert steps.step.tolist() == [1, 2, 3, 4]
         assert steps.block.tolist() == [1, 1, 1, 1]
         assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
-        assert generate_block(tiny_params, KVCache(), 1, 9, PROMPT)[1] is None
+        assert generate_block(tiny_params, [KVCache()], 1, 9, PROMPT)[1] is None
 
     def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
         # With dt = 1/3 the accumulated time differs from step * dt in the
         # last bits; the network must see the time the rollout saw.
         cfg = GeneratorConfig(num_steps=3)
-        _, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT, True, cfg)
+        _, steps = generate_one(tiny_params, KVCache(), 1, 9, PROMPT, True, cfg)
         assert steps.t.tolist() == [0.0, cfg.dt, cfg.dt + cfg.dt]
 
     def test_different_noise_seeds_differ(self, tiny_params):
-        b1, _ = generate_block(tiny_params, KVCache(), 1, 9, PROMPT)
-        b2, _ = generate_block(tiny_params, KVCache(), 1, 10, PROMPT)
+        b1, _ = generate_one(tiny_params, KVCache(), 1, 9, PROMPT)
+        b2, _ = generate_one(tiny_params, KVCache(), 1, 10, PROMPT)
         assert not np.array_equal(b1.matrix(), b2.matrix())
 
     def test_constant_field_adds_velocity_to_noise(self):
-        # Zero every weight, then set the output bias: the velocity is that
-        # constant everywhere and Euler lands exactly at x_T + v.
-        params = param_init(TINY, 0)
-        params.values[:] = 0.0
-        params.segment("head2_b")[:] = np.array([0.5, -1.0, 2.0])
-        block, _ = generate_block(params, KVCache(), 1, 5, PROMPT)
+        # A constant velocity everywhere: Euler lands exactly at x_T + v, one
+        # dt * v per step.
+        v = np.array([0.5, -1.0, 2.0])
+        block, steps = generate_one(constant_field(v), KVCache(), 1, 5, PROMPT, True)
         xT = block_noise(5, 1, 3, 3)
-        np.testing.assert_array_equal(block.matrix(), xT + np.array([0.5, -1.0, 2.0]))
+        np.testing.assert_array_equal(block.matrix(), xT + v)
+        for i, (z, u_hat) in enumerate(zip(steps.z, steps.u_hat)):
+            np.testing.assert_allclose(z, xT + i * 0.25 * v, atol=1e-15)
+            np.testing.assert_array_equal(u_hat, np.broadcast_to(v, (3, 3)))
 
     def test_replay_tuples_carry_prestep_latents(self, tiny_params):
-        block, steps = generate_block(tiny_params, KVCache(), 1, 9, PROMPT,
+        block, steps = generate_one(tiny_params, KVCache(), 1, 9, PROMPT,
                                       record_replay=True)
         np.testing.assert_array_equal(steps.z[0], block_noise(9, 1, 3, 3))
         # z + dt*u_hat gives the next row's z, and telescopes to the final block
@@ -152,8 +161,8 @@ class TestGenerateBlock:
 class TestWriteBack:
     def test_first_block_fills_sink_only(self, tiny_params):
         cache, hist = KVCache(), FrameHistory()
-        block, _ = generate_block(tiny_params, cache, 1, 0, PROMPT)
-        write_back(cache, block, tiny_params, PROMPT, hist)
+        block, _ = generate_one(tiny_params, cache, 1, 0, PROMPT)
+        write_one(cache, block, tiny_params, PROMPT, hist)
         assert cache.frames == (1, 2, 3)  # the sink, and an empty local window
         assert cache.keys.shape == (3, 5)
 
@@ -176,8 +185,8 @@ class TestWriteBack:
     def test_incremental_equals_rebuilt(self, tiny_params):
         cache, hist = KVCache(), FrameHistory()
         for b in range(1, 6):
-            block, _ = generate_block(tiny_params, cache, b, 3, PROMPT)
-            write_back(cache, block, tiny_params, PROMPT, hist)
+            block, _ = generate_one(tiny_params, cache, b, 3, PROMPT)
+            write_one(cache, block, tiny_params, PROMPT, hist)
         rebuilt = hist.default_cache(len(hist))
         assert cache.frames == rebuilt.frames
         assert np.array_equal(cache.keys, rebuilt.keys)
@@ -345,8 +354,8 @@ class TestRollout:
     def test_cache_layout_invariant_all_points(self, tiny_params):
         cache, hist = KVCache(), FrameHistory()
         for b in range(1, 8):
-            block, _ = generate_block(tiny_params, cache, b, 1, PROMPT)
-            write_back(cache, block, tiny_params, PROMPT, hist)
+            block, _ = generate_one(tiny_params, cache, b, 1, PROMPT)
+            write_one(cache, block, tiny_params, PROMPT, hist)
             frames = len(hist)
             if frames >= 12:
                 assert cache.frames[3:] == tuple(range(frames - 8, frames + 1))

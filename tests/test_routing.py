@@ -1,13 +1,19 @@
 """Exploration mechanics: routable sets, routing draws, branch caches, group
 rollouts, and replay contexts."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from kvgrpo import network
+from kvgrpo.cache import FrameHistory, KVCache
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
+from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.policy import replay_energies
-from kvgrpo.routing import (GroupSeeds, RoutingDecision, build_branch_cache,
+from kvgrpo.routing import (GroupSeeds, RoutingDecision, _branch_decider,
+                            build_branch_cache,
                             build_replay_contexts, rollout_group, routable_set,
                             sample_routing)
 from test_flow import rollout
@@ -303,3 +309,138 @@ class TestReplayContexts:
         _, group = make_group(seed=15)
         with pytest.raises(ConfigError):
             build_replay_contexts(group, source="other")
+
+
+class ReferenceRollout:
+    """Reference: the per-trajectory rollout that the lockstep group engine
+    replaced.  The prefix, then the anchor and each branch in turn, are solved
+    one (F, d) block at a time, with one network call per solver step and one
+    key/value projection per block.  Records the memory length each solve saw,
+    per block."""
+
+    def __init__(self, params, prompt, cfg):
+        self.params, self.prompt, self.cfg = params, prompt, cfg
+        self.lengths = defaultdict(set)
+
+    def generate(self, cache, b, noise_seed, record):
+        cfg = self.cfg
+        d = network.shape_from_layout(self.params.layout).latent_dim
+        x, t = block_noise(noise_seed, b, cfg.frames_per_block, d), 0.0
+        keys, values = cache.stacked()
+        self.lengths[b].add(0 if keys is None else len(keys))
+        rows = []
+        for _ in range(cfg.num_steps):
+            v = velocity_forward(self.params, x, t, keys, values, self.prompt)
+            rows.append((x, v, t))
+            x, t = x + cfg.dt * v, t + cfg.dt
+        z, u_hat, ts = (np.array(column) for column in zip(*rows))
+        steps = ReplaySteps(z, u_hat, ts, np.arange(1, cfg.num_steps + 1),
+                            np.full(cfg.num_steps, b))
+        return Block(x, b), steps if record else None
+
+    def write_back(self, cache, block, history):
+        keys, values = network.kv_for_frames(self.params, block.frames, self.prompt)
+        cache.append(keys, values, block.frame_indices())
+        history.append(keys, values, block.frame_indices())
+
+    def group(self, num_blocks, pivot, window, num_branches, seeds,
+              local_kv_choices=((9, 6),), routing_per_block=False, routing_overrides=None):
+        cfg = self.cfg
+        cache, history, prefix = KVCache(cfg.sink_size, cfg.local_size), FrameHistory(), []
+        for b in range(1, pivot):
+            block, _ = self.generate(cache, b, seeds.noise, False)
+            self.write_back(cache, block, history)
+            prefix.append(block)
+        return [self.branch(prefix, history, len(history), pivot, window, num_blocks,
+                            seeds, g, local_kv_choices, routing_per_block,
+                            None if routing_overrides is None else routing_overrides.get(g))
+                for g in range(num_branches + 1)]
+
+    def branch(self, prefix, prefix_history, pivot_frame, pivot, window, num_blocks,
+               seeds, branch_id, local_kv_choices, routing_per_block, override):
+        cfg = self.cfg
+        history, routing = prefix_history.copy(), None
+        if branch_id == 0:
+            cache = history.default_cache(pivot_frame, cfg.sink_size, cfg.local_size)
+        else:
+            decide = _branch_decider(seeds, branch_id, local_kv_choices, pivot_frame,
+                                     cfg.sink_size, override)
+            routing = decide(pivot_frame, pivot if routing_per_block else None)
+            cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
+        blocks, replay = list(prefix), []
+        for b in range(pivot, num_blocks + 1):
+            in_window = pivot <= b < pivot + window
+            if routing is not None and in_window and routing_per_block and b > pivot:
+                cache = build_branch_cache(history, len(history),
+                                           decide(len(history), b), cfg.sink_size)
+            if b == pivot + window:
+                cache = history.default_cache(len(history), cfg.sink_size, cfg.local_size)
+            block, steps = self.generate(cache, b, seeds.noise, in_window)
+            self.write_back(cache, block, history)
+            blocks.append(block)
+            replay += [steps] if in_window else []
+        return blocks, routing, ReplaySteps.concat(replay), history
+
+
+SHAPE = NetworkShape(8, 16, 4)
+EXPLORE_WIDE = dict(num_branches=16, local_kv_choices=((6, 3), (9, 6), (12, 9)),
+                    routing_per_block=True)
+# (case, num_blocks, pivot, generator config, rollout keywords); the window
+# is the trainer's min(perturbed_blocks=5, num_blocks - pivot + 1).
+LOCKSTEP_CASES = [
+    *((f"default-p{p}", 8, p, GeneratorConfig(), dict(num_branches=8)) for p in (5, 6, 7)),
+    *((f"explore-wide-p{p}", 8, p, GeneratorConfig(), EXPLORE_WIDE) for p in (5, 6, 7)),
+    ("overrides", 8, 6, GeneratorConfig(),
+     dict(num_branches=4, routing_overrides={1: (7, 8, 9, 10, 11, 12), 3: (4, 6, 8, 5, 7, 9)})),
+    ("overrides-per-block", 8, 5, GeneratorConfig(),
+     dict(num_branches=3, routing_overrides={2: (4, 5, 6, 7, 8, 9)}, routing_per_block=True)),
+    *((f"two-frame-p{p}", 10, p, GeneratorConfig(frames_per_block=2), dict(num_branches=8))
+      for p in (7, 8)),
+]
+
+
+class TestLockstepMatchesReference:
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES])
+    def test_bitwise_equal_to_per_trajectory_rollout(self, case, monkeypatch):
+        _, num_blocks, pivot, cfg, kw = case
+        params = param_init(SHAPE, pivot)
+        prompt = np.linspace(0.5, -0.5, 4)
+        seeds = GroupSeeds(noise=1000 + pivot, routing=2000 + pivot)
+        window = min(5, num_blocks - pivot + 1)
+        kw = dict(kw)
+        num_branches = kw.pop("num_branches")
+        reference = ReferenceRollout(params, prompt, cfg)
+        expected = reference.group(num_blocks, pivot, window, num_branches, seeds, **kw)
+
+        calls = defaultdict(int)
+        for name in ("velocity_forward", "kv_for_frames"):
+            def counted(*args, real=getattr(network, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(network, name, counted)
+        group = rollout_group(params, prompt, num_blocks, pivot, window, num_branches,
+                              seeds, cfg, **kw)
+        monkeypatch.undo()
+
+        trajectories = group.all_trajectories()
+        assert len(trajectories) == len(expected) == num_branches + 1
+        for g, (traj, (blocks, routing, replay, history)) in enumerate(
+                zip(trajectories, expected)):
+            assert traj.branch_id == g and traj.routing == routing
+            assert [b.block_index for b in traj.blocks] == list(range(1, num_blocks + 1))
+            for mine, theirs in zip(traj.blocks, blocks):
+                assert mine.frames.shape == theirs.frames.shape
+                assert mine.frames.tobytes() == theirs.frames.tobytes()
+            for field in ("z", "u_hat", "t", "step", "block"):
+                mine, theirs = getattr(traj.replay, field), getattr(replay, field)
+                assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes(), field
+            assert traj.history.keys.tobytes() == history.keys.tobytes()
+            assert traj.history.values.tobytes() == history.values.tobytes()
+        if "local_kv_choices" in kw:  # the case mixes memory lengths in one block
+            assert max(len(n) for n in reference.lengths.values()) > 1
+        # One network call per (block, solver step, memory length), and one
+        # key/value projection per block.
+        assert calls["velocity_forward"] == cfg.num_steps * sum(
+            len(n) for n in reference.lengths.values())
+        assert calls["kv_for_frames"] == num_blocks
