@@ -82,24 +82,23 @@ class TrainerConfig:
                           self.reward_segments)
 
     def validate(self) -> "TrainerConfig":
-        def positive(name):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         _check_fields(self)
         for name in ("latent_dim", "hidden_dim", "prompt_dim", "frames_per_block",
-                     "denoise_steps", "num_blocks", "branch_number",
-                     "perturbed_blocks", "temperature", "learning_rate",
-                     "max_grad_norm", "ppo_epochs", "l2_sigma", "advantage_clip_max"):
-            positive(name)
-        if self.max_iterations < 0:
-            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
+                     "denoise_steps", "num_blocks", "perturbed_blocks", "temperature",
+                     "learning_rate", "max_grad_norm", "ppo_epochs", "l2_sigma",
+                     "advantage_clip_max"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        # The policy is a softmax over at least two branches.
+        for name, low in (("branch_number", 2), ("sink_size", 0), ("local_size", 0),
+                          ("max_iterations", 0), ("kl_penalty_weight", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("clip_eps_low", "clip_eps_high"):
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if not 0 <= self.ema_decay < 1:
             raise ConfigError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
-        if self.kl_penalty_weight < 0:
-            raise ConfigError(f"kl_penalty_weight must be >= 0, got {self.kl_penalty_weight}")
         if not 1 <= self.grad_replay_steps <= self.denoise_steps:
             raise ConfigError(
                 f"grad_replay_steps must lie in [1, {self.denoise_steps}], "
@@ -122,6 +121,12 @@ class TrainerConfig:
                    for c in self.reward_components):
             raise ConfigError(f"reward_components entries must be [name, weight] pairs, "
                               f"got {self.reward_components!r}")
+        # Every segment needs a frame, and two for the smoothness differences.
+        frames = self.num_blocks * self.frames_per_block
+        per_segment = 1 + any(name == "smoothness" for name, _ in self.reward_components)
+        if self.reward_segments > frames // per_segment:
+            raise ConfigError(f"reward_segments {self.reward_segments} leaves fewer than "
+                              f"{per_segment} of the {frames} frames per segment")
         min_frames = self.frames_per_block * (min(self.pivot_blocks) - 1)
         feasible = [n for n, _ in self.local_kv_choices if n + self.sink_size <= min_frames]
         if not feasible:

@@ -3,13 +3,11 @@
 A block of frames starts from seeded Gaussian noise at t=0 and is carried to
 t=1 by Euler steps of the learned velocity field, attending over the sink/local
 memory of previously generated frames.  A block is an (F, d) matrix, one row
-per frame.  The trajectories of a group are solved in lockstep: their blocks
-stack to (G, F, d) from the same start noise, and each solver step makes one
-network call per memory-length bucket (the rows whose memories have one
-length).  When the block is finished, the whole group's block is projected to
-key and value rows in one call, and each trajectory's rows are pushed into its
-memory and history.  Solver steps kept for replay are rows too: one (F, d)
-latent block per step, stacked.
+per frame.  A group's trajectories are solved in lockstep as (G, F, d) rows
+from the same start noise: each solver step makes one network call per
+memory-length bucket, over inputs built once per block, and the finished
+block is projected to key/value rows in one call.  Solver steps kept for
+replay are rows too: one (F, d) latent block per step, stacked.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import network
-from .cache import FrameHistory, KVCache
+from .cache import KVCache
 from .params import Params
 
 
@@ -43,9 +41,6 @@ class Block:
     frames: np.ndarray
     block_index: int
 
-    def matrix(self) -> np.ndarray:
-        return self.frames
-
     def frame_indices(self) -> range:
         size = self.frames.shape[-2]
         first = (self.block_index - 1) * size + 1
@@ -55,10 +50,11 @@ class Block:
 @dataclass(frozen=True)
 class ReplaySteps:
     """Cached solver steps, one row each: the latents entering the step, the
-    velocity they received, and the step's time, 1-based index and block."""
+    velocity they received, and the step's time, 1-based index and block.
+    ``z`` and ``u_hat`` of a group's steps lead with a trajectory axis."""
 
-    z: np.ndarray          # (R, frames_per_block, d)
-    u_hat: np.ndarray      # (R, frames_per_block, d)
+    z: np.ndarray          # ([G,] R, frames_per_block, d)
+    u_hat: np.ndarray      # ([G,] R, frames_per_block, d)
     t: np.ndarray          # (R,) accumulated flow time, as the solver saw it
     step: np.ndarray       # (R,)
     block: np.ndarray      # (R,)
@@ -66,19 +62,24 @@ class ReplaySteps:
     def __len__(self) -> int:
         return len(self.t)
 
+    def row(self, g: int) -> "ReplaySteps":
+        return ReplaySteps(self.z[g], self.u_hat[g], self.t, self.step, self.block)
+
     @staticmethod
     def concat(parts: list["ReplaySteps"]) -> "ReplaySteps":
-        """The rows of ``parts``, in order."""
-        return ReplaySteps(*(np.concatenate([getattr(p, f.name) for p in parts])
+        """The rows of ``parts``, in order (for a group, each trajectory's)."""
+        return ReplaySteps(*(np.concatenate([getattr(p, f.name) for p in parts],
+                                            axis=-3 if f.name in ("z", "u_hat") else 0)
                              for f in fields(ReplaySteps)))
 
 
 def velocity_eval(params: Params, x: np.ndarray, t: float, keys: np.ndarray | None,
-                  values: np.ndarray | None, prompt: np.ndarray) -> np.ndarray:
+                  values: np.ndarray | None, prompt: np.ndarray,
+                  inputs: network.Inputs | None = None) -> np.ndarray:
     """Deterministic forward pass of the velocity network for (rows, F, d)
     latents at flow time ``t``, each row over its own memory, stacked to
     (rows, M, h) keys and values (``None``: empty memories)."""
-    out = network.velocity_forward(params, x, t, keys, values, prompt)
+    out = network.velocity_forward(params, x, t, keys, values, prompt, inputs)
     return network.check_finite(np.asarray(out), "velocity output")
 
 
@@ -92,57 +93,46 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
     return rng.standard_normal((frames, dim))
 
 
-def generate_block(params: Params, caches: list[KVCache], block_index: int,
+def generate_block(params: Params, cache: KVCache, block_index: int,
                    noise_seed: int, prompt: np.ndarray, record_replay: bool = False,
                    cfg: GeneratorConfig = GeneratorConfig()
-                   ) -> tuple[Block, list[ReplaySteps] | None]:
-    """Solve one block from seeded noise to the clean sample for every
-    trajectory at once: row i runs over the memory ``caches[i]``, and all rows
-    start from the same noise.
+                   ) -> tuple[Block, ReplaySteps | None]:
+    """Solve one block from seeded noise to the clean sample for every row of
+    ``cache`` at once: row i runs over its memory, and all rows start from
+    the same noise.
 
     Each solver step makes one network call per memory-length bucket.  Rows
     are not padded to one length: that would change the reduction lengths and
-    so the bits.  Deterministic in (params, caches, block_index, noise_seed,
-    prompt).  Returns the (rows, F, d) block and, with ``record_replay``, one
-    :class:`ReplaySteps` per row of its pre-step latents and the velocities
-    they received; otherwise ``None``.
+    so the bits.  Deterministic in (params, cache, block_index, noise_seed,
+    prompt).  Returns the (rows, F, d) block and, with ``record_replay``, the
+    group's :class:`ReplaySteps`; otherwise ``None``.
     """
     d = network.shape_from_layout(params.layout).latent_dim
-    x = np.tile(block_noise(noise_seed, block_index, cfg.frames_per_block, d),
-                (len(caches), 1, 1))
-    # The memories only change between blocks, so they are stacked once per solve.
-    memories = [cache.stacked() for cache in caches]
-    lengths = [0 if keys is None else len(keys) for keys, _ in memories]
-    buckets = []
-    # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
-    for n in sorted(set(lengths)):
-        rows = [i for i, m in enumerate(lengths) if m == n]
-        stacked = [np.stack([memories[i][j] for i in rows]) if n else None for j in (0, 1)]
-        buckets.append((rows if len(rows) < len(caches) else slice(None), *stacked))
-    t, zs, us, ts = 0.0, [], [], []
-    for _ in range(cfg.num_steps):
-        v = np.empty_like(x)
-        for rows, keys, values in buckets:
-            v[rows] = velocity_eval(params, x[rows], t, keys, values, prompt)
-        zs.append(x)
-        us.append(v)
-        ts.append(t)
-        x, t = x + cfg.dt * v, t + cfg.dt
-    replay = None
-    if record_replay:
-        columns = np.array(ts), np.arange(1, cfg.num_steps + 1), np.full(cfg.num_steps,
-                                                                          block_index)
-        replay = [ReplaySteps(z, u_hat, *columns)
-                  for z, u_hat in zip(np.stack(zs, axis=1), np.stack(us, axis=1))]
+    noise = block_noise(noise_seed, block_index, cfg.frames_per_block, d)
+    x = np.empty((len(cache.frames), *noise.shape))
+    z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
+    for rows, keys, values in cache.stacked():
+        # Buckets never interact, so each is solved on its own.
+        xb, t, zs, us, ts = np.tile(noise, (len(rows), 1, 1)), 0.0, [], [], []
+        inputs = network.Inputs(params, xb.shape, keys, values, prompt)
+        for _ in range(cfg.num_steps):
+            v = velocity_eval(params, xb, t, keys, values, prompt, inputs)
+            zs.append(xb)
+            us.append(v)
+            ts.append(t)
+            xb, t = xb + cfg.dt * v, t + cfg.dt
+        x[rows] = xb
+        if record_replay:
+            z[rows], u_hat[rows] = np.stack(zs, axis=1), np.stack(us, axis=1)
+    replay = ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
+                         np.full(cfg.num_steps, block_index)) if record_replay else None
     return Block(x, block_index), replay
 
 
-def write_back(caches: list[KVCache], block: Block, params: Params, prompt: np.ndarray,
-               histories: list[FrameHistory]) -> None:
+def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray) -> None:
     """Project a group's finished (rows, F, d) block to key/value rows in one
-    call, and push row i into ``caches[i]`` and ``histories[i]``."""
+    call, write them into the history and append the frames to the memories."""
     keys, values = network.kv_for_frames(params, block.frames, prompt)
     frames = block.frame_indices()
-    for cache, history, k, v in zip(caches, histories, keys, values):
-        cache.append(k, v, frames)
-        history.append(k, v, frames)
+    cache.history.append(keys, values, frames)
+    cache.append(frames)

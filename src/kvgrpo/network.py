@@ -80,15 +80,12 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     return Params(values, layout)
 
 
-def _augment(x: np.ndarray, t, prompt: np.ndarray) -> np.ndarray:
-    """Constant network input: [latents | time | prompt] per frame row.  ``t``
-    is a float, or one time per (F, d) block of ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
-    aug = np.empty(x.shape[:-1] + (d + 1 + len(prompt),))
-    aug[..., :d] = x
-    aug[..., d] = np.reshape(t, np.shape(t) + (1,))
-    aug[..., d + 1:] = prompt
+def _augment(x: np.ndarray, t, prompt: np.ndarray, aug: np.ndarray | None = None):
+    """Constant network input: [latents | time | prompt] per frame row, into
+    ``aug`` if given.  ``t`` is a float, or one time per (F, d) block of ``x``."""
+    d = np.shape(x)[-1]
+    aug = np.empty(np.shape(x)[:-1] + (d + 1 + len(prompt),)) if aug is None else aug
+    aug[..., :d], aug[..., d], aug[..., d + 1:] = x, np.asarray(t)[..., None], prompt
     return aug
 
 
@@ -100,45 +97,60 @@ def kv_for_frames(params: Params, x: np.ndarray, prompt: np.ndarray, t: float = 
     return e @ seg("wk") + seg("bk"), e @ seg("wv") + seg("bv")
 
 
+class Inputs:
+    """A velocity call's segments and its [latents | time | prompt] and joint
+    [memory ; block] key/value buffers, the memory copied in once.  Calls with
+    one reader, memory, prompt and shape (a block's solver steps) can share
+    one: each overwrites only the latents, the time and the block's rows."""
+
+    def __init__(self, reader, shape: tuple[int, ...], context_keys, context_values,
+                 prompt: np.ndarray) -> None:
+        self.leaves = [reader.segment(name) for name in SEGMENTS]
+        self.w = [ad.value(leaf) for leaf in self.leaves]
+        *lead, frames, d = shape
+        self.aug = np.empty((*lead, frames, d + 1 + len(prompt)))
+        self.n_ctx = n = 0 if context_keys is None else np.shape(context_keys)[-2]
+        self.keys, self.values = np.empty((2, *lead, n + frames, self.w[4].shape[1]))  # wk: h
+        if n:
+            self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
+
+
 def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values,
-                     prompt: np.ndarray):
+                     prompt: np.ndarray, inputs: Inputs | None = None):
     """Predicted velocity for every frame of a block, or of a stack of blocks.
 
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
     (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
     ``context_keys`` / ``context_values`` (``None``: an empty memory).
-    Attention runs over [memory ; block] jointly.  Returns an array for a
-    :class:`Params` reader, and for a tape reader one tape node whose parents
-    are the parameter segments in ``SEGMENTS`` order.
+    Attention runs over [memory ; block] jointly.  A value-only call may refill
+    the :class:`Inputs` of its reader and memory (a taped one keeps its own for
+    the backward).  Returns an array for a :class:`Params` reader, and for a
+    tape reader one node whose parents are the segments in ``SEGMENTS`` order.
     """
-    aug = _augment(x, t, prompt)
-    n_ctx = 0 if context_keys is None else np.shape(context_keys)[-2]
-    leaves = [reader.segment(name) for name in SEGMENTS]
+    if inputs is None:
+        inputs = Inputs(reader, np.shape(x), context_keys, context_values, prompt)
+    aug = _augment(x, t, prompt, inputs.aug)
+    w, n_ctx = inputs.w, inputs.n_ctx
+    out, saved = _forward(w, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
-        return _forward(leaves, aug, context_keys, context_values)[0]
-    w = [leaf.value for leaf in leaves]
-    out, saved = _forward(w, aug, context_keys, context_values)
-    return reader.tape.push(out, tuple(leaf.idx for leaf in leaves),
+        return out
+    return reader.tape.push(out, tuple(leaf.idx for leaf in inputs.leaves),
                             lambda g: list(_vjp(g, w, aug, saved, n_ctx)))
 
 
-def _forward(w, aug, context_keys, context_values):
+def _forward(w, aug, keys, vals, n_ctx):
     """Network output for an (F, in) block or (R, F, in) rows, and the
-    intermediates its backward needs."""
+    intermediates its backward needs.  The block's keys and values are written
+    after the ``n_ctx`` memory rows of the joint ``keys`` and ``vals``."""
     ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
     e = np.tanh(aug @ ew + eb)
     q = e @ wq + bq
-    k = e @ wk + bk
-    v = e @ wv + bv
-    if context_keys is not None:
-        keys = np.concatenate([context_keys, k], axis=-2)
-        vals = np.concatenate([context_values, v], axis=-2)
-    else:
-        keys, vals = k, v
+    keys[..., n_ctx:, :] = e @ wk + bk
+    vals[..., n_ctx:, :] = e @ wv + bv
     scale = 1.0 / np.sqrt(keys.shape[-1])
     scores = (q @ keys.swapaxes(-1, -2)) * scale
-    p = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    p = p / np.sum(p, axis=-1, keepdims=True)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = p / p.sum(axis=-1, keepdims=True)
     att = p @ vals
     hid = np.tanh(att @ w1 + b1)
     return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)
@@ -172,6 +184,6 @@ def _vjp(g, w, aug, saved, n_ctx):
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite {what}")
     return arr

@@ -116,7 +116,7 @@ def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
     """Squared latent distance to the anchor over the window's final frames,
     scaled by 1/(2 sigma^2).  A drop-in surrogate energy for ablation; it
     depends only on the rolled-out latents, not on the parameters."""
-    frames = np.array([[b.matrix() for b in traj.window_blocks(group.pivot_block, group.window)]
+    frames = np.array([[b.frames for b in traj.window_blocks(group.pivot_block, group.window)]
                        for traj in [group.anchor, *group.branches]])
     return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2, 3)) / (2.0 * sigma * sigma)
 

@@ -28,28 +28,23 @@ class RewardSpec:
                 raise ConfigError(f"weight for {name!r} is not finite")
 
 
-def _frames_of(traj) -> np.ndarray:
-    """Final frame latents as an (N, d) matrix, from a trajectory or raw array."""
-    if hasattr(traj, "blocks"):
-        return np.vstack([b.matrix() for b in traj.blocks])
-    return np.atleast_2d(np.asarray(traj, dtype=np.float64))
-
-
-def reward_target(traj, target: np.ndarray) -> float:
-    """Negative mean squared distance of the final frame latents to a target."""
-    frames = _frames_of(traj)
+def reward_target(frames, target: np.ndarray):
+    """Negative mean squared distance of the final frame latents to a target:
+    a number for (N, d) frames, one per trajectory for a (..., N, d) stack."""
+    frames = np.asarray(frames, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != (frames.shape[1],):
-        raise ConfigError(f"target has shape {target.shape}, frames have dim {frames.shape[1]}")
-    return float(-np.mean((frames - target) ** 2))
+    if target.shape != frames.shape[-1:]:
+        raise ConfigError(f"target has shape {target.shape}, frames have dim {frames.shape[-1]}")
+    return -np.mean((frames - target) ** 2, axis=(-2, -1))
 
 
-def reward_smoothness(traj) -> float:
-    """Negative mean squared consecutive-frame difference."""
-    frames = _frames_of(traj)
-    if frames.shape[0] < 2:
-        raise ValueError(f"smoothness needs at least two frames, got {frames.shape[0]}")
-    return float(-np.mean(np.diff(frames, axis=0) ** 2))
+def reward_smoothness(frames):
+    """Negative mean squared consecutive-frame difference, per trajectory as
+    :func:`reward_target`."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-2] < 2:
+        raise ValueError(f"smoothness needs at least two frames, got {frames.shape[-2]}")
+    return -np.mean(np.diff(frames, axis=-2) ** 2, axis=(-2, -1))
 
 
 COMPONENTS = {
@@ -58,17 +53,18 @@ COMPONENTS = {
 }
 
 
-def composite(traj, spec: RewardSpec, target: np.ndarray | None = None) -> float:
-    """Weighted component sum per temporal segment, averaged across segments."""
-    frames = _frames_of(traj)
-    if spec.segment_count > frames.shape[0]:
+def composite(frames, spec: RewardSpec, target: np.ndarray | None = None):
+    """Weighted component sum per temporal segment, averaged across segments:
+    a number for (N, d) frames, one per trajectory for a (..., N, d) stack,
+    each equal bit for bit to scoring that trajectory alone."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if spec.segment_count > frames.shape[-2]:
         raise ConfigError(
             f"{spec.segment_count} segments need at least that many frames, "
-            f"got {frames.shape[0]}")
+            f"got {frames.shape[-2]}")
     if target is None:
-        target = np.zeros(frames.shape[1])
-    totals = []
-    for seg in np.array_split(frames, spec.segment_count):
-        totals.append(sum(w * COMPONENTS[name](seg, target)
-                          for name, w in spec.components))
-    return float(np.mean(totals))
+        target = np.zeros(frames.shape[-1])
+    totals = [sum(w * COMPONENTS[name](seg, target) for name, w in spec.components)
+              for seg in np.array_split(frames, spec.segment_count, axis=-2)]
+    # Segments last: each trajectory's totals are summed as a lone trajectory's.
+    return np.mean(np.stack(totals, axis=-1), axis=-1)

@@ -4,11 +4,12 @@ A group rollout shares a deterministic prefix up to a pivot block, then each
 branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
 all variation between branches comes from the memory composition alone.  The
-group is generated in lockstep: each block is solved once for all
-trajectories, with one network call per solver step and memory-length bucket
-(mixed ``local_kv_choices`` give memories of several lengths).  The solver
-steps inside the perturbation window are cached as rows for later replay under
-default-layout memories, stacked into one array per group.
+group is generated in lockstep over one key/value history: each block is
+solved once for all trajectories, with one network call per solver step and
+memory-length bucket (mixed ``local_kv_choices`` give memories of several
+lengths).  The solver steps inside the perturbation window are cached as rows
+for later replay under default-layout memories, gathered for the whole group
+once per window block.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import FrameHistory, KVCache
+from . import network
+from .cache import FrameHistory, KVCache, default_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
 from .flow import Block, GeneratorConfig, ReplaySteps, generate_block, write_back
 from .params import Params
@@ -37,7 +39,6 @@ class BranchTrajectory:
     routing: RoutingDecision | None
     replay: ReplaySteps          # the window's solver steps, as rows
     branch_id: int
-    history: FrameHistory
     reward: float | None = None
 
     def window_blocks(self, pivot: int, window: int) -> list[Block]:
@@ -59,6 +60,8 @@ class RolloutGroup:
     seeds: GroupSeeds
     prompt: np.ndarray
     gen_cfg: GeneratorConfig
+    frames: np.ndarray       # (trajectories, N, d) final latents, row i = branch id i
+    history: FrameHistory    # every trajectory's key/value rows, in the same order
 
     @property
     def window_block_indices(self) -> list[int]:
@@ -94,27 +97,31 @@ def sample_routing(omega, rng_seed, count: int = 6, local_size: int = 9) -> Rout
     return RoutingDecision(tuple(int(i) for i in picked), local_size)
 
 
-def build_branch_cache(history: FrameHistory, L: int, routing: RoutingDecision,
-                       sink_size: int = 3) -> KVCache:
-    """Routed-layout memory: sink unchanged, leading local slots filled with the
-    routed frames in decision order, trailing slots with the newest frames."""
+def build_branch_cache(history: FrameHistory, L: int,
+                       routings: list[RoutingDecision | None], sink_size: int = 3,
+                       local_size: int = 9) -> KVCache:
+    """Every row's memory at L frames: routed rows keep the sink and fill
+    their leading local slots with the routed frames in decision order, the
+    trailing ones with the newest frames; ``None`` rows (the anchor) have the
+    default layout with ``local_size`` local slots."""
     if L > len(history):
         raise ContractError(f"history holds {len(history)} frames, pivot expects {L}")
-    near_count = routing.local_size - len(routing.indices)
-    if near_count < 0:
-        raise ConfigError(
-            f"{len(routing.indices)} routed slots exceed local size {routing.local_size}")
-    lo, hi = sink_size + 1, L - near_count
-    seen = set()
-    for r in routing.indices:
-        if not lo <= r <= hi:
-            raise ContractError(f"routed frame {r} outside routable range [{lo}, {hi}]")
-        if r in seen:
-            raise ContractError(f"routed frame {r} repeated")
-        seen.add(r)
-    frames = [*range(1, sink_size + 1), *routing.indices,
-              *range(L - near_count + 1, L + 1)]
-    return history.gather(frames, sink_size, routing.local_size)
+    frames, capacity = [], []
+    for routing in routings:
+        if routing is None:
+            frames.append(default_frames(L, sink_size, local_size))
+            capacity.append(local_size)
+            continue
+        near_count = routing.local_size - len(routing.indices)
+        if near_count < 0:
+            raise ConfigError(
+                f"{len(routing.indices)} routed slots exceed local size {routing.local_size}")
+        indices, lo, hi = routing.indices, sink_size + 1, L - near_count
+        if len(set(indices)) < len(indices) or not all(lo <= r <= hi for r in indices):
+            raise ContractError(f"routed frames {indices} must be distinct and in [{lo}, {hi}]")
+        frames.append((*range(1, sink_size + 1), *indices, *range(hi + 1, L + 1)))
+        capacity.append(routing.local_size)
+    return history.gather(frames, sink_size, capacity)
 
 
 def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int,
@@ -154,15 +161,13 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
                   ) -> RolloutGroup:
     """Anchor plus ``num_branches`` routed branches sharing prefix and noise.
 
-    One loop over blocks.  Blocks before the pivot are generated once, as a
-    single trajectory, and shared.  From the pivot on, the anchor and every
-    branch are rows of one :func:`generate_block` and one :func:`write_back`
-    call per block.  Within the window each branch generates under its routed
-    memory (updated by positional write-back shifts, or rebuilt per block when
-    ``routing_per_block``); beyond it, generation reverts to the default layout
-    over the branch's own frames.  The anchor is branch 0: it is never routed
-    and keeps the default memory throughout.  Every solver step of every
-    window block is recorded for replay, for the anchor as well.
+    One loop over blocks, each one :func:`generate_block` and one
+    :func:`write_back` call: the prefix is one row written to every
+    trajectory, then the anchor (branch 0, never routed) and the branches are
+    rows.  Within the window a branch runs under its routed memory (shifted by
+    positional write-back, or rebuilt per block when ``routing_per_block``),
+    then under the default layout.  Every window solver step is recorded for
+    replay, the anchor's too.
     """
     if window < 1 or pivot < 1:
         raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
@@ -172,47 +177,37 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     if num_branches < 1:
         raise ConfigError("need at least one branch")
 
-    # Row i of every call is trajectory i: the shared prefix alone until the
-    # pivot, then the anchor and the branches.
-    caches = [KVCache(cfg.sink_size, cfg.local_size)]
-    histories = [FrameHistory()]
-    blocks: list[list[Block]] = [[]]
-    routings: list[RoutingDecision | None] = [None]
-    replay: list[list[ReplaySteps]] = [[]]
+    # Row i of the history and the frames is trajectory i.
+    shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block
+    history = FrameHistory.allocate(num_branches + 1, num_blocks * F, shape.hidden_dim)
+    frames = np.zeros((num_branches + 1, num_blocks * F, shape.latent_dim))
+    cache = KVCache(history, [()], [cfg.local_size], cfg.sink_size)
+    replay: list[ReplaySteps] = []
     for b in range(1, num_blocks + 1):
         in_window = pivot <= b < pivot + window
+        L = len(history)
         if b == pivot:
-            pivot_frame = len(histories[0])
             deciders = [_branch_decider(
-                seeds, g, local_kv_choices, pivot_frame, cfg.sink_size,
+                seeds, g, local_kv_choices, L, cfg.sink_size,
                 None if routing_overrides is None else routing_overrides.get(g))
                 for g in range(1, num_branches + 1)]
-            routings += [decide(pivot_frame, pivot if routing_per_block else None)
-                         for decide in deciders]
-            histories += [histories[0].copy() for _ in deciders]
-            caches += [build_branch_cache(h, pivot_frame, r, cfg.sink_size)
-                       for h, r in zip(histories[1:], routings[1:])]
-            blocks = [list(blocks[0]) for _ in routings]
-            replay = [[] for _ in routings]
-        elif in_window and routing_per_block:
-            caches[1:] = [build_branch_cache(h, len(h), decide(len(h), b), cfg.sink_size)
-                          for h, decide in zip(histories[1:], deciders)]
-        elif b == pivot + window:
-            # Window over: revert to the default sliding layout over each
-            # branch's own written-back frames.
-            caches[1:] = [h.default_cache(len(h), cfg.sink_size, cfg.local_size)
-                          for h in histories[1:]]
-        block, steps = generate_block(params, caches, b, seeds.noise, prompt, in_window, cfg)
-        write_back(caches, block, params, prompt, histories)
-        for trajectory_blocks, frames in zip(blocks, block.frames):
-            trajectory_blocks.append(Block(frames, b))
-        for trajectory_replay, rows in zip(replay, steps if in_window else ()):
-            trajectory_replay.append(rows)
+        if b == pivot or in_window and routing_per_block:
+            decided = [None] + [decide(L, b if routing_per_block else None) for decide in deciders]
+            routings = decided if b == pivot else routings  # recorded: the pivot's
+            cache = build_branch_cache(history, L, decided, cfg.sink_size, cfg.local_size)
+        elif b == pivot + window:  # back to the default layout over own frames
+            cache = history.default_cache(L, cfg.sink_size, cfg.local_size)
+        block, steps = generate_block(params, cache, b, seeds.noise, prompt, in_window, cfg)
+        write_back(cache, block, params, prompt)
+        frames[:, L:L + F] = block.frames
+        replay += [steps] if in_window else []
 
-    trajectories = [BranchTrajectory(blocks[g], routings[g], ReplaySteps.concat(replay[g]),
-                                     g, histories[g]) for g in range(len(routings))]
+    replay_steps = ReplaySteps.concat(replay)
+    trajectories = [BranchTrajectory(
+        [Block(frames[g, (b - 1) * F:b * F], b) for b in range(1, num_blocks + 1)],
+        routings[g], replay_steps.row(g), g) for g in range(num_branches + 1)]
     return RolloutGroup(trajectories[0], trajectories[1:], pivot, window, seeds,
-                        np.asarray(prompt), cfg)
+                        np.asarray(prompt), cfg, frames, history)
 
 
 @dataclass
@@ -235,24 +230,23 @@ class ReplayContexts:
 
 
 def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> ReplayContexts:
-    """Per-branch unperturbed contexts for the window blocks.
-
-    ``source="branch"`` rebuilds each context from that branch's own generated
+    """Per-branch unperturbed contexts for the window blocks, one history
+    gather per block.  ``source="branch"`` rebuilds each context from that branch's own generated
     frames (perturbed states written back); ``source="anchor"`` conditions every
     branch on the anchor's frames instead.
     """
     if source not in ("branch", "anchor"):
         raise ConfigError(f"replay context source must be 'branch' or 'anchor', got {source!r}")
-    cfg = group.gen_cfg
-    memories = [[(group.anchor.history if source == "anchor" else traj.history)
-                 .default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
-                                cfg.local_size).stacked()
-                 for b in group.window_block_indices] for traj in group.all_trajectories()]
-    # A default memory's length depends only on how many frames precede it.
-    sizes = np.array([0 if k is None else len(k) for k, _ in memories[0]])
-    shape = (len(memories), len(sizes), sizes.max(), group.anchor.history.keys.shape[1])
+    cfg, history = group.gen_cfg, group.history
+    # A default memory's length depends only on the frames before it: one bucket.
+    memories = [history.default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
+                                      cfg.local_size).stacked()[0][1:]
+                for b in group.window_block_indices]
+    sizes = np.array([0 if k is None else k.shape[1] for k, _ in memories])
+    shape = (len(history.keys), len(sizes), sizes.max(), history.keys.shape[2])
     keys, values = np.zeros(shape), np.zeros(shape)
-    for i, row in enumerate(memories):
-        for j, (k, v) in enumerate(row):
-            keys[i, j, :sizes[j]], values[i, j, :sizes[j]] = k, v
+    rows = slice(0, 1) if source == "anchor" else slice(None)
+    for j, (k, v) in enumerate(memories):
+        if k is not None:
+            keys[:, j, :sizes[j]], values[:, j, :sizes[j]] = k[rows], v[rows]
     return ReplayContexts(group.window_block_indices, keys, values, sizes, group.prompt)

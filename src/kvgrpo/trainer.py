@@ -140,10 +140,10 @@ def learning_rate_at(cfg: TrainerConfig, iteration: int) -> float:
 
 
 def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
-    """Fill every trajectory's reward in place."""
-    spec, target = cfg.reward_spec(), cfg.reward_target()
-    for traj in group.all_trajectories():
-        traj.reward = composite(traj, spec, target)
+    """Fill every trajectory's reward in place, scoring the group at once."""
+    rewards = composite(group.frames, cfg.reward_spec(), cfg.reward_target())
+    for traj, reward in zip(group.all_trajectories(), rewards.tolist()):
+        traj.reward = reward
 
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
@@ -278,6 +278,6 @@ def _dump_trajectories(fh, group: RolloutGroup, record: IterationRecord) -> None
             "branch_id": traj.branch_id,
             "routing": list(traj.routing.indices) if traj.routing else None,
             "reward": traj.reward,
-            "blocks": [b.matrix().tolist() for b in traj.blocks],
+            "blocks": [b.frames.tolist() for b in traj.blocks],
         }, allow_nan=False) + "\n")
     fh.flush()

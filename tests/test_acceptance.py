@@ -216,20 +216,20 @@ class TestCriterion6Determinism:
             _, g2 = self._group(5, 50)
             for t1, t2 in zip(g1.all_trajectories(), g2.all_trajectories()):
                 for b1, b2 in zip(t1.blocks, t2.blocks):
-                    assert np.array_equal(b1.matrix(), b2.matrix())
+                    assert np.array_equal(b1.frames, b2.frames)
 
             identity = tuple(range(15 - 8, 15 - 2))
             _, g3 = self._group(6, 60, overrides={1: identity})
             routed, anchor = g3.branches[0], g3.anchor
             for b1, b2 in zip(routed.window_blocks(6, 2), anchor.window_blocks(6, 2)):
-                assert np.array_equal(b1.matrix(), b2.matrix())
+                assert np.array_equal(b1.frames, b2.frames)
 
             differing = 0
             for trial in range(100):
                 _, g = self._group(1000 + trial, 2000 + trial)
                 a, b = g.branches
-                wa = np.vstack([blk.matrix() for blk in a.window_blocks(6, 2)])
-                wb = np.vstack([blk.matrix() for blk in b.window_blocks(6, 2)])
+                wa = np.vstack([blk.frames for blk in a.window_blocks(6, 2)])
+                wb = np.vstack([blk.frames for blk in b.window_blocks(6, 2)])
                 if not np.array_equal(wa, wb):
                     differing += 1
             assert differing >= 95, f"only {differing}/100 trials diverged"
@@ -249,8 +249,8 @@ class TestCriterion7GuardSoundness:
                 state = init_state(cfg)
                 monkeypatch.setattr(
                     trainer_mod, "composite",
-                    lambda traj, spec, target, _r=branch_reward:
-                        1.0 if traj.branch_id == 0 else _r)
+                    lambda frames, spec, target, _r=branch_reward:
+                        np.array([1.0] + [_r] * (len(frames) - 1)))
                 before = state.params.values.copy()
                 record = train_iteration(state, cfg)
                 assert record.skipped is True

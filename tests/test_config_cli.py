@@ -51,6 +51,16 @@ BAD_PAIRS = [
     ("reward_components", '[["target", true]]'),
     ("reward_components", '[["target", 0.7, "smoothness"]]'),
 ]
+# Sizes that pass the type checks but cannot run: a one-branch policy,
+# negative memories, more reward segments than frames (18 here) and segments
+# too short for the smoothness component's frame differences.
+BAD_SIZES = [
+    ("branch_number", "1", "branch_number must be >= 2"),
+    ("sink_size", "-1", "sink_size must be >= 0"),
+    ("local_size", "-1", "local_size must be >= 0"),
+    ("reward_segments", "25", "reward_segments 25 leaves fewer than 2"),
+    ("reward_segments", "10", "reward_segments 10 leaves fewer than 2"),
+]
 
 
 def parsed(text):
@@ -141,6 +151,20 @@ class TestConfig:
         flat[key] = parsed(text)
         with pytest.raises(ConfigError, match=f"{key} entries must be "):
             from_flat_dict(flat)
+
+    @pytest.mark.parametrize("key,text,message", BAD_SIZES)
+    def test_bad_sizes_rejected(self, key, text, message):
+        flat = to_flat_dict(small_run_config())
+        flat[key] = parsed(text)
+        with pytest.raises(ConfigError, match=message):
+            from_flat_dict(flat)
+
+    def test_reward_segments_without_smoothness_need_one_frame_each(self):
+        only_target = [["target", 1.0]]
+        assert small_run_config(reward_components=only_target,
+                                reward_segments=18).trainer.reward_segments == 18
+        with pytest.raises(ConfigError, match="fewer than 1 of the 18"):
+            small_run_config(reward_components=only_target, reward_segments=19)
 
     def test_ints_are_floats_but_bools_are_not_ints(self):
         assert small_run_config(learning_rate=1).trainer.learning_rate == 1
@@ -318,6 +342,17 @@ class TestCli:
                      "--set", f"{key}={text}", "train", "--max-iters", "1"])
         assert code == 1
         assert f"{key} entries must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,text,message", BAD_SIZES)
+    def test_bad_size_override_exits_one_before_training(self, tmp_path, capsys, key, text,
+                                                         message):
+        cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "badsize"
+        code = main(["--config", str(cfg_path), "--out-dir", str(out),
+                     "--set", f"{key}={text}", "train", "--max-iters", "1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_override_exits_one(self, tmp_path, capsys):
@@ -511,6 +546,35 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.split() == ["False", "kvgrpo.config", "kvgrpo.trainer"]
+
+    def test_train_is_bit_identical_at_one_and_two_threads(self, tmp_path):
+        # Each run is its own process, so the thread pin reaches its BLAS.
+        # Explore-wide's overrides: 17 trajectories over mixed memory lengths.
+        overrides = ["branch_number=16", "local_kv_choices=[[6, 3], [9, 6], [12, 9]]",
+                     "routing_mode=per_block", "surrogate=latent_l2",
+                     "dump_trajectories=true"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for threads in (1, 2):
+            command = [sys.executable, "-m", "kvgrpo.cli", "--seed", "0",
+                       "--threads", str(threads), "--out-dir", str(tmp_path / str(threads))]
+            for item in overrides:
+                command += ["--set", item]
+            subprocess.run(command + ["train", "--max-iters", "8"], env=env, check=True,
+                           capture_output=True, timeout=300)
+
+        def records(threads, name):
+            lines = (tmp_path / str(threads) / name).read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if not k.endswith("_s")}
+                    for line in lines]
+
+        assert len(records(1, "metrics.jsonl")) == 8
+        assert records(1, "metrics.jsonl") == records(2, "metrics.jsonl")
+        assert ((tmp_path / "1" / "trajectories.jsonl").read_bytes()
+                == (tmp_path / "2" / "trajectories.jsonl").read_bytes())
+        one, two = (load_checkpoint(tmp_path / str(n) / "checkpoint_final.kvc")
+                    for n in (1, 2))
+        assert one.params.values.tobytes() == two.params.values.tobytes()
+        assert one.ema.values.tobytes() == two.ema.values.tobytes()
 
     def test_every_export_resolves(self):
         import kvgrpo

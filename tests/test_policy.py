@@ -1,6 +1,8 @@
 """Surrogate-policy math: energies, Gibbs softmax, log ratios, advantages,
 clipped PPO, KL penalty, guard, and the closed-form gradient reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,7 +114,7 @@ class TestReplayEnergy:
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
         steps = ReplaySteps(z[None], u_hat[None], np.array([0.25]), np.array([1]),
                             np.array([5]))
-        branch = BranchTrajectory([], None, steps, branch_id=0, history=None)
+        branch = BranchTrajectory([], None, steps, branch_id=0)
         contexts = ReplayContexts([5], keys[None, None], values[None, None],
                                   np.array([1]), prompt)
         energies = replay_energies(tiny_params, [branch], contexts)
@@ -177,7 +179,7 @@ class TestReplayEnergy:
         rows = np.zeros((1, 1, 7))
         steps = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
                             np.array([inst.contexts.window_blocks[0]]))
-        bad = BranchTrajectory([], None, steps, branch_id=1, history=None)
+        bad = BranchTrajectory([], None, steps, branch_id=1)
         with pytest.raises(ContractError):
             replay_energies(inst.params, [bad], inst.contexts)
 
@@ -477,10 +479,8 @@ class TestLatentL2:
     def test_hand_case(self):
         class Blocky:
             def __init__(self, m):
-                self._m = m
+                self.frames = m
                 self.block_index = 5
-            def matrix(self):
-                return self._m
 
         class Traj:
             def __init__(self, m, branch_id):
@@ -501,9 +501,9 @@ class TestLatentL2:
         group = check_instance.group
         energies = latent_l2_energies(group, sigma=0.7)
         pivot, window = group.pivot_block, group.window
-        anchor = np.vstack([b.matrix() for b in group.anchor.window_blocks(pivot, window)])
+        anchor = np.vstack([b.frames for b in group.anchor.window_blocks(pivot, window)])
         for e, br in zip(energies, group.branches):
-            mine = np.vstack([b.matrix() for b in br.window_blocks(pivot, window)])
+            mine = np.vstack([b.frames for b in br.window_blocks(pivot, window)])
             assert e == pytest.approx(np.linalg.norm(mine - anchor) ** 2 / (2 * 0.49),
                                       rel=1e-12)
 
@@ -601,10 +601,7 @@ class TestContrastiveReference:
         # pi = (1/2, 1/2), A = (1, -1): reference reduces to
         # -(1/(2 tau)) (grad E_1 - grad E_2).
         inst = check_instance
-        sub = type(inst.group)(inst.group.anchor, inst.group.branches[:2],
-                               inst.group.pivot_block, inst.group.window,
-                               inst.group.seeds, inst.group.prompt,
-                               inst.group.gen_cfg)
+        sub = dataclasses.replace(inst.group, branches=inst.group.branches[:2])
         ev = gibbs(np.array([4.0, 4.0]), 2.0)
         adv = advantages(np.array([1.0, -1.0]), clip_max=np.inf)
         got = contrastive_grad_reference(inst.params, sub, inst.contexts, ev,

@@ -121,8 +121,43 @@ class TestComposite:
             assert reward_target(fr, rng.normal(size=3)) <= 0.0
             assert reward_smoothness(fr) <= 0.0
 
-    def test_trajectory_object_accepted(self, check_instance):
-        traj = check_instance.group.anchor
-        manual = np.vstack([b.matrix() for b in traj.blocks])
+    def test_group_rows_are_trajectories(self, check_instance):
+        group = check_instance.group
         spec = RewardSpec()
-        assert composite(traj, spec, np.zeros(3)) == composite(manual, spec, np.zeros(3))
+        rewards = composite(group.frames, spec, np.zeros(3))
+        for g, traj in enumerate(group.all_trajectories()):
+            manual = np.vstack([b.frames for b in traj.blocks])
+            assert group.frames[g].tobytes() == manual.tobytes()
+            assert rewards[g] == composite(manual, spec, np.zeros(3))
+
+
+def composite_oracle(frames, spec, target):
+    """The per-trajectory scoring that the stacked call replaced: each
+    component a Python float, each segment's weighted sum taken from 0, and
+    the segments averaged."""
+    totals = []
+    for seg in np.array_split(frames, spec.segment_count):
+        parts = {"target": float(-np.mean((seg - target) ** 2)),
+                 "smoothness": float(-np.mean(np.diff(seg, axis=0) ** 2))}
+        totals.append(sum(w * parts[name] for name, w in spec.components))
+    return float(np.mean(totals))
+
+
+class TestStackedScoring:
+    # From 8 segments on, a trajectory's mean over its totals sums pairwise.
+    @pytest.mark.parametrize("segments", [1, 2, 3, 9])
+    @pytest.mark.parametrize("zero_target", [True, False])
+    def test_matches_per_trajectory_oracle_bitwise(self, segments, zero_target):
+        rng = np.random.default_rng(segments + 10 * zero_target)
+        for trial in range(50):
+            count, d = int(rng.integers(1, 18)), 8
+            frames_n = int(rng.integers(max(6, 2 * segments), 31))
+            group = rng.normal(size=(count, frames_n, d)) * 10.0 ** rng.integers(-3, 4)
+            target = np.zeros(d) if zero_target else rng.normal(size=d)
+            weights = (0.7, 0.3) if trial == 0 else rng.normal(size=2)
+            spec = RewardSpec((("target", float(weights[0])),
+                               ("smoothness", float(weights[1]))), segments)
+            got = composite(group, spec, target)
+            expected = np.array([composite_oracle(f, spec, target) for f in group])
+            assert got.shape == (count,)
+            assert got.tobytes() == expected.tobytes()

@@ -2,12 +2,13 @@
 rollouts, and replay contexts."""
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from kvgrpo import network
-from kvgrpo.cache import FrameHistory, KVCache
+from kvgrpo.cache import FrameHistory
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
@@ -103,42 +104,49 @@ class TestBuildBranchCache:
 
     def test_layout_order(self):
         decision = RoutingDecision((4, 7, 5, 9, 8, 6))
-        cache = build_branch_cache(self.res.history, 12, decision)
-        assert cache.frames[3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
-        assert cache.frames[:3] == (1, 2, 3)
-        rows = np.array(cache.frames) - 1
-        assert np.array_equal(cache.keys, self.res.history.keys[rows])
-        assert np.array_equal(cache.values, self.res.history.values[rows])
+        cache = build_branch_cache(self.res.history, 12, [decision])
+        assert cache.frames[0][3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
+        assert cache.frames[0][:3] == (1, 2, 3)
+        rows = np.array(cache.frames[0]) - 1
+        (_, keys, values), = cache.stacked()
+        assert np.array_equal(keys[0], self.res.history.keys[0, rows])
+        assert np.array_equal(values[0], self.res.history.values[0, rows])
 
     def test_identity_routing_equals_default(self):
         L = 15
         decision = RoutingDecision(tuple(range(L - 8, L - 2)))
-        routed = build_branch_cache(self.res.history, L, decision)
+        routed = build_branch_cache(self.res.history, L, [decision])
         default = self.res.history.default_cache(L)
         assert routed.frames == default.frames
-        assert np.array_equal(routed.keys, default.keys)
-        assert np.array_equal(routed.values, default.values)
+        for mine, theirs in zip(routed.stacked()[0], default.stacked()[0]):
+            assert np.array_equal(mine, theirs)
+
+    def test_unrouted_rows_take_the_default_layout(self):
+        decision = RoutingDecision((4, 7, 5, 9, 8, 6))
+        cache = build_branch_cache(self.res.history, 15, [None, decision, None], 3, 9)
+        assert cache.frames[0] == cache.frames[2] == self.res.history.default_cache(15).frames[0]
+        assert cache.frames[1] == (1, 2, 3, 4, 7, 5, 9, 8, 6, 13, 14, 15)
 
     def test_near_slots_always_newest(self):
         for seed in range(10):
             decision = sample_routing(routable_set(15), rng_seed=seed)
-            cache = build_branch_cache(self.res.history, 15, decision)
-            assert cache.frames[-3:] == (13, 14, 15)
+            cache = build_branch_cache(self.res.history, 15, [decision])
+            assert cache.frames[0][-3:] == (13, 14, 15)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ContractError):
             build_branch_cache(self.res.history, 12,
-                               RoutingDecision((3, 5, 6, 7, 8, 9)))
+                               [RoutingDecision((3, 5, 6, 7, 8, 9))])
 
     def test_repeated_index_rejected(self):
         with pytest.raises(ContractError):
             build_branch_cache(self.res.history, 12,
-                               RoutingDecision((4, 4, 5, 6, 7, 8)))
+                               [None, RoutingDecision((4, 4, 5, 6, 7, 8))])
 
     def test_missing_history_frame_rejected(self):
         with pytest.raises(ContractError):
             build_branch_cache(self.res.history, 99,
-                               RoutingDecision((4, 5, 6, 7, 8, 9)))
+                               [RoutingDecision((4, 5, 6, 7, 8, 9))])
 
 
 class TestRolloutGroup:
@@ -153,13 +161,13 @@ class TestRolloutGroup:
         _, g2 = make_group(seed=4)
         for t1, t2 in zip(g1.all_trajectories(), g2.all_trajectories()):
             for b1, b2 in zip(t1.blocks, t2.blocks):
-                assert np.array_equal(b1.matrix(), b2.matrix())
+                assert np.array_equal(b1.frames, b2.frames)
 
     def test_anchor_equals_plain_rollout(self):
         params, group = make_group(seed=5)
         plain = rollout(params, PROMPT, 8, noise_seed=105)
         for b1, b2 in zip(group.anchor.blocks, plain.blocks):
-            assert np.array_equal(b1.matrix(), b2.matrix())
+            assert np.array_equal(b1.frames, b2.frames)
 
     def test_branches_share_block_noise(self):
         # every trajectory's pivot block starts from the same x_T
@@ -170,9 +178,9 @@ class TestRolloutGroup:
 
     def test_shared_prefix_bitwise(self):
         _, group = make_group(seed=6, pivot=6)
-        anchor_prefix = [b.matrix() for b in group.anchor.blocks[:5]]
+        anchor_prefix = [b.frames for b in group.anchor.blocks[:5]]
         for branch in group.branches:
-            for mine, theirs in zip([b.matrix() for b in branch.blocks[:5]],
+            for mine, theirs in zip([b.frames for b in branch.blocks[:5]],
                                     anchor_prefix):
                 assert np.array_equal(mine, theirs)
 
@@ -184,15 +192,15 @@ class TestRolloutGroup:
         routed = group.branches[0]
         assert routed.routing.indices == identity
         for b1, b2 in zip(routed.blocks, group.anchor.blocks):
-            assert np.array_equal(b1.matrix(), b2.matrix())
+            assert np.array_equal(b1.frames, b2.frames)
         other = group.branches[1]
-        assert any(not np.array_equal(b1.matrix(), b2.matrix())
+        assert any(not np.array_equal(b1.frames, b2.frames)
                    for b1, b2 in zip(other.blocks, group.anchor.blocks))
 
     def test_distinct_routings_diverge_in_window(self):
         _, group = make_group(seed=8, pivot=6, window=3, branches=4)
         pivot, window = group.pivot_block, group.window
-        mats = [np.vstack([b.matrix() for b in t.window_blocks(pivot, window)])
+        mats = [np.vstack([b.frames for b in t.window_blocks(pivot, window)])
                 for t in group.branches]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
@@ -206,7 +214,7 @@ class TestRolloutGroup:
         # replay contexts below cover; here just check trajectory lengths.
         for t in group.all_trajectories():
             assert len(t.blocks) == 8
-            assert len(t.history) == 24
+        assert len(group.history) == 24 and group.history.keys.shape[:2] == (3, 24)
 
     def test_precondition_window_fits(self):
         with pytest.raises(ConfigError):
@@ -220,7 +228,7 @@ class TestRolloutGroup:
         _, fixed = make_group(seed=10, pivot=6, window=3)
         _, per_block = make_group(seed=10, pivot=6, window=3,
                                   routing_per_block=True)
-        same = all(np.array_equal(a.matrix(), b.matrix())
+        same = all(np.array_equal(a.frames, b.frames)
                    for t1, t2 in zip(fixed.branches, per_block.branches)
                    for a, b in zip(t1.blocks, t2.blocks))
         assert not same
@@ -311,12 +319,83 @@ class TestReplayContexts:
             build_replay_contexts(group, source="other")
 
 
+@dataclass
+class RowMemory:
+    """Reference: one trajectory's memory as the generator kept it before the
+    group memory: its own (M, h) key and value arrays plus each row's frame
+    index, filled sink first, with positional eviction, and rebuilt by
+    concatenation on every append."""
+
+    sink_size: int = 3
+    local_capacity: int = 9
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
+    frames: tuple = ()
+
+    def append(self, keys, values, frames):
+        filled = min(len(self.frames), self.sink_size)
+        frames = self.frames + tuple(frames)
+        sink = min(len(frames), self.sink_size)
+        if frames[filled:sink] != tuple(range(filled + 1, sink + 1)):
+            raise ContractError(f"sink frames out of order: {frames[filled:sink]}")
+        if self.keys is not None:
+            keys = np.concatenate([self.keys, keys])
+            values = np.concatenate([self.values, values])
+        drop = len(frames) - sink - self.local_capacity
+        if drop > 0:
+            keys = np.concatenate([keys[:sink], keys[sink + drop:]])
+            values = np.concatenate([values[:sink], values[sink + drop:]])
+            frames = frames[:sink] + frames[sink + drop:]
+        self.keys, self.values, self.frames = keys, values, frames
+
+
+@dataclass
+class RowHistory:
+    """Reference: one trajectory's (N, h) frame history, grown by
+    concatenation, from which its routed and default memories are gathered."""
+
+    keys: np.ndarray | None = None
+    values: np.ndarray | None = None
+
+    def __len__(self):
+        return 0 if self.keys is None else len(self.keys)
+
+    def copy(self):
+        return RowHistory(self.keys, self.values)
+
+    def append(self, keys, values, frames):
+        assert list(frames) == list(range(len(self) + 1, len(self) + len(frames) + 1))
+        if self.keys is not None:
+            keys = np.concatenate([self.keys, keys])
+            values = np.concatenate([self.values, values])
+        self.keys, self.values = keys, values
+
+    def gather(self, frames, sink_size, local_capacity):
+        frames = tuple(frames)
+        if not frames:
+            return RowMemory(sink_size, local_capacity)
+        assert all(1 <= f <= len(self) for f in frames)
+        rows = np.array(frames) - 1
+        return RowMemory(sink_size, local_capacity, self.keys[rows], self.values[rows], frames)
+
+    def default_cache(self, upto_frame, sink_size, local_capacity):
+        first_local = max(sink_size, upto_frame - local_capacity)
+        return self.gather([*range(1, min(sink_size, upto_frame) + 1),
+                            *range(first_local + 1, upto_frame + 1)], sink_size, local_capacity)
+
+    def branch_cache(self, L, routing, sink_size):
+        near_count = routing.local_size - len(routing.indices)
+        return self.gather([*range(1, sink_size + 1), *routing.indices,
+                            *range(L - near_count + 1, L + 1)], sink_size, routing.local_size)
+
+
 class ReferenceRollout:
     """Reference: the per-trajectory rollout that the lockstep group engine
     replaced.  The prefix, then the anchor and each branch in turn, are solved
-    one (F, d) block at a time, with one network call per solver step and one
-    key/value projection per block.  Records the memory length each solve saw,
-    per block."""
+    one (F, d) block at a time over their own :class:`RowMemory` and
+    :class:`RowHistory`, with one network call per solver step and one
+    key/value projection per block.  Records the memory length each solve
+    saw, per block."""
 
     def __init__(self, params, prompt, cfg):
         self.params, self.prompt, self.cfg = params, prompt, cfg
@@ -326,7 +405,7 @@ class ReferenceRollout:
         cfg = self.cfg
         d = network.shape_from_layout(self.params.layout).latent_dim
         x, t = block_noise(noise_seed, b, cfg.frames_per_block, d), 0.0
-        keys, values = cache.stacked()
+        keys, values = cache.keys, cache.values
         self.lengths[b].add(0 if keys is None else len(keys))
         rows = []
         for _ in range(cfg.num_steps):
@@ -346,7 +425,7 @@ class ReferenceRollout:
     def group(self, num_blocks, pivot, window, num_branches, seeds,
               local_kv_choices=((9, 6),), routing_per_block=False, routing_overrides=None):
         cfg = self.cfg
-        cache, history, prefix = KVCache(cfg.sink_size, cfg.local_size), FrameHistory(), []
+        cache, history, prefix = RowMemory(cfg.sink_size, cfg.local_size), RowHistory(), []
         for b in range(1, pivot):
             block, _ = self.generate(cache, b, seeds.noise, False)
             self.write_back(cache, block, history)
@@ -366,13 +445,13 @@ class ReferenceRollout:
             decide = _branch_decider(seeds, branch_id, local_kv_choices, pivot_frame,
                                      cfg.sink_size, override)
             routing = decide(pivot_frame, pivot if routing_per_block else None)
-            cache = build_branch_cache(history, pivot_frame, routing, cfg.sink_size)
+            cache = history.branch_cache(pivot_frame, routing, cfg.sink_size)
         blocks, replay = list(prefix), []
         for b in range(pivot, num_blocks + 1):
             in_window = pivot <= b < pivot + window
             if routing is not None and in_window and routing_per_block and b > pivot:
-                cache = build_branch_cache(history, len(history),
-                                           decide(len(history), b), cfg.sink_size)
+                cache = history.branch_cache(len(history), decide(len(history), b),
+                                             cfg.sink_size)
             if b == pivot + window:
                 cache = history.default_cache(len(history), cfg.sink_size, cfg.local_size)
             block, steps = self.generate(cache, b, seeds.noise, in_window)
@@ -435,8 +514,8 @@ class TestLockstepMatchesReference:
                 mine, theirs = getattr(traj.replay, field), getattr(replay, field)
                 assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
                 assert mine.tobytes() == theirs.tobytes(), field
-            assert traj.history.keys.tobytes() == history.keys.tobytes()
-            assert traj.history.values.tobytes() == history.values.tobytes()
+            assert group.history.keys[g].tobytes() == history.keys.tobytes()
+            assert group.history.values[g].tobytes() == history.values.tobytes()
         if "local_kv_choices" in kw:  # the case mixes memory lengths in one block
             assert max(len(n) for n in reference.lengths.values()) > 1
         # One network call per (block, solver step, memory length), and one
@@ -444,3 +523,41 @@ class TestLockstepMatchesReference:
         assert calls["velocity_forward"] == cfg.num_steps * sum(
             len(n) for n in reference.lengths.values())
         assert calls["kv_for_frames"] == num_blocks
+
+
+class TestReplayContextsMatchReference:
+    @pytest.mark.parametrize("source", ["branch", "anchor"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    def test_bitwise_equal_to_per_trajectory_default_cache(self, source, mixed,
+                                                          monkeypatch):
+        # The mixed group pivots early enough that the first window block's
+        # memory is shorter than the later ones.
+        params, prompt, cfg = param_init(SHAPE, 3), np.linspace(0.5, -0.5, 4), GeneratorConfig()
+        pivot, choices = (4, ((5, 2),)) if mixed else (5, ((9, 6),))
+        args = (8, pivot, 4, 6, GroupSeeds(31, 32))
+        histories = [h for *_, h in ReferenceRollout(params, prompt, cfg).group(*args, choices)]
+        group = rollout_group(params, prompt, *args, cfg, choices)
+
+        memories = [[histories[0 if source == "anchor" else g].default_cache(
+            cfg.frames_per_block * (b - 1), cfg.sink_size, cfg.local_size)
+            for b in group.window_block_indices] for g in range(len(histories))]
+        sizes = np.array([len(m.frames) for m in memories[0]])
+        shape = (len(histories), len(sizes), sizes.max(), SHAPE.hidden_dim)
+        keys, values = np.zeros(shape), np.zeros(shape)
+        for i, row in enumerate(memories):
+            for j, m in enumerate(row):
+                keys[i, j, :sizes[j]], values[i, j, :sizes[j]] = m.keys, m.values
+
+        calls = []
+        real = FrameHistory.default_cache
+        monkeypatch.setattr(FrameHistory, "default_cache",
+                            lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        contexts = build_replay_contexts(group, source)
+        monkeypatch.undo()
+        assert len(calls) == group.window  # one gather per window block, all rows
+        assert (len(set(sizes.tolist())) > 1) == mixed
+        assert contexts.window_blocks == group.window_block_indices
+        assert contexts.sizes.tolist() == sizes.tolist()
+        assert contexts.keys.shape == keys.shape
+        assert contexts.keys.tobytes() == keys.tobytes()
+        assert contexts.values.tobytes() == values.tobytes()

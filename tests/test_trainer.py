@@ -382,7 +382,7 @@ class TestRun:
                     "branch_id": traj.branch_id,
                     "routing": list(traj.routing.indices) if traj.routing else None,
                     "reward": traj.reward,
-                    "blocks": [b.matrix().tolist() for b in traj.blocks],
+                    "blocks": [b.frames.tolist() for b in traj.blocks],
                 })
         assert updated, "no update in the run; the check would not see stale params"
         assert [json.loads(line) for line in lines] == expected
