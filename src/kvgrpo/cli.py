@@ -146,7 +146,11 @@ def cmd_inspect(args) -> int:
     if not path.exists():
         print(f"no such file: {path}")
         return EXIT_CONFIG
-    head = path.open("rb").read(8)
+    if not path.is_file():
+        print(f"not a file: {path}")
+        return EXIT_CONFIG
+    with path.open("rb") as fh:
+        head = fh.read(8)
     if head == MAGIC:
         data = load_checkpoint(path)
         values = data.params.values

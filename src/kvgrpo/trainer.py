@@ -19,7 +19,7 @@ import numpy as np
 from . import policy
 from .checkpoint import save_checkpoint
 from .config import RunConfig, TrainerConfig, to_flat_dict
-from .errors import NumericalError
+from .errors import ContractError, NumericalError
 from .flow import GeneratorConfig
 from .network import NetworkShape, param_init
 from .params import GradVector, Params
@@ -271,13 +271,23 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
 
 
 def _dump_trajectories(fh, group: RolloutGroup, record: IterationRecord) -> None:
-    """Dump one record per trajectory of the group the iteration trained on."""
-    for traj in group.all_trajectories():
-        fh.write(json.dumps({
-            "iteration": record.iteration,
-            "branch_id": traj.branch_id,
-            "routing": list(traj.routing.indices) if traj.routing else None,
-            "reward": traj.reward,
-            "blocks": [b.frames.tolist() for b in traj.blocks],
-        }, allow_nan=False) + "\n")
+    """Dump one line per trajectory of the group the iteration trained on, in
+    one write: the bytes of a per-trajectory ``json.dumps`` of its record, with
+    the prefix blocks that every trajectory shares encoded once."""
+    trajectories, shared = group.all_trajectories(), group.pivot_block - 1
+    blocks = group.frames.reshape(len(trajectories), -1, group.gen_cfg.frames_per_block,
+                                  group.frames.shape[-1])
+    if not np.isfinite(blocks).all():
+        raise ValueError("trajectory frames hold a value that JSON cannot encode")
+    if not (blocks[:, :shared] == blocks[:1, :shared]).all():
+        raise ContractError("trajectories differ before the pivot block")
+    prefix = "".join(json.dumps(b, allow_nan=False) + ", " for b in blocks[0, :shared].tolist())
+    lines = []
+    for traj, rest in zip(trajectories, blocks[:, shared:]):
+        head = json.dumps({"iteration": record.iteration, "branch_id": traj.branch_id,
+                           "routing": list(traj.routing.indices) if traj.routing else None,
+                           "reward": traj.reward}, allow_nan=False)
+        rest_text = json.dumps(rest.tolist(), allow_nan=False)
+        lines.append(f'{head[:-1]}, "blocks": [{prefix}{rest_text[1:]}}}\n')
+    fh.write("".join(lines))
     fh.flush()

@@ -585,3 +585,7 @@ class TestCli:
 
     def test_inspect_missing_file(self, capsys):
         assert main(["inspect", "/definitely/not/here"]) == 1
+
+    def test_inspect_directory(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 1
+        assert f"not a file: {tmp_path}" in capsys.readouterr().out

@@ -1,16 +1,23 @@
 """Training loop: snapshots, optimizer, EMA, guard behavior, ratio identity,
 warmup, and reproducibility."""
 
+import io
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from kvgrpo.checks import rel_l2
+from kvgrpo.checks import make_instance, rel_l2
 from kvgrpo.config import RunConfig, TrainerConfig
+from kvgrpo.errors import ContractError
+from kvgrpo.flow import Block, GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import GradVector
+from kvgrpo.routing import BranchTrajectory, GroupSeeds, RolloutGroup, RoutingDecision
 from kvgrpo.trainer import (Adam, TrainerState, clip_gradient, ema_update,
-                            init_state, learning_rate_at, run, snapshot,
-                            train_iteration)
+                            _dump_trajectories, init_state, learning_rate_at, run,
+                            snapshot, train_iteration)
 
 
 def small_config(**overrides) -> TrainerConfig:
@@ -407,3 +414,108 @@ class TestRun:
         init_gap = np.linalg.norm(init_state(cfg.trainer).params.values
                                   - result.state.params.values)
         assert gap < init_gap
+
+
+def reference_dump(fh, group, record):
+    """The per-trajectory encoder that the shared-prefix dump replaced: its
+    bytes are the dump's contract."""
+    for traj in group.all_trajectories():
+        fh.write(json.dumps({
+            "iteration": record.iteration,
+            "branch_id": traj.branch_id,
+            "routing": list(traj.routing.indices) if traj.routing else None,
+            "reward": traj.reward,
+            "blocks": [b.frames.tolist() for b in traj.blocks],
+        }, allow_nan=False) + "\n")
+    fh.flush()
+
+
+class RecordingFile(io.StringIO):
+    """A text file that counts its writes and flushes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+    def flush(self):
+        self.flushes += 1
+
+
+def hand_group(pivot: int, rows: int = 3, num_blocks: int = 4, F: int = 2,
+               d: int = 3) -> RolloutGroup:
+    """A group built without a rollout: random frames, equal before the pivot."""
+    rng = np.random.default_rng(pivot)
+    frames = rng.normal(size=(rows, num_blocks * F, d))
+    frames[:, :(pivot - 1) * F] = frames[0, :(pivot - 1) * F]
+    trajectories = [BranchTrajectory(
+        [Block(frames[g, (b - 1) * F:b * F], b) for b in range(1, num_blocks + 1)],
+        None if g == 0 else RoutingDecision((4 + g, 6 + g), 3), None, g, -0.25 * g)
+        for g in range(rows)]
+    return RolloutGroup(trajectories[0], trajectories[1:], pivot, 1, GroupSeeds(1, 2),
+                        np.zeros(2), GeneratorConfig(frames_per_block=F), frames, None)
+
+
+EXPLORE_WIDE = dict(branch_number=16, local_kv_choices=[[6, 3], [9, 6], [12, 9]],
+                    routing_mode="per_block", surrogate="latent_l2")
+
+
+class TestTrajectoryDump:
+    @pytest.mark.parametrize("overrides", [EXPLORE_WIDE, {}],
+                             ids=["explore-wide", "default"])
+    def test_file_bytes_equal_per_trajectory_encoder(self, overrides, tmp_path,
+                                                     monkeypatch):
+        from kvgrpo import trainer
+        expected, pivots = io.StringIO(), []
+
+        def both(fh, group, record):
+            reference_dump(expected, group, record)
+            pivots.append(group.pivot_block)
+            _dump_trajectories(fh, group, record)
+
+        monkeypatch.setattr(trainer, "_dump_trajectories", both)
+        cfg = TrainerConfig(seed=0, max_iterations=8, **overrides).validate()
+        run(RunConfig(trainer=cfg, out_dir=str(tmp_path),
+                      dump_trajectories=True).validate())
+        assert sorted(set(pivots)) == [5, 6, 7]  # every prefix length of the config
+        assert ((tmp_path / "trajectories.jsonl").read_bytes()
+                == expected.getvalue().encode())
+
+    @pytest.mark.parametrize("pivot", [1, 2, 4])
+    def test_hand_built_group_one_write(self, pivot):
+        group = hand_group(pivot)
+        record = SimpleNamespace(iteration=7)
+        fh, expected = RecordingFile(), io.StringIO()
+        _dump_trajectories(fh, group, record)
+        reference_dump(expected, group, record)
+        assert fh.getvalue() == expected.getvalue()
+        assert (fh.writes, fh.flushes) == (1, 1)
+        lines = fh.getvalue().splitlines()
+        assert [json.loads(line)["branch_id"] for line in lines] == [0, 1, 2]
+        # An empty prefix leaves no separator before the first block.
+        assert all('"blocks": [[[' in line for line in lines)
+
+    @pytest.mark.parametrize("row, frame", [(1, 0), (2, 7), (8, 14)])
+    def test_prefix_mismatch_raises_and_writes_nothing(self, row, frame):
+        group = make_instance(seed=3).group   # pivot 6: frames 0-14 are the prefix
+        group.frames[row, frame, 1] += 1e-12
+        fh = RecordingFile()
+        with pytest.raises(ContractError):
+            _dump_trajectories(fh, group, SimpleNamespace(iteration=1))
+        assert (fh.getvalue(), fh.writes) == ("", 0)
+
+    @pytest.mark.parametrize("rows, frame", [(slice(None), 3), (slice(0, 1), 16),
+                                             (slice(8, 9), 17), (slice(2, 3), 4)],
+                             ids=["shared-prefix", "anchor-tail", "branch-tail",
+                                  "one-row-prefix"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_frame_raises_and_writes_nothing(self, rows, frame, value):
+        group = make_instance(seed=3).group
+        group.frames[rows, frame, 0] = value
+        fh = RecordingFile()
+        with pytest.raises(ValueError):
+            _dump_trajectories(fh, group, SimpleNamespace(iteration=1))
+        assert (fh.getvalue(), fh.writes) == ("", 0)
