@@ -85,9 +85,11 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise ConfigError(f"{path} has a corrupt checkpoint header: {exc!r}") from None
     if count != layout.total:
         raise ConfigError(f"checkpoint count {count} disagrees with layout {layout.total}")
-    need = count * 8 * (2 if has_ema else 1)
-    if len(raw) - offset < need:
+    need, have = count * 8 * (2 if has_ema else 1), len(raw) - offset
+    if have < need:
         raise ConfigError(f"checkpoint truncated: need {need} value bytes")
+    if have > need:
+        raise ConfigError(f"checkpoint has {have - need} bytes after its {need} value bytes")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     params = Params(values.astype(np.float64), layout)
     ema = None

@@ -182,6 +182,10 @@ def cmd_inspect(args) -> int:
                 continue
             if not isinstance(record, dict):
                 raise ConfigError(f"{path}: line {number} is not a JSON object")
+            missing = [key for key in ("iteration", "skipped") if key not in record]
+            if missing or "blocks" in record:  # e.g. a trajectories.jsonl line
+                why = "carries 'blocks'" if "blocks" in record else f"lacks {missing[0]!r}"
+                raise ConfigError(f"{path} is not a metrics file: line {number} {why}")
             reward = record.get("anchor_reward")
             if isinstance(reward, bool) or not isinstance(reward, (int, float, type(None))):
                 raise ConfigError(f"{path}: line {number} has a non-numeric anchor_reward")

@@ -94,21 +94,19 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
 
 
 def generate_block(params: Params, cache: KVCache, block_index: int,
-                   noise_seed: int, prompt: np.ndarray, record_replay: bool = False,
+                   noise: np.ndarray, prompt: np.ndarray, record_replay: bool = False,
                    cfg: GeneratorConfig = GeneratorConfig()
                    ) -> tuple[Block, ReplaySteps | None]:
-    """Solve one block from seeded noise to the clean sample for every row of
-    ``cache`` at once: row i runs over its memory, and all rows start from
-    the same noise.
+    """Solve one block from its (F, d) start latents ``noise`` (see
+    :func:`block_noise`) to the clean sample for every row of ``cache`` at
+    once: row i runs over its memory, and all rows start from the same noise.
 
     Each solver step makes one network call per memory-length bucket.  Rows
     are not padded to one length: that would change the reduction lengths and
-    so the bits.  Deterministic in (params, cache, block_index, noise_seed,
-    prompt).  Returns the (rows, F, d) block and, with ``record_replay``, the
-    group's :class:`ReplaySteps`; otherwise ``None``.
+    so the bits.  Deterministic in (params, cache, noise, prompt).  Returns the
+    (rows, F, d) block and, with ``record_replay``, the group's
+    :class:`ReplaySteps`; otherwise ``None``.
     """
-    d = network.shape_from_layout(params.layout).latent_dim
-    noise = block_noise(noise_seed, block_index, cfg.frames_per_block, d)
     x = np.empty((len(cache.frames), *noise.shape))
     z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
     for rows, keys, values in cache.stacked():

@@ -3,13 +3,16 @@
 A group rollout shares a deterministic prefix up to a pivot block, then each
 branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
-all variation between branches comes from the memory composition alone.  The
-group is generated in lockstep over one key/value history: each block is
-solved once for all trajectories, with one network call per solver step and
-memory-length bucket (mixed ``local_kv_choices`` give memories of several
-lengths).  The solver steps inside the perturbation window are cached as rows
-for later replay under default-layout memories, gathered for the whole group
-once per window block.
+all variation between branches comes from the memory composition alone.  None
+of that randomness depends on the parameters: :func:`plan_rollout` draws a
+group's start noise and routings before it is rolled out (a trainer may draw
+them ahead), and :func:`rollout_group` only reads them.  The group is
+generated in lockstep over one key/value history: each block is solved once
+for all trajectories, with one network call per solver step and memory-length
+bucket (mixed ``local_kv_choices`` give memories of several lengths).  The
+solver steps inside the perturbation window are cached as rows for later
+replay under default-layout memories, gathered for the whole group once per
+window block.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import network
 from .cache import FrameHistory, KVCache, default_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
-from .flow import Block, GeneratorConfig, ReplaySteps, generate_block, write_back
+from .flow import Block, GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
 from .params import Params
 
 
@@ -152,14 +155,47 @@ def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int
     return decide
 
 
+@dataclass(frozen=True)
+class RolloutPlan:
+    """A group's draws.  Row b-1 of ``noise`` is block b's (F, d) start
+    latents; ``routings[b]`` holds every trajectory's routing (``None`` for the
+    anchor) at each block b that routes: the pivot, or under per-block routing
+    every window block."""
+
+    noise: np.ndarray
+    routings: dict[int, tuple[RoutingDecision | None, ...]]
+
+
+def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
+                 seeds: GroupSeeds, cfg: GeneratorConfig, latent_dim: int,
+                 local_kv_choices=((9, 6),), routing_per_block: bool = False,
+                 routing_overrides: dict[int, tuple[int, ...]] | None = None
+                 ) -> RolloutPlan:
+    """Draw a group's start noise and routings from its seeds: block b routes
+    over (b-1)*F frames of history, whatever the parameters."""
+    F = cfg.frames_per_block
+    noise = np.stack([block_noise(seeds.noise, b, F, latent_dim)
+                      for b in range(1, num_blocks + 1)])
+    deciders = [_branch_decider(
+        seeds, g, local_kv_choices, (pivot - 1) * F, cfg.sink_size,
+        None if routing_overrides is None else routing_overrides.get(g))
+        for g in range(1, num_branches + 1)]
+    routed = range(pivot, pivot + window) if routing_per_block else (pivot,)
+    return RolloutPlan(noise, {b: (None, *(decide((b - 1) * F, b if routing_per_block else None)
+                                           for decide in deciders)) for b in routed})
+
+
 def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: int,
                   window: int, num_branches: int, seeds: GroupSeeds,
                   cfg: GeneratorConfig = GeneratorConfig(),
                   local_kv_choices=((9, 6),),
                   routing_per_block: bool = False,
-                  routing_overrides: dict[int, tuple[int, ...]] | None = None
-                  ) -> RolloutGroup:
+                  routing_overrides: dict[int, tuple[int, ...]] | None = None,
+                  plan: RolloutPlan | None = None) -> RolloutGroup:
     """Anchor plus ``num_branches`` routed branches sharing prefix and noise.
+
+    ``plan`` is the group's draws, from :func:`plan_rollout` with these
+    arguments; when None, they are drawn here.
 
     One loop over blocks, each one :func:`generate_block` and one
     :func:`write_back` call: the prefix is one row written to every
@@ -167,7 +203,7 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     rows.  Within the window a branch runs under its routed memory (shifted by
     positional write-back, or rebuilt per block when ``routing_per_block``),
     then under the default layout.  Every window solver step is recorded for
-    replay, the anchor's too.
+    replay, the anchor's too.  The block loop draws nothing.
     """
     if window < 1 or pivot < 1:
         raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
@@ -179,6 +215,10 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
 
     # Row i of the history and the frames is trajectory i.
     shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block
+    if plan is None:
+        plan = plan_rollout(num_blocks, pivot, window, num_branches, seeds, cfg,
+                            shape.latent_dim, local_kv_choices, routing_per_block,
+                            routing_overrides)
     history = FrameHistory.allocate(num_branches + 1, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((num_branches + 1, num_blocks * F, shape.latent_dim))
     cache = KVCache(history, [()], [cfg.local_size], cfg.sink_size)
@@ -186,23 +226,19 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
     for b in range(1, num_blocks + 1):
         in_window = pivot <= b < pivot + window
         L = len(history)
-        if b == pivot:
-            deciders = [_branch_decider(
-                seeds, g, local_kv_choices, L, cfg.sink_size,
-                None if routing_overrides is None else routing_overrides.get(g))
-                for g in range(1, num_branches + 1)]
-        if b == pivot or in_window and routing_per_block:
-            decided = [None] + [decide(L, b if routing_per_block else None) for decide in deciders]
-            routings = decided if b == pivot else routings  # recorded: the pivot's
-            cache = build_branch_cache(history, L, decided, cfg.sink_size, cfg.local_size)
+        if b in plan.routings:
+            cache = build_branch_cache(history, L, plan.routings[b], cfg.sink_size,
+                                       cfg.local_size)
         elif b == pivot + window:  # back to the default layout over own frames
             cache = history.default_cache(L, cfg.sink_size, cfg.local_size)
-        block, steps = generate_block(params, cache, b, seeds.noise, prompt, in_window, cfg)
+        block, steps = generate_block(params, cache, b, plan.noise[b - 1], prompt, in_window,
+                                      cfg)
         write_back(cache, block, params, prompt)
         frames[:, L:L + F] = block.frames
         replay += [steps] if in_window else []
 
     replay_steps = ReplaySteps.concat(replay)
+    routings = plan.routings[pivot]  # recorded: the pivot's
     trajectories = [BranchTrajectory(
         [Block(frames[g, (b - 1) * F:b * F], b) for b in range(1, num_blocks + 1)],
         routings[g], replay_steps.row(g), g) for g in range(num_branches + 1)]

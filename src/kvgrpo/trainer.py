@@ -3,13 +3,17 @@ guarded PPO-KL update, and metrics emission.
 
 Runs are bit-reproducible for a fixed seed: every random draw derives from
 numpy SeedSequences keyed by (seed, iteration, purpose tag), and the update
-path is pure numpy in a fixed order.
+path is pure numpy in a fixed order.  No draw depends on the parameters, so
+:func:`plan_iteration` makes them all, and :func:`run` plans each iteration
+ahead of training in a forked process, on another core, with the same bits.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +29,8 @@ from .network import NetworkShape, param_init
 from .params import GradVector, Params
 from .policy import PolicyConfig, gibbs, guard
 from .rewards import composite
-from .routing import GroupSeeds, RolloutGroup, build_replay_contexts, rollout_group
+from .routing import (GroupSeeds, RolloutGroup, RolloutPlan, build_replay_contexts,
+                      plan_rollout, rollout_group)
 
 # Purpose tags for seed derivation (documented; never reused across purposes).
 _TAG_INIT, _TAG_PIVOT, _TAG_NOISE, _TAG_ROUTING = 17, 11, 13, 19
@@ -132,6 +137,32 @@ def iteration_seeds(cfg: TrainerConfig, iteration: int) -> tuple[int, GroupSeeds
     return pivot, GroupSeeds(noise, routing)
 
 
+def _generator_cfg(cfg: TrainerConfig) -> GeneratorConfig:
+    return GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps, cfg.sink_size,
+                           cfg.local_size)
+
+
+@dataclass(frozen=True)
+class IterationPlan:
+    """Everything about one iteration that does not depend on the parameters."""
+
+    iteration: int
+    pivot: int
+    window: int
+    seeds: GroupSeeds
+    rollout: RolloutPlan     # the group's start noise and routings
+
+
+def plan_iteration(cfg: TrainerConfig, iteration: int) -> IterationPlan:
+    """The plan of iteration ``iteration``, a pure function of its arguments."""
+    pivot, seeds = iteration_seeds(cfg, iteration)
+    window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
+    return IterationPlan(iteration, pivot, window, seeds, plan_rollout(
+        cfg.num_blocks, pivot, window, cfg.branch_number, seeds, _generator_cfg(cfg),
+        cfg.latent_dim, tuple(tuple(c) for c in cfg.local_kv_choices),
+        cfg.routing_mode == "per_block"))
+
+
 def learning_rate_at(cfg: TrainerConfig, iteration: int) -> float:
     """Constant rate with a linear ramp over the first ``warmup_steps`` iterations."""
     if cfg.warmup_steps <= 0:
@@ -146,18 +177,22 @@ def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
         traj.reward = reward
 
 
-def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
-    """One full iteration.  On a guard skip or a numerical error the parameters
-    and the optimizer are left untouched (bitwise) and the record says so; an
-    error in the rollout or the rewards leaves the record without rewards and
-    ``state.group`` empty.  One value-only replay runs: at the parameters if
-    skipped, else at the reference; the old policy comes from the first taped
-    epoch."""
+def train_iteration(state: TrainerState, cfg: TrainerConfig,
+                    plan: IterationPlan | None = None) -> IterationRecord:
+    """One full iteration, following ``plan`` (planned here when None).  On a
+    guard skip or a numerical error the parameters and the optimizer are left
+    untouched (bitwise) and the record says so; an error in the rollout or the
+    rewards leaves the record without rewards and ``state.group`` empty.  One
+    value-only replay runs: at the parameters if skipped, else at the
+    reference; the old policy comes from the first taped epoch."""
     started = time.perf_counter()
     state.iteration += 1
     it = state.iteration
-    pivot, seeds = iteration_seeds(cfg, it)
-    window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
+    if plan is None:
+        plan = plan_iteration(cfg, it)
+    elif plan.iteration != it:
+        raise ContractError(f"the plan of iteration {plan.iteration} reached iteration {it}")
+    pivot, window = plan.pivot, plan.window
     state.group = None  # release the previous group before rolling out the next
     record = IterationRecord(
         iteration=it, pivot_block=pivot, window=window, anchor_reward=None,
@@ -170,11 +205,8 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig) -> IterationRecord:
     entering = snapshot(state.params), copy.deepcopy(state.opt)
     try:
         group = rollout_group(state.params, cfg.prompt(), cfg.num_blocks, pivot, window,
-                              cfg.branch_number, seeds,
-                              GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps,
-                                              cfg.sink_size, cfg.local_size),
-                              tuple(tuple(c) for c in cfg.local_kv_choices),
-                              cfg.routing_mode == "per_block")
+                              cfg.branch_number, plan.seeds, _generator_cfg(cfg),
+                              plan=plan.rollout)
         score_group(group, cfg)
         state.group = group
         rewards = group.branch_rewards()
@@ -225,9 +257,60 @@ class TrainResult:
         return float(np.mean(rewards)) if rewards else None
 
 
+class _Planner:
+    """Plans iterations 1..``max_iterations`` ahead in a forked child, which
+    pickles each plan, or the exception raised making it, into a pipe in
+    order, blocking while the pipe is full.  Inline without ``os.fork``."""
+
+    def __init__(self, cfg: TrainerConfig) -> None:
+        import signal
+        self.cfg, self.pid, self.pipe = cfg, None, None
+        if hasattr(os, "fork"):
+            read, write = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                try:  # the child ignores Ctrl-C and never flushes an inherited buffer
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    os.close(read)
+                    with os.fdopen(write, "wb") as out:
+                        for it in range(1, cfg.max_iterations + 1):
+                            try:
+                                item = plan_iteration(cfg, it)
+                            except Exception as exc:  # noqa: BLE001  - raised by next()
+                                item = exc
+                            out.write(pickle.dumps(item))
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(write)
+            self.pipe = os.fdopen(read, "rb")
+
+    def next(self, iteration: int) -> IterationPlan:
+        if self.pipe is None:
+            return plan_iteration(self.cfg, iteration)
+        try:
+            item = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"the planner process {self.pid} died before planning "
+                               f"iteration {iteration}") from None
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def close(self) -> None:
+        """Stop the child, if it still runs, and reap it."""
+        if self.pipe is not None:
+            import signal
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pipe = None
+
+
 def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     """Iterate to ``max_iterations``, streaming metrics records and writing
-    periodic checkpoints when an output directory is configured."""
+    periodic checkpoints when an output directory is configured.  The planner
+    is forked before any output file is opened."""
     cfg = run_cfg.trainer
     state = init_state(cfg)
     result = TrainResult(state)
@@ -235,11 +318,7 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     out_dir = Path(run_cfg.out_dir) if run_cfg.out_dir else None
     metrics_file = None
     traj_file = None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_file = (out_dir / run_cfg.metrics_filename).open("w")
-        if run_cfg.dump_trajectories:
-            traj_file = (out_dir / "trajectories.jsonl").open("w")
+    planner = _Planner(cfg)
 
     def checkpoint(tag: str) -> None:
         if out_dir is not None:
@@ -247,9 +326,14 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
                             to_flat_dict(run_cfg), state.iteration, state.ema)
 
     try:
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            metrics_file = (out_dir / run_cfg.metrics_filename).open("w")
+            if run_cfg.dump_trajectories:
+                traj_file = (out_dir / "trajectories.jsonl").open("w")
         checkpoint("init")
         for _ in range(cfg.max_iterations):
-            record = train_iteration(state, cfg)
+            record = train_iteration(state, cfg, planner.next(state.iteration + 1))
             result.records.append(record)
             if metrics_file is not None:
                 metrics_file.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
@@ -263,6 +347,7 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
                 checkpoint(f"{state.iteration:06d}")
         checkpoint("final")
     finally:
+        planner.close()
         if metrics_file is not None:
             metrics_file.close()
         if traj_file is not None:

@@ -218,6 +218,27 @@ class TestCheckpoint:
         save_checkpoint(path, params, {}, 0, None)
         assert load_checkpoint(path).ema is None
 
+    @pytest.mark.parametrize("ema", [False, True])
+    def test_trailing_bytes_rejected(self, tmp_path, capsys, ema):
+        params = param_init(NetworkShape(3, 5, 2), 9)
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {}, 0, params if ema else None)
+        path.write_bytes(path.read_bytes() + bytes(4096))
+        with pytest.raises(ConfigError, match="4096 bytes after its"):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_second_value_block_without_ema_rejected(self, tmp_path, capsys):
+        # A has_ema: false header followed by two blocks of values.
+        params = param_init(NetworkShape(3, 5, 2), 9)
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {}, 0, None)
+        path.write_bytes(path.read_bytes() + params.values.astype("<f8").tobytes())
+        with pytest.raises(ConfigError, match="bytes after its"):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
         params = param_init(NetworkShape(3, 5, 2), 9)
         path = tmp_path / "ck.kvc"
@@ -484,6 +505,28 @@ class TestCli:
         assert main(["inspect", str(path)]) == 1
         assert "line 1 is not valid JSON" in capsys.readouterr().err
 
+    def test_inspect_refuses_a_trajectory_dump(self, tmp_path, capsys):
+        cfg_path = write_small_config(tmp_path, max_iterations=3)
+        out_dir = tmp_path / "rund"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--set", "dump_trajectories=true", "train"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out_dir / "trajectories.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert "not a metrics file: line 1 carries 'blocks'" in captured.err
+        assert "records)" not in captured.out
+        assert main(["inspect", str(out_dir / "metrics.jsonl")]) == 0
+        assert "(3 records)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line,why", [('{"iteration": 1}', "lacks 'skipped'"),
+                                          ('{"skipped": false}', "lacks 'iteration'")])
+    def test_inspect_refuses_lines_that_are_not_records(self, tmp_path, capsys, line, why):
+        lines = self._metrics_lines(tmp_path, capsys)
+        path = tmp_path / "other.jsonl"
+        path.write_text(lines[0] + line + "\n" + lines[1])
+        assert main(["inspect", str(path)]) == 1
+        assert f"not a metrics file: line 2 {why}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("reward", ['"x"', "true", "[0.5]", '{"a": 1}'])
     def test_inspect_metrics_with_non_numeric_anchor_reward(self, tmp_path, capsys, reward):
         path = tmp_path / "reward.jsonl"
@@ -546,6 +589,16 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.split() == ["False", "kvgrpo.config", "kvgrpo.trainer"]
+
+    def test_training_set_up_leaves_multiprocessing_unloaded(self):
+        # What the benchmark's set-up time covers: the planner is forked
+        # with os.fork, and nothing on this path loads multiprocessing.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        probe = ("import sys, kvgrpo.trainer as t; t.init_state(t.TrainerConfig()); "
+                 "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split() == ["False"]
 
     def test_train_is_bit_identical_at_one_and_two_threads(self, tmp_path):
         # Each run is its own process, so the thread pin reaches its BLAS.

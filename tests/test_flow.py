@@ -43,8 +43,9 @@ def row_memory(cache, row=0):
 def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=False,
                  cfg=GeneratorConfig()):
     """One trajectory's block: the (F, d) frames and its replay rows (or None)."""
-    block, steps = generate_block(params, cache, block_index, noise_seed, prompt,
-                                  record_replay, cfg)
+    noise = block_noise(noise_seed, block_index, cfg.frames_per_block,
+                        shape_from_layout(params.layout).latent_dim)
+    block, steps = generate_block(params, cache, block_index, noise, prompt, record_replay, cfg)
     return Block(block.frames[0], block_index), None if steps is None else steps.row(0)
 
 
@@ -114,7 +115,8 @@ class TestEulerSolve:
             np.testing.assert_array_equal(z, xT)
 
     def test_every_row_of_a_group_starts_from_the_same_noise(self, tiny_params):
-        block, steps = generate_block(tiny_params, one_row_cache(rows=2), 1, 9, PROMPT, True)
+        block, steps = generate_block(tiny_params, one_row_cache(rows=2), 1,
+                                      block_noise(9, 1, 3, 3), PROMPT, True)
         assert block.frames.shape == (2, 3, 3) and steps.z.shape == (2, 4, 3, 3)
         np.testing.assert_array_equal(steps.row(0).z[0], block_noise(9, 1, 3, 3))
         np.testing.assert_array_equal(steps.row(1).z[0], block_noise(9, 1, 3, 3))
@@ -135,7 +137,8 @@ class TestGenerateBlock:
         assert steps.step.tolist() == [1, 2, 3, 4]
         assert steps.block.tolist() == [1, 1, 1, 1]
         assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
-        assert generate_block(tiny_params, one_row_cache(), 1, 9, PROMPT)[1] is None
+        assert generate_block(tiny_params, one_row_cache(), 1, block_noise(9, 1, 3, 3),
+                              PROMPT)[1] is None
 
     def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
         # With dt = 1/3 the accumulated time differs from step * dt in the

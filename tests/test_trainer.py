@@ -3,6 +3,12 @@ warmup, and reproducibility."""
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,14 +16,14 @@ import pytest
 
 from kvgrpo.checks import make_instance, rel_l2
 from kvgrpo.config import RunConfig, TrainerConfig
-from kvgrpo.errors import ContractError
+from kvgrpo.errors import ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import GradVector
 from kvgrpo.routing import BranchTrajectory, GroupSeeds, RolloutGroup, RoutingDecision
 from kvgrpo.trainer import (Adam, TrainerState, clip_gradient, ema_update,
-                            _dump_trajectories, init_state, learning_rate_at, run,
-                            snapshot, train_iteration)
+                            _dump_trajectories, init_state, learning_rate_at,
+                            plan_iteration, run, snapshot, train_iteration)
 
 
 def small_config(**overrides) -> TrainerConfig:
@@ -414,6 +420,132 @@ class TestRun:
         init_gap = np.linalg.norm(init_state(cfg.trainer).params.values
                                   - result.state.params.values)
         assert gap < init_gap
+
+
+EXPLORE_WIDE = dict(branch_number=16, local_kv_choices=[[6, 3], [9, 6], [12, 9]],
+                    routing_mode="per_block", surrogate="latent_l2")
+
+
+def recorded_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from now on, as the parent sees them."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def children(pid: int) -> list[int]:
+    """Processes whose parent is ``pid`` and that have not exited, read from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            state, parent = (entry / "stat").read_text().rpartition(")")[2].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if entry.name.isdigit() and int(parent) == pid and state != "Z":
+            found.append(int(entry.name))
+    return found
+
+
+def outcomes(records):
+    return [{k: v for k, v in r.to_json().items() if not k.endswith("_s")} for r in records]
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("overrides", [{}, EXPLORE_WIDE], ids=["default", "explore-wide"])
+    def test_run_equals_a_loop_that_plans_inline(self, overrides, monkeypatch):
+        cfg = RunConfig(trainer=TrainerConfig(seed=5, max_iterations=8, **overrides)).validate()
+        pids = recorded_forks(monkeypatch)
+        result = run(cfg)
+        assert len(pids) == 1 and reaped(pids[0])
+        state = init_state(cfg.trainer)
+        records = [train_iteration(state, cfg.trainer) for _ in range(8)]
+        assert outcomes(result.records) == outcomes(records)
+        assert result.state.params.values.tobytes() == state.params.values.tobytes()
+        assert result.state.ema.values.tobytes() == state.ema.values.tobytes()
+
+    def test_plan_of_another_iteration_rejected(self):
+        cfg = small_config()
+        with pytest.raises(ContractError, match="plan of iteration 2"):
+            train_iteration(init_state(cfg), cfg, plan_iteration(cfg, 2))
+
+    def test_planning_error_raised_at_its_iteration(self, monkeypatch, tmp_path):
+        from kvgrpo import trainer
+        real_plan = trainer.plan_iteration
+
+        def plan(cfg, iteration):
+            if iteration == 3:
+                raise InsufficientHistoryError("injected at iteration 3")
+            return real_plan(cfg, iteration)
+
+        monkeypatch.setattr(trainer, "plan_iteration", plan)
+        pids = recorded_forks(monkeypatch)
+        out = tmp_path / "p"
+        with pytest.raises(InsufficientHistoryError, match="injected at iteration 3"):
+            run(RunConfig(trainer=small_config(max_iterations=6), out_dir=str(out)).validate())
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 2
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_killed_planner_raises_instead_of_hanging(self, monkeypatch):
+        pids = recorded_forks(monkeypatch)
+
+        def kill_planner(record):
+            if record.iteration == 2:
+                os.kill(pids[0], signal.SIGKILL)
+
+        # Far more iterations than the pipe can hold plans for.
+        cfg = RunConfig(trainer=small_config(max_iterations=100_000)).validate()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="planner process") as raised:
+            run(cfg, on_record=kill_planner)
+        assert time.monotonic() - started < 60
+        assert f"process {pids[0]} died" in str(raised.value)
+        assert reaped(pids[0])
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_interrupted_train_leaves_no_planner(self, tmp_path):
+        out = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        command = [sys.executable, "-m", "kvgrpo.cli", "--seed", "3", "--out-dir", str(out),
+                   "--set", "num_blocks=6", "--set", "pivot_blocks=[5, 6]",
+                   "train", "--max-iters", "100000"]
+        # Its own process group, which Ctrl-C signals as a whole.
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not ((out / "metrics.jsonl").exists()
+                       and (out / "metrics.jsonl").read_text().count("\n") >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            planners = children(proc.pid)
+            os.kill(planners[0], signal.SIGINT)  # the planner alone ignores it
+            time.sleep(0.5)
+            assert children(proc.pid) == planners
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert len(planners) == 1
+        assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
+        with pytest.raises(ProcessLookupError):
+            os.kill(planners[0], 0)
 
 
 def reference_dump(fh, group, record):
