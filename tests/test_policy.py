@@ -20,6 +20,7 @@ from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, advantages,
                            surrogate_energies, total_loss_grad)
 from kvgrpo.routing import (BranchTrajectory, GroupSeeds, ReplayContexts,
                             build_replay_contexts, rollout_group)
+from reference_ops import pack
 from test_routing import memory
 
 finite_energies = st.lists(
@@ -91,7 +92,7 @@ def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
     def f(reader):
         energies = [reference_energy(reader, b, contexts, pcfg.grad_steps,
                                      pcfg.include_all_steps) for b in group.branches]
-        logits = ad.mul(ad.pack(energies), -1.0 / pcfg.tau)
+        logits = ad.mul(pack(energies), -1.0 / pcfg.tau)
         log_probs = ad.sub(logits, ad.logsumexp(logits))
         return ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
 

@@ -21,8 +21,8 @@ from kvgrpo.flow import Block, GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import GradVector
 from kvgrpo.routing import BranchTrajectory, GroupSeeds, RolloutGroup, RoutingDecision
-from kvgrpo.trainer import (Adam, TrainerState, clip_gradient, ema_update,
-                            _dump_trajectories, init_state, learning_rate_at,
+from kvgrpo.trainer import (Adam, TrainerState, _dump_trajectories, _encode_group, _Sidecar,
+                            clip_gradient, ema_update, init_state, learning_rate_at,
                             plan_iteration, run, snapshot, train_iteration)
 
 
@@ -510,42 +510,164 @@ class TestPlanner:
         # Far more iterations than the pipe can hold plans for.
         cfg = RunConfig(trainer=small_config(max_iterations=100_000)).validate()
         started = time.monotonic()
-        with pytest.raises(RuntimeError, match="planner process") as raised:
+        with pytest.raises(RuntimeError, match="sidecar process") as raised:
             run(cfg, on_record=kill_planner)
         assert time.monotonic() - started < 60
         assert f"process {pids[0]} died" in str(raised.value)
         assert reaped(pids[0])
 
+    def test_iteration_1_is_planned_by_the_parent(self, monkeypatch):
+        from kvgrpo import trainer
+        real_plan, parent, in_parent = trainer.plan_iteration, os.getpid(), []
+
+        def plan(cfg, iteration):
+            if os.getpid() == parent:
+                in_parent.append(iteration)
+            elif iteration < 2:
+                raise AssertionError(f"the sidecar planned iteration {iteration}")
+            return real_plan(cfg, iteration)
+
+        monkeypatch.setattr(trainer, "plan_iteration", plan)
+        result = run(RunConfig(trainer=small_config(max_iterations=5)).validate())
+        assert len(result.records) == 5 and in_parent == [1]
+
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_interrupted_train_leaves_no_planner(self, tmp_path):
+        interrupt_train(tmp_path / "run")
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_interrupted_dumping_train_leaves_no_sidecar(self, tmp_path):
         out = tmp_path / "run"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        command = [sys.executable, "-m", "kvgrpo.cli", "--seed", "3", "--out-dir", str(out),
-                   "--set", "num_blocks=6", "--set", "pivot_blocks=[5, 6]",
-                   "train", "--max-iters", "100000"]
-        # Its own process group, which Ctrl-C signals as a whole.
-        proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE, start_new_session=True)
-        try:
-            deadline = time.monotonic() + 60
-            while not ((out / "metrics.jsonl").exists()
-                       and (out / "metrics.jsonl").read_text().count("\n") >= 2):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            planners = children(proc.pid)
-            os.kill(planners[0], signal.SIGINT)  # the planner alone ignores it
-            time.sleep(0.5)
-            assert children(proc.pid) == planners
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert len(planners) == 1
-        assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
-        with pytest.raises(ProcessLookupError):
-            os.kill(planners[0], 0)
+        interrupt_train(out, "--set", "dump_trajectories=true")
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert records
+        assert dumped_groups(out) == [r["iteration"] for r in records
+                                      if r["anchor_reward"] is not None]
+
+
+def interrupt_train(out: Path, *settings: str) -> None:
+    """Ctrl-C a ``kvgrpo train`` process group once it has written two records;
+    it must exit by ``KeyboardInterrupt`` and leave its sidecar reaped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    command = [sys.executable, "-m", "kvgrpo.cli", "--seed", "3", "--out-dir", str(out),
+               "--set", "num_blocks=6", "--set", "pivot_blocks=[5, 6]", *settings,
+               "train", "--max-iters", "100000"]
+    # Its own process group, which Ctrl-C signals as a whole.
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not ((out / "metrics.jsonl").exists()
+                   and (out / "metrics.jsonl").read_text().count("\n") >= 2):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        sidecars = children(proc.pid)
+        os.kill(sidecars[0], signal.SIGINT)  # the sidecar alone ignores it
+        time.sleep(0.5)
+        assert children(proc.pid) == sidecars
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert len(sidecars) == 1
+    assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
+    with pytest.raises(ProcessLookupError):
+        os.kill(sidecars[0], 0)
+
+
+def dumped_groups(out: Path) -> list[int]:
+    """The iteration of each group in a run's ``trajectories.jsonl``, in order;
+    every group starts with its anchor."""
+    lines = [json.loads(line) for line in (out / "trajectories.jsonl").read_text().splitlines()]
+    return [line["iteration"] for line in lines if line["branch_id"] == 0]
+
+
+def dumping_config(out: Path, **overrides) -> RunConfig:
+    return RunConfig(trainer=small_config(**overrides), out_dir=str(out),
+                     dump_trajectories=True).validate()
+
+
+class TestSidecar:
+    def test_every_checkpoint_sees_every_group(self, monkeypatch, tmp_path):
+        from kvgrpo import trainer
+        real_save, seen = trainer.save_checkpoint, []
+
+        def save(path, params, config, iteration, ema):
+            records = [json.loads(line) for line in
+                       (tmp_path / "metrics.jsonl").read_text().splitlines()]
+            assert dumped_groups(tmp_path) == [r["iteration"] for r in records
+                                               if r["anchor_reward"] is not None]
+            seen.append(iteration)
+            return real_save(path, params, config, iteration, ema)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save)
+        cfg = RunConfig(trainer=TrainerConfig(seed=0, max_iterations=9, **EXPLORE_WIDE),
+                        out_dir=str(tmp_path), checkpoint_every=2,
+                        dump_trajectories=True).validate()
+        run(cfg)
+        assert seen == [0, 2, 4, 6, 8, 9] and dumped_groups(tmp_path) == list(range(1, 10))
+
+    def test_killed_sidecar_raises_instead_of_hanging(self, monkeypatch, tmp_path):
+        pids = recorded_forks(monkeypatch)
+
+        def kill_sidecar(record):
+            if record.iteration == 2:
+                os.kill(pids[0], signal.SIGKILL)
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="sidecar process") as raised:
+            run(dumping_config(tmp_path, max_iterations=100_000), on_record=kill_sidecar)
+        assert time.monotonic() - started < 60
+        assert f"process {pids[0]} died" in str(raised.value)
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_encoder_error_in_the_sidecar_is_raised(self, monkeypatch, tmp_path):
+        from kvgrpo import trainer
+        real_encode = trainer._encode_group
+
+        def encode(iteration, *rest):
+            if iteration == 3:
+                raise OSError("injected write failure")
+            return real_encode(iteration, *rest)
+
+        monkeypatch.setattr(trainer, "_encode_group", encode)
+        pids = recorded_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="sidecar process .*injected write failure"):
+            run(dumping_config(tmp_path, max_iterations=40))
+        assert dumped_groups(tmp_path) == [1, 2]
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_non_finite_frame_raises_in_the_parent(self, monkeypatch, tmp_path):
+        from kvgrpo import trainer
+        real_dump, real_encode = trainer._dump_trajectories, trainer._encode_group
+
+        def dump(send, group, record):
+            if record.iteration == 3:
+                group.frames[1, -1, 0] = np.nan
+            return real_dump(send, group, record)
+
+        def slow_encode(iteration, *rest):
+            time.sleep(0.3 if iteration == 2 else 0)  # still writing when the parent raises
+            return real_encode(iteration, *rest)
+
+        monkeypatch.setattr(trainer, "_dump_trajectories", dump)
+        monkeypatch.setattr(trainer, "_encode_group", slow_encode)
+        pids = recorded_forks(monkeypatch)
+        with pytest.raises(ValueError, match="JSON cannot encode"):
+            run(dumping_config(tmp_path, max_iterations=6))
+        assert dumped_groups(tmp_path) == [1, 2]
+        assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 3
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_dump_without_fork_is_byte_identical(self, monkeypatch, tmp_path):
+        run(dumping_config(tmp_path / "forked", max_iterations=6))
+        monkeypatch.delattr(os, "fork")
+        run(dumping_config(tmp_path / "inline", max_iterations=6))
+        forked, inline = ((tmp_path / d / "trajectories.jsonl").read_bytes()
+                          for d in ("forked", "inline"))
+        assert forked == inline and dumped_groups(tmp_path / "inline") == list(range(1, 7))
 
 
 def reference_dump(fh, group, record):
@@ -617,27 +739,33 @@ class TestTrajectoryDump:
                 == expected.getvalue().encode())
 
     @pytest.mark.parametrize("pivot", [1, 2, 4])
-    def test_hand_built_group_one_write(self, pivot):
-        group = hand_group(pivot)
+    def test_hand_built_group_encodes_as_per_trajectory(self, pivot):
+        group, sent, expected = hand_group(pivot), [], io.StringIO()
         record = SimpleNamespace(iteration=7)
-        fh, expected = RecordingFile(), io.StringIO()
-        _dump_trajectories(fh, group, record)
+        _dump_trajectories(sent.append, group, record)
         reference_dump(expected, group, record)
-        assert fh.getvalue() == expected.getvalue()
-        assert (fh.writes, fh.flushes) == (1, 1)
-        lines = fh.getvalue().splitlines()
+        assert len(sent) == 1 and _encode_group(*sent[0]) == expected.getvalue()
+        lines = expected.getvalue().splitlines()
         assert [json.loads(line)["branch_id"] for line in lines] == [0, 1, 2]
         # An empty prefix leaves no separator before the first block.
         assert all('"blocks": [[[' in line for line in lines)
+
+    def test_inline_dump_is_one_write_and_one_flush(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        fh, sent = RecordingFile(), []
+        _dump_trajectories(sent.append, hand_group(2), SimpleNamespace(iteration=7))
+        _Sidecar(small_config(), fh, first=2).dump(sent[0])
+        assert (fh.writes, fh.flushes) == (1, 1)
+        assert fh.getvalue() == _encode_group(*sent[0])
 
     @pytest.mark.parametrize("row, frame", [(1, 0), (2, 7), (8, 14)])
     def test_prefix_mismatch_raises_and_writes_nothing(self, row, frame):
         group = make_instance(seed=3).group   # pivot 6: frames 0-14 are the prefix
         group.frames[row, frame, 1] += 1e-12
-        fh = RecordingFile()
+        sent = []
         with pytest.raises(ContractError):
-            _dump_trajectories(fh, group, SimpleNamespace(iteration=1))
-        assert (fh.getvalue(), fh.writes) == ("", 0)
+            _dump_trajectories(sent.append, group, SimpleNamespace(iteration=1))
+        assert sent == []
 
     @pytest.mark.parametrize("rows, frame", [(slice(None), 3), (slice(0, 1), 16),
                                              (slice(8, 9), 17), (slice(2, 3), 4)],
@@ -647,7 +775,16 @@ class TestTrajectoryDump:
     def test_non_finite_frame_raises_and_writes_nothing(self, rows, frame, value):
         group = make_instance(seed=3).group
         group.frames[rows, frame, 0] = value
-        fh = RecordingFile()
+        sent = []
         with pytest.raises(ValueError):
-            _dump_trajectories(fh, group, SimpleNamespace(iteration=1))
-        assert (fh.getvalue(), fh.writes) == ("", 0)
+            _dump_trajectories(sent.append, group, SimpleNamespace(iteration=1))
+        assert sent == []
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_reward_raises_and_writes_nothing(self, value):
+        group = hand_group(2)
+        group.branches[1].reward = value
+        sent = []
+        with pytest.raises(ValueError):
+            _dump_trajectories(sent.append, group, SimpleNamespace(iteration=1))
+        assert sent == []
