@@ -1,6 +1,7 @@
 """Golden fingerprints: the outputs of a 20-iteration ``run()`` of four configs
 must match ``tests/data/golden.json`` bit for bit, at threads 1 in this process
-and at threads 2 in a ``kvgrpo train`` subprocess.
+and at threads 2 in a ``kvgrpo train`` subprocess.  So must the three maxima
+that ``kvgrpo gradcheck`` reports, as their ``repr``.
 
 A fingerprint is the sha256 of ``metrics.jsonl`` without its ``_s`` (timing)
 fields, of the final parameters, of the final EMA and of ``trajectories.jsonl``.
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from kvgrpo.checkpoint import load_checkpoint
+from kvgrpo.checks import run_gradient_checks
 from kvgrpo.config import from_flat_dict
 from kvgrpo.trainer import run
 
@@ -43,6 +45,7 @@ CONFIGS = {
 # Every run dumps its trajectories and checkpoints along the way.
 RUN = {"seed": 0, "max_iterations": 20, "checkpoint_every": 5, "dump_trajectories": True}
 FIELDS = ("metrics", "params", "ema", "trajectories")
+GRADCHECK_FIELDS = ("energy_max_rel", "total_max_rel", "identity_max_rel")
 
 
 def sha256(data: bytes) -> str:
@@ -77,6 +80,12 @@ def run_in_subprocess(name: str, out_dir: Path, threads: int) -> dict[str, str]:
     return fingerprints(out_dir)
 
 
+def gradcheck_maxima() -> dict[str, str]:
+    """The ``repr`` of each maximum of the ``kvgrpo gradcheck`` report."""
+    report = run_gradient_checks(seed=0)
+    return {f: repr(getattr(report, f)) for f in GRADCHECK_FIELDS}
+
+
 def environment() -> dict[str, str]:
     return {"numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.machine()}",
@@ -93,14 +102,21 @@ def golden() -> dict:
     return data
 
 
-def assert_matches(found: dict[str, str], expected: dict[str, str], where: str) -> None:
-    moved = [f for f in FIELDS if found[f] != expected[f]]
+def assert_matches(found: dict[str, str], expected: dict[str, str], where: str,
+                   fields=FIELDS) -> None:
+    moved = [f for f in fields if found[f] != expected[f]]
     assert not moved, f"{where}: {', '.join(moved)} differ from {GOLDEN.name}"
 
 
 def test_golden_covers_every_config(golden):
     assert sorted(golden["runs"]) == sorted(CONFIGS)
     assert golden["run"] == RUN
+    assert sorted(golden["gradcheck"]) == sorted(GRADCHECK_FIELDS)
+
+
+def test_gradcheck_maxima(golden):
+    assert_matches(gradcheck_maxima(), golden["gradcheck"], "gradcheck seed 0",
+                   GRADCHECK_FIELDS)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -124,8 +140,8 @@ def main() -> None:
             if other != runs[name]:
                 sys.exit(f"{name}: threads 1 and threads 2 disagree; nothing written")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"environment": environment(), "run": RUN, "runs": runs},
-                                 indent=2) + "\n")
+    GOLDEN.write_text(json.dumps({"environment": environment(), "run": RUN, "runs": runs,
+                                  "gradcheck": gradcheck_maxima()}, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
 
 
