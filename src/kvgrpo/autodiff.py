@@ -1,13 +1,11 @@
 """Reverse-mode differentiation on a small explicit tape, plus a finite-difference oracle.
 
-Every operation here accepts either plain ``numpy`` arrays or tape-backed
-:class:`Var` handles.  With array-only inputs the functions evaluate eagerly in
-numpy and return arrays, so the loss code written against this module runs
-unchanged in a fast value-only mode (used by ``fd_grad`` and for bookkeeping).
-As soon as one operand is a :class:`Var`, the result is recorded on the tape
-and :func:`grad` can backpropagate through it.  The velocity network is not
-composed from these ops: it records itself as a single node with a
-hand-derived backward (see :func:`kvgrpo.network.velocity_forward`).
+The tape holds no generic operations.  Each model part records itself as one
+node with a hand-derived backward: the velocity network (see
+:func:`kvgrpo.network.velocity_forward`), the replay energies, and the loss
+head's log-softmax, PPO, KL and total (see :mod:`kvgrpo.policy`).  The same
+functions return plain ``numpy`` values when no input is on a tape, which is
+how ``fd_grad`` and the bookkeeping evaluate them.
 
 All numerics are float64.  Evaluation is pure with respect to the parameter
 vector, and backpropagation visits nodes in a fixed reverse order, so repeated
@@ -24,9 +22,6 @@ from .errors import NumericalError
 from .params import GradVector, Params
 
 Array = np.ndarray
-
-# Marker for a constant operand (no gradient flows into it).
-_CONST = -1
 
 
 class Tape:
@@ -65,18 +60,15 @@ class Tape:
                 continue
             contributions = bwd(g)
             for p, contrib in zip(self._parents[i], contributions):
-                if p == _CONST or contrib is None:
-                    continue
                 adj[p] = contrib if adj[p] is None else adj[p] + contrib
         return adj
 
 
 class Var:
-    """Handle to one tape node.  Supports the arithmetic used by the models."""
+    """Handle to one tape node.  It has no arithmetic: numpy operations on it
+    raise ``TypeError`` rather than build object arrays."""
 
     __slots__ = ("tape", "idx")
-    # Keep numpy from absorbing Vars into object arrays; binary ops then fall
-    # back to the reflected methods below.
     __array_ufunc__ = None
 
     def __init__(self, tape: Tape, idx: int) -> None:
@@ -91,25 +83,6 @@ class Var:
     def shape(self):
         return np.shape(self.value)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(idx={self.idx}, shape={self.shape})"
 
@@ -119,169 +92,12 @@ def value(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _tape_of(*xs) -> Tape | None:
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    return None
-
-
-def _operand(x, tape: Tape):
-    """Split an operand into (value, parent index)."""
-    if isinstance(x, Var):
-        if x.tape is not tape:
-            raise ValueError("operands belong to different tapes")
-        return x.value, x.idx
-    return x, _CONST
-
-
-# ---------------------------------------------------------------------------
-# Elementwise and scalar arithmetic
-# ---------------------------------------------------------------------------
-
-
-def add(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.add(value(a), value(b))
-    av, ai = _operand(a, tape)
-    bv, bi = _operand(b, tape)
-    out = np.add(av, bv)
-
-    def bwd(g):
-        return _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))
-
-    return tape.push(out, (ai, bi), bwd)
-
-
-def sub(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.subtract(value(a), value(b))
-    av, ai = _operand(a, tape)
-    bv, bi = _operand(b, tape)
-    out = np.subtract(av, bv)
-
-    def bwd(g):
-        return _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))
-
-    return tape.push(out, (ai, bi), bwd)
-
-
-def mul(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.multiply(value(a), value(b))
-    av, ai = _operand(a, tape)
-    bv, bi = _operand(b, tape)
-    out = np.multiply(av, bv)
-
-    def bwd(g):
-        return _unbroadcast(g * bv, np.shape(av)), _unbroadcast(g * av, np.shape(bv))
-
-    return tape.push(out, (ai, bi), bwd)
-
-
-def _unbroadcast(g, shape) -> Array:
-    """Reduce a gradient to the shape of the operand it belongs to."""
-    g = np.asarray(g)
-    if g.shape == tuple(shape):
-        return g
-    # Sum out leading broadcast axes, then any axis of size 1.
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def exp(x):
-    tape = _tape_of(x)
-    if tape is None:
-        return np.exp(x)
-    xv, xi = _operand(x, tape)
-    out = np.exp(xv)
-
-    def bwd(g):
-        return (g * out,)
-
-    return tape.push(out, (xi,), bwd)
-
-
-def minimum(a, b):
-    """Elementwise minimum; at ties the gradient follows the first operand."""
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.minimum(value(a), value(b))
-    av, ai = _operand(a, tape)
-    bv, bi = _operand(b, tape)
-    out = np.minimum(av, bv)
-    take_a = av <= bv
-
-    def bwd(g):
-        return g * take_a, g * ~take_a
-
-    return tape.push(out, (ai, bi), bwd)
-
-
-def clip(x, lo: float, hi: float):
-    """Clamp to [lo, hi]; the gradient passes through on the closed interval."""
-    tape = _tape_of(x)
-    if tape is None:
-        return np.clip(value(x), lo, hi)
-    xv, xi = _operand(x, tape)
-    out = np.clip(xv, lo, hi)
-    inside = (xv >= lo) & (xv <= hi)
-
-    def bwd(g):
-        return (g * inside,)
-
-    return tape.push(out, (xi,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-
-
 def asum(x):
-    """Sum of all entries, as a scalar."""
-    tape = _tape_of(x)
-    if tape is None:
-        return np.sum(value(x))
-    xv, xi = _operand(x, tape)
-    out = np.sum(xv)
-
-    def bwd(g):
-        return (np.full(np.shape(xv), g),)
-
-    return tape.push(out, (xi,), bwd)
-
-
-def logsumexp(x):
-    """log(sum(exp(x))) of a 1-D vector, stable for large magnitudes."""
-    tape = _tape_of(x)
-    if tape is None:
-        return _logsumexp(value(x))
-    xv, xi = _operand(x, tape)
-    out = _logsumexp(xv)
-    soft = np.exp(xv - out)
-
-    def bwd(g):
-        return (g * soft,)
-
-    return tape.push(out, (xi,), bwd)
-
-
-def _logsumexp(x: Array):
-    m = np.max(x)
-    return m + np.log(np.sum(np.exp(x - m)))
-
-
-# ---------------------------------------------------------------------------
-# Parameter access
-# ---------------------------------------------------------------------------
+    """Sum of all entries, as a scalar: a number, or a tape node for a Var."""
+    if not isinstance(x, Var):
+        return np.sum(x)
+    xv = x.value
+    return x.tape.push(np.sum(xv), (x.idx,), lambda g: (np.full(np.shape(xv), g),))
 
 
 class TapeReader:

@@ -83,6 +83,13 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         config, iteration = header["config"], header["iteration"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path} has a corrupt checkpoint header: {exc!r}") from None
+    for name, field in (("param_count", count), ("iteration", iteration)):
+        if isinstance(field, bool) or not isinstance(field, int) or field < 0:
+            raise ConfigError(f"{path}: checkpoint header field {name} must be an "
+                              f"int >= 0, got {field!r}")
+    if not isinstance(has_ema, bool):
+        raise ConfigError(f"{path}: checkpoint header field has_ema must be a bool, "
+                          f"got {has_ema!r}")
     if count != layout.total:
         raise ConfigError(f"checkpoint count {count} disagrees with layout {layout.total}")
     need, have = count * 8 * (2 if has_ema else 1), len(raw) - offset

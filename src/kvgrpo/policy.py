@@ -8,8 +8,11 @@ latent-space distance to the anchor.  A softmax over negative energies turns
 the group into a categorical policy; PPO ratios against a frozen snapshot and a
 KL pull toward the reference policy are all computed in the log domain.
 
-The loss composition is written against :mod:`kvgrpo.autodiff` ops, so the same
-code produces plain numbers for bookkeeping and tape nodes for gradients.
+The loss head is plain numpy.  Given taped energies it records itself as it
+goes, as the network does: one log-softmax node, then one node each for the
+PPO term, the KL and the total, whose backward functions replay the order in
+which a tape of elementwise ops would accumulate their adjoints.  Given arrays
+it returns plain numbers for bookkeeping.
 """
 
 from __future__ import annotations
@@ -170,20 +173,80 @@ def ppo_kl_loss(log_probs, old_log_probs: np.ndarray, ref_log_probs: np.ndarray,
     """The trained loss: clipped PPO (the negated objective, averaged over the
     group) plus ``beta`` times the discrete KL of the policy from the reference.
     ``log_probs`` is an array or a tape node; the rest are constants.  Returns
-    ``(total, ppo, kl, rho)``: numbers for an array, tape nodes for a node."""
+    ``(total, ppo, kl, rho)``: numbers for an array, and for a node the PPO, KL
+    and total nodes, with the ratios ``rho`` an array either way."""
     for name, e in (("eps_low", cfg.eps_low), ("eps_high", cfg.eps_high)):
         if not 0.0 < e < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {e}")
-    sizes = [np.size(x) for x in (ad.value(log_probs), old_log_probs, ref_log_probs, adv_values)]
+    lp = ad.value(log_probs)
+    sizes = [np.size(x) for x in (lp, old_log_probs, ref_log_probs, adv_values)]
     if len(set(sizes)) != 1:
         raise ContractError(f"group sizes differ (new, old, ref, advantages): {sizes}")
     n = sizes[0]
-    rho = ad.exp(ad.sub(log_probs, old_log_probs))
-    unclipped = ad.mul(rho, adv_values)
-    clipped = ad.mul(ad.clip(rho, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high), adv_values)
-    ppo = ad.mul(ad.asum(ad.minimum(unclipped, clipped)), -1.0 / n)
-    kl = ad.asum(ad.mul(ad.exp(log_probs), ad.sub(log_probs, ref_log_probs)))
-    return ad.add(ppo, ad.mul(kl, cfg.beta)), ppo, kl, rho
+    lo, hi = 1.0 - cfg.eps_low, 1.0 + cfg.eps_high
+    rho = np.exp(lp - old_log_probs)
+    unclipped = rho * adv_values
+    clipped = np.clip(rho, lo, hi) * adv_values
+    ppo = np.sum(np.minimum(unclipped, clipped)) * (-1.0 / n)
+    probs, gap = np.exp(lp), lp - ref_log_probs
+    kl = np.sum(probs * gap)
+    total = ppo + kl * cfg.beta
+    if not isinstance(log_probs, ad.Var):
+        return total, ppo, kl, rho
+    tape, parent = log_probs.tape, (log_probs.idx,)
+    # At a tie the minimum's gradient follows the unclipped term.
+    take_unclipped, inside = unclipped <= clipped, (rho >= lo) & (rho <= hi)
+    ppo_node = tape.push(ppo, parent, lambda g: (
+        _ppo_vjp(g, n, rho, adv_values, take_unclipped, inside),))
+    kl_node = tape.push(kl, parent, lambda g: (_kl_vjp(g, probs, gap),))
+    total_node = tape.push(total, (ppo_node.idx, kl_node.idx),
+                           lambda g: _total_vjp(g, cfg.beta))
+    return total_node, ppo_node, kl_node, rho
+
+
+def _log_policy(energies, tau: float):
+    """The trained log-policy ``E*(-1/tau) - lse``: an array, or one tape node
+    for taped energies.  (Not :func:`gibbs`' formula, which rounds differently.)"""
+    logits = ad.value(energies) * (-1.0 / tau)
+    m = np.max(logits)
+    log_probs = logits - (m + np.log(np.sum(np.exp(logits - m))))
+    if not isinstance(energies, ad.Var):
+        return log_probs
+    soft = np.exp(log_probs)
+    return energies.tape.push(log_probs, (energies.idx,),
+                              lambda g: (_log_policy_vjp(g, soft, tau),))
+
+
+# The head's backward functions.  Each takes its node's output adjoint ``g`` and
+# sums in the order a tape of elementwise ops did, which the bit-reproducibility
+# contract fixes: reordering a sum moves the last bits of fixed-seed runs.
+
+def _log_policy_vjp(g, soft, tau):
+    """log_probs = logits - lse(logits), logits = E * (-1/tau)."""
+    return (g + (-g).sum(axis=0) * soft) * (-1.0 / tau)
+
+
+def _ppo_vjp(g, n, rho, adv, take_unclipped, inside):
+    """ppo = -(1/n) sum(min(rho A, clip(rho) A)), rho = exp(log_probs - old)."""
+    g_min = np.full(rho.shape, g * (-1.0 / n))
+    g_rho = ((g_min * ~take_unclipped) * adv) * inside + (g_min * take_unclipped) * adv
+    return g_rho * rho
+
+
+def _kl_vjp(g, probs, gap):
+    """kl = sum(exp(log_probs) * (log_probs - ref))."""
+    g_terms = np.full(probs.shape, g)
+    return g_terms * probs + (g_terms * gap) * probs
+
+
+def _total_vjp(g, beta):
+    """total = ppo + kl * beta."""
+    return g, g * beta
+
+
+def _pg_vjp(g, rho, weights):
+    """pg = sum(rho * weights), rho = exp(log_probs - old)."""
+    return (np.full(rho.shape, g) * weights) * rho
 
 
 def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
@@ -201,9 +264,8 @@ def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
     energies = surrogate_energies(reader, group, contexts, cfg)
     if eval_old is None:
         eval_old = gibbs(ad.value(energies), cfg.tau)
-    logits = ad.mul(energies, -1.0 / cfg.tau)
-    log_probs = ad.sub(logits, ad.logsumexp(logits))
-    terms = ppo_kl_loss(log_probs, eval_old.log_probs, eval_ref.log_probs, adv, cfg)
+    terms = ppo_kl_loss(_log_policy(energies, cfg.tau), eval_old.log_probs,
+                        eval_ref.log_probs, adv, cfg)
     return *terms, energies, eval_old
 
 
@@ -249,7 +311,13 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
 
 def pg_surrogate_value(reader, group: RolloutGroup, contexts: ReplayContexts,
                        eval_old: PolicyEval, adv: np.ndarray, cfg: PolicyConfig):
-    """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], built on
-    the trained loss's importance ratios with the old policy held constant."""
-    _, _, _, rho, *_ = _build_loss(reader, group, contexts, eval_old, eval_old, adv, cfg)
-    return ad.asum(ad.mul(rho, eval_old.probs * adv))
+    """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], on the
+    trained loss's log-policy and importance ratios with the old policy held
+    constant: a number, or one tape node after the log-softmax node."""
+    log_probs = _log_policy(surrogate_energies(reader, group, contexts, cfg), cfg.tau)
+    rho = np.exp(ad.value(log_probs) - eval_old.log_probs)
+    weights = eval_old.probs * adv
+    pg = np.sum(rho * weights)
+    if not isinstance(log_probs, ad.Var):
+        return pg
+    return log_probs.tape.push(pg, (log_probs.idx,), lambda g: (_pg_vjp(g, rho, weights),))

@@ -1,15 +1,213 @@
-"""Tape ops that only the tests build reference graphs with."""
+"""The generic tape ops the loss head was once built from, kept as the tests'
+reference: ``test_policy`` builds today's loss and PG surrogate from them and
+asserts that the fused head in :mod:`kvgrpo.policy` equals them bit for bit,
+and ``test_autodiff.TestOps`` checks each op's backward by finite differences.
+
+Each op evaluates eagerly in numpy on plain arrays and records a tape node as
+soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
+order is the one the old tape used.
+"""
 
 import numpy as np
 
-from kvgrpo import autodiff as ad
+from kvgrpo.autodiff import Tape, Var, asum, value
+
+Array = np.ndarray
+
+# Marker for a constant operand (no gradient flows into it).
+_CONST = -1
+
+
+def _push(tape: Tape, out, parents: tuple[int, ...], bwd) -> Var:
+    """Record a node with only its taped operands as parents."""
+    keep = [k for k, p in enumerate(parents) if p != _CONST]
+
+    def taped_bwd(g):
+        contributions = bwd(g)
+        return tuple(contributions[k] for k in keep)
+
+    return tape.push(out, tuple(parents[k] for k in keep), taped_bwd)
+
+
+def _tape_of(*xs) -> Tape | None:
+    for x in xs:
+        if isinstance(x, Var):
+            return x.tape
+    return None
+
+
+def _operand(x, tape: Tape):
+    """Split an operand into (value, parent index)."""
+    if isinstance(x, Var):
+        if x.tape is not tape:
+            raise ValueError("operands belong to different tapes")
+        return x.value, x.idx
+    return x, _CONST
+
+
+# ---------------------------------------------------------------------------
+# Elementwise and scalar arithmetic
+# ---------------------------------------------------------------------------
+
+
+def add(a, b):
+    tape = _tape_of(a, b)
+    if tape is None:
+        return np.add(value(a), value(b))
+    av, ai = _operand(a, tape)
+    bv, bi = _operand(b, tape)
+    out = np.add(av, bv)
+
+    def bwd(g):
+        return _unbroadcast(g, np.shape(av)), _unbroadcast(g, np.shape(bv))
+
+    return _push(tape, out, (ai, bi), bwd)
+
+
+def sub(a, b):
+    tape = _tape_of(a, b)
+    if tape is None:
+        return np.subtract(value(a), value(b))
+    av, ai = _operand(a, tape)
+    bv, bi = _operand(b, tape)
+    out = np.subtract(av, bv)
+
+    def bwd(g):
+        return _unbroadcast(g, np.shape(av)), _unbroadcast(-g, np.shape(bv))
+
+    return _push(tape, out, (ai, bi), bwd)
+
+
+def mul(a, b):
+    tape = _tape_of(a, b)
+    if tape is None:
+        return np.multiply(value(a), value(b))
+    av, ai = _operand(a, tape)
+    bv, bi = _operand(b, tape)
+    out = np.multiply(av, bv)
+
+    def bwd(g):
+        return _unbroadcast(g * bv, np.shape(av)), _unbroadcast(g * av, np.shape(bv))
+
+    return _push(tape, out, (ai, bi), bwd)
+
+
+def _unbroadcast(g, shape) -> Array:
+    """Reduce a gradient to the shape of the operand it belongs to."""
+    g = np.asarray(g)
+    if g.shape == tuple(shape):
+        return g
+    # Sum out leading broadcast axes, then any axis of size 1.
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def exp(x):
+    tape = _tape_of(x)
+    if tape is None:
+        return np.exp(x)
+    xv, xi = _operand(x, tape)
+    out = np.exp(xv)
+
+    def bwd(g):
+        return (g * out,)
+
+    return _push(tape, out, (xi,), bwd)
+
+
+def minimum(a, b):
+    """Elementwise minimum; at ties the gradient follows the first operand."""
+    tape = _tape_of(a, b)
+    if tape is None:
+        return np.minimum(value(a), value(b))
+    av, ai = _operand(a, tape)
+    bv, bi = _operand(b, tape)
+    out = np.minimum(av, bv)
+    take_a = av <= bv
+
+    def bwd(g):
+        return g * take_a, g * ~take_a
+
+    return _push(tape, out, (ai, bi), bwd)
+
+
+def clip(x, lo: float, hi: float):
+    """Clamp to [lo, hi]; the gradient passes through on the closed interval."""
+    tape = _tape_of(x)
+    if tape is None:
+        return np.clip(value(x), lo, hi)
+    xv, xi = _operand(x, tape)
+    out = np.clip(xv, lo, hi)
+    inside = (xv >= lo) & (xv <= hi)
+
+    def bwd(g):
+        return (g * inside,)
+
+    return _push(tape, out, (xi,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# Reductions
+# ---------------------------------------------------------------------------
+
+
+def logsumexp(x):
+    """log(sum(exp(x))) of a 1-D vector, stable for large magnitudes."""
+    tape = _tape_of(x)
+    if tape is None:
+        return _logsumexp(value(x))
+    xv, xi = _operand(x, tape)
+    out = _logsumexp(xv)
+    soft = np.exp(xv - out)
+
+    def bwd(g):
+        return (g * soft,)
+
+    return _push(tape, out, (xi,), bwd)
+
+
+def _logsumexp(x: Array):
+    m = np.max(x)
+    return m + np.log(np.sum(np.exp(x - m)))
 
 
 def pack(scalars):
     """Stack scalars, plain or on a tape, into a 1-D vector."""
-    tape = ad._tape_of(*scalars)
-    vals = np.array([np.float64(ad.value(s)) for s in scalars])
+    tape = _tape_of(*scalars)
+    vals = np.array([np.float64(value(s)) for s in scalars])
     if tape is None:
         return vals
-    idxs = tuple(ad._operand(s, tape)[1] for s in scalars)
-    return tape.push(vals, idxs, lambda g: tuple(g[i] for i in range(len(idxs))))
+    idxs = tuple(_operand(s, tape)[1] for s in scalars)
+    return _push(tape, vals, idxs, lambda g: tuple(g[i] for i in range(len(idxs))))
+
+
+# ---------------------------------------------------------------------------
+# The loss head on these ops
+# ---------------------------------------------------------------------------
+
+
+def log_policy(energies, tau: float):
+    """The trained log-policy ``E*(-1/tau) - lse`` as a chain of ops."""
+    logits = mul(energies, -1.0 / tau)
+    return sub(logits, logsumexp(logits))
+
+
+def ppo_kl_loss(log_probs, old_log_probs, ref_log_probs, adv_values, cfg):
+    """The trained loss as a chain of ops: ``(total, ppo, kl, rho)``."""
+    n = np.size(value(log_probs))
+    rho = exp(sub(log_probs, old_log_probs))
+    unclipped = mul(rho, adv_values)
+    clipped = mul(clip(rho, 1.0 - cfg.eps_low, 1.0 + cfg.eps_high), adv_values)
+    ppo = mul(asum(minimum(unclipped, clipped)), -1.0 / n)
+    kl = asum(mul(exp(log_probs), sub(log_probs, ref_log_probs)))
+    return add(ppo, mul(kl, cfg.beta)), ppo, kl, rho
+
+
+def pg_surrogate(log_probs, eval_old, adv, cfg):
+    """The unclipped PG objective on the trained loss's ratios, as ops."""
+    rho = ppo_kl_loss(log_probs, eval_old.log_probs, eval_old.log_probs, adv, cfg)[3]
+    return asum(mul(rho, eval_old.probs * adv))

@@ -290,6 +290,25 @@ class TestCheckpoint:
             assert main(["inspect", str(path)]) == 1, fault
             assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("param_count", 386.0), ("param_count", True), ("param_count", -386),
+        ("iteration", "x"), ("iteration", 2.0), ("iteration", -1),
+        ("has_ema", "no"), ("has_ema", 0), ("has_ema", None)])
+    def test_header_field_of_wrong_type_rejected(self, tmp_path, capsys, field, value):
+        params = param_init(NetworkShape(8, 7, 4), 9)  # 386 values
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {}, 3, None)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[12:16], "little")
+        header = {**json.loads(blob[16:16 + header_len]), field: value}
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:12] + len(text).to_bytes(4, "little") + text
+                         + blob[16 + header_len:])
+        with pytest.raises(ConfigError, match=f"header field {field} must be"):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+        assert f"header field {field} must be" in capsys.readouterr().err
+
 
 class TestCli:
     def test_missing_config_exits_one(self, tmp_path, capsys):
@@ -407,6 +426,24 @@ class TestCli:
             return tuple(0.9 * g for g in true_vjp(*args))
 
         monkeypatch.setattr(network, "_vjp", bad_vjp)
+        assert main(["gradcheck"]) == 2
+        assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["_log_policy_vjp", "_ppo_vjp", "_kl_vjp",
+                                      "_total_vjp", "_pg_vjp"])
+    def test_gradcheck_detects_injected_bad_loss_head_backward(self, capsys, monkeypatch,
+                                                               name):
+        # The loss head's nodes have no other independent check: corrupt one
+        # backward and expect exit 2 from the finite-difference or the
+        # contrastive check.
+        import kvgrpo.policy as policy
+        true_vjp = getattr(policy, name)
+
+        def bad_vjp(*args):
+            out = true_vjp(*args)
+            return tuple(0.9 * g for g in out) if isinstance(out, tuple) else 0.9 * out
+
+        monkeypatch.setattr(policy, name, bad_vjp)
         assert main(["gradcheck"]) == 2
         assert "FAILED" in capsys.readouterr().out
 

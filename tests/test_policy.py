@@ -2,25 +2,27 @@
 clipped PPO, KL penalty, guard, and the closed-form gradient reference."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kvgrpo.autodiff as ad
-from kvgrpo import network
+from kvgrpo import network, policy
 from kvgrpo.autodiff import fd_grad, grad
 from kvgrpo.checks import rel_l2
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import GeneratorConfig, ReplaySteps
 from kvgrpo.network import NetworkShape, param_init
-from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, advantages,
-                           contrastive_grad_reference, gibbs, guard,
-                           latent_l2_energies, ppo_kl_loss, replay_energies,
-                           surrogate_energies, total_loss_grad)
+from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
+                           _build_loss, advantages, contrastive_grad_reference,
+                           gibbs, guard, latent_l2_energies, pg_surrogate_value,
+                           ppo_kl_loss, replay_energies, surrogate_energies,
+                           total_loss_grad)
 from kvgrpo.routing import (BranchTrajectory, GroupSeeds, ReplayContexts,
                             build_replay_contexts, rollout_group)
-from reference_ops import pack
+import reference_ops as ops
 from test_routing import memory
 
 finite_energies = st.lists(
@@ -75,15 +77,16 @@ def reference_energy(reader, branch, contexts, grad_steps=None, include_all_step
         keys, values = memory(contexts, branch.branch_id, block)
         r = reader if carrying else reader.detached()
         v = network.velocity_forward(r, z, t, keys, values, contexts.prompt)
-        diff = ad.sub(v, u_hat)
-        term = ad.mul(ad.asum(ad.mul(diff, diff)), 1.0 / d)
-        total = ad.add(total, ad.value(term) if not carrying else term)
+        diff = ops.sub(v, u_hat)
+        term = ops.mul(ops.asum(ops.mul(diff, diff)), 1.0 / d)
+        total = ops.add(total, ad.value(term) if not carrying else term)
     return total
 
 
 def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
     """The trained loss on the per-step oracle's energies, packed branch by
-    branch, with the old policy taken from its own values."""
+    branch, with the old policy taken from its own values, all on the
+    reference ops."""
     adv = advantages(group.branch_rewards(), pcfg.adv_clip_max)
     old = gibbs(np.array([float(reference_energy(params, b, contexts, pcfg.grad_steps,
                                                  pcfg.include_all_steps))
@@ -92,9 +95,8 @@ def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
     def f(reader):
         energies = [reference_energy(reader, b, contexts, pcfg.grad_steps,
                                      pcfg.include_all_steps) for b in group.branches]
-        logits = ad.mul(pack(energies), -1.0 / pcfg.tau)
-        log_probs = ad.sub(logits, ad.logsumexp(logits))
-        return ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
+        log_probs = ops.log_policy(ops.pack(energies), pcfg.tau)
+        return ops.ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
 
     return grad(params, f)
 
@@ -546,7 +548,6 @@ class TestTotalLoss:
         inst = check_instance
         pcfg = PolicyConfig(grad_steps=None, beta=beta)
         eval_old, eval_ref = self._evals(inst, pcfg)
-        from kvgrpo.policy import _build_loss
         adv = advantages(inst.group.branch_rewards(), pcfg.adv_clip_max)
 
         def f(reader):
@@ -561,7 +562,6 @@ class TestTotalLoss:
     def test_value_only_terms_equal_taped_terms_bitwise(self, check_instance):
         # One formula: at plain parameters it gives the numbers the gradient
         # pass records.
-        from kvgrpo.policy import _build_loss
         inst = check_instance
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(inst, pcfg)
@@ -586,6 +586,109 @@ class TestTotalLoss:
         assert used_old is eval_old
         np.testing.assert_array_equal(g.values, np.zeros_like(g.values))
         np.testing.assert_allclose(breakdown.per_branch_ratio, np.ones(8), atol=1e-15)
+
+
+def at_ratio(log_probs, old_log_probs, k, target):
+    """``old_log_probs`` with entry ``k`` moved so that the ratio
+    ``exp(log_probs - old)[k]`` is exactly ``target``.  The candidates step the
+    entry by one spacing at a time; with both log-probabilities in (-1, -0.25)
+    that moves the ratio by less than one ulp, so one of them hits ``target``."""
+    start = log_probs[k] - np.log(target)
+    for step in sorted(range(-400, 401), key=abs):
+        old = old_log_probs.copy()
+        old[k] = start + step * np.spacing(start)
+        if np.exp(log_probs - old)[k] == target:
+            return old
+    raise AssertionError(f"no old log-probability gives ratio {target!r}")
+
+
+def head_case(size, tau, eps, rng, with_old):
+    """Energies, old and reference policies and advantages for one grid case.
+    Branches 0 and 1 hold most of the probability.  A given old policy puts
+    branch 0 exactly on 1 - eps_low, branch 1 exactly on 1 + eps_high, and the
+    other branches alternately far outside the clip range and inside it."""
+    probs = np.concatenate([0.47 + rng.uniform(-0.02, 0.02, size=2),
+                            rng.uniform(0.5, 1.5, size=size - 2) * (0.06 / (size - 1))])
+    energies = -tau * np.log(probs / probs.sum()) + rng.normal() * 3.0
+    eval_ref = gibbs(energies + rng.normal(scale=0.5, size=size), tau)
+    adv = np.clip(rng.normal(size=size) * 1.5, -2.5, 2.5)
+    if not with_old:
+        return energies, None, eval_ref, adv
+    lp = ops.log_policy(energies, tau)
+    lo, hi = 1.0 - eps[0], 1.0 + eps[1]
+    far = [np.exp(-1.5), np.exp(1.5), 1.0, 0.95]
+    old = lp - np.log([lo, hi, *(far[i % 4] for i in range(size - 2))])
+    old = at_ratio(lp, at_ratio(lp, old, 0, lo), 1, hi)
+    return energies, PolicyEval(energies, old, np.exp(old)), eval_ref, adv
+
+
+def taped(energies):
+    tape = ad.Tape()
+    return tape, tape.leaf(np.array(energies))
+
+
+def adjoint(out, leaf):
+    return out.tape.backward(out)[leaf.idx]
+
+
+class TestFusedHead:
+    """The loss head's hand-written nodes against the same loss built from
+    the reference ops, over a grid of group sizes, temperatures, KL weights,
+    clip bounds and old policies: values and energy gradients bit for bit.
+    (A temperature that is not a power of two makes the scaling by -1/tau
+    round, so it pins where the backward applies it.)"""
+
+    @pytest.fixture(autouse=True)
+    def energies_are_the_reader(self, monkeypatch):
+        # The head's input is the energies: pass them where the reader goes.
+        monkeypatch.setattr(policy, "surrogate_energies", lambda reader, *_: reader)
+
+    @pytest.mark.parametrize("with_old", [False, True], ids=["own-old", "given-old"])
+    @pytest.mark.parametrize("size", [2, 3, 8, 16])
+    def test_total_ppo_kl_and_ratios_equal_reference(self, size, with_old):
+        rng = np.random.default_rng(size)
+        for tau, beta, eps in itertools.product((0.5, 0.7, 1.0, 2.0), (0.0, 0.3, 5.0),
+                                                ((0.1, 0.2), (0.2, 0.28))):
+            cfg = PolicyConfig(tau=tau, beta=beta, eps_low=eps[0], eps_high=eps[1])
+            energies, eval_old, eval_ref, adv = head_case(size, tau, eps, rng, with_old)
+            old = eval_old if with_old else gibbs(energies, tau)
+            for part in range(3):  # total, ppo, kl
+                tape, leaf = taped(energies)
+                *fused, _, used_old = _build_loss(leaf, None, None, eval_old, eval_ref,
+                                                  adv, cfg)
+                assert len(tape._values) == 1 + 4
+                np.testing.assert_array_equal(used_old.log_probs, old.log_probs)
+                _, ref_leaf = taped(energies)
+                ref = ops.ppo_kl_loss(ops.log_policy(ref_leaf, tau), old.log_probs,
+                                      eval_ref.log_probs, adv, cfg)
+                for got, want in zip(fused, ref):
+                    assert np.array_equal(ad.value(got), ad.value(want))
+                assert np.array_equal(adjoint(fused[part], leaf),
+                                      adjoint(ref[part], ref_leaf))
+            plain = _build_loss(energies, None, None, eval_old, eval_ref, adv, cfg)[:4]
+            for got, want in zip(plain, fused):
+                assert np.array_equal(got, ad.value(want))
+            if with_old:
+                rho = ad.value(fused[3])
+                assert rho[0] == 1.0 - eps[0] and rho[1] == 1.0 + eps[1]
+
+    @pytest.mark.parametrize("with_old", [False, True], ids=["own-old", "given-old"])
+    @pytest.mark.parametrize("size", [2, 3, 8, 16])
+    def test_pg_surrogate_equals_reference(self, size, with_old):
+        rng = np.random.default_rng(100 + size)
+        for tau in (0.5, 0.7, 1.0, 2.0):
+            cfg = PolicyConfig(tau=tau)
+            energies, eval_old, _, adv = head_case(size, tau, (0.1, 0.2), rng, with_old)
+            eval_old = eval_old if with_old else gibbs(energies, tau)
+            tape, leaf = taped(energies)
+            fused = pg_surrogate_value(leaf, None, None, eval_old, adv, cfg)
+            assert len(tape._values) == 1 + 2
+            _, ref_leaf = taped(energies)
+            ref = ops.pg_surrogate(ops.log_policy(ref_leaf, tau), eval_old, adv, cfg)
+            assert np.array_equal(fused.value, ref.value)
+            assert np.array_equal(adjoint(fused, leaf), adjoint(ref, ref_leaf))
+            plain = pg_surrogate_value(energies, None, None, eval_old, adv, cfg)
+            assert np.array_equal(plain, fused.value)
 
 
 class TestContrastiveReference:
