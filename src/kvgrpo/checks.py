@@ -16,8 +16,8 @@ from .network import NetworkShape, param_init
 from .flow import GeneratorConfig
 from .params import Params
 from .policy import PolicyConfig, advantages, gibbs
-from .routing import (GroupSeeds, ReplayContexts, RolloutGroup,
-                      build_replay_contexts, rollout_group)
+from .routing import (GroupSeeds, ReplayContexts, RolloutGroup, build_replay_contexts,
+                      plan_rollout, rollout_group)
 
 FD_STEP = 1e-5
 ENERGY_TOL = 1e-4
@@ -52,26 +52,26 @@ def make_instance(seed: int, latent_dim: int = 3, hidden_dim: int = 5,
     params = param_init(shape, seed)
     rng = np.random.default_rng(seed + 1)
     prompt = rng.normal(size=prompt_dim)
-    seeds = GroupSeeds(noise=seed * 7 + 1, routing=seed * 7 + 2)
-    group = rollout_group(params, prompt, num_blocks, pivot, window, branches,
-                          seeds, GeneratorConfig())
-    for traj in group.all_trajectories():
-        traj.reward = float(rng.normal())
+    cfg = GeneratorConfig()
+    plan = plan_rollout(num_blocks, pivot, window, branches,
+                        GroupSeeds(noise=seed * 7 + 1, routing=seed * 7 + 2), cfg, latent_dim)
+    group = rollout_group(params, prompt, cfg, pivot, window, plan)
+    group.rewards = rng.normal(size=branches + 1)
     contexts = build_replay_contexts(group)
-    return CheckInstance(params, group, contexts, group.branch_rewards())
+    return CheckInstance(params, group, contexts, group.rewards[1:])
 
 
 def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
                    branch_index: int | None = None) -> float:
     """Max relative L2 error of the replay-energy gradient against finite
-    differences, over one branch or all of them."""
-    branches = (inst.group.branches if branch_index is None
-                else [inst.group.branches[branch_index]])
+    differences, over one branch (``branch_index`` 0 is row 1) or all of them."""
+    rows = range(1, len(inst.group.frames)) if branch_index is None else [branch_index + 1]
     worst = 0.0
-    for branch in branches:
-        def f(reader, b=branch):
-            return ad.asum(policy.replay_energies(reader, [b], inst.contexts,
-                                                  pcfg.grad_steps, pcfg.include_all_steps))
+    for row in rows:
+        def f(reader, row=row):
+            return ad.asum(policy.replay_energies(reader, inst.group.replay, [row],
+                                                  inst.contexts, pcfg.grad_steps,
+                                                  pcfg.include_all_steps))
         _, g = grad(inst.params, f)
         fd = fd_grad(inst.params, f, FD_STEP)
         worst = max(worst, rel_l2(g.values, fd.values))
@@ -158,7 +158,7 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
             pcfg = PolicyConfig(grad_steps=2, include_all_steps=False)
         report.energy_max_rel = max(
             report.energy_max_rel,
-            check_energy_grad(inst, pcfg, branch_index=i % len(inst.group.branches)))
+            check_energy_grad(inst, pcfg, branch_index=i % len(inst.rewards)))
         old = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 500)
         ref = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 900)
         report.total_max_rel = max(report.total_max_rel,
@@ -166,7 +166,7 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
     inst = make_instance(seed * 1000 + 77)
     for j in range(identity_instances):
         tau = (0.5, 1.0, 2.0)[j % 3]
-        rewards = rng.normal(size=len(inst.group.branches))
+        rewards = rng.normal(size=len(inst.rewards))
         report.identity_max_rel = max(
             report.identity_max_rel,
             check_pg_identity(inst, tau, rewards, PolicyConfig(grad_steps=2)))

@@ -62,12 +62,9 @@ class ReplaySteps:
     def __len__(self) -> int:
         return len(self.t)
 
-    def row(self, g: int) -> "ReplaySteps":
-        return ReplaySteps(self.z[g], self.u_hat[g], self.t, self.step, self.block)
-
     @staticmethod
     def concat(parts: list["ReplaySteps"]) -> "ReplaySteps":
-        """The rows of ``parts``, in order (for a group, each trajectory's)."""
+        """The steps of ``parts``, in order (a group's keep their trajectory axis)."""
         return ReplaySteps(*(np.concatenate([getattr(p, f.name) for p in parts],
                                             axis=-3 if f.name in ("z", "u_hat") else 0)
                              for f in fields(ReplaySteps)))

@@ -1,12 +1,13 @@
 """Surrogate policy over exploration branches and the losses trained on it.
 
-Each branch gets an energy: by default the replay residual (squared error
-between cached rollout velocities and their re-evaluations under the restored
-default-layout context, normalized by latent dimension, with every cached step
-of every branch replayed as rows of one network call), or optionally a plain
-latent-space distance to the anchor.  A softmax over negative energies turns
-the group into a categorical policy; PPO ratios against a frozen snapshot and a
-KL pull toward the reference policy are all computed in the log domain.
+Each branch (row g >= 1 of a group's arrays; row 0 is the anchor) gets an
+energy: by default the replay residual (squared error between cached rollout
+velocities and their re-evaluations under the restored default-layout context,
+normalized by latent dimension, with every cached step of the selected rows
+replayed as rows of one network call), or optionally a plain latent-space
+distance to the anchor over the window frames.  A softmax over negative
+energies turns the group into a categorical policy; PPO ratios against a frozen
+snapshot and a KL pull toward the reference policy are computed in the log domain.
 
 The loss head is plain numpy.  Given taped energies it records itself as it
 goes, as the network does: one log-softmax node, then one node each for the
@@ -27,7 +28,7 @@ from .autodiff import grad as ad_grad
 from .errors import ContractError
 from .flow import ReplaySteps
 from .params import GradVector, Params
-from .routing import BranchTrajectory, ReplayContexts, RolloutGroup
+from .routing import ReplayContexts, RolloutGroup
 
 ADV_EPS = 1e-8
 
@@ -71,57 +72,61 @@ class LossBreakdown:
                    float(ad.value(total)), np.asarray(ad.value(rho), dtype=np.float64))
 
 
-def replay_energies(reader, branches: list[BranchTrajectory], contexts: ReplayContexts,
+def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
                     grad_steps: int | None = None, include_all_steps: bool = True):
-    """Per-branch sum of the per-dimension-normalized squared residuals between
-    the cached rollout velocities and their replay under the default-layout
-    contexts, with one network call per pass and memory size over the rows of
-    all branches.  Only the first ``grad_steps`` solver steps of each block
-    are evaluated on the tape; later steps are either added as constants
-    (``include_all_steps``) or dropped from the value entirely.  Returns a
-    (branches,) array for a value-only reader and a tape node otherwise."""
+    """Per-row sum of the per-dimension-normalized squared residuals between
+    the cached rollout velocities of the group rows ``rows`` and their replay
+    under the default-layout contexts, with one network call per pass and
+    memory size over those rows' steps, row by row.  Only the first
+    ``grad_steps`` solver steps of each block are evaluated on the tape; later
+    steps are either added as constants (``include_all_steps``) or dropped
+    from the value entirely.  Returns a (rows,) array for a value-only reader
+    and a tape node otherwise."""
     d = network.shape_from_layout(reader.layout).latent_dim
-    steps = ReplaySteps.concat([b.replay for b in branches])
-    if steps.z.shape[-1] != d:
-        raise ContractError(f"replay latent dim {steps.z.shape[-1]} != network dim {d}")
-    owner = np.repeat(np.arange(len(branches)), [len(b.replay) for b in branches])
-    traj = np.array([b.branch_id for b in branches], dtype=int)[owner]
-    window = steps.block - contexts.window_blocks[0]
+    if replay.z.shape[-1] != d:
+        raise ContractError(f"replay latent dim {replay.z.shape[-1]} != network dim {d}")
+    i = np.asarray(rows)[:, None]
+    window = replay.block - contexts.window_blocks[0]
     sizes = contexts.sizes[window]
-    carrying = steps.step <= (np.inf if grad_steps is None else grad_steps)
+    carrying = replay.step <= (np.inf if grad_steps is None else grad_steps)
     counted = carrying | include_all_steps
     passes = (((reader.detached(), counted & ~carrying), (reader, carrying))
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
-    terms, nodes = np.zeros(len(steps)), []
-    for r, rows in passes:
+
+    def pick(a, cols):  # the rows' entries at ``cols``, row by row, stacked
+        return a[i, cols].reshape(-1, *a.shape[2:])
+
+    # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
+    terms, nodes = np.zeros((len(i), 1 + len(replay))), []
+    for r, steps in passes:
         # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
-        for n in sorted(set(sizes[rows].tolist())):
-            sel = rows & (sizes == n)
-            i, j = traj[sel], window[sel]
-            v = network.velocity_forward(r, steps.z[sel], steps.t[sel], contexts.keys[i, j, :n],
-                                         contexts.values[i, j, :n], contexts.prompt)
-            diff = ad.value(v) - steps.u_hat[sel]
-            terms[sel] = np.sum(diff * diff, axis=(-2, -1)) * (1.0 / d)
+        for n in sorted(set(sizes[steps].tolist())):
+            s = np.flatnonzero(steps & (sizes == n))
+            # Each pick is made where it is used, as the per-row code did: holding the
+            # targets through the call doubled replay-grad's page faults (glibc malloc).
+            v = network.velocity_forward(r, pick(replay.z, s), np.tile(replay.t[s], len(i)),
+                                         pick(contexts.keys[:, :, :n], window[s]),
+                                         pick(contexts.values[:, :, :n], window[s]),
+                                         contexts.prompt)
+            diff = ad.value(v) - pick(replay.u_hat, s)
+            terms[:, 1 + s] = np.sum(diff * diff, axis=(-2, -1)).reshape(len(i), -1) * (1.0 / d)
             if isinstance(v, ad.Var):
-                nodes.append((v.idx, owner[sel], diff))
-    # Each branch's sum runs over its rows in order from 0.0, through exact
-    # zeros for the other branches' rows and the rows left out.
-    table = np.zeros((len(branches), 1 + len(steps)))
-    table[owner, 1 + np.arange(len(steps))] = terms
-    energies = np.cumsum(table, axis=1)[:, -1]
+                nodes.append((v.idx, np.repeat(np.arange(len(i)), len(s)), diff))
+    # Each row's sum runs over its steps in order from 0.0.
+    energies = np.cumsum(terms, axis=1)[:, -1]
     if not nodes:
         return energies
     return reader.tape.push(energies, tuple(idx for idx, *_ in nodes), lambda g: tuple(
-        (2.0 * (g[branch] * (1.0 / d)))[:, None, None] * diff for _, branch, diff in nodes))
+        (2.0 * (g[row] * (1.0 / d)))[:, None, None] * diff for _, row, diff in nodes))
 
 
 def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
     """Squared latent distance to the anchor over the window's final frames,
     scaled by 1/(2 sigma^2).  A drop-in surrogate energy for ablation; it
     depends only on the rolled-out latents, not on the parameters."""
-    frames = np.array([[b.frames for b in traj.window_blocks(group.pivot_block, group.window)]
-                       for traj in [group.anchor, *group.branches]])
-    return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2, 3)) / (2.0 * sigma * sigma)
+    F = group.gen_cfg.frames_per_block
+    frames = group.frames[:, (group.pivot_block - 1) * F:(group.pivot_block - 1 + group.window) * F]
+    return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2)) / (2.0 * sigma * sigma)
 
 
 def surrogate_energies(reader, group: RolloutGroup, contexts: ReplayContexts,
@@ -130,8 +135,8 @@ def surrogate_energies(reader, group: RolloutGroup, contexts: ReplayContexts,
     replay surrogate."""
     if cfg.surrogate == "latent_l2":
         return latent_l2_energies(group, cfg.l2_sigma)
-    return replay_energies(reader, group.branches, contexts, cfg.grad_steps,
-                           cfg.include_all_steps)
+    return replay_energies(reader, group.replay, range(1, len(group.frames)), contexts,
+                           cfg.grad_steps, cfg.include_all_steps)
 
 
 def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
@@ -274,7 +279,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
                     ) -> tuple[LossBreakdown, np.ndarray, GradVector, PolicyEval]:
     """Loss breakdown, per-branch energies, the reverse-mode gradient, and the
     old policy (see :func:`_build_loss` for ``eval_old=None``)."""
-    adv = advantages(group.branch_rewards(), cfg.adv_clip_max)
+    adv = advantages(group.rewards[1:], cfg.adv_clip_max)
     parts: dict = {}
 
     def f(reader):
@@ -302,10 +307,10 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
     pi = eval_cur.probs
     mu = float(np.sum(pi * adv))
     out = np.zeros(params.layout.total)
-    for g_idx, branch in enumerate(group.branches):
-        _, gvec = ad_grad(params, lambda r, b=branch: ad.asum(replay_energies(
-            r, [b], contexts, cfg.grad_steps, cfg.include_all_steps)))
-        out += pi[g_idx] * (adv[g_idx] - mu) * gvec.values
+    for g in range(1, len(group.frames)):
+        _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(
+            r, group.replay, [g], contexts, cfg.grad_steps, cfg.include_all_steps)))
+        out += pi[g - 1] * (adv[g - 1] - mu) * gvec.values
     return GradVector(-out / tau)
 
 

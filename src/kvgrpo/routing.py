@@ -9,10 +9,11 @@ group's start noise and routings before it is rolled out (a trainer may draw
 them ahead), and :func:`rollout_group` only reads them.  The group is
 generated in lockstep over one key/value history: each block is solved once
 for all trajectories, with one network call per solver step and memory-length
-bucket (mixed ``local_kv_choices`` give memories of several lengths).  The
-solver steps inside the perturbation window are cached as rows for later
-replay under default-layout memories, gathered for the whole group once per
-window block.
+bucket (mixed ``local_kv_choices`` give memories of several lengths).  A
+group is its arrays, one row per trajectory: row 0 is the anchor and row g
+branch g, in its frames, its history, its rewards and its cached window
+solver steps, which are replayed later under default-layout memories,
+gathered for the whole group once per window block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import network
 from .cache import FrameHistory, KVCache, default_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
-from .flow import Block, GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
+from .flow import GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
 from .params import Params
 
 
@@ -36,18 +37,6 @@ class RoutingDecision:
     local_size: int = 9
 
 
-@dataclass
-class BranchTrajectory:
-    blocks: list[Block]
-    routing: RoutingDecision | None
-    replay: ReplaySteps          # the window's solver steps, as rows
-    branch_id: int
-    reward: float | None = None
-
-    def window_blocks(self, pivot: int, window: int) -> list[Block]:
-        return [b for b in self.blocks if pivot <= b.block_index < pivot + window]
-
-
 @dataclass(frozen=True)
 class GroupSeeds:
     noise: int
@@ -56,25 +45,22 @@ class GroupSeeds:
 
 @dataclass
 class RolloutGroup:
-    anchor: BranchTrajectory
-    branches: list[BranchTrajectory]
+    """A group's trajectories as rows: row 0 is the anchor, never routed, and
+    row g is branch g."""
+
     pivot_block: int
     window: int
-    seeds: GroupSeeds
     prompt: np.ndarray
     gen_cfg: GeneratorConfig
-    frames: np.ndarray       # (trajectories, N, d) final latents, row i = branch id i
-    history: FrameHistory    # every trajectory's key/value rows, in the same order
+    frames: np.ndarray       # (G, N, d) final latents
+    history: FrameHistory    # every row's key/value rows
+    replay: ReplaySteps      # the window's solver steps; z and u_hat are (G, R, F, d)
+    routings: tuple[RoutingDecision | None, ...]   # the pivot's, None for the anchor
+    rewards: np.ndarray | None = None               # (G,), once scored
 
     @property
     def window_block_indices(self) -> list[int]:
         return list(range(self.pivot_block, self.pivot_block + self.window))
-
-    def all_trajectories(self) -> list[BranchTrajectory]:
-        return [self.anchor] + self.branches
-
-    def branch_rewards(self) -> np.ndarray:
-        return np.array([b.reward for b in self.branches], dtype=np.float64)
 
 
 def routable_set(L: int, near_count: int = 3, min_count: int = 6,
@@ -173,6 +159,8 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
                  ) -> RolloutPlan:
     """Draw a group's start noise and routings from its seeds: block b routes
     over (b-1)*F frames of history, whatever the parameters."""
+    if num_branches < 1:
+        raise ConfigError("need at least one branch")
     F = cfg.frames_per_block
     noise = np.stack([block_noise(seeds.noise, b, F, latent_dim)
                       for b in range(1, num_blocks + 1)])
@@ -185,42 +173,31 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
                                            for decide in deciders)) for b in routed})
 
 
-def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: int,
-                  window: int, num_branches: int, seeds: GroupSeeds,
-                  cfg: GeneratorConfig = GeneratorConfig(),
-                  local_kv_choices=((9, 6),),
-                  routing_per_block: bool = False,
-                  routing_overrides: dict[int, tuple[int, ...]] | None = None,
-                  plan: RolloutPlan | None = None) -> RolloutGroup:
-    """Anchor plus ``num_branches`` routed branches sharing prefix and noise.
-
-    ``plan`` is the group's draws, from :func:`plan_rollout` with these
-    arguments; when None, they are drawn here.
+def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,
+                  window: int, plan: RolloutPlan) -> RolloutGroup:
+    """The anchor and the routed branches of ``plan`` (from :func:`plan_rollout`),
+    sharing prefix and noise: ``len(plan.noise)`` blocks, one row per routing
+    at the pivot.
 
     One loop over blocks, each one :func:`generate_block` and one
     :func:`write_back` call: the prefix is one row written to every
-    trajectory, then the anchor (branch 0, never routed) and the branches are
+    trajectory, then the anchor (row 0, never routed) and the branches are
     rows.  Within the window a branch runs under its routed memory (shifted by
-    positional write-back, or rebuilt per block when ``routing_per_block``),
-    then under the default layout.  Every window solver step is recorded for
+    positional write-back, or rebuilt at every block the plan routes), then
+    under the default layout.  Every window solver step is recorded for
     replay, the anchor's too.  The block loop draws nothing.
     """
-    if window < 1 or pivot < 1:
-        raise ConfigError(f"pivot {pivot} and window {window} must be >= 1")
-    if pivot + window - 1 > num_blocks:
-        raise ConfigError(
-            f"window [{pivot}, {pivot + window}) exceeds {num_blocks} blocks")
-    if num_branches < 1:
-        raise ConfigError("need at least one branch")
+    num_blocks = len(plan.noise)
+    if window < 1 or pivot < 1 or pivot + window - 1 > num_blocks:
+        raise ConfigError(f"window [{pivot}, {pivot + window}) must lie in {num_blocks} blocks")
+    if pivot not in plan.routings:
+        raise ContractError(f"the plan routes nothing at pivot block {pivot}")
 
     # Row i of the history and the frames is trajectory i.
     shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block
-    if plan is None:
-        plan = plan_rollout(num_blocks, pivot, window, num_branches, seeds, cfg,
-                            shape.latent_dim, local_kv_choices, routing_per_block,
-                            routing_overrides)
-    history = FrameHistory.allocate(num_branches + 1, num_blocks * F, shape.hidden_dim)
-    frames = np.zeros((num_branches + 1, num_blocks * F, shape.latent_dim))
+    G = len(plan.routings[pivot])
+    history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
+    frames = np.zeros((G, num_blocks * F, shape.latent_dim))
     cache = KVCache(history, [()], [cfg.local_size], cfg.sink_size)
     replay: list[ReplaySteps] = []
     for b in range(1, num_blocks + 1):
@@ -236,22 +213,16 @@ def rollout_group(params: Params, prompt: np.ndarray, num_blocks: int, pivot: in
         write_back(cache, block, params, prompt)
         frames[:, L:L + F] = block.frames
         replay += [steps] if in_window else []
-
-    replay_steps = ReplaySteps.concat(replay)
-    routings = plan.routings[pivot]  # recorded: the pivot's
-    trajectories = [BranchTrajectory(
-        [Block(frames[g, (b - 1) * F:b * F], b) for b in range(1, num_blocks + 1)],
-        routings[g], replay_steps.row(g), g) for g in range(num_branches + 1)]
-    return RolloutGroup(trajectories[0], trajectories[1:], pivot, window, seeds,
-                        np.asarray(prompt), cfg, frames, history)
+    return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history,
+                        ReplaySteps.concat(replay), plan.routings[pivot])
 
 
 @dataclass
 class ReplayContexts:
     """Default-layout memories for replaying each trajectory's window steps.
 
-    ``keys[i, j]`` and ``values[i, j]`` condition trajectory ``i`` (its branch
-    id) at the j-th window block; their first ``sizes[j]`` rows are filled (a
+    ``keys[i, j]`` and ``values[i, j]`` condition the group's row ``i`` at the
+    j-th window block; their first ``sizes[j]`` rows are filled (a
     window starting before the memory is full has shorter memories at first).
     Entries come from the stored rollout history, so the contexts are plain
     numbers: replay gradients flow through the velocity evaluation only,

@@ -152,7 +152,6 @@ class IterationPlan:
     iteration: int
     pivot: int
     window: int
-    seeds: GroupSeeds
     rollout: RolloutPlan     # the group's start noise and routings
 
 
@@ -160,7 +159,7 @@ def plan_iteration(cfg: TrainerConfig, iteration: int) -> IterationPlan:
     """The plan of iteration ``iteration``, a pure function of its arguments."""
     pivot, seeds = iteration_seeds(cfg, iteration)
     window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
-    return IterationPlan(iteration, pivot, window, seeds, plan_rollout(
+    return IterationPlan(iteration, pivot, window, plan_rollout(
         cfg.num_blocks, pivot, window, cfg.branch_number, seeds, _generator_cfg(cfg),
         cfg.latent_dim, tuple(tuple(c) for c in cfg.local_kv_choices),
         cfg.routing_mode == "per_block"))
@@ -174,10 +173,8 @@ def learning_rate_at(cfg: TrainerConfig, iteration: int) -> float:
 
 
 def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
-    """Fill every trajectory's reward in place, scoring the group at once."""
-    rewards = composite(group.frames, cfg.reward_spec(), cfg.reward_target())
-    for traj, reward in zip(group.all_trajectories(), rewards.tolist()):
-        traj.reward = reward
+    """Fill the group's rewards in place, scoring its rows at once."""
+    group.rewards = composite(group.frames, cfg.reward_spec(), cfg.reward_target())
 
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig,
@@ -207,17 +204,16 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
     pcfg = _policy_cfg(cfg)
     entering = snapshot(state.params), copy.deepcopy(state.opt)
     try:
-        group = rollout_group(state.params, cfg.prompt(), cfg.num_blocks, pivot, window,
-                              cfg.branch_number, plan.seeds, _generator_cfg(cfg),
-                              plan=plan.rollout)
+        group = rollout_group(state.params, cfg.prompt(), _generator_cfg(cfg), pivot, window,
+                              plan.rollout)
         score_group(group, cfg)
         state.group = group
-        rewards = group.branch_rewards()
-        record.anchor_reward = float(group.anchor.reward)
+        anchor, rewards = group.rewards[0], group.rewards[1:]
+        record.anchor_reward = float(anchor)
         record.branch_rewards = [float(r) for r in rewards]
         record.reward_mean, record.reward_std = float(rewards.mean()), float(rewards.std())
         contexts = build_replay_contexts(group, cfg.replay_context)
-        if guard(rewards, group.anchor.reward):
+        if guard(rewards, anchor):
             record.skipped = True
             record.branch_energies = [float(e) for e in policy.surrogate_energies(
                 state.params, group, contexts, pcfg)]
@@ -407,12 +403,12 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
 def _dump_trajectories(send, group: RolloutGroup, record: IterationRecord) -> None:
     """Check the group the iteration trained on and ``send`` it, as :func:`_encode_group`
     reads it; a value JSON cannot encode or a prefix that differs raises instead."""
-    trajectories, shared = group.all_trajectories(), group.pivot_block - 1
-    blocks = group.frames.reshape(len(trajectories), -1, group.gen_cfg.frames_per_block,
+    shared = group.pivot_block - 1
+    blocks = group.frames.reshape(len(group.frames), -1, group.gen_cfg.frames_per_block,
                                   group.frames.shape[-1])
-    heads = [(t.branch_id, list(t.routing.indices) if t.routing else None, t.reward)
-             for t in trajectories]
-    if not (np.isfinite(blocks).all() and np.isfinite([h[2] for h in heads]).all()):
+    heads = [(g, list(routing.indices) if routing else None, reward)
+             for g, (routing, reward) in enumerate(zip(group.routings, group.rewards.tolist()))]
+    if not (np.isfinite(blocks).all() and np.isfinite(group.rewards).all()):
         raise ValueError("a trajectory holds a value that JSON cannot encode")
     if not (blocks[:, :shared] == blocks[:1, :shared]).all():
         raise ContractError("trajectories differ before the pivot block")

@@ -22,8 +22,9 @@ from kvgrpo.config import RunConfig, TrainerConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.policy import (LossBreakdown, PolicyConfig, advantages, gibbs, guard,
                            ppo_kl_loss)
-from kvgrpo.routing import GroupSeeds, rollout_group
+from kvgrpo.routing import GroupSeeds
 from kvgrpo.trainer import init_state, run, train_iteration
+from test_routing import roll, window_frames
 
 
 @contextmanager
@@ -77,7 +78,7 @@ class TestCriterion1GradientFidelity:
                 pcfg = (PolicyConfig(grad_steps=None) if i % 2 == 0
                         else PolicyConfig(grad_steps=2, include_all_steps=False))
                 worst_energy = max(worst_energy, check_energy_grad(
-                    inst, pcfg, branch_index=i % len(inst.group.branches)))
+                    inst, pcfg, branch_index=i % len(inst.rewards)))
                 old = param_init(NetworkShape(3, 5, 2), 5000 + i)
                 ref = param_init(NetworkShape(3, 5, 2), 7000 + i)
                 worst_total = max(worst_total,
@@ -100,7 +101,7 @@ class TestCriterion2ContrastiveIdentity:
             for i in range(100):
                 inst = groups[i % len(groups)]
                 tau = (0.5, 1.0, 2.0)[i % 3]
-                rewards = rng.normal(size=len(inst.group.branches))
+                rewards = rng.normal(size=len(inst.rewards))
                 eval_params = param_init(shape, 9000 + i)
                 worst = max(worst, check_pg_identity(
                     inst, tau, rewards, PolicyConfig(grad_steps=2), eval_params))
@@ -203,10 +204,9 @@ class TestCriterion6Determinism:
 
     def _group(self, params_seed, group_seed, branches=2, overrides=None):
         params = param_init(NetworkShape(3, 5, 2), params_seed)
-        return params, rollout_group(
-            params, self.PROMPT, 7, pivot=6, window=2, num_branches=branches,
-            seeds=GroupSeeds(noise=group_seed, routing=group_seed + 1),
-            routing_overrides=overrides)
+        return params, roll(params, self.PROMPT, 7, pivot=6, window=2, num_branches=branches,
+                            seeds=GroupSeeds(noise=group_seed, routing=group_seed + 1),
+                            routing_overrides=overrides)
 
     def test_bitwise_reproduction_identity_routing_and_divergence(self):
         with criterion(6, "determinism: bitwise group reproduction, identity "
@@ -214,22 +214,17 @@ class TestCriterion6Determinism:
                           ">=95/100 trials"):
             _, g1 = self._group(5, 50)
             _, g2 = self._group(5, 50)
-            for t1, t2 in zip(g1.all_trajectories(), g2.all_trajectories()):
-                for b1, b2 in zip(t1.blocks, t2.blocks):
-                    assert np.array_equal(b1.frames, b2.frames)
+            assert np.array_equal(g1.frames, g2.frames)
 
             identity = tuple(range(15 - 8, 15 - 2))
             _, g3 = self._group(6, 60, overrides={1: identity})
-            routed, anchor = g3.branches[0], g3.anchor
-            for b1, b2 in zip(routed.window_blocks(6, 2), anchor.window_blocks(6, 2)):
-                assert np.array_equal(b1.frames, b2.frames)
+            anchor, routed = window_frames(g3)[:2]
+            assert np.array_equal(routed, anchor)
 
             differing = 0
             for trial in range(100):
                 _, g = self._group(1000 + trial, 2000 + trial)
-                a, b = g.branches
-                wa = np.vstack([blk.frames for blk in a.window_blocks(6, 2)])
-                wb = np.vstack([blk.frames for blk in b.window_blocks(6, 2)])
+                _, wa, wb = window_frames(g)
                 if not np.array_equal(wa, wb):
                     differing += 1
             assert differing >= 95, f"only {differing}/100 trials diverged"

@@ -4,7 +4,8 @@
 that is renamed or deleted, or that a workload stops calling, makes
 ``perfbench/run.py --trace 1`` fail.  The first test installs and removes the
 tracer without running anything; the second runs one traced pass of each
-workload and summarizes it, as ``--trace 1`` does.
+workload and summarizes it, as ``--trace 1`` does; the third checks the tag
+that splits a rollout's prefix time from its branch time.
 """
 
 import importlib
@@ -41,3 +42,16 @@ def test_traced_pass_fires_every_layer(monkeypatch, tmp_path, workload):
     traced = measure.run_pass(tmp_path, workload, 0, 0, tracer=tracer)
     # Raises MissingLayer if a required layer never fired.
     tracer.summarize(workload, traced.records, traced.enter, traced.leave, traced.scale())
+
+
+def test_rollout_spans_are_tagged_with_the_pivot(monkeypatch, tmp_path):
+    # The tracer splits prefix from branch time at the tag of each rollout
+    # span, which it reads from rollout_group's pivot argument.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    measure = importlib.import_module("measure")
+    tracer = importlib.import_module("tracer").Tracer()
+    traced = measure.run_pass(tmp_path, "train-default", 0, 0, iterations=3, tracer=tracer)
+    code = tracer.labels.index("routing.rollout_group")
+    tags = [tag for label, tag in zip(tracer.label, tracer.tag) if label == code]
+    assert tags == [record.pivot_block for record in traced.records]
+    assert len(set(tags)) > 1  # a constant argument would not match

@@ -298,16 +298,37 @@ class TestCheckpoint:
         params = param_init(NetworkShape(8, 7, 4), 9)  # 386 values
         path = tmp_path / "ck.kvc"
         save_checkpoint(path, params, {}, 3, None)
-        blob = path.read_bytes()
-        header_len = int.from_bytes(blob[12:16], "little")
-        header = {**json.loads(blob[16:16 + header_len]), field: value}
-        text = json.dumps(header).encode()
-        path.write_bytes(blob[:12] + len(text).to_bytes(4, "little") + text
-                         + blob[16 + header_len:])
+        rewrite_header(path, lambda header: header.update({field: value}))
         with pytest.raises(ConfigError, match=f"header field {field} must be"):
             load_checkpoint(path)
         assert main(["inspect", str(path)]) == 1
         assert f"header field {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("segment,key,value", [
+        ("embed_w", "shape", [-13, -16]), ("embed_w", "shape", [13.0, 16]),
+        ("embed_w", "shape", [13, True]), ("embed_b", "offset", 999),
+        ("embed_b", "offset", 208.0)])
+    def test_corrupt_layout_rejected(self, tmp_path, capsys, segment, key, value):
+        # The first two keep the segment's size, so the value count still agrees.
+        params = param_init(NetworkShape(), 9)  # embed_w is 13 x 16, embed_b at 208
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {}, 3, None)
+        rewrite_header(path, lambda header: header["layout"][segment].update({key: value}))
+        with pytest.raises(ConfigError, match=f"segment '{segment}' has {key}"):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+        assert f"segment '{segment}' has {key}" in capsys.readouterr().err
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``, in place."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[12:16], "little")
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:12] + len(text).to_bytes(4, "little") + text
+                     + blob[16 + header_len:])
 
 
 class TestCli:

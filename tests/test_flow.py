@@ -46,7 +46,8 @@ def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=F
     noise = block_noise(noise_seed, block_index, cfg.frames_per_block,
                         shape_from_layout(params.layout).latent_dim)
     block, steps = generate_block(params, cache, block_index, noise, prompt, record_replay, cfg)
-    return Block(block.frames[0], block_index), None if steps is None else steps.row(0)
+    return Block(block.frames[0], block_index), None if steps is None else ReplaySteps(
+        steps.z[0], steps.u_hat[0], steps.t, steps.step, steps.block)
 
 
 def write_one(cache, block, params, prompt):
@@ -118,8 +119,8 @@ class TestEulerSolve:
         block, steps = generate_block(tiny_params, one_row_cache(rows=2), 1,
                                       block_noise(9, 1, 3, 3), PROMPT, True)
         assert block.frames.shape == (2, 3, 3) and steps.z.shape == (2, 4, 3, 3)
-        np.testing.assert_array_equal(steps.row(0).z[0], block_noise(9, 1, 3, 3))
-        np.testing.assert_array_equal(steps.row(1).z[0], block_noise(9, 1, 3, 3))
+        np.testing.assert_array_equal(steps.z[0, 0], block_noise(9, 1, 3, 3))
+        np.testing.assert_array_equal(steps.z[1, 0], block_noise(9, 1, 3, 3))
         assert block.frames[0].tobytes() == block.frames[1].tobytes()
 
 

@@ -3,6 +3,7 @@ clipped PPO, KL penalty, guard, and the closed-form gradient reference."""
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,10 +21,9 @@ from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
                            gibbs, guard, latent_l2_energies, pg_surrogate_value,
                            ppo_kl_loss, replay_energies, surrogate_energies,
                            total_loss_grad)
-from kvgrpo.routing import (BranchTrajectory, GroupSeeds, ReplayContexts,
-                            build_replay_contexts, rollout_group)
+from kvgrpo.routing import GroupSeeds, ReplayContexts, build_replay_contexts
 import reference_ops as ops
-from test_routing import memory
+from test_routing import memory, roll
 
 finite_energies = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -55,26 +55,30 @@ def reported_kl(eval_cur, eval_ref):
     return LossBreakdown.of(*terms).kl
 
 
-def energy(reader, branch, contexts, grad_steps=None, include_all_steps=True):
-    """One branch's replay energy: a number, or a tape node."""
-    return ad.asum(replay_energies(reader, [branch], contexts, grad_steps,
+def energy(reader, group, row, contexts, grad_steps=None, include_all_steps=True):
+    """One row's replay energy: a number, or a tape node."""
+    return ad.asum(replay_energies(reader, group.replay, [row], contexts, grad_steps,
                                    include_all_steps))
 
 
-def reference_energy(reader, branch, contexts, grad_steps=None, include_all_steps=True):
+def branch_rows(group):
+    return range(1, len(group.frames))
+
+
+def reference_energy(reader, group, row, contexts, grad_steps=None, include_all_steps=True):
     """The per-step loop the batched replay replaced, kept as its oracle: one
     network call and five tape ops per cached solver step, summed in order.
     (It squared with a tape op of its own; a product with a shared operand
     gets the same adjoint, (g * diff) + (g * diff) = (2 * g) * diff, exactly.)"""
     d = reader.layout.segments["head2_w"][1][1]
-    steps = branch.replay
+    steps = group.replay
     total = 0.0
-    for z, u_hat, t, step, block in zip(steps.z, steps.u_hat, steps.t, steps.step,
+    for z, u_hat, t, step, block in zip(steps.z[row], steps.u_hat[row], steps.t, steps.step,
                                         steps.block):
         carrying = grad_steps is None or step <= grad_steps
         if not carrying and not include_all_steps:
             continue
-        keys, values = memory(contexts, branch.branch_id, block)
+        keys, values = memory(contexts, row, block)
         r = reader if carrying else reader.detached()
         v = network.velocity_forward(r, z, t, keys, values, contexts.prompt)
         diff = ops.sub(v, u_hat)
@@ -87,14 +91,14 @@ def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
     """The trained loss on the per-step oracle's energies, packed branch by
     branch, with the old policy taken from its own values, all on the
     reference ops."""
-    adv = advantages(group.branch_rewards(), pcfg.adv_clip_max)
-    old = gibbs(np.array([float(reference_energy(params, b, contexts, pcfg.grad_steps,
+    adv = advantages(group.rewards[1:], pcfg.adv_clip_max)
+    old = gibbs(np.array([float(reference_energy(params, group, g, contexts, pcfg.grad_steps,
                                                  pcfg.include_all_steps))
-                          for b in group.branches]), pcfg.tau)
+                          for g in branch_rows(group)]), pcfg.tau)
 
     def f(reader):
-        energies = [reference_energy(reader, b, contexts, pcfg.grad_steps,
-                                     pcfg.include_all_steps) for b in group.branches]
+        energies = [reference_energy(reader, group, g, contexts, pcfg.grad_steps,
+                                     pcfg.include_all_steps) for g in branch_rows(group)]
         log_probs = ops.log_policy(ops.pack(energies), pcfg.tau)
         return ops.ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
 
@@ -103,37 +107,36 @@ def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
 
 class TestReplayEnergy:
     def test_zero_residual_gives_zero(self, check_instance):
-        assert replay_energies(check_instance.params, [check_instance.group.anchor],
+        assert replay_energies(check_instance.params, check_instance.group.replay, [0],
                                check_instance.contexts).tolist() == [0.0]
 
     def test_single_tuple_hand_case(self, tiny_params):
         # One frame, d=3, residual (1,0,0): energy = 1/d = 1/3.  Build a fake
-        # branch whose cached velocity differs from the replayed one by exactly
-        # that residual.
+        # one-row group replay whose cached velocity differs from the replayed
+        # one by exactly that residual.
         z = np.zeros((1, 3))
         keys, values = np.ones((1, 5)), np.ones((1, 5))  # a one-frame memory
         prompt = np.array([0.3, -0.2])
         v = np.asarray(network.velocity_forward(tiny_params, z, 0.25, keys, values, prompt))
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
-        steps = ReplaySteps(z[None], u_hat[None], np.array([0.25]), np.array([1]),
+        steps = ReplaySteps(z[None, None], u_hat[None, None], np.array([0.25]), np.array([1]),
                             np.array([5]))
-        branch = BranchTrajectory([], None, steps, branch_id=0)
         contexts = ReplayContexts([5], keys[None, None], values[None, None],
                                   np.array([1]), prompt)
-        energies = replay_energies(tiny_params, [branch], contexts)
+        energies = replay_energies(tiny_params, steps, [0], contexts)
         assert energies.shape == (1,)
         assert energies[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_double_loop_oracle(self, check_instance):
         inst = check_instance
-        branch = inst.group.branches[2]
-        got = float(energy(inst.params, branch, inst.contexts))
+        replay, row = inst.group.replay, 3
+        got = float(energy(inst.params, inst.group, row, inst.contexts))
         # direct two-level summation using only public pieces
         total = 0.0
         d = 3
-        for z, u_hat, t, block in zip(branch.replay.z, branch.replay.u_hat,
-                                      branch.replay.t, branch.replay.block):
-            keys, values = memory(inst.contexts, branch.branch_id, block)
+        for z, u_hat, t, block in zip(replay.z[row], replay.u_hat[row], replay.t,
+                                      replay.block):
+            keys, values = memory(inst.contexts, row, block)
             v = np.asarray(network.velocity_forward(inst.params, z, t, keys, values,
                                                     inst.contexts.prompt))
             for frame in range(v.shape[0]):
@@ -143,24 +146,24 @@ class TestReplayEnergy:
 
     def test_grad_steps_do_not_change_value_when_all_included(self, check_instance):
         inst = check_instance
-        b = inst.group.branches[0]
-        full = float(energy(inst.params, b, inst.contexts, None))
-        restricted_grad = energy(inst.params, b, inst.contexts, 2, True)
+        g = inst.group
+        full = float(energy(inst.params, g, 1, inst.contexts, None))
+        restricted_grad = energy(inst.params, g, 1, inst.contexts, 2, True)
         assert float(restricted_grad) == pytest.approx(full, rel=1e-15)
 
     def test_value_restriction_drops_late_steps(self, check_instance):
         inst = check_instance
-        b = inst.group.branches[0]
-        only_early = float(energy(inst.params, b, inst.contexts, 2, False))
-        full = float(energy(inst.params, b, inst.contexts, None))
+        g = inst.group
+        only_early = float(energy(inst.params, g, 1, inst.contexts, 2, False))
+        full = float(energy(inst.params, g, 1, inst.contexts, None))
         assert only_early < full
 
     def test_restricted_gradient_equals_restricted_value_gradient(self, check_instance):
         # Constants added by include_all_steps must not change the gradient.
         inst = check_instance
-        b = inst.group.branches[1]
-        _, g_all = grad(inst.params, lambda r: energy(r, b, inst.contexts, 2, True))
-        _, g_restr = grad(inst.params, lambda r: energy(r, b, inst.contexts, 2, False))
+        g = inst.group
+        _, g_all = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, True))
+        _, g_restr = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, False))
         np.testing.assert_array_equal(g_all.values, g_restr.values)
 
     @pytest.mark.parametrize("grad_steps", [2, None])
@@ -179,12 +182,11 @@ class TestReplayEnergy:
 
     def test_dimension_mismatch_rejected(self, check_instance):
         inst = check_instance
-        rows = np.zeros((1, 1, 7))
-        steps = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
-                            np.array([inst.contexts.window_blocks[0]]))
-        bad = BranchTrajectory([], None, steps, branch_id=1)
+        rows = np.zeros((2, 1, 1, 7))
+        bad = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
+                          np.array([inst.contexts.window_blocks[0]]))
         with pytest.raises(ContractError):
-            replay_energies(inst.params, [bad], inst.contexts)
+            replay_energies(inst.params, bad, [1], inst.contexts)
 
 
 def replay_group(mixed: bool):
@@ -193,11 +195,9 @@ def replay_group(mixed: bool):
     routed slots that still leave the branches a choice of frames."""
     params = param_init(NetworkShape(), 3)
     pivot, choices = (4, ((5, 2),)) if mixed else (5, ((9, 6),))
-    group = rollout_group(params, np.linspace(0.5, -0.5, 4), 8, pivot, 4, 6,
-                          GroupSeeds(31, 32), GeneratorConfig(), choices)
-    rng = np.random.default_rng(4)
-    for traj in group.all_trajectories():
-        traj.reward = float(rng.normal())
+    group = roll(params, np.linspace(0.5, -0.5, 4), 8, pivot, 4, 6, GroupSeeds(31, 32),
+                 GeneratorConfig(), choices)
+    group.rewards = np.random.default_rng(4).normal(size=len(group.frames))
     return params, group
 
 
@@ -221,9 +221,9 @@ class TestBatchedReplay:
         contexts = build_replay_contexts(group, source)
         pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
         ref_params = param_init(NetworkShape(), 8)
-        expected = np.array([float(reference_energy(params, b, contexts, grad_steps,
+        expected = np.array([float(reference_energy(params, group, g, contexts, grad_steps,
                                                     include_all_steps))
-                             for b in group.branches])
+                             for g in branch_rows(group)])
         plain = surrogate_energies(params, group, contexts, pcfg)
         assert plain.tobytes() == expected.tobytes()
         taped = surrogate_energies(ad.TapeReader(ad.Tape(), params), group, contexts, pcfg)
@@ -240,6 +240,19 @@ class TestBatchedReplay:
             assert rel_l2(g.values, g_ref.values) < 1e-12
         else:
             np.testing.assert_array_equal(g.values, g_ref.values)
+
+    @pytest.mark.parametrize("grad_steps", [2, None])
+    def test_one_row_equals_its_entry_of_all_branches(self, replay_case, grad_steps):
+        # Selecting rows changes which steps share a network call, not a bit.
+        _, params, group = replay_case
+        contexts = build_replay_contexts(group)
+        for reader in (params, ad.TapeReader(ad.Tape(), params)):
+            every = ad.value(replay_energies(reader, group.replay, branch_rows(group),
+                                             contexts, grad_steps))
+            assert isinstance(every, np.ndarray) and every.shape == (len(group.frames) - 1,)
+            for g in branch_rows(group):
+                one = replay_energies(reader, group.replay, [g], contexts, grad_steps)
+                assert ad.value(one).tobytes() == every[g - 1:g].tobytes()
 
     def test_mixed_case_has_two_memory_sizes(self):
         _, group = replay_group(mixed=True)
@@ -261,7 +274,7 @@ class TestBatchedReplay:
         surrogate_energies(params, group, contexts, pcfg)
         assert calls == [False] * sizes
         calls.clear()
-        eval_ref = gibbs(np.zeros(len(group.branches)), pcfg.tau)
+        eval_ref = gibbs(np.zeros(len(group.frames) - 1), pcfg.tau)
         total_loss_grad(params, group, contexts, None, eval_ref, pcfg)
         # taped calls for the carrying steps, value-only ones for the rest
         assert sorted(calls) == [False] * sizes + [True] * sizes
@@ -447,7 +460,7 @@ class TestKlPenalty:
         # The KL to such a reference is infinite: the gradient pass rejects the
         # loss, and the trainer skips the iteration.
         inst = check_instance
-        ref = gibbs(np.zeros(len(inst.group.branches)), 1.0)
+        ref = gibbs(np.zeros(len(inst.rewards)), 1.0)
         ref.log_probs[1] = -np.inf
         with pytest.raises(NumericalError):
             total_loss_grad(inst.params, inst.group, inst.contexts, None, ref,
@@ -467,46 +480,30 @@ class TestGuard:
 
 class TestLatentL2:
     def test_identical_branch_zero(self, check_instance):
-        energies = latent_l2_energies(check_instance.group)
         # no branch equals the anchor here, but the anchor against itself:
         group = check_instance.group
-        anchor_copy = group.branches[0]
-        saved = anchor_copy.blocks
-        anchor_copy.blocks = group.anchor.blocks
-        try:
-            energies = latent_l2_energies(group)
-            assert energies[0] == 0.0
-        finally:
-            anchor_copy.blocks = saved
+        frames = group.frames.copy()
+        frames[1] = frames[0]
+        energies = latent_l2_energies(dataclasses.replace(group, frames=frames))
+        assert energies[0] == 0.0
 
     def test_hand_case(self):
-        class Blocky:
-            def __init__(self, m):
-                self.frames = m
-                self.block_index = 5
-
-        class Traj:
-            def __init__(self, m, branch_id):
-                self.blocks = [Blocky(m)]
-                self.branch_id = branch_id
-            def window_blocks(self, pivot, window):
-                return self.blocks
-
-        class Group:
-            pivot_block, window = 5, 1
-            anchor = Traj(np.zeros((1, 2)), 0)
-            branches = [Traj(np.array([[3.0, 4.0]]), 1)]
-
-        energies = latent_l2_energies(Group(), sigma=1.0)
+        # One-frame blocks; only block 5 is in the window.
+        frames = np.zeros((2, 6, 2))
+        frames[1, 4] = [3.0, 4.0]
+        frames[1, [3, 5]] = 7.0
+        group = SimpleNamespace(pivot_block=5, window=1, frames=frames,
+                                gen_cfg=GeneratorConfig(frames_per_block=1))
+        energies = latent_l2_energies(group, sigma=1.0)
         assert energies[0] == pytest.approx(12.5)
 
     def test_matches_norm_oracle(self, check_instance):
         group = check_instance.group
         energies = latent_l2_energies(group, sigma=0.7)
-        pivot, window = group.pivot_block, group.window
-        anchor = np.vstack([b.frames for b in group.anchor.window_blocks(pivot, window)])
-        for e, br in zip(energies, group.branches):
-            mine = np.vstack([b.frames for b in br.window_blocks(pivot, window)])
+        F = group.gen_cfg.frames_per_block
+        blocks = [group.frames[:, (b - 1) * F:b * F] for b in group.window_block_indices]
+        anchor, *rows = np.concatenate(blocks, axis=1)
+        for e, mine in zip(energies, rows):
             assert e == pytest.approx(np.linalg.norm(mine - anchor) ** 2 / (2 * 0.49),
                                       rel=1e-12)
 
@@ -548,7 +545,7 @@ class TestTotalLoss:
         inst = check_instance
         pcfg = PolicyConfig(grad_steps=None, beta=beta)
         eval_old, eval_ref = self._evals(inst, pcfg)
-        adv = advantages(inst.group.branch_rewards(), pcfg.adv_clip_max)
+        adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
 
         def f(reader):
             total, ppo, kl, *_ = _build_loss(reader, inst.group, inst.contexts,
@@ -565,7 +562,7 @@ class TestTotalLoss:
         inst = check_instance
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(inst, pcfg)
-        adv = advantages(inst.group.branch_rewards(), pcfg.adv_clip_max)
+        adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
         total, ppo, kl, rho, *_ = _build_loss(inst.params, inst.group, inst.contexts,
                                               eval_old, eval_ref, adv, pcfg)
         plain = LossBreakdown.of(total, ppo, kl, rho)
@@ -694,7 +691,8 @@ class TestFusedHead:
 class TestContrastiveReference:
     def test_equal_advantages_give_zero(self, check_instance):
         inst = check_instance
-        energies = replay_energies(inst.params, inst.group.branches, inst.contexts, 2, True)
+        energies = replay_energies(inst.params, inst.group.replay, branch_rows(inst.group),
+                                   inst.contexts, 2, True)
         ev = gibbs(energies, 1.0)
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
         ref = contrastive_grad_reference(inst.params, inst.group, inst.contexts,
@@ -705,16 +703,19 @@ class TestContrastiveReference:
         # pi = (1/2, 1/2), A = (1, -1): reference reduces to
         # -(1/(2 tau)) (grad E_1 - grad E_2).
         inst = check_instance
-        sub = dataclasses.replace(inst.group, branches=inst.group.branches[:2])
+        g = inst.group
+        sub = dataclasses.replace(  # the anchor and the first two branches
+            g, frames=g.frames[:3], routings=g.routings[:3], rewards=g.rewards[:3],
+            replay=dataclasses.replace(g.replay, z=g.replay.z[:3], u_hat=g.replay.u_hat[:3]))
         ev = gibbs(np.array([4.0, 4.0]), 2.0)
         adv = advantages(np.array([1.0, -1.0]), clip_max=np.inf)
         got = contrastive_grad_reference(inst.params, sub, inst.contexts, ev,
                                          adv, tau=2.0)
         pcfg = PolicyConfig()
         grads = []
-        for b in sub.branches:
-            _, g = grad(inst.params, lambda r, br=b: energy(
-                r, br, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
+        for row in branch_rows(sub):
+            _, g = grad(inst.params, lambda r, row=row: energy(
+                r, sub, row, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
             grads.append(g.values)
         expected = -(grads[0] - grads[1]) / (2 * 2.0)
         np.testing.assert_allclose(got.values, expected, atol=1e-15)

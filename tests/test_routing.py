@@ -14,21 +14,20 @@ from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RoutingDecision, _branch_decider,
-                            build_branch_cache,
-                            build_replay_contexts, rollout_group, routable_set,
-                            sample_routing)
+                            build_branch_cache, build_replay_contexts, plan_rollout,
+                            rollout_group, routable_set, sample_routing)
 from test_flow import rollout
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
 
 
-def replay_velocities(params, branch, contexts):
-    """Each cached solver step of a branch, re-evaluated under its restored
-    default-layout context."""
+def replay_velocities(params, group, row, contexts):
+    """Each cached solver step of one row of a group, re-evaluated under its
+    restored default-layout context."""
     out = []
-    for z, t, block in zip(branch.replay.z, branch.replay.t, branch.replay.block):
-        keys, values = memory(contexts, branch.branch_id, block)
+    for z, t, block in zip(group.replay.z[row], group.replay.t, group.replay.block):
+        keys, values = memory(contexts, row, block)
         out.append(velocity_forward(params, z, t, keys, values, contexts.prompt))
     return out
 
@@ -40,10 +39,25 @@ def memory(contexts, branch_id, block):
     return contexts.keys[branch_id, j, :n], contexts.values[branch_id, j, :n]
 
 
+def roll(params, prompt, num_blocks, pivot, window, num_branches, seeds,
+         cfg=GeneratorConfig(), *args, **kw):
+    """Plan a group (``args`` and ``kw`` go to :func:`plan_rollout` after the
+    latent dimension), then roll it out."""
+    plan = plan_rollout(num_blocks, pivot, window, num_branches, seeds, cfg,
+                        network.shape_from_layout(params.layout).latent_dim, *args, **kw)
+    return rollout_group(params, prompt, cfg, pivot, window, plan)
+
+
+def window_frames(group):
+    """Every row's final latents over the window blocks, (G, window * F, d)."""
+    F = group.gen_cfg.frames_per_block
+    return group.frames[:, (group.pivot_block - 1) * F:(group.pivot_block + group.window - 1) * F]
+
+
 def make_group(seed=0, num_blocks=8, pivot=6, window=2, branches=4, **kw):
     params = param_init(TINY, seed)
-    group = rollout_group(params, PROMPT, num_blocks, pivot, window, branches,
-                          GroupSeeds(noise=seed + 100, routing=seed + 200), **kw)
+    group = roll(params, PROMPT, num_blocks, pivot, window, branches,
+                 GroupSeeds(noise=seed + 100, routing=seed + 200), **kw)
     return params, group
 
 
@@ -153,58 +167,47 @@ class TestRolloutGroup:
     def test_replay_tuple_counts(self):
         # Window of 5 blocks at 4 steps each: 20 tuples per trajectory.
         _, group = make_group(num_blocks=9, pivot=5, window=5, branches=2)
-        for traj in group.all_trajectories():
-            assert len(traj.replay) == 20
+        assert len(group.replay) == 20
+        assert group.replay.z.shape[:2] == group.replay.u_hat.shape[:2] == (3, 20)
 
     def test_identical_seeds_identical_trajectories(self):
         _, g1 = make_group(seed=4)
         _, g2 = make_group(seed=4)
-        for t1, t2 in zip(g1.all_trajectories(), g2.all_trajectories()):
-            for b1, b2 in zip(t1.blocks, t2.blocks):
-                assert np.array_equal(b1.frames, b2.frames)
+        assert np.array_equal(g1.frames, g2.frames)
 
     def test_anchor_equals_plain_rollout(self):
         params, group = make_group(seed=5)
         plain = rollout(params, PROMPT, 8, noise_seed=105)
-        for b1, b2 in zip(group.anchor.blocks, plain.blocks):
-            assert np.array_equal(b1.frames, b2.frames)
+        assert np.array_equal(group.frames[0], np.vstack([b.frames for b in plain.blocks]))
 
     def test_branches_share_block_noise(self):
         # every trajectory's pivot block starts from the same x_T
         _, group = make_group(seed=16, pivot=6, window=2)
-        starts = [t.replay.z[0] for t in group.all_trajectories()]
+        starts = group.replay.z[:, 0]
         for z in starts[1:]:
             assert np.array_equal(z, starts[0])
 
     def test_shared_prefix_bitwise(self):
         _, group = make_group(seed=6, pivot=6)
-        anchor_prefix = [b.frames for b in group.anchor.blocks[:5]]
-        for branch in group.branches:
-            for mine, theirs in zip([b.frames for b in branch.blocks[:5]],
-                                    anchor_prefix):
-                assert np.array_equal(mine, theirs)
+        prefix = group.frames[:, :5 * 3]  # blocks 1-5
+        for mine in prefix[1:]:
+            assert np.array_equal(mine, prefix[0])
 
     def test_identity_routing_reproduces_anchor_bitwise(self):
         L = 15  # pivot 6 under 3-frame blocks
         identity = tuple(range(L - 8, L - 2))
         _, group = make_group(seed=7, pivot=6, window=3, branches=2,
                               routing_overrides={1: identity})
-        routed = group.branches[0]
-        assert routed.routing.indices == identity
-        for b1, b2 in zip(routed.blocks, group.anchor.blocks):
-            assert np.array_equal(b1.frames, b2.frames)
-        other = group.branches[1]
-        assert any(not np.array_equal(b1.frames, b2.frames)
-                   for b1, b2 in zip(other.blocks, group.anchor.blocks))
+        assert group.routings[1].indices == identity
+        assert np.array_equal(group.frames[1], group.frames[0])
+        assert not np.array_equal(group.frames[2], group.frames[0])
 
     def test_distinct_routings_diverge_in_window(self):
         _, group = make_group(seed=8, pivot=6, window=3, branches=4)
-        pivot, window = group.pivot_block, group.window
-        mats = [np.vstack([b.frames for b in t.window_blocks(pivot, window)])
-                for t in group.branches]
-        for i in range(len(mats)):
+        mats = window_frames(group)
+        for i in range(1, len(mats)):
             for j in range(i + 1, len(mats)):
-                if group.branches[i].routing.indices != group.branches[j].routing.indices:
+                if group.routings[i].indices != group.routings[j].indices:
                     assert not np.array_equal(mats[i], mats[j])
 
     def test_window_end_reverts_to_default_layout(self):
@@ -212,8 +215,7 @@ class TestRolloutGroup:
         # after the window the branch continues from its own most-recent frames;
         # replaying the *post-window* context is the default rebuild, which the
         # replay contexts below cover; here just check trajectory lengths.
-        for t in group.all_trajectories():
-            assert len(t.blocks) == 8
+        assert group.frames.shape[:2] == (3, 24)
         assert len(group.history) == 24 and group.history.keys.shape[:2] == (3, 24)
 
     def test_precondition_window_fits(self):
@@ -224,29 +226,49 @@ class TestRolloutGroup:
         with pytest.raises(InsufficientHistoryError):
             make_group(pivot=4, window=1)  # only 9 frames before the pivot
 
+    def test_precondition_one_branch(self):
+        with pytest.raises(ConfigError, match="at least one branch"):
+            make_group(branches=0)
+
+    def test_block_and_row_counts_come_from_the_plan(self):
+        params, cfg = param_init(TINY, 0), GeneratorConfig()
+        plan = plan_rollout(7, 6, 2, 3, GroupSeeds(1, 2), cfg, TINY.latent_dim)
+        group = rollout_group(params, PROMPT, cfg, 6, 2, plan)
+        assert group.frames.shape == (4, 7 * 3, TINY.latent_dim)
+        assert group.routings == plan.routings[6] and group.rewards is None
+
+    def test_pivot_missing_from_the_plan_rejected(self):
+        params, cfg = param_init(TINY, 0), GeneratorConfig()
+        plan = plan_rollout(8, 6, 2, 2, GroupSeeds(1, 2), cfg, TINY.latent_dim)
+        with pytest.raises(ContractError, match="pivot block 7"):
+            rollout_group(params, PROMPT, cfg, 7, 2, plan)
+
+    def test_window_past_the_plan_rejected(self):
+        params, cfg = param_init(TINY, 0), GeneratorConfig()
+        plan = plan_rollout(7, 6, 2, 2, GroupSeeds(1, 2), cfg, TINY.latent_dim)
+        with pytest.raises(ConfigError, match="7 blocks"):
+            rollout_group(params, PROMPT, cfg, 6, 3, plan)
+
     def test_per_block_resampling_differs_from_fixed(self):
         _, fixed = make_group(seed=10, pivot=6, window=3)
         _, per_block = make_group(seed=10, pivot=6, window=3,
                                   routing_per_block=True)
-        same = all(np.array_equal(a.frames, b.frames)
-                   for t1, t2 in zip(fixed.branches, per_block.branches)
-                   for a, b in zip(t1.blocks, t2.blocks))
-        assert not same
+        assert not np.array_equal(fixed.frames[1:], per_block.frames[1:])
 
     def test_local_kv_choice_respected(self):
         _, group = make_group(seed=11, pivot=6, window=2,
                               local_kv_choices=((6, 3),))
-        for branch in group.branches:
-            assert branch.routing.local_size == 6
-            assert len(branch.routing.indices) == 3
+        for routing in group.routings[1:]:
+            assert routing.local_size == 6
+            assert len(routing.indices) == 3
 
     def test_random_local_kv_choices_deterministic(self):
         kw = dict(seed=12, pivot=7, window=2, num_blocks=9,
                   local_kv_choices=((6, 3), (9, 6), (12, 9)))
         _, g1 = make_group(**kw)
         _, g2 = make_group(**kw)
-        sizes1 = [b.routing.local_size for b in g1.branches]
-        sizes2 = [b.routing.local_size for b in g2.branches]
+        sizes1 = [r.local_size for r in g1.routings[1:]]
+        sizes2 = [r.local_size for r in g2.routings[1:]]
         assert sizes1 == sizes2
         assert set(sizes1) <= {6, 9, 12}
 
@@ -255,51 +277,52 @@ class TestRolloutGroup:
         # frames) it is not and must never be picked.
         _, group = make_group(seed=13, pivot=5, window=1, num_blocks=8,
                               local_kv_choices=((12, 9), (9, 6)))
-        assert all(b.routing.local_size == 9 for b in group.branches)
+        assert all(r.local_size == 9 for r in group.routings[1:])
 
 
 class TestReplayContexts:
     def test_anchor_replay_energy_is_exactly_zero(self, check_instance):
-        energy = replay_energies(check_instance.params, [check_instance.group.anchor],
+        energy = replay_energies(check_instance.params, check_instance.group.replay, [0],
                                  check_instance.contexts)
         assert energy.tolist() == [0.0]
 
     def test_anchor_replay_velocities_equal_cached_targets_bitwise(self, check_instance):
-        anchor = check_instance.group.anchor
-        velocities = replay_velocities(check_instance.params, anchor,
+        group = check_instance.group
+        velocities = replay_velocities(check_instance.params, group, 0,
                                        check_instance.contexts)
-        assert len(velocities) == len(anchor.replay)
-        for v, u_hat in zip(velocities, anchor.replay.u_hat):
+        assert len(velocities) == len(group.replay)
+        for v, u_hat in zip(velocities, group.replay.u_hat[0]):
             assert np.array_equal(v, u_hat)
 
     def test_branch_replay_velocities_differ_from_targets(self, check_instance):
-        branch = check_instance.group.branches[0]
-        velocities = replay_velocities(check_instance.params, branch,
+        group = check_instance.group
+        velocities = replay_velocities(check_instance.params, group, 1,
                                        check_instance.contexts)
         assert any(not np.array_equal(v, u_hat)
-                   for v, u_hat in zip(velocities, branch.replay.u_hat))
+                   for v, u_hat in zip(velocities, group.replay.u_hat[1]))
 
     def test_branch_energies_positive(self, check_instance):
-        energies = replay_energies(check_instance.params, check_instance.group.branches,
-                                   check_instance.contexts)
+        group = check_instance.group
+        energies = replay_energies(check_instance.params, group.replay,
+                                   range(1, len(group.frames)), check_instance.contexts)
         assert np.all(energies > 0.0)
 
     def test_replay_deterministic(self, check_instance):
-        b = check_instance.group.branches[0]
-        e1 = replay_energies(check_instance.params, [b], check_instance.contexts)
-        e2 = replay_energies(check_instance.params, [b], check_instance.contexts)
+        replay = check_instance.group.replay
+        e1 = replay_energies(check_instance.params, replay, [1], check_instance.contexts)
+        e2 = replay_energies(check_instance.params, replay, [1], check_instance.contexts)
         assert e1.tobytes() == e2.tobytes()
 
     def test_replay_eval_count(self, check_instance):
         group = check_instance.group
-        for branch in group.branches:
-            assert len(branch.replay) == group.window * 4
+        assert len(group.replay) == group.window * 4
+        assert group.replay.z.shape[:2] == (len(group.frames), group.window * 4)
 
     def test_anchor_source_shares_contexts(self):
         _, group = make_group(seed=14, pivot=6, window=2)
         anchor_ctx = build_replay_contexts(group, source="anchor")
         own_ctx = build_replay_contexts(group, source="branch")
-        b = group.branches[0].branch_id
+        b = 1  # the first branch's row
         first_block = group.pivot_block
         shared_keys, shared_values = memory(anchor_ctx, b, first_block)
         own_keys, own_values = memory(own_ctx, b, first_block)
@@ -497,21 +520,22 @@ class TestLockstepMatchesReference:
                 calls[name] += 1
                 return real(*args, **kwargs)
             monkeypatch.setattr(network, name, counted)
-        group = rollout_group(params, prompt, num_blocks, pivot, window, num_branches,
-                              seeds, cfg, **kw)
+        group = roll(params, prompt, num_blocks, pivot, window, num_branches, seeds, cfg, **kw)
         monkeypatch.undo()
 
-        trajectories = group.all_trajectories()
-        assert len(trajectories) == len(expected) == num_branches + 1
-        for g, (traj, (blocks, routing, replay, history)) in enumerate(
-                zip(trajectories, expected)):
-            assert traj.branch_id == g and traj.routing == routing
-            assert [b.block_index for b in traj.blocks] == list(range(1, num_blocks + 1))
-            for mine, theirs in zip(traj.blocks, blocks):
-                assert mine.frames.shape == theirs.frames.shape
-                assert mine.frames.tobytes() == theirs.frames.tobytes()
+        F = cfg.frames_per_block
+        assert len(group.frames) == len(group.routings) == len(expected) == num_branches + 1
+        assert group.frames.shape[1] == num_blocks * F
+        for g, (blocks, routing, replay, history) in enumerate(expected):
+            assert group.routings[g] == routing
+            assert [b.block_index for b in blocks] == list(range(1, num_blocks + 1))
+            for b, theirs in enumerate(blocks):
+                mine = group.frames[g, b * F:(b + 1) * F]
+                assert mine.shape == theirs.frames.shape
+                assert mine.tobytes() == theirs.frames.tobytes()
             for field in ("z", "u_hat", "t", "step", "block"):
-                mine, theirs = getattr(traj.replay, field), getattr(replay, field)
+                mine, theirs = getattr(group.replay, field), getattr(replay, field)
+                mine = mine[g] if field in ("z", "u_hat") else mine
                 assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
                 assert mine.tobytes() == theirs.tobytes(), field
             assert group.history.keys[g].tobytes() == history.keys.tobytes()
@@ -536,7 +560,7 @@ class TestReplayContextsMatchReference:
         pivot, choices = (4, ((5, 2),)) if mixed else (5, ((9, 6),))
         args = (8, pivot, 4, 6, GroupSeeds(31, 32))
         histories = [h for *_, h in ReferenceRollout(params, prompt, cfg).group(*args, choices)]
-        group = rollout_group(params, prompt, *args, cfg, choices)
+        group = roll(params, prompt, *args, cfg, choices)
 
         memories = [[histories[0 if source == "anchor" else g].default_cache(
             cfg.frames_per_block * (b - 1), cfg.sink_size, cfg.local_size)

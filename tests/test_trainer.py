@@ -17,10 +17,10 @@ import pytest
 from kvgrpo.checks import make_instance, rel_l2
 from kvgrpo.config import RunConfig, TrainerConfig
 from kvgrpo.errors import ContractError, InsufficientHistoryError
-from kvgrpo.flow import Block, GeneratorConfig
+from kvgrpo.flow import GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import GradVector
-from kvgrpo.routing import BranchTrajectory, GroupSeeds, RolloutGroup, RoutingDecision
+from kvgrpo.routing import RolloutGroup, RoutingDecision
 from kvgrpo.trainer import (Adam, TrainerState, _dump_trajectories, _encode_group, _Sidecar,
                             clip_gradient, ema_update, init_state, learning_rate_at,
                             plan_iteration, run, snapshot, train_iteration)
@@ -273,9 +273,10 @@ class TestTrainIteration:
         np.testing.assert_array_equal(g_own.values, g.values)
         np.testing.assert_array_equal(own_old.log_probs, eval_old.log_probs)
         per_branch = []
-        for b in inst.group.branches:
-            _, gb = grad(inst.params, lambda r, br=b: ad.asum(policy.replay_energies(
-                r, [br], inst.contexts, pcfg.grad_steps, pcfg.include_all_steps)))
+        for row in range(1, len(inst.group.frames)):
+            _, gb = grad(inst.params, lambda r, row=row: ad.asum(policy.replay_energies(
+                r, inst.group.replay, [row], inst.contexts, pcfg.grad_steps,
+                pcfg.include_all_steps)))
             per_branch.append(gb.values)
         per_branch = np.array(per_branch)
         G, tau = len(per_branch), pcfg.tau
@@ -367,7 +368,7 @@ class TestRun:
         # parameters entering that iteration and score it again.
         import json
         from kvgrpo.flow import GeneratorConfig
-        from kvgrpo.routing import rollout_group
+        from kvgrpo.routing import plan_rollout, rollout_group
         from kvgrpo.trainer import iteration_seeds, score_group
         tcfg = small_config(max_iterations=5, routing_mode="per_block",
                             local_kv_choices=[[6, 3], [9, 6]])
@@ -382,20 +383,21 @@ class TestRun:
             record = train_iteration(state, tcfg)
             updated += not record.skipped
             pivot, seeds = iteration_seeds(tcfg, record.iteration)
-            group = rollout_group(
-                entering, tcfg.prompt(), tcfg.num_blocks, pivot, record.window,
-                tcfg.branch_number, seeds,
-                GeneratorConfig(tcfg.frames_per_block, tcfg.denoise_steps,
-                                tcfg.sink_size, tcfg.local_size),
-                tuple(tuple(c) for c in tcfg.local_kv_choices), True)
+            gen_cfg = GeneratorConfig(tcfg.frames_per_block, tcfg.denoise_steps,
+                                      tcfg.sink_size, tcfg.local_size)
+            plan = plan_rollout(tcfg.num_blocks, pivot, record.window, tcfg.branch_number,
+                                seeds, gen_cfg, tcfg.latent_dim,
+                                tuple(tuple(c) for c in tcfg.local_kv_choices), True)
+            group = rollout_group(entering, tcfg.prompt(), gen_cfg, pivot, record.window, plan)
             score_group(group, tcfg)
-            for traj in group.all_trajectories():
+            for g, routing in enumerate(group.routings):
                 expected.append({
                     "iteration": record.iteration,
-                    "branch_id": traj.branch_id,
-                    "routing": list(traj.routing.indices) if traj.routing else None,
-                    "reward": traj.reward,
-                    "blocks": [b.frames.tolist() for b in traj.blocks],
+                    "branch_id": g,
+                    "routing": list(routing.indices) if routing else None,
+                    "reward": float(group.rewards[g]),
+                    "blocks": group.frames[g].reshape(
+                        tcfg.num_blocks, tcfg.frames_per_block, -1).tolist(),
                 })
         assert updated, "no update in the run; the check would not see stale params"
         assert [json.loads(line) for line in lines] == expected
@@ -673,13 +675,14 @@ class TestSidecar:
 def reference_dump(fh, group, record):
     """The per-trajectory encoder that the shared-prefix dump replaced: its
     bytes are the dump's contract."""
-    for traj in group.all_trajectories():
+    F, d = group.gen_cfg.frames_per_block, group.frames.shape[-1]
+    for g, (routing, reward) in enumerate(zip(group.routings, group.rewards.tolist())):
         fh.write(json.dumps({
             "iteration": record.iteration,
-            "branch_id": traj.branch_id,
-            "routing": list(traj.routing.indices) if traj.routing else None,
-            "reward": traj.reward,
-            "blocks": [b.frames.tolist() for b in traj.blocks],
+            "branch_id": g,
+            "routing": list(routing.indices) if routing else None,
+            "reward": reward,
+            "blocks": group.frames[g].reshape(-1, F, d).tolist(),
         }, allow_nan=False) + "\n")
     fh.flush()
 
@@ -705,12 +708,10 @@ def hand_group(pivot: int, rows: int = 3, num_blocks: int = 4, F: int = 2,
     rng = np.random.default_rng(pivot)
     frames = rng.normal(size=(rows, num_blocks * F, d))
     frames[:, :(pivot - 1) * F] = frames[0, :(pivot - 1) * F]
-    trajectories = [BranchTrajectory(
-        [Block(frames[g, (b - 1) * F:b * F], b) for b in range(1, num_blocks + 1)],
-        None if g == 0 else RoutingDecision((4 + g, 6 + g), 3), None, g, -0.25 * g)
-        for g in range(rows)]
-    return RolloutGroup(trajectories[0], trajectories[1:], pivot, 1, GroupSeeds(1, 2),
-                        np.zeros(2), GeneratorConfig(frames_per_block=F), frames, None)
+    routings = tuple(None if g == 0 else RoutingDecision((4 + g, 6 + g), 3)
+                     for g in range(rows))
+    return RolloutGroup(pivot, 1, np.zeros(2), GeneratorConfig(frames_per_block=F), frames,
+                        None, None, routings, -0.25 * np.arange(rows))
 
 
 EXPLORE_WIDE = dict(branch_number=16, local_kv_choices=[[6, 3], [9, 6], [12, 9]],
@@ -783,7 +784,7 @@ class TestTrajectoryDump:
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_reward_raises_and_writes_nothing(self, value):
         group = hand_group(2)
-        group.branches[1].reward = value
+        group.rewards[2] = value  # the second branch's
         sent = []
         with pytest.raises(ValueError):
             _dump_trajectories(sent.append, group, SimpleNamespace(iteration=1))
