@@ -4,8 +4,9 @@ A frame's key and value are one row each, and only this module knows their
 layout.  :class:`FrameHistory` holds a whole group as (G, N, h) arrays,
 allocated once per rollout and written one block at a time; it keeps every
 frame after the memories evict it, since branches route from older frames.  A
-:class:`KVCache` holds only frame indices: each row's sink (the first frames,
-never evicted) and bounded local window, gathered from the history on demand.
+:class:`KVCache` holds only frame indices, each row's as :func:`memory_frames`
+lays them out, gathered from the history on demand; it is built for one block
+and never changed.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ import numpy as np
 from .errors import ContractError
 
 
-def default_frames(upto_frame: int, sink_size: int, local_capacity: int) -> tuple[int, ...]:
-    """Default-layout memory after ``upto_frame`` frames: the sink plus the
+def memory_frames(length: int, sink_size: int, capacity: int, routed=(),
+                  newest_after: int = 0) -> tuple[int, ...]:
+    """A memory's frames after ``length`` frames, sink first: the sink (the
+    first frames, never evicted), then ``capacity`` local slots over the
+    ``routed`` frames followed by every frame after ``newest_after``, the
+    oldest slots dropped first.  With nothing routed, the default layout: the
     most recent frames, oldest first."""
-    first_local = max(sink_size, upto_frame - local_capacity)
-    return (*range(1, min(sink_size, upto_frame) + 1), *range(first_local + 1, upto_frame + 1))
+    local = (*routed, *range(max(sink_size, newest_after) + 1, length + 1))
+    return (*range(1, min(sink_size, length) + 1), *local[max(0, len(local) - capacity):])
 
 
 @dataclass
@@ -51,42 +56,28 @@ class FrameHistory:
         self.keys[:, start:stop], self.values[:, start:stop] = keys, values
         self.length = stop
 
-    def gather(self, frames: list[tuple[int, ...]], sink_size: int,
-               capacity: list[int]) -> "KVCache":
+    def gather(self, frames: list[tuple[int, ...]]) -> "KVCache":
         """Memories whose row g holds frames ``frames[g]`` of history row g, in
-        that order, with ``capacity[g]`` local slots."""
+        that order."""
         for row in frames:
             if row and not 1 <= min(row) <= max(row) <= self.length:
                 raise ContractError(f"frames {row} not in history of length {self.length}")
-        return KVCache(self, [tuple(row) for row in frames], list(capacity), sink_size)
+        return KVCache(self, [tuple(row) for row in frames])
 
     def default_cache(self, upto_frame: int, sink_size: int = 3,
                       local_capacity: int = 9) -> "KVCache":
         """Every row's default-layout memory after ``upto_frame`` frames."""
-        if upto_frame > self.length:
-            raise ContractError(
-                f"history holds {self.length} frames, cannot rebuild at {upto_frame}")
-        rows = len(self.keys)
-        return self.gather([default_frames(upto_frame, sink_size, local_capacity)] * rows,
-                           sink_size, [local_capacity] * rows)
+        return self.gather([memory_frames(upto_frame, sink_size, local_capacity)]
+                           * len(self.keys))
 
 
-@dataclass
+@dataclass(frozen=True)
 class KVCache:
-    """One memory per row of a group over that row of ``history``: a fixed
-    sink and a local window, ``frames[g]`` (sink first) bounded by ``capacity[g]``.
-
-    In the default layout the local slots hold the most recent frames in
-    ascending order.  In the routed layout the leading local slots hold
-    stochastically routed older frames and the trailing slots the most recent
-    ones; eviction is positional (the oldest slots go first), which keeps the
-    trailing slots pointing at the newest frames either way.
-    """
+    """One memory per row of a group over that row of ``history``: row g holds
+    frames ``frames[g]``, sink first (see :func:`memory_frames`)."""
 
     history: FrameHistory
     frames: list[tuple[int, ...]]
-    capacity: list[int]
-    sink_size: int = 3
 
     def stacked(self) -> list[tuple[list[int], np.ndarray | None, np.ndarray | None]]:
         """Per memory length, shortest first: the rows of that length and their
@@ -100,16 +91,3 @@ class KVCache:
             keys, values = (self.history.keys[at], self.history.values[at]) if n else (None,) * 2
             buckets.append((rows, keys, values))
         return buckets
-
-    def append(self, frames) -> None:
-        """Add one block's frames to every row: fill the sink first, then the
-        local window, dropping its oldest slots beyond capacity."""
-        block = tuple(frames)
-        for g, (row, capacity) in enumerate(zip(self.frames, self.capacity)):
-            filled, row = min(len(row), self.sink_size), row + block
-            sink = min(len(row), self.sink_size)
-            if row[filled:sink] != tuple(range(filled + 1, sink + 1)):
-                raise ContractError(f"sink frames must arrive in order, got frames "
-                                    f"{list(row[filled:sink])} with {filled} sink entries")
-            drop = len(row) - sink - capacity
-            self.frames[g] = row[:sink] + row[sink + drop:] if drop > 0 else row

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import network
 from .errors import ConfigError
 from .params import Layout, Params
 
@@ -92,6 +93,14 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
                           f"got {has_ema!r}")
     if count != layout.total:
         raise ConfigError(f"checkpoint count {count} disagrees with layout {layout.total}")
+    try:
+        expected = network.build_layout(network.shape_from_layout(layout)).segments
+    except (KeyError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{path}: checkpoint layout has no network shape: {exc!r}") from None
+    for name in {**expected, **layout.segments}:
+        if layout.segments.get(name) != expected.get(name):
+            raise ConfigError(f"{path}: checkpoint segment {name!r} is "
+                              f"{layout.segments.get(name)}, the network's is {expected.get(name)}")
     need, have = count * 8 * (2 if has_ema else 1), len(raw) - offset
     if have < need:
         raise ConfigError(f"checkpoint truncated: need {need} value bytes")

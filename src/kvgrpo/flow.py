@@ -6,8 +6,9 @@ memory of previously generated frames.  A block is an (F, d) matrix, one row
 per frame.  A group's trajectories are solved in lockstep as (G, F, d) rows
 from the same start noise: each solver step makes one network call per
 memory-length bucket, over inputs built once per block, and the finished
-block is projected to key/value rows in one call.  Solver steps kept for
-replay are rows too: one (F, d) latent block per step, stacked.
+block is projected to key/value rows in one call and written into the
+group's history.  Solver steps kept for replay are rows too: one (F, d) latent
+block per step, stacked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import network
-from .cache import KVCache
+from .cache import FrameHistory, KVCache
 from .params import Params
 
 
@@ -124,10 +125,8 @@ def generate_block(params: Params, cache: KVCache, block_index: int,
     return Block(x, block_index), replay
 
 
-def write_back(cache: KVCache, block: Block, params: Params, prompt: np.ndarray) -> None:
+def write_back(history: FrameHistory, block: Block, params: Params, prompt: np.ndarray) -> None:
     """Project a group's finished (rows, F, d) block to key/value rows in one
-    call, write them into the history and append the frames to the memories."""
+    call and write them into the history."""
     keys, values = network.kv_for_frames(params, block.frames, prompt)
-    frames = block.frame_indices()
-    cache.history.append(keys, values, frames)
-    cache.append(frames)
+    history.append(keys, values, block.frame_indices())

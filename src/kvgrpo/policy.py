@@ -94,7 +94,7 @@ def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
 
     def pick(a, cols):  # the rows' entries at ``cols``, row by row, stacked
-        return a[i, cols].reshape(-1, *a.shape[2:])
+        return a[i, cols].reshape(len(i) * len(cols), *a.shape[2:])
 
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
     terms, nodes = np.zeros((len(i), 1 + len(replay))), []

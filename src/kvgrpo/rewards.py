@@ -20,6 +20,8 @@ class RewardSpec:
     def __post_init__(self) -> None:
         if self.segment_count < 1:
             raise ConfigError(f"segment_count must be >= 1, got {self.segment_count}")
+        if not self.components:
+            raise ConfigError("reward_components must name at least one component")
         for name, weight in self.components:
             if name not in COMPONENTS:
                 raise ConfigError(

@@ -9,11 +9,13 @@ group's start noise and routings before it is rolled out (a trainer may draw
 them ahead), and :func:`rollout_group` only reads them.  The group is
 generated in lockstep over one key/value history: each block is solved once
 for all trajectories, with one network call per solver step and memory-length
-bucket (mixed ``local_kv_choices`` give memories of several lengths).  A
-group is its arrays, one row per trajectory: row 0 is the anchor and row g
-branch g, in its frames, its history, its rewards and its cached window
-solver steps, which are replayed later under default-layout memories,
-gathered for the whole group once per window block.
+bucket (mixed ``local_kv_choices`` give memories of several lengths), under
+memories laid out afresh each block from the frame count and each row's
+:func:`routed_layout`, checked once, at the block that routes.  A group is its
+arrays, one row per trajectory: row 0 is the anchor and row g branch g, in its
+frames, its history, its rewards and its cached window solver steps, which are
+replayed later under default-layout memories, gathered for the whole group once
+per window block.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .cache import FrameHistory, KVCache, default_frames
+from .cache import FrameHistory, memory_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
 from .flow import GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
 from .params import Params
@@ -63,12 +65,16 @@ class RolloutGroup:
         return list(range(self.pivot_block, self.pivot_block + self.window))
 
 
+def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
+    """Frame indices eligible for routing after L generated frames: everything
+    past the sink and older than the ``near_count`` preserved most-recent frames."""
+    return range(sink_size + 1, L - near_count + 1)
+
+
 def routable_set(L: int, near_count: int = 3, min_count: int = 6,
                  sink_size: int = 3) -> list[int]:
-    """Frame indices eligible for routing after L generated frames: everything
-    past the sink and older than the preserved most-recent frames."""
-    lo, hi = sink_size + 1, L - near_count
-    indices = list(range(lo, hi + 1))
+    """The :func:`routable_range`, which must hold ``min_count`` frames."""
+    indices = list(routable_range(L, near_count, sink_size))
     if len(indices) < min_count:
         raise InsufficientHistoryError(
             f"routable set for L={L} has {len(indices)} frames, need {min_count}")
@@ -86,31 +92,21 @@ def sample_routing(omega, rng_seed, count: int = 6, local_size: int = 9) -> Rout
     return RoutingDecision(tuple(int(i) for i in picked), local_size)
 
 
-def build_branch_cache(history: FrameHistory, L: int,
-                       routings: list[RoutingDecision | None], sink_size: int = 3,
-                       local_size: int = 9) -> KVCache:
-    """Every row's memory at L frames: routed rows keep the sink and fill
-    their leading local slots with the routed frames in decision order, the
-    trailing ones with the newest frames; ``None`` rows (the anchor) have the
-    default layout with ``local_size`` local slots."""
-    if L > len(history):
-        raise ContractError(f"history holds {len(history)} frames, pivot expects {L}")
-    frames, capacity = [], []
-    for routing in routings:
-        if routing is None:
-            frames.append(default_frames(L, sink_size, local_size))
-            capacity.append(local_size)
-            continue
-        near_count = routing.local_size - len(routing.indices)
-        if near_count < 0:
-            raise ConfigError(
-                f"{len(routing.indices)} routed slots exceed local size {routing.local_size}")
-        indices, lo, hi = routing.indices, sink_size + 1, L - near_count
-        if len(set(indices)) < len(indices) or not all(lo <= r <= hi for r in indices):
-            raise ContractError(f"routed frames {indices} must be distinct and in [{lo}, {hi}]")
-        frames.append((*range(1, sink_size + 1), *indices, *range(hi + 1, L + 1)))
-        capacity.append(routing.local_size)
-    return history.gather(frames, sink_size, capacity)
+def routed_layout(routing: RoutingDecision, L: int,
+                  sink_size: int = 3) -> tuple[int, tuple[int, ...], int]:
+    """A branch's memory layout from its routing at L frames, as the
+    ``capacity, routed, newest_after`` of :func:`~kvgrpo.cache.memory_frames`:
+    the routed frames in decision order fill the leading local slots, the
+    newest frames the trailing ones."""
+    near_count = routing.local_size - len(routing.indices)
+    if near_count < 0:
+        raise ConfigError(
+            f"{len(routing.indices)} routed slots exceed local size {routing.local_size}")
+    indices, omega = routing.indices, routable_range(L, near_count, sink_size)
+    if len(set(indices)) < len(indices) or not all(r in omega for r in indices):
+        raise ContractError(f"routed frames {indices} must be distinct and in "
+                            f"[{omega.start}, {omega.stop - 1}]")
+    return routing.local_size, indices, L - near_count
 
 
 def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int,
@@ -118,7 +114,8 @@ def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int
     """One branch's routing.  Its (local_size, routed_slots) pair is drawn once
     from the choices feasible at the pivot; ``decide(L, block)`` then routes L
     frames of history."""
-    feasible = [c for c in choices if pivot_frame - sink_size - (c[0] - c[1]) >= c[1]]
+    feasible = [c for c in choices
+                if len(routable_range(pivot_frame, c[0] - c[1], sink_size)) >= c[1]]
     if not feasible:
         raise InsufficientHistoryError(
             f"no local-window choice from {list(choices)} is routable at L={pivot_frame}")
@@ -182,10 +179,13 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     One loop over blocks, each one :func:`generate_block` and one
     :func:`write_back` call: the prefix is one row written to every
     trajectory, then the anchor (row 0, never routed) and the branches are
-    rows.  Within the window a branch runs under its routed memory (shifted by
-    positional write-back, or rebuilt at every block the plan routes), then
-    under the default layout.  Every window solver step is recorded for
-    replay, the anchor's too.  The block loop draws nothing.
+    rows.  Every block's memories are one :func:`~kvgrpo.cache.memory_frames`
+    call per row, from the frame count and the row's layout: a branch keeps
+    the :func:`routed_layout` of the block that last routed it (the pivot, or
+    every window block the plan routes) until the window ends, then the
+    default layout, as the anchor and the prefix have throughout.  Every
+    window solver step is recorded for replay, the anchor's too.  The block
+    loop draws nothing.
     """
     num_blocks = len(plan.noise)
     if window < 1 or pivot < 1 or pivot + window - 1 > num_blocks:
@@ -198,19 +198,21 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     G = len(plan.routings[pivot])
     history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
-    cache = KVCache(history, [()], [cfg.local_size], cfg.sink_size)
-    replay: list[ReplaySteps] = []
+    # Each row's memory_frames arguments after the frame count and the sink.
+    default = (cfg.local_size, (), 0)
+    layouts, replay = [default], []
     for b in range(1, num_blocks + 1):
         in_window = pivot <= b < pivot + window
         L = len(history)
         if b in plan.routings:
-            cache = build_branch_cache(history, L, plan.routings[b], cfg.sink_size,
-                                       cfg.local_size)
+            layouts = [default if r is None else routed_layout(r, L, cfg.sink_size)
+                       for r in plan.routings[b]]
         elif b == pivot + window:  # back to the default layout over own frames
-            cache = history.default_cache(L, cfg.sink_size, cfg.local_size)
+            layouts = [default] * G
+        cache = history.gather([memory_frames(L, cfg.sink_size, *row) for row in layouts])
         block, steps = generate_block(params, cache, b, plan.noise[b - 1], prompt, in_window,
                                       cfg)
-        write_back(cache, block, params, prompt)
+        write_back(history, block, params, prompt)
         frames[:, L:L + F] = block.frames
         replay += [steps] if in_window else []
     return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history,

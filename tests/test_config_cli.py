@@ -14,7 +14,8 @@ from kvgrpo.config import (PRESETS, RunConfig, TrainerConfig, apply_overrides,
                            from_flat_dict, load_config, save_config,
                            to_flat_dict)
 from kvgrpo.errors import ConfigError
-from kvgrpo.network import NetworkShape, param_init
+from kvgrpo.network import NetworkShape, build_layout, param_init
+from kvgrpo.params import Layout, Params
 
 
 def small_run_config(tmp_path=None, **overrides) -> RunConfig:
@@ -52,14 +53,16 @@ BAD_PAIRS = [
     ("reward_components", '[["target", 0.7, "smoothness"]]'),
 ]
 # Sizes that pass the type checks but cannot run: a one-branch policy,
-# negative memories, more reward segments than frames (18 here) and segments
-# too short for the smoothness component's frame differences.
+# negative memories, more reward segments than frames (18 here), segments
+# too short for the smoothness component's frame differences, and a reward of
+# no components.
 BAD_SIZES = [
     ("branch_number", "1", "branch_number must be >= 2"),
     ("sink_size", "-1", "sink_size must be >= 0"),
     ("local_size", "-1", "local_size must be >= 0"),
     ("reward_segments", "25", "reward_segments 25 leaves fewer than 2"),
     ("reward_segments", "10", "reward_segments 10 leaves fewer than 2"),
+    ("reward_components", "[]", "reward_components must name at least one component"),
 ]
 
 
@@ -318,6 +321,25 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["inspect", str(path)]) == 1
         assert f"segment '{segment}' has {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("segment,edit", [
+        ("head2_b", lambda shapes: {"head3_b" if name == "head2_b" else name: shape
+                                    for name, shape in shapes.items()}),
+        ("embed_w", lambda shapes: {n: s for n, s in shapes.items() if n != "embed_w"}),
+        ("head2_w", lambda shapes: {n: s for n, s in shapes.items() if n != "head2_w"}),
+        ("head2_w", lambda shapes: {**shapes, "head2_w": (6, 8)}),  # embed_w's hidden is 16
+    ], ids=["renamed", "no-embed_w", "no-head2_w", "hidden-mismatch"])
+    def test_layout_not_the_networks_rejected(self, tmp_path, capsys, segment, edit):
+        # A self-consistent layout, offsets and value count included, that the
+        # network cannot run.
+        shapes = edit({n: s for n, (_, s) in build_layout(NetworkShape()).segments.items()})
+        layout = Layout.build(shapes)
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, Params(np.zeros(layout.total), layout), {}, 3, None)
+        with pytest.raises(ConfigError, match=segment):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+        assert segment in capsys.readouterr().err
 
 
 def rewrite_header(path, edit):

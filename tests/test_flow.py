@@ -1,5 +1,5 @@
 """Generator mechanics: velocity evaluation, Euler solve, block generation,
-cache write-back, the group history and frame-index memories, and full
+history write-back, the group history and frame-index memories, and full
 rollouts.  Single-trajectory generation is the one-row case of the group
 engine: a one-row history and memory."""
 
@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from kvgrpo.cache import FrameHistory
+from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
                          velocity_eval, write_back)
 from kvgrpo.network import NetworkShape, param_init, shape_from_layout
-from kvgrpo.routing import build_branch_cache, routable_set, sample_routing
+from kvgrpo.routing import routable_set, routed_layout, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -50,20 +50,26 @@ def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=F
         steps.z[0], steps.u_hat[0], steps.t, steps.step, steps.block)
 
 
-def write_one(cache, block, params, prompt):
-    write_back(cache, Block(block.frames[None], block.block_index), params, prompt)
+def write_one(history, block, params, prompt):
+    write_back(history, Block(block.frames[None], block.block_index), params, prompt)
+
+
+def default_memory(history):
+    """The one-row default-layout memory over every frame of ``history``."""
+    return history.gather([memory_frames(len(history), 3, 9)])
 
 
 def rollout(params, prompt, num_blocks, noise_seed, record_replay=False) -> Rollout:
     """Sequential block generation under the default sliding-window memory."""
-    cache = one_row_cache(3 * num_blocks, shape_from_layout(params.layout).hidden_dim)
+    history = FrameHistory.allocate(1, 3 * num_blocks, shape_from_layout(params.layout).hidden_dim)
     blocks, replay = [], []
     for b in range(1, num_blocks + 1):
-        block, steps = generate_one(params, cache, b, noise_seed, prompt, record_replay)
-        write_one(cache, block, params, prompt)
+        block, steps = generate_one(params, default_memory(history), b, noise_seed, prompt,
+                                    record_replay)
+        write_one(history, block, params, prompt)
         blocks.append(block)
         replay += [steps] if record_replay else []
-    return Rollout(blocks, cache.history, ReplaySteps.concat(replay) if replay else None)
+    return Rollout(blocks, history, ReplaySteps.concat(replay) if replay else None)
 
 
 def tiny_rollout(seed=0, num_blocks=5, record=False):
@@ -180,8 +186,8 @@ class TestWriteBack:
     def test_first_block_fills_sink_only(self, tiny_params):
         cache = one_row_cache()
         block, _ = generate_one(tiny_params, cache, 1, 0, PROMPT)
-        write_one(cache, block, tiny_params, PROMPT)
-        frames, keys, _ = row_memory(cache)
+        write_one(cache.history, block, tiny_params, PROMPT)
+        frames, keys, _ = row_memory(default_memory(cache.history))
         assert frames == (1, 2, 3)  # the sink, and an empty local window
         assert keys.shape == (3, 5) and len(cache.history) == 3
 
@@ -195,20 +201,19 @@ class TestWriteBack:
         _, res = tiny_rollout(num_blocks=5)
         assert res.history.default_cache(15).frames[0][3:] == tuple(range(7, 16))
         # evicted frames remain addressable in the history store
-        frames, keys, values = row_memory(res.history.gather([(4, 5, 6)], 3, [9]))
+        frames, keys, values = row_memory(res.history.gather([(4, 5, 6)]))
         assert frames == (4, 5, 6)
         assert np.array_equal(keys, res.history.keys[0, 3:6])
         assert np.array_equal(values, res.history.values[0, 3:6])
 
-    def test_incremental_equals_rebuilt(self, tiny_params):
-        cache = one_row_cache()
+    def test_each_block_equals_the_per_frame_reference(self, tiny_params):
+        history, ref = one_row_cache().history, ListMemory()
         for b in range(1, 6):
-            block, _ = generate_one(tiny_params, cache, b, 3, PROMPT)
-            write_one(cache, block, tiny_params, PROMPT)
-        rebuilt = cache.history.default_cache(len(cache.history))
-        assert cache.frames == rebuilt.frames
-        for mine, theirs in zip(row_memory(cache), row_memory(rebuilt)):
-            assert np.array_equal(mine, theirs)
+            block, _ = generate_one(tiny_params, default_memory(history), b, 3, PROMPT)
+            write_one(history, block, tiny_params, PROMPT)
+            for i in range(len(history) - 3, len(history)):
+                ref.append(RefEntry(history.keys[0, i], history.values[0, i], i + 1))
+            assert_same_memory(default_memory(history), ref)
 
 
 @dataclass(frozen=True)
@@ -293,21 +298,19 @@ class TestRowMemory:
         assert history.values[0].tobytes() == np.stack([e.value for e in entries]).tobytes()
 
         if layout == "default":
-            start = 0
-            cache, ref = history.gather([()], 3, [9]), ListMemory(3, 9)
+            start, row, ref = 0, (9, (), 0), ListMemory(3, 9)
         else:
             start = F * -(-15 // F)  # the first block boundary with 15+ frames
             routed = sample_routing(routable_set(start), rng_seed=F)
-            cache = build_branch_cache(history, start, [routed])
+            row = routed_layout(routed, start)
             near = [entries[i - 1] for i in range(start - 2, start + 1)]
             ref = ListMemory(3, 9, entries[:3],
                              [entries[r - 1] for r in routed.indices] + near)
-        assert_same_memory(cache, ref)
+        assert_same_memory(history.gather([memory_frames(start, 3, *row)]), ref)
         for b in range(start // F, num_blocks):
-            cache.append(range(b * F + 1, b * F + F + 1))
             for entry in entries[b * F:(b + 1) * F]:
                 ref.append(entry)
-            assert_same_memory(cache, ref)
+            assert_same_memory(history.gather([memory_frames(b * F + F, 3, *row)]), ref)
 
     def test_group_rows_match_per_frame_references(self):
         # Row 0 default (9 slots), row 1 routed into 6 slots, row 2 into 12:
@@ -316,17 +319,17 @@ class TestRowMemory:
         L = 15
         routings = [None, sample_routing(routable_set(L, 3, 3), 1, count=3, local_size=6),
                     sample_routing(routable_set(L, 3, 9), 2, count=9, local_size=12)]
-        cache = build_branch_cache(history, L, routings)
+        layouts = [(9, (), 0)] + [routed_layout(r, L) for r in routings[1:]]
         refs = [ListMemory(3, 9, entries[0][:3], entries[0][L - 9:L])]
         for g, routing in enumerate(routings[1:], start=1):
             near = entries[g][L - 3:L]
             refs.append(ListMemory(3, routing.local_size, entries[g][:3],
                                    [entries[g][r - 1] for r in routing.indices] + near))
         for b in range(L // 3, 10):
+            cache = history.gather([memory_frames(3 * b, 3, *row) for row in layouts])
             for g, ref in enumerate(refs):
                 assert_same_memory(cache, ref, g)
             assert [rows for rows, *_ in cache.stacked()] == [[1], [0], [2]]
-            cache.append(range(3 * b + 1, 3 * b + 4))
             for g, ref in enumerate(refs):
                 for entry in entries[g][3 * b:3 * b + 3]:
                     ref.append(entry)
@@ -341,14 +344,6 @@ class TestRowMemory:
                 for entry in entries[g][:upto]:
                     ref.append(entry)
                 assert_same_memory(cache, ref, g)
-
-    def test_sink_frames_must_arrive_in_order(self):
-        with pytest.raises(ContractError):
-            one_row_cache().append([2, 3])
-        cache = one_row_cache()
-        cache.append([1, 2])
-        with pytest.raises(ContractError):
-            cache.append([4, 5])
 
     def test_history_frames_must_continue(self):
         k, v = rows(3)
@@ -374,7 +369,7 @@ class TestRowMemory:
         history, _ = filled_history(1, 1)
         for bad in ((0,), (4,), (1, 2, 4)):
             with pytest.raises(ContractError):
-                history.gather([bad], 3, [9])
+                history.gather([bad])
         with pytest.raises(ContractError):
             history.default_cache(4)
 
@@ -385,9 +380,9 @@ class TestRowMemory:
         snapshot = keys.copy(), values.copy()
         k, v = rows(3, seed=9)
         history.append(np.stack([k, k]), np.stack([v, v]), [13, 14, 15])
-        cache.append([13, 14, 15])
         assert np.array_equal(keys, snapshot[0]) and np.array_equal(values, snapshot[1])
-        assert len(history) == 15 and cache.frames == [(1, 2, 3, *range(7, 16))] * 2
+        assert len(history) == 15 and cache.frames == [(1, 2, 3, *range(4, 13))] * 2
+        assert history.default_cache(15).frames == [(1, 2, 3, *range(7, 16))] * 2
 
 
 class TestRollout:
@@ -413,11 +408,11 @@ class TestRollout:
         assert res.replay.block.tolist() == [b for b in range(1, 8) for _ in range(4)]
 
     def test_cache_layout_invariant_all_points(self, tiny_params):
-        cache = one_row_cache()
+        history = one_row_cache().history
         for b in range(1, 8):
-            block, _ = generate_one(tiny_params, cache, b, 1, PROMPT)
-            write_one(cache, block, tiny_params, PROMPT)
-            frames = len(cache.history)
+            block, _ = generate_one(tiny_params, default_memory(history), b, 1, PROMPT)
+            write_one(history, block, tiny_params, PROMPT)
+            frames, cache = len(history), default_memory(history)
             if frames >= 12:
                 assert cache.frames[0][3:] == tuple(range(frames - 8, frames + 1))
                 assert cache.frames[0][:3] == (1, 2, 3)

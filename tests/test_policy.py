@@ -189,21 +189,24 @@ class TestReplayEnergy:
             replay_energies(inst.params, bad, [1], inst.contexts)
 
 
-def replay_group(mixed: bool):
+def replay_group(mixed: bool, empty: bool = False):
     """A default-size group with a four-block window.  ``mixed`` pivots early
     enough that the first window block's memory is shorter than the rest, with
-    routed slots that still leave the branches a choice of frames."""
+    routed slots that still leave the branches a choice of frames; ``empty``
+    has no sink and no default local slots, so every replay memory is empty."""
     params = param_init(NetworkShape(), 3)
     pivot, choices = (4, ((5, 2),)) if mixed else (5, ((9, 6),))
+    cfg = GeneratorConfig(sink_size=0, local_size=0) if empty else GeneratorConfig()
     group = roll(params, np.linspace(0.5, -0.5, 4), 8, pivot, 4, 6, GroupSeeds(31, 32),
-                 GeneratorConfig(), choices)
+                 cfg, choices)
     group.rewards = np.random.default_rng(4).normal(size=len(group.frames))
     return params, group
 
 
-@pytest.fixture(scope="module", params=[False, True], ids=["uniform", "mixed"])
+@pytest.fixture(scope="module", params=[(False, False), (True, False), (False, True)],
+                ids=["uniform", "mixed", "empty"])
 def replay_case(request):
-    return request.param, *replay_group(request.param)
+    return request.param[0], *replay_group(*request.param)
 
 
 class TestBatchedReplay:
@@ -257,6 +260,10 @@ class TestBatchedReplay:
     def test_mixed_case_has_two_memory_sizes(self):
         _, group = replay_group(mixed=True)
         assert build_replay_contexts(group).sizes.tolist() == [9, 12, 12, 12]
+
+    def test_empty_case_has_empty_memories(self):
+        _, group = replay_group(mixed=False, empty=True)
+        assert build_replay_contexts(group).sizes.tolist() == [0, 0, 0, 0]
 
     def test_one_network_call_per_pass_and_memory_size(self, replay_case, monkeypatch):
         _, params, group = replay_case

@@ -1,4 +1,4 @@
-"""Exploration mechanics: routable sets, routing draws, branch caches, group
+"""Exploration mechanics: routable sets, routing draws, branch memories, group
 rollouts, and replay contexts."""
 
 from collections import defaultdict
@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from kvgrpo import network
-from kvgrpo.cache import FrameHistory
+from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RoutingDecision, _branch_decider,
-                            build_branch_cache, build_replay_contexts, plan_rollout,
-                            rollout_group, routable_set, sample_routing)
+                            build_replay_contexts, plan_rollout, rollout_group,
+                            routable_set, routed_layout, sample_routing)
 from test_flow import rollout
 
 TINY = NetworkShape(3, 5, 2)
@@ -111,14 +111,22 @@ class TestSampleRouting:
             sample_routing([4, 5, 6], rng_seed=0)
 
 
-class TestBuildBranchCache:
+def branch_cache(history, L, routings, sink_size=3, local_size=9):
+    """Every row's memory at L frames as the rollout lays it out: routed rows
+    by their :func:`routed_layout`, ``None`` rows (the anchor) by default."""
+    return history.gather([memory_frames(L, sink_size, *(
+        (local_size, (), 0) if r is None else routed_layout(r, L, sink_size)))
+        for r in routings])
+
+
+class TestBranchMemory:
     def setup_method(self):
         self.params = param_init(TINY, 3)
         self.res = rollout(self.params, PROMPT, 5, noise_seed=1)
 
     def test_layout_order(self):
         decision = RoutingDecision((4, 7, 5, 9, 8, 6))
-        cache = build_branch_cache(self.res.history, 12, [decision])
+        cache = branch_cache(self.res.history, 12, [decision])
         assert cache.frames[0][3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
         assert cache.frames[0][:3] == (1, 2, 3)
         rows = np.array(cache.frames[0]) - 1
@@ -129,7 +137,7 @@ class TestBuildBranchCache:
     def test_identity_routing_equals_default(self):
         L = 15
         decision = RoutingDecision(tuple(range(L - 8, L - 2)))
-        routed = build_branch_cache(self.res.history, L, [decision])
+        routed = branch_cache(self.res.history, L, [decision])
         default = self.res.history.default_cache(L)
         assert routed.frames == default.frames
         for mine, theirs in zip(routed.stacked()[0], default.stacked()[0]):
@@ -137,30 +145,27 @@ class TestBuildBranchCache:
 
     def test_unrouted_rows_take_the_default_layout(self):
         decision = RoutingDecision((4, 7, 5, 9, 8, 6))
-        cache = build_branch_cache(self.res.history, 15, [None, decision, None], 3, 9)
+        cache = branch_cache(self.res.history, 15, [None, decision, None], 3, 9)
         assert cache.frames[0] == cache.frames[2] == self.res.history.default_cache(15).frames[0]
         assert cache.frames[1] == (1, 2, 3, 4, 7, 5, 9, 8, 6, 13, 14, 15)
 
     def test_near_slots_always_newest(self):
         for seed in range(10):
             decision = sample_routing(routable_set(15), rng_seed=seed)
-            cache = build_branch_cache(self.res.history, 15, [decision])
+            cache = branch_cache(self.res.history, 15, [decision])
             assert cache.frames[0][-3:] == (13, 14, 15)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ContractError):
-            build_branch_cache(self.res.history, 12,
-                               [RoutingDecision((3, 5, 6, 7, 8, 9))])
+            branch_cache(self.res.history, 12, [RoutingDecision((3, 5, 6, 7, 8, 9))])
 
     def test_repeated_index_rejected(self):
         with pytest.raises(ContractError):
-            build_branch_cache(self.res.history, 12,
-                               [None, RoutingDecision((4, 4, 5, 6, 7, 8))])
+            branch_cache(self.res.history, 12, [None, RoutingDecision((4, 4, 5, 6, 7, 8))])
 
     def test_missing_history_frame_rejected(self):
         with pytest.raises(ContractError):
-            build_branch_cache(self.res.history, 99,
-                               [RoutingDecision((4, 5, 6, 7, 8, 9))])
+            branch_cache(self.res.history, 99, [RoutingDecision((4, 5, 6, 7, 8, 9))])
 
 
 class TestRolloutGroup:
@@ -213,8 +218,8 @@ class TestRolloutGroup:
     def test_window_end_reverts_to_default_layout(self):
         _, group = make_group(seed=9, pivot=5, window=2, branches=2, num_blocks=8)
         # after the window the branch continues from its own most-recent frames;
-        # replaying the *post-window* context is the default rebuild, which the
-        # replay contexts below cover; here just check trajectory lengths.
+        # the window-end cases of TestLockstepMatchesReference check those
+        # blocks bit for bit; here just check trajectory lengths.
         assert group.frames.shape[:2] == (3, 24)
         assert len(group.history) == 24 and group.history.keys.shape[:2] == (3, 24)
 
@@ -488,7 +493,10 @@ SHAPE = NetworkShape(8, 16, 4)
 EXPLORE_WIDE = dict(num_branches=16, local_kv_choices=((6, 3), (9, 6), (12, 9)),
                     routing_per_block=True)
 # (case, num_blocks, pivot, generator config, rollout keywords); the window
-# is the trainer's min(perturbed_blocks=5, num_blocks - pivot + 1).
+# is the keywords' ``window``, else the trainer's min(perturbed_blocks=5,
+# num_blocks - pivot + 1).  The window-end cases end the window before the
+# last block, while a routed frame is still in memory, so the revert to the
+# default layout changes what the following blocks see.
 LOCKSTEP_CASES = [
     *((f"default-p{p}", 8, p, GeneratorConfig(), dict(num_branches=8)) for p in (5, 6, 7)),
     *((f"explore-wide-p{p}", 8, p, GeneratorConfig(), EXPLORE_WIDE) for p in (5, 6, 7)),
@@ -498,6 +506,10 @@ LOCKSTEP_CASES = [
      dict(num_branches=3, routing_overrides={2: (4, 5, 6, 7, 8, 9)}, routing_per_block=True)),
     *((f"two-frame-p{p}", 10, p, GeneratorConfig(frames_per_block=2), dict(num_branches=8))
       for p in (7, 8)),
+    ("window-end-fixed", 9, 5, GeneratorConfig(), dict(num_branches=6, window=1)),
+    ("window-end-per-block", 10, 5, GeneratorConfig(),
+     dict(num_branches=4, routing_per_block=True, window=2)),
+    ("window-end-explore-wide", 9, 6, GeneratorConfig(), dict(EXPLORE_WIDE, window=2)),
 ]
 
 
@@ -508,9 +520,9 @@ class TestLockstepMatchesReference:
         params = param_init(SHAPE, pivot)
         prompt = np.linspace(0.5, -0.5, 4)
         seeds = GroupSeeds(noise=1000 + pivot, routing=2000 + pivot)
-        window = min(5, num_blocks - pivot + 1)
         kw = dict(kw)
         num_branches = kw.pop("num_branches")
+        window = kw.pop("window", min(5, num_blocks - pivot + 1))
         reference = ReferenceRollout(params, prompt, cfg)
         expected = reference.group(num_blocks, pivot, window, num_branches, seeds, **kw)
 
