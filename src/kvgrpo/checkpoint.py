@@ -38,10 +38,15 @@ class CheckpointData:
     ema: Params | None
 
 
+def _layout_json(layout: Layout) -> dict:
+    return {name: {"offset": off, "shape": list(shape)}
+            for name, (off, shape) in layout.segments.items()}
+
+
 def save_checkpoint(path: str | Path, params: Params, config: dict,
                     iteration: int = 0, ema: Params | None = None) -> None:
     header = {
-        "layout": params.layout.to_json(),
+        "layout": _layout_json(params.layout),
         "param_count": params.layout.total,
         "config": config,
         "iteration": iteration,
@@ -79,7 +84,14 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise ConfigError(f"checkpoint truncated: header needs {header_len} bytes")
     try:
         header = json.loads(raw[16:offset].decode("utf-8"))
-        layout = Layout.from_json(header["layout"])
+        # The network's layout comes from these shapes, in ints >= 1 (a bool is not an int).
+        stored = header["layout"]
+        shapes = {name: stored[name]["shape"] for name in ("embed_w", "head2_w")}
+        for name, shape in shapes.items():
+            if not all(type(n) is int and n >= 1 for n in shape):
+                raise ConfigError(f"{path}: checkpoint segment {name!r} has shape {shape}, "
+                                  f"not ints >= 1")
+        (in_dim, hidden), (_, latent) = shapes.values()
         count, has_ema = header["param_count"], header["has_ema"]
         config, iteration = header["config"], header["iteration"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -91,16 +103,16 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     if not isinstance(has_ema, bool):
         raise ConfigError(f"{path}: checkpoint header field has_ema must be a bool, "
                           f"got {has_ema!r}")
+    # Segment by segment, types too: an offset of 208.0 is not the network's 208.
+    layout = network.build_layout(network.NetworkShape(latent, hidden, in_dim - latent - 1))
+    expected = _layout_json(layout)
+    for name in {**expected, **stored}:
+        if (json.dumps(stored.get(name), sort_keys=True)
+                != json.dumps(expected.get(name), sort_keys=True)):
+            raise ConfigError(f"{path}: checkpoint segment {name!r} has {stored.get(name)}, "
+                              f"the network's {expected.get(name)}")
     if count != layout.total:
         raise ConfigError(f"checkpoint count {count} disagrees with layout {layout.total}")
-    try:
-        expected = network.build_layout(network.shape_from_layout(layout)).segments
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: checkpoint layout has no network shape: {exc!r}") from None
-    for name in {**expected, **layout.segments}:
-        if layout.segments.get(name) != expected.get(name):
-            raise ConfigError(f"{path}: checkpoint segment {name!r} is "
-                              f"{layout.segments.get(name)}, the network's is {expected.get(name)}")
     need, have = count * 8 * (2 if has_ema else 1), len(raw) - offset
     if have < need:
         raise ConfigError(f"checkpoint truncated: need {need} value bytes")

@@ -90,8 +90,15 @@ def cmd_train(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .checks import run_gradient_checks
+    from .config import TrainerConfig
+    from .errors import ConfigError
 
     cfg = _load_run_config(args)
+    # The checks run fixed instances: of the trainer's settings only the seed reaches them.
+    default = vars(TrainerConfig())
+    if ignored := [k for k, v in vars(cfg.trainer).items() if k != "seed" and v != default[k]]:
+        raise ConfigError(f"gradcheck reads no trainer setting but seed; it would ignore "
+                          f"{', '.join(ignored)}")
     report = run_gradient_checks(seed=cfg.trainer.seed)
     for line in report.lines():
         print(line)

@@ -164,6 +164,12 @@ class RunConfig:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        # The metrics go beside the run's other outputs, never over one of them.
+        name = self.metrics_filename
+        if (name in ("", ".", "..", "config.json", "trajectories.jsonl") or "/" in name
+                or "\\" in name or (name.startswith("checkpoint_") and name.endswith(".kvc"))):
+            raise ConfigError(f"metrics_filename must be a plain file name that no other "
+                              f"output of the run takes, got {name!r}")
         return self
 
 

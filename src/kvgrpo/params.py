@@ -35,26 +35,6 @@ class Layout:
             offset += size
         return Layout(segments, offset, slices)
 
-    def to_json(self) -> dict:
-        return {name: {"offset": off, "shape": list(shape)}
-                for name, (off, shape) in self.segments.items()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Layout":
-        """The layout :meth:`to_json` wrote: every dimension an int >= 1, and
-        every offset the one its segment's shapes give."""
-        shapes = {name: tuple(entry["shape"]) for name, entry in obj.items()}
-        for name, shape in shapes.items():
-            if not all(type(n) is int and n >= 1 for n in shape):
-                raise ConfigError(f"segment {name!r} has shape {list(shape)}, not ints >= 1")
-        layout = Layout.build(shapes)
-        for name, entry in obj.items():
-            offset = layout.segments[name][0]
-            if type(entry["offset"]) is not int or entry["offset"] != offset:
-                raise ConfigError(f"segment {name!r} has offset {entry['offset']!r}, "
-                                  f"its layout gives {offset}")
-        return layout
-
 
 @dataclass
 class Params:

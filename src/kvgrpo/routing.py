@@ -5,8 +5,9 @@ branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
 all variation between branches comes from the memory composition alone.  None
 of that randomness depends on the parameters: :func:`plan_rollout` draws a
-group's start noise and routings before it is rolled out (a trainer may draw
-them ahead), and :func:`rollout_group` only reads them.  The group is
+group's start noise and, in one loop over branches, its routings, each from
+its own seed, before it is rolled out (a trainer may draw them ahead), and
+:func:`rollout_group` only reads them.  The group is
 generated in lockstep over one key/value history: each block is solved once
 for all trajectories, with one network call per solver step and memory-length
 bucket (mixed ``local_kv_choices`` give memories of several lengths), under
@@ -71,16 +72,6 @@ def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
     return range(sink_size + 1, L - near_count + 1)
 
 
-def routable_set(L: int, near_count: int = 3, min_count: int = 6,
-                 sink_size: int = 3) -> list[int]:
-    """The :func:`routable_range`, which must hold ``min_count`` frames."""
-    indices = list(routable_range(L, near_count, sink_size))
-    if len(indices) < min_count:
-        raise InsufficientHistoryError(
-            f"routable set for L={L} has {len(indices)} frames, need {min_count}")
-    return indices
-
-
 def sample_routing(omega, rng_seed, count: int = 6, local_size: int = 9) -> RoutingDecision:
     """Draw ``count`` distinct indices uniformly without replacement."""
     omega = sorted(omega)
@@ -109,35 +100,6 @@ def routed_layout(routing: RoutingDecision, L: int,
     return routing.local_size, indices, L - near_count
 
 
-def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int,
-                    sink_size: int, override: tuple[int, ...] | None):
-    """One branch's routing.  Its (local_size, routed_slots) pair is drawn once
-    from the choices feasible at the pivot; ``decide(L, block)`` then routes L
-    frames of history."""
-    feasible = [c for c in choices
-                if len(routable_range(pivot_frame, c[0] - c[1], sink_size)) >= c[1]]
-    if not feasible:
-        raise InsufficientHistoryError(
-            f"no local-window choice from {list(choices)} is routable at L={pivot_frame}")
-    pick = 0
-    if len(feasible) > 1:
-        rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, branch_id, 997)))
-        pick = int(rng.integers(len(feasible)))
-    local_size, routed_slots = (int(c) for c in feasible[pick])
-
-    def decide(L: int, block: int | None) -> RoutingDecision:
-        if override is not None:
-            return RoutingDecision(tuple(override), local_size)
-        omega = routable_set(L, local_size - routed_slots, routed_slots, sink_size)
-        # Documented derivation: fixed-mode decisions use (routing, branch), the
-        # per-block mode appends the block index.
-        entropy = (seeds.routing, branch_id) + (() if block is None else (block,))
-        return sample_routing(omega, np.random.SeedSequence(entropy), routed_slots,
-                              local_size)
-
-    return decide
-
-
 @dataclass(frozen=True)
 class RolloutPlan:
     """A group's draws.  Row b-1 of ``noise`` is block b's (F, d) start
@@ -151,23 +113,37 @@ class RolloutPlan:
 
 def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
                  seeds: GroupSeeds, cfg: GeneratorConfig, latent_dim: int,
-                 local_kv_choices=((9, 6),), routing_per_block: bool = False,
-                 routing_overrides: dict[int, tuple[int, ...]] | None = None
-                 ) -> RolloutPlan:
-    """Draw a group's start noise and routings from its seeds: block b routes
-    over (b-1)*F frames of history, whatever the parameters."""
+                 local_kv_choices=((9, 6),), routing_per_block: bool = False) -> RolloutPlan:
+    """Draw a group's start noise and routings from its seeds, whatever the
+    parameters.  The ``(local_size, routed_slots)`` choices routable at the
+    pivot are found once; branch g draws its choice from them once, from
+    ``(routing, g, 997)`` when there are several, then routes each block b
+    that routes over (b-1)*F frames of history, drawing from ``(routing, g)``,
+    or ``(routing, g, b)`` under per-block routing.  Every draw has its own
+    seed, so no draw depends on the order of the others."""
     if num_branches < 1:
         raise ConfigError("need at least one branch")
-    F = cfg.frames_per_block
+    F, sink, pivot_frame = cfg.frames_per_block, cfg.sink_size, (pivot - 1) * cfg.frames_per_block
     noise = np.stack([block_noise(seeds.noise, b, F, latent_dim)
                       for b in range(1, num_blocks + 1)])
-    deciders = [_branch_decider(
-        seeds, g, local_kv_choices, (pivot - 1) * F, cfg.sink_size,
-        None if routing_overrides is None else routing_overrides.get(g))
-        for g in range(1, num_branches + 1)]
+    feasible = [(int(n), int(r)) for n, r in local_kv_choices
+                if len(routable_range(pivot_frame, n - r, sink)) >= r]
+    if not feasible:
+        raise InsufficientHistoryError(f"no local-window choice from {list(local_kv_choices)} "
+                                       f"is routable at L={pivot_frame}")
     routed = range(pivot, pivot + window) if routing_per_block else (pivot,)
-    return RolloutPlan(noise, {b: (None, *(decide((b - 1) * F, b if routing_per_block else None)
-                                           for decide in deciders)) for b in routed})
+    routings = {b: [None] for b in routed}
+    for g in range(1, num_branches + 1):
+        local_size, slots = feasible[0]
+        if len(feasible) > 1:
+            rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, g, 997)))
+            local_size, slots = feasible[rng.integers(len(feasible))]
+        for b in routed:
+            entropy = (seeds.routing, g) + ((b,) if routing_per_block else ())
+            routings[b].append(sample_routing(
+                routable_range((b - 1) * F, local_size - slots, sink),
+                np.random.SeedSequence(entropy), slots, local_size))
+    return RolloutPlan(noise, {b: tuple(rows) for b, rows in routings.items()})
 
 
 def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,

@@ -28,7 +28,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig, TrainerConfig, to_flat_dict
 from .errors import ContractError, NumericalError
 from .flow import GeneratorConfig
-from .network import NetworkShape, param_init
+from .network import NetworkShape, check_finite, param_init
 from .params import GradVector, Params
 from .policy import PolicyConfig, gibbs, guard
 from .rewards import composite
@@ -84,16 +84,12 @@ class Adam:
 
 
 def clip_gradient(grad: GradVector, max_norm: float) -> tuple[np.ndarray, float]:
-    """Rescale the gradient onto the max-norm ball; returns (clipped, raw norm)."""
-    norm = grad.norm
+    """Rescale the gradient onto the max-norm ball; returns (clipped, raw norm).
+    Finite entries whose norm overflows raise NumericalError."""
+    norm = check_finite(grad.norm, "gradient norm")
     if norm > max_norm > 0:
         return grad.values * (max_norm / norm), norm
     return grad.values, norm
-
-
-def snapshot(params: Params) -> Params:
-    """Frozen copy, immune to later updates of the original."""
-    return params.copy()
 
 
 def ema_update(ema: Params, params: Params, decay: float) -> Params:
@@ -173,8 +169,10 @@ def learning_rate_at(cfg: TrainerConfig, iteration: int) -> float:
 
 
 def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
-    """Fill the group's rewards in place, scoring its rows at once."""
-    group.rewards = composite(group.frames, cfg.reward_spec(), cfg.reward_target())
+    """Fill the group's rewards in place, scoring its rows at once; a
+    non-finite reward raises NumericalError."""
+    group.rewards = check_finite(composite(group.frames, cfg.reward_spec(),
+                                           cfg.reward_target()), "rewards")
 
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig,
@@ -202,7 +200,7 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
         skipped=False, wall_clock_s=0.0)
 
     pcfg = _policy_cfg(cfg)
-    entering = snapshot(state.params), copy.deepcopy(state.opt)
+    entering = state.params.copy(), copy.deepcopy(state.opt)
     try:
         group = rollout_group(state.params, cfg.prompt(), _generator_cfg(cfg), pivot, window,
                               plan.rollout)

@@ -240,10 +240,6 @@ class TestParamInit:
         with pytest.raises(ConfigError):
             NetworkShape(0, 4, 2)
 
-    def test_layout_roundtrip(self):
-        layout = build_layout(NetworkShape(3, 4, 2))
-        assert Layout.from_json(layout.to_json()) == layout
-
     def test_segments_cover_vector(self):
         layout = build_layout(NetworkShape(3, 4, 2))
         covered = np.zeros(layout.total, dtype=int)

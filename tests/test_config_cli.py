@@ -174,6 +174,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed must be int"):
             small_run_config(seed=True)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "sub/m.jsonl", "sub\\m.jsonl", "config.json",
+                                      "trajectories.jsonl", "checkpoint_final.kvc",
+                                      "checkpoint_000050.kvc"])
+    def test_metrics_filename_must_be_a_plain_name_of_its_own(self, name):
+        flat = to_flat_dict(small_run_config())
+        flat["metrics_filename"] = name
+        with pytest.raises(ConfigError, match="metrics_filename must be a plain file name"):
+            from_flat_dict(flat)
+
+    def test_metrics_filename_may_be_any_other_name(self):
+        flat = to_flat_dict(small_run_config())
+        for name in ("m.jsonl", "config.json.bak", "checkpoint_1.json", ".metrics"):
+            flat["metrics_filename"] = name
+            assert from_flat_dict(flat).metrics_filename == name
+
     def test_presets_cover_required_axes(self):
         assert len(PRESETS["surrogate"]) == 2
         assert len(PRESETS["kl-weight"]) == 6
@@ -317,10 +332,10 @@ class TestCheckpoint:
         path = tmp_path / "ck.kvc"
         save_checkpoint(path, params, {}, 3, None)
         rewrite_header(path, lambda header: header["layout"][segment].update({key: value}))
-        with pytest.raises(ConfigError, match=f"segment '{segment}' has {key}"):
+        with pytest.raises(ConfigError, match=f"segment '{segment}' has "):
             load_checkpoint(path)
         assert main(["inspect", str(path)]) == 1
-        assert f"segment '{segment}' has {key}" in capsys.readouterr().err
+        assert f"segment '{segment}' has " in capsys.readouterr().err
 
     @pytest.mark.parametrize("segment,edit", [
         ("head2_b", lambda shapes: {"head3_b" if name == "head2_b" else name: shape
@@ -454,6 +469,33 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "max rel err" in out and "passed" in out
+
+    def test_gradcheck_rejects_the_settings_it_would_ignore(self, capsys):
+        assert main(["--set", "sink_size=0", "--set", "local_size=0", "gradcheck"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "sink_size, local_size" in err
+
+    def test_gradcheck_takes_the_seed_and_run_settings(self, tmp_path, capsys, monkeypatch):
+        import kvgrpo.checks as checks
+        seeds = []
+        monkeypatch.setattr(checks, "run_gradient_checks",
+                            lambda seed: seeds.append(seed) or checks.GradCheckReport(
+                                energy_max_rel=1e-9, total_max_rel=1e-9,
+                                identity_max_rel=1e-12, instances=1))
+        assert main(["--seed", "3", "--threads", "2", "--out-dir", str(tmp_path / "x"),
+                     "--set", "checkpoint_every=7", "gradcheck"]) == 0
+        assert seeds == [3] and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name", ["", "sub/m.jsonl", "config.json", "trajectories.jsonl"])
+    def test_train_rejects_a_metrics_filename_before_writing(self, tmp_path, capsys, name):
+        # Each used to exit 3 after writing config.json, or to overwrite
+        # config.json or interleave with the dump.
+        out = tmp_path / "run"
+        code = main(["--out-dir", str(out), "--set", f"metrics_filename={name}",
+                     "--set", "dump_trajectories=true", "train", "--max-iters", "2"])
+        assert code == 1
+        assert "metrics_filename must be a plain file name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gradcheck_real_small_run(self, capsys):
         code = main(["--set", "seed=1", "gradcheck"])

@@ -13,7 +13,7 @@ from kvgrpo.errors import ContractError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
                          velocity_eval, write_back)
 from kvgrpo.network import NetworkShape, param_init, shape_from_layout
-from kvgrpo.routing import routable_set, routed_layout, sample_routing
+from kvgrpo.routing import routable_range, routed_layout, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -301,7 +301,7 @@ class TestRowMemory:
             start, row, ref = 0, (9, (), 0), ListMemory(3, 9)
         else:
             start = F * -(-15 // F)  # the first block boundary with 15+ frames
-            routed = sample_routing(routable_set(start), rng_seed=F)
+            routed = sample_routing(routable_range(start), rng_seed=F)
             row = routed_layout(routed, start)
             near = [entries[i - 1] for i in range(start - 2, start + 1)]
             ref = ListMemory(3, 9, entries[:3],
@@ -317,8 +317,8 @@ class TestRowMemory:
         # three memory lengths, each row over its own history row.
         history, entries = filled_history(3, 10)
         L = 15
-        routings = [None, sample_routing(routable_set(L, 3, 3), 1, count=3, local_size=6),
-                    sample_routing(routable_set(L, 3, 9), 2, count=9, local_size=12)]
+        routings = [None, sample_routing(routable_range(L, 3), 1, count=3, local_size=6),
+                    sample_routing(routable_range(L, 3), 2, count=9, local_size=12)]
         layouts = [(9, (), 0)] + [routed_layout(r, L) for r in routings[1:]]
         refs = [ListMemory(3, 9, entries[0][:3], entries[0][L - 9:L])]
         for g, routing in enumerate(routings[1:], start=1):

@@ -1,10 +1,14 @@
 """Golden fingerprints: the outputs of a 20-iteration ``run()`` of four configs
 must match ``tests/data/golden.json`` bit for bit, at threads 1 in this process
 and at threads 2 in a ``kvgrpo train`` subprocess.  So must the three maxima
-that ``kvgrpo gradcheck`` reports, as their ``repr``.
+that ``kvgrpo gradcheck`` reports, as their ``repr``, and each config's plans
+of iterations 1-200.
 
 A fingerprint is the sha256 of ``metrics.jsonl`` without its ``_s`` (timing)
 fields, of the final parameters, of the final EMA and of ``trajectories.jsonl``.
+A plan's fingerprint is the sha256, over iterations 1-200 of
+:func:`~kvgrpo.trainer.plan_iteration`, of each plan's noise bytes and then
+every routing's indices and local size, in block and row order.
 The file is regenerated only with a change that declares it moves bits:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +31,7 @@ import pytest
 from kvgrpo.checkpoint import load_checkpoint
 from kvgrpo.checks import run_gradient_checks
 from kvgrpo.config import from_flat_dict
-from kvgrpo.trainer import run
+from kvgrpo.trainer import plan_iteration, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
@@ -46,6 +50,7 @@ CONFIGS = {
 RUN = {"seed": 0, "max_iterations": 20, "checkpoint_every": 5, "dump_trajectories": True}
 FIELDS = ("metrics", "params", "ema", "trajectories")
 GRADCHECK_FIELDS = ("energy_max_rel", "total_max_rel", "identity_max_rel")
+PLANNED = range(1, 201)
 
 
 def sha256(data: bytes) -> str:
@@ -86,6 +91,19 @@ def gradcheck_maxima() -> dict[str, str]:
     return {f: repr(getattr(report, f)) for f in GRADCHECK_FIELDS}
 
 
+def plan_fingerprint(name: str) -> str:
+    """The sha256 of the config's plans of the ``PLANNED`` iterations."""
+    cfg = from_flat_dict({**CONFIGS[name], **RUN}).trainer
+    digest = hashlib.sha256()
+    for it in PLANNED:
+        plan = plan_iteration(cfg, it).rollout
+        digest.update(plan.noise.tobytes())
+        for b in sorted(plan.routings):
+            digest.update(json.dumps([b, [None if r is None else [list(r.indices), r.local_size]
+                                          for r in plan.routings[b]]]).encode())
+    return digest.hexdigest()
+
+
 def environment() -> dict[str, str]:
     return {"numpy": np.__version__,
             "platform": f"{platform.system()}-{platform.machine()}",
@@ -112,11 +130,19 @@ def test_golden_covers_every_config(golden):
     assert sorted(golden["runs"]) == sorted(CONFIGS)
     assert golden["run"] == RUN
     assert sorted(golden["gradcheck"]) == sorted(GRADCHECK_FIELDS)
+    assert sorted(golden["plans"]) == sorted(CONFIGS)
 
 
 def test_gradcheck_maxima(golden):
     assert_matches(gradcheck_maxima(), golden["gradcheck"], "gradcheck seed 0",
                    GRADCHECK_FIELDS)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_plans(name, golden):
+    assert plan_fingerprint(name) == golden["plans"][name], (
+        f"{name}: the plans of iterations {PLANNED.start}-{PLANNED.stop - 1} differ "
+        f"from {GOLDEN.name}; if the change declares that, regenerate it with: {REGENERATE}")
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -141,7 +167,9 @@ def main() -> None:
                 sys.exit(f"{name}: threads 1 and threads 2 disagree; nothing written")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"environment": environment(), "run": RUN, "runs": runs,
-                                  "gradcheck": gradcheck_maxima()}, indent=2) + "\n")
+                                  "gradcheck": gradcheck_maxima(),
+                                  "plans": {name: plan_fingerprint(name) for name in CONFIGS}},
+                                 indent=2) + "\n")
     print(f"wrote {GOLDEN}")
 
 

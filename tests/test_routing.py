@@ -13,9 +13,9 @@ from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.policy import replay_energies
-from kvgrpo.routing import (GroupSeeds, RoutingDecision, _branch_decider,
-                            build_replay_contexts, plan_rollout, rollout_group,
-                            routable_set, routed_layout, sample_routing)
+from kvgrpo.routing import (GroupSeeds, RolloutPlan, RoutingDecision, build_replay_contexts,
+                            plan_rollout, rollout_group, routable_range, routed_layout,
+                            sample_routing)
 from test_flow import rollout
 
 TINY = NetworkShape(3, 5, 2)
@@ -40,12 +40,23 @@ def memory(contexts, branch_id, block):
 
 
 def roll(params, prompt, num_blocks, pivot, window, num_branches, seeds,
-         cfg=GeneratorConfig(), *args, **kw):
+         cfg=GeneratorConfig(), *args, routing_overrides=None, **kw):
     """Plan a group (``args`` and ``kw`` go to :func:`plan_rollout` after the
-    latent dimension), then roll it out."""
+    latent dimension), apply any :func:`override_routings`, then roll it out."""
     plan = plan_rollout(num_blocks, pivot, window, num_branches, seeds, cfg,
                         network.shape_from_layout(params.layout).latent_dim, *args, **kw)
+    if routing_overrides is not None:
+        plan = override_routings(plan, routing_overrides)
     return rollout_group(params, prompt, cfg, pivot, window, plan)
+
+
+def override_routings(plan, overrides):
+    """``plan`` with branch g's routing replaced by the frame indices
+    ``overrides[g]``, at that branch's own local size, at every block that
+    routes."""
+    return RolloutPlan(plan.noise, {b: tuple(
+        RoutingDecision(tuple(overrides[g]), r.local_size) if g in overrides else r
+        for g, r in enumerate(rows)) for b, rows in plan.routings.items()})
 
 
 def window_frames(group):
@@ -63,41 +74,43 @@ def make_group(seed=0, num_blocks=8, pivot=6, window=2, branches=4, **kw):
 
 class TestRoutableSet:
     def test_minimum_history(self):
-        assert routable_set(12) == [4, 5, 6, 7, 8, 9]
+        assert list(routable_range(12)) == [4, 5, 6, 7, 8, 9]
 
     def test_fifteen_frames(self):
-        assert routable_set(15) == list(range(4, 13))
+        assert list(routable_range(15)) == list(range(4, 13))
 
     def test_too_short_errors(self):
-        with pytest.raises(InsufficientHistoryError):
-            routable_set(11)
+        with pytest.raises(InsufficientHistoryError, match="size 5 cannot fill 6"):
+            sample_routing(routable_range(11), rng_seed=0)
 
     def test_generalized_near_count(self):
         # 9 routed slots, none preserved: routable reaches the newest frame.
-        assert routable_set(12, near_count=0, min_count=9) == list(range(4, 13))
+        omega = routable_range(12, near_count=0)
+        assert list(omega) == list(range(4, 13))
+        assert sorted(sample_routing(omega, 0, count=9).indices) == list(omega)
 
 
 class TestSampleRouting:
     def test_forced_permutation_when_set_is_minimal(self):
-        omega = routable_set(12)
+        omega = list(routable_range(12))
         decision = sample_routing(omega, rng_seed=5)
         assert sorted(decision.indices) == omega
 
     def test_same_seed_identical(self):
-        omega = routable_set(15)
+        omega = routable_range(15)
         a = sample_routing(omega, rng_seed=7)
         b = sample_routing(omega, rng_seed=7)
         assert a.indices == b.indices
 
     def test_indices_distinct(self):
         for seed in range(50):
-            decision = sample_routing(routable_set(15), rng_seed=seed)
+            decision = sample_routing(routable_range(15), rng_seed=seed)
             assert len(set(decision.indices)) == 6
 
     def test_uniform_marginals(self):
         # Drawing 6 of 9 without replacement: each index appears with
         # probability 6/9.
-        omega = routable_set(15)
+        omega = routable_range(15)
         counts = {i: 0 for i in omega}
         draws = 10_000
         for seed in range(draws):
@@ -151,7 +164,7 @@ class TestBranchMemory:
 
     def test_near_slots_always_newest(self):
         for seed in range(10):
-            decision = sample_routing(routable_set(15), rng_seed=seed)
+            decision = sample_routing(routable_range(15), rng_seed=seed)
             cache = branch_cache(self.res.history, 15, [decision])
             assert cache.frames[0][-3:] == (13, 14, 15)
 
@@ -415,6 +428,37 @@ class RowHistory:
         near_count = routing.local_size - len(routing.indices)
         return self.gather([*range(1, sink_size + 1), *routing.indices,
                             *range(L - near_count + 1, L + 1)], sink_size, routing.local_size)
+
+
+def _branch_decider(seeds: GroupSeeds, branch_id: int, choices, pivot_frame: int,
+                    sink_size: int, override: tuple[int, ...] | None):
+    """Reference: one branch's routing as :func:`plan_rollout` drew it before
+    it planned a group in one loop.  Its (local_size, routed_slots) pair is
+    drawn once from the choices feasible at the pivot; ``decide(L, block)``
+    then routes L frames of history, or returns ``override`` at that local
+    size."""
+    feasible = [c for c in choices
+                if len(routable_range(pivot_frame, c[0] - c[1], sink_size)) >= c[1]]
+    if not feasible:
+        raise InsufficientHistoryError(
+            f"no local-window choice from {list(choices)} is routable at L={pivot_frame}")
+    pick = 0
+    if len(feasible) > 1:
+        rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, branch_id, 997)))
+        pick = int(rng.integers(len(feasible)))
+    local_size, routed_slots = (int(c) for c in feasible[pick])
+
+    def decide(L: int, block: int | None) -> RoutingDecision:
+        if override is not None:
+            return RoutingDecision(tuple(override), local_size)
+        omega = routable_range(L, local_size - routed_slots, sink_size)
+        # Documented derivation: fixed-mode decisions use (routing, branch), the
+        # per-block mode appends the block index.
+        entropy = (seeds.routing, branch_id) + (() if block is None else (block,))
+        return sample_routing(omega, np.random.SeedSequence(entropy), routed_slots,
+                              local_size)
+
+    return decide
 
 
 class ReferenceRollout:

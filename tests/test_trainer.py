@@ -23,7 +23,7 @@ from kvgrpo.params import GradVector
 from kvgrpo.routing import RolloutGroup, RoutingDecision
 from kvgrpo.trainer import (Adam, TrainerState, _dump_trajectories, _encode_group, _Sidecar,
                             clip_gradient, ema_update, init_state, learning_rate_at,
-                            plan_iteration, run, snapshot, train_iteration)
+                            plan_iteration, run, train_iteration)
 
 
 def small_config(**overrides) -> TrainerConfig:
@@ -36,7 +36,7 @@ def small_config(**overrides) -> TrainerConfig:
 
 class TestSnapshot:
     def test_snapshot_immune_to_mutation(self, tiny_params):
-        snap = snapshot(tiny_params)
+        snap = tiny_params.copy()
         tiny_params.values[0] += 1.0
         assert snap.values[0] != tiny_params.values[0]
 
@@ -111,6 +111,32 @@ class TestSnapshot:
         assert (tmp_path / "r" / "checkpoint_final.kvc").exists()
         assert np.array_equal(result.state.params.values, fresh)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("settings,error", [
+        (dict(reward_components=[["target", 1e308], ["smoothness", 1e308]]),
+         "non-finite rewards"),
+        (dict(kl_penalty_weight=1e308), "non-finite gradient norm"),
+        (dict(temperature=1e-300), "non-finite gradient norm"),
+    ], ids=["reward", "kl-weight", "temperature"])
+    def test_non_finite_reward_or_norm_skips_iteration(self, tmp_path, settings, error):
+        # -inf rewards, and finite gradient entries whose norm overflows, abort
+        # the iteration as any numerical error does; the run writes strict JSON
+        # and its final checkpoint, and no update reaches the parameters.
+        import json
+        from kvgrpo.checkpoint import load_checkpoint
+        out = tmp_path / "r"
+        cfg = RunConfig(trainer=TrainerConfig(max_iterations=5, **settings), out_dir=str(out),
+                        dump_trajectories=True).validate()
+        fresh = init_state(cfg.trainer).params.values
+        result = run(cfg)
+        assert all(r.skipped and r.error for r in result.records)
+        assert error in [r.error for r in result.records]
+        logged = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert [r["error"] for r in logged] == [r.error for r in result.records]
+        final = load_checkpoint(out / "checkpoint_final.kvc")
+        assert final.params.values.tobytes() == final.ema.values.tobytes() == fresh.tobytes()
+        assert result.state.opt.step == 0 and not result.state.opt.m.any()
+
     def test_rollout_error_skips_iteration(self, monkeypatch, tmp_path):
         # A NumericalError raised mid-rollout at iteration 2 of 3 skips that
         # iteration with no rewards, and the run goes on to its final checkpoint.
@@ -162,6 +188,12 @@ class TestApplyUpdate:
         assert norm == pytest.approx(10.0)
         assert np.linalg.norm(clipped) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_norm_raises(self):
+        from kvgrpo.errors import NumericalError
+        with pytest.raises(NumericalError, match="non-finite gradient norm"):
+            clip_gradient(GradVector(np.full(4, 1e300)), max_norm=1.0)
+
     def test_below_max_untouched(self):
         g = GradVector(np.array([0.3, -0.4]))
         clipped, norm = clip_gradient(g, max_norm=1.0)
@@ -183,7 +215,7 @@ class TestApplyUpdate:
 
 class TestEmaUpdate:
     def test_zero_decay_copies_params(self, tiny_params):
-        ema = ema_update(snapshot(tiny_params), tiny_params, decay=0.0)
+        ema = ema_update(tiny_params.copy(), tiny_params, decay=0.0)
         assert np.array_equal(ema.values, tiny_params.values)
 
     def test_fixed_point(self, tiny_params):
@@ -192,7 +224,7 @@ class TestEmaUpdate:
 
     def test_geometric_convergence(self, tiny_params):
         target = tiny_params
-        ema = snapshot(tiny_params)
+        ema = tiny_params.copy()
         ema.values[:] = 0.0
         decay = 0.5
         prev_gap = np.linalg.norm(target.values)
