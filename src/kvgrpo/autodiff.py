@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .params import GradVector, Params
+from .params import Params
 
 Array = np.ndarray
 
@@ -119,8 +119,8 @@ class TapeReader:
         cached = self._cache.get(name)
         if cached is not None:
             return cached
-        span = self.layout.slices[name]
-        val = self.params.values[span].reshape(self.layout.segments[name][1])
+        span, shape = self.layout.segments[name]
+        val = self.params.values[span].reshape(shape)
         flat_idx = self._flat.idx
         total = self.layout.total
 
@@ -141,8 +141,10 @@ class TapeReader:
         return self._flat.idx
 
 
-def grad(params: Params, f) -> tuple[float, GradVector]:
-    """Value and exact reverse-mode gradient of a scalar function of the parameters.
+def grad(params: Params, f) -> tuple[float, Array]:
+    """Value and exact reverse-mode gradient of a scalar function of the
+    parameters.  The gradient is a float64 array of shape ``(layout.total,)``,
+    laid out like ``params.values``.
 
     ``f`` receives a reader exposing ``segment(name)``/``detached()``/``layout``;
     :class:`Params` itself satisfies the same protocol for value-only calls.
@@ -152,28 +154,20 @@ def grad(params: Params, f) -> tuple[float, GradVector]:
     tape = Tape()
     reader = TapeReader(tape, params)
     out = f(reader)
-    if not isinstance(out, Var):
-        # f ignored the parameters (constant function): zero gradient.
-        val = float(value(out))
-        if not np.isfinite(val):
-            raise NumericalError("loss value is non-finite")
-        return val, GradVector(np.zeros(params.layout.total))
-    val = float(out.value)
+    val = float(value(out))
     if not np.isfinite(val):
         raise NumericalError("loss value is non-finite")
-    adjoints = tape.backward(out)
-    g = adjoints[reader.flat_index]
-    if g is None:
-        g = np.zeros(params.layout.total)
-    g = np.asarray(g, dtype=np.float64)
+    # An f that ignored the parameters (a constant) has a zero gradient.
+    g = tape.backward(out)[reader.flat_index] if isinstance(out, Var) else None
+    g = np.zeros(params.layout.total) if g is None else np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         bad = ~np.isfinite(g)
-        names = [n for n, span in params.layout.slices.items() if bad[span].any()]
+        names = [n for n, (span, _) in params.layout.segments.items() if bad[span].any()]
         raise NumericalError(f"non-finite gradient entries in segments: {names}")
-    return val, GradVector(g)
+    return val, g
 
 
-def fd_grad(params: Params, f, h: float = 1e-5) -> GradVector:
+def fd_grad(params: Params, f, h: float = 1e-5) -> Array:
     """Central finite-difference gradient, entry i = (f(p+h·e_i) − f(p−h·e_i)) / 2h."""
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
@@ -188,4 +182,4 @@ def fd_grad(params: Params, f, h: float = 1e-5) -> GradVector:
         fm = float(value(f(Params(work, params.layout))))
         work[i] = orig
         out[i] = (fp - fm) / (2.0 * h)
-    return GradVector(out)
+    return out

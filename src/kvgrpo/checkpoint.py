@@ -39,8 +39,8 @@ class CheckpointData:
 
 
 def _layout_json(layout: Layout) -> dict:
-    return {name: {"offset": off, "shape": list(shape)}
-            for name, (off, shape) in layout.segments.items()}
+    return {name: {"offset": span.start, "shape": list(shape)}
+            for name, (span, shape) in layout.segments.items()}
 
 
 def save_checkpoint(path: str | Path, params: Params, config: dict,
@@ -103,8 +103,13 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     if not isinstance(has_ema, bool):
         raise ConfigError(f"{path}: checkpoint header field has_ema must be a bool, "
                           f"got {has_ema!r}")
+    try:
+        shape = network.NetworkShape(latent, hidden, in_dim - latent - 1)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: checkpoint segment 'embed_w' has shape {[in_dim, hidden]}, "
+                          f"which gives no network ({exc})") from None
     # Segment by segment, types too: an offset of 208.0 is not the network's 208.
-    layout = network.build_layout(network.NetworkShape(latent, hidden, in_dim - latent - 1))
+    layout = network.build_layout(shape)
     expected = _layout_json(layout)
     for name in {**expected, **stored}:
         if (json.dumps(stored.get(name), sort_keys=True)

@@ -74,7 +74,7 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
                                                   pcfg.include_all_steps))
         _, g = grad(inst.params, f)
         fd = fd_grad(inst.params, f, FD_STEP)
-        worst = max(worst, rel_l2(g.values, fd.values))
+        worst = max(worst, rel_l2(g, fd))
     return worst
 
 
@@ -94,7 +94,7 @@ def check_total_grad(inst: CheckInstance, pcfg: PolicyConfig,
 
     _, g = grad(inst.params, f)
     fd = fd_grad(inst.params, f, FD_STEP)
-    return rel_l2(g.values, fd.values)
+    return rel_l2(g, fd)
 
 
 def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
@@ -116,7 +116,7 @@ def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
                                             eval_cur, adv, tau, cfg)
     # The objective is maximized; autodiff(f) is the ascent direction, and so
     # is the reference.
-    return rel_l2(auto.values, ref.values)
+    return rel_l2(auto, ref)
 
 
 @dataclass

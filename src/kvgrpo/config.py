@@ -91,7 +91,7 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         # The policy is a softmax over at least two branches.
         for name, low in (("branch_number", 2), ("sink_size", 0), ("local_size", 0),
-                          ("max_iterations", 0), ("kl_penalty_weight", 0)):
+                          ("max_iterations", 0), ("kl_penalty_weight", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("clip_eps_low", "clip_eps_high"):
@@ -227,12 +227,15 @@ def from_flat_dict(data: dict) -> RunConfig:
 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object a config file holds, unvalidated.  Raises ConfigError
-    naming the file when it is missing, not UTF-8, not JSON or not an object."""
+    naming the file when it is missing, unreadable, not UTF-8, not JSON or not
+    an object."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -71,16 +71,6 @@ class ReplaySteps:
                              for f in fields(ReplaySteps)))
 
 
-def velocity_eval(params: Params, x: np.ndarray, t: float, keys: np.ndarray | None,
-                  values: np.ndarray | None, prompt: np.ndarray,
-                  inputs: network.Inputs | None = None) -> np.ndarray:
-    """Deterministic forward pass of the velocity network for (rows, F, d)
-    latents at flow time ``t``, each row over its own memory, stacked to
-    (rows, M, h) keys and values (``None``: empty memories)."""
-    out = network.velocity_forward(params, x, t, keys, values, prompt, inputs)
-    return network.check_finite(np.asarray(out), "velocity output")
-
-
 def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.ndarray:
     """Seeded standard-normal start latents for one block.
 
@@ -112,7 +102,8 @@ def generate_block(params: Params, cache: KVCache, block_index: int,
         xb, t, zs, us, ts = np.tile(noise, (len(rows), 1, 1)), 0.0, [], [], []
         inputs = network.Inputs(params, xb.shape, keys, values, prompt)
         for _ in range(cfg.num_steps):
-            v = velocity_eval(params, xb, t, keys, values, prompt, inputs)
+            v = network.check_finite(network.velocity_forward(
+                params, xb, t, keys, values, prompt, inputs), "velocity output")
             zs.append(xb)
             us.append(v)
             ts.append(t)

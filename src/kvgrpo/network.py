@@ -73,8 +73,7 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     layout = build_layout(shape)
     rng = np.random.default_rng(seed)
     values = np.zeros(layout.total)
-    for name, span in layout.slices.items():
-        seg_shape = layout.segments[name][1]
+    for span, seg_shape in layout.segments.values():
         if len(seg_shape) == 2:
             values[span] = rng.standard_normal(span.stop - span.start) / np.sqrt(seg_shape[0])
     return Params(values, layout)

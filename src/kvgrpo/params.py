@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,29 +11,26 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Layout:
-    """Maps segment names to (offset, shape) within a flat float64 vector, and
-    to the matching ``slice`` of that vector.
+    """Maps segment names to (span, shape): the ``slice`` of a flat float64
+    vector that holds the segment, and the shape it is read back in.
 
     Segments are disjoint and cover [0, total).
     """
 
-    segments: dict[str, tuple[int, tuple[int, ...]]]
+    segments: dict[str, tuple[slice, tuple[int, ...]]]
     total: int
-    slices: dict[str, slice]
 
     @staticmethod
     def build(shapes: dict[str, tuple[int, ...]]) -> "Layout":
-        segments: dict[str, tuple[int, tuple[int, ...]]] = {}
-        slices: dict[str, slice] = {}
+        segments: dict[str, tuple[slice, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in shapes.items():
             size = int(np.prod(shape))
             if size <= 0:
                 raise ConfigError(f"segment {name!r} has zero size (shape {shape})")
-            segments[name] = (offset, tuple(shape))
-            slices[name] = slice(offset, offset + size)
+            segments[name] = (slice(offset, offset + size), tuple(shape))
             offset += size
-        return Layout(segments, offset, slices)
+        return Layout(segments, offset)
 
 
 @dataclass
@@ -52,8 +49,8 @@ class Params:
                 f"parameter vector has length {self.values.size}, layout expects {self.layout.total}")
 
     def segment(self, name: str) -> np.ndarray:
-        layout = self.layout
-        return self.values[layout.slices[name]].reshape(layout.segments[name][1])
+        span, shape = self.layout.segments[name]
+        return self.values[span].reshape(shape)
 
     def detached(self) -> "Params":
         return self
@@ -61,16 +58,3 @@ class Params:
     def copy(self) -> "Params":
         return Params(self.values.copy(), self.layout)
 
-
-@dataclass
-class GradVector:
-    """Gradient with the same flat layout as the Params it differentiates."""
-
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))

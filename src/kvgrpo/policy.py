@@ -27,7 +27,7 @@ from . import network
 from .autodiff import grad as ad_grad
 from .errors import ContractError
 from .flow import ReplaySteps
-from .params import GradVector, Params
+from .params import Params
 from .routing import ReplayContexts, RolloutGroup
 
 ADV_EPS = 1e-8
@@ -276,7 +276,7 @@ def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
 
 def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContexts,
                     eval_old: PolicyEval | None, eval_ref: PolicyEval, cfg: PolicyConfig
-                    ) -> tuple[LossBreakdown, np.ndarray, GradVector, PolicyEval]:
+                    ) -> tuple[LossBreakdown, np.ndarray, np.ndarray, PolicyEval]:
     """Loss breakdown, per-branch energies, the reverse-mode gradient, and the
     old policy (see :func:`_build_loss` for ``eval_old=None``)."""
     adv = advantages(group.rewards[1:], cfg.adv_clip_max)
@@ -296,7 +296,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
 def contrastive_grad_reference(params: Params, group: RolloutGroup,
                                contexts: ReplayContexts, eval_cur: PolicyEval,
                                adv: np.ndarray, tau: float,
-                               cfg: PolicyConfig = PolicyConfig()) -> GradVector:
+                               cfg: PolicyConfig = PolicyConfig()) -> np.ndarray:
     """Closed-form gradient of the unclipped policy-gradient objective.
 
     Combines per-branch energy gradients with policy weights and centered
@@ -310,8 +310,8 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
     for g in range(1, len(group.frames)):
         _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(
             r, group.replay, [g], contexts, cfg.grad_steps, cfg.include_all_steps)))
-        out += pi[g - 1] * (adv[g - 1] - mu) * gvec.values
-    return GradVector(-out / tau)
+        out += pi[g - 1] * (adv[g - 1] - mu) * gvec
+    return -out / tau
 
 
 def pg_surrogate_value(reader, group: RolloutGroup, contexts: ReplayContexts,

@@ -29,7 +29,7 @@ from .config import RunConfig, TrainerConfig, to_flat_dict
 from .errors import ContractError, NumericalError
 from .flow import GeneratorConfig
 from .network import NetworkShape, check_finite, param_init
-from .params import GradVector, Params
+from .params import Params
 from .policy import PolicyConfig, gibbs, guard
 from .rewards import composite
 from .routing import (GroupSeeds, RolloutGroup, RolloutPlan, build_replay_contexts,
@@ -83,13 +83,13 @@ class Adam:
                       params.layout)
 
 
-def clip_gradient(grad: GradVector, max_norm: float) -> tuple[np.ndarray, float]:
+def clip_gradient(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
     """Rescale the gradient onto the max-norm ball; returns (clipped, raw norm).
     Finite entries whose norm overflows raise NumericalError."""
-    norm = check_finite(grad.norm, "gradient norm")
+    norm = check_finite(float(np.linalg.norm(grad)), "gradient norm")
     if norm > max_norm > 0:
-        return grad.values * (max_norm / norm), norm
-    return grad.values, norm
+        return grad * (max_norm / norm), norm
+    return grad, norm
 
 
 def ema_update(ema: Params, params: Params, decay: float) -> Params:
@@ -406,7 +406,7 @@ def _dump_trajectories(send, group: RolloutGroup, record: IterationRecord) -> No
                                   group.frames.shape[-1])
     heads = [(g, list(routing.indices) if routing else None, reward)
              for g, (routing, reward) in enumerate(zip(group.routings, group.rewards.tolist()))]
-    if not (np.isfinite(blocks).all() and np.isfinite(group.rewards).all()):
+    if not np.isfinite(blocks).all():
         raise ValueError("a trajectory holds a value that JSON cannot encode")
     if not (blocks[:, :shared] == blocks[:1, :shared]).all():
         raise ContractError("trajectories differ before the pivot block")

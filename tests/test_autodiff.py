@@ -74,13 +74,13 @@ class TestFiniteDifferences:
         fd = fd_grad(params, lambda p: p.segment("theta")[0], 1e-5)
         expected = np.zeros(7)
         expected[0] = 1.0
-        np.testing.assert_allclose(fd.values, expected, atol=1e-10)
+        np.testing.assert_allclose(fd, expected, atol=1e-10)
 
     def test_square_at_three(self):
         layout = Layout.build({"theta": (1,)})
         params = Params(np.array([3.0]), layout)
         fd = fd_grad(params, lambda p: p.segment("theta")[0] ** 2, 1e-5)
-        assert abs(fd.values[0] - 6.0) < 1e-8
+        assert abs(fd[0] - 6.0) < 1e-8
 
     def test_random_quadratic_matches_analytic_and_tape(self):
         params, rng = quad_params(seed=3)
@@ -96,9 +96,9 @@ class TestFiniteDifferences:
 
         analytic = a @ params.segment("theta") + b
         fd = fd_grad(params, f, 1e-5)
-        assert rel_l2(fd.values, analytic) < 1e-7
+        assert rel_l2(fd, analytic) < 1e-7
         _, g = grad(params, f)
-        assert rel_l2(g.values, analytic) < 1e-12
+        assert rel_l2(g, analytic) < 1e-12
 
     def test_rejects_nonpositive_step(self):
         params, _ = quad_params()
@@ -110,7 +110,17 @@ class TestGrad:
     def test_constant_function_gives_zero(self, tiny_params):
         val, g = grad(tiny_params, lambda r: 4.25)
         assert val == 4.25
-        np.testing.assert_array_equal(g.values, np.zeros(tiny_params.layout.total))
+        np.testing.assert_array_equal(g, np.zeros(tiny_params.layout.total))
+
+    @pytest.mark.parametrize("f", [lambda r: 4.25, lambda r: ops.asum(sq(r.segment("wq")))],
+                             ids=["constant", "taped"])
+    def test_gradients_are_flat_float64_arrays(self, tiny_params, f):
+        from kvgrpo.trainer import clip_gradient
+        total = tiny_params.layout.total
+        for g in (grad(tiny_params, f)[1], fd_grad(tiny_params, f)):
+            assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (total,)
+            clipped, norm = clip_gradient(g, max_norm=1e-3)
+            assert norm == np.linalg.norm(g) and clipped.shape == (total,)
 
     def test_half_norm_squared_gives_theta(self, tiny_params):
         def f(r):
@@ -120,14 +130,14 @@ class TestGrad:
             return ops.mul(total, 0.5)
 
         val, g = grad(tiny_params, f)
-        np.testing.assert_allclose(g.values, tiny_params.values, atol=1e-14)
+        np.testing.assert_allclose(g, tiny_params.values, atol=1e-14)
         assert val == pytest.approx(0.5 * np.sum(tiny_params.values ** 2))
 
     def test_deterministic_bitwise(self, tiny_params):
         f = net_loss("four-rows")
         _, g1 = grad(tiny_params, f)
         _, g2 = grad(tiny_params, f)
-        assert np.array_equal(g1.values, g2.values)
+        assert np.array_equal(g1, g2)
 
     def test_linearity(self, tiny_params):
         def f(r):
@@ -140,7 +150,7 @@ class TestGrad:
         _, gf = grad(tiny_params, f)
         _, gg = grad(tiny_params, g_fn)
         _, combo = grad(tiny_params, lambda r: ops.add(ops.mul(f(r), a), ops.mul(g_fn(r), b)))
-        assert rel_l2(combo.values, a * gf.values + b * gg.values) < 1e-12
+        assert rel_l2(combo, a * gf + b * gg) < 1e-12
 
     def test_nonfinite_value_raises(self, tiny_params):
         with pytest.raises(NumericalError):
@@ -196,7 +206,7 @@ class TestOps:
         params = Params(np.random.default_rng(5).normal(size=6) * 0.7, layout)
         _, g = grad(params, build)
         fd = fd_grad(params, build, 1e-6)
-        assert rel_l2(g.values, fd.values) < 1e-7
+        assert rel_l2(g, fd) < 1e-7
 
     def test_numpy_mode_returns_arrays(self):
         x = np.array([1.0, 2.0])
@@ -209,7 +219,7 @@ class TestOps:
         params = Params(np.array([1.0, 1.0]), layout)
         _, g = grad(params, lambda r: ops.asum(ops.minimum(r.segment("theta"),
                                                            np.array([1.0, 1.0]))))
-        np.testing.assert_array_equal(g.values, np.ones(2))
+        np.testing.assert_array_equal(g, np.ones(2))
 
     def test_mixed_tape_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -243,9 +253,8 @@ class TestParamInit:
     def test_segments_cover_vector(self):
         layout = build_layout(NetworkShape(3, 4, 2))
         covered = np.zeros(layout.total, dtype=int)
-        for name, span in layout.slices.items():
-            offset, shape = layout.segments[name]
-            assert (span.start, span.stop - span.start) == (offset, int(np.prod(shape)))
+        for span, shape in layout.segments.values():
+            assert span.stop - span.start == int(np.prod(shape))
             covered[span] += 1
         assert np.all(covered == 1)
 
@@ -258,9 +267,9 @@ class TestConcurrency:
         f = net_loss("four-rows")
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda _: grad(tiny_params, f), range(8)))
-        base = results[0][1].values
+        base = results[0][1]
         for _, g in results[1:]:
-            assert np.array_equal(g.values, base)
+            assert np.array_equal(g, base)
 
 
 class TestVelocityOp:
@@ -272,7 +281,7 @@ class TestVelocityOp:
         f = net_loss(context)
         _, g = grad(params, f)
         fd = fd_grad(params, f, 1e-5)
-        assert rel_l2(g.values, fd.values) < 1e-7
+        assert rel_l2(g, fd) < 1e-7
 
     @pytest.mark.parametrize("context", sorted(CONTEXTS))
     def test_forward_matches_per_row_oracle(self, context):

@@ -325,9 +325,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("segment,key,value", [
         ("embed_w", "shape", [-13, -16]), ("embed_w", "shape", [13.0, 16]),
         ("embed_w", "shape", [13, True]), ("embed_b", "offset", 999),
-        ("embed_b", "offset", 208.0)])
+        ("embed_b", "offset", 208.0), ("embed_w", "shape", [9, 16])])
     def test_corrupt_layout_rejected(self, tmp_path, capsys, segment, key, value):
         # The first two keep the segment's size, so the value count still agrees.
+        # The last leaves no input for a prompt after head2_w's 8 latents and time.
         params = param_init(NetworkShape(), 9)  # embed_w is 13 x 16, embed_b at 208
         path = tmp_path / "ck.kvc"
         save_checkpoint(path, params, {}, 3, None)
@@ -335,7 +336,8 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"segment '{segment}' has "):
             load_checkpoint(path)
         assert main(["inspect", str(path)]) == 1
-        assert f"segment '{segment}' has " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"segment '{segment}' has " in err and str(path) in err
 
     @pytest.mark.parametrize("segment,edit", [
         ("head2_b", lambda shapes: {"head3_b" if name == "head2_b" else name: shape
@@ -496,6 +498,21 @@ class TestCli:
         assert code == 1
         assert "metrics_filename must be a plain file name" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train", "--max-iters", "1"], ["gradcheck"]])
+    def test_negative_seed_exits_one_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main(["--seed", "-1", "--out-dir", str(out), *command]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        folder = tmp_path / "conf.d"
+        folder.mkdir()
+        with pytest.raises(ConfigError, match="conf.d cannot be read"):
+            load_config(folder)
+        assert main(["--config", str(folder), "train"]) == 1
+        assert "conf.d cannot be read" in capsys.readouterr().err
 
     def test_gradcheck_real_small_run(self, capsys):
         code = main(["--set", "seed=1", "gradcheck"])

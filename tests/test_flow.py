@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from kvgrpo.cache import FrameHistory, memory_frames
-from kvgrpo.errors import ContractError
+from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
-                         velocity_eval, write_back)
-from kvgrpo.network import NetworkShape, param_init, shape_from_layout
+                         write_back)
+from kvgrpo.network import NetworkShape, param_init, shape_from_layout, velocity_forward
 from kvgrpo.routing import routable_range, routed_layout, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
@@ -81,26 +81,26 @@ def tiny_rollout(seed=0, num_blocks=5, record=False):
 class TestVelocityEval:
     def test_deterministic(self, tiny_params):
         _, keys, values = row_memory(one_row_cache())
-        a = velocity_eval(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
-        b = velocity_eval(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
+        a = velocity_forward(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
+        b = velocity_forward(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
         assert np.array_equal(a, b)
 
     def test_zero_head_gives_zero_velocity(self, tiny_params):
         p = tiny_params.copy()
         p.segment("head2_w")[:] = 0.0
         p.segment("head2_b")[:] = 0.0
-        out = velocity_eval(p, np.ones((1, 3, 3)), 0.0, *row_memory(one_row_cache())[1:],
-                            PROMPT)
+        out = velocity_forward(p, np.ones((1, 3, 3)), 0.0, *row_memory(one_row_cache())[1:],
+                               PROMPT)
         np.testing.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_perturbing_local_entry_changes_output(self):
         params, res = tiny_rollout(seed=2, num_blocks=5)
         _, keys, values = row_memory(res.history.default_cache(len(res.history)))
         x = np.full((1, 3, 3), 0.2)
-        before = velocity_eval(params, x, 0.5, keys[None], values[None], PROMPT)
+        before = velocity_forward(params, x, 0.5, keys[None], values[None], PROMPT)
         bumped = values.copy()
         bumped[3 + 4] += 0.5  # local slot 4, after the 3 sink rows
-        after = velocity_eval(params, x, 0.5, keys[None], bumped[None], PROMPT)
+        after = velocity_forward(params, x, 0.5, keys[None], bumped[None], PROMPT)
         assert not np.array_equal(before, after)
 
 
@@ -128,6 +128,10 @@ class TestEulerSolve:
         np.testing.assert_array_equal(steps.z[0, 0], block_noise(9, 1, 3, 3))
         np.testing.assert_array_equal(steps.z[1, 0], block_noise(9, 1, 3, 3))
         assert block.frames[0].tobytes() == block.frames[1].tobytes()
+
+    def test_non_finite_velocity_raises(self):
+        with pytest.raises(NumericalError, match="non-finite velocity output"):
+            generate_one(constant_field(np.inf), one_row_cache(), 1, 5, PROMPT)
 
 
 class TestGenerateBlock:

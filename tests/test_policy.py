@@ -164,7 +164,7 @@ class TestReplayEnergy:
         g = inst.group
         _, g_all = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, True))
         _, g_restr = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, False))
-        np.testing.assert_array_equal(g_all.values, g_restr.values)
+        np.testing.assert_array_equal(g_all, g_restr)
 
     @pytest.mark.parametrize("grad_steps", [2, None])
     @pytest.mark.parametrize("include_all_steps", [True, False])
@@ -238,11 +238,11 @@ class TestBatchedReplay:
         total, g_ref = reference_loss_grad(params, group, contexts, eval_ref, pcfg)
         assert energies.tobytes() == expected.tobytes()
         assert breakdown.total == total
-        assert np.linalg.norm(g_ref.values) > 1e-3
+        assert np.linalg.norm(g_ref) > 1e-3
         if mixed:
-            assert rel_l2(g.values, g_ref.values) < 1e-12
+            assert rel_l2(g, g_ref) < 1e-12
         else:
-            np.testing.assert_array_equal(g.values, g_ref.values)
+            np.testing.assert_array_equal(g, g_ref)
 
     @pytest.mark.parametrize("grad_steps", [2, None])
     def test_one_row_equals_its_entry_of_all_branches(self, replay_case, grad_steps):
@@ -561,7 +561,7 @@ class TestTotalLoss:
 
         _, g = grad(inst.params, f)
         fd = fd_grad(inst.params, f, 1e-5)
-        assert rel_l2(g.values, fd.values) < 1e-4
+        assert rel_l2(g, fd) < 1e-4
 
     def test_value_only_terms_equal_taped_terms_bitwise(self, check_instance):
         # One formula: at plain parameters it gives the numbers the gradient
@@ -588,7 +588,7 @@ class TestTotalLoss:
                                                     inst.contexts, eval_old,
                                                     eval_ref, pcfg)
         assert used_old is eval_old
-        np.testing.assert_array_equal(g.values, np.zeros_like(g.values))
+        np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_allclose(breakdown.per_branch_ratio, np.ones(8), atol=1e-15)
 
 
@@ -704,7 +704,7 @@ class TestContrastiveReference:
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
         ref = contrastive_grad_reference(inst.params, inst.group, inst.contexts,
                                          ev, adv, tau=1.0)
-        np.testing.assert_array_equal(ref.values, np.zeros_like(ref.values))
+        np.testing.assert_array_equal(ref, np.zeros_like(ref))
 
     def test_two_branch_symmetric_case(self, check_instance):
         # pi = (1/2, 1/2), A = (1, -1): reference reduces to
@@ -723,9 +723,9 @@ class TestContrastiveReference:
         for row in branch_rows(sub):
             _, g = grad(inst.params, lambda r, row=row: energy(
                 r, sub, row, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
-            grads.append(g.values)
+            grads.append(g)
         expected = -(grads[0] - grads[1]) / (2 * 2.0)
-        np.testing.assert_allclose(got.values, expected, atol=1e-15)
+        np.testing.assert_allclose(got, expected, atol=1e-15)
 
     def test_matches_autodiff_of_unclipped_surrogate(self, check_instance):
         from kvgrpo.checks import check_pg_identity
