@@ -4,14 +4,14 @@ A frame's key and value are one row each, and only this module knows their
 layout.  :class:`FrameHistory` holds a whole group as (G, N, h) arrays,
 allocated once per rollout and written one block at a time; it keeps every
 frame after the memories evict it, since branches route from older frames.  A
-:class:`KVCache` holds only frame indices, each row's as :func:`memory_frames`
-lays them out, gathered from the history on demand; it is built for one block
-and never changed.
+memory is frame indices, laid out by :func:`memory_frames`, and indexed per
+length by :func:`buckets` (or held by a :class:`KVCache`) for gathering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +27,17 @@ def memory_frames(length: int, sink_size: int, capacity: int, routed=(),
     most recent frames, oldest first."""
     local = (*routed, *range(max(sink_size, newest_after) + 1, length + 1))
     return (*range(1, min(sink_size, length) + 1), *local[max(0, len(local) - capacity):])
+
+
+def buckets(frames: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per memory length, shortest first: the rows whose ``frames`` have that
+    length and their (rows, M) frame indices, less one (history positions)."""
+    rows: dict[int, list[int]] = {}  # not np.unique: its first call imports numpy.ma
+    for g, f in enumerate(frames):
+        rows.setdefault(len(f), []).append(g)
+    return [(np.array(r), np.fromiter(chain.from_iterable([frames[g] for g in r]), np.intp,
+                                      len(r) * n).reshape(len(r), n) - 1)
+            for n, r in sorted(rows.items())]
 
 
 @dataclass
@@ -64,6 +75,11 @@ class FrameHistory:
                 raise ContractError(f"frames {row} not in history of length {self.length}")
         return KVCache(self, [tuple(row) for row in frames])
 
+    def take(self, rows: np.ndarray, index: np.ndarray):
+        """The (rows, M, h) keys and values at a bucket's ``rows`` and ``index``, or Nones."""
+        at = rows[:, None], index
+        return (self.keys[at], self.values[at]) if index.shape[1] else (None, None)
+
     def default_cache(self, upto_frame: int, sink_size: int = 3,
                       local_capacity: int = 9) -> "KVCache":
         """Every row's default-layout memory after ``upto_frame`` frames."""
@@ -79,15 +95,7 @@ class KVCache:
     history: FrameHistory
     frames: list[tuple[int, ...]]
 
-    def stacked(self) -> list[tuple[list[int], np.ndarray | None, np.ndarray | None]]:
+    def stacked(self) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
         """Per memory length, shortest first: the rows of that length and their
-        (rows, M, h) keys and values, one fancy index each (``None``: empty)."""
-        lengths = [len(f) for f in self.frames]
-        buckets = []
-        # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
-        for n in sorted(set(lengths)):
-            rows = [g for g, m in enumerate(lengths) if m == n]
-            at = np.array(rows)[:, None], np.array([self.frames[g] for g in rows]) - 1
-            keys, values = (self.history.keys[at], self.history.values[at]) if n else (None,) * 2
-            buckets.append((rows, keys, values))
-        return buckets
+        (rows, M, h) keys and values (see :meth:`FrameHistory.take`)."""
+        return [(rows, *self.history.take(rows, index)) for rows, index in buckets(self.frames)]

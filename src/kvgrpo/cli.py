@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import ConfigError
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CHECK = 2
@@ -68,6 +70,13 @@ def _load_run_config(args):
     return apply_overrides(cfg, overrides)
 
 
+def _out_dir(path: str | Path) -> Path:
+    """``path``, unless a file stands where it or a directory above it would be."""
+    if blocked := [p for p in (Path(path), *Path(path).parents) if p.exists() and not p.is_dir()]:
+        raise ConfigError(f"output directory {path}: {blocked[0]} is not a directory")
+    return Path(path)
+
+
 def cmd_train(args) -> int:
     from .config import save_config
     from .trainer import run
@@ -77,7 +86,7 @@ def cmd_train(args) -> int:
         cfg.out_dir = "runs/default"
     # Written first, so a run that crashes still leaves its config beside
     # the metrics and checkpoints it wrote.
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    _out_dir(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     save_config(cfg, Path(cfg.out_dir) / "config.json")
     result = run(cfg)
     done = len(result.records)
@@ -91,7 +100,6 @@ def cmd_train(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .checks import run_gradient_checks
     from .config import TrainerConfig
-    from .errors import ConfigError
 
     cfg = _load_run_config(args)
     # The checks run fixed instances: of the trainer's settings only the seed reaches them.
@@ -121,6 +129,8 @@ def cmd_ablate(args) -> int:
         return EXIT_CONFIG
     base = _load_run_config(args)
     out_root = Path(base.out_dir) if base.out_dir else Path(f"runs/ablate-{args.preset}")
+    for label, _ in PRESETS[args.preset]:
+        _out_dir(out_root / label)
     summary = []
     for label, overrides in PRESETS[args.preset]:
         variant = apply_overrides(base, dict(overrides))
@@ -147,7 +157,6 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     from .checkpoint import MAGIC, load_checkpoint
     from .config import load_json_object
-    from .errors import ConfigError
 
     path = Path(args.path)
     if not path.exists():
@@ -240,8 +249,6 @@ def main(argv=None) -> int:
     if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
-
-    from .errors import ConfigError
 
     handlers = {"train": cmd_train, "gradcheck": cmd_gradcheck,
                 "ablate": cmd_ablate, "inspect": cmd_inspect}

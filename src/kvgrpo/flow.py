@@ -5,10 +5,10 @@ t=1 by Euler steps of the learned velocity field, attending over the sink/local
 memory of previously generated frames.  A block is an (F, d) matrix, one row
 per frame.  A group's trajectories are solved in lockstep as (G, F, d) rows
 from the same start noise: each solver step makes one network call per
-memory-length bucket, over inputs built once per block, and the finished
-block is projected to key/value rows in one call and written into the
-group's history.  Solver steps kept for replay are rows too: one (F, d) latent
-block per step, stacked.
+memory-length bucket, over inputs built once per block from weights the
+rollout reads once, and the finished block is projected to key/value rows in
+one call and written into the group's history.  Solver steps kept for replay
+are rows too: one (F, d) latent block per step, stacked.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import network
-from .cache import FrameHistory, KVCache
+from .cache import FrameHistory
 from .params import Params
 
 
@@ -81,43 +81,44 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
     return rng.standard_normal((frames, dim))
 
 
-def generate_block(params: Params, cache: KVCache, block_index: int,
-                   noise: np.ndarray, prompt: np.ndarray, record_replay: bool = False,
-                   cfg: GeneratorConfig = GeneratorConfig()
-                   ) -> tuple[Block, ReplaySteps | None]:
+def generate_block(params: Params, buckets: list, block_index: int, noise: np.ndarray,
+                   prompt: np.ndarray, weights: list, record_replay: bool = False,
+                   cfg: GeneratorConfig = GeneratorConfig()) -> tuple[Block, ReplaySteps | None]:
     """Solve one block from its (F, d) start latents ``noise`` (see
-    :func:`block_noise`) to the clean sample for every row of ``cache`` at
-    once: row i runs over its memory, and all rows start from the same noise.
+    :func:`block_noise`) to the clean sample for every row of ``buckets``, all
+    from the same noise: per memory length, the rows and their (rows, M, h)
+    memory keys and values, as :meth:`~kvgrpo.cache.FrameHistory.take` gathers
+    them.  ``weights`` are ``params`` as :func:`~kvgrpo.network.read` reads them.
 
-    Each solver step makes one network call per memory-length bucket.  Rows
-    are not padded to one length: that would change the reduction lengths and
-    so the bits.  Deterministic in (params, cache, noise, prompt).  Returns the
-    (rows, F, d) block and, with ``record_replay``, the group's
-    :class:`ReplaySteps`; otherwise ``None``.
+    Each solver step makes one network call per bucket.  Rows are not padded
+    to one length: that would change the reduction lengths and so the bits.
+    A non-finite velocity leaves its rows' final latents non-finite, so they
+    are checked once per bucket.  Returns the (rows, F, d) block and the
+    group's :class:`ReplaySteps` if ``record_replay``, else ``None``.
     """
-    x = np.empty((len(cache.frames), *noise.shape))
+    x = np.empty((sum(len(rows) for rows, *_ in buckets), *noise.shape))
     z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
-    for rows, keys, values in cache.stacked():
-        # Buckets never interact, so each is solved on its own.
-        xb, t, zs, us, ts = np.tile(noise, (len(rows), 1, 1)), 0.0, [], [], []
-        inputs = network.Inputs(params, xb.shape, keys, values, prompt)
-        for _ in range(cfg.num_steps):
-            v = network.check_finite(network.velocity_forward(
-                params, xb, t, keys, values, prompt, inputs), "velocity output")
-            zs.append(xb)
-            us.append(v)
-            ts.append(t)
-            xb, t = xb + cfg.dt * v, t + cfg.dt
-        x[rows] = xb
-        if record_replay:
-            z[rows], u_hat[rows] = np.stack(zs, axis=1), np.stack(us, axis=1)
+    with np.errstate(all="ignore"):  # the check below raises what would warn
+        for rows, keys, values in buckets:
+            # Buckets never interact, so each is solved on its own.
+            xb, t, zs, us, ts = np.tile(noise, (len(rows), 1, 1)), 0.0, [], [], []
+            inputs = network.Inputs(weights, xb.shape, keys, values, prompt)
+            for _ in range(cfg.num_steps):
+                v = network.velocity_forward(params, xb, t, keys, values, prompt, inputs)
+                zs.append(xb)
+                us.append(v)
+                ts.append(t)
+                xb, t = xb + cfg.dt * v, t + cfg.dt
+            x[rows] = network.check_finite(xb, "velocity output")
+            if record_replay:
+                z[rows], u_hat[rows] = np.stack(zs, axis=1), np.stack(us, axis=1)
     replay = ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
                          np.full(cfg.num_steps, block_index)) if record_replay else None
     return Block(x, block_index), replay
 
 
-def write_back(history: FrameHistory, block: Block, params: Params, prompt: np.ndarray) -> None:
+def write_back(history: FrameHistory, block: Block, weights: list, prompt: np.ndarray) -> None:
     """Project a group's finished (rows, F, d) block to key/value rows in one
-    call and write them into the history."""
-    keys, values = network.kv_for_frames(params, block.frames, prompt)
+    call, with the ``weights`` read, and write them into the history."""
+    keys, values = network.kv_for_frames(weights, block.frames, prompt)
     history.append(keys, values, block.frame_indices())

@@ -88,23 +88,28 @@ def _augment(x: np.ndarray, t, prompt: np.ndarray, aug: np.ndarray | None = None
     return aug
 
 
-def kv_for_frames(params: Params, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
-    """Key/value projections for frames.  Finished frames are embedded at t=1
-    (the clean end of the flow path)."""
-    seg = params.segment
-    e = np.tanh(_augment(x, t, prompt) @ seg("embed_w") + seg("embed_b"))
-    return e @ seg("wk") + seg("bk"), e @ seg("wv") + seg("bv")
+def read(reader) -> list:
+    """The reader's segments in ``SEGMENTS`` order (arrays, or tape leaves)."""
+    return [reader.segment(name) for name in SEGMENTS]
+
+
+def kv_for_frames(weights: list, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
+    """Key/value projections for frames, given :func:`read`'s arrays.  Finished
+    frames are embedded at t=1 (the clean end of the flow path)."""
+    ew, eb, _, _, wk, bk, wv, bv = weights[:8]
+    e = np.tanh(_augment(x, t, prompt) @ ew + eb)
+    return e @ wk + bk, e @ wv + bv
 
 
 class Inputs:
-    """A velocity call's segments and its [latents | time | prompt] and joint
-    [memory ; block] key/value buffers, the memory copied in once.  Calls with
-    one reader, memory, prompt and shape (a block's solver steps) can share
-    one: each overwrites only the latents, the time and the block's rows."""
+    """A velocity call's segments (from :func:`read`) and its [latents | time |
+    prompt] and joint [memory ; block] key/value buffers, the memory copied in
+    once.  Calls with one reader, memory, prompt and shape (a block's solver
+    steps) can share one: each overwrites only the latents, time and block rows."""
 
-    def __init__(self, reader, shape: tuple[int, ...], context_keys, context_values,
+    def __init__(self, leaves: list, shape: tuple[int, ...], context_keys, context_values,
                  prompt: np.ndarray) -> None:
-        self.leaves = [reader.segment(name) for name in SEGMENTS]
+        self.leaves = leaves
         self.w = [ad.value(leaf) for leaf in self.leaves]
         *lead, frames, d = shape
         self.aug = np.empty((*lead, frames, d + 1 + len(prompt)))
@@ -127,7 +132,7 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values,
     tape reader one node whose parents are the segments in ``SEGMENTS`` order.
     """
     if inputs is None:
-        inputs = Inputs(reader, np.shape(x), context_keys, context_values, prompt)
+        inputs = Inputs(read(reader), np.shape(x), context_keys, context_values, prompt)
     aug = _augment(x, t, prompt, inputs.aug)
     w, n_ctx = inputs.w, inputs.n_ctx
     out, saved = _forward(w, aug, inputs.keys, inputs.values, n_ctx)

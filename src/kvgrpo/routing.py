@@ -4,19 +4,16 @@ A group rollout shares a deterministic prefix up to a pivot block, then each
 branch rebuilds the local memory window from routed older frames and continues
 generating.  Every trajectory in the group shares the per-block start noise, so
 all variation between branches comes from the memory composition alone.  None
-of that randomness depends on the parameters: :func:`plan_rollout` draws a
-group's start noise and, in one loop over branches, its routings, each from
-its own seed, before it is rolled out (a trainer may draw them ahead), and
-:func:`rollout_group` only reads them.  The group is
-generated in lockstep over one key/value history: each block is solved once
-for all trajectories, with one network call per solver step and memory-length
-bucket (mixed ``local_kv_choices`` give memories of several lengths), under
-memories laid out afresh each block from the frame count and each row's
-:func:`routed_layout`, checked once, at the block that routes.  A group is its
-arrays, one row per trajectory: row 0 is the anchor and row g branch g, in its
-frames, its history, its rewards and its cached window solver steps, which are
-replayed later under default-layout memories, gathered for the whole group once
-per window block.
+of that depends on the parameters: :func:`plan_rollout` draws a group's start
+noise and routings, each from its own seed, and :meth:`RolloutPlan.build` lays
+out every block's memories, by each row's :func:`routed_layout` (checked once,
+at the block that routes), as history indices per memory-length bucket.  A
+trainer may plan ahead; :func:`rollout_group` only gathers what the plan
+indexes, and solves each block once for all trajectories, with one network
+call per solver step and bucket.  A group is its arrays, one row per
+trajectory: row 0 is the anchor and row g branch g, in its frames, history,
+rewards and cached window solver steps, which are replayed later under
+default-layout memories, gathered for the whole group once per window block.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .cache import FrameHistory, memory_frames
+from .cache import FrameHistory, buckets, memory_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
 from .flow import GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
 from .params import Params
@@ -94,7 +91,7 @@ def routed_layout(routing: RoutingDecision, L: int,
         raise ConfigError(
             f"{len(routing.indices)} routed slots exceed local size {routing.local_size}")
     indices, omega = routing.indices, routable_range(L, near_count, sink_size)
-    if len(set(indices)) < len(indices) or not all(r in omega for r in indices):
+    if len(routed := set(indices)) < len(indices) or not routed.issubset(omega):
         raise ContractError(f"routed frames {indices} must be distinct and in "
                             f"[{omega.start}, {omega.stop - 1}]")
     return routing.local_size, indices, L - near_count
@@ -102,13 +99,39 @@ def routed_layout(routing: RoutingDecision, L: int,
 
 @dataclass(frozen=True)
 class RolloutPlan:
-    """A group's draws.  Row b-1 of ``noise`` is block b's (F, d) start
-    latents; ``routings[b]`` holds every trajectory's routing (``None`` for the
-    anchor) at each block b that routes: the pivot, or under per-block routing
-    every window block."""
+    """A group's draws and memories.  Row b-1 of ``noise`` is block b's (F, d)
+    start latents; ``routings[b]`` holds every trajectory's routing (``None``
+    for the anchor) at each block b that routes: the pivot, or every window
+    block under per-block routing.  ``memories[b-1]`` holds the ``buckets`` of
+    block b's rows: one per trajectory, or one for the group before the pivot."""
 
     noise: np.ndarray
     routings: dict[int, tuple[RoutingDecision | None, ...]]
+    pivot: int
+    window: int
+    memories: tuple[list[tuple[np.ndarray, np.ndarray]], ...]
+
+    @staticmethod
+    def build(noise: np.ndarray, routings: dict, pivot: int, window: int,
+              cfg: GeneratorConfig) -> "RolloutPlan":
+        """The plan of these draws, every memory laid out by :func:`memory_frames`:
+        a branch keeps the :func:`routed_layout` of the block that last routed
+        it until the window ends, then the default layout, like every other row."""
+        if window < 1 or pivot < 1 or pivot + window - 1 > len(noise):
+            raise ConfigError(f"window [{pivot}, {pivot + window}) must lie in "
+                              f"{len(noise)} blocks")
+        F, sink, memories, layouts = cfg.frames_per_block, cfg.sink_size, [], ()
+        for b in range(1, len(noise) + 1):
+            L = (b - 1) * F
+            default = memory_frames(L, sink, cfg.local_size)
+            if b in routings:
+                layouts = [None if r is None else routed_layout(r, L, sink) for r in routings[b]]
+            if pivot <= b < pivot + window:
+                rows = [default if r is None else memory_frames(L, sink, *r) for r in layouts]
+            else:  # the prefix is one row for the whole group
+                rows = [default] * (1 if b < pivot else len(layouts))
+            memories.append(buckets(rows))
+        return RolloutPlan(noise, routings, pivot, window, tuple(memories))
 
 
 def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
@@ -143,52 +166,35 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
             routings[b].append(sample_routing(
                 routable_range((b - 1) * F, local_size - slots, sink),
                 np.random.SeedSequence(entropy), slots, local_size))
-    return RolloutPlan(noise, {b: tuple(rows) for b, rows in routings.items()})
+    return RolloutPlan.build(noise, {b: tuple(rows) for b, rows in routings.items()}, pivot,
+                             window, cfg)
 
 
 def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,
                   window: int, plan: RolloutPlan) -> RolloutGroup:
-    """The anchor and the routed branches of ``plan`` (from :func:`plan_rollout`),
-    sharing prefix and noise: ``len(plan.noise)`` blocks, one row per routing
-    at the pivot.
-
-    One loop over blocks, each one :func:`generate_block` and one
-    :func:`write_back` call: the prefix is one row written to every
-    trajectory, then the anchor (row 0, never routed) and the branches are
-    rows.  Every block's memories are one :func:`~kvgrpo.cache.memory_frames`
-    call per row, from the frame count and the row's layout: a branch keeps
-    the :func:`routed_layout` of the block that last routed it (the pivot, or
-    every window block the plan routes) until the window ends, then the
-    default layout, as the anchor and the prefix have throughout.  Every
-    window solver step is recorded for replay, the anchor's too.  The block
-    loop draws nothing.
+    """The anchor (row 0) and the routed branches of ``plan``, made by
+    :func:`plan_rollout` for this pivot and window, over ``len(plan.noise)``
+    blocks: per block, a gather of the plan's memories, one
+    :func:`generate_block` and one :func:`write_back` call, with weights read
+    once.  Every window solver step is recorded for replay, the anchor's too.
     """
     num_blocks = len(plan.noise)
-    if window < 1 or pivot < 1 or pivot + window - 1 > num_blocks:
-        raise ConfigError(f"window [{pivot}, {pivot + window}) must lie in {num_blocks} blocks")
-    if pivot not in plan.routings:
-        raise ContractError(f"the plan routes nothing at pivot block {pivot}")
+    if (plan.pivot, plan.window, len(plan.memories)) != (pivot, window, num_blocks):
+        raise ContractError(f"the plan is for pivot block {plan.pivot}, window {plan.window}, "
+                            f"not pivot block {pivot}, window {window} in {num_blocks} blocks")
 
     # Row i of the history and the frames is trajectory i.
     shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block
     G = len(plan.routings[pivot])
     history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
-    # Each row's memory_frames arguments after the frame count and the sink.
-    default = (cfg.local_size, (), 0)
-    layouts, replay = [default], []
-    for b in range(1, num_blocks + 1):
-        in_window = pivot <= b < pivot + window
-        L = len(history)
-        if b in plan.routings:
-            layouts = [default if r is None else routed_layout(r, L, cfg.sink_size)
-                       for r in plan.routings[b]]
-        elif b == pivot + window:  # back to the default layout over own frames
-            layouts = [default] * G
-        cache = history.gather([memory_frames(L, cfg.sink_size, *row) for row in layouts])
-        block, steps = generate_block(params, cache, b, plan.noise[b - 1], prompt, in_window,
-                                      cfg)
-        write_back(history, block, params, prompt)
+    weights, replay = network.read(params), []
+    for b, memories in enumerate(plan.memories, 1):
+        in_window, L = pivot <= b < pivot + window, len(history)
+        block, steps = generate_block(
+            params, [(rows, *history.take(rows, index)) for rows, index in memories], b,
+            plan.noise[b - 1], prompt, weights, in_window, cfg)
+        write_back(history, block, weights, prompt)
         frames[:, L:L + F] = block.frames
         replay += [steps] if in_window else []
     return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history,

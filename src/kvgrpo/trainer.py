@@ -146,16 +146,14 @@ class IterationPlan:
     """Everything about one iteration that does not depend on the parameters."""
 
     iteration: int
-    pivot: int
-    window: int
-    rollout: RolloutPlan     # the group's start noise and routings
+    rollout: RolloutPlan     # the group's pivot, window, draws and memories
 
 
 def plan_iteration(cfg: TrainerConfig, iteration: int) -> IterationPlan:
     """The plan of iteration ``iteration``, a pure function of its arguments."""
     pivot, seeds = iteration_seeds(cfg, iteration)
     window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
-    return IterationPlan(iteration, pivot, window, plan_rollout(
+    return IterationPlan(iteration, plan_rollout(
         cfg.num_blocks, pivot, window, cfg.branch_number, seeds, _generator_cfg(cfg),
         cfg.latent_dim, tuple(tuple(c) for c in cfg.local_kv_choices),
         cfg.routing_mode == "per_block"))
@@ -190,7 +188,7 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
         plan = plan_iteration(cfg, it)
     elif plan.iteration != it:
         raise ContractError(f"the plan of iteration {plan.iteration} reached iteration {it}")
-    pivot, window = plan.pivot, plan.window
+    pivot, window = plan.rollout.pivot, plan.rollout.window
     state.group = None  # release the previous group before rolling out the next
     record = IterationRecord(
         iteration=it, pivot_block=pivot, window=window, anchor_reward=None,

@@ -604,6 +604,27 @@ class TestCli:
         assert [s["variant"] for s in summary] == expected
         assert "final_mean_reward" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, out, blocked", [
+        ("train", "taken", "taken"), ("train", "taken/run", "taken"),
+        ("ablate", "taken", "taken"), ("ablate", "taken/run", "taken"),
+        ("ablate", "ab", "ab/latent-l2"),  # only the second variant's directory
+    ])
+    def test_out_dir_blocked_by_a_file_exits_one_before_writing(self, tmp_path, capsys,
+                                                               command, out, blocked):
+        config = write_small_config(tmp_path)
+        (tmp_path / "ab").mkdir()
+        (tmp_path / blocked).write_text("a file\n")
+        before = sorted(tmp_path.rglob("*"))
+        args = ["train"] if command == "train" else ["ablate", "surrogate"]
+        code = main(["--config", str(config), "--out-dir", str(tmp_path / out), *args,
+                     "--max-iters", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output directory {tmp_path / out}")
+        assert f"{tmp_path / blocked} is not a directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / blocked).read_text() == "a file\n"
+
     def test_inspect_checkpoint(self, tmp_path, capsys):
         params = param_init(NetworkShape(3, 5, 2), 1)
         path = tmp_path / "x.kvc"

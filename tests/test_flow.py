@@ -3,6 +3,7 @@ history write-back, the group history and frame-index memories, and full
 rollouts.  Single-trajectory generation is the one-row case of the group
 engine: a one-row history and memory."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
                          write_back)
-from kvgrpo.network import NetworkShape, param_init, shape_from_layout, velocity_forward
+from kvgrpo.network import NetworkShape, param_init, read, shape_from_layout, velocity_forward
 from kvgrpo.routing import routable_range, routed_layout, sample_routing
 
 TINY = NetworkShape(3, 5, 2)
@@ -36,7 +37,7 @@ def row_memory(cache, row=0):
     when empty), gathered by ``stacked()``."""
     for rows, keys, values in cache.stacked():
         if row in rows:
-            i = rows.index(row)
+            i = rows.tolist().index(row)
             return cache.frames[row], *(None if a is None else a[i] for a in (keys, values))
 
 
@@ -45,13 +46,14 @@ def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=F
     """One trajectory's block: the (F, d) frames and its replay rows (or None)."""
     noise = block_noise(noise_seed, block_index, cfg.frames_per_block,
                         shape_from_layout(params.layout).latent_dim)
-    block, steps = generate_block(params, cache, block_index, noise, prompt, record_replay, cfg)
+    block, steps = generate_block(params, cache.stacked(), block_index, noise, prompt,
+                                  read(params), record_replay, cfg)
     return Block(block.frames[0], block_index), None if steps is None else ReplaySteps(
         steps.z[0], steps.u_hat[0], steps.t, steps.step, steps.block)
 
 
 def write_one(history, block, params, prompt):
-    write_back(history, Block(block.frames[None], block.block_index), params, prompt)
+    write_back(history, Block(block.frames[None], block.block_index), read(params), prompt)
 
 
 def default_memory(history):
@@ -122,16 +124,20 @@ class TestEulerSolve:
             np.testing.assert_array_equal(z, xT)
 
     def test_every_row_of_a_group_starts_from_the_same_noise(self, tiny_params):
-        block, steps = generate_block(tiny_params, one_row_cache(rows=2), 1,
-                                      block_noise(9, 1, 3, 3), PROMPT, True)
+        block, steps = generate_block(tiny_params, one_row_cache(rows=2).stacked(), 1,
+                                      block_noise(9, 1, 3, 3), PROMPT, read(tiny_params), True)
         assert block.frames.shape == (2, 3, 3) and steps.z.shape == (2, 4, 3, 3)
         np.testing.assert_array_equal(steps.z[0, 0], block_noise(9, 1, 3, 3))
         np.testing.assert_array_equal(steps.z[1, 0], block_noise(9, 1, 3, 3))
         assert block.frames[0].tobytes() == block.frames[1].tobytes()
 
-    def test_non_finite_velocity_raises(self):
-        with pytest.raises(NumericalError, match="non-finite velocity output"):
-            generate_one(constant_field(np.inf), one_row_cache(), 1, 5, PROMPT)
+    @pytest.mark.parametrize("velocity", [np.inf, -np.inf, np.nan])
+    def test_non_finite_velocity_raises(self, velocity):
+        # Checked once per bucket: the solver steps after it must not warn either.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite velocity output"):
+                generate_one(constant_field(velocity), one_row_cache(), 1, 5, PROMPT)
 
 
 class TestGenerateBlock:
@@ -148,8 +154,8 @@ class TestGenerateBlock:
         assert steps.step.tolist() == [1, 2, 3, 4]
         assert steps.block.tolist() == [1, 1, 1, 1]
         assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
-        assert generate_block(tiny_params, one_row_cache(), 1, block_noise(9, 1, 3, 3),
-                              PROMPT)[1] is None
+        assert generate_block(tiny_params, one_row_cache().stacked(), 1,
+                              block_noise(9, 1, 3, 3), PROMPT, read(tiny_params))[1] is None
 
     def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
         # With dt = 1/3 the accumulated time differs from step * dt in the
@@ -333,7 +339,7 @@ class TestRowMemory:
             cache = history.gather([memory_frames(3 * b, 3, *row) for row in layouts])
             for g, ref in enumerate(refs):
                 assert_same_memory(cache, ref, g)
-            assert [rows for rows, *_ in cache.stacked()] == [[1], [0], [2]]
+            assert [rows.tolist() for rows, *_ in cache.stacked()] == [[1], [0], [2]]
             for g, ref in enumerate(refs):
                 for entry in entries[g][3 * b:3 * b + 3]:
                     ref.append(entry)

@@ -2,13 +2,15 @@
 must match ``tests/data/golden.json`` bit for bit, at threads 1 in this process
 and at threads 2 in a ``kvgrpo train`` subprocess.  So must the three maxima
 that ``kvgrpo gradcheck`` reports, as their ``repr``, and each config's plans
-of iterations 1-200.
+of iterations 1-200, and the memories they lay out.
 
 A fingerprint is the sha256 of ``metrics.jsonl`` without its ``_s`` (timing)
 fields, of the final parameters, of the final EMA and of ``trajectories.jsonl``.
 A plan's fingerprint is the sha256, over iterations 1-200 of
 :func:`~kvgrpo.trainer.plan_iteration`, of each plan's noise bytes and then
-every routing's indices and local size, in block and row order.
+every routing's indices and local size, in block and row order.  The
+memories' fingerprint is the sha256, over the same plans, of every block's
+frame tuples, one per row the block solves, in block and row order.
 The file is regenerated only with a change that declares it moves bits:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -91,17 +93,22 @@ def gradcheck_maxima() -> dict[str, str]:
     return {f: repr(getattr(report, f)) for f in GRADCHECK_FIELDS}
 
 
-def plan_fingerprint(name: str) -> str:
-    """The sha256 of the config's plans of the ``PLANNED`` iterations."""
+def plan_fingerprints(name: str) -> dict[str, str]:
+    """The sha256 of the config's plans of the ``PLANNED`` iterations, and of
+    the memories they lay out."""
     cfg = from_flat_dict({**CONFIGS[name], **RUN}).trainer
-    digest = hashlib.sha256()
+    plans, memories = hashlib.sha256(), hashlib.sha256()
     for it in PLANNED:
         plan = plan_iteration(cfg, it).rollout
-        digest.update(plan.noise.tobytes())
+        plans.update(plan.noise.tobytes())
         for b in sorted(plan.routings):
-            digest.update(json.dumps([b, [None if r is None else [list(r.indices), r.local_size]
-                                          for r in plan.routings[b]]]).encode())
-    return digest.hexdigest()
+            plans.update(json.dumps([b, [None if r is None else [list(r.indices), r.local_size]
+                                         for r in plan.routings[b]]]).encode())
+        for b, buckets in enumerate(plan.memories, start=1):
+            frames = {g: row for rows, index in buckets
+                      for g, row in zip(rows.tolist(), (index + 1).tolist())}
+            memories.update(json.dumps([b, [frames[g] for g in sorted(frames)]]).encode())
+    return {"plans": plans.hexdigest(), "memories": memories.hexdigest()}
 
 
 def environment() -> dict[str, str]:
@@ -130,7 +137,7 @@ def test_golden_covers_every_config(golden):
     assert sorted(golden["runs"]) == sorted(CONFIGS)
     assert golden["run"] == RUN
     assert sorted(golden["gradcheck"]) == sorted(GRADCHECK_FIELDS)
-    assert sorted(golden["plans"]) == sorted(CONFIGS)
+    assert sorted(golden["plans"]) == sorted(golden["memories"]) == sorted(CONFIGS)
 
 
 def test_gradcheck_maxima(golden):
@@ -140,9 +147,11 @@ def test_gradcheck_maxima(golden):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_plans(name, golden):
-    assert plan_fingerprint(name) == golden["plans"][name], (
-        f"{name}: the plans of iterations {PLANNED.start}-{PLANNED.stop - 1} differ "
-        f"from {GOLDEN.name}; if the change declares that, regenerate it with: {REGENERATE}")
+    found = plan_fingerprints(name)
+    for key in ("plans", "memories"):
+        assert found[key] == golden[key][name], (
+            f"{name}: the {key} of iterations {PLANNED.start}-{PLANNED.stop - 1} differ "
+            f"from {GOLDEN.name}; if the change declares that, regenerate it with: {REGENERATE}")
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -165,10 +174,12 @@ def main() -> None:
             other = run_in_subprocess(name, Path(scratch) / f"{name}-threads-2", threads=2)
             if other != runs[name]:
                 sys.exit(f"{name}: threads 1 and threads 2 disagree; nothing written")
+    planned = {name: plan_fingerprints(name) for name in CONFIGS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"environment": environment(), "run": RUN, "runs": runs,
                                   "gradcheck": gradcheck_maxima(),
-                                  "plans": {name: plan_fingerprint(name) for name in CONFIGS}},
+                                  **{key: {name: planned[name][key] for name in CONFIGS}
+                                     for key in ("plans", "memories")}},
                                  indent=2) + "\n")
     print(f"wrote {GOLDEN}")
 

@@ -1,22 +1,27 @@
 """Exploration mechanics: routable sets, routing draws, branch memories, group
 rollouts, and replay contexts."""
 
+import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from kvgrpo import network
-from kvgrpo.cache import FrameHistory, memory_frames
+from kvgrpo import cache, network, routing
+from kvgrpo.cache import FrameHistory, KVCache, memory_frames
+from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
+from kvgrpo.params import Params
 from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RolloutPlan, RoutingDecision, build_replay_contexts,
                             plan_rollout, rollout_group, routable_range, routed_layout,
                             sample_routing)
+from kvgrpo.trainer import plan_iteration
 from test_flow import rollout
+from test_golden import CONFIGS as GOLDEN_CONFIGS, RUN as GOLDEN_RUN
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -46,17 +51,18 @@ def roll(params, prompt, num_blocks, pivot, window, num_branches, seeds,
     plan = plan_rollout(num_blocks, pivot, window, num_branches, seeds, cfg,
                         network.shape_from_layout(params.layout).latent_dim, *args, **kw)
     if routing_overrides is not None:
-        plan = override_routings(plan, routing_overrides)
+        plan = override_routings(plan, routing_overrides, cfg)
     return rollout_group(params, prompt, cfg, pivot, window, plan)
 
 
-def override_routings(plan, overrides):
+def override_routings(plan, overrides, cfg=GeneratorConfig()):
     """``plan`` with branch g's routing replaced by the frame indices
     ``overrides[g]``, at that branch's own local size, at every block that
-    routes."""
-    return RolloutPlan(plan.noise, {b: tuple(
+    routes, and its memories planned again."""
+    return RolloutPlan.build(plan.noise, {b: tuple(
         RoutingDecision(tuple(overrides[g]), r.local_size) if g in overrides else r
-        for g, r in enumerate(rows)) for b, rows in plan.routings.items()})
+        for g, r in enumerate(rows)) for b, rows in plan.routings.items()},
+        plan.pivot, plan.window, cfg)
 
 
 def window_frames(group):
@@ -168,14 +174,6 @@ class TestBranchMemory:
             cache = branch_cache(self.res.history, 15, [decision])
             assert cache.frames[0][-3:] == (13, 14, 15)
 
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ContractError):
-            branch_cache(self.res.history, 12, [RoutingDecision((3, 5, 6, 7, 8, 9))])
-
-    def test_repeated_index_rejected(self):
-        with pytest.raises(ContractError):
-            branch_cache(self.res.history, 12, [None, RoutingDecision((4, 4, 5, 6, 7, 8))])
-
     def test_missing_history_frame_rejected(self):
         with pytest.raises(ContractError):
             branch_cache(self.res.history, 99, [RoutingDecision((4, 5, 6, 7, 8, 9))])
@@ -262,10 +260,9 @@ class TestRolloutGroup:
             rollout_group(params, PROMPT, cfg, 7, 2, plan)
 
     def test_window_past_the_plan_rejected(self):
-        params, cfg = param_init(TINY, 0), GeneratorConfig()
-        plan = plan_rollout(7, 6, 2, 2, GroupSeeds(1, 2), cfg, TINY.latent_dim)
+        # Rejected when planned: the window must fit the plan's blocks.
         with pytest.raises(ConfigError, match="7 blocks"):
-            rollout_group(params, PROMPT, cfg, 6, 3, plan)
+            plan_rollout(7, 6, 3, 2, GroupSeeds(1, 2), GeneratorConfig(), TINY.latent_dim)
 
     def test_per_block_resampling_differs_from_fixed(self):
         _, fixed = make_group(seed=10, pivot=6, window=3)
@@ -490,7 +487,8 @@ class ReferenceRollout:
         return Block(x, b), steps if record else None
 
     def write_back(self, cache, block, history):
-        keys, values = network.kv_for_frames(self.params, block.frames, self.prompt)
+        keys, values = network.kv_for_frames(network.read(self.params), block.frames,
+                                             self.prompt)
         cache.append(keys, values, block.frame_indices())
         history.append(keys, values, block.frame_indices())
 
@@ -531,6 +529,25 @@ class ReferenceRollout:
             blocks.append(block)
             replay += [steps] if in_window else []
         return blocks, routing, ReplaySteps.concat(replay), history
+
+
+def oracle_memories(routings, num_blocks, pivot, window, cfg):
+    """Reference: every block's memories as the rollout laid them out block
+    by block before they were planned, as the frame tuples of the rows it
+    solves.  One default-layout row until the pivot; at each block that
+    routes, each row's :func:`routed_layout`, kept until the window ends;
+    then the default layout again, one row per trajectory."""
+    default = (cfg.local_size, (), 0)
+    layouts, memories = [default], []
+    for b in range(1, num_blocks + 1):
+        L = (b - 1) * cfg.frames_per_block
+        if b in routings:
+            layouts = [default if r is None else routed_layout(r, L, cfg.sink_size)
+                       for r in routings[b]]
+        elif b == pivot + window:
+            layouts = [default] * len(routings[pivot])
+        memories.append([memory_frames(L, cfg.sink_size, *row) for row in layouts])
+    return memories
 
 
 SHAPE = NetworkShape(8, 16, 4)
@@ -603,6 +620,93 @@ class TestLockstepMatchesReference:
         assert calls["velocity_forward"] == cfg.num_steps * sum(
             len(n) for n in reference.lengths.values())
         assert calls["kv_for_frames"] == num_blocks
+
+
+def case_plan(case):
+    """The plan a :data:`LOCKSTEP_CASES` entry rolls out, and its config."""
+    _, num_blocks, pivot, cfg, kw = case
+    kw = dict(kw)
+    num_branches, overrides = kw.pop("num_branches"), kw.pop("routing_overrides", None)
+    window = kw.pop("window", min(5, num_blocks - pivot + 1))
+    plan = plan_rollout(num_blocks, pivot, window, num_branches,
+                        GroupSeeds(noise=1000 + pivot, routing=2000 + pivot), cfg,
+                        SHAPE.latent_dim, **kw)
+    return (plan if overrides is None else override_routings(plan, overrides, cfg)), cfg
+
+
+def assert_planned_as_the_oracle(plan, cfg):
+    """Every block's buckets hold the oracle's rows, grouped by memory length,
+    shortest first, each row's frames less one."""
+    expected = oracle_memories(plan.routings, len(plan.noise), plan.pivot, plan.window, cfg)
+    assert len(plan.memories) == len(expected)
+    for b, (buckets, frames) in enumerate(zip(plan.memories, expected), start=1):
+        lengths = sorted({len(f) for f in frames})
+        assert len(buckets) == len(lengths), f"block {b}"
+        for n, (rows, index) in zip(lengths, buckets):
+            want = [g for g, f in enumerate(frames) if len(f) == n]
+            assert rows.tolist() == want, f"block {b}"
+            assert index.dtype == np.intp and index.shape == (len(want), n), f"block {b}"
+            assert index.tolist() == [[i - 1 for i in frames[g]] for g in want], f"block {b}"
+
+
+class TestPlannedMemories:
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES])
+    def test_buckets_equal_the_block_by_block_oracle(self, case):
+        assert_planned_as_the_oracle(*case_plan(case))
+
+    @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+    def test_golden_configs_plan_as_the_oracle(self, name):
+        cfg = from_flat_dict({**GOLDEN_CONFIGS[name], **GOLDEN_RUN}).trainer
+        gen_cfg = GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps, cfg.sink_size,
+                                  cfg.local_size)
+        for it in range(1, 51):
+            assert_planned_as_the_oracle(plan_iteration(cfg, it).rollout, gen_cfg)
+
+    @pytest.mark.parametrize("indices", [(3, 5, 6, 7, 8, 9), (4, 4, 5, 6, 7, 8)],
+                             ids=["out-of-range", "repeated"])
+    def test_invalid_routing_rejected_when_planned(self, indices):
+        # At pivot 5, 12 frames: the routable frames are 4-9.
+        plan = plan_rollout(8, 5, 2, 2, GroupSeeds(1, 2), GeneratorConfig(), TINY.latent_dim)
+        with pytest.raises(ContractError, match=re.escape(
+                f"routed frames {indices} must be distinct and in [4, 9]")):
+            override_routings(plan, {2: indices})
+
+    def test_rollout_lays_out_nothing_and_reads_each_weight_once(self, monkeypatch):
+        params, cfg = param_init(SHAPE, 0), GeneratorConfig()
+        calls, segments = defaultdict(int), []
+        for owner, name in ((cache, "memory_frames"), (routing, "memory_frames"),
+                            (routing, "routed_layout"), (FrameHistory, "gather"),
+                            (KVCache, "stacked")):
+            def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        real_segment = Params.segment
+        monkeypatch.setattr(Params, "segment",
+                            lambda self, name: segments.append(name) or real_segment(self, name))
+
+        plan, _ = case_plan(LOCKSTEP_CASES[4])  # explore-wide, pivot 6
+        assert max(len(buckets) for buckets in plan.memories) == 3  # three memory lengths
+        assert calls["memory_frames"] and calls["routed_layout"] and not segments
+        calls.clear()
+        group = rollout_group(params, np.linspace(0.5, -0.5, 4), cfg, plan.pivot, plan.window,
+                              plan)
+        assert dict(calls) == {} and sorted(segments) == sorted(network.SEGMENTS)
+        build_replay_contexts(group)  # the counters do see a default-layout gather
+        assert calls["gather"] and calls["stacked"]
+
+    @pytest.mark.parametrize("pivot, window, other_blocks", [(6, 2, False), (5, 3, False),
+                                                              (5, 2, True)])
+    def test_plan_made_for_another_rollout_rejected(self, pivot, window, other_blocks):
+        params, cfg = param_init(TINY, 0), GeneratorConfig()
+        plan = plan_rollout(8, 5, 2, 2, GroupSeeds(1, 2), cfg, TINY.latent_dim)
+        if other_blocks:  # its noise from a plan made for 7 blocks
+            plan = replace(plan, noise=plan_rollout(7, 5, 2, 2, GroupSeeds(1, 2), cfg,
+                                                   TINY.latent_dim).noise)
+        with pytest.raises(ContractError, match=re.escape(
+                f"the plan is for pivot block 5, window 2, not pivot block {pivot}, "
+                f"window {window} in {7 if other_blocks else 8} blocks")):
+            rollout_group(params, PROMPT, cfg, pivot, window, plan)
 
 
 class TestReplayContextsMatchReference:
