@@ -102,8 +102,9 @@ def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
         # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
         for n in sorted(set(sizes[steps].tolist())):
             s = np.flatnonzero(steps & (sizes == n))
-            # Each pick is made where it is used, as the per-row code did: holding the
-            # targets through the call doubled replay-grad's page faults (glibc malloc).
+            # Each pick is made where it is used, as the per-row code did.  Under glibc's
+            # dynamic mmap threshold, holding the targets through the call doubled
+            # replay-grad's page faults; trainer.run pins the thresholds, which removes them.
             v = network.velocity_forward(r, pick(replay.z, s), np.tile(replay.t[s], len(i)),
                                          pick(contexts.keys[:, :, :n], window[s]),
                                          pick(contexts.values[:, :, :n], window[s]),

@@ -103,13 +103,15 @@ class RolloutPlan:
     start latents; ``routings[b]`` holds every trajectory's routing (``None``
     for the anchor) at each block b that routes: the pivot, or every window
     block under per-block routing.  ``memories[b-1]`` holds the ``buckets`` of
-    block b's rows: one per trajectory, or one for the group before the pivot."""
+    block b's rows: one per trajectory, or one for the group before the pivot,
+    laid out for ``cfg``."""
 
     noise: np.ndarray
     routings: dict[int, tuple[RoutingDecision | None, ...]]
     pivot: int
     window: int
     memories: tuple[list[tuple[np.ndarray, np.ndarray]], ...]
+    cfg: GeneratorConfig
 
     @staticmethod
     def build(noise: np.ndarray, routings: dict, pivot: int, window: int,
@@ -131,7 +133,7 @@ class RolloutPlan:
             else:  # the prefix is one row for the whole group
                 rows = [default] * (1 if b < pivot else len(layouts))
             memories.append(buckets(rows))
-        return RolloutPlan(noise, routings, pivot, window, tuple(memories))
+        return RolloutPlan(noise, routings, pivot, window, tuple(memories), cfg)
 
 
 def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
@@ -173,7 +175,7 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
 def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,
                   window: int, plan: RolloutPlan) -> RolloutGroup:
     """The anchor (row 0) and the routed branches of ``plan``, made by
-    :func:`plan_rollout` for this pivot and window, over ``len(plan.noise)``
+    :func:`plan_rollout` for this config, pivot and window, over ``len(plan.noise)``
     blocks: per block, a gather of the plan's memories, one
     :func:`generate_block` and one :func:`write_back` call, with weights read
     once.  Every window solver step is recorded for replay, the anchor's too.
@@ -182,6 +184,8 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     if (plan.pivot, plan.window, len(plan.memories)) != (pivot, window, num_blocks):
         raise ContractError(f"the plan is for pivot block {plan.pivot}, window {plan.window}, "
                             f"not pivot block {pivot}, window {window} in {num_blocks} blocks")
+    if plan.cfg != cfg:
+        raise ContractError(f"the plan is for {plan.cfg}, not {cfg}")
 
     # Row i of the history and the frames is trajectory i.
     shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block

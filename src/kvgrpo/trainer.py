@@ -348,10 +348,24 @@ class _Sidecar:
                     f.close()
 
 
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds at its dynamic rule's ceilings (32 MB,
+    64 MB): freed temporaries stay on the heap, never unmapped or trimmed and
+    faulted in again.  Process-wide, never restored, no value moves; off glibc, a no-op."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     """Iterate to ``max_iterations``, streaming metrics records and writing
     periodic checkpoints when an output directory is configured.  Each
     checkpoint, and the end, waits until the dump holds every group so far."""
+    _keep_freed_memory()  # before the sidecar's fork, which inherits it
     cfg = run_cfg.trainer
     state = init_state(cfg)
     result = TrainResult(state)

@@ -708,6 +708,18 @@ class TestPlannedMemories:
                 f"window {window} in {7 if other_blocks else 8} blocks")):
             rollout_group(params, PROMPT, cfg, pivot, window, plan)
 
+    @pytest.mark.parametrize("made", [GeneratorConfig(local_size=12),
+                                      GeneratorConfig(frames_per_block=2)],
+                             ids=["local-size", "frames-per-block"])
+    def test_plan_made_for_another_config_rejected(self, made):
+        # Unchecked, another local size rolls out with memories of the wrong
+        # size, and another block length fails inside numpy.
+        params, cfg = param_init(TINY, 0), GeneratorConfig()
+        plan = plan_rollout(9, 8, 2, 2, GroupSeeds(1, 2), made, TINY.latent_dim)
+        assert plan.cfg == made
+        with pytest.raises(ContractError, match=re.escape(f"the plan is for {made}, not {cfg}")):
+            rollout_group(params, PROMPT, cfg, 8, 2, plan)
+
 
 class TestReplayContextsMatchReference:
     @pytest.mark.parametrize("source", ["branch", "anchor"])
