@@ -43,24 +43,16 @@ class Tape:
     def leaf(self, value) -> "Var":
         return self.push(value, (), None)
 
-    def value_of(self, idx: int):
-        return self._values[idx]
-
     def backward(self, output: "Var") -> list:
-        """Adjoints of every node with respect to a scalar ``output``."""
-        n = output.idx + 1
-        adj: list = [None] * n
+        """Adjoints of every node with respect to a scalar ``output``: one slot
+        per node on the tape, ``None`` where ``output`` does not depend on it."""
+        adj: list = [None] * len(self._values)
         adj[output.idx] = np.float64(1.0)
         for i in range(output.idx, -1, -1):
-            g = adj[i]
-            if g is None:
-                continue
-            bwd = self._backwards[i]
-            if bwd is None:
-                continue
-            contributions = bwd(g)
-            for p, contrib in zip(self._parents[i], contributions):
-                adj[p] = contrib if adj[p] is None else adj[p] + contrib
+            g, bwd = adj[i], self._backwards[i]
+            if g is not None and bwd is not None:
+                for p, contrib in zip(self._parents[i], bwd(g)):
+                    adj[p] = contrib if adj[p] is None else adj[p] + contrib
         return adj
 
 
@@ -77,7 +69,7 @@ class Var:
 
     @property
     def value(self):
-        return self.tape.value_of(self.idx)
+        return self.tape._values[self.idx]
 
     @property
     def shape(self):
@@ -101,53 +93,27 @@ def asum(x):
 
 
 class TapeReader:
-    """Hands out parameter segments as tape leaves.
-
-    ``segment`` returns a recorded (differentiable) view, and ``detached`` the
-    underlying :class:`Params`, for code paths that must evaluate without
-    gradient tracking.
-    """
+    """Records each parameter segment as one tape leaf, in layout order, when
+    it is made; ``segment`` returns that leaf."""
 
     def __init__(self, tape: Tape, params: Params) -> None:
         self.tape = tape
         self.params = params
         self.layout = params.layout
-        self._flat = tape.leaf(params.values)
-        self._cache: dict[str, Var] = {}
+        self.leaves = {name: tape.leaf(params.values[span].reshape(shape))
+                       for name, (span, shape) in self.layout.segments.items()}
 
     def segment(self, name: str) -> Var:
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
-        span, shape = self.layout.segments[name]
-        val = self.params.values[span].reshape(shape)
-        flat_idx = self._flat.idx
-        total = self.layout.total
-
-        def bwd(g):
-            out = np.zeros(total)
-            out[span] = np.asarray(g).ravel()
-            return (out,)
-
-        var = self.tape.push(val, (flat_idx,), bwd)
-        self._cache[name] = var
-        return var
-
-    def detached(self) -> Params:
-        return self.params
-
-    @property
-    def flat_index(self) -> int:
-        return self._flat.idx
+        return self.leaves[name]
 
 
 def grad(params: Params, f) -> tuple[float, Array]:
     """Value and exact reverse-mode gradient of a scalar function of the
     parameters.  The gradient is a float64 array of shape ``(layout.total,)``,
-    laid out like ``params.values``.
+    laid out like ``params.values``: each segment's span holds its leaf's adjoint.
 
-    ``f`` receives a reader exposing ``segment(name)``/``detached()``/``layout``;
-    :class:`Params` itself satisfies the same protocol for value-only calls.
+    ``f`` receives a :class:`TapeReader`, exposing ``segment(name)``, ``params``
+    and ``layout``; :class:`Params` itself serves value-only calls.
     Raises :class:`NumericalError` if the value or any gradient entry is
     non-finite, naming the offending layout segments.
     """
@@ -158,8 +124,12 @@ def grad(params: Params, f) -> tuple[float, Array]:
     if not np.isfinite(val):
         raise NumericalError("loss value is non-finite")
     # An f that ignored the parameters (a constant) has a zero gradient.
-    g = tape.backward(out)[reader.flat_index] if isinstance(out, Var) else None
-    g = np.zeros(params.layout.total) if g is None else np.asarray(g, dtype=np.float64)
+    g = np.zeros(params.layout.total)
+    if isinstance(out, Var):
+        adj = tape.backward(out)
+        for name, (span, _) in params.layout.segments.items():
+            if (a := adj[reader.leaves[name].idx]) is not None:
+                g[span] = np.ravel(a)
     if not np.all(np.isfinite(g)):
         bad = ~np.isfinite(g)
         names = [n for n, (span, _) in params.layout.segments.items() if bad[span].any()]

@@ -227,8 +227,9 @@ def _reward(value: float | None) -> str:
 
 def _thread_cap(args) -> int | None:
     """The ``threads`` setting, read without numpy: ``--threads``, else the
-    last ``--set threads=N``, else the config file's key.  None unless it is a
-    positive integer: the config validation reports a bad value."""
+    last ``--set threads=N``, else the config file's key, else 1 (the
+    ``RunConfig.threads`` default).  None unless it is a positive integer: the
+    config validation reports a bad value."""
     value = args.threads
     sets = [v for k, _, v in (item.partition("=") for item in args.overrides)
             if k.strip() == "threads"]
@@ -240,6 +241,7 @@ def _thread_cap(args) -> int | None:
             value = value.get("threads") if isinstance(value, dict) else None
     except (OSError, ValueError):  # not JSON, or not readable
         return None
+    value = 1 if value is None else value
     return value if type(value) is int and value >= 1 else None
 
 

@@ -8,6 +8,7 @@ ignored.  A config written by :func:`save_config` parses back to an equivalent
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rewards import RewardSpec
+from .routing import routable_range
 
 
 @dataclass
@@ -127,15 +129,16 @@ class TrainerConfig:
         if self.reward_segments > frames // per_segment:
             raise ConfigError(f"reward_segments {self.reward_segments} leaves fewer than "
                               f"{per_segment} of the {frames} frames per segment")
-        min_frames = self.frames_per_block * (min(self.pivot_blocks) - 1)
-        feasible = [n for n, _ in self.local_kv_choices if n + self.sink_size <= min_frames]
-        if not feasible:
-            raise ConfigError(
-                f"no local_kv_choices routable at the earliest pivot "
-                f"({min_frames} frames of history)")
         for n, r in self.local_kv_choices:
             if not 1 <= r <= n:
                 raise ConfigError(f"routed slots {r} must lie in [1, local size {n}]")
+        # The rule routing.plan_rollout applies at the pivot.
+        min_frames = self.frames_per_block * (min(self.pivot_blocks) - 1)
+        if not any(len(routable_range(min_frames, n - r, self.sink_size)) >= r
+                   for n, r in self.local_kv_choices):
+            raise ConfigError(
+                f"no local_kv_choices routable at the earliest pivot "
+                f"({min_frames} frames of history)")
         if self.prompt_values is not None and len(self.prompt_values) != self.prompt_dim:
             raise ConfigError(
                 f"prompt_values has length {len(self.prompt_values)}, expected {self.prompt_dim}")
@@ -173,11 +176,14 @@ class RunConfig:
         return self
 
 
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _check_fields(cfg) -> None:
     """Reject NaN and infinities, which JSON and ``--set`` parse, and any value
     that does not fit its field's annotation, element by element for lists.
     A bool is not an int, and an int is a float."""
-    hints = typing.get_type_hints(type(cfg))
+    hints = _type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         for ok, want in ((_finite(value), "finite"), (_fits(value, hints[f.name]), f.type)):

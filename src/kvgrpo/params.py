@@ -52,9 +52,6 @@ class Params:
         span, shape = self.layout.segments[name]
         return self.values[span].reshape(shape)
 
-    def detached(self) -> "Params":
-        return self
-
     def copy(self) -> "Params":
         return Params(self.values.copy(), self.layout)
 

@@ -90,7 +90,7 @@ def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
     sizes = contexts.sizes[window]
     carrying = replay.step <= (np.inf if grad_steps is None else grad_steps)
     counted = carrying | include_all_steps
-    passes = (((reader.detached(), counted & ~carrying), (reader, carrying))
+    passes = (((reader.params, counted & ~carrying), (reader, carrying))
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
 
     def pick(a, cols):  # the rows' entries at ``cols``, row by row, stacked

@@ -167,6 +167,49 @@ class TestGrad:
         with pytest.raises(NumericalError, match=r"\['wq'\]"):
             grad(tiny_params, f)
 
+    def test_reader_records_one_leaf_per_segment_in_layout_order(self, tiny_params):
+        tape = Tape()
+        reader = TapeReader(tape, tiny_params)
+        names = list(tiny_params.layout.segments)
+        assert list(reader.leaves) == names
+        assert [reader.leaves[name].idx for name in names] == list(range(len(names)))
+        assert len(tape._values) == len(names)
+        for name in names:
+            leaf = reader.segment(name)
+            assert leaf is reader.leaves[name]
+            assert np.shares_memory(leaf.value, tiny_params.values)
+            assert np.array_equal(leaf.value, tiny_params.segment(name))
+
+    def test_gradient_of_one_segment_is_its_adjoint_in_its_span(self, tiny_params):
+        weights = np.random.default_rng(5).normal(size=tiny_params.segment("wk").shape)
+
+        def f(r):
+            return ops.asum(ops.mul(ops.exp(r.segment("wk")), weights))
+
+        _, g = grad(tiny_params, f)
+        tape = Tape()
+        reader = TapeReader(tape, tiny_params)
+        out = f(reader)
+        adjoint = tape.backward(out)[reader.leaves["wk"].idx]
+        span, _ = tiny_params.layout.segments["wk"]
+        assert np.array_equal(g[span], adjoint.ravel())
+        rest = np.ones(g.size, dtype=bool)
+        rest[span] = False
+        assert np.array_equal(g[rest], np.zeros(rest.sum()))
+
+    def test_constant_function_still_records_every_leaf(self, tiny_params, monkeypatch):
+        # A function that reads no segment (latent_l2) still puts the
+        # parameters on the tape: one push per segment.
+        pushes, push = [], Tape.push
+
+        def counted(self, *args):
+            pushes.append(args)
+            return push(self, *args)
+
+        monkeypatch.setattr(Tape, "push", counted)
+        grad(tiny_params, lambda r: 4.25)
+        assert len(pushes) == len(tiny_params.layout.segments) == len(SEGMENTS)
+
     def test_var_has_no_arithmetic(self):
         # Numbers and arrays do not absorb a handle into an object array.
         v = Tape().leaf(np.array([1.0, -2.0]))

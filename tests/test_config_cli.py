@@ -1,5 +1,6 @@
 """Config round-trips, override handling, checkpoint format, and the CLI."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,9 +14,10 @@ from kvgrpo.cli import main
 from kvgrpo.config import (PRESETS, RunConfig, TrainerConfig, apply_overrides,
                            from_flat_dict, load_config, save_config,
                            to_flat_dict)
-from kvgrpo.errors import ConfigError
+from kvgrpo.errors import ConfigError, InsufficientHistoryError
 from kvgrpo.network import NetworkShape, build_layout, param_init
 from kvgrpo.params import Layout, Params
+from kvgrpo.trainer import plan_iteration
 
 
 def small_run_config(tmp_path=None, **overrides) -> RunConfig:
@@ -124,6 +126,35 @@ class TestConfig:
     def test_field_validation(self, bad):
         with pytest.raises(ConfigError):
             small_run_config(**bad)
+
+    def test_validation_accepts_exactly_the_routable_choices(self):
+        # Over sinks 0-4, 1-3 frames per block, pivots 1-8 and 1 <= r <= n <= 12,
+        # a (local_size n, routed_slots r) choice passes validation exactly when
+        # the planner can route it at the pivot.
+        verdicts = []
+        for sink, frames, pivot in itertools.product(range(5), range(1, 4), range(1, 9)):
+            for n in range(1, 13):
+                for r in range(1, n + 1):
+                    cfg = TrainerConfig(num_blocks=8, frames_per_block=frames, sink_size=sink,
+                                        pivot_blocks=[pivot], local_kv_choices=[[n, r]],
+                                        branch_number=2)
+                    try:
+                        cfg.validate()
+                    except ConfigError as exc:
+                        assert "routable at the earliest pivot" in str(exc)
+                        accepted = False
+                    else:
+                        accepted = True
+                    try:
+                        plan_iteration(cfg, 1)
+                    except InsufficientHistoryError:
+                        planned = False
+                    else:
+                        planned = True
+                    verdicts.append((accepted, planned))
+        assert len(verdicts) == 9360
+        assert all(accepted == planned for accepted, planned in verdicts)
+        assert 0 < sum(accepted for accepted, _ in verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", [
@@ -722,6 +753,22 @@ class TestCli:
         save_config(cfg, path)
         assert main(["--config", str(path), *flags, "inspect", str(path)]) == 0
         assert [os.environ.get(var) for var in variables] == [expected] * 3
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], RunConfig().threads),                          # no setting: the default, 1
+        (["--threads", "2"], 2),
+    ])
+    def test_threads_written_to_config_are_pinned(self, tmp_path, capsys, monkeypatch,
+                                                  flags, expected):
+        # The thread count a run records is the one it sets for BLAS.
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.setenv(var, "")  # so that the teardown restores what main() sets
+            monkeypatch.delenv(var)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *flags, "train", "--max-iters", "1"]) == 0
+        assert json.loads((out / "config.json").read_text())["threads"] == expected
+        assert [os.environ.get(var) for var in variables] == [str(expected)] * 3
 
     @pytest.mark.parametrize("content", [
         b'{"a": 1,',                 # cut mid-object

@@ -79,7 +79,7 @@ def reference_energy(reader, group, row, contexts, grad_steps=None, include_all_
         if not carrying and not include_all_steps:
             continue
         keys, values = memory(contexts, row, block)
-        r = reader if carrying else reader.detached()
+        r = reader if carrying or not isinstance(reader, ad.TapeReader) else reader.params
         v = network.velocity_forward(r, z, t, keys, values, contexts.prompt)
         diff = ops.sub(v, u_hat)
         term = ops.mul(ops.asum(ops.mul(diff, diff)), 1.0 / d)
