@@ -16,8 +16,7 @@ from .network import NetworkShape, param_init
 from .flow import GeneratorConfig
 from .params import Params
 from .policy import PolicyConfig, advantages, gibbs
-from .routing import (GroupSeeds, ReplayContexts, RolloutGroup, build_replay_contexts,
-                      plan_rollout, rollout_group)
+from .routing import GroupSeeds, RolloutGroup, build_replay_contexts, plan_rollout, rollout_group
 
 FD_STEP = 1e-5
 ENERGY_TOL = 1e-4
@@ -36,9 +35,7 @@ def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass
 class CheckInstance:
     params: Params
-    group: RolloutGroup
-    contexts: ReplayContexts
-    rewards: np.ndarray
+    group: RolloutGroup     # scored, with its replay contexts
 
 
 def make_instance(seed: int, latent_dim: int = 3, hidden_dim: int = 5,
@@ -57,8 +54,8 @@ def make_instance(seed: int, latent_dim: int = 3, hidden_dim: int = 5,
                         GroupSeeds(noise=seed * 7 + 1, routing=seed * 7 + 2), cfg, latent_dim)
     group = rollout_group(params, prompt, cfg, pivot, window, plan)
     group.rewards = rng.normal(size=branches + 1)
-    contexts = build_replay_contexts(group)
-    return CheckInstance(params, group, contexts, group.rewards[1:])
+    group.contexts = build_replay_contexts(group)
+    return CheckInstance(params, group)
 
 
 def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
@@ -69,8 +66,7 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
     worst = 0.0
     for row in rows:
         def f(reader, row=row):
-            return ad.asum(policy.replay_energies(reader, inst.group.replay, [row],
-                                                  inst.contexts, pcfg.grad_steps,
+            return ad.asum(policy.replay_energies(reader, inst.group, [row], pcfg.grad_steps,
                                                   pcfg.include_all_steps))
         _, g = grad(inst.params, f)
         fd = fd_grad(inst.params, f, FD_STEP)
@@ -81,15 +77,12 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
 def check_total_grad(inst: CheckInstance, pcfg: PolicyConfig,
                      old_params: Params, ref_params: Params) -> float:
     """Relative L2 error of the total-loss gradient against finite differences."""
-    eval_old = gibbs(policy.surrogate_energies(old_params, inst.group, inst.contexts, pcfg),
-                     pcfg.tau)
-    eval_ref = gibbs(policy.surrogate_energies(ref_params, inst.group, inst.contexts, pcfg),
-                     pcfg.tau)
-    adv = advantages(inst.rewards, pcfg.adv_clip_max)
+    eval_old = gibbs(policy.surrogate_energies(old_params, inst.group, pcfg), pcfg.tau)
+    eval_ref = gibbs(policy.surrogate_energies(ref_params, inst.group, pcfg), pcfg.tau)
+    adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
 
     def f(reader):
-        total, *_ = policy._build_loss(reader, inst.group, inst.contexts,
-                                       eval_old, eval_ref, adv, pcfg)
+        total, *_ = policy._build_loss(reader, inst.group, eval_old, eval_ref, adv, pcfg)
         return total
 
     _, g = grad(inst.params, f)
@@ -104,16 +97,14 @@ def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
     params = eval_params if eval_params is not None else inst.params
     cfg = PolicyConfig(tau=tau, grad_steps=pcfg.grad_steps,
                        include_all_steps=pcfg.include_all_steps)
-    eval_cur = gibbs(policy.surrogate_energies(params, inst.group, inst.contexts, cfg), tau)
+    eval_cur = gibbs(policy.surrogate_energies(params, inst.group, cfg), tau)
     adv = advantages(rewards, clip_max=np.inf)
 
     def f(reader):
-        return policy.pg_surrogate_value(reader, inst.group, inst.contexts,
-                                         eval_cur, adv, cfg)
+        return policy.pg_surrogate_value(reader, inst.group, eval_cur, adv, cfg)
 
     _, auto = grad(params, f)
-    ref = policy.contrastive_grad_reference(params, inst.group, inst.contexts,
-                                            eval_cur, adv, tau, cfg)
+    ref = policy.contrastive_grad_reference(params, inst.group, eval_cur, adv, tau, cfg)
     # The objective is maximized; autodiff(f) is the ascent direction, and so
     # is the reference.
     return rel_l2(auto, ref)
@@ -158,7 +149,7 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
             pcfg = PolicyConfig(grad_steps=2, include_all_steps=False)
         report.energy_max_rel = max(
             report.energy_max_rel,
-            check_energy_grad(inst, pcfg, branch_index=i % len(inst.rewards)))
+            check_energy_grad(inst, pcfg, branch_index=i % (len(inst.group.rewards) - 1)))
         old = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 500)
         ref = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 900)
         report.total_max_rel = max(report.total_max_rel,
@@ -166,7 +157,7 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
     inst = make_instance(seed * 1000 + 77)
     for j in range(identity_instances):
         tau = (0.5, 1.0, 2.0)[j % 3]
-        rewards = rng.normal(size=len(inst.rewards))
+        rewards = rng.normal(size=len(inst.group.rewards) - 1)
         report.identity_max_rel = max(
             report.identity_max_rel,
             check_pg_identity(inst, tau, rewards, PolicyConfig(grad_steps=2)))

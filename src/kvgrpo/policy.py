@@ -26,9 +26,8 @@ from . import autodiff as ad
 from . import network
 from .autodiff import grad as ad_grad
 from .errors import ContractError
-from .flow import ReplaySteps
 from .params import Params
-from .routing import ReplayContexts, RolloutGroup
+from .routing import RolloutGroup
 
 ADV_EPS = 1e-8
 
@@ -72,21 +71,24 @@ class LossBreakdown:
                    float(ad.value(total)), np.asarray(ad.value(rho), dtype=np.float64))
 
 
-def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
-                    grad_steps: int | None = None, include_all_steps: bool = True):
+def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = None,
+                    include_all_steps: bool = True):
     """Per-row sum of the per-dimension-normalized squared residuals between
     the cached rollout velocities of the group rows ``rows`` and their replay
-    under the default-layout contexts, with one network call per pass and
-    memory size over those rows' steps, row by row.  Only the first
+    under the group's default-layout contexts, with one network call per pass
+    and memory size over those rows' steps, row by row.  Only the first
     ``grad_steps`` solver steps of each block are evaluated on the tape; later
     steps are either added as constants (``include_all_steps``) or dropped
     from the value entirely.  Returns a (rows,) array for a value-only reader
     and a tape node otherwise."""
+    replay, contexts = group.replay, group.contexts
+    if contexts is None:
+        raise ContractError("the group has no replay contexts: build_replay_contexts never ran")
     d = network.shape_from_layout(reader.layout).latent_dim
     if replay.z.shape[-1] != d:
         raise ContractError(f"replay latent dim {replay.z.shape[-1]} != network dim {d}")
     i = np.asarray(rows)[:, None]
-    window = replay.block - contexts.window_blocks[0]
+    window = replay.block - group.pivot_block
     sizes = contexts.sizes[window]
     carrying = replay.step <= (np.inf if grad_steps is None else grad_steps)
     counted = carrying | include_all_steps
@@ -108,7 +110,7 @@ def replay_energies(reader, replay: ReplaySteps, rows, contexts: ReplayContexts,
             v = network.velocity_forward(r, pick(replay.z, s), np.tile(replay.t[s], len(i)),
                                          pick(contexts.keys[:, :, :n], window[s]),
                                          pick(contexts.values[:, :, :n], window[s]),
-                                         contexts.prompt)
+                                         group.prompt)
             diff = ad.value(v) - pick(replay.u_hat, s)
             terms[:, 1 + s] = np.sum(diff * diff, axis=(-2, -1)).reshape(len(i), -1) * (1.0 / d)
             if isinstance(v, ad.Var):
@@ -130,14 +132,13 @@ def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
     return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2)) / (2.0 * sigma * sigma)
 
 
-def surrogate_energies(reader, group: RolloutGroup, contexts: ReplayContexts,
-                       cfg: PolicyConfig):
+def surrogate_energies(reader, group: RolloutGroup, cfg: PolicyConfig):
     """The group's per-branch energies: an array, or a tape node for a taped
     replay surrogate."""
     if cfg.surrogate == "latent_l2":
         return latent_l2_energies(group, cfg.l2_sigma)
-    return replay_energies(reader, group.replay, range(1, len(group.frames)), contexts,
-                           cfg.grad_steps, cfg.include_all_steps)
+    return replay_energies(reader, group, range(1, len(group.frames)), cfg.grad_steps,
+                           cfg.include_all_steps)
 
 
 def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
@@ -260,14 +261,13 @@ def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
     return bool(np.max(np.asarray(branch_rewards)) <= anchor_reward)
 
 
-def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
-                eval_old: PolicyEval | None, eval_ref: PolicyEval, adv: np.ndarray,
-                cfg: PolicyConfig):
+def _build_loss(reader, group: RolloutGroup, eval_old: PolicyEval | None,
+                eval_ref: PolicyEval, adv: np.ndarray, cfg: PolicyConfig):
     """:func:`ppo_kl_loss` of the surrogate policy at ``reader``, followed by the
     energies and the old policy.  With ``eval_old=None`` the parameters are
     theta_old (PPO's first epoch), so the old policy is this pass's own
     energies, held constant."""
-    energies = surrogate_energies(reader, group, contexts, cfg)
+    energies = surrogate_energies(reader, group, cfg)
     if eval_old is None:
         eval_old = gibbs(ad.value(energies), cfg.tau)
     terms = ppo_kl_loss(_log_policy(energies, cfg.tau), eval_old.log_probs,
@@ -275,8 +275,8 @@ def _build_loss(reader, group: RolloutGroup, contexts: ReplayContexts,
     return *terms, energies, eval_old
 
 
-def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContexts,
-                    eval_old: PolicyEval | None, eval_ref: PolicyEval, cfg: PolicyConfig
+def total_loss_grad(params: Params, group: RolloutGroup, eval_old: PolicyEval | None,
+                    eval_ref: PolicyEval, cfg: PolicyConfig
                     ) -> tuple[LossBreakdown, np.ndarray, np.ndarray, PolicyEval]:
     """Loss breakdown, per-branch energies, the reverse-mode gradient, and the
     old policy (see :func:`_build_loss` for ``eval_old=None``)."""
@@ -285,7 +285,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
 
     def f(reader):
         total, ppo, kl, rho, energies, old = _build_loss(
-            reader, group, contexts, eval_old, eval_ref, adv, cfg)
+            reader, group, eval_old, eval_ref, adv, cfg)
         parts.update(breakdown=LossBreakdown.of(total, ppo, kl, rho), old=old,
                      energies=ad.value(energies))
         return total
@@ -294,8 +294,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, contexts: ReplayContext
     return parts["breakdown"], parts["energies"], g, parts["old"]
 
 
-def contrastive_grad_reference(params: Params, group: RolloutGroup,
-                               contexts: ReplayContexts, eval_cur: PolicyEval,
+def contrastive_grad_reference(params: Params, group: RolloutGroup, eval_cur: PolicyEval,
                                adv: np.ndarray, tau: float,
                                cfg: PolicyConfig = PolicyConfig()) -> np.ndarray:
     """Closed-form gradient of the unclipped policy-gradient objective.
@@ -310,17 +309,17 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup,
     out = np.zeros(params.layout.total)
     for g in range(1, len(group.frames)):
         _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(
-            r, group.replay, [g], contexts, cfg.grad_steps, cfg.include_all_steps)))
+            r, group, [g], cfg.grad_steps, cfg.include_all_steps)))
         out += pi[g - 1] * (adv[g - 1] - mu) * gvec
     return -out / tau
 
 
-def pg_surrogate_value(reader, group: RolloutGroup, contexts: ReplayContexts,
-                       eval_old: PolicyEval, adv: np.ndarray, cfg: PolicyConfig):
+def pg_surrogate_value(reader, group: RolloutGroup, eval_old: PolicyEval,
+                       adv: np.ndarray, cfg: PolicyConfig):
     """Unclipped policy-gradient objective E_{g~old}[ratio_g * A_g], on the
     trained loss's log-policy and importance ratios with the old policy held
     constant: a number, or one tape node after the log-softmax node."""
-    log_probs = _log_policy(surrogate_energies(reader, group, contexts, cfg), cfg.tau)
+    log_probs = _log_policy(surrogate_energies(reader, group, cfg), cfg.tau)
     rho = np.exp(ad.value(log_probs) - eval_old.log_probs)
     weights = eval_old.probs * adv
     pg = np.sum(rho * weights)

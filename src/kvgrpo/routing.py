@@ -13,7 +13,8 @@ indexes, and solves each block once for all trajectories, with one network
 call per solver step and bucket.  A group is its arrays, one row per
 trajectory: row 0 is the anchor and row g branch g, in its frames, history,
 rewards and cached window solver steps, which are replayed later under
-default-layout memories, gathered for the whole group once per window block.
+default-layout memories, gathered for the whole group once per window block
+into the group's replay contexts.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class RolloutGroup:
     replay: ReplaySteps      # the window's solver steps; z and u_hat are (G, R, F, d)
     routings: tuple[RoutingDecision | None, ...]   # the pivot's, None for the anchor
     rewards: np.ndarray | None = None               # (G,), once scored
+    contexts: ReplayContexts | None = None          # once built, to replay the window
 
     @property
     def window_block_indices(self) -> list[int]:
@@ -70,14 +72,13 @@ def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
 
 
 def sample_routing(omega, rng_seed, count: int = 6, local_size: int = 9) -> RoutingDecision:
-    """Draw ``count`` distinct indices uniformly without replacement."""
-    omega = sorted(omega)
+    """Draw ``count`` distinct indices of the ascending ``omega`` (a
+    :func:`routable_range`) uniformly without replacement, by position."""
     if len(omega) < count:
         raise InsufficientHistoryError(
             f"routable set of size {len(omega)} cannot fill {count} slots")
-    rng = np.random.default_rng(rng_seed)
-    picked = rng.choice(omega, size=count, replace=False)
-    return RoutingDecision(tuple(int(i) for i in picked), local_size)
+    picked = np.random.default_rng(rng_seed).choice(len(omega), size=count, replace=False)
+    return RoutingDecision(tuple(int(omega[i]) for i in picked.tolist()), local_size)
 
 
 def routed_layout(routing: RoutingDecision, L: int,
@@ -217,11 +218,9 @@ class ReplayContexts:
     exactly as at rollout time.
     """
 
-    window_blocks: list[int]
     keys: np.ndarray       # (trajectories, window blocks, M, h)
     values: np.ndarray     # (trajectories, window blocks, M, h)
     sizes: np.ndarray      # (window blocks,)
-    prompt: np.ndarray
 
 
 def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> ReplayContexts:
@@ -244,4 +243,4 @@ def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> Replay
     for j, (k, v) in enumerate(memories):
         if k is not None:
             keys[:, j, :sizes[j]], values[:, j, :sizes[j]] = k[rows], v[rows]
-    return ReplayContexts(group.window_block_indices, keys, values, sizes, group.prompt)
+    return ReplayContexts(keys, values, sizes)

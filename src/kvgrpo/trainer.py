@@ -11,7 +11,6 @@ ahead in a forked sidecar, on another core, which also writes the dump.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import os
 import pickle
@@ -177,10 +176,11 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
                     plan: IterationPlan | None = None) -> IterationRecord:
     """One full iteration, following ``plan`` (planned here when None).  On a
     guard skip or a numerical error the parameters and the optimizer are left
-    untouched (bitwise) and the record says so; an error in the rollout or the
-    rewards leaves the record without rewards and ``state.group`` empty.  One
-    value-only replay runs: at the parameters if skipped, else at the
-    reference; the old policy comes from the first taped epoch."""
+    untouched (bitwise) and the record says so, holding no update's numbers
+    after an error in any epoch; an error in the rollout or the rewards leaves
+    the record without rewards and ``state.group`` empty.  One value-only
+    replay runs: at the parameters if skipped, else at the reference; the old
+    policy comes from the first taped epoch."""
     started = time.perf_counter()
     state.iteration += 1
     it = state.iteration
@@ -198,7 +198,8 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
         skipped=False, wall_clock_s=0.0)
 
     pcfg = _policy_cfg(cfg)
-    entering = state.params.copy(), copy.deepcopy(state.opt)
+    # Adam.apply and ema_update rebind their arrays, never write into them.
+    entering = state.params, state.opt.m, state.opt.v, state.opt.step
     try:
         group = rollout_group(state.params, cfg.prompt(), _generator_cfg(cfg), pivot, window,
                               plan.rollout)
@@ -208,31 +209,31 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
         record.anchor_reward = float(anchor)
         record.branch_rewards = [float(r) for r in rewards]
         record.reward_mean, record.reward_std = float(rewards.mean()), float(rewards.std())
-        contexts = build_replay_contexts(group, cfg.replay_context)
+        group.contexts = build_replay_contexts(group, cfg.replay_context)
         if guard(rewards, anchor):
             record.skipped = True
             record.branch_energies = [float(e) for e in policy.surrogate_energies(
-                state.params, group, contexts, pcfg)]
+                state.params, group, pcfg)]
         else:
-            eval_ref = gibbs(policy.surrogate_energies(state.ref, group, contexts, pcfg),
-                             cfg.temperature)
+            eval_ref = gibbs(policy.surrogate_energies(state.ref, group, pcfg), cfg.temperature)
             eval_old = None
             for _ in range(cfg.ppo_epochs):
                 breakdown, energies, grad, eval_old = policy.total_loss_grad(
-                    state.params, group, contexts, eval_old, eval_ref, pcfg)
+                    state.params, group, eval_old, eval_ref, pcfg)
                 clipped, norm = clip_gradient(grad, cfg.max_grad_norm)
                 state.params = state.opt.apply(state.params, clipped,
                                                learning_rate_at(cfg, it))
-                record.branch_energies = [float(e) for e in energies]
-                record.per_branch_ratio = [float(r) for r in breakdown.per_branch_ratio]
-                record.loss_ppo = breakdown.ppo
-                record.kl_value = breakdown.kl
-                record.loss_total = breakdown.total
-                record.grad_norm = norm
             state.ema = ema_update(state.ema, state.params, cfg.ema_decay)
+            # The last epoch's numbers, written once every epoch has succeeded.
+            record.branch_energies = [float(e) for e in energies]
+            record.per_branch_ratio = [float(r) for r in breakdown.per_branch_ratio]
+            record.loss_ppo = breakdown.ppo
+            record.kl_value = breakdown.kl
+            record.loss_total = breakdown.total
+            record.grad_norm = norm
     except NumericalError as exc:
         # Abort the iteration: roll parameters and optimizer back.
-        state.params, state.opt = entering
+        state.params, state.opt.m, state.opt.v, state.opt.step = entering
         record.skipped = True
         record.error = str(exc)
     record.wall_clock_s = time.perf_counter() - started
@@ -264,7 +265,14 @@ class _Sidecar:
         if hasattr(os, "fork"):
             read, write = os.pipe()
             self.link, far = socket.socketpair()
-            self.pid = os.fork()
+            try:
+                self.pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM: fail loudly, leaking no descriptor
+                for fd in (read, write):
+                    os.close(fd)
+                self.link.close()
+                far.close()
+                raise
             if self.pid == 0:
                 try:  # the child ignores Ctrl-C and never flushes an inherited buffer
                     signal.signal(signal.SIGINT, signal.SIG_IGN)

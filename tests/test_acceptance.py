@@ -78,7 +78,7 @@ class TestCriterion1GradientFidelity:
                 pcfg = (PolicyConfig(grad_steps=None) if i % 2 == 0
                         else PolicyConfig(grad_steps=2, include_all_steps=False))
                 worst_energy = max(worst_energy, check_energy_grad(
-                    inst, pcfg, branch_index=i % len(inst.rewards)))
+                    inst, pcfg, branch_index=i % (len(inst.group.rewards) - 1)))
                 old = param_init(NetworkShape(3, 5, 2), 5000 + i)
                 ref = param_init(NetworkShape(3, 5, 2), 7000 + i)
                 worst_total = max(worst_total,
@@ -101,7 +101,7 @@ class TestCriterion2ContrastiveIdentity:
             for i in range(100):
                 inst = groups[i % len(groups)]
                 tau = (0.5, 1.0, 2.0)[i % 3]
-                rewards = rng.normal(size=len(inst.rewards))
+                rewards = rng.normal(size=len(inst.group.rewards) - 1)
                 eval_params = param_init(shape, 9000 + i)
                 worst = max(worst, check_pg_identity(
                     inst, tau, rewards, PolicyConfig(grad_steps=2), eval_params))

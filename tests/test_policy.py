@@ -55,17 +55,16 @@ def reported_kl(eval_cur, eval_ref):
     return LossBreakdown.of(*terms).kl
 
 
-def energy(reader, group, row, contexts, grad_steps=None, include_all_steps=True):
+def energy(reader, group, row, grad_steps=None, include_all_steps=True):
     """One row's replay energy: a number, or a tape node."""
-    return ad.asum(replay_energies(reader, group.replay, [row], contexts, grad_steps,
-                                   include_all_steps))
+    return ad.asum(replay_energies(reader, group, [row], grad_steps, include_all_steps))
 
 
 def branch_rows(group):
     return range(1, len(group.frames))
 
 
-def reference_energy(reader, group, row, contexts, grad_steps=None, include_all_steps=True):
+def reference_energy(reader, group, row, grad_steps=None, include_all_steps=True):
     """The per-step loop the batched replay replaced, kept as its oracle: one
     network call and five tape ops per cached solver step, summed in order.
     (It squared with a tape op of its own; a product with a shared operand
@@ -78,26 +77,26 @@ def reference_energy(reader, group, row, contexts, grad_steps=None, include_all_
         carrying = grad_steps is None or step <= grad_steps
         if not carrying and not include_all_steps:
             continue
-        keys, values = memory(contexts, row, block)
+        keys, values = memory(group, row, block)
         r = reader if carrying or not isinstance(reader, ad.TapeReader) else reader.params
-        v = network.velocity_forward(r, z, t, keys, values, contexts.prompt)
+        v = network.velocity_forward(r, z, t, keys, values, group.prompt)
         diff = ops.sub(v, u_hat)
         term = ops.mul(ops.asum(ops.mul(diff, diff)), 1.0 / d)
         total = ops.add(total, ad.value(term) if not carrying else term)
     return total
 
 
-def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
+def reference_loss_grad(params, group, eval_ref, pcfg):
     """The trained loss on the per-step oracle's energies, packed branch by
     branch, with the old policy taken from its own values, all on the
     reference ops."""
     adv = advantages(group.rewards[1:], pcfg.adv_clip_max)
-    old = gibbs(np.array([float(reference_energy(params, group, g, contexts, pcfg.grad_steps,
+    old = gibbs(np.array([float(reference_energy(params, group, g, pcfg.grad_steps,
                                                  pcfg.include_all_steps))
                           for g in branch_rows(group)]), pcfg.tau)
 
     def f(reader):
-        energies = [reference_energy(reader, group, g, contexts, pcfg.grad_steps,
+        energies = [reference_energy(reader, group, g, pcfg.grad_steps,
                                      pcfg.include_all_steps) for g in branch_rows(group)]
         log_probs = ops.log_policy(ops.pack(energies), pcfg.tau)
         return ops.ppo_kl_loss(log_probs, old.log_probs, eval_ref.log_probs, adv, pcfg)[0]
@@ -107,8 +106,8 @@ def reference_loss_grad(params, group, contexts, eval_ref, pcfg):
 
 class TestReplayEnergy:
     def test_zero_residual_gives_zero(self, check_instance):
-        assert replay_energies(check_instance.params, check_instance.group.replay, [0],
-                               check_instance.contexts).tolist() == [0.0]
+        assert replay_energies(check_instance.params, check_instance.group,
+                               [0]).tolist() == [0.0]
 
     def test_single_tuple_hand_case(self, tiny_params):
         # One frame, d=3, residual (1,0,0): energy = 1/d = 1/3.  Build a fake
@@ -121,24 +120,24 @@ class TestReplayEnergy:
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
         steps = ReplaySteps(z[None, None], u_hat[None, None], np.array([0.25]), np.array([1]),
                             np.array([5]))
-        contexts = ReplayContexts([5], keys[None, None], values[None, None],
-                                  np.array([1]), prompt)
-        energies = replay_energies(tiny_params, steps, [0], contexts)
+        contexts = ReplayContexts(keys[None, None], values[None, None], np.array([1]))
+        group = SimpleNamespace(replay=steps, contexts=contexts, pivot_block=5, prompt=prompt)
+        energies = replay_energies(tiny_params, group, [0])
         assert energies.shape == (1,)
         assert energies[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_double_loop_oracle(self, check_instance):
         inst = check_instance
         replay, row = inst.group.replay, 3
-        got = float(energy(inst.params, inst.group, row, inst.contexts))
+        got = float(energy(inst.params, inst.group, row))
         # direct two-level summation using only public pieces
         total = 0.0
         d = 3
         for z, u_hat, t, block in zip(replay.z[row], replay.u_hat[row], replay.t,
                                       replay.block):
-            keys, values = memory(inst.contexts, row, block)
+            keys, values = memory(inst.group, row, block)
             v = np.asarray(network.velocity_forward(inst.params, z, t, keys, values,
-                                                    inst.contexts.prompt))
+                                                    inst.group.prompt))
             for frame in range(v.shape[0]):
                 for dim in range(d):
                     total += (v[frame, dim] - u_hat[frame, dim]) ** 2 / d
@@ -147,23 +146,23 @@ class TestReplayEnergy:
     def test_grad_steps_do_not_change_value_when_all_included(self, check_instance):
         inst = check_instance
         g = inst.group
-        full = float(energy(inst.params, g, 1, inst.contexts, None))
-        restricted_grad = energy(inst.params, g, 1, inst.contexts, 2, True)
+        full = float(energy(inst.params, g, 1, None))
+        restricted_grad = energy(inst.params, g, 1, 2, True)
         assert float(restricted_grad) == pytest.approx(full, rel=1e-15)
 
     def test_value_restriction_drops_late_steps(self, check_instance):
         inst = check_instance
         g = inst.group
-        only_early = float(energy(inst.params, g, 1, inst.contexts, 2, False))
-        full = float(energy(inst.params, g, 1, inst.contexts, None))
+        only_early = float(energy(inst.params, g, 1, 2, False))
+        full = float(energy(inst.params, g, 1, None))
         assert only_early < full
 
     def test_restricted_gradient_equals_restricted_value_gradient(self, check_instance):
         # Constants added by include_all_steps must not change the gradient.
         inst = check_instance
         g = inst.group
-        _, g_all = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, True))
-        _, g_restr = grad(inst.params, lambda r: energy(r, g, 2, inst.contexts, 2, False))
+        _, g_all = grad(inst.params, lambda r: energy(r, g, 2, 2, True))
+        _, g_restr = grad(inst.params, lambda r: energy(r, g, 2, 2, False))
         np.testing.assert_array_equal(g_all, g_restr)
 
     @pytest.mark.parametrize("grad_steps", [2, None])
@@ -174,19 +173,27 @@ class TestReplayEnergy:
         # energies must be the value-only ones bit for bit.
         inst = check_instance
         pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
-        plain = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
+        plain = surrogate_energies(inst.params, inst.group, pcfg)
         reader = ad.TapeReader(ad.Tape(), inst.params)
-        taped = surrogate_energies(reader, inst.group, inst.contexts, pcfg)
+        taped = surrogate_energies(reader, inst.group, pcfg)
         assert isinstance(taped, ad.Var)
         assert taped.value.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["value", "taped"])
+    def test_group_without_contexts_rejected(self, check_instance, taped):
+        inst = check_instance
+        group = dataclasses.replace(inst.group, contexts=None)
+        reader = ad.TapeReader(ad.Tape(), inst.params) if taped else inst.params
+        with pytest.raises(ContractError, match="the group has no replay contexts"):
+            surrogate_energies(reader, group, PolicyConfig())
 
     def test_dimension_mismatch_rejected(self, check_instance):
         inst = check_instance
         rows = np.zeros((2, 1, 1, 7))
         bad = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
-                          np.array([inst.contexts.window_blocks[0]]))
+                          np.array([inst.group.pivot_block]))
         with pytest.raises(ContractError):
-            replay_energies(inst.params, bad, [1], inst.contexts)
+            replay_energies(inst.params, dataclasses.replace(inst.group, replay=bad), [1])
 
 
 def replay_group(mixed: bool, empty: bool = False):
@@ -200,6 +207,7 @@ def replay_group(mixed: bool, empty: bool = False):
     group = roll(params, np.linspace(0.5, -0.5, 4), 8, pivot, 4, 6, GroupSeeds(31, 32),
                  cfg, choices)
     group.rewards = np.random.default_rng(4).normal(size=len(group.frames))
+    group.contexts = build_replay_contexts(group)
     return params, group
 
 
@@ -221,21 +229,20 @@ class TestBatchedReplay:
     def test_energies_and_gradient_match_per_step_loop(self, replay_case, source,
                                                        include_all_steps, grad_steps):
         mixed, params, group = replay_case
-        contexts = build_replay_contexts(group, source)
+        group = dataclasses.replace(group, contexts=build_replay_contexts(group, source))
         pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
         ref_params = param_init(NetworkShape(), 8)
-        expected = np.array([float(reference_energy(params, group, g, contexts, grad_steps,
+        expected = np.array([float(reference_energy(params, group, g, grad_steps,
                                                     include_all_steps))
                              for g in branch_rows(group)])
-        plain = surrogate_energies(params, group, contexts, pcfg)
+        plain = surrogate_energies(params, group, pcfg)
         assert plain.tobytes() == expected.tobytes()
-        taped = surrogate_energies(ad.TapeReader(ad.Tape(), params), group, contexts, pcfg)
+        taped = surrogate_energies(ad.TapeReader(ad.Tape(), params), group, pcfg)
         assert taped.value.tobytes() == expected.tobytes()
 
-        eval_ref = gibbs(surrogate_energies(ref_params, group, contexts, pcfg), pcfg.tau)
-        breakdown, energies, g, _ = total_loss_grad(params, group, contexts, None,
-                                                    eval_ref, pcfg)
-        total, g_ref = reference_loss_grad(params, group, contexts, eval_ref, pcfg)
+        eval_ref = gibbs(surrogate_energies(ref_params, group, pcfg), pcfg.tau)
+        breakdown, energies, g, _ = total_loss_grad(params, group, None, eval_ref, pcfg)
+        total, g_ref = reference_loss_grad(params, group, eval_ref, pcfg)
         assert energies.tobytes() == expected.tobytes()
         assert breakdown.total == total
         assert np.linalg.norm(g_ref) > 1e-3
@@ -248,13 +255,11 @@ class TestBatchedReplay:
     def test_one_row_equals_its_entry_of_all_branches(self, replay_case, grad_steps):
         # Selecting rows changes which steps share a network call, not a bit.
         _, params, group = replay_case
-        contexts = build_replay_contexts(group)
         for reader in (params, ad.TapeReader(ad.Tape(), params)):
-            every = ad.value(replay_energies(reader, group.replay, branch_rows(group),
-                                             contexts, grad_steps))
+            every = ad.value(replay_energies(reader, group, branch_rows(group), grad_steps))
             assert isinstance(every, np.ndarray) and every.shape == (len(group.frames) - 1,)
             for g in branch_rows(group):
-                one = replay_energies(reader, group.replay, [g], contexts, grad_steps)
+                one = replay_energies(reader, group, [g], grad_steps)
                 assert ad.value(one).tobytes() == every[g - 1:g].tobytes()
 
     def test_mixed_case_has_two_memory_sizes(self):
@@ -267,8 +272,7 @@ class TestBatchedReplay:
 
     def test_one_network_call_per_pass_and_memory_size(self, replay_case, monkeypatch):
         _, params, group = replay_case
-        contexts = build_replay_contexts(group)
-        sizes = len(np.unique(contexts.sizes))
+        sizes = len(np.unique(group.contexts.sizes))
         calls = []
         real = network.velocity_forward
 
@@ -278,11 +282,11 @@ class TestBatchedReplay:
 
         monkeypatch.setattr(network, "velocity_forward", counted)
         pcfg = PolicyConfig(grad_steps=2, include_all_steps=True)
-        surrogate_energies(params, group, contexts, pcfg)
+        surrogate_energies(params, group, pcfg)
         assert calls == [False] * sizes
         calls.clear()
         eval_ref = gibbs(np.zeros(len(group.frames) - 1), pcfg.tau)
-        total_loss_grad(params, group, contexts, None, eval_ref, pcfg)
+        total_loss_grad(params, group, None, eval_ref, pcfg)
         # taped calls for the carrying steps, value-only ones for the rest
         assert sorted(calls) == [False] * sizes + [True] * sizes
 
@@ -467,11 +471,10 @@ class TestKlPenalty:
         # The KL to such a reference is infinite: the gradient pass rejects the
         # loss, and the trainer skips the iteration.
         inst = check_instance
-        ref = gibbs(np.zeros(len(inst.rewards)), 1.0)
+        ref = gibbs(np.zeros(len(inst.group.rewards) - 1), 1.0)
         ref.log_probs[1] = -np.inf
         with pytest.raises(NumericalError):
-            total_loss_grad(inst.params, inst.group, inst.contexts, None, ref,
-                            PolicyConfig())
+            total_loss_grad(inst.params, inst.group, None, ref, PolicyConfig())
 
 
 class TestGuard:
@@ -504,6 +507,15 @@ class TestLatentL2:
         energies = latent_l2_energies(group, sigma=1.0)
         assert energies[0] == pytest.approx(12.5)
 
+    def test_needs_no_replay_contexts(self, check_instance):
+        inst = check_instance
+        group, pcfg = dataclasses.replace(inst.group, contexts=None), PolicyConfig(
+            surrogate="latent_l2")
+        energies = surrogate_energies(inst.params, group, pcfg)
+        assert energies.tobytes() == latent_l2_energies(inst.group).tobytes()
+        _, _, g, _ = total_loss_grad(inst.params, group, None, gibbs(energies, pcfg.tau), pcfg)
+        assert not g.any()
+
     def test_matches_norm_oracle(self, check_instance):
         group = check_instance.group
         energies = latent_l2_energies(group, sigma=0.7)
@@ -517,7 +529,7 @@ class TestLatentL2:
 
 class TestTotalLoss:
     def _evals(self, inst, pcfg):
-        energies = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
+        energies = surrogate_energies(inst.params, inst.group, pcfg)
         # reference from per-branch perturbed energies (a constant shift would
         # leave the distribution unchanged and make the KL term degenerate)
         jitter = np.random.default_rng(99).normal(scale=0.3, size=energies.size)
@@ -527,14 +539,14 @@ class TestTotalLoss:
         pcfg = PolicyConfig(beta=0.0)
         eval_old, eval_ref = self._evals(check_instance, pcfg)
         breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
-                                        check_instance.contexts, eval_old, eval_ref, pcfg)
+                                        eval_old, eval_ref, pcfg)
         assert breakdown.total == pytest.approx(breakdown.ppo, abs=1e-15)
 
     def test_total_is_ppo_plus_beta_kl(self, check_instance):
         pcfg = PolicyConfig(beta=5.0)
         eval_old, eval_ref = self._evals(check_instance, pcfg)
         breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
-                                        check_instance.contexts, eval_old, eval_ref, pcfg)
+                                        eval_old, eval_ref, pcfg)
         assert breakdown.total == pytest.approx(
             breakdown.ppo + 5.0 * breakdown.kl, rel=1e-12)
         assert breakdown.kl >= 0.0
@@ -543,7 +555,7 @@ class TestTotalLoss:
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(check_instance, pcfg)
         breakdown, *_ = total_loss_grad(check_instance.params, check_instance.group,
-                                        check_instance.contexts, eval_old, eval_ref, pcfg)
+                                        eval_old, eval_ref, pcfg)
         np.testing.assert_allclose(breakdown.per_branch_ratio, np.ones(8), atol=1e-12)
 
     @pytest.mark.parametrize("part,beta", [("total", 5.0), ("ppo", 0.0),
@@ -555,8 +567,8 @@ class TestTotalLoss:
         adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
 
         def f(reader):
-            total, ppo, kl, *_ = _build_loss(reader, inst.group, inst.contexts,
-                                             eval_old, eval_ref, adv, pcfg)
+            total, ppo, kl, *_ = _build_loss(reader, inst.group, eval_old, eval_ref, adv,
+                                             pcfg)
             return {"total": total, "ppo": ppo, "kl": kl}[part]
 
         _, g = grad(inst.params, f)
@@ -570,22 +582,20 @@ class TestTotalLoss:
         pcfg = PolicyConfig()
         eval_old, eval_ref = self._evals(inst, pcfg)
         adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
-        total, ppo, kl, rho, *_ = _build_loss(inst.params, inst.group, inst.contexts,
-                                              eval_old, eval_ref, adv, pcfg)
+        total, ppo, kl, rho, *_ = _build_loss(inst.params, inst.group, eval_old, eval_ref,
+                                              adv, pcfg)
         plain = LossBreakdown.of(total, ppo, kl, rho)
-        taped, *_ = total_loss_grad(inst.params, inst.group, inst.contexts,
-                                    eval_old, eval_ref, pcfg)
+        taped, *_ = total_loss_grad(inst.params, inst.group, eval_old, eval_ref, pcfg)
         assert (plain.total, plain.ppo, plain.kl) == (taped.total, taped.ppo, taped.kl)
         np.testing.assert_array_equal(plain.per_branch_ratio, taped.per_branch_ratio)
 
     def test_l2_surrogate_has_zero_gradient(self, check_instance):
         inst = check_instance
         pcfg = PolicyConfig(surrogate="latent_l2")
-        energies = surrogate_energies(inst.params, inst.group, inst.contexts, pcfg)
+        energies = surrogate_energies(inst.params, inst.group, pcfg)
         eval_old = gibbs(energies, pcfg.tau)
         eval_ref = gibbs(energies, pcfg.tau)
-        breakdown, _, g, used_old = total_loss_grad(inst.params, inst.group,
-                                                    inst.contexts, eval_old,
+        breakdown, _, g, used_old = total_loss_grad(inst.params, inst.group, eval_old,
                                                     eval_ref, pcfg)
         assert used_old is eval_old
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -658,8 +668,7 @@ class TestFusedHead:
             old = eval_old if with_old else gibbs(energies, tau)
             for part in range(3):  # total, ppo, kl
                 tape, leaf = taped(energies)
-                *fused, _, used_old = _build_loss(leaf, None, None, eval_old, eval_ref,
-                                                  adv, cfg)
+                *fused, _, used_old = _build_loss(leaf, None, eval_old, eval_ref, adv, cfg)
                 assert len(tape._values) == 1 + 4
                 np.testing.assert_array_equal(used_old.log_probs, old.log_probs)
                 _, ref_leaf = taped(energies)
@@ -669,7 +678,7 @@ class TestFusedHead:
                     assert np.array_equal(ad.value(got), ad.value(want))
                 assert np.array_equal(adjoint(fused[part], leaf),
                                       adjoint(ref[part], ref_leaf))
-            plain = _build_loss(energies, None, None, eval_old, eval_ref, adv, cfg)[:4]
+            plain = _build_loss(energies, None, eval_old, eval_ref, adv, cfg)[:4]
             for got, want in zip(plain, fused):
                 assert np.array_equal(got, ad.value(want))
             if with_old:
@@ -685,25 +694,23 @@ class TestFusedHead:
             energies, eval_old, _, adv = head_case(size, tau, (0.1, 0.2), rng, with_old)
             eval_old = eval_old if with_old else gibbs(energies, tau)
             tape, leaf = taped(energies)
-            fused = pg_surrogate_value(leaf, None, None, eval_old, adv, cfg)
+            fused = pg_surrogate_value(leaf, None, eval_old, adv, cfg)
             assert len(tape._values) == 1 + 2
             _, ref_leaf = taped(energies)
             ref = ops.pg_surrogate(ops.log_policy(ref_leaf, tau), eval_old, adv, cfg)
             assert np.array_equal(fused.value, ref.value)
             assert np.array_equal(adjoint(fused, leaf), adjoint(ref, ref_leaf))
-            plain = pg_surrogate_value(energies, None, None, eval_old, adv, cfg)
+            plain = pg_surrogate_value(energies, None, eval_old, adv, cfg)
             assert np.array_equal(plain, fused.value)
 
 
 class TestContrastiveReference:
     def test_equal_advantages_give_zero(self, check_instance):
         inst = check_instance
-        energies = replay_energies(inst.params, inst.group.replay, branch_rows(inst.group),
-                                   inst.contexts, 2, True)
+        energies = replay_energies(inst.params, inst.group, branch_rows(inst.group), 2, True)
         ev = gibbs(energies, 1.0)
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
-        ref = contrastive_grad_reference(inst.params, inst.group, inst.contexts,
-                                         ev, adv, tau=1.0)
+        ref = contrastive_grad_reference(inst.params, inst.group, ev, adv, tau=1.0)
         np.testing.assert_array_equal(ref, np.zeros_like(ref))
 
     def test_two_branch_symmetric_case(self, check_instance):
@@ -716,13 +723,12 @@ class TestContrastiveReference:
             replay=dataclasses.replace(g.replay, z=g.replay.z[:3], u_hat=g.replay.u_hat[:3]))
         ev = gibbs(np.array([4.0, 4.0]), 2.0)
         adv = advantages(np.array([1.0, -1.0]), clip_max=np.inf)
-        got = contrastive_grad_reference(inst.params, sub, inst.contexts, ev,
-                                         adv, tau=2.0)
+        got = contrastive_grad_reference(inst.params, sub, ev, adv, tau=2.0)
         pcfg = PolicyConfig()
         grads = []
         for row in branch_rows(sub):
             _, g = grad(inst.params, lambda r, row=row: energy(
-                r, sub, row, inst.contexts, pcfg.grad_steps, pcfg.include_all_steps))
+                r, sub, row, pcfg.grad_steps, pcfg.include_all_steps))
             grads.append(g)
         expected = -(grads[0] - grads[1]) / (2 * 2.0)
         np.testing.assert_allclose(got, expected, atol=1e-15)

@@ -27,19 +27,19 @@ TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
 
 
-def replay_velocities(params, group, row, contexts):
+def replay_velocities(params, group, row):
     """Each cached solver step of one row of a group, re-evaluated under its
     restored default-layout context."""
     out = []
     for z, t, block in zip(group.replay.z[row], group.replay.t, group.replay.block):
-        keys, values = memory(contexts, row, block)
-        out.append(velocity_forward(params, z, t, keys, values, contexts.prompt))
+        keys, values = memory(group, row, block)
+        out.append(velocity_forward(params, z, t, keys, values, group.prompt))
     return out
 
 
-def memory(contexts, branch_id, block):
+def memory(group, branch_id, block):
     """The filled rows of one trajectory's replay memory at one window block."""
-    j = block - contexts.window_blocks[0]
+    contexts, j = group.contexts, block - group.pivot_block
     n = contexts.sizes[j]
     return contexts.keys[branch_id, j, :n], contexts.values[branch_id, j, :n]
 
@@ -128,6 +128,18 @@ class TestSampleRouting:
     def test_small_set_errors(self):
         with pytest.raises(InsufficientHistoryError):
             sample_routing([4, 5, 6], rng_seed=0)
+
+    def test_draws_equal_a_choice_from_the_sorted_set(self):
+        # Positions drawn and mapped through omega are the frames a choice over
+        # the sorted set draws, for integer seeds and the planner's sequences.
+        for seed in range(2000):
+            omega = routable_range(12 + seed % 40, near_count=3 + seed % 4)
+            count = 1 + seed % min(len(omega), 9)
+            for rng_seed in (seed, np.random.SeedSequence((seed, 1 + seed % 7))):
+                want = np.random.default_rng(rng_seed).choice(sorted(omega), size=count,
+                                                              replace=False)
+                got = sample_routing(omega, rng_seed, count, local_size=count + 3)
+                assert got.indices == tuple(want.tolist())
 
 
 def branch_cache(history, L, routings, sink_size=3, local_size=9):
@@ -297,35 +309,31 @@ class TestRolloutGroup:
 
 class TestReplayContexts:
     def test_anchor_replay_energy_is_exactly_zero(self, check_instance):
-        energy = replay_energies(check_instance.params, check_instance.group.replay, [0],
-                                 check_instance.contexts)
+        energy = replay_energies(check_instance.params, check_instance.group, [0])
         assert energy.tolist() == [0.0]
 
     def test_anchor_replay_velocities_equal_cached_targets_bitwise(self, check_instance):
         group = check_instance.group
-        velocities = replay_velocities(check_instance.params, group, 0,
-                                       check_instance.contexts)
+        velocities = replay_velocities(check_instance.params, group, 0)
         assert len(velocities) == len(group.replay)
         for v, u_hat in zip(velocities, group.replay.u_hat[0]):
             assert np.array_equal(v, u_hat)
 
     def test_branch_replay_velocities_differ_from_targets(self, check_instance):
         group = check_instance.group
-        velocities = replay_velocities(check_instance.params, group, 1,
-                                       check_instance.contexts)
+        velocities = replay_velocities(check_instance.params, group, 1)
         assert any(not np.array_equal(v, u_hat)
                    for v, u_hat in zip(velocities, group.replay.u_hat[1]))
 
     def test_branch_energies_positive(self, check_instance):
         group = check_instance.group
-        energies = replay_energies(check_instance.params, group.replay,
-                                   range(1, len(group.frames)), check_instance.contexts)
+        energies = replay_energies(check_instance.params, group, range(1, len(group.frames)))
         assert np.all(energies > 0.0)
 
     def test_replay_deterministic(self, check_instance):
-        replay = check_instance.group.replay
-        e1 = replay_energies(check_instance.params, replay, [1], check_instance.contexts)
-        e2 = replay_energies(check_instance.params, replay, [1], check_instance.contexts)
+        group = check_instance.group
+        e1 = replay_energies(check_instance.params, group, [1])
+        e2 = replay_energies(check_instance.params, group, [1])
         assert e1.tobytes() == e2.tobytes()
 
     def test_replay_eval_count(self, check_instance):
@@ -335,8 +343,8 @@ class TestReplayContexts:
 
     def test_anchor_source_shares_contexts(self):
         _, group = make_group(seed=14, pivot=6, window=2)
-        anchor_ctx = build_replay_contexts(group, source="anchor")
-        own_ctx = build_replay_contexts(group, source="branch")
+        anchor_ctx = replace(group, contexts=build_replay_contexts(group, source="anchor"))
+        own_ctx = replace(group, contexts=build_replay_contexts(group, source="branch"))
         b = 1  # the first branch's row
         first_block = group.pivot_block
         shared_keys, shared_values = memory(anchor_ctx, b, first_block)
@@ -752,7 +760,6 @@ class TestReplayContextsMatchReference:
         monkeypatch.undo()
         assert len(calls) == group.window  # one gather per window block, all rows
         assert (len(set(sizes.tolist())) > 1) == mixed
-        assert contexts.window_blocks == group.window_block_indices
         assert contexts.sizes.tolist() == sizes.tolist()
         assert contexts.keys.shape == keys.shape
         assert contexts.keys.tobytes() == keys.tobytes()

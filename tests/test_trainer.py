@@ -1,6 +1,8 @@
 """Training loop: snapshots, optimizer, EMA, guard behavior, ratio identity,
 warmup, and reproducibility."""
 
+import errno
+import gc
 import io
 import json
 import os
@@ -88,6 +90,29 @@ class TestSnapshot:
         assert np.array_equal(state.opt.m, m)
         assert np.array_equal(state.opt.v, v)
         assert state.opt.step == step
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_aborted_epoch_records_no_update(self, monkeypatch, failing):
+        # A NumericalError in any PPO epoch leaves the record without energies,
+        # ratios, losses or norm, not with those of an epoch that was rolled back.
+        from kvgrpo import policy
+        from kvgrpo.errors import NumericalError
+        cfg = small_config(seed=2, ppo_epochs=2)
+        state, real, calls = init_state(cfg), policy.total_loss_grad, []
+
+        def epoch_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == failing:
+                raise NumericalError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "total_loss_grad", epoch_fails)
+        while not calls:
+            record = train_iteration(state, cfg)
+        assert record.skipped and record.error == "injected" and len(calls) == failing
+        assert record.branch_energies == record.per_branch_ratio == []
+        assert (record.loss_ppo, record.kl_value, record.loss_total, record.grad_norm) == (
+            0.0, 0.0, 0.0, 0.0)
 
     def test_ref_pass_error_skips_iteration(self, monkeypatch, tmp_path):
         # A NumericalError in the value-only reference pass aborts the
@@ -305,22 +330,20 @@ class TestTrainIteration:
         inst = make_instance(21)
         pcfg = PolicyConfig(beta=0.0, grad_steps=2)
         energies = np.array([float(e) for e in policy.surrogate_energies(
-            inst.params, inst.group, inst.contexts, pcfg)])
+            inst.params, inst.group, pcfg)])
         eval_old = gibbs(energies, pcfg.tau)
         eval_ref = gibbs(energies, pcfg.tau)
-        adv = advantages(inst.rewards, pcfg.adv_clip_max)
-        _, _, g, _ = policy.total_loss_grad(inst.params, inst.group, inst.contexts,
-                                            eval_old, eval_ref, pcfg)
+        adv = advantages(inst.group.rewards[1:], pcfg.adv_clip_max)
+        _, _, g, _ = policy.total_loss_grad(inst.params, inst.group, eval_old, eval_ref, pcfg)
         # The old policy taken from the pass itself gives the same gradient.
         _, _, g_own, own_old = policy.total_loss_grad(
-            inst.params, inst.group, inst.contexts, None, eval_ref, pcfg)
+            inst.params, inst.group, None, eval_ref, pcfg)
         np.testing.assert_array_equal(g_own, g)
         np.testing.assert_array_equal(own_old.log_probs, eval_old.log_probs)
         per_branch = []
         for row in range(1, len(inst.group.frames)):
             _, gb = grad(inst.params, lambda r, row=row: ad.asum(policy.replay_energies(
-                r, inst.group.replay, [row], inst.contexts, pcfg.grad_steps,
-                pcfg.include_all_steps)))
+                r, inst.group, [row], pcfg.grad_steps, pcfg.include_all_steps)))
             per_branch.append(gb)
         per_branch = np.array(per_branch)
         G, tau = len(per_branch), pcfg.tau
@@ -730,6 +753,19 @@ class TestSidecar:
         assert dumped_groups(tmp_path) == [1, 2]
         assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 3
         assert len(pids) == 1 and reaped(pids[0])
+
+    def test_failed_fork_raises_and_closes_its_descriptors(self, monkeypatch, tmp_path):
+        # fork() failing for lack of processes or memory fails the run, with the
+        # socketpair and the pipe opened for the child closed, not left to leak.
+        def no_fork():
+            raise OSError(errno.EAGAIN, "injected fork failure")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/dev/fd"))
+        with pytest.raises(OSError, match="injected fork failure"):
+            run(dumping_config(tmp_path / "r", max_iterations=2))
+        gc.collect()  # an unclosed socket warns when collected
+        assert sorted(os.listdir("/dev/fd")) == before
 
     def test_dump_without_fork_is_byte_identical(self, monkeypatch, tmp_path):
         run(dumping_config(tmp_path / "forked", max_iterations=6))
