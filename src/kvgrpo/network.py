@@ -1,12 +1,12 @@
 """Velocity-field network: per-frame embedding, single-head attention over the
 key/value memory, and a two-layer head.
 
-The forward pass is plain numpy, on one block or on a stack of them (a
-replay pass runs every cached solver step as one row).  Given a
-:class:`Params` it returns the velocity array (rollouts, replay values, finite
-differences); given a :class:`~kvgrpo.autodiff.TapeReader` it records the whole
-call as one tape node whose backward is the hand-derived vector-Jacobian
-product (replay gradients).
+The forward pass is plain numpy, on one block or a stack of them (a replay pass
+runs every cached solver step as one row), with one Q/K/V projection through the
+:class:`Weights` read once per pass.  Given a :class:`Params` it returns the
+velocity array (rollouts, replay values, finite differences); given a
+:class:`~kvgrpo.autodiff.TapeReader` it records the whole call as one tape node
+whose backward is the hand-derived vector-Jacobian product (replay gradients).
 """
 
 from __future__ import annotations
@@ -88,39 +88,46 @@ def _augment(x: np.ndarray, t, prompt: np.ndarray, aug: np.ndarray | None = None
     return aug
 
 
-def read(reader) -> list:
-    """The reader's segments in ``SEGMENTS`` order (arrays, or tape leaves)."""
-    return [reader.segment(name) for name in SEGMENTS]
+class Weights:
+    """A reader's segments in ``SEGMENTS`` order (arrays, or tape leaves), their
+    values ``w``, and the value-only fused [wq | wk | wv] and [wk | wv]
+    projections and attention scale, read once per rollout or replay pass."""
+
+    def __init__(self, reader) -> None:
+        self.leaves = [reader.segment(name) for name in SEGMENTS]
+        self.w = _, _, wq, bq, wk, bk, wv, bv, *_ = [ad.value(leaf) for leaf in self.leaves]
+        self.wqkv, self.bqkv = np.concatenate((wq, wk, wv), axis=1), np.concatenate((bq, bk, bv))
+        self.wkv, self.bkv = np.concatenate((wk, wv), axis=1), np.concatenate((bk, bv))
+        self.scale = 1.0 / np.sqrt(wk.shape[1])
 
 
-def kv_for_frames(weights: list, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
-    """Key/value projections for frames, given :func:`read`'s arrays.  Finished
+def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
+    """Key/value projections for frames, as one [wk | wv] projection.  Finished
     frames are embedded at t=1 (the clean end of the flow path)."""
-    ew, eb, _, _, wk, bk, wv, bv = weights[:8]
-    e = np.tanh(_augment(x, t, prompt) @ ew + eb)
-    return e @ wk + bk, e @ wv + bv
+    ew, eb, h = weights.w[0], weights.w[1], len(weights.bkv) // 2
+    kv = np.tanh(_augment(x, t, prompt) @ ew + eb) @ weights.wkv + weights.bkv
+    return kv[..., :h], kv[..., h:]
 
 
 class Inputs:
-    """A velocity call's segments (from :func:`read`) and its [latents | time |
-    prompt] and joint [memory ; block] key/value buffers, the memory copied in
-    once.  Calls with one reader, memory, prompt and shape (a block's solver
-    steps) can share one: each overwrites only the latents, time and block rows."""
+    """A velocity call's :class:`Weights` and its [latents | time | prompt] and
+    joint [memory ; block] key/value buffers, the memory copied in once.  Calls
+    with one reader, memory, prompt and shape (a block's solver steps) can
+    share one: each overwrites only the latents, time and block rows."""
 
-    def __init__(self, leaves: list, shape: tuple[int, ...], context_keys, context_values,
+    def __init__(self, weights: Weights, shape: tuple[int, ...], context_keys, context_values,
                  prompt: np.ndarray) -> None:
-        self.leaves = leaves
-        self.w = [ad.value(leaf) for leaf in self.leaves]
+        self.weights = weights
         *lead, frames, d = shape
         self.aug = np.empty((*lead, frames, d + 1 + len(prompt)))
         self.n_ctx = n = 0 if context_keys is None else np.shape(context_keys)[-2]
-        self.keys, self.values = np.empty((2, *lead, n + frames, self.w[4].shape[1]))  # wk: h
+        self.keys, self.values = np.empty((2, *lead, n + frames, len(weights.bkv) // 2))
         if n:
             self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
 
 
-def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values,
-                     prompt: np.ndarray, inputs: Inputs | None = None):
+def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, prompt: np.ndarray,
+                     inputs: Inputs | None = None, weights: Weights | None = None):
     """Predicted velocity for every frame of a block, or of a stack of blocks.
 
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
@@ -128,30 +135,32 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values,
     ``context_keys`` / ``context_values`` (``None``: an empty memory).
     Attention runs over [memory ; block] jointly.  A value-only call may refill
     the :class:`Inputs` of its reader and memory (a taped one keeps its own for
-    the backward).  Returns an array for a :class:`Params` reader, and for a
-    tape reader one node whose parents are the segments in ``SEGMENTS`` order.
+    the backward), or build them from the reader's ``weights``, read if not given.
+    Returns an array for a :class:`Params` reader, and for a tape reader one
+    node whose parents are the segments in ``SEGMENTS`` order.
     """
     if inputs is None:
-        inputs = Inputs(read(reader), np.shape(x), context_keys, context_values, prompt)
+        inputs = Inputs(weights or Weights(reader), np.shape(x), context_keys, context_values,
+                        prompt)
     aug = _augment(x, t, prompt, inputs.aug)
-    w, n_ctx = inputs.w, inputs.n_ctx
-    out, saved = _forward(w, aug, inputs.keys, inputs.values, n_ctx)
+    weights, n_ctx = inputs.weights, inputs.n_ctx
+    out, saved = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
         return out
-    return reader.tape.push(out, tuple(leaf.idx for leaf in inputs.leaves),
+    w = weights.w  # values only: a leaf in the backward's closure would make the tape a cycle
+    return reader.tape.push(out, tuple(leaf.idx for leaf in weights.leaves),
                             lambda g: list(_vjp(g, w, aug, saved, n_ctx)))
 
 
-def _forward(w, aug, keys, vals, n_ctx):
+def _forward(weights: Weights, aug, keys, vals, n_ctx):
     """Network output for an (F, in) block or (R, F, in) rows, and the
-    intermediates its backward needs.  The block's keys and values are written
-    after the ``n_ctx`` memory rows of the joint ``keys`` and ``vals``."""
-    ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
+    intermediates its backward needs, from one Q/K/V projection.  The block's keys
+    and values are written after the ``n_ctx`` memory rows of ``keys`` and ``vals``."""
+    (ew, eb, *_, w1, b1, w2, b2), h, scale = weights.w, keys.shape[-1], weights.scale
     e = np.tanh(aug @ ew + eb)
-    q = e @ wq + bq
-    keys[..., n_ctx:, :] = e @ wk + bk
-    vals[..., n_ctx:, :] = e @ wv + bv
-    scale = 1.0 / np.sqrt(keys.shape[-1])
+    qkv = e @ weights.wqkv + weights.bqkv
+    q = qkv[..., :h]
+    keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
     scores = (q @ keys.swapaxes(-1, -2)) * scale
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = p / p.sum(axis=-1, keepdims=True)

@@ -101,6 +101,7 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
     terms, nodes = np.zeros((len(i), 1 + len(replay))), []
     for r, steps in passes:
+        weights = network.Weights(r) if steps.any() else None  # once per pass, all sizes
         # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
         for n in sorted(set(sizes[steps].tolist())):
             s = np.flatnonzero(steps & (sizes == n))
@@ -110,7 +111,7 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
             v = network.velocity_forward(r, pick(replay.z, s), np.tile(replay.t[s], len(i)),
                                          pick(contexts.keys[:, :, :n], window[s]),
                                          pick(contexts.values[:, :, :n], window[s]),
-                                         group.prompt)
+                                         group.prompt, weights=weights)
             diff = ad.value(v) - pick(replay.u_hat, s)
             terms[:, 1 + s] = np.sum(diff * diff, axis=(-2, -1)).reshape(len(i), -1) * (1.0 / d)
             if isinstance(v, ad.Var):

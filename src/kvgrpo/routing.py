@@ -193,7 +193,7 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     G = len(plan.routings[pivot])
     history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
-    weights, replay = network.read(params), []
+    weights, replay = network.Weights(params), []
     for b, memories in enumerate(plan.memories, 1):
         in_window, L = pivot <= b < pivot + window, len(history)
         block, steps = generate_block(

@@ -2,6 +2,8 @@
 reference: ``test_policy`` builds today's loss and PG surrogate from them and
 asserts that the fused head in :mod:`kvgrpo.policy` equals them bit for bit,
 and ``test_autodiff.TestOps`` checks each op's backward by finite differences.
+Also kept: the network's forward with three Q, K and V projections, which
+``test_flow`` asserts the fused projection equals bit for bit.
 
 Each op evaluates eagerly in numpy on plain arrays and records a tape node as
 soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
@@ -11,6 +13,7 @@ order is the one the old tape used.
 import numpy as np
 
 from kvgrpo.autodiff import Tape, Var, asum, value
+from kvgrpo.network import _augment
 
 Array = np.ndarray
 
@@ -211,3 +214,32 @@ def pg_surrogate(log_probs, eval_old, adv, cfg):
     """The unclipped PG objective on the trained loss's ratios, as ops."""
     rho = ppo_kl_loss(log_probs, eval_old.log_probs, eval_old.log_probs, adv, cfg)[3]
     return asum(mul(rho, eval_old.probs * adv))
+
+
+# ---------------------------------------------------------------------------
+# The velocity network's forward, one projection each for Q, K and V
+# ---------------------------------------------------------------------------
+
+
+def kv_for_frames(w, x, prompt, t=1.0):
+    """Key/value projections for frames from the twelve segment values ``w``."""
+    ew, eb, _, _, wk, bk, wv, bv = w[:8]
+    e = np.tanh(_augment(x, t, prompt) @ ew + eb)
+    return e @ wk + bk, e @ wv + bv
+
+
+def network_forward(w, aug, keys, vals, n_ctx):
+    """Output and saved intermediates, as ``kvgrpo.network._vjp`` reads them;
+    the block's keys and values are written after the ``n_ctx`` memory rows."""
+    ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
+    e = np.tanh(aug @ ew + eb)
+    q = e @ wq + bq
+    keys[..., n_ctx:, :] = e @ wk + bk
+    vals[..., n_ctx:, :] = e @ wv + bv
+    scale = 1.0 / np.sqrt(keys.shape[-1])
+    scores = (q @ keys.swapaxes(-1, -2)) * scale
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = p / p.sum(axis=-1, keepdims=True)
+    att = p @ vals
+    hid = np.tanh(att @ w1 + b1)
+    return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)

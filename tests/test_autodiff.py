@@ -1,5 +1,8 @@
 """Reverse-mode tape against analytic gradients and the finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -355,3 +358,17 @@ class TestVelocityOp:
                                  values, NET_PROMPT)
         plain = velocity_forward(params, NET_X, 0.25, keys, values, NET_PROMPT)
         assert np.array_equal(taped.value, plain)
+
+    def test_taped_call_leaves_no_reference_cycle(self):
+        # A leaf held by a node's backward would keep every tape alive until
+        # the cycle collector runs: a training run's memory then grows.
+        tape = Tape()
+        alive = weakref.ref(tape)
+        velocity_forward(TapeReader(tape, net_params(seed=7)), NET_X, 0.25,
+                         *CONTEXTS["four-rows"], NET_PROMPT)
+        gc.disable()
+        try:
+            del tape
+            assert alive() is None
+        finally:
+            gc.enable()

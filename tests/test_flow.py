@@ -9,12 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from kvgrpo.autodiff import Tape, TapeReader
 from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
                          write_back)
-from kvgrpo.network import NetworkShape, param_init, read, shape_from_layout, velocity_forward
+from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _augment, _vjp,
+                            build_layout, kv_for_frames, param_init, shape_from_layout,
+                            velocity_forward)
+from kvgrpo.params import Params
 from kvgrpo.routing import routable_range, routed_layout, sample_routing
+
+import reference_ops as ops
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -47,13 +53,13 @@ def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=F
     noise = block_noise(noise_seed, block_index, cfg.frames_per_block,
                         shape_from_layout(params.layout).latent_dim)
     block, steps = generate_block(params, cache.stacked(), block_index, noise, prompt,
-                                  read(params), record_replay, cfg)
+                                  Weights(params), record_replay, cfg)
     return Block(block.frames[0], block_index), None if steps is None else ReplaySteps(
         steps.z[0], steps.u_hat[0], steps.t, steps.step, steps.block)
 
 
 def write_one(history, block, params, prompt):
-    write_back(history, Block(block.frames[None], block.block_index), read(params), prompt)
+    write_back(history, Block(block.frames[None], block.block_index), Weights(params), prompt)
 
 
 def default_memory(history):
@@ -106,6 +112,44 @@ class TestVelocityEval:
         assert not np.array_equal(before, after)
 
 
+class TestFusedProjection:
+    """One [wq | wk | wv] projection per call, and one [wk | wv] projection per
+    finished block, give the three-projection forward's bits exactly."""
+
+    @pytest.mark.parametrize("shape", [NetworkShape(), TINY], ids=["default", "tiny"])
+    @pytest.mark.parametrize("memory", [0, 12], ids=["empty", "memory"])
+    @pytest.mark.parametrize("rows", [None, 1, 9, 17, 80], ids=lambda r: f"rows-{r}")
+    def test_forward_and_backward_equal_three_projections(self, shape, memory, rows):
+        layout = build_layout(shape)
+        rng = np.random.default_rng(0 if rows is None else rows)
+        params = Params(rng.normal(size=layout.total) * 0.5, layout)  # biases too
+        lead, d, h = () if rows is None else (rows,), shape.latent_dim, shape.hidden_dim
+        x = rng.normal(size=(*lead, 3, d))
+        t = 0.25 if rows is None else rng.uniform(size=rows)
+        keys, values = rng.normal(size=(2, *lead, memory, h)) if memory else (None, None)
+        prompt, weights = rng.normal(size=shape.prompt_dim), Weights(params)
+        aug = _augment(x, t, prompt)
+
+        expected = Inputs(weights, x.shape, keys, values, prompt)  # the oracle's joint buffers
+        want, saved = ops.network_forward(weights.w, aug, expected.keys, expected.values, memory)
+        inputs = Inputs(weights, x.shape, keys, values, prompt)
+        assert np.array_equal(velocity_forward(params, x, t, keys, values, prompt, inputs), want)
+        assert np.array_equal(inputs.keys, expected.keys)
+        assert np.array_equal(inputs.values, expected.values)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            kv_for_frames(weights, x, prompt), ops.kv_for_frames(weights.w, x, prompt)))
+
+        # The taped node's twelve adjoints are _vjp's on the oracle's intermediates.
+        tape, proj = Tape(), rng.normal(size=x.shape)
+        reader = TapeReader(tape, params)
+        node = velocity_forward(reader, x, t, keys, values, prompt)
+        assert np.array_equal(node.value, want)
+        adj = tape.backward(ops.asum(ops.mul(node, proj)))
+        expect = list(_vjp(proj, weights.w, aug, saved, memory))
+        got = [adj[reader.leaves[name].idx] for name in SEGMENTS]
+        assert len(expect) == 12 and all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
 def constant_field(velocity):
     """Parameters whose velocity is ``velocity`` everywhere: every weight
     zeroed, the output bias set."""
@@ -125,7 +169,7 @@ class TestEulerSolve:
 
     def test_every_row_of_a_group_starts_from_the_same_noise(self, tiny_params):
         block, steps = generate_block(tiny_params, one_row_cache(rows=2).stacked(), 1,
-                                      block_noise(9, 1, 3, 3), PROMPT, read(tiny_params), True)
+                                      block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params), True)
         assert block.frames.shape == (2, 3, 3) and steps.z.shape == (2, 4, 3, 3)
         np.testing.assert_array_equal(steps.z[0, 0], block_noise(9, 1, 3, 3))
         np.testing.assert_array_equal(steps.z[1, 0], block_noise(9, 1, 3, 3))
@@ -155,7 +199,7 @@ class TestGenerateBlock:
         assert steps.block.tolist() == [1, 1, 1, 1]
         assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
         assert generate_block(tiny_params, one_row_cache().stacked(), 1,
-                              block_noise(9, 1, 3, 3), PROMPT, read(tiny_params))[1] is None
+                              block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params))[1] is None
 
     def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
         # With dt = 1/3 the accumulated time differs from step * dt in the

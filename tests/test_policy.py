@@ -16,6 +16,7 @@ from kvgrpo.checks import rel_l2
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import GeneratorConfig, ReplaySteps
 from kvgrpo.network import NetworkShape, param_init
+from kvgrpo.params import Params
 from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
                            _build_loss, advantages, contrastive_grad_reference,
                            gibbs, guard, latent_l2_energies, pg_surrogate_value,
@@ -289,6 +290,21 @@ class TestBatchedReplay:
         total_loss_grad(params, group, None, eval_ref, pcfg)
         # taped calls for the carrying steps, value-only ones for the rest
         assert sorted(calls) == [False] * sizes + [True] * sizes
+
+    @pytest.mark.parametrize("grad_steps", [2, None])
+    def test_each_pass_reads_each_segment_once(self, monkeypatch, grad_steps):
+        # Two memory sizes, so two network calls per pass, over one read.
+        params, group = replay_group(mixed=True)
+        segments, real_segment = [], Params.segment
+        monkeypatch.setattr(Params, "segment",
+                            lambda self, name: segments.append(name) or real_segment(self, name))
+        replay_energies(params, group, branch_rows(group))
+        assert sorted(segments) == sorted(network.SEGMENTS)
+        segments.clear()
+        # A taped replay's value-only pass reads the parameters once, and not
+        # at all when every step carries gradient; the taped pass reads leaves.
+        replay_energies(ad.TapeReader(ad.Tape(), params), group, branch_rows(group), grad_steps)
+        assert sorted(segments) == (sorted(network.SEGMENTS) if grad_steps else [])
 
 
 class TestGibbs:

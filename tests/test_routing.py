@@ -495,7 +495,7 @@ class ReferenceRollout:
         return Block(x, b), steps if record else None
 
     def write_back(self, cache, block, history):
-        keys, values = network.kv_for_frames(network.read(self.params), block.frames,
+        keys, values = network.kv_for_frames(network.Weights(self.params), block.frames,
                                              self.prompt)
         cache.append(keys, values, block.frame_indices())
         history.append(keys, values, block.frame_indices())
