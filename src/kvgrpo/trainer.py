@@ -5,7 +5,9 @@ Runs are bit-reproducible for a fixed seed: every random draw derives from
 numpy SeedSequences keyed by (seed, iteration, purpose tag), and the update
 path is pure numpy in a fixed order.  No draw depends on the parameters, so
 :func:`plan_iteration` makes them all, and :func:`run` plans each iteration
-ahead in a forked sidecar, on another core, which also writes the dump.
+ahead in a forked sidecar, which also writes the dump.  The sidecar runs on
+the highest of the calling thread's CPUs and the thread on the rest until the
+sidecar is reaped and the set restored; on one CPU neither is pinned.
 """
 
 from __future__ import annotations
@@ -265,9 +267,13 @@ class _Sidecar:
         if hasattr(os, "fork"):
             read, write = os.pipe()
             self.link, far = socket.socketpair()
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+            self.cpus = cpus if len(cpus) > 1 else None  # this thread's, restored by close()
+            _pin(self.cpus and cpus - {max(cpus)})
             try:
                 self.pid = os.fork()
             except OSError:  # EAGAIN or ENOMEM: fail loudly, leaking no descriptor
+                _pin(self.cpus)
                 for fd in (read, write):
                     os.close(fd)
                 self.link.close()
@@ -275,6 +281,7 @@ class _Sidecar:
                 raise
             if self.pid == 0:
                 try:  # the child ignores Ctrl-C and never flushes an inherited buffer
+                    _pin(self.cpus and {max(self.cpus)})  # before the writer, which inherits it
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
                     os.close(read)
                     self.link.close()
@@ -345,7 +352,7 @@ class _Sidecar:
             self.pending = False
 
     def close(self) -> None:
-        """Wait for the writer, unless the child is gone, then stop and reap it."""
+        """Wait for the writer, unless the child is gone, then reap it and restore the CPUs."""
         if self.pid is not None:
             try:
                 self.barrier()
@@ -354,6 +361,14 @@ class _Sidecar:
                 os.waitpid(self.pid, 0)
                 for f in (self.plans, self.acks, self.link):
                     f.close()
+                _pin(self.cpus)
+
+
+def _pin(cpus) -> None:
+    """Bind the calling thread to ``cpus`` unless empty; an OSError leaves its set as it is."""
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def _keep_freed_memory() -> None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,20 @@ from kvgrpo.network import NetworkShape, param_init
 
 
 TINY = NetworkShape(latent_dim=3, hidden_dim=5, prompt_dim=2)
+
+
+@pytest.fixture(autouse=True)
+def cpu_affinity_unchanged():
+    """Fail a test that leaves this thread's CPU set changed, and restore the set:
+    a leaked pin would slow every later test in the run."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    yield
+    if (after := os.sched_getaffinity(0)) != before:
+        os.sched_setaffinity(0, before)
+        pytest.fail(f"the test left this thread on CPUs {sorted(after)}, not {sorted(before)}")
 
 
 @pytest.fixture

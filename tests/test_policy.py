@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kvgrpo.autodiff as ad
 from kvgrpo import network, policy
@@ -398,19 +398,28 @@ class TestAdvantages:
 
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                     min_size=2, max_size=16))
+    # A spread of one ulp: the mean rounds to 1000.0, off by half the spread.
+    @example([1000.0, 999.9999999999999])
+    @example([1000.0, 1000.0])
     @settings(max_examples=200, deadline=None)
     def test_normalization_identity(self, rewards):
         r = np.array(rewards)
         adv = advantages(r, clip_max=np.inf)
+        assert np.isfinite(adv).all()
+        assert (np.diff(adv[np.argsort(r, kind="stable")]) >= 0).all()  # order kept
         std = float(np.sqrt(np.mean((r - r.mean()) ** 2)))
+        # r.mean() is off the exact mean by at most this; std is taken about it.
+        mean_err = r.size * np.spacing(np.abs(r).max())
         if np.all(r == r[0]):
             np.testing.assert_array_equal(adv, np.zeros(r.size))
-        elif std > 0.0:
-            # exact identity: std(A) = std / (std + eps)
+        elif std > 64 * mean_err:
+            # std(A) = std / (std + eps), exactly about the exact mean; the rounded
+            # mean adds (mean_err / std) ** 2 to it, and mean_err / std to mean(A).
+            slack = mean_err / std
             got = float(np.sqrt(np.mean((adv - adv.mean()) ** 2)))
-            assert got == pytest.approx(std / (std + ADV_EPS), rel=1e-9)
-            assert abs(adv.mean()) < 1e-9
-        # an underflowing-but-nonzero spread exercises neither contract
+            assert got == pytest.approx(std / (std + ADV_EPS), rel=1e-9 + slack ** 2)
+            assert abs(adv.mean()) < 1e-9 + slack
+        # a spread within 64 * mean_err is mostly the mean's rounding error
 
 
 class TestPpoLoss:

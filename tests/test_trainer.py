@@ -1,6 +1,7 @@
 """Training loop: snapshots, optimizer, EMA, guard behavior, ratio identity,
 warmup, and reproducibility."""
 
+import contextlib
 import errno
 import gc
 import io
@@ -682,6 +683,25 @@ def dumping_config(out: Path, **overrides) -> RunConfig:
                      dump_trajectories=True).validate()
 
 
+def usable_cpus() -> set[int]:
+    """This thread's CPUs, if it may pin itself; else none."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+needs_affinity = pytest.mark.skipif(not usable_cpus(), reason="needs os.sched_setaffinity")
+needs_two_cpus = pytest.mark.skipif(
+    len(usable_cpus()) < 2,
+    reason="the sidecar is pinned only when this thread has two or more CPUs")
+
+
+def run_outputs(out: Path, result) -> tuple:
+    """A run's metrics less their timings, its final weights and its dump, as bytes."""
+    metrics = [{k: v for k, v in json.loads(line).items() if not k.endswith("_s")}
+               for line in (out / "metrics.jsonl").read_text().splitlines()]
+    return (metrics, result.state.params.values.tobytes(), result.state.ema.values.tobytes(),
+            (out / "trajectories.jsonl").read_bytes())
+
+
 class TestSidecar:
     def test_every_checkpoint_sees_every_group(self, monkeypatch, tmp_path):
         from kvgrpo import trainer
@@ -766,6 +786,86 @@ class TestSidecar:
             run(dumping_config(tmp_path / "r", max_iterations=2))
         gc.collect()  # an unclosed socket warns when collected
         assert sorted(os.listdir("/dev/fd")) == before
+
+    @needs_two_cpus
+    def test_sidecar_and_loop_run_on_separate_cpus(self, monkeypatch, tmp_path):
+        cpus, seen = usable_cpus(), []
+        pids = recorded_forks(monkeypatch)
+
+        def look(record):
+            if record.iteration >= 2:  # plan 2 was sent after the writer started
+                threads = os.listdir(f"/proc/{pids[0]}/task")
+                seen.append((os.sched_getaffinity(0),
+                             [os.sched_getaffinity(int(t)) for t in threads]))
+
+        run(dumping_config(tmp_path, max_iterations=4), on_record=look)
+        top = max(cpus)
+        assert seen == [(cpus - {top}, [{top}, {top}])] * 3  # the main and writer threads
+        assert os.sched_getaffinity(0) == cpus
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("ending", ["return", "killed", "interrupt", "fork"])
+    def test_loop_gets_its_cpus_back(self, ending, monkeypatch, tmp_path):
+        cpus, narrowed = usable_cpus(), []
+        pids = recorded_forks(monkeypatch)
+
+        def on_record(record):
+            narrowed.append(os.sched_getaffinity(0) == cpus - {max(cpus)})
+            if ending == "killed" and record.iteration == 2:
+                os.kill(pids[0], signal.SIGKILL)
+            if ending == "interrupt" and record.iteration == 2:
+                raise KeyboardInterrupt
+
+        def no_fork():
+            narrowed.append(os.sched_getaffinity(0) == cpus - {max(cpus)})
+            raise OSError(errno.EAGAIN, "injected fork failure")
+
+        if ending == "fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        raised = {"return": contextlib.nullcontext(),
+                  "killed": pytest.raises(RuntimeError, match="sidecar process"),
+                  "interrupt": pytest.raises(KeyboardInterrupt),
+                  "fork": pytest.raises(OSError, match="injected fork failure")}[ending]
+        with raised:
+            run(dumping_config(tmp_path, max_iterations=4 if ending == "return" else 100_000),
+                on_record=on_record)
+        assert narrowed and all(narrowed)
+        assert os.sched_getaffinity(0) == cpus
+
+    @needs_affinity
+    def test_one_cpu_pins_nothing(self, monkeypatch, tmp_path):
+        cpus, real_pin, calls, seen = usable_cpus(), os.sched_setaffinity, [], []
+        one = {min(cpus)}
+        real_pin(0, one)
+        try:
+            monkeypatch.setattr(os, "sched_setaffinity",
+                                lambda pid, mask: (calls.append(mask), real_pin(pid, mask)))
+            pids = recorded_forks(monkeypatch)
+            run(dumping_config(tmp_path, max_iterations=3), on_record=lambda record: seen.append(
+                (os.sched_getaffinity(0), os.sched_getaffinity(pids[0]))))
+        finally:
+            real_pin(0, cpus)
+        assert calls == [] and seen == [(one, one)] * 3
+
+    @needs_affinity
+    def test_failed_pinning_changes_no_output(self, monkeypatch, tmp_path):
+        # sched_setaffinity refused on both sides: the run goes on, unpinned.
+        def refuse(pid, mask):
+            raise OSError(errno.EINVAL, "injected affinity failure")
+
+        cpus, outputs, kept = usable_cpus(), {}, []
+        for name in ("pinned", "refused", "unpinned"):
+            if name == "refused":
+                monkeypatch.setattr(os, "sched_setaffinity", refuse)
+            elif name == "unpinned":
+                monkeypatch.delattr(os, "sched_setaffinity")
+            out = tmp_path / name
+            result = run(dumping_config(out, max_iterations=6), on_record=lambda record: kept.append(
+                name != "refused" or os.sched_getaffinity(0) == cpus))
+            outputs[name] = run_outputs(out, result)
+        assert all(kept) and len(kept) == 18
+        assert outputs["refused"] == outputs["unpinned"] == outputs["pinned"]
+        assert dumped_groups(tmp_path / "refused") == list(range(1, 7))
 
     def test_dump_without_fork_is_byte_identical(self, monkeypatch, tmp_path):
         run(dumping_config(tmp_path / "forked", max_iterations=6))
