@@ -4,8 +4,10 @@ A frame's key and value are one row each, and only this module knows their
 layout.  :class:`FrameHistory` holds a whole group as (G, N, h) arrays,
 allocated once per rollout and written one block at a time; it keeps every
 frame after the memories evict it, since branches route from older frames.  A
-memory is frame indices, laid out by :func:`memory_frames`, and indexed per
-length by :func:`buckets` (or held by a :class:`KVCache`) for gathering.
+memory is frame indices, laid out by :func:`memory_frames`.  A rollout's are
+indexed per length by :func:`buckets`; a default-layout memory, one index that
+every row reads from its own history row, is a :class:`KVCache`.  An empty
+memory is a zero-length (..., 0, h) array, like any other.
 """
 
 from __future__ import annotations
@@ -67,35 +69,28 @@ class FrameHistory:
         self.keys[:, start:stop], self.values[:, start:stop] = keys, values
         self.length = stop
 
-    def gather(self, frames: list[tuple[int, ...]]) -> "KVCache":
-        """Memories whose row g holds frames ``frames[g]`` of history row g, in
-        that order."""
-        for row in frames:
-            if row and not 1 <= min(row) <= max(row) <= self.length:
-                raise ContractError(f"frames {row} not in history of length {self.length}")
-        return KVCache(self, [tuple(row) for row in frames])
-
     def take(self, rows: np.ndarray, index: np.ndarray):
-        """The (rows, M, h) keys and values at a bucket's ``rows`` and ``index``, or Nones."""
+        """The (rows, M, h) keys and values at a bucket's ``rows`` and ``index``."""
         at = rows[:, None], index
-        return (self.keys[at], self.values[at]) if index.shape[1] else (None, None)
+        return self.keys[at], self.values[at]
 
     def default_cache(self, upto_frame: int, sink_size: int = 3,
                       local_capacity: int = 9) -> "KVCache":
         """Every row's default-layout memory after ``upto_frame`` frames."""
-        return self.gather([memory_frames(upto_frame, sink_size, local_capacity)]
-                           * len(self.keys))
+        if not 0 <= upto_frame <= self.length:
+            raise ContractError(f"frame {upto_frame} not in history of length {self.length}")
+        return KVCache(self, memory_frames(upto_frame, sink_size, local_capacity))
 
 
 @dataclass(frozen=True)
 class KVCache:
-    """One memory per row of a group over that row of ``history``: row g holds
-    frames ``frames[g]``, sink first (see :func:`memory_frames`)."""
+    """One memory shared by every row of a group, each row over its own row of
+    ``history``: frames ``frames``, sink first (see :func:`memory_frames`)."""
 
     history: FrameHistory
-    frames: list[tuple[int, ...]]
+    frames: tuple[int, ...]
 
-    def stacked(self) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]:
-        """Per memory length, shortest first: the rows of that length and their
-        (rows, M, h) keys and values (see :meth:`FrameHistory.take`)."""
-        return [(rows, *self.history.take(rows, index)) for rows, index in buckets(self.frames)]
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's (G, M, h) keys and values, one gather each."""
+        index = np.array(self.frames, np.intp) - 1
+        return self.history.keys[:, index], self.history.values[:, index]

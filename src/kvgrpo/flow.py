@@ -87,8 +87,8 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     """Solve one block from its (F, d) start latents ``noise`` (see
     :func:`block_noise`) to the clean sample for every row of ``buckets``, all
     from the same noise: per memory length, the rows and their (rows, M, h)
-    memory keys and values, as :meth:`~kvgrpo.cache.FrameHistory.take` gathers
-    them.  ``weights`` are the :class:`~kvgrpo.network.Weights` of ``params``.
+    memory keys and values (M = 0: empty), as :meth:`~kvgrpo.cache.FrameHistory.take`
+    gathers them.  ``weights`` are the :class:`~kvgrpo.network.Weights` of ``params``.
 
     Each solver step makes one network call per bucket.  Rows are not padded
     to one length: that would change the reduction lengths and so the bits.

@@ -120,10 +120,9 @@ class Inputs:
         self.weights = weights
         *lead, frames, d = shape
         self.aug = np.empty((*lead, frames, d + 1 + len(prompt)))
-        self.n_ctx = n = 0 if context_keys is None else np.shape(context_keys)[-2]
+        self.n_ctx = n = np.shape(context_keys)[-2]
         self.keys, self.values = np.empty((2, *lead, n + frames, len(weights.bkv) // 2))
-        if n:
-            self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
+        self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
 
 
 def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, prompt: np.ndarray,
@@ -132,7 +131,7 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
 
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
     (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
-    ``context_keys`` / ``context_values`` (``None``: an empty memory).
+    ``context_keys`` / ``context_values``.
     Attention runs over [memory ; block] jointly.  A value-only call may refill
     the :class:`Inputs` of its reader and memory (a taped one keeps its own for
     the backward), or build them from the reader's ``weights``, read if not given.

@@ -232,15 +232,13 @@ def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> Replay
     if source not in ("branch", "anchor"):
         raise ConfigError(f"replay context source must be 'branch' or 'anchor', got {source!r}")
     cfg, history = group.gen_cfg, group.history
-    # A default memory's length depends only on the frames before it: one bucket.
     memories = [history.default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
-                                      cfg.local_size).stacked()[0][1:]
+                                      cfg.local_size).stacked()
                 for b in group.window_block_indices]
-    sizes = np.array([0 if k is None else k.shape[1] for k, _ in memories])
+    sizes = np.array([k.shape[1] for k, _ in memories])
     shape = (len(history.keys), len(sizes), sizes.max(), history.keys.shape[2])
     keys, values = np.zeros(shape), np.zeros(shape)
     rows = slice(0, 1) if source == "anchor" else slice(None)
     for j, (k, v) in enumerate(memories):
-        if k is not None:
-            keys[:, j, :sizes[j]], values[:, j, :sizes[j]] = k[rows], v[rows]
+        keys[:, j, :sizes[j]], values[:, j, :sizes[j]] = k[rows], v[rows]
     return ReplayContexts(keys, values, sizes)

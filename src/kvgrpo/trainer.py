@@ -184,12 +184,12 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
     replay runs: at the parameters if skipped, else at the reference; the old
     policy comes from the first taped epoch."""
     started = time.perf_counter()
-    state.iteration += 1
-    it = state.iteration
+    it = state.iteration + 1
     if plan is None:
         plan = plan_iteration(cfg, it)
     elif plan.iteration != it:
         raise ContractError(f"the plan of iteration {plan.iteration} reached iteration {it}")
+    state.iteration = it
     pivot, window = plan.rollout.pivot, plan.rollout.window
     state.group = None  # release the previous group before rolling out the next
     record = IterationRecord(

@@ -1,4 +1,7 @@
+import contextlib
+import glob
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -22,6 +25,33 @@ def cpu_affinity_unchanged():
     if (after := os.sched_getaffinity(0)) != before:
         os.sched_setaffinity(0, before)
         pytest.fail(f"the test left this thread on CPUs {sorted(after)}, not {sorted(before)}")
+
+
+def _children() -> set[int]:
+    """This process's child pids, running or unreaped, over all its threads."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with contextlib.suppress(FileNotFoundError), open(path) as f:  # a thread may end
+            pids.update(int(pid) for pid in f.read().split())
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a new child process, running or unreaped, then
+    kill and reap it: a leaked sidecar would hold its CPU and memory for the
+    rest of the run."""
+    if not glob.glob("/proc/self/task/*/children"):
+        yield
+        return
+    before = _children()
+    yield
+    if left := sorted(_children() - before):
+        for pid in left:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        pytest.fail(f"the test left child processes {left} running or unreaped")
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@ reference: ``test_policy`` builds today's loss and PG surrogate from them and
 asserts that the fused head in :mod:`kvgrpo.policy` equals them bit for bit,
 and ``test_autodiff.TestOps`` checks each op's backward by finite differences.
 Also kept: the network's forward with three Q, K and V projections, which
-``test_flow`` asserts the fused projection equals bit for bit.
+``test_flow`` asserts the fused projection equals bit for bit, and the per-row
+memory gather that a group's default memory, one index for every row, replaced.
 
 Each op evaluates eagerly in numpy on plain arrays and records a tape node as
 soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
@@ -13,6 +14,8 @@ order is the one the old tape used.
 import numpy as np
 
 from kvgrpo.autodiff import Tape, Var, asum, value
+from kvgrpo.cache import FrameHistory, buckets
+from kvgrpo.errors import ContractError
 from kvgrpo.network import _augment
 
 Array = np.ndarray
@@ -243,3 +246,18 @@ def network_forward(w, aug, keys, vals, n_ctx):
     att = p @ vals
     hid = np.tanh(att @ w1 + b1)
     return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)
+
+
+# ---------------------------------------------------------------------------
+# Per-row memories over a group's history
+# ---------------------------------------------------------------------------
+
+
+def gather(history: FrameHistory, frames: list[tuple[int, ...]]):
+    """Per memory length, shortest first: the rows whose memory, row g holding
+    frames ``frames[g]`` of history row g, has that length, and their (rows, M, h)
+    keys and values, gathered as the rollout gathers a block's buckets."""
+    for row in frames:
+        if row and not 1 <= min(row) <= max(row) <= history.length:
+            raise ContractError(f"frames {row} not in history of length {history.length}")
+    return [(rows, *history.take(rows, index)) for rows, index in buckets(frames)]

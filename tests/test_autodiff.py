@@ -27,7 +27,6 @@ NET = NetworkShape(3, 5, 2)
 NET_X = np.random.default_rng(21).normal(size=(3, 3))
 NET_PROMPT = np.array([0.3, -0.2])
 CONTEXTS = {
-    "none": (None, None),
     "zero-rows": (np.zeros((0, 5)), np.zeros((0, 5))),
     "four-rows": tuple(np.random.default_rng(22).normal(size=(2, 4, 5))),
 }
@@ -334,9 +333,7 @@ class TestVelocityOp:
         params = net_params(seed=5)
         keys, values = CONTEXTS[context]
         out = velocity_forward(params, NET_X, 0.5, keys, values, NET_PROMPT)
-        expected = per_row_velocity(params, NET_X, 0.5,
-                                    [] if keys is None else keys,
-                                    [] if values is None else values, NET_PROMPT)
+        expected = per_row_velocity(params, NET_X, 0.5, keys, values, NET_PROMPT)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_taped_call_pushes_one_node(self):

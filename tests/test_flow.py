@@ -33,18 +33,30 @@ class Rollout:
     replay: ReplaySteps | None
 
 
+@dataclass
+class RowMemories:
+    """Per-row memories over a group's history: row g holds frames
+    ``frames[g]`` of history row g, gathered per length by the per-row oracle."""
+
+    history: FrameHistory
+    frames: list
+
+    def stacked(self):
+        return ops.gather(self.history, self.frames)
+
+
 def one_row_cache(frames=30, dim=5, rows=1):
     """An empty memory per row over a fresh history of ``frames`` frames."""
-    return FrameHistory.allocate(rows, frames, dim).default_cache(0)
+    return RowMemories(FrameHistory.allocate(rows, frames, dim), [()] * rows)
 
 
 def row_memory(cache, row=0):
-    """One row's memory: its frames and its (M, h) keys and values (``None``
-    when empty), gathered by ``stacked()``."""
+    """One row's memory: its frames and its (M, h) keys and values, gathered
+    by ``stacked()``."""
     for rows, keys, values in cache.stacked():
         if row in rows:
             i = rows.tolist().index(row)
-            return cache.frames[row], *(None if a is None else a[i] for a in (keys, values))
+            return cache.frames[row], keys[i], values[i]
 
 
 def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=False,
@@ -64,7 +76,7 @@ def write_one(history, block, params, prompt):
 
 def default_memory(history):
     """The one-row default-layout memory over every frame of ``history``."""
-    return history.gather([memory_frames(len(history), 3, 9)])
+    return RowMemories(history, [memory_frames(len(history), 3, 9)])
 
 
 def rollout(params, prompt, num_blocks, noise_seed, record_replay=False) -> Rollout:
@@ -103,7 +115,7 @@ class TestVelocityEval:
 
     def test_perturbing_local_entry_changes_output(self):
         params, res = tiny_rollout(seed=2, num_blocks=5)
-        _, keys, values = row_memory(res.history.default_cache(len(res.history)))
+        _, keys, values = row_memory(default_memory(res.history))
         x = np.full((1, 3, 3), 0.2)
         before = velocity_forward(params, x, 0.5, keys[None], values[None], PROMPT)
         bumped = values.copy()
@@ -126,7 +138,7 @@ class TestFusedProjection:
         lead, d, h = () if rows is None else (rows,), shape.latent_dim, shape.hidden_dim
         x = rng.normal(size=(*lead, 3, d))
         t = 0.25 if rows is None else rng.uniform(size=rows)
-        keys, values = rng.normal(size=(2, *lead, memory, h)) if memory else (None, None)
+        keys, values = rng.normal(size=(2, *lead, memory, h))
         prompt, weights = rng.normal(size=shape.prompt_dim), Weights(params)
         aug = _augment(x, t, prompt)
 
@@ -247,15 +259,15 @@ class TestWriteBack:
 
     def test_local_window_after_12_frames(self):
         _, res = tiny_rollout(num_blocks=4)
-        frames = res.history.default_cache(12).frames[0]
+        frames = res.history.default_cache(12).frames
         assert frames[:3] == (1, 2, 3)
         assert frames[3:] == tuple(range(4, 13))
 
     def test_eviction_after_15_frames_keeps_history(self):
         _, res = tiny_rollout(num_blocks=5)
-        assert res.history.default_cache(15).frames[0][3:] == tuple(range(7, 16))
+        assert res.history.default_cache(15).frames[3:] == tuple(range(7, 16))
         # evicted frames remain addressable in the history store
-        frames, keys, values = row_memory(res.history.gather([(4, 5, 6)]))
+        frames, keys, values = row_memory(RowMemories(res.history, [(4, 5, 6)]))
         assert frames == (4, 5, 6)
         assert np.array_equal(keys, res.history.keys[0, 3:6])
         assert np.array_equal(values, res.history.values[0, 3:6])
@@ -282,8 +294,8 @@ class ListMemory:
     holds one entry per frame in ``sink`` and ``local`` lists, appends frames
     one at a time, and stacks its rows on every call."""
 
-    def __init__(self, sink_size=3, local_capacity=9, sink=(), local=()):
-        self.sink_size, self.local_capacity = sink_size, local_capacity
+    def __init__(self, sink_size=3, local_capacity=9, sink=(), local=(), dim=5):
+        self.sink_size, self.local_capacity, self.dim = sink_size, local_capacity, dim
         self.sink, self.local = list(sink), list(local)
 
     def append(self, entry):
@@ -299,7 +311,7 @@ class ListMemory:
     def stacked(self):
         entries = self.sink + self.local
         if not entries:
-            return None, None
+            return np.zeros((0, self.dim)), np.zeros((0, self.dim))
         return (np.stack([e.key for e in entries]),
                 np.stack([e.value for e in entries]))
 
@@ -308,12 +320,12 @@ class ListMemory:
 
 
 def assert_same_memory(cache, ref, row=0):
-    frames, *arrays = row_memory(cache, row)
+    assert_same_row(*row_memory(cache, row), ref)
+
+
+def assert_same_row(frames, keys, values, ref):
     assert frames == ref.frame_indices()
-    for mine, theirs in zip(arrays, ref.stacked()):
-        if theirs is None:  # an empty memory
-            assert mine is None
-            continue
+    for mine, theirs in zip((keys, values), ref.stacked()):
         assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
 
@@ -360,11 +372,11 @@ class TestRowMemory:
             near = [entries[i - 1] for i in range(start - 2, start + 1)]
             ref = ListMemory(3, 9, entries[:3],
                              [entries[r - 1] for r in routed.indices] + near)
-        assert_same_memory(history.gather([memory_frames(start, 3, *row)]), ref)
+        assert_same_memory(RowMemories(history, [memory_frames(start, 3, *row)]), ref)
         for b in range(start // F, num_blocks):
             for entry in entries[b * F:(b + 1) * F]:
                 ref.append(entry)
-            assert_same_memory(history.gather([memory_frames(b * F + F, 3, *row)]), ref)
+            assert_same_memory(RowMemories(history, [memory_frames(b * F + F, 3, *row)]), ref)
 
     def test_group_rows_match_per_frame_references(self):
         # Row 0 default (9 slots), row 1 routed into 6 slots, row 2 into 12:
@@ -380,7 +392,7 @@ class TestRowMemory:
             refs.append(ListMemory(3, routing.local_size, entries[g][:3],
                                    [entries[g][r - 1] for r in routing.indices] + near))
         for b in range(L // 3, 10):
-            cache = history.gather([memory_frames(3 * b, 3, *row) for row in layouts])
+            cache = RowMemories(history, [memory_frames(3 * b, 3, *row) for row in layouts])
             for g, ref in enumerate(refs):
                 assert_same_memory(cache, ref, g)
             assert [rows.tolist() for rows, *_ in cache.stacked()] == [[1], [0], [2]]
@@ -392,12 +404,29 @@ class TestRowMemory:
         history, entries = filled_history(2, 6)
         for upto in range(0, 19):
             cache = history.default_cache(upto)
-            assert len(cache.stacked()) == 1  # one length: one gather for all rows
+            keys, values = cache.stacked()  # one gather for all rows
             for g in range(2):
                 ref = ListMemory()
                 for entry in entries[g][:upto]:
                     ref.append(entry)
-                assert_same_memory(cache, ref, g)
+                assert_same_row(cache.frames, keys[g], values[g], ref)
+
+    @pytest.mark.parametrize("sink_size, local_capacity", [(3, 9), (2, 5), (0, 4)])
+    def test_default_memory_equals_the_per_row_oracle(self, sink_size, local_capacity):
+        # One index for every row gives each row's own gather, bit for bit.
+        history, _ = filled_history(3, 6)
+        for upto in range(len(history) + 1):
+            frames = memory_frames(upto, sink_size, local_capacity)
+            cache = history.default_cache(upto, sink_size, local_capacity)
+            (rows, *want), = ops.gather(history, [frames] * 3)
+            assert cache.frames == frames and rows.tolist() == [0, 1, 2]
+            for mine, theirs in zip(cache.stacked(), want):
+                assert mine.shape == theirs.shape == (3, len(frames), 5)
+                assert mine.tobytes() == theirs.tobytes()
+        assert history.default_cache(0, sink_size, local_capacity).stacked()[0].shape == (3, 0, 5)
+        for upto in (len(history) + 1, -1):
+            with pytest.raises(ContractError, match=f"frame {upto} not in history of length 18"):
+                history.default_cache(upto, sink_size, local_capacity)
 
     def test_history_frames_must_continue(self):
         k, v = rows(3)
@@ -419,24 +448,16 @@ class TestRowMemory:
             assert history.keys[g, :3].tobytes() == k.tobytes()
             assert history.values[g, :3].tobytes() == v.tobytes()
 
-    def test_gather_rejects_frames_outside_history(self):
-        history, _ = filled_history(1, 1)
-        for bad in ((0,), (4,), (1, 2, 4)):
-            with pytest.raises(ContractError):
-                history.gather([bad])
-        with pytest.raises(ContractError):
-            history.default_cache(4)
-
     def test_gathered_memories_are_copies(self):
         history, _ = filled_history(2, 4, h=5)
         cache = history.default_cache(12)
-        (_, keys, values), = cache.stacked()
+        keys, values = cache.stacked()
         snapshot = keys.copy(), values.copy()
         k, v = rows(3, seed=9)
         history.append(np.stack([k, k]), np.stack([v, v]), [13, 14, 15])
         assert np.array_equal(keys, snapshot[0]) and np.array_equal(values, snapshot[1])
-        assert len(history) == 15 and cache.frames == [(1, 2, 3, *range(4, 13))] * 2
-        assert history.default_cache(15).frames == [(1, 2, 3, *range(7, 16))] * 2
+        assert len(history) == 15 and cache.frames == (1, 2, 3, *range(4, 13))
+        assert history.default_cache(15).frames == (1, 2, 3, *range(7, 16))
 
 
 class TestRollout:

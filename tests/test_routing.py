@@ -20,6 +20,7 @@ from kvgrpo.routing import (GroupSeeds, RolloutPlan, RoutingDecision, build_repl
                             plan_rollout, rollout_group, routable_range, routed_layout,
                             sample_routing)
 from kvgrpo.trainer import plan_iteration
+import reference_ops as ops
 from test_flow import rollout
 from test_golden import CONFIGS as GOLDEN_CONFIGS, RUN as GOLDEN_RUN
 
@@ -142,12 +143,20 @@ class TestSampleRouting:
                 assert got.indices == tuple(want.tolist())
 
 
-def branch_cache(history, L, routings, sink_size=3, local_size=9):
-    """Every row's memory at L frames as the rollout lays it out: routed rows
-    by their :func:`routed_layout`, ``None`` rows (the anchor) by default."""
-    return history.gather([memory_frames(L, sink_size, *(
+def branch_frames(L, routings, sink_size=3, local_size=9):
+    """Every row's memory frames at L frames as the rollout lays them out:
+    routed rows by their :func:`routed_layout`, ``None`` rows (the anchor) by
+    default."""
+    return [memory_frames(L, sink_size, *(
         (local_size, (), 0) if r is None else routed_layout(r, L, sink_size)))
-        for r in routings])
+        for r in routings]
+
+
+def branch_cache(history, L, routings, sink_size=3, local_size=9):
+    """The rows' :func:`branch_frames`, and their buckets as the per-row
+    oracle gathers them."""
+    frames = branch_frames(L, routings, sink_size, local_size)
+    return frames, ops.gather(history, frames)
 
 
 class TestBranchMemory:
@@ -157,34 +166,33 @@ class TestBranchMemory:
 
     def test_layout_order(self):
         decision = RoutingDecision((4, 7, 5, 9, 8, 6))
-        cache = branch_cache(self.res.history, 12, [decision])
-        assert cache.frames[0][3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
-        assert cache.frames[0][:3] == (1, 2, 3)
-        rows = np.array(cache.frames[0]) - 1
-        (_, keys, values), = cache.stacked()
+        (frames,), ((_, keys, values),) = branch_cache(self.res.history, 12, [decision])
+        assert frames[3:] == (4, 7, 5, 9, 8, 6, 10, 11, 12)
+        assert frames[:3] == (1, 2, 3)
+        rows = np.array(frames) - 1
         assert np.array_equal(keys[0], self.res.history.keys[0, rows])
         assert np.array_equal(values[0], self.res.history.values[0, rows])
 
     def test_identity_routing_equals_default(self):
         L = 15
         decision = RoutingDecision(tuple(range(L - 8, L - 2)))
-        routed = branch_cache(self.res.history, L, [decision])
+        (frames,), ((_, *routed),) = branch_cache(self.res.history, L, [decision])
         default = self.res.history.default_cache(L)
-        assert routed.frames == default.frames
-        for mine, theirs in zip(routed.stacked()[0], default.stacked()[0]):
+        assert frames == default.frames
+        for mine, theirs in zip(routed, default.stacked()):
             assert np.array_equal(mine, theirs)
 
     def test_unrouted_rows_take_the_default_layout(self):
         decision = RoutingDecision((4, 7, 5, 9, 8, 6))
-        cache = branch_cache(self.res.history, 15, [None, decision, None], 3, 9)
-        assert cache.frames[0] == cache.frames[2] == self.res.history.default_cache(15).frames[0]
-        assert cache.frames[1] == (1, 2, 3, 4, 7, 5, 9, 8, 6, 13, 14, 15)
+        frames = branch_frames(15, [None, decision, None], 3, 9)
+        assert frames[0] == frames[2] == self.res.history.default_cache(15).frames
+        assert frames[1] == (1, 2, 3, 4, 7, 5, 9, 8, 6, 13, 14, 15)
 
     def test_near_slots_always_newest(self):
         for seed in range(10):
             decision = sample_routing(routable_range(15), rng_seed=seed)
-            cache = branch_cache(self.res.history, 15, [decision])
-            assert cache.frames[0][-3:] == (13, 14, 15)
+            (frames,) = branch_frames(15, [decision])
+            assert frames[-3:] == (13, 14, 15)
 
     def test_missing_history_frame_rejected(self):
         with pytest.raises(ContractError):
@@ -480,10 +488,11 @@ class ReferenceRollout:
 
     def generate(self, cache, b, noise_seed, record):
         cfg = self.cfg
-        d = network.shape_from_layout(self.params.layout).latent_dim
-        x, t = block_noise(noise_seed, b, cfg.frames_per_block, d), 0.0
-        keys, values = cache.keys, cache.values
-        self.lengths[b].add(0 if keys is None else len(keys))
+        shape = network.shape_from_layout(self.params.layout)
+        x, t = block_noise(noise_seed, b, cfg.frames_per_block, shape.latent_dim), 0.0
+        empty = np.zeros((0, shape.hidden_dim))  # a memory with no frames yet
+        keys, values = (empty, empty) if cache.keys is None else (cache.keys, cache.values)
+        self.lengths[b].add(len(keys))
         rows = []
         for _ in range(cfg.num_steps):
             v = velocity_forward(self.params, x, t, keys, values, self.prompt)
@@ -683,7 +692,7 @@ class TestPlannedMemories:
         params, cfg = param_init(SHAPE, 0), GeneratorConfig()
         calls, segments = defaultdict(int), []
         for owner, name in ((cache, "memory_frames"), (routing, "memory_frames"),
-                            (routing, "routed_layout"), (FrameHistory, "gather"),
+                            (routing, "routed_layout"), (FrameHistory, "default_cache"),
                             (KVCache, "stacked")):
             def counted(*args, real=getattr(owner, name), name=name, **kwargs):
                 calls[name] += 1
@@ -701,7 +710,7 @@ class TestPlannedMemories:
                               plan)
         assert dict(calls) == {} and sorted(segments) == sorted(network.SEGMENTS)
         build_replay_contexts(group)  # the counters do see a default-layout gather
-        assert calls["gather"] and calls["stacked"]
+        assert calls["default_cache"] and calls["stacked"]
 
     @pytest.mark.parametrize("pivot, window, other_blocks", [(6, 2, False), (5, 3, False),
                                                               (5, 2, True)])

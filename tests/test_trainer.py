@@ -573,9 +573,16 @@ class TestPlanner:
         assert result.state.ema.values.tobytes() == state.ema.values.tobytes()
 
     def test_plan_of_another_iteration_rejected(self):
+        # A refused plan leaves the state as it was: the right plan then gives
+        # the record a fresh state gives.
         cfg = small_config()
-        with pytest.raises(ContractError, match="plan of iteration 2"):
-            train_iteration(init_state(cfg), cfg, plan_iteration(cfg, 2))
+        state = init_state(cfg)
+        params = state.params.values.tobytes()
+        with pytest.raises(ContractError, match="plan of iteration 2 reached iteration 1"):
+            train_iteration(state, cfg, plan_iteration(cfg, 2))
+        assert state.iteration == 0 and state.params.values.tobytes() == params
+        record = train_iteration(state, cfg, plan_iteration(cfg, 1))
+        assert outcomes([record]) == outcomes([train_iteration(init_state(cfg), cfg)])
 
     def test_planning_error_raised_at_its_iteration(self, monkeypatch, tmp_path):
         from kvgrpo import trainer
