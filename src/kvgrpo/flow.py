@@ -8,7 +8,7 @@ from the same start noise: each solver step makes one network call per
 memory-length bucket, over inputs built once per block from weights the
 rollout reads once, and the finished block is projected to key/value rows in
 one call and written into the group's history.  Solver steps kept for replay
-are rows too: one (F, d) latent block per step, stacked.
+are rows too: one (F, d) latent block per step, written straight into the record.
 """
 
 from __future__ import annotations
@@ -94,24 +94,23 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     to one length: that would change the reduction lengths and so the bits.
     A non-finite velocity leaves its rows' final latents non-finite, so they
     are checked once per bucket.  Returns the (rows, F, d) block and the
-    group's :class:`ReplaySteps` if ``record_replay``, else ``None``.
+    group's :class:`ReplaySteps` if ``record_replay`` (each step written into it
+    as it is made, at its bucket's rows), else ``None``.
     """
     x = np.empty((sum(len(rows) for rows, *_ in buckets), *noise.shape))
-    z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
+    z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape)) if record_replay else (None,) * 2
     with np.errstate(all="ignore"):  # the check below raises what would warn
         for rows, keys, values in buckets:
-            # Buckets never interact, so each is solved on its own.
-            xb, t, zs, us, ts = np.tile(noise, (len(rows), 1, 1)), 0.0, [], [], []
-            inputs = network.Inputs(weights, xb.shape, keys, values, prompt)
-            for _ in range(cfg.num_steps):
+            # Buckets never interact, so each is solved on its own, from the noise broadcast.
+            xb, t, ts = noise, 0.0, []
+            inputs = network.Inputs(weights, (len(rows), *noise.shape), keys, values, prompt)
+            for k in range(cfg.num_steps):
                 v = network.velocity_forward(params, xb, t, keys, values, prompt, inputs)
-                zs.append(xb)
-                us.append(v)
+                if record_replay:
+                    z[rows, k], u_hat[rows, k] = xb, v
                 ts.append(t)
                 xb, t = xb + cfg.dt * v, t + cfg.dt
             x[rows] = network.check_finite(xb, "velocity output")
-            if record_replay:
-                z[rows], u_hat[rows] = np.stack(zs, axis=1), np.stack(us, axis=1)
     replay = ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
                          np.full(cfg.num_steps, block_index)) if record_replay else None
     return Block(x, block_index), replay

@@ -3,10 +3,10 @@ key/value memory, and a two-layer head.
 
 The forward pass is plain numpy, on one block or a stack of them (a replay pass
 runs every cached solver step as one row), with one Q/K/V projection through the
-:class:`Weights` read once per pass.  Given a :class:`Params` it returns the
-velocity array (rollouts, replay values, finite differences); given a
-:class:`~kvgrpo.autodiff.TapeReader` it records the whole call as one tape node
-whose backward is the hand-derived vector-Jacobian product (replay gradients).
+:class:`Weights` read once per pass, and each step after a product in place in
+it.  Given a :class:`Params` it returns the velocity array (rollouts, replay
+values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` it
+records the call as one tape node, its backward the hand-derived VJP (replay gradients).
 """
 
 from __future__ import annotations
@@ -79,12 +79,16 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     return Params(values, layout)
 
 
-def _augment(x: np.ndarray, t, prompt: np.ndarray, aug: np.ndarray | None = None):
-    """Constant network input: [latents | time | prompt] per frame row, into
-    ``aug`` if given.  ``t`` is a float, or one time per (F, d) block of ``x``."""
-    d = np.shape(x)[-1]
-    aug = np.empty(np.shape(x)[:-1] + (d + 1 + len(prompt),)) if aug is None else aug
-    aug[..., :d], aug[..., d], aug[..., d + 1:] = x, np.asarray(t)[..., None], prompt
+def _input(shape: tuple[int, ...], prompt: np.ndarray):
+    """An empty [latents | time | prompt] input for (..., F, d) latents, prompt written."""
+    aug = np.empty((*shape[:-1], shape[-1] + 1 + len(prompt)))
+    aug[..., shape[-1] + 1:] = prompt
+    return aug
+
+
+def _augment(aug: np.ndarray, x: np.ndarray, t):
+    """Write latents ``x`` at time ``t`` (a float, or one per block) into an :func:`_input`."""
+    aug[..., :np.shape(x)[-1]], aug[..., np.shape(x)[-1]] = x, np.asarray(t)[..., None]
     return aug
 
 
@@ -101,25 +105,31 @@ class Weights:
         self.scale = 1.0 / np.sqrt(wk.shape[1])
 
 
+def _affine(x, w, b, activation=None):
+    """``activation(x @ w + b)``, each step in place in the product."""
+    y = x @ w
+    np.add(y, b, out=y)
+    return y if activation is None else activation(y, out=y)
+
+
 def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
     """Key/value projections for frames, as one [wk | wv] projection.  Finished
     frames are embedded at t=1 (the clean end of the flow path)."""
-    ew, eb, h = weights.w[0], weights.w[1], len(weights.bkv) // 2
-    kv = np.tanh(_augment(x, t, prompt) @ ew + eb) @ weights.wkv + weights.bkv
+    e = _affine(_augment(_input(np.shape(x), prompt), x, t), *weights.w[:2], np.tanh)
+    kv, h = _affine(e, weights.wkv, weights.bkv), len(weights.bkv) // 2
     return kv[..., :h], kv[..., h:]
 
 
 class Inputs:
     """A velocity call's :class:`Weights` and its [latents | time | prompt] and
-    joint [memory ; block] key/value buffers, the memory copied in once.  Calls
-    with one reader, memory, prompt and shape (a block's solver steps) can
+    joint [memory ; block] key/value buffers, the prompt and memory written once.
+    Calls with one reader, memory, prompt and shape (a block's solver steps) can
     share one: each overwrites only the latents, time and block rows."""
 
     def __init__(self, weights: Weights, shape: tuple[int, ...], context_keys, context_values,
                  prompt: np.ndarray) -> None:
-        self.weights = weights
-        *lead, frames, d = shape
-        self.aug = np.empty((*lead, frames, d + 1 + len(prompt)))
+        self.weights, self.aug = weights, _input(shape, prompt)
+        *lead, frames, _ = shape
         self.n_ctx = n = np.shape(context_keys)[-2]
         self.keys, self.values = np.empty((2, *lead, n + frames, len(weights.bkv) // 2))
         self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
@@ -132,17 +142,16 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
     (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
     ``context_keys`` / ``context_values``.
-    Attention runs over [memory ; block] jointly.  A value-only call may refill
-    the :class:`Inputs` of its reader and memory (a taped one keeps its own for
-    the backward), or build them from the reader's ``weights``, read if not given.
+    Attention runs over [memory ; block] jointly.  A value-only call may refill the
+    :class:`Inputs` of its reader, memory and prompt (``prompt`` unread, ``x`` broadcast
+    to its rows; a taped one keeps its own), or build them from ``weights``, read if not given.
     Returns an array for a :class:`Params` reader, and for a tape reader one
     node whose parents are the segments in ``SEGMENTS`` order.
     """
     if inputs is None:
         inputs = Inputs(weights or Weights(reader), np.shape(x), context_keys, context_values,
                         prompt)
-    aug = _augment(x, t, prompt, inputs.aug)
-    weights, n_ctx = inputs.weights, inputs.n_ctx
+    aug, weights, n_ctx = _augment(inputs.aug, x, t), inputs.weights, inputs.n_ctx
     out, saved = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
         return out
@@ -154,18 +163,20 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
 def _forward(weights: Weights, aug, keys, vals, n_ctx):
     """Network output for an (F, in) block or (R, F, in) rows, and the
     intermediates its backward needs, from one Q/K/V projection.  The block's keys
-    and values are written after the ``n_ctx`` memory rows of ``keys`` and ``vals``."""
+    and values are written after the ``n_ctx`` memory rows of ``keys`` and ``vals``.
+    Each step after a product runs in place in it, in the out-of-place order: no bit moves."""
     (ew, eb, *_, w1, b1, w2, b2), h, scale = weights.w, keys.shape[-1], weights.scale
-    e = np.tanh(aug @ ew + eb)
-    qkv = e @ weights.wqkv + weights.bqkv
+    e = _affine(aug, ew, eb, np.tanh)
+    qkv = _affine(e, weights.wqkv, weights.bqkv)
     q = qkv[..., :h]
     keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
-    scores = (q @ keys.swapaxes(-1, -2)) * scale
-    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = p / p.sum(axis=-1, keepdims=True)
+    p = q @ keys.swapaxes(-1, -2)  # the scores, then their softmax in place
+    np.multiply(p, scale, out=p)
+    np.exp(np.subtract(p, np.maximum.reduce(p, axis=-1, keepdims=True), out=p), out=p)
+    np.divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
     att = p @ vals
-    hid = np.tanh(att @ w1 + b1)
-    return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)
+    hid = _affine(att, w1, b1, np.tanh)
+    return _affine(hid, w2, b2), (e, q, keys, vals, p, att, hid, scale)
 
 
 def _vjp(g, w, aug, saved, n_ctx):

@@ -16,7 +16,6 @@ import numpy as np
 from kvgrpo.autodiff import Tape, Var, asum, value
 from kvgrpo.cache import FrameHistory, buckets
 from kvgrpo.errors import ContractError
-from kvgrpo.network import _augment
 
 Array = np.ndarray
 
@@ -224,10 +223,18 @@ def pg_surrogate(log_probs, eval_old, adv, cfg):
 # ---------------------------------------------------------------------------
 
 
+def augment(x, t, prompt):
+    """The network input [latents | time | prompt] per frame row, concatenated;
+    ``t`` is a float, or one time per (F, d) block of ``x``."""
+    lead = np.shape(x)[:-1]
+    return np.concatenate([x, np.broadcast_to(np.asarray(t)[..., None, None], (*lead, 1)),
+                           np.broadcast_to(prompt, (*lead, len(prompt)))], axis=-1)
+
+
 def kv_for_frames(w, x, prompt, t=1.0):
     """Key/value projections for frames from the twelve segment values ``w``."""
     ew, eb, _, _, wk, bk, wv, bv = w[:8]
-    e = np.tanh(_augment(x, t, prompt) @ ew + eb)
+    e = np.tanh(augment(x, t, prompt) @ ew + eb)
     return e @ wk + bk, e @ wv + bv
 
 

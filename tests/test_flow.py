@@ -14,7 +14,7 @@ from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
                          write_back)
-from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _augment, _vjp,
+from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _forward, _vjp,
                             build_layout, kv_for_frames, param_init, shape_from_layout,
                             velocity_forward)
 from kvgrpo.params import Params
@@ -124,9 +124,34 @@ class TestVelocityEval:
         assert not np.array_equal(before, after)
 
 
+def random_call(shape, rows, memory, seed):
+    """Parameters (biases too), a prompt, and a call's (rows, 3, d) latents and
+    (rows, memory, h) keys and values; ``rows=None`` gives one (3, d) block."""
+    rng = np.random.default_rng(seed)
+    params = Params(rng.normal(size=build_layout(shape).total) * 0.5, build_layout(shape))
+    lead = () if rows is None else (rows,)
+    x = rng.normal(size=(*lead, 3, shape.latent_dim))
+    keys, values = rng.normal(size=(2, *lead, memory, shape.hidden_dim))
+    return params, rng.normal(size=shape.prompt_dim), x, keys, values
+
+
+def oracle(weights, x, t, keys, values, prompt):
+    """The out-of-place three-projection forward on fresh buffers: the input,
+    the output and the saved intermediates."""
+    aug, fresh = ops.augment(x, t, prompt), Inputs(weights, np.shape(x), keys, values, prompt)
+    return (aug, *ops.network_forward(weights.w, aug, fresh.keys, fresh.values, keys.shape[-2]))
+
+
+def assert_same_saved(got, want):
+    assert len(got) == len(want) == 8
+    assert all(np.array_equal(a, b) and np.shape(a) == np.shape(b) for a, b in zip(got, want))
+
+
 class TestFusedProjection:
     """One [wq | wk | wv] projection per call, and one [wk | wv] projection per
-    finished block, give the three-projection forward's bits exactly."""
+    finished block, each bias add and activation in place in its product, give
+    the out-of-place three-projection forward's bits exactly: the output and
+    every intermediate the backward reads."""
 
     @pytest.mark.parametrize("shape", [NetworkShape(), TINY], ids=["default", "tiny"])
     @pytest.mark.parametrize("memory", [0, 12], ids=["empty", "memory"])
@@ -140,14 +165,17 @@ class TestFusedProjection:
         t = 0.25 if rows is None else rng.uniform(size=rows)
         keys, values = rng.normal(size=(2, *lead, memory, h))
         prompt, weights = rng.normal(size=shape.prompt_dim), Weights(params)
-        aug = _augment(x, t, prompt)
 
-        expected = Inputs(weights, x.shape, keys, values, prompt)  # the oracle's joint buffers
-        want, saved = ops.network_forward(weights.w, aug, expected.keys, expected.values, memory)
+        aug, want, saved = oracle(weights, x, t, keys, values, prompt)
         inputs = Inputs(weights, x.shape, keys, values, prompt)
         assert np.array_equal(velocity_forward(params, x, t, keys, values, prompt, inputs), want)
-        assert np.array_equal(inputs.keys, expected.keys)
-        assert np.array_equal(inputs.values, expected.values)
+        assert np.array_equal(inputs.aug, aug)
+        assert np.array_equal(inputs.keys, saved[2]) and np.array_equal(inputs.values, saved[3])
+        # The in-place forward's own intermediates, on fresh buffers.
+        fresh = Inputs(weights, x.shape, keys, values, prompt)
+        out, got = _forward(weights, aug, fresh.keys, fresh.values, memory)
+        assert np.array_equal(out, want)
+        assert_same_saved(got, saved)
         assert all(np.array_equal(a, b) for a, b in zip(
             kv_for_frames(weights, x, prompt), ops.kv_for_frames(weights.w, x, prompt)))
 
@@ -160,6 +188,49 @@ class TestFusedProjection:
         expect = list(_vjp(proj, weights.w, aug, saved, memory))
         got = [adj[reader.leaves[name].idx] for name in SEGMENTS]
         assert len(expect) == 12 and all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    @pytest.mark.parametrize("memory", [0, 12], ids=["empty", "memory"])
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_shared_inputs_equal_fresh_calls(self, memory, rows):
+        # As generate_block drives them: one Inputs, the (3, d) start noise
+        # broadcast against the rows, then each step's latents at a scalar time.  Each call overwrites only
+        # the latents, time and block rows; the prompt columns stay.
+        params, prompt, x, keys, values = random_call(NetworkShape(), rows, memory, rows)
+        weights = Weights(params)
+        inputs = Inputs(weights, x.shape, keys, values, prompt)
+        xs = [x[0]] + [x * s for s in (0.5, -1.5, 2.0)]
+        for t, xt in zip((0.0, 0.25, 0.5, 0.75), xs):
+            got = velocity_forward(params, xt, t, keys, values, prompt, inputs)
+            aug, want, (*_, keys_all, values_all, _, _, _, _) = oracle(
+                weights, np.broadcast_to(xt, x.shape), t, keys, values, prompt)
+            assert np.array_equal(got, want)
+            assert np.array_equal(inputs.aug, aug)
+            assert np.array_equal(inputs.keys, keys_all)
+            assert np.array_equal(inputs.values, values_all)
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_taped_calls_share_no_buffer(self, rows):
+        # Two calls on one tape, the second over other latents and memory: each
+        # node's adjoints equal those it gets on a tape of its own.
+        calls = [random_call(TINY, rows, 4, seed) for seed in (1, 2)]
+        params = calls[0][0]
+        t = 0.25 if rows is None else np.linspace(0.0, 0.75, rows)
+        proj = np.random.default_rng(3).normal(size=calls[0][2].shape)
+
+        def adjoints(tape, reader, node):
+            adj = tape.backward(ops.asum(ops.mul(node, proj)))
+            return [adj[reader.leaves[name].idx] for name in SEGMENTS]
+
+        shared = Tape()
+        reader = TapeReader(shared, params)
+        nodes = [velocity_forward(reader, x, t, k, v, prompt)
+                 for _, prompt, x, k, v in calls]
+        for node, (_, prompt, x, k, v) in zip(nodes, calls):
+            own = Tape()
+            own_reader = TapeReader(own, params)
+            want = adjoints(own, own_reader, velocity_forward(own_reader, x, t, k, v, prompt))
+            got = adjoints(shared, reader, node)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def constant_field(velocity):
@@ -246,6 +317,49 @@ class TestGenerateBlock:
             np.testing.assert_array_equal(x, z)
             x = x + 0.25 * u_hat
         np.testing.assert_array_equal(x, block.frames)
+
+
+class TestSolverPaths:
+    """Each bucket is solved on its own and written at its row indices, in
+    whatever order they come."""
+
+    @staticmethod
+    def buckets(case):
+        # Interleaved: rows 0 and 2 share a memory length, so their bucket
+        # straddles row 1's.  One bucket: every row at one length, in order or not.
+        history = filled_history(3, 6)[0]
+        if case == "interleaved":
+            return ops.gather(history, [(1, 2, 3, 7, 8, 9), (1, 2, 3, 4), (4, 5, 6, 10, 11, 12)])
+        (_, keys, values), = ops.gather(history, [(1, 2, 3, 4), (7, 8, 9, 10), (1, 2, 3, 16)])
+        order = [0, 1, 2] if case == "one-bucket" else [2, 0, 1]
+        return [(np.array(order), keys[order], values[order])]
+
+    CASES = ["interleaved", "one-bucket", "one-bucket-permuted"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_without_replay_the_block_is_the_same(self, tiny_params, case):
+        args = (tiny_params, self.buckets(case), 7, block_noise(9, 7, 3, 3), PROMPT,
+                Weights(tiny_params))
+        plain, replay = generate_block(*args)
+        recorded, steps = generate_block(*args, record_replay=True)
+        assert replay is None and steps.z.shape == (3, 4, 3, 3)
+        assert plain.frames.tobytes() == recorded.frames.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_row_equals_the_row_solved_alone(self, tiny_params, case):
+        buckets, noise, weights = self.buckets(case), block_noise(9, 7, 3, 3), Weights(tiny_params)
+        assert [rows.tolist() for rows, *_ in buckets] == {
+            "interleaved": [[1], [0, 2]], "one-bucket": [[0, 1, 2]],
+            "one-bucket-permuted": [[2, 0, 1]]}[case]
+        block, steps = generate_block(tiny_params, buckets, 7, noise, PROMPT, weights, True)
+        for rows, keys, values in buckets:
+            for i, g in enumerate(rows):
+                alone = [(np.array([0]), keys[i:i + 1], values[i:i + 1])]
+                own_block, own = generate_block(tiny_params, alone, 7, noise, PROMPT, weights, True)
+                assert block.frames[g].tobytes() == own_block.frames[0].tobytes()
+                assert steps.z[g].tobytes() == own.z[0].tobytes()
+                assert steps.u_hat[g].tobytes() == own.u_hat[0].tobytes()
+        assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75] and steps.block.tolist() == [7] * 4
 
 
 class TestWriteBack:
