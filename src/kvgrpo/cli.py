@@ -70,10 +70,15 @@ def _load_run_config(args):
     return apply_overrides(cfg, overrides)
 
 
-def _out_dir(path: str | Path) -> Path:
-    """``path``, unless a file stands where it or a directory above it would be."""
+def _out_dir(path: str | Path, metrics_filename: str) -> Path:
+    """``path``, unless a file stands where it or a directory above it would be, or it
+    holds a run's config, metrics, dump or checkpoint (not a killed save's temp file)."""
     if blocked := [p for p in (Path(path), *Path(path).parents) if p.exists() and not p.is_dir()]:
         raise ConfigError(f"output directory {path}: {blocked[0]} is not a directory")
+    outputs = ("config.json", metrics_filename, "trajectories.jsonl")
+    if held := sorted(p for p in Path(path).glob("*")
+                      if p.name in outputs or p.match("checkpoint_*.kvc")):
+        raise ConfigError(f"output directory {path} already holds a run's output: {held[0]}")
     return Path(path)
 
 
@@ -86,7 +91,7 @@ def cmd_train(args) -> int:
         cfg.out_dir = "runs/default"
     # Written first, so a run that crashes still leaves its config beside
     # the metrics and checkpoints it wrote.
-    _out_dir(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    _out_dir(cfg.out_dir, cfg.metrics_filename).mkdir(parents=True, exist_ok=True)
     save_config(cfg, Path(cfg.out_dir) / "config.json")
     result = run(cfg)
     done = len(result.records)
@@ -130,7 +135,7 @@ def cmd_ablate(args) -> int:
     base = _load_run_config(args)
     out_root = Path(base.out_dir) if base.out_dir else Path(f"runs/ablate-{args.preset}")
     for label, _ in PRESETS[args.preset]:
-        _out_dir(out_root / label)
+        _out_dir(out_root / label, base.metrics_filename)
     summary = []
     for label, overrides in PRESETS[args.preset]:
         variant = apply_overrides(base, dict(overrides))

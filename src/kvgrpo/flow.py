@@ -4,10 +4,10 @@ A block of frames starts from seeded Gaussian noise at t=0 and is carried to
 t=1 by Euler steps of the learned velocity field, attending over the sink/local
 memory of previously generated frames.  A block is an (F, d) matrix, one row
 per frame.  A group's trajectories are solved in lockstep as (G, F, d) rows
-from the same start noise: each solver step makes one network call per
-memory-length bucket, over inputs built once per block from weights the
-rollout reads once, and the finished block is projected to key/value rows in
-one call and written into the group's history.  Solver steps kept for replay
+from the same start noise: each solver step makes one network call over every
+row, attending once per memory length, over inputs built once per block from
+weights the rollout reads once, and the finished block is projected to
+key/value rows in one call and written into the group's history.  Solver steps kept for replay
 are rows too: one (F, d) latent block per step, written straight into the record.
 """
 
@@ -71,46 +71,36 @@ class ReplaySteps:
                              for f in fields(ReplaySteps)))
 
 
-def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.ndarray:
-    """Seeded standard-normal start latents for one block.
-
-    The per-block stream is derived as SeedSequence((noise_seed, block_index)),
-    so every trajectory sharing a noise seed shares each block's x_T.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((noise_seed, block_index)))
-    return rng.standard_normal((frames, dim))
-
-
 def generate_block(params: Params, buckets: list, block_index: int, noise: np.ndarray,
                    prompt: np.ndarray, weights: list, record_replay: bool = False,
                    cfg: GeneratorConfig = GeneratorConfig()) -> tuple[Block, ReplaySteps | None]:
-    """Solve one block from its (F, d) start latents ``noise`` (see
-    :func:`block_noise`) to the clean sample for every row of ``buckets``, all
-    from the same noise: per memory length, the rows and their (rows, M, h)
-    memory keys and values (M = 0: empty), as :meth:`~kvgrpo.cache.FrameHistory.take`
-    gathers them.  ``weights`` are the :class:`~kvgrpo.network.Weights` of ``params``.
+    """Solve one block from its (F, d) start latents ``noise``, as planned, to the
+    clean sample for every row of ``buckets``, all from the same noise: per memory
+    length, the rows and their (rows, M, h) memory keys and values (M = 0: empty),
+    as :meth:`~kvgrpo.cache.FrameHistory.take` gathers them.  ``weights`` are the
+    :class:`~kvgrpo.network.Weights` of ``params``.
 
-    Each solver step makes one network call per bucket.  Rows are not padded
-    to one length: that would change the reduction lengths and so the bits.
-    A non-finite velocity leaves its rows' final latents non-finite, so they
-    are checked once per bucket.  Returns the (rows, F, d) block and the
-    group's :class:`ReplaySteps` if ``record_replay`` (each step written into it
-    as it is made, at its bucket's rows), else ``None``.
+    Each solver step makes one network call over every row, bucket after bucket,
+    which attends once per bucket.  Rows are not padded to one length: that would
+    change the reduction lengths and so the bits.  A non-finite velocity leaves
+    its rows' final latents non-finite, so they are checked once.  Returns the
+    (rows, F, d) block and the group's :class:`ReplaySteps` if ``record_replay``
+    (each step written into it as it is made, at its rows), else ``None``.
     """
-    x = np.empty((sum(len(rows) for rows, *_ in buckets), *noise.shape))
+    rows, keys, values = zip(*buckets)
+    order = np.concatenate(rows)  # the call's rows, bucket after bucket
+    memories = (list(keys), list(values)) if len(buckets) > 1 else (keys[0], values[0])
+    x = np.empty((len(order), *noise.shape))
     z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape)) if record_replay else (None,) * 2
+    inputs, xb, t, ts = network.Inputs(weights, x.shape, *memories, prompt), noise, 0.0, []
     with np.errstate(all="ignore"):  # the check below raises what would warn
-        for rows, keys, values in buckets:
-            # Buckets never interact, so each is solved on its own, from the noise broadcast.
-            xb, t, ts = noise, 0.0, []
-            inputs = network.Inputs(weights, (len(rows), *noise.shape), keys, values, prompt)
-            for k in range(cfg.num_steps):
-                v = network.velocity_forward(params, xb, t, keys, values, prompt, inputs)
-                if record_replay:
-                    z[rows, k], u_hat[rows, k] = xb, v
-                ts.append(t)
-                xb, t = xb + cfg.dt * v, t + cfg.dt
-            x[rows] = network.check_finite(xb, "velocity output")
+        for k in range(cfg.num_steps):
+            v = network.velocity_forward(params, xb, t, *memories, prompt, inputs)
+            if record_replay:
+                z[order, k], u_hat[order, k] = xb, v
+            ts.append(t)
+            xb, t = xb + cfg.dt * v, t + cfg.dt
+    x[order] = network.check_finite(xb, "velocity output")
     replay = ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
                          np.full(cfg.num_steps, block_index)) if record_replay else None
     return Block(x, block_index), replay

@@ -1,11 +1,11 @@
 """Velocity-field network: per-frame embedding, single-head attention over the
 key/value memory, and a two-layer head.
 
-The forward pass is plain numpy, on one block or a stack of them (a replay pass
-runs every cached solver step as one row), with one Q/K/V projection through the
-:class:`Weights` read once per pass, and each step after a product in place in
-it.  Given a :class:`Params` it returns the velocity array (rollouts, replay
-values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` it
+The forward pass is plain numpy, on one block or a stack of them (a replay pass or a
+rollout step runs all its rows as one), with one Q/K/V projection through the
+:class:`Weights` read once per pass and attention once per memory, each step after a
+product in place in it.  Given a :class:`Params` it returns the velocity array (rollouts,
+replay values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` it
 records the call as one tape node, its backward the hand-derived VJP (replay gradients).
 """
 
@@ -124,15 +124,24 @@ class Inputs:
     """A velocity call's :class:`Weights` and its [latents | time | prompt] and
     joint [memory ; block] key/value buffers, the prompt and memory written once.
     Calls with one reader, memory, prompt and shape (a block's solver steps) can
-    share one: each overwrites only the latents, time and block rows."""
+    share one: each overwrites only the latents, time and block rows.  Lists of
+    memories, the rows in memory order, give lists of buffers (value-only)."""
 
     def __init__(self, weights: Weights, shape: tuple[int, ...], context_keys, context_values,
                  prompt: np.ndarray) -> None:
         self.weights, self.aug = weights, _input(shape, prompt)
-        *lead, frames, _ = shape
-        self.n_ctx = n = np.shape(context_keys)[-2]
-        self.keys, self.values = np.empty((2, *lead, n + frames, len(weights.bkv) // 2))
-        self.keys[..., :n, :], self.values[..., :n, :] = context_keys, context_values
+        if isinstance(context_keys, list):
+            parts = [self._joint((len(k), *shape[1:]), k, v)
+                     for k, v in zip(context_keys, context_values)]
+            self.keys, self.values, self.n_ctx = (list(part) for part in zip(*parts))
+        else:
+            self.keys, self.values, self.n_ctx = self._joint(shape, context_keys, context_values)
+
+    def _joint(self, shape, context_keys, context_values):
+        (*lead, frames, _), n = shape, np.shape(context_keys)[-2]
+        keys, values = np.empty((2, *lead, n + frames, len(self.weights.bkv) // 2))
+        keys[..., :n, :], values[..., :n, :] = context_keys, context_values
+        return keys, values, n
 
 
 def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, prompt: np.ndarray,
@@ -141,7 +150,7 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
 
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
     (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
-    ``context_keys`` / ``context_values``.
+    ``context_keys`` / ``context_values``, or in lists of them (see :class:`Inputs`).
     Attention runs over [memory ; block] jointly.  A value-only call may refill the
     :class:`Inputs` of its reader, memory and prompt (``prompt`` unread, ``x`` broadcast
     to its rows; a taped one keeps its own), or build them from ``weights``, read if not given.
@@ -161,22 +170,34 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
 
 
 def _forward(weights: Weights, aug, keys, vals, n_ctx):
-    """Network output for an (F, in) block or (R, F, in) rows, and the
-    intermediates its backward needs, from one Q/K/V projection.  The block's keys
-    and values are written after the ``n_ctx`` memory rows of ``keys`` and ``vals``.
+    """Network output for an (F, in) block or (R, F, in) rows, and the intermediates
+    its backward needs, from one Q/K/V projection.  The block's keys and values are
+    written after the ``n_ctx`` memory rows of ``keys`` and ``vals``, or of each memory
+    in lists of them (value-only), whose attention then runs once each, into its rows.
     Each step after a product runs in place in it, in the out-of-place order: no bit moves."""
-    (ew, eb, *_, w1, b1, w2, b2), h, scale = weights.w, keys.shape[-1], weights.scale
+    (ew, eb, *_, w1, b1, w2, b2), h = weights.w, len(weights.bkv) // 2
     e = _affine(aug, ew, eb, np.tanh)
     qkv = _affine(e, weights.wqkv, weights.bqkv)
-    q = qkv[..., :h]
+    if isinstance(n_ctx, list):
+        att, stop = np.empty((*qkv.shape[:-1], h)), 0
+        for k, v, n in zip(keys, vals, n_ctx):
+            rows = slice(stop, stop := stop + len(k))
+            p, _ = _attend(weights, qkv[rows], k, v, n, att[rows])
+    else:
+        p, att = _attend(weights, qkv, keys, vals, n_ctx)
+    hid = _affine(att, w1, b1, np.tanh)
+    return _affine(hid, w2, b2), (e, qkv[..., :h], keys, vals, p, att, hid, weights.scale)
+
+
+def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
+    """One memory's softmax ``p`` and ``p @ vals``, into ``out`` if given."""
+    h = keys.shape[-1]
     keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
-    p = q @ keys.swapaxes(-1, -2)  # the scores, then their softmax in place
-    np.multiply(p, scale, out=p)
+    p = qkv[..., :h] @ keys.swapaxes(-1, -2)  # the scores, then their softmax in place
+    np.multiply(p, weights.scale, out=p)
     np.exp(np.subtract(p, np.maximum.reduce(p, axis=-1, keepdims=True), out=p), out=p)
     np.divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
-    att = p @ vals
-    hid = _affine(att, w1, b1, np.tanh)
-    return _affine(hid, w2, b2), (e, q, keys, vals, p, att, hid, scale)
+    return p, (p @ vals if out is None else np.matmul(p, vals, out=out))
 
 
 def _vjp(g, w, aug, saved, n_ctx):

@@ -1,32 +1,32 @@
 """Branch exploration by stochastic routing of historical KV entries.
 
-A group rollout shares a deterministic prefix up to a pivot block, then each
-branch rebuilds the local memory window from routed older frames and continues
-generating.  Every trajectory in the group shares the per-block start noise, so
-all variation between branches comes from the memory composition alone.  None
-of that depends on the parameters: :func:`plan_rollout` draws a group's start
-noise and routings, each from its own seed, and :meth:`RolloutPlan.build` lays
-out every block's memories, by each row's :func:`routed_layout` (checked once,
-at the block that routes), as history indices per memory-length bucket.  A
-trainer may plan ahead; :func:`rollout_group` only gathers what the plan
-indexes, and solves each block once for all trajectories, with one network
-call per solver step and bucket.  A group is its arrays, one row per
-trajectory: row 0 is the anchor and row g branch g, in its frames, history,
-rewards and cached window solver steps, which are replayed later under
-default-layout memories, gathered for the whole group once per window block
-into the group's replay contexts.
+A group rollout shares a deterministic prefix up to a pivot block, then each branch
+rebuilds the local memory window from routed older frames and continues generating.
+Every trajectory in the group shares the per-block start noise, so all variation
+between branches comes from the memory composition alone.  None of that depends on
+the parameters: :func:`plan_rollout` draws a group's start noise and routings, each
+from its own seed (:func:`seed_states` makes them all in one pass), and
+:meth:`RolloutPlan.build` lays out every block's memories, by each row's
+:func:`routed_layout` (checked once, at the block that routes), as history indices
+per memory-length bucket.  A trainer may plan ahead; :func:`rollout_group` only
+gathers what the plan indexes, and solves each block once for all trajectories, with
+one network call per solver step.  A group is its arrays, one row per trajectory:
+row 0 is the anchor and row g branch g, in its frames, history, rewards and cached
+window solver steps, which are replayed later under default-layout memories,
+gathered for the whole group once per window block into the group's replay contexts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from . import network
 from .cache import FrameHistory, buckets, memory_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
-from .flow import GeneratorConfig, ReplaySteps, block_noise, generate_block, write_back
+from .flow import GeneratorConfig, ReplaySteps, generate_block, write_back
 from .params import Params
 
 
@@ -137,6 +137,38 @@ class RolloutPlan:
         return RolloutPlan(noise, routings, pivot, window, tuple(memories), cfg)
 
 
+@dataclass(frozen=True)
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """A seed whose ``generate_state(4, np.uint64)``, all a ``PCG64`` reads, is precomputed."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``SeedSequence`` word hash, its constant advancing once per call."""
+    def hash_words(words):
+        nonlocal const
+        words = (words ^ const) * (const := const * mult & 0xFFFFFFFF)
+        return words ^ words >> 16
+    return hash_words
+
+
+def seed_states(entropies) -> list[_Seeded]:
+    """``np.random.SeedSequence(e)`` of each entropy ``e`` of at most four words below
+    2**32 (a missing word counts as 0), from one pass of its pool hash over them all."""
+    mix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [mix(words) for words in np.array([(*e, 0, 0, 0)[:4] for e in entropies], np.uint32).T]
+    for src, dst in permutations(range(4), 2):
+        words = pool[dst] * 0xCA01F9DD - mix(pool[src]) * 0x4973F715
+        pool[dst] = words ^ words >> 16
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.array([out(pool[i % 4]) for i in range(8)], "<u4").T.copy().view("<u8")
+    return [_Seeded(row) for row in state.astype(np.uint64)]
+
+
 def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
                  seeds: GroupSeeds, cfg: GeneratorConfig, latent_dim: int,
                  local_kv_choices=((9, 6),), routing_per_block: bool = False) -> RolloutPlan:
@@ -150,25 +182,27 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
     if num_branches < 1:
         raise ConfigError("need at least one branch")
     F, sink, pivot_frame = cfg.frames_per_block, cfg.sink_size, (pivot - 1) * cfg.frames_per_block
-    noise = np.stack([block_noise(seeds.noise, b, F, latent_dim)
-                      for b in range(1, num_blocks + 1)])
+    branches = range(1, num_branches + 1)
+    routed = range(pivot, pivot + window) if routing_per_block else (pivot,)
+    # Every draw's seed in one pass: each block's noise, then each branch's choice and routings.
+    drawn = iter(seed_states([(seeds.noise, b) for b in range(1, num_blocks + 1)] + [
+        (seeds.routing, g, b) for g in branches
+        for b in (997, *(routed if routing_per_block else [0]))]))
+    noise = np.stack([np.random.default_rng(next(drawn)).standard_normal((F, latent_dim))
+                      for _ in range(num_blocks)])
     feasible = [(int(n), int(r)) for n, r in local_kv_choices
                 if len(routable_range(pivot_frame, n - r, sink)) >= r]
     if not feasible:
         raise InsufficientHistoryError(f"no local-window choice from {list(local_kv_choices)} "
                                        f"is routable at L={pivot_frame}")
-    routed = range(pivot, pivot + window) if routing_per_block else (pivot,)
     routings = {b: [None] for b in routed}
-    for g in range(1, num_branches + 1):
-        local_size, slots = feasible[0]
+    for g in branches:
+        (local_size, slots), choice = feasible[0], next(drawn)
         if len(feasible) > 1:
-            rng = np.random.default_rng(np.random.SeedSequence((seeds.routing, g, 997)))
-            local_size, slots = feasible[rng.integers(len(feasible))]
+            local_size, slots = feasible[np.random.default_rng(choice).integers(len(feasible))]
         for b in routed:
-            entropy = (seeds.routing, g) + ((b,) if routing_per_block else ())
-            routings[b].append(sample_routing(
-                routable_range((b - 1) * F, local_size - slots, sink),
-                np.random.SeedSequence(entropy), slots, local_size))
+            routings[b].append(sample_routing(routable_range((b - 1) * F, local_size - slots, sink),
+                                              next(drawn), slots, local_size))
     return RolloutPlan.build(noise, {b: tuple(rows) for b, rows in routings.items()}, pivot,
                              window, cfg)
 

@@ -4,7 +4,8 @@ asserts that the fused head in :mod:`kvgrpo.policy` equals them bit for bit,
 and ``test_autodiff.TestOps`` checks each op's backward by finite differences.
 Also kept: the network's forward with three Q, K and V projections, which
 ``test_flow`` asserts the fused projection equals bit for bit, and the per-row
-memory gather that a group's default memory, one index for every row, replaced.
+memory gather that a group's default memory, one index for every row, replaced,
+and the per-block noise draw that the planner's batched seeds replaced.
 
 Each op evaluates eagerly in numpy on plain arrays and records a tape node as
 soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
@@ -268,3 +269,11 @@ def gather(history: FrameHistory, frames: list[tuple[int, ...]]):
         if row and not 1 <= min(row) <= max(row) <= history.length:
             raise ContractError(f"frames {row} not in history of length {history.length}")
     return [(rows, *history.take(rows, index)) for rows, index in buckets(frames)]
+
+
+def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.ndarray:
+    """Seeded standard-normal start latents for one block, drawn from
+    ``SeedSequence((noise_seed, block_index))``: every trajectory sharing a noise
+    seed shares each block's x_T."""
+    rng = np.random.default_rng(np.random.SeedSequence((noise_seed, block_index)))
+    return rng.standard_normal((frames, dim))

@@ -656,6 +656,43 @@ class TestCli:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / blocked).read_text() == "a file\n"
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("output", ["config.json", "metrics.jsonl", "run.jsonl",
+                                        "trajectories.jsonl", "checkpoint_init.kvc",
+                                        "checkpoint_000010.kvc", "checkpoint_final.kvc"])
+    def test_out_dir_holding_a_run_exits_one_before_writing(self, tmp_path, capsys,
+                                                            command, output):
+        # A second run into one directory would leave two runs' outputs mixed.
+        cfg = small_run_config(tmp_path)
+        cfg.metrics_filename = "run.jsonl"
+        save_config(cfg, config := tmp_path / "config.json")
+        out = tmp_path / "out"
+        held = out / "latent-l2" / output if command == "ablate" else out / output
+        held.parent.mkdir(parents=True)
+        held.write_text("a prior run's\n")
+        before = sorted(tmp_path.rglob("*"))
+        args = ["train"] if command == "train" else ["ablate", "surrogate"]
+        code = main(["--config", str(config), "--out-dir", str(out), *args, "--max-iters", "1"])
+        if output == "metrics.jsonl":  # this run's metrics go to run.jsonl
+            assert code == 0
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output directory {held.parent} already "
+                              f"holds a run's output: {held}")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert held.read_text() == "a prior run's\n"
+
+    def test_stale_checkpoint_temp_file_is_not_an_output(self, tmp_path, capsys):
+        # What a save killed between its write and its rename leaves behind.
+        config = write_small_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".checkpoint_000010.kvc.4242.tmp").write_bytes(b"cut")
+        assert main(["--config", str(config), "--out-dir", str(out), "train",
+                     "--max-iters", "1"]) == 0
+        assert (out / "checkpoint_final.kvc").exists()
+
     def test_inspect_checkpoint(self, tmp_path, capsys):
         params = param_init(NetworkShape(3, 5, 2), 1)
         path = tmp_path / "x.kvc"

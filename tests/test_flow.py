@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kvgrpo.autodiff import Tape, TapeReader
 from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
-from kvgrpo.flow import (Block, GeneratorConfig, ReplaySteps, block_noise, generate_block,
-                         write_back)
+from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, generate_block, write_back
 from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _forward, _vjp,
                             build_layout, kv_for_frames, param_init, shape_from_layout,
                             velocity_forward)
@@ -21,6 +21,7 @@ from kvgrpo.params import Params
 from kvgrpo.routing import routable_range, routed_layout, sample_routing
 
 import reference_ops as ops
+from reference_ops import block_noise
 
 TINY = NetworkShape(3, 5, 2)
 PROMPT = np.array([0.3, -0.2])
@@ -360,6 +361,93 @@ class TestSolverPaths:
                 assert steps.z[g].tobytes() == own.z[0].tobytes()
                 assert steps.u_hat[g].tobytes() == own.u_hat[0].tobytes()
         assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75] and steps.block.tolist() == [7] * 4
+
+
+def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, record_replay,
+                      cfg=GeneratorConfig()):
+    """The reference solve of a block's buckets: a whole Euler loop per bucket,
+    one single-memory velocity call per step, each bucket written at its rows."""
+    x = np.empty((sum(len(rows) for rows, *_ in buckets), *noise.shape))
+    z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
+    with np.errstate(all="ignore"):
+        for rows, keys, values in buckets:
+            xb, t, ts = noise, 0.0, []
+            inputs = Inputs(weights, (len(rows), *noise.shape), keys, values, prompt)
+            for k in range(cfg.num_steps):
+                v = velocity_forward(params, xb, t, keys, values, prompt, inputs)
+                z[rows, k], u_hat[rows, k] = xb, v
+                ts.append(t)
+                xb, t = xb + cfg.dt * v, t + cfg.dt
+            x[rows] = xb
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite velocity output")
+    return x, (ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
+                           np.full(cfg.num_steps, block_index)) if record_replay else None)
+
+
+@st.composite
+def mixed_buckets(draw):
+    """1-4 memory lengths (0 is an empty memory), 1-3 rows each, the rows of the
+    block dealt to the buckets in a random order, so buckets interleave."""
+    lengths = sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=4)))
+    counts = [draw(st.integers(1, 3)) for _ in lengths]
+    order = draw(st.permutations(range(sum(counts))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    buckets, start = [], 0
+    for n, count in zip(lengths, counts):
+        rows, start = np.array(order[start:start + count]), start + count
+        buckets.append((rows, *rng.normal(size=(2, count, n, TINY.hidden_dim))))
+    return buckets, rng
+
+
+class TestMixedMemoryLengths:
+    """One velocity call per solver step for every row of a block, attending
+    once per memory length, equals a whole per-bucket solve bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_buckets(), record=st.booleans(), steps=st.sampled_from([1, 3, 4]))
+    def test_equals_the_per_bucket_solve(self, case, record, steps):
+        buckets, rng = case
+        layout, cfg = build_layout(TINY), GeneratorConfig(num_steps=steps)
+        params = Params(rng.normal(size=layout.total) * 0.5, layout)  # biases too
+        noise, prompt, weights = rng.normal(size=(3, TINY.latent_dim)), PROMPT, Weights(params)
+        block, steps_got = generate_block(params, buckets, 4, noise, prompt, weights, record, cfg)
+        frames, steps_want = per_bucket_oracle(params, buckets, 4, noise, prompt, weights,
+                                               record, cfg)
+        assert block.frames.shape == frames.shape
+        assert block.frames.tobytes() == frames.tobytes()
+        assert (steps_got is None) == (steps_want is None) == (not record)
+        for field in ("z", "u_hat", "t", "step", "block") if record else ():
+            got, want = getattr(steps_got, field), getattr(steps_want, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
+    def test_one_call_per_solver_step(self, tiny_params, monkeypatch):
+        calls = []
+        real = velocity_forward
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("kvgrpo.network.velocity_forward", counted)
+        buckets = TestSolverPaths.buckets("interleaved")
+        generate_block(tiny_params, buckets, 7, block_noise(9, 7, 3, 3), PROMPT,
+                       Weights(tiny_params), True)
+        assert calls == [(3, 3)] + [(3, 3, 3)] * 3  # the noise, then every row
+
+    @pytest.mark.parametrize("bad", range(4))
+    @pytest.mark.parametrize("where", ["keys", "values"])
+    def test_a_non_finite_memory_row_raises(self, tiny_params, bad, where):
+        history = filled_history(4, 6)[0]
+        buckets = ops.gather(history, [(1, 2, 3, 4), (1, 2, 3, 7, 8, 9, 10, 11),
+                                       (1, 2, 3), (1, 2, 3, 4, 5)])
+        rows, keys, values = buckets[bad]
+        (keys if where == "keys" else values)[-1, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite velocity output"):
+                generate_block(tiny_params, buckets, 7, block_noise(9, 7, 3, 3), PROMPT,
+                               Weights(tiny_params))
 
 
 class TestWriteBack:

@@ -7,20 +7,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kvgrpo import cache, network, routing
 from kvgrpo.cache import FrameHistory, KVCache, memory_frames
 from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
-from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, block_noise
+from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.params import Params
 from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RolloutPlan, RoutingDecision, build_replay_contexts,
                             plan_rollout, rollout_group, routable_range, routed_layout,
-                            sample_routing)
+                            sample_routing, seed_states)
 from kvgrpo.trainer import plan_iteration
 import reference_ops as ops
+from reference_ops import block_noise
 from test_flow import rollout
 from test_golden import CONFIGS as GOLDEN_CONFIGS, RUN as GOLDEN_RUN
 
@@ -141,6 +143,43 @@ class TestSampleRouting:
                                                               replace=False)
                 got = sample_routing(omega, rng_seed, count, local_size=count + 3)
                 assert got.indices == tuple(want.tolist())
+
+
+WORD = st.integers(0, 2**32 - 1)
+
+
+class TestSeedStates:
+    """The planner seeds every draw of a plan in one pass of ``SeedSequence``'s
+    pool hash, which must give each entropy's own ``SeedSequence`` state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(entropies=st.lists(st.lists(WORD, min_size=1, max_size=4).map(tuple),
+                              min_size=1, max_size=20))
+    @example(entropies=[(0,), (2**32 - 1,), (0, 0, 0, 0), (2**32 - 1,) * 4,
+                        (2**32 - 1, 0, 2**32 - 1), (5, 7, 997)])
+    def test_equal_to_seed_sequence(self, entropies):
+        for entropy, seed in zip(entropies, seed_states(entropies), strict=True):
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            got = seed.generate_state(4, np.uint64)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(entropy=st.lists(WORD, min_size=1, max_size=3).map(tuple))
+    def test_trailing_zeros_are_the_missing_words(self, entropy):
+        # (r, g) hashes as (r, g, 0): the pool's missing words count as zeros.
+        short, padded = seed_states([entropy, entropy + (0,)])
+        assert short.generate_state(4, np.uint64).tolist() == \
+            padded.generate_state(4, np.uint64).tolist() == \
+            np.random.SeedSequence(entropy).generate_state(4, np.uint64).tolist()
+
+    def test_draws_equal_the_seed_sequence_draws(self):
+        entropies = [(123456789, g, b) for g in range(1, 5) for b in (0, 5, 997)]
+        for entropy, seed in zip(entropies, seed_states(entropies)):
+            want = np.random.default_rng(np.random.SeedSequence(entropy))
+            got = np.random.default_rng(seed)
+            assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
+            assert got.choice(30, 6, replace=False).tolist() == \
+                want.choice(30, 6, replace=False).tolist()
 
 
 def branch_frames(L, routings, sink_size=3, local_size=9):
@@ -632,10 +671,9 @@ class TestLockstepMatchesReference:
             assert group.history.values[g].tobytes() == history.values.tobytes()
         if "local_kv_choices" in kw:  # the case mixes memory lengths in one block
             assert max(len(n) for n in reference.lengths.values()) > 1
-        # One network call per (block, solver step, memory length), and one
-        # key/value projection per block.
-        assert calls["velocity_forward"] == cfg.num_steps * sum(
-            len(n) for n in reference.lengths.values())
+        # One network call per (block, solver step), whatever the memory
+        # lengths, and one key/value projection per block.
+        assert calls["velocity_forward"] == cfg.num_steps * num_blocks
         assert calls["kv_for_frames"] == num_blocks
 
 
