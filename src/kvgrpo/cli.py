@@ -73,11 +73,11 @@ def _load_run_config(args):
 def _out_dir(path: str | Path, metrics_filename: str) -> Path:
     """``path``, unless a file stands where it or a directory above it would be, or it
     holds a run's config, metrics, dump or checkpoint (not a killed save's temp file)."""
+    from .config import RUN_FILES
     if blocked := [p for p in (Path(path), *Path(path).parents) if p.exists() and not p.is_dir()]:
         raise ConfigError(f"output directory {path}: {blocked[0]} is not a directory")
-    outputs = ("config.json", metrics_filename, "trajectories.jsonl")
-    if held := sorted(p for p in Path(path).glob("*")
-                      if p.name in outputs or p.match("checkpoint_*.kvc")):
+    if held := sorted(p for p in Path(path).glob("*") if p.name == metrics_filename
+                      or any(p.match(output) for output in RUN_FILES)):
         raise ConfigError(f"output directory {path} already holds a run's output: {held[0]}")
     return Path(path)
 

@@ -169,14 +169,16 @@ class RunConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         # The metrics go beside the run's other outputs, never over one of them.
         name = self.metrics_filename
-        if (name in ("", ".", "..", "config.json", "trajectories.jsonl") or "/" in name
-                or "\\" in name or (name.startswith("checkpoint_") and name.endswith(".kvc"))):
+        if (name in ("", ".", "..") or "/" in name or "\\" in name
+                or any(Path(name).match(output) for output in RUN_FILES)):
             raise ConfigError(f"metrics_filename must be a plain file name that no other "
                               f"output of the run takes, got {name!r}")
         return self
 
 
 _type_hints = functools.cache(typing.get_type_hints)
+# What a run writes into its output directory, besides its metrics file.
+RUN_FILES = ("config.json", "trajectories.jsonl", "checkpoint_*.kvc")
 
 
 def _check_fields(cfg) -> None:

@@ -1,14 +1,13 @@
 """Block-wise autoregressive generator on a linear-interpolation flow path.
 
-A block of frames starts from seeded Gaussian noise at t=0 and is carried to
-t=1 by Euler steps of the learned velocity field, attending over the sink/local
-memory of previously generated frames.  A block is an (F, d) matrix, one row
-per frame.  A group's trajectories are solved in lockstep as (G, F, d) rows
-from the same start noise: each solver step makes one network call over every
-row, attending once per memory length, over inputs built once per block from
-weights the rollout reads once, and the finished block is projected to
-key/value rows in one call and written into the group's history.  Solver steps kept for replay
-are rows too: one (F, d) latent block per step, written straight into the record.
+A block of frames starts from seeded Gaussian noise at t=0 and is carried to t=1 by Euler
+steps of the learned velocity field, attending over the sink/local memory of previously
+generated frames.  A block is an (F, d) matrix, one row per frame.  A group's trajectories
+are solved in lockstep as (G, F, d) rows from the same start noise: each solver step makes
+one network call over every row, attending once per memory length, over inputs built once
+per block from weights the rollout reads once, and the finished block is projected to
+key/value rows in one call and written into the group's history.  Solver steps kept for
+replay are rows too: one (F, d) latent block per step, written straight into the record.
 """
 
 from __future__ import annotations
@@ -81,11 +80,9 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     :class:`~kvgrpo.network.Weights` of ``params``.
 
     Each solver step makes one network call over every row, bucket after bucket,
-    which attends once per bucket.  Rows are not padded to one length: that would
-    change the reduction lengths and so the bits.  A non-finite velocity leaves
-    its rows' final latents non-finite, so they are checked once.  Returns the
-    (rows, F, d) block and the group's :class:`ReplaySteps` if ``record_replay``
-    (each step written into it as it is made, at its rows), else ``None``.
+    attending once per bucket; rows are not padded to one length, which would change
+    the reduction lengths and so the bits.  Non-finite final latents raise.  Returns the
+    (rows, F, d) block and, if ``record_replay``, the group's :class:`ReplaySteps`, else ``None``.
     """
     rows, keys, values = zip(*buckets)
     order = np.concatenate(rows)  # the call's rows, bucket after bucket

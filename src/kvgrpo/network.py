@@ -131,9 +131,9 @@ class Inputs:
                  prompt: np.ndarray) -> None:
         self.weights, self.aug = weights, _input(shape, prompt)
         if isinstance(context_keys, list):
-            parts = [self._joint((len(k), *shape[1:]), k, v)
-                     for k, v in zip(context_keys, context_values)]
-            self.keys, self.values, self.n_ctx = (list(part) for part in zip(*parts))
+            shapes = [(len(k), *shape[1:]) for k in context_keys]
+            self.keys, self.values, self.n_ctx = map(list, zip(*map(
+                self._joint, shapes, context_keys, context_values)))
         else:
             self.keys, self.values, self.n_ctx = self._joint(shape, context_keys, context_values)
 
@@ -170,10 +170,9 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
 
 
 def _forward(weights: Weights, aug, keys, vals, n_ctx):
-    """Network output for an (F, in) block or (R, F, in) rows, and the intermediates
-    its backward needs, from one Q/K/V projection.  The block's keys and values are
-    written after the ``n_ctx`` memory rows of ``keys`` and ``vals``, or of each memory
-    in lists of them (value-only), whose attention then runs once each, into its rows.
+    """Network output for an (F, in) block or (R, F, in) rows, and the intermediates its
+    backward needs, from one Q/K/V projection and one attention per memory (in lists of
+    them: value-only), the block's keys and values written after its ``n_ctx`` rows.
     Each step after a product runs in place in it, in the out-of-place order: no bit moves."""
     (ew, eb, *_, w1, b1, w2, b2), h = weights.w, len(weights.bkv) // 2
     e = _affine(aug, ew, eb, np.tanh)

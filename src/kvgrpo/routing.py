@@ -147,25 +147,24 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-def _hasher(const: int, mult: int):
-    """numpy's ``SeedSequence`` word hash, its constant advancing once per call."""
-    def hash_words(words):
+def seed_states(entropies: list) -> list:
+    """``np.random.SeedSequence(e)`` of each entropy ``e``, from one pass of its pool hash
+    over them all if every ``e`` is at most four words below 2**32 (a missing word counts
+    as 0); numpy splits any other word, so then each ``e`` is its own ``SeedSequence``."""
+    if not all(len(e) <= 4 and all(0 <= w < 2**32 for w in e) for e in entropies):
+        return [np.random.SeedSequence(e) for e in entropies]
+    const, mult = 0x43B0D7E5, 0x931E8875  # the word hash's constant advances once per call
+
+    def hashed(words):
         nonlocal const
         words = (words ^ const) * (const := const * mult & 0xFFFFFFFF)
         return words ^ words >> 16
-    return hash_words
-
-
-def seed_states(entropies) -> list[_Seeded]:
-    """``np.random.SeedSequence(e)`` of each entropy ``e`` of at most four words below
-    2**32 (a missing word counts as 0), from one pass of its pool hash over them all."""
-    mix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [mix(words) for words in np.array([(*e, 0, 0, 0)[:4] for e in entropies], np.uint32).T]
+    pool = [hashed(w) for w in np.array([(*e, 0, 0, 0)[:4] for e in entropies], np.uint32).T]
     for src, dst in permutations(range(4), 2):
-        words = pool[dst] * 0xCA01F9DD - mix(pool[src]) * 0x4973F715
+        words = pool[dst] * 0xCA01F9DD - hashed(pool[src]) * 0x4973F715
         pool[dst] = words ^ words >> 16
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = np.array([out(pool[i % 4]) for i in range(8)], "<u4").T.copy().view("<u8")
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    state = np.array([hashed(pool[i % 4]) for i in range(8)], "<u4").T.copy().view("<u8")
     return [_Seeded(row) for row in state.astype(np.uint64)]
 
 
@@ -178,16 +177,14 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
     ``(routing, g, 997)`` when there are several, then routes each block b
     that routes over (b-1)*F frames of history, drawing from ``(routing, g)``,
     or ``(routing, g, b)`` under per-block routing.  Every draw has its own
-    seed, so no draw depends on the order of the others."""
+    seed, all hashed in one pass, so no draw depends on the order of the others."""
     if num_branches < 1:
         raise ConfigError("need at least one branch")
     F, sink, pivot_frame = cfg.frames_per_block, cfg.sink_size, (pivot - 1) * cfg.frames_per_block
-    branches = range(1, num_branches + 1)
     routed = range(pivot, pivot + window) if routing_per_block else (pivot,)
-    # Every draw's seed in one pass: each block's noise, then each branch's choice and routings.
     drawn = iter(seed_states([(seeds.noise, b) for b in range(1, num_blocks + 1)] + [
-        (seeds.routing, g, b) for g in branches
-        for b in (997, *(routed if routing_per_block else [0]))]))
+        entropy for g in range(1, num_branches + 1) for entropy in [(seeds.routing, g, 997)] + [
+            (seeds.routing, g, b)[:2 + routing_per_block] for b in routed]]))
     noise = np.stack([np.random.default_rng(next(drawn)).standard_normal((F, latent_dim))
                       for _ in range(num_blocks)])
     feasible = [(int(n), int(r)) for n, r in local_kv_choices
@@ -196,7 +193,7 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
         raise InsufficientHistoryError(f"no local-window choice from {list(local_kv_choices)} "
                                        f"is routable at L={pivot_frame}")
     routings = {b: [None] for b in routed}
-    for g in branches:
+    for g in range(1, num_branches + 1):
         (local_size, slots), choice = feasible[0], next(drawn)
         if len(feasible) > 1:
             local_size, slots = feasible[np.random.default_rng(choice).integers(len(feasible))]

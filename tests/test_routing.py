@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kvgrpo import cache, network, routing
+from kvgrpo import cache, checks, network, routing
 from kvgrpo.cache import FrameHistory, KVCache, memory_frames
 from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
@@ -180,6 +180,43 @@ class TestSeedStates:
             assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
             assert got.choice(30, 6, replace=False).tolist() == \
                 want.choice(30, 6, replace=False).tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(entropies=st.lists(st.lists(st.integers(0, 2**80), min_size=1, max_size=5).map(tuple),
+                              min_size=1, max_size=6))
+    @example(entropies=[(2**32,), (7, 2**32 - 1)])
+    @example(entropies=[(1, 2, 3, 4, 5)])
+    def test_wide_entropies_equal_seed_sequence(self, entropies):
+        # SeedSequence splits a word past 32 bits in two, and hashes a fifth word in.
+        for entropy, seed in zip(entropies, seed_states(entropies), strict=True):
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert seed.generate_state(4, np.uint64).tolist() == want.tolist()
+
+    def test_negative_entropy_raises_as_seed_sequence(self):
+        with pytest.raises(ValueError):
+            seed_states([(1, 2), (-1, 2)])
+
+    @pytest.mark.parametrize("routing_per_block", [False, True], ids=["pivot", "per-block"])
+    @pytest.mark.parametrize("seeds", [GroupSeeds(2**32, 5), GroupSeeds(3, 2**32 + 7),
+                                       GroupSeeds(2**64 + 1, 2**70 + 2)],
+                             ids=["noise", "routing", "both"])
+    def test_plans_with_wide_seeds_draw_as_seed_sequence(self, seeds, routing_per_block):
+        cfg, choices = GeneratorConfig(), ((9, 6), (8, 4))
+        plan = plan_rollout(8, 5, 3, 4, seeds, cfg, TINY.latent_dim, choices, routing_per_block)
+        for b in range(1, 9):
+            want = block_noise(seeds.noise, b, cfg.frames_per_block, TINY.latent_dim)
+            assert plan.noise[b - 1].tobytes() == want.tobytes()
+        pivot_frame = 4 * cfg.frames_per_block
+        for g in range(1, 5):
+            decide = _branch_decider(seeds, g, choices, pivot_frame, cfg.sink_size, None)
+            for b in plan.routings:
+                block = b if routing_per_block else None
+                assert plan.routings[b][g] == decide((b - 1) * cfg.frames_per_block, block)
+
+    def test_gradcheck_instance_with_seeds_past_32_bits(self):
+        # gradcheck --seed 613567 plans with GroupSeeds(4294969001, 4294969002).
+        instance = checks.make_instance(613567 * 1000)
+        assert np.isfinite(instance.group.frames).all()
 
 
 def branch_frames(L, routings, sink_size=3, local_size=9):
