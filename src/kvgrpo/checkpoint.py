@@ -14,6 +14,7 @@ Layout (all multi-byte integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -70,6 +71,12 @@ def save_checkpoint(path: str | Path, params: Params, config: dict,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    with contextlib.suppress(OSError):  # the rename, to disk; a directory may not open
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_checkpoint(path: str | Path) -> CheckpointData:

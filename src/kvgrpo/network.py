@@ -3,10 +3,10 @@ key/value memory, and a two-layer head.
 
 The forward pass is plain numpy, on one block or a stack of them (a replay pass or a
 rollout step runs all its rows as one), with one Q/K/V projection through the
-:class:`Weights` read once per pass and attention once per memory, each step after a
+:class:`Weights` read once per call and attention once per memory, each step after a
 product in place in it.  Given a :class:`Params` it returns the velocity array (rollouts,
-replay values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` it
-records the call as one tape node, its backward the hand-derived VJP (replay gradients).
+replay values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` one tape
+node, whose hand-derived VJP takes one fused Q/K/V adjoint and sums rows last row first.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ def _augment(aug: np.ndarray, x: np.ndarray, t):
 
 
 class Weights:
-    """A reader's segments in ``SEGMENTS`` order (arrays, or tape leaves), their
-    values ``w``, and the value-only fused [wq | wk | wv] and [wk | wv]
-    projections and attention scale, read once per rollout or replay pass."""
+    """The values ``w`` of a reader's segments in ``SEGMENTS`` order, and the
+    value-only fused [wq | wk | wv] and [wk | wv] projections and attention
+    scale, read once per rollout or replay call (its passes share them)."""
 
     def __init__(self, reader) -> None:
-        self.leaves = [reader.segment(name) for name in SEGMENTS]
-        self.w = _, _, wq, bq, wk, bk, wv, bv, *_ = [ad.value(leaf) for leaf in self.leaves]
+        self.w = _, _, wq, bq, wk, bk, wv, bv, *_ = [ad.value(reader.segment(n)) for n in SEGMENTS]
         self.wqkv, self.bqkv = np.concatenate((wq, wk, wv), axis=1), np.concatenate((bq, bk, bv))
         self.wkv, self.bkv = np.concatenate((wk, wv), axis=1), np.concatenate((bk, bv))
         self.scale = 1.0 / np.sqrt(wk.shape[1])
@@ -164,9 +163,8 @@ def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, pro
     out, saved = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
         return out
-    w = weights.w  # values only: a leaf in the backward's closure would make the tape a cycle
-    return reader.tape.push(out, tuple(leaf.idx for leaf in weights.leaves),
-                            lambda g: list(_vjp(g, w, aug, saved, n_ctx)))
+    return reader.tape.push(out, tuple(reader.segment(name).idx for name in SEGMENTS),
+                            lambda g: _vjp(g, weights.w, aug, saved, n_ctx))
 
 
 def _forward(weights: Weights, aug, keys, vals, n_ctx):
@@ -200,30 +198,34 @@ def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
 
 
 def _vjp(g, w, aug, saved, n_ctx):
-    """Adjoints of the segments in ``SEGMENTS`` order, given the output
-    adjoint ``g``.  For (R, F, d) rows each is summed over the rows last row
-    first, the order in which the tape adds them when each row is its own
-    node.  The order of every product and transpose, and of the embedding
-    adjoint sum (from v + from k) + from q, is part of the bit-reproducibility
-    contract: reordering them moves the last bits of fixed-seed runs."""
-    ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
-    e, q, keys, vals, p, att, hid, scale = saved
+    """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint ``g``: the
+    Q, K and V ones column blocks of one fused adjoint, the block's keys and values from its
+    own columns of the scores and softmax.  For (R, F, d) rows each is summed last row first
+    (``np.add.reduce`` on a reversed view), as the tape adds them when each row is its own
+    node.  That order, every product's and the embedding adjoint's (from v + from k) + from q
+    are part of the bit-reproducibility contract: reordering moves fixed-seed runs' bits."""
+    wq_t, wk_t, wv_t, w1_t, w2_t = (np.ascontiguousarray(w[i].T) for i in (2, 4, 6, 8, 10))
+    (e, q, keys, vals, p, att, hid, scale), h = saved, len(wq_t)
 
     def tr(a):
         return a.swapaxes(-1, -2)
 
-    g_pre1 = (g @ w2.T) * (1.0 - hid * hid)
-    g_att = g_pre1 @ w1.T
+    g_pre1 = (g @ w2_t) * (1.0 - hid * hid)
+    g_att = g_pre1 @ w1_t
     g_p = g_att @ tr(vals)
     g_scores = p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * scale
-    g_q = g_scores @ keys
-    g_k = tr(tr(q) @ g_scores)[..., n_ctx:, :]
-    g_v = (tr(p) @ g_att)[..., n_ctx:, :]
-    g_e = (g_v @ wv.T + g_k @ wk.T) + g_q @ wq.T
+    g_qkv = np.empty((*e.shape[:-1], 3 * h))
+    g_q, g_k, g_v = g_qkv[..., :h], g_qkv[..., h:2 * h], g_qkv[..., 2 * h:]
+    np.matmul(g_scores, keys, out=g_q)
+    g_k[...] = tr(tr(q) @ g_scores[..., n_ctx:])
+    np.matmul(tr(p[..., n_ctx:]), g_att, out=g_v)
+    g_e = (g_v @ wv_t + g_k @ wk_t) + g_q @ wq_t
     g_pre = g_e * (1.0 - e * e)
-    for inputs, g_out in ((aug, g_pre), (e, g_q), (e, g_k), (e, g_v), (att, g_pre1), (hid, g)):
-        for adjoint in (tr(inputs) @ g_out, g_out.sum(axis=-2)):
-            yield adjoint if g.ndim == 2 else np.ascontiguousarray(adjoint[::-1]).sum(axis=0)
+    adjoints = [a if g.ndim == 2 else np.add.reduce(a[::-1], axis=0)
+                for x, g_out in ((aug, g_pre), (e, g_qkv), (att, g_pre1), (hid, g))
+                for a in (tr(x) @ g_out, np.sum(g_out, axis=-2))]
+    adjoints[2:4] = [a[..., c:c + h] for c in range(0, 3 * h, h) for a in adjoints[2:4]]
+    return adjoints
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -99,9 +99,9 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
         return a[i, cols].reshape(len(i) * len(cols), *a.shape[2:])
 
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
-    terms, nodes = np.zeros((len(i), 1 + len(replay))), []
+    terms, nodes, weights = np.zeros((len(i), 1 + len(replay))), [], None
     for r, steps in passes:
-        weights = network.Weights(r) if steps.any() else None  # once per pass, all sizes
+        weights = weights or (network.Weights(r) if steps.any() else None)  # one read a call
         # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
         for n in sorted(set(sizes[steps].tolist())):
             s = np.flatnonzero(steps & (sizes == n))

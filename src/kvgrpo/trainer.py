@@ -313,6 +313,7 @@ class _Sidecar:
                     self.traj.flush()
         except BaseException as exc:  # noqa: BLE001  - sent to the parent
             os.write(acks, repr(exc)[:4000].encode(errors="replace") + b"\n")
+        finally:  # even if that write fails: a live child would hang the parent's barrier
             os._exit(1)
 
     def _stopped(self, before: str, reason: bytes = b"") -> RuntimeError:

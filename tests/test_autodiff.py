@@ -369,3 +369,42 @@ class TestVelocityOp:
             assert alive() is None
         finally:
             gc.enable()
+
+
+class TestBackwardRowOrder:
+    """A batched backward must be its rows' backwards summed last row first, the
+    order in which the tape adds them when each row is its own node.  The rows'
+    scales span 1e-8 to 1e8, so any other order shows in the bits; this also pins
+    numpy's order in ``np.add.reduce`` over a reversed view, which the sums use."""
+
+    @staticmethod
+    def backward(params, x, t, keys, values, prompt, g):
+        tape = Tape()
+        out = velocity_forward(TapeReader(tape, params), x, t, keys, values, prompt)
+        return tape._backwards[out.idx](g)
+
+    @pytest.mark.parametrize("memory", [0, 3, 12])
+    @pytest.mark.parametrize("rows", [1, 2, 16])
+    def test_batched_backward_is_the_rows_summed_last_first(self, memory, rows):
+        shape = NetworkShape()
+        rng = np.random.default_rng(100 * memory + rows)
+        layout = build_layout(shape)
+        params = Params(rng.normal(size=layout.total) * 0.5, layout)
+        x, t = rng.normal(size=(rows, 3, shape.latent_dim)), rng.uniform(size=rows)
+        keys, values = rng.normal(size=(2, rows, memory, shape.hidden_dim))
+        prompt = rng.normal(size=shape.prompt_dim)
+        g = rng.normal(size=x.shape) * np.logspace(-8, 8, rows)[:, None, None]
+        batched = self.backward(params, x, t, keys, values, prompt, g)
+        per_row = [self.backward(params, x[r], t[r], keys[r], values[r], prompt, g[r])
+                   for r in range(rows)]
+        forward_order_moves = False
+        for name, got, parts in zip(SEGMENTS, batched, zip(*per_row), strict=True):
+            last_first = parts[-1]
+            for part in parts[-2::-1]:
+                last_first = last_first + part
+            assert got.shape == last_first.shape, name
+            assert got.tobytes() == np.ascontiguousarray(last_first).tobytes(), name
+            forward_order_moves |= got.tobytes() != np.ascontiguousarray(sum(parts)).tobytes()
+        # The test tells the orders apart wherever they differ: from three rows on
+        # (a sum of two commutes).
+        assert forward_order_moves == (rows > 2)

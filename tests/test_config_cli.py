@@ -306,6 +306,33 @@ class TestCheckpoint:
         assert load_checkpoint(path).iteration == 1
         assert [p.name for p in tmp_path.iterdir()] == ["ck.kvc"]
 
+    def test_directory_is_synced_after_the_rename(self, tmp_path, monkeypatch):
+        # The file is synced before it is renamed over the target, and the
+        # directory after, so that a crash cannot lose the rename.
+        import stat
+        events, real_fsync, real_replace = [], os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync " + ("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", lambda *a: events.append("replace") or real_replace(*a))
+        save_checkpoint(tmp_path / "ck.kvc", param_init(NetworkShape(3, 5, 2), 9), {}, 0, None)
+        assert events == ["fsync file", "replace", "fsync dir"]
+
+    def test_directory_that_will_not_open_is_not_synced(self, tmp_path, monkeypatch):
+        real_open, params = os.open, param_init(NetworkShape(3, 5, 2), 9)
+
+        def no_directories(path, flags, *args):
+            if os.path.isdir(path):
+                raise PermissionError("injected: a directory will not open")
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", no_directories)
+        save_checkpoint(tmp_path / "ck.kvc", params, {}, 4, None)
+        assert load_checkpoint(tmp_path / "ck.kvc").iteration == 4
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kvc"
         path.write_bytes(b"NOTHING-TO-SEE-HERE")

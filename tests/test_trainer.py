@@ -759,6 +759,49 @@ class TestSidecar:
         assert dumped_groups(tmp_path) == [1, 2]
         assert len(pids) == 1 and reaped(pids[0])
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer runs inline without fork")
+    def test_writer_that_cannot_report_still_ends_the_sidecar(self, tmp_path):
+        # The writer fails and so does its report on the acks pipe: the child must
+        # still exit, or the parent's barrier waits on the pipe forever.  Both
+        # patches are inherited by the fork and act in the child only.  In a
+        # subprocess under a timeout, so that a hang fails instead of stalling.
+        code = f"""if True:
+            import os
+            from kvgrpo import trainer
+            from kvgrpo.config import RunConfig, TrainerConfig
+            parent, real_write = os.getpid(), os.write
+
+            def encode(*args):
+                if os.getpid() != parent:
+                    raise OSError("injected write failure")
+
+            def write(fd, data):
+                if os.getpid() != parent:
+                    raise OSError("injected acks failure")
+                return real_write(fd, data)
+
+            trainer._encode_group, os.write = encode, write
+            cfg = TrainerConfig(seed=3, latent_dim=3, hidden_dim=5, prompt_dim=2, num_blocks=6,
+                                pivot_blocks=[5, 6], perturbed_blocks=2, branch_number=4,
+                                max_iterations=100_000)  # more plans than the socket holds
+            try:
+                trainer.run(RunConfig(trainer=cfg, out_dir={str(tmp_path)!r}, checkpoint_every=2,
+                                      dump_trajectories=True).validate())
+            except RuntimeError as exc:
+                print(exc)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and "sidecar process" in lines[0] and "died" in lines[0], lines
+        assert lines[1] == "no child left"
+
     def test_non_finite_frame_raises_in_the_parent(self, monkeypatch, tmp_path):
         from kvgrpo import trainer
         real_dump, real_encode = trainer._dump_trajectories, trainer._encode_group
