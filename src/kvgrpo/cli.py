@@ -187,7 +187,12 @@ def cmd_inspect(args) -> int:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
-    if path.suffix == ".jsonl" or "\n{" in text.strip():
+    try:  # one JSON value: a config, unless it is a metrics record
+        lone = json.loads(text)
+    except ValueError:
+        lone = None
+    if (path.suffix == ".jsonl" or "\n{" in text.strip()
+            or isinstance(lone, dict) and {"iteration", "skipped"} <= lone.keys()):
         lines = text.split("\n")
         records = []
         for number, line in enumerate(lines, 1):

@@ -93,7 +93,8 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         # The policy is a softmax over at least two branches.
         for name, low in (("branch_number", 2), ("sink_size", 0), ("local_size", 0),
-                          ("max_iterations", 0), ("kl_penalty_weight", 0), ("seed", 0)):
+                          ("max_iterations", 0), ("kl_penalty_weight", 0), ("seed", 0),
+                          ("warmup_steps", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("clip_eps_low", "clip_eps_high"):
@@ -113,9 +114,9 @@ class TrainerConfig:
             raise ConfigError(f"surrogate must be 'replay' or 'latent_l2', got {self.surrogate!r}")
         if not self.pivot_blocks:
             raise ConfigError("pivot_blocks must not be empty")
-        if max(self.pivot_blocks) > self.num_blocks:
-            raise ConfigError(
-                f"pivot block {max(self.pivot_blocks)} exceeds num_blocks {self.num_blocks}")
+        if not 1 <= min(self.pivot_blocks) <= max(self.pivot_blocks) <= self.num_blocks:
+            raise ConfigError(f"pivot_blocks entries must be from 1 to num_blocks "
+                              f"{self.num_blocks}, got {self.pivot_blocks}")
         if any(len(c) != 2 for c in self.local_kv_choices):
             raise ConfigError(f"local_kv_choices entries must be [local_size, routed_slots] "
                               f"pairs, got {self.local_kv_choices!r}")

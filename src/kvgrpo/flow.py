@@ -7,12 +7,13 @@ are solved in lockstep as (G, F, d) rows from the same start noise: each solver 
 one network call over every row, attending once per memory length, over inputs built once
 per block from weights the rollout reads once, and the finished block is projected to
 key/value rows in one call and written into the group's history.  Solver steps kept for
-replay are rows too: one (F, d) latent block per step, written straight into the record.
+replay go straight into the group's record: one (F, d) latent block per row and step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +33,11 @@ class GeneratorConfig:
     def dt(self) -> float:
         return 1.0 / self.num_steps
 
+    @property
+    def times(self) -> list[float]:
+        """Each solver step's flow time, accumulated from 0.0 one ``dt`` at a time."""
+        return list(accumulate([self.dt] * (self.num_steps - 1), initial=0.0))
+
 
 @dataclass(frozen=True)
 class Block:
@@ -47,32 +53,9 @@ class Block:
         return range(first, first + size)
 
 
-@dataclass(frozen=True)
-class ReplaySteps:
-    """Cached solver steps, one row each: the latents entering the step, the
-    velocity they received, and the step's time, 1-based index and block.
-    ``z`` and ``u_hat`` of a group's steps lead with a trajectory axis."""
-
-    z: np.ndarray          # ([G,] R, frames_per_block, d)
-    u_hat: np.ndarray      # ([G,] R, frames_per_block, d)
-    t: np.ndarray          # (R,) accumulated flow time, as the solver saw it
-    step: np.ndarray       # (R,)
-    block: np.ndarray      # (R,)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    @staticmethod
-    def concat(parts: list["ReplaySteps"]) -> "ReplaySteps":
-        """The steps of ``parts``, in order (a group's keep their trajectory axis)."""
-        return ReplaySteps(*(np.concatenate([getattr(p, f.name) for p in parts],
-                                            axis=-3 if f.name in ("z", "u_hat") else 0)
-                             for f in fields(ReplaySteps)))
-
-
 def generate_block(params: Params, buckets: list, block_index: int, noise: np.ndarray,
-                   prompt: np.ndarray, weights: list, record_replay: bool = False,
-                   cfg: GeneratorConfig = GeneratorConfig()) -> tuple[Block, ReplaySteps | None]:
+                   prompt: np.ndarray, weights: list, replay: tuple | None = None,
+                   cfg: GeneratorConfig = GeneratorConfig()) -> Block:
     """Solve one block from its (F, d) start latents ``noise``, as planned, to the
     clean sample for every row of ``buckets``, all from the same noise: per memory
     length, the rows and their (rows, M, h) memory keys and values (M = 0: empty),
@@ -80,27 +63,24 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     :class:`~kvgrpo.network.Weights` of ``params``.
 
     Each solver step makes one network call over every row, bucket after bucket,
-    attending once per bucket; rows are not padded to one length, which would change
-    the reduction lengths and so the bits.  Non-finite final latents raise.  Returns the
-    (rows, F, d) block and, if ``record_replay``, the group's :class:`ReplaySteps`, else ``None``.
+    attending once per bucket at ``cfg.times[k]``; rows are not padded to one length, which
+    would change the reduction lengths and so the bits.  Row g's latents entering step k and
+    their velocity go to ``replay[0][g, k]`` and ``replay[1][g, k]``, unless ``replay`` is
+    ``None``.  Non-finite final latents raise.  Returns the (rows, F, d) block.
     """
     rows, keys, values = zip(*buckets)
     order = np.concatenate(rows)  # the call's rows, bucket after bucket
     memories = (list(keys), list(values)) if len(buckets) > 1 else (keys[0], values[0])
     x = np.empty((len(order), *noise.shape))
-    z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape)) if record_replay else (None,) * 2
-    inputs, xb, t, ts = network.Inputs(weights, x.shape, *memories, prompt), noise, 0.0, []
+    inputs, xb = network.Inputs(weights, x.shape, *memories, prompt), noise
     with np.errstate(all="ignore"):  # the check below raises what would warn
-        for k in range(cfg.num_steps):
+        for k, t in enumerate(cfg.times):
             v = network.velocity_forward(params, xb, t, *memories, prompt, inputs)
-            if record_replay:
-                z[order, k], u_hat[order, k] = xb, v
-            ts.append(t)
-            xb, t = xb + cfg.dt * v, t + cfg.dt
+            if replay is not None:
+                replay[0][order, k], replay[1][order, k] = xb, v
+            xb = xb + cfg.dt * v
     x[order] = network.check_finite(xb, "velocity output")
-    replay = ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
-                         np.full(cfg.num_steps, block_index)) if record_replay else None
-    return Block(x, block_index), replay
+    return Block(x, block_index)
 
 
 def write_back(history: FrameHistory, block: Block, weights: list, prompt: np.ndarray) -> None:

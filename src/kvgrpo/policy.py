@@ -1,13 +1,13 @@
 """Surrogate policy over exploration branches and the losses trained on it.
 
-Each branch (row g >= 1 of a group's arrays; row 0 is the anchor) gets an
-energy: by default the replay residual (squared error between cached rollout
-velocities and their re-evaluations under the restored default-layout context,
-normalized by latent dimension, with every cached step of the selected rows
-replayed as rows of one network call), or optionally a plain latent-space
-distance to the anchor over the window frames.  A softmax over negative
-energies turns the group into a categorical policy; PPO ratios against a frozen
-snapshot and a KL pull toward the reference policy are computed in the log domain.
+Each branch (row g >= 1 of a group's arrays; row 0 is the anchor) gets an energy: by
+default the replay residual (squared error between recorded rollout velocities and their
+re-evaluations at the group's replay schedule, under the restored default-layout context,
+normalized by latent dimension, with every cached step of the selected rows replayed as
+rows of one network call), or optionally a plain latent-space distance to the anchor over
+the window frames.  A softmax over negative energies turns the group into a categorical
+policy; PPO ratios against a frozen snapshot and a KL pull toward the reference policy
+are computed in the log domain.
 
 The loss head is plain numpy.  Given taped energies it records itself as it
 goes, as the network does: one log-softmax node, then one node each for the
@@ -81,16 +81,15 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
     steps are either added as constants (``include_all_steps``) or dropped
     from the value entirely.  Returns a (rows,) array for a value-only reader
     and a tape node otherwise."""
-    replay, contexts = group.replay, group.contexts
+    (z, u_hat), contexts = group.replay, group.contexts
     if contexts is None:
         raise ContractError("the group has no replay contexts: build_replay_contexts never ran")
     d = network.shape_from_layout(reader.layout).latent_dim
-    if replay.z.shape[-1] != d:
-        raise ContractError(f"replay latent dim {replay.z.shape[-1]} != network dim {d}")
-    i = np.asarray(rows)[:, None]
-    window = replay.block - group.pivot_block
+    if z.shape[-1] != d:
+        raise ContractError(f"replay latent dim {z.shape[-1]} != network dim {d}")
+    i, (t, step, window) = np.asarray(rows)[:, None], group.replay_schedule()
     sizes = contexts.sizes[window]
-    carrying = replay.step <= (np.inf if grad_steps is None else grad_steps)
+    carrying = step <= (np.inf if grad_steps is None else grad_steps)
     counted = carrying | include_all_steps
     passes = (((reader.params, counted & ~carrying), (reader, carrying))
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
@@ -99,7 +98,7 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
         return a[i, cols].reshape(len(i) * len(cols), *a.shape[2:])
 
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
-    terms, nodes, weights = np.zeros((len(i), 1 + len(replay))), [], None
+    terms, nodes, weights = np.zeros((len(i), 1 + len(t))), [], None
     for r, steps in passes:
         weights = weights or (network.Weights(r) if steps.any() else None)  # one read a call
         # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
@@ -108,11 +107,11 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
             # Each pick is made where it is used, as the per-row code did.  Under glibc's
             # dynamic mmap threshold, holding the targets through the call doubled
             # replay-grad's page faults; trainer.run pins the thresholds, which removes them.
-            v = network.velocity_forward(r, pick(replay.z, s), np.tile(replay.t[s], len(i)),
+            v = network.velocity_forward(r, pick(z, s), np.tile(t[s], len(i)),
                                          pick(contexts.keys[:, :, :n], window[s]),
                                          pick(contexts.values[:, :, :n], window[s]),
                                          group.prompt, weights=weights)
-            diff = ad.value(v) - pick(replay.u_hat, s)
+            diff = ad.value(v) - pick(u_hat, s)
             terms[:, 1 + s] = np.sum(diff * diff, axis=(-2, -1)).reshape(len(i), -1) * (1.0 / d)
             if isinstance(v, ad.Var):
                 nodes.append((v.idx, np.repeat(np.arange(len(i)), len(s)), diff))

@@ -12,8 +12,8 @@ per memory-length bucket.  A trainer may plan ahead; :func:`rollout_group` only
 gathers what the plan indexes, and solves each block once for all trajectories, with
 one network call per solver step.  A group is its arrays, one row per trajectory:
 row 0 is the anchor and row g branch g, in its frames, history, rewards and cached
-window solver steps, which are replayed later under default-layout memories,
-gathered for the whole group once per window block into the group's replay contexts.
+window solver steps (latents and velocities; the config times them), which are replayed
+later under default-layout memories, gathered once per window block into replay contexts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import network
 from .cache import FrameHistory, buckets, memory_frames
 from .errors import ConfigError, ContractError, InsufficientHistoryError
-from .flow import GeneratorConfig, ReplaySteps, generate_block, write_back
+from .flow import GeneratorConfig, generate_block, write_back
 from .params import Params
 
 
@@ -55,7 +55,7 @@ class RolloutGroup:
     gen_cfg: GeneratorConfig
     frames: np.ndarray       # (G, N, d) final latents
     history: FrameHistory    # every row's key/value rows
-    replay: ReplaySteps      # the window's solver steps; z and u_hat are (G, R, F, d)
+    replay: tuple            # the window's (z, u_hat) steps, each (G, window * S, F, d)
     routings: tuple[RoutingDecision | None, ...]   # the pivot's, None for the anchor
     rewards: np.ndarray | None = None               # (G,), once scored
     contexts: ReplayContexts | None = None          # once built, to replay the window
@@ -63,6 +63,11 @@ class RolloutGroup:
     @property
     def window_block_indices(self) -> list[int]:
         return list(range(self.pivot_block, self.pivot_block + self.window))
+
+    def replay_schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each recorded step's flow time, 1-based solver step and 0-based window block."""
+        S, k = self.gen_cfg.num_steps, np.arange(self.window * self.gen_cfg.num_steps)
+        return np.array(self.gen_cfg.times * self.window), k % S + 1, k // S
 
 
 def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
@@ -210,7 +215,7 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     :func:`plan_rollout` for this config, pivot and window, over ``len(plan.noise)``
     blocks: per block, a gather of the plan's memories, one
     :func:`generate_block` and one :func:`write_back` call, with weights read
-    once.  Every window solver step is recorded for replay, the anchor's too.
+    once.  Every window solver step is written into the group's record, the anchor's too.
     """
     num_blocks = len(plan.noise)
     if (plan.pivot, plan.window, len(plan.memories)) != (pivot, window, num_blocks):
@@ -220,21 +225,22 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
         raise ContractError(f"the plan is for {plan.cfg}, not {cfg}")
 
     # Row i of the history and the frames is trajectory i.
-    shape, F = network.shape_from_layout(params.layout), cfg.frames_per_block
+    shape, F, S = network.shape_from_layout(params.layout), cfg.frames_per_block, cfg.num_steps
     G = len(plan.routings[pivot])
     history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
-    weights, replay = network.Weights(params), []
+    z, u_hat = np.empty((2, G, window * S, F, shape.latent_dim))
+    weights = network.Weights(params)
     for b, memories in enumerate(plan.memories, 1):
-        in_window, L = pivot <= b < pivot + window, len(history)
-        block, steps = generate_block(
+        k, L = (b - pivot) * S, len(history)  # the block's first step in the record
+        block = generate_block(
             params, [(rows, *history.take(rows, index)) for rows, index in memories], b,
-            plan.noise[b - 1], prompt, weights, in_window, cfg)
+            plan.noise[b - 1], prompt, weights,
+            (z[:, k:k + S], u_hat[:, k:k + S]) if pivot <= b < pivot + window else None, cfg)
         write_back(history, block, weights, prompt)
         frames[:, L:L + F] = block.frames
-        replay += [steps] if in_window else []
-    return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history,
-                        ReplaySteps.concat(replay), plan.routings[pivot])
+    return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history, (z, u_hat),
+                        plan.routings[pivot])
 
 
 @dataclass

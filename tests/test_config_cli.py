@@ -65,6 +65,10 @@ BAD_SIZES = [
     ("reward_segments", "25", "reward_segments 25 leaves fewer than 2"),
     ("reward_segments", "10", "reward_segments 10 leaves fewer than 2"),
     ("reward_components", "[]", "reward_components must name at least one component"),
+    ("warmup_steps", "-3", "warmup_steps must be >= 0, got -3"),
+    ("pivot_blocks", "[0]", "pivot_blocks entries must be from 1 to num_blocks 6, got"),
+    ("pivot_blocks", "[5, -1]", "pivot_blocks entries must be from 1 to num_blocks 6, got"),
+    ("pivot_blocks", "[5, 7]", "pivot_blocks entries must be from 1 to num_blocks 6, got"),
 ]
 
 
@@ -735,6 +739,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["inspect", str(out_dir / "metrics.jsonl")]) == 0
         assert "records" in capsys.readouterr().out
+
+    def test_inspect_one_record_metrics_file_by_content(self, tmp_path, capsys):
+        # One record under a name that is not .jsonl is still a metrics file,
+        # and the run's config.json is still shown as a config.
+        cfg_path = write_small_config(tmp_path)
+        out_dir = tmp_path / "run1"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out_dir), "--set",
+                     "metrics_filename=metrics.log", "train", "--max-iters", "1"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", str(out_dir / "metrics.log")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"metrics: {out_dir / 'metrics.log'} (1 records)")
+        assert "config:" not in out and "first: iteration 1" in out
+        assert main(["inspect", str(out_dir / "config.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"config: {out_dir / 'config.json'}") and "records)" not in out
+        assert "  metrics_filename = 'metrics.log'" in out
 
     def _metrics_lines(self, tmp_path, capsys) -> list[str]:
         cfg_path = write_small_config(tmp_path)

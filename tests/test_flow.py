@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from kvgrpo.autodiff import Tape, TapeReader
 from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
-from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps, generate_block, write_back
+from kvgrpo import network
+from kvgrpo.flow import Block, GeneratorConfig, generate_block, write_back
 from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _forward, _vjp,
                             build_layout, kv_for_frames, param_init, shape_from_layout,
                             velocity_forward)
@@ -31,7 +32,7 @@ PROMPT = np.array([0.3, -0.2])
 class Rollout:
     blocks: list
     history: FrameHistory
-    replay: ReplaySteps | None
+    replay: tuple | None  # (z, u_hat), each (steps, F, d)
 
 
 @dataclass
@@ -60,15 +61,23 @@ def row_memory(cache, row=0):
             return cache.frames[row], keys[i], values[i]
 
 
+def new_record(rows, cfg=GeneratorConfig(), dim=TINY.latent_dim):
+    """A ``(z, u_hat)`` record of one block's solver steps, each (rows, steps, F, d),
+    NaN until the solver writes it."""
+    return tuple(np.full((2, rows, cfg.num_steps, cfg.frames_per_block, dim), np.nan))
+
+
 def generate_one(params, cache, block_index, noise_seed, prompt, record_replay=False,
                  cfg=GeneratorConfig()):
-    """One trajectory's block: the (F, d) frames and its replay rows (or None)."""
+    """One trajectory's block: the (F, d) frames and its ``(z, u_hat)`` steps, each
+    (steps, F, d), or None."""
     noise = block_noise(noise_seed, block_index, cfg.frames_per_block,
                         shape_from_layout(params.layout).latent_dim)
-    block, steps = generate_block(params, cache.stacked(), block_index, noise, prompt,
-                                  Weights(params), record_replay, cfg)
-    return Block(block.frames[0], block_index), None if steps is None else ReplaySteps(
-        steps.z[0], steps.u_hat[0], steps.t, steps.step, steps.block)
+    record = new_record(1, cfg, noise.shape[-1]) if record_replay else None
+    block = generate_block(params, cache.stacked(), block_index, noise, prompt,
+                           Weights(params), record, cfg)
+    steps = None if record is None else tuple(a[0] for a in record)
+    return Block(block.frames[0], block_index), steps
 
 
 def write_one(history, block, params, prompt):
@@ -90,7 +99,7 @@ def rollout(params, prompt, num_blocks, noise_seed, record_replay=False) -> Roll
         write_one(history, block, params, prompt)
         blocks.append(block)
         replay += [steps] if record_replay else []
-    return Rollout(blocks, history, ReplaySteps.concat(replay) if replay else None)
+    return Rollout(blocks, history, tuple(map(np.concatenate, zip(*replay))) if replay else None)
 
 
 def tiny_rollout(seed=0, num_blocks=5, record=False):
@@ -245,18 +254,19 @@ def constant_field(velocity):
 
 class TestEulerSolve:
     def test_zero_velocity_leaves_the_noise(self):
-        block, steps = generate_one(constant_field(0.0), one_row_cache(), 1, 5, PROMPT, True)
+        block, (zs, _) = generate_one(constant_field(0.0), one_row_cache(), 1, 5, PROMPT, True)
         xT = block_noise(5, 1, 3, 3)
         np.testing.assert_array_equal(block.frames, xT)
-        for z in steps.z:
+        for z in zs:
             np.testing.assert_array_equal(z, xT)
 
     def test_every_row_of_a_group_starts_from_the_same_noise(self, tiny_params):
-        block, steps = generate_block(tiny_params, one_row_cache(rows=2).stacked(), 1,
-                                      block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params), True)
-        assert block.frames.shape == (2, 3, 3) and steps.z.shape == (2, 4, 3, 3)
-        np.testing.assert_array_equal(steps.z[0, 0], block_noise(9, 1, 3, 3))
-        np.testing.assert_array_equal(steps.z[1, 0], block_noise(9, 1, 3, 3))
+        z, _ = record = new_record(2)
+        block = generate_block(tiny_params, one_row_cache(rows=2).stacked(), 1,
+                               block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params), record)
+        assert block.frames.shape == (2, 3, 3) and z.shape == (2, 4, 3, 3)
+        np.testing.assert_array_equal(z[0, 0], block_noise(9, 1, 3, 3))
+        np.testing.assert_array_equal(z[1, 0], block_noise(9, 1, 3, 3))
         assert block.frames[0].tobytes() == block.frames[1].tobytes()
 
     @pytest.mark.parametrize("velocity", [np.inf, -np.inf, np.nan])
@@ -276,21 +286,30 @@ class TestGenerateBlock:
         assert np.array_equal(b1.frames, b2.frames)
 
     def test_replay_tuple_count_matches_steps(self, tiny_params):
-        _, steps = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT,
-                                  record_replay=True)
-        assert len(steps) == 4 and steps.z.shape == steps.u_hat.shape == (4, 3, 3)
-        assert steps.step.tolist() == [1, 2, 3, 4]
-        assert steps.block.tolist() == [1, 1, 1, 1]
-        assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75]
-        assert generate_block(tiny_params, one_row_cache().stacked(), 1,
-                              block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params))[1] is None
+        _, (z, u_hat) = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT,
+                                     record_replay=True)
+        assert len(z) == 4 and z.shape == u_hat.shape == (4, 3, 3)
+        assert np.isfinite(z).all() and np.isfinite(u_hat).all()  # every step written
+        assert GeneratorConfig().times == [0.0, 0.25, 0.5, 0.75]
+        assert isinstance(generate_block(tiny_params, one_row_cache().stacked(), 1,
+                                         block_noise(9, 1, 3, 3), PROMPT, Weights(tiny_params)),
+                          Block)
 
-    def test_replay_time_is_the_accumulated_solver_time(self, tiny_params):
-        # With dt = 1/3 the accumulated time differs from step * dt in the
-        # last bits; the network must see the time the rollout saw.
-        cfg = GeneratorConfig(num_steps=3)
-        _, steps = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT, True, cfg)
-        assert steps.t.tolist() == [0.0, cfg.dt, cfg.dt + cfg.dt]
+    @pytest.mark.parametrize("num_steps", [3, 5, 7])
+    def test_replay_time_is_the_accumulated_solver_time(self, tiny_params, monkeypatch,
+                                                        num_steps):
+        # Where dt rounds, the accumulated time can differ from step * dt in the
+        # last bits; the network must see the time the rollout saw, and the
+        # config's times, which the replay reads, must be that time.
+        cfg, seen, real = GeneratorConfig(num_steps=num_steps), [], network.velocity_forward
+        monkeypatch.setattr(network, "velocity_forward",
+                            lambda p, x, t, *args: seen.append(t) or real(p, x, t, *args))
+        generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT, True, cfg)
+        accumulated = [0.0]
+        while len(accumulated) < num_steps:
+            accumulated.append(accumulated[-1] + cfg.dt)
+        assert seen == cfg.times == accumulated
+        assert all(type(t) is float for t in seen)
 
     def test_different_noise_seeds_differ(self, tiny_params):
         b1, _ = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT)
@@ -304,17 +323,17 @@ class TestGenerateBlock:
         block, steps = generate_one(constant_field(v), one_row_cache(), 1, 5, PROMPT, True)
         xT = block_noise(5, 1, 3, 3)
         np.testing.assert_array_equal(block.frames, xT + v)
-        for i, (z, u_hat) in enumerate(zip(steps.z, steps.u_hat)):
+        for i, (z, u_hat) in enumerate(zip(*steps)):
             np.testing.assert_allclose(z, xT + i * 0.25 * v, atol=1e-15)
             np.testing.assert_array_equal(u_hat, np.broadcast_to(v, (3, 3)))
 
     def test_replay_tuples_carry_prestep_latents(self, tiny_params):
         block, steps = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT,
-                                      record_replay=True)
-        np.testing.assert_array_equal(steps.z[0], block_noise(9, 1, 3, 3))
+                                    record_replay=True)
+        np.testing.assert_array_equal(steps[0][0], block_noise(9, 1, 3, 3))
         # z + dt*u_hat gives the next row's z, and telescopes to the final block
-        x = steps.z[0]
-        for z, u_hat in zip(steps.z, steps.u_hat):
+        x = steps[0][0]
+        for z, u_hat in zip(*steps):
             np.testing.assert_array_equal(x, z)
             x = x + 0.25 * u_hat
         np.testing.assert_array_equal(x, block.frames)
@@ -341,9 +360,10 @@ class TestSolverPaths:
     def test_without_replay_the_block_is_the_same(self, tiny_params, case):
         args = (tiny_params, self.buckets(case), 7, block_noise(9, 7, 3, 3), PROMPT,
                 Weights(tiny_params))
-        plain, replay = generate_block(*args)
-        recorded, steps = generate_block(*args, record_replay=True)
-        assert replay is None and steps.z.shape == (3, 4, 3, 3)
+        plain, (z, u_hat) = generate_block(*args), new_record(3)
+        recorded = generate_block(*args, (z, u_hat))
+        assert isinstance(plain, Block) and z.shape == (3, 4, 3, 3)
+        assert np.isfinite(z).all() and np.isfinite(u_hat).all()  # every row and step written
         assert plain.frames.tobytes() == recorded.frames.tobytes()
 
     @pytest.mark.parametrize("case", CASES)
@@ -352,21 +372,24 @@ class TestSolverPaths:
         assert [rows.tolist() for rows, *_ in buckets] == {
             "interleaved": [[1], [0, 2]], "one-bucket": [[0, 1, 2]],
             "one-bucket-permuted": [[2, 0, 1]]}[case]
-        block, steps = generate_block(tiny_params, buckets, 7, noise, PROMPT, weights, True)
+        steps = new_record(3)
+        block = generate_block(tiny_params, buckets, 7, noise, PROMPT, weights, steps)
         for rows, keys, values in buckets:
             for i, g in enumerate(rows):
-                alone = [(np.array([0]), keys[i:i + 1], values[i:i + 1])]
-                own_block, own = generate_block(tiny_params, alone, 7, noise, PROMPT, weights, True)
+                alone, own = [(np.array([0]), keys[i:i + 1], values[i:i + 1])], new_record(1)
+                own_block = generate_block(tiny_params, alone, 7, noise, PROMPT, weights, own)
                 assert block.frames[g].tobytes() == own_block.frames[0].tobytes()
-                assert steps.z[g].tobytes() == own.z[0].tobytes()
-                assert steps.u_hat[g].tobytes() == own.u_hat[0].tobytes()
-        assert steps.t.tolist() == [0.0, 0.25, 0.5, 0.75] and steps.block.tolist() == [7] * 4
+                assert steps[0][g].tobytes() == own[0][0].tobytes()
+                assert steps[1][g].tobytes() == own[1][0].tobytes()
+        assert block.block_index == 7
 
 
 def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, record_replay,
                       cfg=GeneratorConfig()):
     """The reference solve of a block's buckets: a whole Euler loop per bucket,
-    one single-memory velocity call per step, each bucket written at its rows."""
+    one single-memory velocity call per step, each bucket written at its rows.
+    Returns the block and, if ``record_replay``, its ``(z, u_hat)`` steps and the
+    times the loop accumulated, else None."""
     x = np.empty((sum(len(rows) for rows, *_ in buckets), *noise.shape))
     z, u_hat = np.empty((2, len(x), cfg.num_steps, *noise.shape))
     with np.errstate(all="ignore"):
@@ -381,8 +404,7 @@ def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, reco
             x[rows] = xb
     if not np.isfinite(x).all():
         raise NumericalError("non-finite velocity output")
-    return x, (ReplaySteps(z, u_hat, np.array(ts), np.arange(1, cfg.num_steps + 1),
-                           np.full(cfg.num_steps, block_index)) if record_replay else None)
+    return x, ((z, u_hat, np.array(ts)) if record_replay else None)
 
 
 @st.composite
@@ -411,14 +433,17 @@ class TestMixedMemoryLengths:
         layout, cfg = build_layout(TINY), GeneratorConfig(num_steps=steps)
         params = Params(rng.normal(size=layout.total) * 0.5, layout)  # biases too
         noise, prompt, weights = rng.normal(size=(3, TINY.latent_dim)), PROMPT, Weights(params)
-        block, steps_got = generate_block(params, buckets, 4, noise, prompt, weights, record, cfg)
+        record_got = new_record(sum(len(rows) for rows, *_ in buckets), cfg)
+        block = generate_block(params, buckets, 4, noise, prompt, weights,
+                               record_got if record else None, cfg)
         frames, steps_want = per_bucket_oracle(params, buckets, 4, noise, prompt, weights,
                                                record, cfg)
         assert block.frames.shape == frames.shape
         assert block.frames.tobytes() == frames.tobytes()
-        assert (steps_got is None) == (steps_want is None) == (not record)
-        for field in ("z", "u_hat", "t", "step", "block") if record else ():
-            got, want = getattr(steps_got, field), getattr(steps_want, field)
+        assert (steps_want is None) == (not record)
+        # The solver's times are the config's; the replay reads them from there.
+        steps_got = (*record_got, np.array(cfg.times))
+        for field, got, want in zip(("z", "u_hat", "t"), steps_got, steps_want or ()):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
     def test_one_call_per_solver_step(self, tiny_params, monkeypatch):
@@ -432,7 +457,7 @@ class TestMixedMemoryLengths:
         monkeypatch.setattr("kvgrpo.network.velocity_forward", counted)
         buckets = TestSolverPaths.buckets("interleaved")
         generate_block(tiny_params, buckets, 7, block_noise(9, 7, 3, 3), PROMPT,
-                       Weights(tiny_params), True)
+                       Weights(tiny_params), new_record(3))
         assert calls == [(3, 3)] + [(3, 3, 3)] * 3  # the noise, then every row
 
     @pytest.mark.parametrize("bad", range(4))
@@ -681,8 +706,10 @@ class TestRollout:
 
     def test_replay_count_invariant(self, tiny_params):
         res = rollout(tiny_params, PROMPT, 7, 0, record_replay=True)
-        assert len(res.replay) == 7 * 4
-        assert res.replay.block.tolist() == [b for b in range(1, 8) for _ in range(4)]
+        assert len(res.replay[0]) == len(res.replay[1]) == 7 * 4
+        # Block b's steps are rows 4(b-1) to 4b-1, starting from its noise.
+        for b in range(1, 8):
+            assert res.replay[0][4 * (b - 1)].tobytes() == block_noise(0, b, 3, 3).tobytes()
 
     def test_cache_layout_invariant_all_points(self, tiny_params):
         history = one_row_cache().history

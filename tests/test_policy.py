@@ -14,7 +14,7 @@ from kvgrpo import network, policy
 from kvgrpo.autodiff import fd_grad, grad
 from kvgrpo.checks import rel_l2
 from kvgrpo.errors import ContractError, NumericalError
-from kvgrpo.flow import GeneratorConfig, ReplaySteps
+from kvgrpo.flow import GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import Params
 from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
@@ -22,7 +22,8 @@ from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
                            gibbs, guard, latent_l2_energies, pg_surrogate_value,
                            ppo_kl_loss, replay_energies, surrogate_energies,
                            total_loss_grad)
-from kvgrpo.routing import GroupSeeds, ReplayContexts, build_replay_contexts
+from kvgrpo.routing import (GroupSeeds, ReplayContexts, RolloutGroup, build_replay_contexts,
+                            plan_rollout, rollout_group)
 import reference_ops as ops
 from test_routing import memory, roll
 
@@ -71,14 +72,13 @@ def reference_energy(reader, group, row, grad_steps=None, include_all_steps=True
     (It squared with a tape op of its own; a product with a shared operand
     gets the same adjoint, (g * diff) + (g * diff) = (2 * g) * diff, exactly.)"""
     d = reader.layout.segments["head2_w"][1][1]
-    steps = group.replay
+    (zs, u_hats), (ts, steps, window) = group.replay, group.replay_schedule()
     total = 0.0
-    for z, u_hat, t, step, block in zip(steps.z[row], steps.u_hat[row], steps.t, steps.step,
-                                        steps.block):
+    for z, u_hat, t, step, j in zip(zs[row], u_hats[row], ts, steps, window):
         carrying = grad_steps is None or step <= grad_steps
         if not carrying and not include_all_steps:
             continue
-        keys, values = memory(group, row, block)
+        keys, values = memory(group, row, group.pivot_block + j)
         r = reader if carrying or not isinstance(reader, ad.TapeReader) else reader.params
         v = network.velocity_forward(r, z, t, keys, values, group.prompt)
         diff = ops.sub(v, u_hat)
@@ -106,37 +106,47 @@ def reference_loss_grad(params, group, eval_ref, pcfg):
 
 
 class TestReplayEnergy:
-    def test_zero_residual_gives_zero(self, check_instance):
-        assert replay_energies(check_instance.params, check_instance.group,
-                               [0]).tolist() == [0.0]
+    @pytest.mark.parametrize("num_steps", [3, 4, 5])
+    def test_zero_residual_gives_zero(self, check_instance, num_steps):
+        # The anchor replays to exactly zero only if the replay's times are the
+        # solver's; at 3 and 5 steps dt rounds, so a schedule that drifts from
+        # the solver's accumulated times by an ulp shows here.
+        inst, cfg = check_instance, GeneratorConfig(num_steps=num_steps)
+        plan = plan_rollout(6, 6, 1, 8, GroupSeeds(noise=78, routing=79), cfg, 3)
+        group = rollout_group(inst.params, inst.group.prompt, cfg, 6, 1, plan)
+        group.contexts = build_replay_contexts(group)
+        assert replay_energies(inst.params, group, [0]).tolist() == [0.0]
+        if num_steps == 4:  # the shared instance is this group
+            assert group.replay[0].tobytes() == inst.group.replay[0].tobytes()
+            assert replay_energies(inst.params, inst.group, [0]).tolist() == [0.0]
 
     def test_single_tuple_hand_case(self, tiny_params):
         # One frame, d=3, residual (1,0,0): energy = 1/d = 1/3.  Build a fake
         # one-row group replay whose cached velocity differs from the replayed
         # one by exactly that residual.
-        z = np.zeros((1, 3))
+        z, cfg = np.zeros((1, 3)), GeneratorConfig(frames_per_block=1, num_steps=1)
         keys, values = np.ones((1, 5)), np.ones((1, 5))  # a one-frame memory
         prompt = np.array([0.3, -0.2])
-        v = np.asarray(network.velocity_forward(tiny_params, z, 0.25, keys, values, prompt))
+        v = np.asarray(network.velocity_forward(tiny_params, z, 0.0, keys, values, prompt))
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
-        steps = ReplaySteps(z[None, None], u_hat[None, None], np.array([0.25]), np.array([1]),
-                            np.array([5]))
         contexts = ReplayContexts(keys[None, None], values[None, None], np.array([1]))
-        group = SimpleNamespace(replay=steps, contexts=contexts, pivot_block=5, prompt=prompt)
+        group = RolloutGroup(pivot_block=5, window=1, prompt=prompt, gen_cfg=cfg, frames=None,
+                             history=None, replay=(z[None, None], u_hat[None, None]),
+                             routings=(None,), contexts=contexts)
         energies = replay_energies(tiny_params, group, [0])
         assert energies.shape == (1,)
         assert energies[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_double_loop_oracle(self, check_instance):
         inst = check_instance
-        replay, row = inst.group.replay, 3
+        (zs, u_hats), row = inst.group.replay, 3
+        ts, _, window = inst.group.replay_schedule()
         got = float(energy(inst.params, inst.group, row))
         # direct two-level summation using only public pieces
         total = 0.0
         d = 3
-        for z, u_hat, t, block in zip(replay.z[row], replay.u_hat[row], replay.t,
-                                      replay.block):
-            keys, values = memory(inst.group, row, block)
+        for z, u_hat, t, j in zip(zs[row], u_hats[row], ts, window):
+            keys, values = memory(inst.group, row, inst.group.pivot_block + j)
             v = np.asarray(network.velocity_forward(inst.params, z, t, keys, values,
                                                     inst.group.prompt))
             for frame in range(v.shape[0]):
@@ -191,8 +201,7 @@ class TestReplayEnergy:
     def test_dimension_mismatch_rejected(self, check_instance):
         inst = check_instance
         rows = np.zeros((2, 1, 1, 7))
-        bad = ReplaySteps(rows, rows, np.array([0.0]), np.array([1]),
-                          np.array([inst.group.pivot_block]))
+        bad = (rows, rows)
         with pytest.raises(ContractError):
             replay_energies(inst.params, dataclasses.replace(inst.group, replay=bad), [1])
 
@@ -745,7 +754,7 @@ class TestContrastiveReference:
         g = inst.group
         sub = dataclasses.replace(  # the anchor and the first two branches
             g, frames=g.frames[:3], routings=g.routings[:3], rewards=g.rewards[:3],
-            replay=dataclasses.replace(g.replay, z=g.replay.z[:3], u_hat=g.replay.u_hat[:3]))
+            replay=tuple(a[:3] for a in g.replay))
         ev = gibbs(np.array([4.0, 4.0]), 2.0)
         adv = advantages(np.array([1.0, -1.0]), clip_max=np.inf)
         got = contrastive_grad_reference(inst.params, sub, ev, adv, tau=2.0)

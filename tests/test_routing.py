@@ -13,7 +13,7 @@ from kvgrpo import cache, checks, network, routing
 from kvgrpo.cache import FrameHistory, KVCache, memory_frames
 from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
-from kvgrpo.flow import Block, GeneratorConfig, ReplaySteps
+from kvgrpo.flow import Block, GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init, velocity_forward
 from kvgrpo.params import Params
 from kvgrpo.policy import replay_energies
@@ -33,9 +33,9 @@ PROMPT = np.array([0.3, -0.2])
 def replay_velocities(params, group, row):
     """Each cached solver step of one row of a group, re-evaluated under its
     restored default-layout context."""
-    out = []
-    for z, t, block in zip(group.replay.z[row], group.replay.t, group.replay.block):
-        keys, values = memory(group, row, block)
+    out, (t, _, window) = [], group.replay_schedule()
+    for z, t, j in zip(group.replay[0][row], t, window):
+        keys, values = memory(group, row, group.pivot_block + j)
         out.append(velocity_forward(params, z, t, keys, values, group.prompt))
     return out
 
@@ -279,8 +279,11 @@ class TestRolloutGroup:
     def test_replay_tuple_counts(self):
         # Window of 5 blocks at 4 steps each: 20 tuples per trajectory.
         _, group = make_group(num_blocks=9, pivot=5, window=5, branches=2)
-        assert len(group.replay) == 20
-        assert group.replay.z.shape[:2] == group.replay.u_hat.shape[:2] == (3, 20)
+        t, step, window = group.replay_schedule()
+        assert len(t) == len(step) == len(window) == 20
+        assert group.replay[0].shape[:2] == group.replay[1].shape[:2] == (3, 20)
+        assert t.tolist() == [0.0, 0.25, 0.5, 0.75] * 5 and step.tolist() == [1, 2, 3, 4] * 5
+        assert window.tolist() == [j for j in range(5) for _ in range(4)]
 
     def test_identical_seeds_identical_trajectories(self):
         _, g1 = make_group(seed=4)
@@ -295,7 +298,7 @@ class TestRolloutGroup:
     def test_branches_share_block_noise(self):
         # every trajectory's pivot block starts from the same x_T
         _, group = make_group(seed=16, pivot=6, window=2)
-        starts = group.replay.z[:, 0]
+        starts = group.replay[0][:, 0]
         for z in starts[1:]:
             assert np.array_equal(z, starts[0])
 
@@ -399,15 +402,15 @@ class TestReplayContexts:
     def test_anchor_replay_velocities_equal_cached_targets_bitwise(self, check_instance):
         group = check_instance.group
         velocities = replay_velocities(check_instance.params, group, 0)
-        assert len(velocities) == len(group.replay)
-        for v, u_hat in zip(velocities, group.replay.u_hat[0]):
+        assert len(velocities) == group.replay[1].shape[1]
+        for v, u_hat in zip(velocities, group.replay[1][0]):
             assert np.array_equal(v, u_hat)
 
     def test_branch_replay_velocities_differ_from_targets(self, check_instance):
         group = check_instance.group
         velocities = replay_velocities(check_instance.params, group, 1)
         assert any(not np.array_equal(v, u_hat)
-                   for v, u_hat in zip(velocities, group.replay.u_hat[1]))
+                   for v, u_hat in zip(velocities, group.replay[1][1]))
 
     def test_branch_energies_positive(self, check_instance):
         group = check_instance.group
@@ -422,8 +425,8 @@ class TestReplayContexts:
 
     def test_replay_eval_count(self, check_instance):
         group = check_instance.group
-        assert len(group.replay) == group.window * 4
-        assert group.replay.z.shape[:2] == (len(group.frames), group.window * 4)
+        assert len(group.replay_schedule()[0]) == group.window * 4
+        assert group.replay[0].shape[:2] == (len(group.frames), group.window * 4)
 
     def test_anchor_source_shares_contexts(self):
         _, group = make_group(seed=14, pivot=6, window=2)
@@ -574,9 +577,9 @@ class ReferenceRollout:
             v = velocity_forward(self.params, x, t, keys, values, self.prompt)
             rows.append((x, v, t))
             x, t = x + cfg.dt * v, t + cfg.dt
-        z, u_hat, ts = (np.array(column) for column in zip(*rows))
-        steps = ReplaySteps(z, u_hat, ts, np.arange(1, cfg.num_steps + 1),
-                            np.full(cfg.num_steps, b))
+        # The block's z, u_hat, times, 1-based steps and block, one row per step.
+        steps = (*(np.array(column) for column in zip(*rows)), np.arange(1, cfg.num_steps + 1),
+                 np.full(cfg.num_steps, b))
         return Block(x, b), steps if record else None
 
     def write_back(self, cache, block, history):
@@ -621,7 +624,7 @@ class ReferenceRollout:
             self.write_back(cache, block, history)
             blocks.append(block)
             replay += [steps] if in_window else []
-        return blocks, routing, ReplaySteps.concat(replay), history
+        return blocks, routing, [np.concatenate(column) for column in zip(*replay)], history
 
 
 def oracle_memories(routings, num_blocks, pivot, window, cfg):
@@ -650,7 +653,8 @@ EXPLORE_WIDE = dict(num_branches=16, local_kv_choices=((6, 3), (9, 6), (12, 9)),
 # is the keywords' ``window``, else the trainer's min(perturbed_blocks=5,
 # num_blocks - pivot + 1).  The window-end cases end the window before the
 # last block, while a routed frame is still in memory, so the revert to the
-# default layout changes what the following blocks see.
+# default layout changes what the following blocks see.  At three solver steps
+# dt = 1/3 rounds, so times not summed as the solver sums them can differ in the last bit.
 LOCKSTEP_CASES = [
     *((f"default-p{p}", 8, p, GeneratorConfig(), dict(num_branches=8)) for p in (5, 6, 7)),
     *((f"explore-wide-p{p}", 8, p, GeneratorConfig(), EXPLORE_WIDE) for p in (5, 6, 7)),
@@ -664,6 +668,7 @@ LOCKSTEP_CASES = [
     ("window-end-per-block", 10, 5, GeneratorConfig(),
      dict(num_branches=4, routing_per_block=True, window=2)),
     ("window-end-explore-wide", 9, 6, GeneratorConfig(), dict(EXPLORE_WIDE, window=2)),
+    ("three-steps-p6", 8, 6, GeneratorConfig(num_steps=3), dict(num_branches=4)),
 ]
 
 
@@ -699,9 +704,12 @@ class TestLockstepMatchesReference:
                 mine = group.frames[g, b * F:(b + 1) * F]
                 assert mine.shape == theirs.frames.shape
                 assert mine.tobytes() == theirs.frames.tobytes()
-            for field in ("z", "u_hat", "t", "step", "block"):
-                mine, theirs = getattr(group.replay, field), getattr(replay, field)
-                mine = mine[g] if field in ("z", "u_hat") else mine
+            # The record, and the times, steps and blocks derived from the config,
+            # against the ones the reference's own solver loop accumulated.
+            t, step, window = group.replay_schedule()
+            recorded = (group.replay[0][g], group.replay[1][g], t, step, pivot + window)
+            for field, mine, theirs in zip(("z", "u_hat", "t", "step", "block"), recorded,
+                                           replay):
                 assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
                 assert mine.tobytes() == theirs.tobytes(), field
             assert group.history.keys[g].tobytes() == history.keys.tobytes()

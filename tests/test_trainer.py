@@ -650,9 +650,10 @@ def interrupt_train(out: Path, *settings: str) -> None:
     """Ctrl-C a ``kvgrpo train`` process group once it has written two records;
     it must exit by ``KeyboardInterrupt`` and leave its sidecar reaped."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    command = [sys.executable, "-m", "kvgrpo.cli", "--seed", "3", "--out-dir", str(out),
-               "--set", "num_blocks=6", "--set", "pivot_blocks=[5, 6]", *settings,
-               "train", "--max-iters", "100000"]
+    # -X faulthandler: on SIGABRT the trainer and its forked sidecar dump their stacks.
+    command = [sys.executable, "-X", "faulthandler", "-m", "kvgrpo.cli", "--seed", "3",
+               "--out-dir", str(out), "--set", "num_blocks=6", "--set", "pivot_blocks=[5, 6]",
+               *settings, "train", "--max-iters", "100000"]
     # Its own process group, which Ctrl-C signals as a whole.
     proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, start_new_session=True)
@@ -667,7 +668,13 @@ def interrupt_train(out: Path, *settings: str) -> None:
         time.sleep(0.5)
         assert children(proc.pid) == sidecars
         os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=60)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGABRT)
+            _, err = proc.communicate(timeout=60)
+            pytest.fail("kvgrpo train did not exit within 60 s of Ctrl-C; its stderr, with "
+                        "every process's Python stacks:\n" + err.decode(errors="replace"))
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -965,7 +972,8 @@ def hand_group(pivot: int, rows: int = 3, num_blocks: int = 4, F: int = 2,
     routings = tuple(None if g == 0 else RoutingDecision((4 + g, 6 + g), 3)
                      for g in range(rows))
     return RolloutGroup(pivot, 1, np.zeros(2), GeneratorConfig(frames_per_block=F), frames,
-                        None, None, routings, -0.25 * np.arange(rows))
+                        history=None, replay=None, routings=routings,
+                        rewards=-0.25 * np.arange(rows))
 
 
 EXPLORE_WIDE = dict(branch_number=16, local_kv_choices=[[6, 3], [9, 6], [12, 9]],
