@@ -110,6 +110,9 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     if not isinstance(has_ema, bool):
         raise ConfigError(f"{path}: checkpoint header field has_ema must be a bool, "
                           f"got {has_ema!r}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: checkpoint header field config must be a JSON object, "
+                          f"got {config!r}")
     try:
         shape = network.NetworkShape(latent, hidden, in_dim - latent - 1)
     except ConfigError as exc:

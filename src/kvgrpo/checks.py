@@ -5,7 +5,7 @@ suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ FD_STEP = 1e-5
 ENERGY_TOL = 1e-4
 TOTAL_TOL = 1e-4
 IDENTITY_TOL = 1e-6
+SHAPE = NetworkShape(3, 5, 2)
+BLOCKS, PIVOT, WINDOW, BRANCHES = 6, 6, 1, 8
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -38,40 +40,32 @@ class CheckInstance:
     group: RolloutGroup     # scored, with its replay contexts
 
 
-def make_instance(seed: int, latent_dim: int = 3, hidden_dim: int = 5,
-                  prompt_dim: int = 2, num_blocks: int = 6, pivot: int = 6,
-                  window: int = 1, branches: int = 8) -> CheckInstance:
+def make_instance(seed: int) -> CheckInstance:
     """Small random (params, group) pair for gradient checks.
 
     The pivot leaves more routable history than routed slots, so branches
     genuinely diverge and the energies carry real gradients."""
-    shape = NetworkShape(latent_dim, hidden_dim, prompt_dim)
-    params = param_init(shape, seed)
+    params = param_init(SHAPE, seed)
     rng = np.random.default_rng(seed + 1)
-    prompt = rng.normal(size=prompt_dim)
+    prompt = rng.normal(size=SHAPE.prompt_dim)
     cfg = GeneratorConfig()
-    plan = plan_rollout(num_blocks, pivot, window, branches,
-                        GroupSeeds(noise=seed * 7 + 1, routing=seed * 7 + 2), cfg, latent_dim)
-    group = rollout_group(params, prompt, cfg, pivot, window, plan)
-    group.rewards = rng.normal(size=branches + 1)
+    seeds = GroupSeeds(noise=seed * 7 + 1, routing=seed * 7 + 2)
+    plan = plan_rollout(BLOCKS, PIVOT, WINDOW, BRANCHES, seeds, cfg, SHAPE.latent_dim)
+    group = rollout_group(params, prompt, cfg, PIVOT, WINDOW, plan)
+    group.rewards = rng.normal(size=BRANCHES + 1)
     group.contexts = build_replay_contexts(group)
     return CheckInstance(params, group)
 
 
-def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig,
-                   branch_index: int | None = None) -> float:
-    """Max relative L2 error of the replay-energy gradient against finite
-    differences, over one branch (``branch_index`` 0 is row 1) or all of them."""
-    rows = range(1, len(inst.group.frames)) if branch_index is None else [branch_index + 1]
-    worst = 0.0
-    for row in rows:
-        def f(reader, row=row):
-            return ad.asum(policy.replay_energies(reader, inst.group, [row], pcfg.grad_steps,
-                                                  pcfg.include_all_steps))
-        _, g = grad(inst.params, f)
-        fd = fd_grad(inst.params, f, FD_STEP)
-        worst = max(worst, rel_l2(g, fd))
-    return worst
+def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig, branch_index: int) -> float:
+    """Relative L2 error of one branch's replay-energy gradient (``branch_index``
+    0 is row 1) against finite differences."""
+    def f(reader):
+        return ad.asum(policy.replay_energies(reader, inst.group, [branch_index + 1],
+                                              pcfg.grad_steps, pcfg.include_all_steps))
+    _, g = grad(inst.params, f)
+    fd = fd_grad(inst.params, f, FD_STEP)
+    return rel_l2(g, fd)
 
 
 def check_total_grad(inst: CheckInstance, pcfg: PolicyConfig,
@@ -95,8 +89,7 @@ def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
     """Closed-form contrastive gradient against autodiff of the unclipped
     surrogate, evaluated with the old policy frozen at the current one."""
     params = eval_params if eval_params is not None else inst.params
-    cfg = PolicyConfig(tau=tau, grad_steps=pcfg.grad_steps,
-                       include_all_steps=pcfg.include_all_steps)
+    cfg = replace(pcfg, tau=tau)
     eval_cur = gibbs(policy.surrogate_energies(params, inst.group, cfg), tau)
     adv = advantages(rewards, clip_max=np.inf)
 
@@ -104,7 +97,7 @@ def check_pg_identity(inst: CheckInstance, tau: float, rewards: np.ndarray,
         return policy.pg_surrogate_value(reader, inst.group, eval_cur, adv, cfg)
 
     _, auto = grad(params, f)
-    ref = policy.contrastive_grad_reference(params, inst.group, eval_cur, adv, tau, cfg)
+    ref = policy.contrastive_grad_reference(params, inst.group, eval_cur, adv, cfg)
     # The objective is maximized; autodiff(f) is the ascent direction, and so
     # is the reference.
     return rel_l2(auto, ref)
@@ -147,17 +140,16 @@ def run_gradient_checks(seed: int = 0, instances: int = 5,
             pcfg = PolicyConfig(grad_steps=None)
         else:
             pcfg = PolicyConfig(grad_steps=2, include_all_steps=False)
-        report.energy_max_rel = max(
-            report.energy_max_rel,
-            check_energy_grad(inst, pcfg, branch_index=i % (len(inst.group.rewards) - 1)))
-        old = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 500)
-        ref = param_init(NetworkShape(3, 5, 2), seed * 1000 + i + 900)
+        report.energy_max_rel = max(report.energy_max_rel,
+                                    check_energy_grad(inst, pcfg, branch_index=i % BRANCHES))
+        old = param_init(SHAPE, seed * 1000 + i + 500)
+        ref = param_init(SHAPE, seed * 1000 + i + 900)
         report.total_max_rel = max(report.total_max_rel,
                                    check_total_grad(inst, pcfg, old, ref))
     inst = make_instance(seed * 1000 + 77)
     for j in range(identity_instances):
         tau = (0.5, 1.0, 2.0)[j % 3]
-        rewards = rng.normal(size=len(inst.group.rewards) - 1)
+        rewards = rng.normal(size=BRANCHES)
         report.identity_max_rel = max(
             report.identity_max_rel,
             check_pg_identity(inst, tau, rewards, PolicyConfig(grad_steps=2)))

@@ -134,6 +134,9 @@ def cmd_ablate(args) -> int:
         return EXIT_CONFIG
     base = _load_run_config(args)
     out_root = Path(base.out_dir) if base.out_dir else Path(f"runs/ablate-{args.preset}")
+    if (out_root / "summary.json").exists():
+        raise ConfigError(f"output directory {out_root} already holds an ablation's output: "
+                          f"{out_root / 'summary.json'}")
     for label, _ in PRESETS[args.preset]:
         _out_dir(out_root / label, base.metrics_filename)
     summary = []

@@ -111,10 +111,10 @@ def _affine(x, w, b, activation=None):
     return y if activation is None else activation(y, out=y)
 
 
-def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray, t: float = 1.0):
+def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray):
     """Key/value projections for frames, as one [wk | wv] projection.  Finished
     frames are embedded at t=1 (the clean end of the flow path)."""
-    e = _affine(_augment(_input(np.shape(x), prompt), x, t), *weights.w[:2], np.tanh)
+    e = _affine(_augment(_input(np.shape(x), prompt), x, 1.0), *weights.w[:2], np.tanh)
     kv, h = _affine(e, weights.wkv, weights.bkv), len(weights.bkv) // 2
     return kv[..., :h], kv[..., h:]
 

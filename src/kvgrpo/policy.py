@@ -295,8 +295,7 @@ def total_loss_grad(params: Params, group: RolloutGroup, eval_old: PolicyEval | 
 
 
 def contrastive_grad_reference(params: Params, group: RolloutGroup, eval_cur: PolicyEval,
-                               adv: np.ndarray, tau: float,
-                               cfg: PolicyConfig = PolicyConfig()) -> np.ndarray:
+                               adv: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
     """Closed-form gradient of the unclipped policy-gradient objective.
 
     Combines per-branch energy gradients with policy weights and centered
@@ -311,7 +310,7 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup, eval_cur: Po
         _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(
             r, group, [g], cfg.grad_steps, cfg.include_all_steps)))
         out += pi[g - 1] * (adv[g - 1] - mu) * gvec
-    return -out / tau
+    return -out / cfg.tau
 
 
 def pg_surrogate_value(reader, group: RolloutGroup, eval_old: PolicyEval,

@@ -40,24 +40,24 @@ from .routing import (GroupSeeds, RolloutGroup, RolloutPlan, build_replay_contex
 _TAG_INIT, _TAG_PIVOT, _TAG_NOISE, _TAG_ROUTING = 17, 11, 13, 19
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
     iteration: int
     pivot_block: int
     window: int
-    anchor_reward: float | None      # None when the rollout or the rewards failed
-    branch_rewards: list[float]
-    reward_mean: float | None
-    reward_std: float | None
-    branch_energies: list[float]
-    per_branch_ratio: list[float]
-    loss_ppo: float
-    kl_value: float
-    loss_total: float
-    grad_norm: float
+    anchor_reward: float | None = None  # None when the rollout or the rewards failed
+    branch_rewards: list[float] = field(default_factory=list)
+    reward_mean: float | None = None
+    reward_std: float | None = None
+    branch_energies: list[float] = field(default_factory=list)
+    per_branch_ratio: list[float] = field(default_factory=list)
+    loss_ppo: float = 0.0
+    kl_value: float = 0.0
+    loss_total: float = 0.0
+    grad_norm: float = 0.0
     learning_rate: float
-    skipped: bool
-    wall_clock_s: float
+    skipped: bool = False
+    wall_clock_s: float = 0.0
     error: str | None = None
 
     def to_json(self) -> dict:
@@ -65,11 +65,11 @@ class IterationRecord:
 
 
 class Adam:
-    """First/second-moment adaptive optimizer (b1=0.9, b2=0.999, eps=1e-8)."""
+    """First/second-moment adaptive optimizer."""
 
-    def __init__(self, size: int, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int) -> None:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step = 0
@@ -192,12 +192,8 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
     state.iteration = it
     pivot, window = plan.rollout.pivot, plan.rollout.window
     state.group = None  # release the previous group before rolling out the next
-    record = IterationRecord(
-        iteration=it, pivot_block=pivot, window=window, anchor_reward=None,
-        branch_rewards=[], reward_mean=None, reward_std=None,
-        branch_energies=[], per_branch_ratio=[], loss_ppo=0.0, kl_value=0.0,
-        loss_total=0.0, grad_norm=0.0, learning_rate=learning_rate_at(cfg, it),
-        skipped=False, wall_clock_s=0.0)
+    record = IterationRecord(iteration=it, pivot_block=pivot, window=window,
+                             learning_rate=learning_rate_at(cfg, it))
 
     pcfg = _policy_cfg(cfg)
     # Adam.apply and ema_update rebind their arrays, never write into them.
@@ -247,23 +243,22 @@ class TrainResult:
     state: TrainerState
     records: list[IterationRecord] = field(default_factory=list)
 
-    def final_mean_reward(self, tail: int = 20) -> float | None:
-        """Mean anchor reward over the last ``tail`` records that have one;
+    def final_mean_reward(self) -> float | None:
+        """Mean anchor reward over those of the last 20 records that have one;
         None if none has."""
-        rewards = [r.anchor_reward for r in self.records[-tail:]
+        rewards = [r.anchor_reward for r in self.records[-20:]
                    if r.anchor_reward is not None]
         return float(np.mean(rewards)) if rewards else None
 
 
 class _Sidecar:
-    """A forked child whose main thread sends the plans of iterations ``first``
-    on (or the exceptions raised making them), blocking while the parent is
-    behind, and whose writer thread writes the groups handed to it.  Inline
-    without ``os.fork``."""
+    """A forked child whose main thread sends the plans of iterations 2 on (the parent
+    plans 1) or the exceptions raised making them, blocking while the parent is behind,
+    and whose writer thread writes the groups handed to it.  Inline without ``os.fork``."""
 
-    def __init__(self, cfg: TrainerConfig, traj, first: int) -> None:
+    def __init__(self, cfg: TrainerConfig, traj) -> None:
         import socket
-        self.cfg, self.traj, self.first, self.pid, self.pending = cfg, traj, first, None, False
+        self.cfg, self.traj, self.pid, self.pending = cfg, traj, None, False
         if hasattr(os, "fork"):
             read, write = os.pipe()
             self.link, far = socket.socketpair()
@@ -287,7 +282,7 @@ class _Sidecar:
                     self.link.close()
                     writer = threading.Thread(target=self._write, args=(far, write))
                     writer.start()
-                    for it in range(first, cfg.max_iterations + 1):
+                    for it in range(2, cfg.max_iterations + 1):
                         try:
                             item = plan_iteration(cfg, it)
                         except Exception as exc:  # noqa: BLE001  - raised by next()
@@ -322,7 +317,7 @@ class _Sidecar:
         return RuntimeError(f"the sidecar process {self.pid} died before {before}: {reason}")
 
     def next(self, iteration: int) -> IterationPlan:
-        if self.pid is None or iteration < self.first:
+        if self.pid is None or iteration < 2:
             return plan_iteration(self.cfg, iteration)
         try:
             item = pickle.load(self.plans)
@@ -402,7 +397,7 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
             if run_cfg.dump_trajectories:
                 traj_file = stack.enter_context((out_dir / "trajectories.jsonl").open("w"))
         # Forked once the files are open; iteration 1 is planned here meanwhile.
-        sidecar = stack.enter_context(contextlib.closing(_Sidecar(cfg, traj_file, first=2)))
+        sidecar = stack.enter_context(contextlib.closing(_Sidecar(cfg, traj_file)))
 
         def checkpoint(tag: str) -> None:
             if out_dir is not None:

@@ -373,7 +373,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field,value", [
         ("param_count", 386.0), ("param_count", True), ("param_count", -386),
         ("iteration", "x"), ("iteration", 2.0), ("iteration", -1),
-        ("has_ema", "no"), ("has_ema", 0), ("has_ema", None)])
+        ("has_ema", "no"), ("has_ema", 0), ("has_ema", None),
+        ("config", [1, 2]), ("config", "x"), ("config", None)])
     def test_header_field_of_wrong_type_rejected(self, tmp_path, capsys, field, value):
         params = param_init(NetworkShape(8, 7, 4), 9)  # 386 values
         path = tmp_path / "ck.kvc"
@@ -637,6 +638,25 @@ class TestCli:
         assert all(s["iterations"] == 2 for s in summary)
         for s in summary:
             assert (out_dir / s["variant"] / "metrics.jsonl").exists()
+
+    def test_ablate_into_a_root_holding_an_ablation_exits_one_before_writing(self, tmp_path,
+                                                                              capsys):
+        # Other variant names: only the root's summary.json tells the two ablations apart.
+        cfg_path = write_small_config(tmp_path)
+        out_dir = tmp_path / "ab"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "ablate", "surrogate", "--max-iters", "1"]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        code = main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "ablate", "kl-weight", "--max-iters", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: output directory {out_dir} already holds an ablation's "
+            f"output: {out_dir / 'summary.json'}\n")
+        assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["latent-l2", "replay",
+                                                             "summary.json"]
 
     def test_ablate_without_iterations_writes_strict_json(self, tmp_path, capsys):
         # No iteration, no reward: the summary says null, never a bare NaN.

@@ -744,7 +744,7 @@ class TestContrastiveReference:
         energies = replay_energies(inst.params, inst.group, branch_rows(inst.group), 2, True)
         ev = gibbs(energies, 1.0)
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
-        ref = contrastive_grad_reference(inst.params, inst.group, ev, adv, tau=1.0)
+        ref = contrastive_grad_reference(inst.params, inst.group, ev, adv, PolicyConfig(tau=1.0))
         np.testing.assert_array_equal(ref, np.zeros_like(ref))
 
     def test_two_branch_symmetric_case(self, check_instance):
@@ -757,7 +757,7 @@ class TestContrastiveReference:
             replay=tuple(a[:3] for a in g.replay))
         ev = gibbs(np.array([4.0, 4.0]), 2.0)
         adv = advantages(np.array([1.0, -1.0]), clip_max=np.inf)
-        got = contrastive_grad_reference(inst.params, sub, ev, adv, tau=2.0)
+        got = contrastive_grad_reference(inst.params, sub, ev, adv, PolicyConfig(tau=2.0))
         pcfg = PolicyConfig()
         grads = []
         for row in branch_rows(sub):

@@ -1017,7 +1017,7 @@ class TestTrajectoryDump:
         monkeypatch.delattr(os, "fork")
         fh, sent = RecordingFile(), []
         _dump_trajectories(sent.append, hand_group(2), SimpleNamespace(iteration=7))
-        _Sidecar(small_config(), fh, first=2).dump(sent[0])
+        _Sidecar(small_config(), fh).dump(sent[0])
         assert (fh.writes, fh.flushes) == (1, 1)
         assert fh.getvalue() == _encode_group(*sent[0])
 
