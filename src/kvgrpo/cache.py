@@ -58,14 +58,13 @@ class FrameHistory:
     def __len__(self) -> int:
         return self.length
 
-    def append(self, keys: np.ndarray, values: np.ndarray, frames) -> None:
+    def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Write one block's (G, F, h) rows, or (1, F, h) rows every trajectory
-        shares (the prefix); ``frames`` must continue the history."""
-        frames = list(frames)
-        start, stop = self.length, self.length + len(frames)
-        if frames != list(range(start + 1, stop + 1)) or stop > self.keys.shape[1]:
-            raise ContractError(f"history frames must be appended in order, got {frames} "
-                                f"after {start} of {self.keys.shape[1]}")
+        shares (the prefix), as the frames after the first ``length``."""
+        start, stop = self.length, self.length + keys.shape[-2]
+        if stop > self.keys.shape[1]:
+            raise ContractError(f"history of {self.keys.shape[1]} frames cannot take "
+                                f"{stop - start} more after {start}")
         self.keys[:, start:stop], self.values[:, start:stop] = keys, values
         self.length = stop
 

@@ -133,10 +133,10 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise ConfigError(f"checkpoint truncated: need {need} value bytes")
     if have > need:
         raise ConfigError(f"checkpoint has {have - need} bytes after its {need} value bytes")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    params = Params(values.astype(np.float64), layout)
-    ema = None
-    if has_ema:
-        ema_values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + count * 8)
-        ema = Params(ema_values.astype(np.float64), layout)
-    return CheckpointData(params, config, iteration, ema)
+    # Training never saves a non-finite value (an update that makes one rolls back).
+    values = np.frombuffer(raw, dtype="<f8", offset=offset).astype(np.float64).reshape(-1, count)
+    for name, row in zip(("parameters", "EMA"), values):
+        if not np.isfinite(row).all():
+            raise ConfigError(f"{path}: the checkpoint's {name} hold a non-finite value")
+    ema = Params(values[1], layout) if has_ema else None
+    return CheckpointData(Params(values[0], layout), config, iteration, ema)

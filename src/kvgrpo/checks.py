@@ -61,8 +61,7 @@ def check_energy_grad(inst: CheckInstance, pcfg: PolicyConfig, branch_index: int
     """Relative L2 error of one branch's replay-energy gradient (``branch_index``
     0 is row 1) against finite differences."""
     def f(reader):
-        return ad.asum(policy.replay_energies(reader, inst.group, [branch_index + 1],
-                                              pcfg.grad_steps, pcfg.include_all_steps))
+        return ad.asum(policy.replay_energies(reader, inst.group, [branch_index + 1], pcfg))
     _, g = grad(inst.params, f)
     fd = fd_grad(inst.params, f, FD_STEP)
     return rel_l2(g, fd)

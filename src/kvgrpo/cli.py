@@ -83,16 +83,12 @@ def _out_dir(path: str | Path, metrics_filename: str) -> Path:
 
 
 def cmd_train(args) -> int:
-    from .config import save_config
     from .trainer import run
 
     cfg = _load_run_config(args)
     if cfg.out_dir is None:
         cfg.out_dir = "runs/default"
-    # Written first, so a run that crashes still leaves its config beside
-    # the metrics and checkpoints it wrote.
-    _out_dir(cfg.out_dir, cfg.metrics_filename).mkdir(parents=True, exist_ok=True)
-    save_config(cfg, Path(cfg.out_dir) / "config.json")
+    _out_dir(cfg.out_dir, cfg.metrics_filename)
     result = run(cfg)
     done = len(result.records)
     skipped = sum(r.skipped for r in result.records)

@@ -277,12 +277,7 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, object] | list[str]) ->
             key, _, text = item.partition("=")
             parsed[key.strip()] = _parse_value(text.strip())
         overrides = parsed
-    flat = to_flat_dict(cfg)
-    for key, value in overrides.items():
-        if key not in flat:
-            raise ConfigError(f"unknown config key {key!r}")
-        flat[key] = value
-    return from_flat_dict(flat)
+    return from_flat_dict({**to_flat_dict(cfg), **overrides})
 
 
 # Ablation presets: named lists of (variant label, overrides).  Variants within

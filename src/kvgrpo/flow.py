@@ -47,11 +47,6 @@ class Block:
     frames: np.ndarray
     block_index: int
 
-    def frame_indices(self) -> range:
-        size = self.frames.shape[-2]
-        first = (self.block_index - 1) * size + 1
-        return range(first, first + size)
-
 
 def generate_block(params: Params, buckets: list, block_index: int, noise: np.ndarray,
                    prompt: np.ndarray, weights: list, replay: tuple | None = None,
@@ -87,4 +82,4 @@ def write_back(history: FrameHistory, block: Block, weights: list, prompt: np.nd
     """Project a group's finished (rows, F, d) block to key/value rows in one
     call, with the ``weights`` read, and write them into the history."""
     keys, values = network.kv_for_frames(weights, block.frames, prompt)
-    history.append(keys, values, block.frame_indices())
+    history.append(keys, values)

@@ -71,15 +71,15 @@ class LossBreakdown:
                    float(ad.value(total)), np.asarray(ad.value(rho), dtype=np.float64))
 
 
-def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = None,
-                    include_all_steps: bool = True):
+def replay_energies(reader, group: RolloutGroup, rows,
+                    cfg: PolicyConfig = PolicyConfig(grad_steps=None)):
     """Per-row sum of the per-dimension-normalized squared residuals between
     the cached rollout velocities of the group rows ``rows`` and their replay
     under the group's default-layout contexts, with one network call per pass
     and memory size over those rows' steps, row by row.  Only the first
-    ``grad_steps`` solver steps of each block are evaluated on the tape; later
-    steps are either added as constants (``include_all_steps``) or dropped
-    from the value entirely.  Returns a (rows,) array for a value-only reader
+    ``cfg.grad_steps`` solver steps of each block (all if None) are evaluated on
+    the tape; later steps are either added as constants (``cfg.include_all_steps``)
+    or dropped from the value entirely.  Returns a (rows,) array for a value-only reader
     and a tape node otherwise."""
     (z, u_hat), contexts = group.replay, group.contexts
     if contexts is None:
@@ -89,8 +89,8 @@ def replay_energies(reader, group: RolloutGroup, rows, grad_steps: int | None = 
         raise ContractError(f"replay latent dim {z.shape[-1]} != network dim {d}")
     i, (t, step, window) = np.asarray(rows)[:, None], group.replay_schedule()
     sizes = contexts.sizes[window]
-    carrying = step <= (np.inf if grad_steps is None else grad_steps)
-    counted = carrying | include_all_steps
+    carrying = step <= (np.inf if cfg.grad_steps is None else cfg.grad_steps)
+    counted = carrying | cfg.include_all_steps
     passes = (((reader.params, counted & ~carrying), (reader, carrying))
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
 
@@ -137,8 +137,7 @@ def surrogate_energies(reader, group: RolloutGroup, cfg: PolicyConfig):
     replay surrogate."""
     if cfg.surrogate == "latent_l2":
         return latent_l2_energies(group, cfg.l2_sigma)
-    return replay_energies(reader, group, range(1, len(group.frames)), cfg.grad_steps,
-                           cfg.include_all_steps)
+    return replay_energies(reader, group, range(1, len(group.frames)), cfg)
 
 
 def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
@@ -307,8 +306,7 @@ def contrastive_grad_reference(params: Params, group: RolloutGroup, eval_cur: Po
     mu = float(np.sum(pi * adv))
     out = np.zeros(params.layout.total)
     for g in range(1, len(group.frames)):
-        _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(
-            r, group, [g], cfg.grad_steps, cfg.include_all_steps)))
+        _, gvec = ad_grad(params, lambda r, g=g: ad.asum(replay_energies(r, group, [g], cfg)))
         out += pi[g - 1] * (adv[g - 1] - mu) * gvec
     return -out / cfg.tau
 

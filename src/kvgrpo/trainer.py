@@ -26,7 +26,7 @@ import numpy as np
 
 from . import policy
 from .checkpoint import save_checkpoint
-from .config import RunConfig, TrainerConfig, to_flat_dict
+from .config import RunConfig, TrainerConfig, save_config, to_flat_dict
 from .errors import ContractError, NumericalError
 from .flow import GeneratorConfig
 from .network import NetworkShape, check_finite, param_init
@@ -382,17 +382,20 @@ def _keep_freed_memory() -> None:
 
 def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
     """Iterate to ``max_iterations``, streaming metrics records and writing
-    periodic checkpoints when an output directory is configured.  Each
-    checkpoint, and the end, waits until the dump holds every group so far."""
+    periodic checkpoints when an output directory is configured, after its
+    ``config.json``.  Each checkpoint, and the end, waits until the dump holds
+    every group so far."""
+    out_dir = Path(run_cfg.out_dir) if run_cfg.out_dir else None
+    if out_dir is not None:  # first: a run that crashes still leaves its config
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_config(run_cfg, out_dir / "config.json")
     _keep_freed_memory()  # before the sidecar's fork, which inherits it
     cfg = run_cfg.trainer
     state = init_state(cfg)
     result = TrainResult(state)
-    out_dir = Path(run_cfg.out_dir) if run_cfg.out_dir else None
     with contextlib.ExitStack() as stack:
         metrics_file = traj_file = None
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
             metrics_file = stack.enter_context((out_dir / run_cfg.metrics_filename).open("w"))
             if run_cfg.dump_trajectories:
                 traj_file = stack.enter_context((out_dir / "trajectories.jsonl").open("w"))

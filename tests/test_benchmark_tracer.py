@@ -5,10 +5,12 @@ that is renamed or deleted, or that a workload stops calling, makes
 ``perfbench/run.py --trace 1`` fail.  The first test installs and removes the
 tracer without running anything; the second runs one traced pass of each
 workload and summarizes it, as ``--trace 1`` does; the third checks the tag
-that splits a rollout's prefix time from its branch time.
+that splits a rollout's prefix time from its branch time.  The last pins the
+position of every argument the tracer reads by position.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,17 @@ def test_rollout_spans_are_tagged_with_the_pivot(monkeypatch, tmp_path):
     tags = [tag for label, tag in zip(tracer.label, tracer.tag) if label == code]
     assert tags == [record.pivot_block for record in traced.records]
     assert len(set(tags)) > 1  # a constant argument would not match
+
+
+@pytest.mark.parametrize("module,function,name,index", [
+    ("routing", "rollout_group", "pivot", 3),
+    ("flow", "generate_block", "block_index", 2),
+    ("flow", "write_back", "block", 1),
+    ("network", "velocity_forward", "reader", 0),
+    ("policy", "surrogate_energies", "reader", 0),
+    ("checkpoint", "save_checkpoint", "path", 0)])
+def test_traced_arguments_keep_their_positions(module, function, name, index):
+    # A tag read from a moved argument of the same type would mislabel the
+    # phase tables without failing the traced pass.
+    fn = getattr(importlib.import_module(f"kvgrpo.{module}"), function)
+    assert list(inspect.signature(fn).parameters).index(name) == index

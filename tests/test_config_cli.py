@@ -370,6 +370,22 @@ class TestCheckpoint:
             assert main(["inspect", str(path)]) == 1, fault
             assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,index,value", [
+        ("parameters", 5, np.nan), ("EMA", 7, np.inf)])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, where, index, value):
+        # Training rolls back an update that makes a non-finite value, so a file
+        # that holds one is corrupt.
+        params = param_init(NetworkShape(3, 5, 2), 9)
+        ema = Params(params.values.copy(), params.layout)
+        (params if where == "parameters" else ema).values[index] = value
+        path = tmp_path / "ck.kvc"
+        save_checkpoint(path, params, {}, 2, ema)
+        with pytest.raises(ConfigError, match=f"{path}: the checkpoint's {where} hold a "
+                                              f"non-finite value"):
+            load_checkpoint(path)
+        assert main(["inspect", str(path)]) == 1
+        assert f"checkpoint's {where} hold a non-finite value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [
         ("param_count", 386.0), ("param_count", True), ("param_count", -386),
         ("iteration", "x"), ("iteration", 2.0), ("iteration", -1),
@@ -462,10 +478,10 @@ class TestCli:
     def test_train_writes_config_before_a_crash(self, tmp_path, capsys, monkeypatch):
         import kvgrpo.trainer as trainer
 
-        def crash(cfg, on_record=None):
+        def crash(cfg):
             raise RuntimeError("injected crash")
 
-        monkeypatch.setattr(trainer, "run", crash)
+        monkeypatch.setattr(trainer, "init_state", crash)
         cfg_path = write_small_config(tmp_path)
         out = tmp_path / "crashed"
         code = main(["--config", str(cfg_path), "--out-dir", str(out), "train"])
@@ -638,6 +654,16 @@ class TestCli:
         assert all(s["iterations"] == 2 for s in summary)
         for s in summary:
             assert (out_dir / s["variant"] / "metrics.jsonl").exists()
+
+    def test_ablate_variants_write_their_config(self, tmp_path, capsys):
+        cfg_path = write_small_config(tmp_path)
+        out_dir = tmp_path / "ab"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "ablate", "surrogate", "--max-iters", "1"]) == 0
+        for variant, surrogate in (("replay", "replay"), ("latent-l2", "latent_l2")):
+            saved = load_config(out_dir / variant / "config.json")
+            assert saved.trainer.surrogate == surrogate
+            assert saved.out_dir == str(out_dir / variant)
 
     def test_ablate_into_a_root_holding_an_ablation_exits_one_before_writing(self, tmp_path,
                                                                               capsys):

@@ -569,8 +569,7 @@ def filled_history(group, num_blocks, F=3, h=5):
     history = FrameHistory.allocate(group, (num_blocks + 1) * F, h)
     for b in range(num_blocks):
         blocks = [rows(F, h, seed=100 * g + b) for g in range(group)]
-        history.append(np.stack([k for k, _ in blocks]), np.stack([v for _, v in blocks]),
-                       range(b * F + 1, b * F + F + 1))
+        history.append(np.stack([k for k, _ in blocks]), np.stack([v for _, v in blocks]))
     entries = [[RefEntry(history.keys[g, i], history.values[g, i], i + 1)
                 for i in range(len(history))] for g in range(group)]
     return history, entries
@@ -586,7 +585,7 @@ class TestRowMemory:
                    for b, (k, v) in enumerate(blocks) for i in range(F)]
         history = FrameHistory.allocate(1, F * num_blocks, 5)
         for b, (k, v) in enumerate(blocks):
-            history.append(k[None], v[None], range(b * F + 1, b * F + F + 1))
+            history.append(k[None], v[None])
         assert history.keys[0].tobytes() == np.stack([e.key for e in entries]).tobytes()
         assert history.values[0].tobytes() == np.stack([e.value for e in entries]).tobytes()
 
@@ -658,19 +657,16 @@ class TestRowMemory:
     def test_history_frames_must_continue(self):
         k, v = rows(3)
         history = FrameHistory.allocate(1, 6, 5)
-        history.append(k[None], v[None], [1, 2, 3])
-        with pytest.raises(ContractError):
-            history.append(k[None], v[None], [5, 6, 7])
-        assert len(history) == 3
-        history.append(k[None], v[None], [4, 5, 6])
+        history.append(k[None], v[None])
+        history.append(k[None], v[None])
         with pytest.raises(ContractError):  # beyond the allocated frames
-            history.append(k[None], v[None], [7, 8, 9])
+            history.append(k[None], v[None])
         assert len(history) == 6
 
     def test_prefix_rows_are_written_to_every_trajectory(self):
         k, v = rows(3)
         history = FrameHistory.allocate(4, 6, 5)
-        history.append(k[None], v[None], [1, 2, 3])
+        history.append(k[None], v[None])
         for g in range(4):
             assert history.keys[g, :3].tobytes() == k.tobytes()
             assert history.values[g, :3].tobytes() == v.tobytes()
@@ -681,7 +677,7 @@ class TestRowMemory:
         keys, values = cache.stacked()
         snapshot = keys.copy(), values.copy()
         k, v = rows(3, seed=9)
-        history.append(np.stack([k, k]), np.stack([v, v]), [13, 14, 15])
+        history.append(np.stack([k, k]), np.stack([v, v]))
         assert np.array_equal(keys, snapshot[0]) and np.array_equal(values, snapshot[1])
         assert len(history) == 15 and cache.frames == (1, 2, 3, *range(4, 13))
         assert history.default_cache(15).frames == (1, 2, 3, *range(7, 16))
@@ -720,8 +716,3 @@ class TestRollout:
             if frames >= 12:
                 assert cache.frames[0][3:] == tuple(range(frames - 8, frames + 1))
                 assert cache.frames[0][:3] == (1, 2, 3)
-
-    def test_frame_indices_consecutive(self, tiny_params):
-        res = rollout(tiny_params, PROMPT, 3, 0)
-        indices = [i for b in res.blocks for i in b.frame_indices()]
-        assert indices == list(range(1, 10))

@@ -59,7 +59,9 @@ def reported_kl(eval_cur, eval_ref):
 
 def energy(reader, group, row, grad_steps=None, include_all_steps=True):
     """One row's replay energy: a number, or a tape node."""
-    return ad.asum(replay_energies(reader, group, [row], grad_steps, include_all_steps))
+    return ad.asum(replay_energies(reader, group, [row],
+                                   PolicyConfig(grad_steps=grad_steps,
+                                                include_all_steps=include_all_steps)))
 
 
 def branch_rows(group):
@@ -266,10 +268,11 @@ class TestBatchedReplay:
         # Selecting rows changes which steps share a network call, not a bit.
         _, params, group = replay_case
         for reader in (params, ad.TapeReader(ad.Tape(), params)):
-            every = ad.value(replay_energies(reader, group, branch_rows(group), grad_steps))
+            pcfg = PolicyConfig(grad_steps=grad_steps)
+            every = ad.value(replay_energies(reader, group, branch_rows(group), pcfg))
             assert isinstance(every, np.ndarray) and every.shape == (len(group.frames) - 1,)
             for g in branch_rows(group):
-                one = replay_energies(reader, group, [g], grad_steps)
+                one = replay_energies(reader, group, [g], pcfg)
                 assert ad.value(one).tobytes() == every[g - 1:g].tobytes()
 
     def test_mixed_case_has_two_memory_sizes(self):
@@ -312,7 +315,8 @@ class TestBatchedReplay:
         segments.clear()
         # A taped replay's value-only pass reads the parameters once, and not
         # at all when every step carries gradient; the taped pass reads leaves.
-        replay_energies(ad.TapeReader(ad.Tape(), params), group, branch_rows(group), grad_steps)
+        replay_energies(ad.TapeReader(ad.Tape(), params), group, branch_rows(group),
+                        PolicyConfig(grad_steps=grad_steps))
         assert sorted(segments) == (sorted(network.SEGMENTS) if grad_steps else [])
 
 
@@ -741,7 +745,8 @@ class TestFusedHead:
 class TestContrastiveReference:
     def test_equal_advantages_give_zero(self, check_instance):
         inst = check_instance
-        energies = replay_energies(inst.params, inst.group, branch_rows(inst.group), 2, True)
+        energies = replay_energies(inst.params, inst.group, branch_rows(inst.group),
+                                   PolicyConfig(grad_steps=2))
         ev = gibbs(energies, 1.0)
         adv = advantages(np.ones(8), clip_max=np.inf)  # all equal -> all zero
         ref = contrastive_grad_reference(inst.params, inst.group, ev, adv, PolicyConfig(tau=1.0))

@@ -585,8 +585,10 @@ class ReferenceRollout:
     def write_back(self, cache, block, history):
         keys, values = network.kv_for_frames(network.Weights(self.params), block.frames,
                                              self.prompt)
-        cache.append(keys, values, block.frame_indices())
-        history.append(keys, values, block.frame_indices())
+        F = self.cfg.frames_per_block
+        frames = range((block.block_index - 1) * F + 1, block.block_index * F + 1)
+        cache.append(keys, values, frames)
+        history.append(keys, values, frames)
 
     def group(self, num_blocks, pivot, window, num_branches, seeds,
               local_kv_choices=((9, 6),), routing_per_block=False, routing_overrides=None):

@@ -344,7 +344,7 @@ class TestTrainIteration:
         per_branch = []
         for row in range(1, len(inst.group.frames)):
             _, gb = grad(inst.params, lambda r, row=row: ad.asum(policy.replay_energies(
-                r, inst.group, [row], pcfg.grad_steps, pcfg.include_all_steps)))
+                r, inst.group, [row], pcfg)))
             per_branch.append(gb)
         per_branch = np.array(per_branch)
         G, tau = len(per_branch), pcfg.tau
