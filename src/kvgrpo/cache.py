@@ -5,9 +5,9 @@ layout.  :class:`FrameHistory` holds a whole group as (G, N, h) arrays,
 allocated once per rollout and written one block at a time; it keeps every
 frame after the memories evict it, since branches route from older frames.  A
 memory is frame indices, laid out by :func:`memory_frames`.  A rollout's are
-indexed per length by :func:`buckets`; a default-layout memory, one index that
-every row reads from its own history row, is a :class:`KVCache`.  An empty
-memory is a zero-length (..., 0, h) array, like any other.
+indexed per length by :func:`buckets`, each gathered into the buffers the network
+attends over; a default-layout memory, one index that every row reads from its own
+history row, is a :class:`KVCache`.  An empty memory is a zero-length (..., 0, h) array.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ class FrameHistory:
         self.keys[:, start:stop], self.values[:, start:stop] = keys, values
         self.length = stop
 
-    def take(self, rows: np.ndarray, index: np.ndarray):
-        """The (rows, M, h) keys and values at a bucket's ``rows`` and ``index``."""
-        at = rows[:, None], index
+    def take(self, rows: np.ndarray, index: np.ndarray, frames: int):
+        """The joint (rows, M + ``frames``, h) keys and values of a bucket, one gather each:
+        its memory at ``rows`` and ``index``, then rows the network writes a block's into."""
+        at = rows[:, None], np.concatenate((index, np.zeros((len(rows), frames), np.intp)), 1)
         return self.keys[at], self.values[at]
 
     def default_cache(self, upto_frame: int, sink_size: int = 3,

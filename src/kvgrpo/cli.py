@@ -160,7 +160,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .checkpoint import MAGIC, load_checkpoint
-    from .config import load_json_object
+    from .config import load_json_object, read_metrics
 
     path = Path(args.path)
     if not path.exists():
@@ -192,29 +192,9 @@ def cmd_inspect(args) -> int:
         lone = None
     if (path.suffix == ".jsonl" or "\n{" in text.strip()
             or isinstance(lone, dict) and {"iteration", "skipped"} <= lone.keys()):
-        lines = text.split("\n")
-        records = []
-        for number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if number < len(lines):  # a complete line: the file is corrupt
-                    raise ConfigError(f"{path}: line {number} is not valid JSON ({exc})")
-                # A cut last line (no trailing newline) is what a crash mid-write leaves.
-                print(f"note: ignoring cut final line {number}")
-                continue
-            if not isinstance(record, dict):
-                raise ConfigError(f"{path}: line {number} is not a JSON object")
-            missing = [key for key in ("iteration", "skipped") if key not in record]
-            if missing or "blocks" in record:  # e.g. a trajectories.jsonl line
-                why = "carries 'blocks'" if "blocks" in record else f"lacks {missing[0]!r}"
-                raise ConfigError(f"{path} is not a metrics file: line {number} {why}")
-            reward = record.get("anchor_reward")
-            if isinstance(reward, bool) or not isinstance(reward, (int, float, type(None))):
-                raise ConfigError(f"{path}: line {number} has a non-numeric anchor_reward")
-            records.append(record)
+        records, cut = read_metrics(path, text)
+        if cut:  # what a crash mid-write leaves: a last line with no newline
+            print(f"note: ignoring cut final line {cut}")
         print(f"metrics: {path} ({len(records)} records)")
         # A record whose rollout failed carries no rewards.
         rewarded = [r for r in records if r.get("anchor_reward") is not None]

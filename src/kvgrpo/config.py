@@ -252,6 +252,38 @@ def load_json_object(path: str | Path) -> dict:
     return data
 
 
+def read_metrics(path: Path, text: str | None = None,
+                 trajectories: bool = False) -> tuple[list, int | None]:
+    """A metrics file's records, or with ``trajectories`` each dump line's iteration, and the
+    number of its last line if a crash cut it mid-write (else None); bad lines raise."""
+    lines, out, cut = (path.read_text("utf-8") if text is None else text).split("\n"), [], None
+    kind, need = ("trajectories", "blocks") if trajectories else ("metrics", "skipped")
+    for number, line in ((n, line) for n, line in enumerate(lines, 1) if line.strip()):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if number < len(lines):  # a complete line: the file is corrupt
+                raise ConfigError(f"{path}: line {number} is not valid JSON ({exc})")
+            cut = number
+            continue
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}: line {number} is not a JSON object")
+        why = ("carries 'blocks'" if "blocks" in record and not trajectories else
+               next((f"lacks {key!r}" for key in ("iteration", need) if key not in record), ""))
+        if why:
+            raise ConfigError(f"{path} is not a {kind} file: line {number} {why}")
+        reward = record.get("anchor_reward")
+        if isinstance(reward, bool) or not isinstance(reward, (int, float, type(None))):
+            raise ConfigError(f"{path}: line {number} has a non-numeric anchor_reward")
+        out.append(record["iteration"] if trajectories else record)
+    return out, cut
+
+
+def read_trajectories(path: Path) -> tuple[list[int], int | None]:
+    """Each line's iteration in a trajectories file, and its cut last line's number."""
+    return read_metrics(path, trajectories=True)
+
+
 def load_config(path: str | Path) -> RunConfig:
     return from_flat_dict(load_json_object(path))
 

@@ -7,7 +7,7 @@ are solved in lockstep as (G, F, d) rows from the same start noise: each solver 
 one network call over every row, attending once per memory length, over inputs built once
 per block from weights the rollout reads once, and the finished block is projected to
 key/value rows in one call and written into the group's history.  Solver steps kept for
-replay go straight into the group's record: one (F, d) latent block per row and step.
+replay go into the group's record: one (F, d) latent block per row and step.
 """
 
 from __future__ import annotations
@@ -53,29 +53,35 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
                    cfg: GeneratorConfig = GeneratorConfig()) -> Block:
     """Solve one block from its (F, d) start latents ``noise``, as planned, to the
     clean sample for every row of ``buckets``, all from the same noise: per memory
-    length, the rows and their (rows, M, h) memory keys and values (M = 0: empty),
-    as :meth:`~kvgrpo.cache.FrameHistory.take` gathers them.  ``weights`` are the
-    :class:`~kvgrpo.network.Weights` of ``params``.
+    length, the rows and their joint (rows, M + F, h) key and value buffers, the memory
+    in the first M rows (M = 0: empty), as :meth:`~kvgrpo.cache.FrameHistory.take`
+    gathers them.  ``weights`` are the :class:`~kvgrpo.network.Weights` of ``params``.
 
     Each solver step makes one network call over every row, bucket after bucket,
     attending once per bucket at ``cfg.times[k]``; rows are not padded to one length, which
     would change the reduction lengths and so the bits.  Row g's latents entering step k and
     their velocity go to ``replay[0][g, k]`` and ``replay[1][g, k]``, unless ``replay`` is
-    ``None``.  Non-finite final latents raise.  Returns the (rows, F, d) block.
+    ``None``, and like the frames after the solve: by basic slice, or one scatter each for
+    buckets out of row order.  Non-finite final latents raise.  Returns the (rows, F, d) block.
     """
     rows, keys, values = zip(*buckets)
     order = np.concatenate(rows)  # the call's rows, bucket after bucket
+    at = slice(None) if order.tolist() == list(range(len(order))) else order
     memories = (list(keys), list(values)) if len(buckets) > 1 else (keys[0], values[0])
-    x = np.empty((len(order), *noise.shape))
-    inputs, xb = network.Inputs(weights, x.shape, *memories, prompt), noise
+    frames = np.empty((len(order), *noise.shape))
+    inputs = network.Inputs(weights, network.input_buffer(frames.shape, prompt), *memories)
+    x, steps = noise, (None if replay is None else
+                       np.empty((2, len(order), cfg.num_steps, *noise.shape)))
     with np.errstate(all="ignore"):  # the check below raises what would warn
         for k, t in enumerate(cfg.times):
-            v = network.velocity_forward(params, xb, t, *memories, prompt, inputs)
-            if replay is not None:
-                replay[0][order, k], replay[1][order, k] = xb, v
-            xb = xb + cfg.dt * v
-    x[order] = network.check_finite(xb, "velocity output")
-    return Block(x, block_index)
+            v = network.velocity_forward(params, x, t, *memories, prompt, inputs)
+            if steps is not None:
+                steps[0][:, k], steps[1][:, k] = x, v
+            x = x + cfg.dt * v
+    frames[at] = network.check_finite(x, "velocity output")
+    if replay is not None:
+        replay[0][at], replay[1][at] = steps
+    return Block(frames, block_index)
 
 
 def write_back(history: FrameHistory, block: Block, weights: list, prompt: np.ndarray) -> None:

@@ -4,9 +4,10 @@ key/value memory, and a two-layer head.
 The forward pass is plain numpy, on one block or a stack of them (a replay pass or a
 rollout step runs all its rows as one), with one Q/K/V projection through the
 :class:`Weights` read once per call and attention once per memory, each step after a
-product in place in it.  Given a :class:`Params` it returns the velocity array (rollouts,
-replay values, finite differences); given a :class:`~kvgrpo.autodiff.TapeReader` one tape
-node, whose hand-derived VJP takes one fused Q/K/V adjoint and sums rows last row first.
+product in place in it, over joint [memory ; block] buffers its caller lays out.  Given a
+:class:`Params` it returns the velocity array (rollouts, replay values, finite differences);
+given a :class:`~kvgrpo.autodiff.TapeReader` one tape node, whose hand-derived VJP takes one
+fused Q/K/V adjoint and sums rows last row first.
 """
 
 from __future__ import annotations
@@ -79,15 +80,15 @@ def param_init(shape: NetworkShape, seed: int) -> Params:
     return Params(values, layout)
 
 
-def _input(shape: tuple[int, ...], prompt: np.ndarray):
+def input_buffer(shape: tuple[int, ...], prompt: np.ndarray):
     """An empty [latents | time | prompt] input for (..., F, d) latents, prompt written."""
     aug = np.empty((*shape[:-1], shape[-1] + 1 + len(prompt)))
     aug[..., shape[-1] + 1:] = prompt
     return aug
 
 
-def _augment(aug: np.ndarray, x: np.ndarray, t):
-    """Write latents ``x`` at time ``t`` (a float, or one per block) into an :func:`_input`."""
+def augment(aug: np.ndarray, x: np.ndarray, t):
+    """Write latents ``x`` at time ``t`` (a float, or one per block) into an input buffer."""
     aug[..., :np.shape(x)[-1]], aug[..., np.shape(x)[-1]] = x, np.asarray(t)[..., None]
     return aug
 
@@ -114,52 +115,43 @@ def _affine(x, w, b, activation=None):
 def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray):
     """Key/value projections for frames, as one [wk | wv] projection.  Finished
     frames are embedded at t=1 (the clean end of the flow path)."""
-    e = _affine(_augment(_input(np.shape(x), prompt), x, 1.0), *weights.w[:2], np.tanh)
+    e = _affine(augment(input_buffer(np.shape(x), prompt), x, 1.0), *weights.w[:2], np.tanh)
     kv, h = _affine(e, weights.wkv, weights.bkv), len(weights.bkv) // 2
     return kv[..., :h], kv[..., h:]
 
 
 class Inputs:
-    """A velocity call's :class:`Weights` and its [latents | time | prompt] and
-    joint [memory ; block] key/value buffers, the prompt and memory written once.
-    Calls with one reader, memory, prompt and shape (a block's solver steps) can
-    share one: each overwrites only the latents, time and block rows.  Lists of
-    memories, the rows in memory order, give lists of buffers (value-only)."""
+    """A velocity call's :class:`Weights`, [latents | time | prompt] rows ``aug`` and joint
+    (..., M + F, h) key/value buffers, the memory in the first M rows and the block's, which
+    each call writes, in the last F (lists of them, the rows in memory order: value-only).
+    Calls with one reader, memory and prompt (a block's solver steps) can share one."""
 
-    def __init__(self, weights: Weights, shape: tuple[int, ...], context_keys, context_values,
-                 prompt: np.ndarray) -> None:
-        self.weights, self.aug = weights, _input(shape, prompt)
-        if isinstance(context_keys, list):
-            shapes = [(len(k), *shape[1:]) for k in context_keys]
-            self.keys, self.values, self.n_ctx = map(list, zip(*map(
-                self._joint, shapes, context_keys, context_values)))
-        else:
-            self.keys, self.values, self.n_ctx = self._joint(shape, context_keys, context_values)
-
-    def _joint(self, shape, context_keys, context_values):
-        (*lead, frames, _), n = shape, np.shape(context_keys)[-2]
-        keys, values = np.empty((2, *lead, n + frames, len(self.weights.bkv) // 2))
-        keys[..., :n, :], values[..., :n, :] = context_keys, context_values
-        return keys, values, n
+    def __init__(self, weights: Weights, aug: np.ndarray, keys, values) -> None:
+        self.weights, self.aug, self.keys, self.values = weights, aug, keys, values
+        frames = aug.shape[-2]
+        self.n_ctx = ([k.shape[-2] - frames for k in keys] if isinstance(keys, list)
+                      else keys.shape[-2] - frames)
 
 
 def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, prompt: np.ndarray,
-                     inputs: Inputs | None = None, weights: Weights | None = None):
+                     inputs: Inputs | None = None):
     """Predicted velocity for every frame of a block, or of a stack of blocks.
 
     ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
     (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
-    ``context_keys`` / ``context_values``, or in lists of them (see :class:`Inputs`).
-    Attention runs over [memory ; block] jointly.  A value-only call may refill the
-    :class:`Inputs` of its reader, memory and prompt (``prompt`` unread, ``x`` broadcast
-    to its rows; a taped one keeps its own), or build them from ``weights``, read if not given.
+    ``context_keys`` / ``context_values``.  Attention runs over [memory ; block] jointly,
+    in the buffers of ``inputs`` (the memories and ``prompt`` unread) after ``x``, broadcast
+    to its rows, and ``t`` are written there (unless ``x`` is None), or else in fresh ones.
     Returns an array for a :class:`Params` reader, and for a tape reader one
     node whose parents are the segments in ``SEGMENTS`` order.
     """
-    if inputs is None:
-        inputs = Inputs(weights or Weights(reader), np.shape(x), context_keys, context_values,
-                        prompt)
-    aug, weights, n_ctx = _augment(inputs.aug, x, t), inputs.weights, inputs.n_ctx
+    if inputs is None:  # the memories copied, the reader's weights read
+        (*lead, frames, _), (n, h) = np.shape(x), np.shape(context_keys)[-2:]
+        keys, values = np.empty((2, *lead, n + frames, h))
+        keys[..., :n, :], values[..., :n, :] = context_keys, context_values
+        inputs = Inputs(Weights(reader), input_buffer(np.shape(x), prompt), keys, values)
+    aug = inputs.aug if x is None else augment(inputs.aug, x, t)
+    weights, n_ctx = inputs.weights, inputs.n_ctx
     out, saved = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
         return out
@@ -183,7 +175,7 @@ def _forward(weights: Weights, aug, keys, vals, n_ctx):
     else:
         p, att = _attend(weights, qkv, keys, vals, n_ctx)
     hid = _affine(att, w1, b1, np.tanh)
-    return _affine(hid, w2, b2), (e, qkv[..., :h], keys, vals, p, att, hid, weights.scale)
+    return _affine(hid, w2, b2), (e, qkv, keys, vals, p, att, hid, weights.scale)
 
 
 def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
@@ -200,12 +192,15 @@ def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
 def _vjp(g, w, aug, saved, n_ctx):
     """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint ``g``: the
     Q, K and V ones column blocks of one fused adjoint, the block's keys and values from its
-    own columns of the scores and softmax.  For (R, F, d) rows each is summed last row first
-    (``np.add.reduce`` on a reversed view), as the tape adds them when each row is its own
+    own columns of the scores and softmax, after writing them back from the saved projection
+    (a call in between may have written its own).  For (R, F, d) rows each is summed last row
+    first (``np.add.reduce`` on a reversed view), as the tape adds them when each row is its own
     node.  That order, every product's and the embedding adjoint's (from v + from k) + from q
     are part of the bit-reproducibility contract: reordering moves fixed-seed runs' bits."""
     wq_t, wk_t, wv_t, w1_t, w2_t = (np.ascontiguousarray(w[i].T) for i in (2, 4, 6, 8, 10))
-    (e, q, keys, vals, p, att, hid, scale), h = saved, len(wq_t)
+    (e, qkv, keys, vals, p, att, hid, scale), h = saved, len(wq_t)
+    keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
+    q = qkv[..., :h]
 
     def tr(a):
         return a.swapaxes(-1, -2)

@@ -4,10 +4,10 @@ Each branch (row g >= 1 of a group's arrays; row 0 is the anchor) gets an energy
 default the replay residual (squared error between recorded rollout velocities and their
 re-evaluations at the group's replay schedule, under the restored default-layout context,
 normalized by latent dimension, with every cached step of the selected rows replayed as
-rows of one network call), or optionally a plain latent-space distance to the anchor over
-the window frames.  A softmax over negative energies turns the group into a categorical
-policy; PPO ratios against a frozen snapshot and a KL pull toward the reference policy
-are computed in the log domain.
+rows of one network call sliced from the group's replay batch), or optionally a plain
+latent-space distance to the anchor over the window frames.  A softmax over negative
+energies turns the group into a categorical policy; PPO ratios against a frozen snapshot
+and a KL pull toward the reference policy are computed in the log domain.
 
 The loss head is plain numpy.  Given taped energies it records itself as it
 goes, as the network does: one log-softmax node, then one node each for the
@@ -76,45 +76,42 @@ def replay_energies(reader, group: RolloutGroup, rows,
     """Per-row sum of the per-dimension-normalized squared residuals between
     the cached rollout velocities of the group rows ``rows`` and their replay
     under the group's default-layout contexts, with one network call per pass
-    and memory size over those rows' steps, row by row.  Only the first
+    and memory size over those rows' steps, row by row, sliced from the group's
+    :meth:`~kvgrpo.routing.RolloutGroup.replay_batch`.  Only the first
     ``cfg.grad_steps`` solver steps of each block (all if None) are evaluated on
     the tape; later steps are either added as constants (``cfg.include_all_steps``)
     or dropped from the value entirely.  Returns a (rows,) array for a value-only reader
     and a tape node otherwise."""
-    (z, u_hat), contexts = group.replay, group.contexts
-    if contexts is None:
+    if group.contexts is None:
         raise ContractError("the group has no replay contexts: build_replay_contexts never ran")
     d = network.shape_from_layout(reader.layout).latent_dim
-    if z.shape[-1] != d:
-        raise ContractError(f"replay latent dim {z.shape[-1]} != network dim {d}")
-    i, (t, step, window) = np.asarray(rows)[:, None], group.replay_schedule()
-    sizes = contexts.sizes[window]
+    if group.replay[0].shape[-1] != d:
+        raise ContractError(f"replay latent dim {group.replay[0].shape[-1]} != network dim {d}")
+    rows, (step, batch) = list(rows), group.replay_batch()
+    at = slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
     carrying = step <= (np.inf if cfg.grad_steps is None else cfg.grad_steps)
     counted = carrying | cfg.include_all_steps
     passes = (((reader.params, counted & ~carrying), (reader, carrying))
               if isinstance(reader, ad.TapeReader) else ((reader, counted),))
 
-    def pick(a, cols):  # the rows' entries at ``cols``, row by row, stacked
-        return a[i, cols].reshape(len(i) * len(cols), *a.shape[2:])
-
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
-    terms, nodes, weights = np.zeros((len(i), 1 + len(t))), [], None
+    terms, nodes, weights = np.zeros((len(rows), 1 + len(step))), [], None
     for r, steps in passes:
         weights = weights or (network.Weights(r) if steps.any() else None)  # one read a call
-        # Not np.unique: its first call imports numpy.ma, ~2 MB resident.
-        for n in sorted(set(sizes[steps].tolist())):
-            s = np.flatnonzero(steps & (sizes == n))
-            # Each pick is made where it is used, as the per-row code did.  Under glibc's
-            # dynamic mmap threshold, holding the targets through the call doubled
-            # replay-grad's page faults; trainer.run pins the thresholds, which removes them.
-            v = network.velocity_forward(r, pick(z, s), np.tile(t[s], len(i)),
-                                         pick(contexts.keys[:, :, :n], window[s]),
-                                         pick(contexts.values[:, :, :n], window[s]),
-                                         group.prompt, weights=weights)
-            diff = ad.value(v) - pick(u_hat, s)
-            terms[:, 1 + s] = np.sum(diff * diff, axis=(-2, -1)).reshape(len(i), -1) * (1.0 / d)
+        for s, *inputs in batch:
+            if not (picked := steps[s]).any():
+                continue
+            # A basic slice of the batch, or a gather of the picked steps.
+            cols = None if picked.all() else np.flatnonzero(picked)
+            aug, keys, values, targets = ((a[at] if cols is None else np.take(a[at], cols, axis=1))
+                                          .reshape(-1, *a.shape[2:]) for a in inputs)
+            v = network.velocity_forward(r, None, None, keys, values, group.prompt,
+                                         network.Inputs(weights, aug, keys, values))
+            diff = ad.value(v) - targets  # each step's squares summed as one contiguous run
+            terms[:, 1 + s[picked]] = np.add.reduce(
+                (diff * diff).reshape(len(rows), -1, diff[0].size), axis=2) * (1.0 / d)
             if isinstance(v, ad.Var):
-                nodes.append((v.idx, np.repeat(np.arange(len(i)), len(s)), diff))
+                nodes.append((v.idx, np.repeat(np.arange(len(rows)), picked.sum()), diff))
     # Each row's sum runs over its steps in order from 0.0.
     energies = np.cumsum(terms, axis=1)[:, -1]
     if not nodes:

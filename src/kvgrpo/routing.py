@@ -12,13 +12,14 @@ per memory-length bucket.  A trainer may plan ahead; :func:`rollout_group` only
 gathers what the plan indexes, and solves each block once for all trajectories, with
 one network call per solver step.  A group is its arrays, one row per trajectory:
 row 0 is the anchor and row g branch g, in its frames, history, rewards and cached
-window solver steps (latents and velocities; the config times them), which are replayed
-later under default-layout memories, gathered once per window block into replay contexts.
+window solver steps (latents and velocities; the config times them), replayed later
+under default-layout memories gathered once per window block into replay contexts, and
+from them laid out once into the group's replay batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -59,6 +60,7 @@ class RolloutGroup:
     routings: tuple[RoutingDecision | None, ...]   # the pivot's, None for the anchor
     rewards: np.ndarray | None = None               # (G,), once scored
     contexts: ReplayContexts | None = None          # once built, to replay the window
+    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def window_block_indices(self) -> list[int]:
@@ -68,6 +70,23 @@ class RolloutGroup:
         """Each recorded step's flow time, 1-based solver step and 0-based window block."""
         S, k = self.gen_cfg.num_steps, np.arange(self.window * self.gen_cfg.num_steps)
         return np.array(self.gen_cfg.times * self.window), k % S + 1, k // S
+
+    def replay_batch(self) -> tuple[np.ndarray, list]:
+        """Each recorded step's solver step and, per memory size, shortest first, its steps and
+        every row's network inputs (:class:`~kvgrpo.network.Inputs`) and velocities there, each
+        (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object."""
+        made = self._batch
+        if made is None or made[0] is not self.replay or made[1] is not self.contexts:
+            (z, u_hat), ctx, (t, step, window) = self.replay, self.contexts, self.replay_schedule()
+            sizes, by_size = ctx.sizes[window], []
+            for n in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma
+                s = np.flatnonzero(sizes == n)
+                kv = np.empty((2, len(z), len(s), n + z.shape[2], ctx.keys.shape[-1]))
+                kv[:, ..., :n, :] = [a[:len(z), window[s], :n] for a in (ctx.keys, ctx.values)]
+                aug = network.input_buffer((len(z), len(s), *z.shape[2:]), self.prompt)
+                by_size.append((s, network.augment(aug, z[:, s], t[s]), *kv, u_hat[:, s]))
+            made = self._batch = (self.replay, self.contexts, step, by_size)
+        return made[2:]
 
 
 def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
@@ -234,7 +253,7 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     for b, memories in enumerate(plan.memories, 1):
         k, L = (b - pivot) * S, len(history)  # the block's first step in the record
         block = generate_block(
-            params, [(rows, *history.take(rows, index)) for rows, index in memories], b,
+            params, [(rows, *history.take(rows, index, F)) for rows, index in memories], b,
             plan.noise[b - 1], prompt, weights,
             (z[:, k:k + S], u_hat[:, k:k + S]) if pivot <= b < pivot + window else None, cfg)
         write_back(history, block, weights, prompt)

@@ -240,20 +240,20 @@ def kv_for_frames(w, x, prompt, t=1.0):
 
 
 def network_forward(w, aug, keys, vals, n_ctx):
-    """Output and saved intermediates, as ``kvgrpo.network._vjp`` reads them;
-    the block's keys and values are written after the ``n_ctx`` memory rows."""
+    """Output and saved intermediates, as ``kvgrpo.network._vjp`` reads them (the
+    [q | k | v] projections side by side); the block's keys and values are written
+    after the ``n_ctx`` memory rows."""
     ew, eb, wq, bq, wk, bk, wv, bv, w1, b1, w2, b2 = w
     e = np.tanh(aug @ ew + eb)
-    q = e @ wq + bq
-    keys[..., n_ctx:, :] = e @ wk + bk
-    vals[..., n_ctx:, :] = e @ wv + bv
+    q, k, v = e @ wq + bq, e @ wk + bk, e @ wv + bv
+    keys[..., n_ctx:, :], vals[..., n_ctx:, :] = k, v
     scale = 1.0 / np.sqrt(keys.shape[-1])
     scores = (q @ keys.swapaxes(-1, -2)) * scale
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = p / p.sum(axis=-1, keepdims=True)
     att = p @ vals
     hid = np.tanh(att @ w1 + b1)
-    return hid @ w2 + b2, (e, q, keys, vals, p, att, hid, scale)
+    return hid @ w2 + b2, (e, np.concatenate((q, k, v), axis=-1), keys, vals, p, att, hid, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +261,25 @@ def network_forward(w, aug, keys, vals, n_ctx):
 # ---------------------------------------------------------------------------
 
 
-def gather(history: FrameHistory, frames: list[tuple[int, ...]]):
+def gather(history: FrameHistory, frames: list[tuple[int, ...]], block: int = 0):
     """Per memory length, shortest first: the rows whose memory, row g holding
     frames ``frames[g]`` of history row g, has that length, and their (rows, M, h)
-    keys and values, gathered as the rollout gathers a block's buckets."""
+    keys and values, gathered as the rollout gathers a block's buckets; with
+    ``block`` rows after the memory's, the joint buffers a ``block``-frame block
+    is solved over."""
     for row in frames:
         if row and not 1 <= min(row) <= max(row) <= history.length:
             raise ContractError(f"frames {row} not in history of length {history.length}")
-    return [(rows, *history.take(rows, index)) for rows, index in buckets(frames)]
+    return [(rows, *history.take(rows, index, block)) for rows, index in buckets(frames)]
+
+
+def joint(shape, keys, values):
+    """Fresh joint [memory ; block] key and value buffers for (..., F, d) latents of
+    ``shape`` over (..., M, h) memories, the memory copied into the first M rows."""
+    (*lead, frames, _), (n, h) = shape, np.shape(keys)[-2:]
+    joint_keys, joint_values = np.zeros((2, *lead, n + frames, h))
+    joint_keys[..., :n, :], joint_values[..., :n, :] = keys, values
+    return joint_keys, joint_values
 
 
 def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.ndarray:

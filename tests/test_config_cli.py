@@ -12,8 +12,8 @@ import pytest
 from kvgrpo.checkpoint import load_checkpoint, save_checkpoint
 from kvgrpo.cli import main
 from kvgrpo.config import (PRESETS, RunConfig, TrainerConfig, apply_overrides,
-                           from_flat_dict, load_config, save_config,
-                           to_flat_dict)
+                           from_flat_dict, load_config, read_metrics, read_trajectories,
+                           save_config, to_flat_dict)
 from kvgrpo.errors import ConfigError, InsufficientHistoryError
 from kvgrpo.network import NetworkShape, build_layout, param_init
 from kvgrpo.params import Layout, Params
@@ -839,6 +839,23 @@ class TestCli:
         assert "records)" not in captured.out
         assert main(["inspect", str(out_dir / "metrics.jsonl")]) == 0
         assert "(3 records)" in capsys.readouterr().out
+
+    def test_read_trajectories_gives_each_line_its_iteration(self, tmp_path, capsys):
+        # The dump's twin of the metrics reader: one iteration per trajectory line,
+        # a cut last line set aside by number, and a metrics file refused.
+        cfg_path = write_small_config(tmp_path, max_iterations=3, branch_number=2)
+        out_dir = tmp_path / "runt"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out_dir),
+                     "--set", "dump_trajectories=true", "train"]) == 0
+        dump = out_dir / "trajectories.jsonl"
+        assert read_trajectories(dump) == ([1, 1, 1, 2, 2, 2, 3, 3, 3], None)
+        records, cut = read_metrics(out_dir / "metrics.jsonl")
+        assert [r["iteration"] for r in records] == [1, 2, 3] and cut is None
+        text = dump.read_text()
+        dump.write_text(text[:text.rindex("\n", 0, -1) + 40])
+        assert read_trajectories(dump) == ([1, 1, 1, 2, 2, 2, 3, 3], 9)
+        with pytest.raises(ConfigError, match="not a trajectories file: line 1 lacks 'blocks'"):
+            read_trajectories(out_dir / "metrics.jsonl")
 
     @pytest.mark.parametrize("line,why", [('{"iteration": 1}', "lacks 'skipped'"),
                                           ('{"skipped": false}', "lacks 'iteration'")])

@@ -16,8 +16,8 @@ from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo import network
 from kvgrpo.flow import Block, GeneratorConfig, generate_block, write_back
 from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _forward, _vjp,
-                            build_layout, kv_for_frames, param_init, shape_from_layout,
-                            velocity_forward)
+                            build_layout, input_buffer, kv_for_frames, param_init,
+                            shape_from_layout, velocity_forward)
 from kvgrpo.params import Params
 from kvgrpo.routing import routable_range, routed_layout, sample_routing
 
@@ -44,7 +44,7 @@ class RowMemories:
     frames: list
 
     def stacked(self):
-        return ops.gather(self.history, self.frames)
+        return ops.gather(self.history, self.frames, 3)
 
 
 def one_row_cache(frames=30, dim=5, rows=1):
@@ -53,12 +53,12 @@ def one_row_cache(frames=30, dim=5, rows=1):
 
 
 def row_memory(cache, row=0):
-    """One row's memory: its frames and its (M, h) keys and values, gathered
-    by ``stacked()``."""
+    """One row's memory: its frames and its (M, h) keys and values, the memory
+    rows of the joint buffers ``stacked()`` gathers."""
     for rows, keys, values in cache.stacked():
         if row in rows:
-            i = rows.tolist().index(row)
-            return cache.frames[row], keys[i], values[i]
+            i, n = rows.tolist().index(row), len(cache.frames[row])
+            return cache.frames[row], keys[i, :n], values[i, :n]
 
 
 def new_record(rows, cfg=GeneratorConfig(), dim=TINY.latent_dim):
@@ -148,8 +148,8 @@ def random_call(shape, rows, memory, seed):
 def oracle(weights, x, t, keys, values, prompt):
     """The out-of-place three-projection forward on fresh buffers: the input,
     the output and the saved intermediates."""
-    aug, fresh = ops.augment(x, t, prompt), Inputs(weights, np.shape(x), keys, values, prompt)
-    return (aug, *ops.network_forward(weights.w, aug, fresh.keys, fresh.values, keys.shape[-2]))
+    aug, fresh = ops.augment(x, t, prompt), ops.joint(np.shape(x), keys, values)
+    return (aug, *ops.network_forward(weights.w, aug, *fresh, keys.shape[-2]))
 
 
 def assert_same_saved(got, want):
@@ -177,13 +177,12 @@ class TestFusedProjection:
         prompt, weights = rng.normal(size=shape.prompt_dim), Weights(params)
 
         aug, want, saved = oracle(weights, x, t, keys, values, prompt)
-        inputs = Inputs(weights, x.shape, keys, values, prompt)
+        inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
         assert np.array_equal(velocity_forward(params, x, t, keys, values, prompt, inputs), want)
         assert np.array_equal(inputs.aug, aug)
         assert np.array_equal(inputs.keys, saved[2]) and np.array_equal(inputs.values, saved[3])
         # The in-place forward's own intermediates, on fresh buffers.
-        fresh = Inputs(weights, x.shape, keys, values, prompt)
-        out, got = _forward(weights, aug, fresh.keys, fresh.values, memory)
+        out, got = _forward(weights, aug, *ops.joint(x.shape, keys, values), memory)
         assert np.array_equal(out, want)
         assert_same_saved(got, saved)
         assert all(np.array_equal(a, b) for a, b in zip(
@@ -207,7 +206,7 @@ class TestFusedProjection:
         # the latents, time and block rows; the prompt columns stay.
         params, prompt, x, keys, values = random_call(NetworkShape(), rows, memory, rows)
         weights = Weights(params)
-        inputs = Inputs(weights, x.shape, keys, values, prompt)
+        inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
         xs = [x[0]] + [x * s for s in (0.5, -1.5, 2.0)]
         for t, xt in zip((0.0, 0.25, 0.5, 0.75), xs):
             got = velocity_forward(params, xt, t, keys, values, prompt, inputs)
@@ -349,8 +348,9 @@ class TestSolverPaths:
         # straddles row 1's.  One bucket: every row at one length, in order or not.
         history = filled_history(3, 6)[0]
         if case == "interleaved":
-            return ops.gather(history, [(1, 2, 3, 7, 8, 9), (1, 2, 3, 4), (4, 5, 6, 10, 11, 12)])
-        (_, keys, values), = ops.gather(history, [(1, 2, 3, 4), (7, 8, 9, 10), (1, 2, 3, 16)])
+            return ops.gather(history, [(1, 2, 3, 7, 8, 9), (1, 2, 3, 4), (4, 5, 6, 10, 11, 12)],
+                              3)
+        (_, keys, values), = ops.gather(history, [(1, 2, 3, 4), (7, 8, 9, 10), (1, 2, 3, 16)], 3)
         order = [0, 1, 2] if case == "one-bucket" else [2, 0, 1]
         return [(np.array(order), keys[order], values[order])]
 
@@ -395,7 +395,7 @@ def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, reco
     with np.errstate(all="ignore"):
         for rows, keys, values in buckets:
             xb, t, ts = noise, 0.0, []
-            inputs = Inputs(weights, (len(rows), *noise.shape), keys, values, prompt)
+            inputs = Inputs(weights, input_buffer((len(rows), *noise.shape), prompt), keys, values)
             for k in range(cfg.num_steps):
                 v = velocity_forward(params, xb, t, keys, values, prompt, inputs)
                 z[rows, k], u_hat[rows, k] = xb, v
@@ -410,7 +410,8 @@ def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, reco
 @st.composite
 def mixed_buckets(draw):
     """1-4 memory lengths (0 is an empty memory), 1-3 rows each, the rows of the
-    block dealt to the buckets in a random order, so buckets interleave."""
+    block dealt to the buckets in a random order, so buckets interleave; each
+    bucket's joint buffers hold 3 block rows after its memory."""
     lengths = sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=4)))
     counts = [draw(st.integers(1, 3)) for _ in lengths]
     order = draw(st.permutations(range(sum(counts))))
@@ -418,7 +419,7 @@ def mixed_buckets(draw):
     buckets, start = [], 0
     for n, count in zip(lengths, counts):
         rows, start = np.array(order[start:start + count]), start + count
-        buckets.append((rows, *rng.normal(size=(2, count, n, TINY.hidden_dim))))
+        buckets.append((rows, *rng.normal(size=(2, count, n + 3, TINY.hidden_dim))))
     return buckets, rng
 
 
@@ -465,7 +466,7 @@ class TestMixedMemoryLengths:
     def test_a_non_finite_memory_row_raises(self, tiny_params, bad, where):
         history = filled_history(4, 6)[0]
         buckets = ops.gather(history, [(1, 2, 3, 4), (1, 2, 3, 7, 8, 9, 10, 11),
-                                       (1, 2, 3), (1, 2, 3, 4, 5)])
+                                       (1, 2, 3), (1, 2, 3, 4, 5)], 3)
         rows, keys, values = buckets[bad]
         (keys if where == "keys" else values)[-1, 1] = np.nan
         with warnings.catch_warnings():

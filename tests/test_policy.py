@@ -320,6 +320,53 @@ class TestBatchedReplay:
         assert sorted(segments) == (sorted(network.SEGMENTS) if grad_steps else [])
 
 
+class TestReplayBatch:
+    """Every replay pass slices one batch that the group lays out once: a pass over
+    all of a memory size's steps reads and writes the batch's own buffers."""
+
+    @pytest.mark.parametrize("grad_steps", [None, 2])
+    def test_a_pass_between_forward_and_backward_moves_no_gradient_bit(self, replay_case,
+                                                                        grad_steps):
+        # The value-only pass writes its block rows into the buffers that the taped
+        # node attended over; its backward must not read them.
+        _, params, group = replay_case
+        pcfg, rows, other = PolicyConfig(grad_steps=grad_steps), branch_rows(group), param_init(
+            NetworkShape(), 8)
+
+        def gradient(between):
+            def f(reader):
+                energies = ad.asum(replay_energies(reader, group, rows, pcfg))
+                between()
+                return energies
+            return grad(params, f)[1]
+
+        alone = gradient(lambda: None)
+        assert np.linalg.norm(alone) > 1e-3
+        for between in (lambda: replay_energies(other, group, rows),
+                        lambda: replay_energies(ad.TapeReader(ad.Tape(), other), group, rows),
+                        lambda: replay_energies(other, group, [2], pcfg)):
+            assert gradient(between).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("how", ["replace", "assign"])
+    @pytest.mark.parametrize("what", ["replay", "contexts"])
+    def test_a_new_replay_or_contexts_is_laid_out_afresh(self, what, how):
+        params, group = replay_group(mixed=True)
+        rows = branch_rows(group)
+        before = replay_energies(params, group, rows)  # lays the batch out
+        z, u_hat = group.replay
+        new = (z * 0.5, u_hat) if what == "replay" else build_replay_contexts(group, "anchor")
+        if how == "replace":
+            group = dataclasses.replace(group, **{what: new})
+        else:
+            setattr(group, what, new)
+        fresh = RolloutGroup(**{f.name: getattr(group, f.name)
+                                for f in dataclasses.fields(group) if f.init})
+        want = replay_energies(params, fresh, rows)
+        assert want.tobytes() != before.tobytes()
+        for reader in (params, ad.TapeReader(ad.Tape(), params)):
+            assert ad.value(replay_energies(reader, group, rows)).tobytes() == want.tobytes()
+
+
 class TestGibbs:
     def test_equal_energies_uniform(self):
         ev = gibbs(np.zeros(8), tau=1.0)

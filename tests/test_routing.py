@@ -797,6 +797,28 @@ class TestPlannedMemories:
         build_replay_contexts(group)  # the counters do see a default-layout gather
         assert calls["default_cache"] and calls["stacked"]
 
+    def test_each_bucket_is_gathered_once_into_the_buffers_attended_over(self, monkeypatch):
+        # FrameHistory.take gathers each bucket's memory straight into the joint
+        # buffers that the network writes its block rows into: no copy in between.
+        params, cfg = param_init(SHAPE, 0), GeneratorConfig()
+        plan, _ = case_plan(LOCKSTEP_CASES[4])  # explore-wide, pivot 6
+        assert {1, 3} <= {len(buckets) for buckets in plan.memories}
+        taken, attended = [], []
+        real_take, real_attend = FrameHistory.take, network._attend
+        monkeypatch.setattr(FrameHistory, "take", lambda *args: taken.append(
+            real_take(*args)) or taken[-1])
+        monkeypatch.setattr(network, "_attend", lambda weights, qkv, keys, vals, *args: (
+            attended.append((keys, vals)) or real_attend(weights, qkv, keys, vals, *args)))
+        rollout_group(params, np.linspace(0.5, -0.5, 4), cfg, plan.pivot, plan.window, plan)
+        assert len(taken) == sum(map(len, plan.memories))
+        assert len(attended) == cfg.num_steps * len(taken)
+        for buckets in plan.memories:
+            block, taken = taken[:len(buckets)], taken[len(buckets):]
+            for _ in range(cfg.num_steps):
+                for (keys, values), (got_keys, got_values) in zip(block, attended):
+                    assert got_keys is keys and got_values is values
+                attended = attended[len(buckets):]
+
     @pytest.mark.parametrize("pivot, window, other_blocks", [(6, 2, False), (5, 3, False),
                                                               (5, 2, True)])
     def test_plan_made_for_another_rollout_rejected(self, pivot, window, other_blocks):
