@@ -74,7 +74,7 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
                        np.empty((2, len(order), cfg.num_steps, *noise.shape)))
     with np.errstate(all="ignore"):  # the check below raises what would warn
         for k, t in enumerate(cfg.times):
-            v = network.velocity_forward(params, x, t, *memories, prompt, inputs)
+            v = network.velocity_forward(params, x, t, inputs)
             if steps is not None:
                 steps[0][:, k], steps[1][:, k] = x, v
             x = x + cfg.dt * v

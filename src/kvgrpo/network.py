@@ -6,8 +6,8 @@ rollout step runs all its rows as one), with one Q/K/V projection through the
 :class:`Weights` read once per call and attention once per memory, each step after a
 product in place in it, over joint [memory ; block] buffers its caller lays out.  Given a
 :class:`Params` it returns the velocity array (rollouts, replay values, finite differences);
-given a :class:`~kvgrpo.autodiff.TapeReader` one tape node, whose hand-derived VJP takes one
-fused Q/K/V adjoint and sums rows last row first.
+given a :class:`~kvgrpo.autodiff.TapeReader` one tape node, whose hand-derived VJP reads
+only the rows its caller picks, takes one fused Q/K/V adjoint and sums them last row first.
 """
 
 from __future__ import annotations
@@ -133,28 +133,23 @@ class Inputs:
                       else keys.shape[-2] - frames)
 
 
-def velocity_forward(reader, x: np.ndarray, t, context_keys, context_values, prompt: np.ndarray,
-                     inputs: Inputs | None = None):
+def velocity_forward(reader, x: np.ndarray, t, inputs: Inputs, taped=...):
     """Predicted velocity for every frame of a block, or of a stack of blocks.
 
-    ``x`` is one (F, d) block at flow time ``t`` over an (M, h) memory, or
-    (R, F, d) rows with one time each in ``t`` and one memory each in (R, M, h)
-    ``context_keys`` / ``context_values``.  Attention runs over [memory ; block] jointly,
-    in the buffers of ``inputs`` (the memories and ``prompt`` unread) after ``x``, broadcast
-    to its rows, and ``t`` are written there (unless ``x`` is None), or else in fresh ones.
-    Returns an array for a :class:`Params` reader, and for a tape reader one
-    node whose parents are the segments in ``SEGMENTS`` order.
+    ``x`` is one (F, d) block at flow time ``t``, or rows of blocks, any number of leading
+    dims, with one time each in ``t``, over the memories of ``inputs``: attention runs over
+    [memory ; block] jointly in its buffers (the memories and the prompt unread), after ``x``,
+    broadcast to its rows, and ``t`` are written there (unless ``x`` is None).  Returns an
+    array for a :class:`Params` reader, and for a tape reader one node whose parents are the
+    segments in ``SEGMENTS`` order, valued at every row's velocity, whose adjoint covers only
+    the rows the index ``taped`` picks (all by default): its pullback reads those rows alone.
     """
-    if inputs is None:  # the memories copied, the reader's weights read
-        (*lead, frames, _), (n, h) = np.shape(x), np.shape(context_keys)[-2:]
-        keys, values = np.empty((2, *lead, n + frames, h))
-        keys[..., :n, :], values[..., :n, :] = context_keys, context_values
-        inputs = Inputs(Weights(reader), input_buffer(np.shape(x), prompt), keys, values)
     aug = inputs.aug if x is None else augment(inputs.aug, x, t)
     weights, n_ctx = inputs.weights, inputs.n_ctx
-    out, saved = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
+    out, (*saved, scale) = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
     if not isinstance(reader, ad.TapeReader):
         return out
+    aug, saved = aug[taped], (*(a[taped] for a in saved), scale)
     return reader.tape.push(out, tuple(reader.segment(name).idx for name in SEGMENTS),
                             lambda g: _vjp(g, weights.w, aug, saved, n_ctx))
 
@@ -193,10 +188,11 @@ def _vjp(g, w, aug, saved, n_ctx):
     """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint ``g``: the
     Q, K and V ones column blocks of one fused adjoint, the block's keys and values from its
     own columns of the scores and softmax, after writing them back from the saved projection
-    (a call in between may have written its own).  For (R, F, d) rows each is summed last row
-    first (``np.add.reduce`` on a reversed view), as the tape adds them when each row is its own
-    node.  That order, every product's and the embedding adjoint's (from v + from k) + from q
-    are part of the bit-reproducibility contract: reordering moves fixed-seed runs' bits."""
+    (a call in between may have written its own).  For rows of blocks (any leading dims) each is
+    summed over the rows in flattened order, last row first (``np.add.reduce`` on a reversed
+    view), as the tape adds them when each row is its own node.  That order, every product's
+    and the embedding adjoint's (from v + from k) + from q are part of the bit-reproducibility
+    contract: reordering moves fixed-seed runs' bits."""
     wq_t, wk_t, wv_t, w1_t, w2_t = (np.ascontiguousarray(w[i].T) for i in (2, 4, 6, 8, 10))
     (e, qkv, keys, vals, p, att, hid, scale), h = saved, len(wq_t)
     keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
@@ -216,7 +212,7 @@ def _vjp(g, w, aug, saved, n_ctx):
     np.matmul(tr(p[..., n_ctx:]), g_att, out=g_v)
     g_e = (g_v @ wv_t + g_k @ wk_t) + g_q @ wq_t
     g_pre = g_e * (1.0 - e * e)
-    adjoints = [a if g.ndim == 2 else np.add.reduce(a[::-1], axis=0)
+    adjoints = [a if g.ndim == 2 else np.add.reduce(a.reshape(-1, *a.shape[g.ndim - 2:])[::-1])
                 for x, g_out in ((aug, g_pre), (e, g_qkv), (att, g_pre1), (hid, g))
                 for a in (tr(x) @ g_out, np.sum(g_out, axis=-2))]
     adjoints[2:4] = [a[..., c:c + h] for c in range(0, 3 * h, h) for a in adjoints[2:4]]

@@ -72,52 +72,47 @@ class LossBreakdown:
 
 
 def replay_energies(reader, group: RolloutGroup, rows,
-                    cfg: PolicyConfig = PolicyConfig(grad_steps=None)):
+                    cfg: PolicyConfig = PolicyConfig(grad_steps=None), weights=None):
     """Per-row sum of the per-dimension-normalized squared residuals between
     the cached rollout velocities of the group rows ``rows`` and their replay
-    under the group's default-layout contexts, with one network call per pass
-    and memory size over those rows' steps, row by row, sliced from the group's
-    :meth:`~kvgrpo.routing.RolloutGroup.replay_batch`.  Only the first
-    ``cfg.grad_steps`` solver steps of each block (all if None) are evaluated on
-    the tape; later steps are either added as constants (``cfg.include_all_steps``)
-    or dropped from the value entirely.  Returns a (rows,) array for a value-only reader
-    and a tape node otherwise."""
+    under the group's default-layout contexts, with one network call per memory
+    size over those rows' counted steps, row by row, a view of the group's
+    :meth:`~kvgrpo.routing.RolloutGroup.replay_batch`, with the reader's ``weights``
+    (:class:`~kvgrpo.network.Weights`, read here if None).  Only the first ``cfg.grad_steps``
+    solver steps of each block (all if None) carry gradient, a taped call's pullback reading
+    those alone; later steps are either added as constants (``cfg.include_all_steps``) or
+    dropped from the value entirely.  Returns a (rows,) array for a value-only reader and a
+    tape node otherwise."""
     if group.contexts is None:
         raise ContractError("the group has no replay contexts: build_replay_contexts never ran")
     d = network.shape_from_layout(reader.layout).latent_dim
     if group.replay[0].shape[-1] != d:
         raise ContractError(f"replay latent dim {group.replay[0].shape[-1]} != network dim {d}")
-    rows, (step, batch) = list(rows), group.replay_batch()
+    rows, S = list(rows), group.gen_cfg.num_steps
     at = slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
-    carrying = step <= (np.inf if cfg.grad_steps is None else cfg.grad_steps)
-    counted = carrying | cfg.include_all_steps
-    passes = (((reader.params, counted & ~carrying), (reader, carrying))
-              if isinstance(reader, ad.TapeReader) else ((reader, counted),))
+    carrying = np.s_[:, :, :S if cfg.grad_steps is None else cfg.grad_steps]
+    counted = np.s_[:, :, :S] if cfg.include_all_steps else carrying
+    weights = network.Weights(reader) if weights is None else weights
 
     # Row k's step s goes to column 1 + s; the steps left out stay exact zeros.
-    terms, nodes, weights = np.zeros((len(rows), 1 + len(step))), [], None
-    for r, steps in passes:
-        weights = weights or (network.Weights(r) if steps.any() else None)  # one read a call
-        for s, *inputs in batch:
-            if not (picked := steps[s]).any():
-                continue
-            # A basic slice of the batch, or a gather of the picked steps.
-            cols = None if picked.all() else np.flatnonzero(picked)
-            aug, keys, values, targets = ((a[at] if cols is None else np.take(a[at], cols, axis=1))
-                                          .reshape(-1, *a.shape[2:]) for a in inputs)
-            v = network.velocity_forward(r, None, None, keys, values, group.prompt,
-                                         network.Inputs(weights, aug, keys, values))
-            diff = ad.value(v) - targets  # each step's squares summed as one contiguous run
-            terms[:, 1 + s[picked]] = np.add.reduce(
-                (diff * diff).reshape(len(rows), -1, diff[0].size), axis=2) * (1.0 / d)
-            if isinstance(v, ad.Var):
-                nodes.append((v.idx, np.repeat(np.arange(len(rows)), picked.sum()), diff))
+    terms, nodes = np.zeros((len(rows), 1 + group.replay[0].shape[1])), []
+    for s, *inputs in group.replay_batch():
+        # A size's steps are whole window blocks: its counted steps are a view.
+        aug, keys, values, targets = (a[at].reshape(len(rows), -1, S, *a.shape[2:])[counted]
+                                      for a in inputs)
+        v = network.velocity_forward(reader, None, None,
+                                     network.Inputs(weights, aug, keys, values), carrying)
+        diff = ad.value(v) - targets  # each step's squares summed as one contiguous run
+        terms[:, 1 + s.reshape(-1, S)[counted[1:]].ravel()] = np.add.reduce(
+            (diff * diff).reshape(len(rows), -1, diff[0, 0, 0].size), axis=2) * (1.0 / d)
+        if isinstance(v, ad.Var):
+            nodes.append((v.idx, diff[carrying]))
     # Each row's sum runs over its steps in order from 0.0.
     energies = np.cumsum(terms, axis=1)[:, -1]
     if not nodes:
         return energies
-    return reader.tape.push(energies, tuple(idx for idx, *_ in nodes), lambda g: tuple(
-        (2.0 * (g[row] * (1.0 / d)))[:, None, None] * diff for _, row, diff in nodes))
+    return reader.tape.push(energies, tuple(idx for idx, _ in nodes), lambda g: tuple(
+        (2.0 * (g * (1.0 / d)))[:, None, None, None, None] * diff for _, diff in nodes))
 
 
 def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
@@ -129,12 +124,12 @@ def latent_l2_energies(group: RolloutGroup, sigma: float = 1.0) -> np.ndarray:
     return np.sum((frames[1:] - frames[0]) ** 2, axis=(1, 2)) / (2.0 * sigma * sigma)
 
 
-def surrogate_energies(reader, group: RolloutGroup, cfg: PolicyConfig):
+def surrogate_energies(reader, group: RolloutGroup, cfg: PolicyConfig, weights=None):
     """The group's per-branch energies: an array, or a tape node for a taped
-    replay surrogate."""
+    replay surrogate (``weights`` as :func:`replay_energies` takes them)."""
     if cfg.surrogate == "latent_l2":
         return latent_l2_energies(group, cfg.l2_sigma)
-    return replay_energies(reader, group, range(1, len(group.frames)), cfg)
+    return replay_energies(reader, group, range(1, len(group.frames)), cfg, weights)
 
 
 def gibbs(energies: np.ndarray, tau: float) -> PolicyEval:
@@ -258,12 +253,12 @@ def guard(branch_rewards: np.ndarray, anchor_reward: float) -> bool:
 
 
 def _build_loss(reader, group: RolloutGroup, eval_old: PolicyEval | None,
-                eval_ref: PolicyEval, adv: np.ndarray, cfg: PolicyConfig):
+                eval_ref: PolicyEval, adv: np.ndarray, cfg: PolicyConfig, weights=None):
     """:func:`ppo_kl_loss` of the surrogate policy at ``reader``, followed by the
     energies and the old policy.  With ``eval_old=None`` the parameters are
     theta_old (PPO's first epoch), so the old policy is this pass's own
     energies, held constant."""
-    energies = surrogate_energies(reader, group, cfg)
+    energies = surrogate_energies(reader, group, cfg, weights)
     if eval_old is None:
         eval_old = gibbs(ad.value(energies), cfg.tau)
     terms = ppo_kl_loss(_log_policy(energies, cfg.tau), eval_old.log_probs,
@@ -272,16 +267,17 @@ def _build_loss(reader, group: RolloutGroup, eval_old: PolicyEval | None,
 
 
 def total_loss_grad(params: Params, group: RolloutGroup, eval_old: PolicyEval | None,
-                    eval_ref: PolicyEval, cfg: PolicyConfig
+                    eval_ref: PolicyEval, cfg: PolicyConfig, weights=None
                     ) -> tuple[LossBreakdown, np.ndarray, np.ndarray, PolicyEval]:
     """Loss breakdown, per-branch energies, the reverse-mode gradient, and the
-    old policy (see :func:`_build_loss` for ``eval_old=None``)."""
+    old policy (see :func:`_build_loss` for ``eval_old=None``), with the
+    :class:`~kvgrpo.network.Weights` of ``params`` if given."""
     adv = advantages(group.rewards[1:], cfg.adv_clip_max)
     parts: dict = {}
 
     def f(reader):
         total, ppo, kl, rho, energies, old = _build_loss(
-            reader, group, eval_old, eval_ref, adv, cfg)
+            reader, group, eval_old, eval_ref, adv, cfg, weights)
         parts.update(breakdown=LossBreakdown.of(total, ppo, kl, rho), old=old,
                      energies=ad.value(energies))
         return total

@@ -71,13 +71,13 @@ class RolloutGroup:
         S, k = self.gen_cfg.num_steps, np.arange(self.window * self.gen_cfg.num_steps)
         return np.array(self.gen_cfg.times * self.window), k % S + 1, k // S
 
-    def replay_batch(self) -> tuple[np.ndarray, list]:
-        """Each recorded step's solver step and, per memory size, shortest first, its steps and
-        every row's network inputs (:class:`~kvgrpo.network.Inputs`) and velocities there, each
-        (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object."""
+    def replay_batch(self) -> list:
+        """Per memory size, shortest first, its recorded steps (whole window blocks, in order)
+        and every row's network inputs (:class:`~kvgrpo.network.Inputs`) and velocities there,
+        each (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object."""
         made = self._batch
         if made is None or made[0] is not self.replay or made[1] is not self.contexts:
-            (z, u_hat), ctx, (t, step, window) = self.replay, self.contexts, self.replay_schedule()
+            (z, u_hat), ctx, (t, _, window) = self.replay, self.contexts, self.replay_schedule()
             sizes, by_size = ctx.sizes[window], []
             for n in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma
                 s = np.flatnonzero(sizes == n)
@@ -85,8 +85,8 @@ class RolloutGroup:
                 kv[:, ..., :n, :] = [a[:len(z), window[s], :n] for a in (ctx.keys, ctx.values)]
                 aug = network.input_buffer((len(z), len(s), *z.shape[2:]), self.prompt)
                 by_size.append((s, network.augment(aug, z[:, s], t[s]), *kv, u_hat[:, s]))
-            made = self._batch = (self.replay, self.contexts, step, by_size)
-        return made[2:]
+            made = self._batch = (self.replay, self.contexts, by_size)
+        return made[2]
 
 
 def routable_range(L: int, near_count: int = 3, sink_size: int = 3) -> range:
@@ -229,12 +229,12 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
 
 
 def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,
-                  window: int, plan: RolloutPlan) -> RolloutGroup:
+                  window: int, plan: RolloutPlan, weights=None) -> RolloutGroup:
     """The anchor (row 0) and the routed branches of ``plan``, made by
     :func:`plan_rollout` for this config, pivot and window, over ``len(plan.noise)``
     blocks: per block, a gather of the plan's memories, one
-    :func:`generate_block` and one :func:`write_back` call, with weights read
-    once.  Every window solver step is written into the group's record, the anchor's too.
+    :func:`generate_block` and one :func:`write_back` call, with ``weights`` read once if not
+    given.  Every window solver step is written into the group's record, the anchor's too.
     """
     num_blocks = len(plan.noise)
     if (plan.pivot, plan.window, len(plan.memories)) != (pivot, window, num_blocks):
@@ -249,7 +249,7 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     history = FrameHistory.allocate(G, num_blocks * F, shape.hidden_dim)
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
     z, u_hat = np.empty((2, G, window * S, F, shape.latent_dim))
-    weights = network.Weights(params)
+    weights = network.Weights(params) if weights is None else weights
     for b, memories in enumerate(plan.memories, 1):
         k, L = (b - pivot) * S, len(history)  # the block's first step in the record
         block = generate_block(

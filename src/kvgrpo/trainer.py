@@ -29,7 +29,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig, TrainerConfig, save_config, to_flat_dict
 from .errors import ContractError, NumericalError
 from .flow import GeneratorConfig
-from .network import NetworkShape, check_finite, param_init
+from .network import NetworkShape, Weights, check_finite, param_init
 from .params import Params
 from .policy import PolicyConfig, gibbs, guard
 from .rewards import composite
@@ -174,15 +174,16 @@ def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
                                            cfg.reward_target()), "rewards")
 
 
-def train_iteration(state: TrainerState, cfg: TrainerConfig,
-                    plan: IterationPlan | None = None) -> IterationRecord:
+def train_iteration(state: TrainerState, cfg: TrainerConfig, plan: IterationPlan | None = None,
+                    ref_weights: Weights | None = None) -> IterationRecord:
     """One full iteration, following ``plan`` (planned here when None).  On a
     guard skip or a numerical error the parameters and the optimizer are left
     untouched (bitwise) and the record says so, holding no update's numbers
     after an error in any epoch; an error in the rollout or the rewards leaves
     the record without rewards and ``state.group`` empty.  One value-only
-    replay runs: at the parameters if skipped, else at the reference; the old
-    policy comes from the first taped epoch."""
+    replay runs: at the parameters if skipped, else at the reference (its :class:`Weights`
+    ``ref_weights``, if given); the old policy comes from the first taped epoch, and the
+    passes at the rolled-out parameters share the rollout's weights."""
     started = time.perf_counter()
     it = state.iteration + 1
     if plan is None:
@@ -199,8 +200,9 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
     # Adam.apply and ema_update rebind their arrays, never write into them.
     entering = state.params, state.opt.m, state.opt.v, state.opt.step
     try:
+        weights = Weights(state.params)
         group = rollout_group(state.params, cfg.prompt(), _generator_cfg(cfg), pivot, window,
-                              plan.rollout)
+                              plan.rollout, weights)
         score_group(group, cfg)
         state.group = group
         anchor, rewards = group.rewards[0], group.rewards[1:]
@@ -211,13 +213,15 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig,
         if guard(rewards, anchor):
             record.skipped = True
             record.branch_energies = [float(e) for e in policy.surrogate_energies(
-                state.params, group, pcfg)]
+                state.params, group, pcfg, weights)]
         else:
-            eval_ref = gibbs(policy.surrogate_energies(state.ref, group, pcfg), cfg.temperature)
+            eval_ref = gibbs(policy.surrogate_energies(state.ref, group, pcfg, ref_weights),
+                             cfg.temperature)
             eval_old = None
-            for _ in range(cfg.ppo_epochs):
+            for _ in range(cfg.ppo_epochs):  # each epoch after the first at new parameters
                 breakdown, energies, grad, eval_old = policy.total_loss_grad(
-                    state.params, group, eval_old, eval_ref, pcfg)
+                    state.params, group, eval_old, eval_ref, pcfg,
+                    weights if eval_old is None else None)
                 clipped, norm = clip_gradient(grad, cfg.max_grad_norm)
                 state.params = state.opt.apply(state.params, clipped,
                                                learning_rate_at(cfg, it))
@@ -409,8 +413,9 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
                                 to_flat_dict(run_cfg), state.iteration, state.ema)
 
         checkpoint("init")
+        ref_weights = Weights(state.ref)  # the reference is never written during a run
         for _ in range(cfg.max_iterations):
-            record = train_iteration(state, cfg, sidecar.next(state.iteration + 1))
+            record = train_iteration(state, cfg, sidecar.next(state.iteration + 1), ref_weights)
             result.records.append(record)
             # Ctrl-C waits until the record and its group are both out (POSIX, as fork).
             mask = sidecar.pid and signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})

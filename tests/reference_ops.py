@@ -5,7 +5,10 @@ and ``test_autodiff.TestOps`` checks each op's backward by finite differences.
 Also kept: the network's forward with three Q, K and V projections, which
 ``test_flow`` asserts the fused projection equals bit for bit, and the per-row
 memory gather that a group's default memory, one index for every row, replaced,
-and the per-block noise draw that the planner's batched seeds replaced.
+the per-block noise draw that the planner's batched seeds replaced, the network
+call on fresh inputs that every caller now lays out itself, and the replay that
+made two calls per memory size under a gradient (a value-only one for the steps
+carrying none), which ``test_policy`` asserts the one taped call equals bit for bit.
 
 Each op evaluates eagerly in numpy on plain arrays and records a tape node as
 soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
@@ -14,7 +17,8 @@ order is the one the old tape used.
 
 import numpy as np
 
-from kvgrpo.autodiff import Tape, Var, asum, value
+from kvgrpo import network
+from kvgrpo.autodiff import Tape, TapeReader, Var, asum, value
 from kvgrpo.cache import FrameHistory, buckets
 from kvgrpo.errors import ContractError
 
@@ -254,6 +258,48 @@ def network_forward(w, aug, keys, vals, n_ctx):
     att = p @ vals
     hid = np.tanh(att @ w1 + b1)
     return hid @ w2 + b2, (e, np.concatenate((q, k, v), axis=-1), keys, vals, p, att, hid, scale)
+
+
+def velocity(reader, x, t, keys, values, prompt):
+    """``network.velocity_forward`` on fresh inputs, as it ran without them: the
+    (..., M, h) memories copied into joint buffers, the reader's weights read."""
+    aug = network.input_buffer(np.shape(x), prompt)
+    inputs = network.Inputs(network.Weights(reader), aug, *joint(np.shape(x), keys, values))
+    return network.velocity_forward(reader, x, t, inputs)
+
+
+def two_call_replay_energies(reader, group, rows, cfg):
+    """``policy.replay_energies`` as two passes per memory size under a gradient: a
+    value-only call at ``reader.params`` for the counted steps that carry no gradient,
+    then a taped call for the carrying ones, each over a gather of its steps (a basic
+    slice when it takes all of a size's steps), with one node per taped call."""
+    d = network.shape_from_layout(reader.layout).latent_dim
+    rows, step = list(rows), group.replay_schedule()[1]
+    at = slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
+    carrying = step <= (np.inf if cfg.grad_steps is None else cfg.grad_steps)
+    counted = carrying | cfg.include_all_steps
+    passes = (((reader.params, counted & ~carrying), (reader, carrying))
+              if isinstance(reader, TapeReader) else ((reader, counted),))
+    terms, nodes, weights = np.zeros((len(rows), 1 + len(step))), [], None
+    for r, steps in passes:
+        weights = weights or (network.Weights(r) if steps.any() else None)
+        for s, *inputs in group.replay_batch():
+            if not (picked := steps[s]).any():
+                continue
+            cols = None if picked.all() else np.flatnonzero(picked)
+            aug, keys, values, targets = ((a[at] if cols is None else np.take(a[at], cols, axis=1))
+                                          .reshape(-1, *a.shape[2:]) for a in inputs)
+            v = network.velocity_forward(r, None, None, network.Inputs(weights, aug, keys, values))
+            diff = value(v) - targets
+            terms[:, 1 + s[picked]] = np.add.reduce(
+                (diff * diff).reshape(len(rows), -1, diff[0].size), axis=2) * (1.0 / d)
+            if isinstance(v, Var):
+                nodes.append((v.idx, np.repeat(np.arange(len(rows)), picked.sum()), diff))
+    energies = np.cumsum(terms, axis=1)[:, -1]
+    if not nodes:
+        return energies
+    return reader.tape.push(energies, tuple(idx for idx, *_ in nodes), lambda g: tuple(
+        (2.0 * (g[row] * (1.0 / d)))[:, None, None] * diff for _, row, diff in nodes))
 
 
 # ---------------------------------------------------------------------------

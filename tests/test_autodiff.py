@@ -9,8 +9,8 @@ import pytest
 from kvgrpo.autodiff import Tape, TapeReader, fd_grad, grad
 from kvgrpo.checks import rel_l2
 from kvgrpo.errors import NumericalError
-from kvgrpo.network import (SEGMENTS, NetworkShape, build_layout, param_init,
-                            velocity_forward)
+from kvgrpo.network import (SEGMENTS, NetworkShape, Weights, _forward, _vjp, augment,
+                            build_layout, input_buffer, param_init)
 from kvgrpo.params import Layout, Params
 
 import reference_ops as ops
@@ -43,7 +43,7 @@ def net_loss(context):
     proj = np.random.default_rng(23).normal(size=(3, 3))
     keys, values = CONTEXTS[context]
     return lambda r: ops.asum(ops.mul(
-        velocity_forward(r, NET_X, 0.25, keys, values, NET_PROMPT), proj))
+        ops.velocity(r, NET_X, 0.25, keys, values, NET_PROMPT), proj))
 
 
 def per_row_velocity(params, x, t, keys, values, prompt):
@@ -332,7 +332,7 @@ class TestVelocityOp:
     def test_forward_matches_per_row_oracle(self, context):
         params = net_params(seed=5)
         keys, values = CONTEXTS[context]
-        out = velocity_forward(params, NET_X, 0.5, keys, values, NET_PROMPT)
+        out = ops.velocity(params, NET_X, 0.5, keys, values, NET_PROMPT)
         expected = per_row_velocity(params, NET_X, 0.5, keys, values, NET_PROMPT)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -343,7 +343,7 @@ class TestVelocityOp:
         leaves = [reader.segment(name) for name in SEGMENTS]
         keys, values = CONTEXTS["four-rows"]
         mark = tape.leaf(np.float64(0.0)).idx
-        out = velocity_forward(reader, NET_X, 0.75, keys, values, NET_PROMPT)
+        out = ops.velocity(reader, NET_X, 0.75, keys, values, NET_PROMPT)
         assert out.idx == mark + 1
         assert tape.leaf(np.float64(0.0)).idx == out.idx + 1
         assert tape._parents[out.idx] == tuple(leaf.idx for leaf in leaves)
@@ -351,9 +351,8 @@ class TestVelocityOp:
     def test_taped_value_equals_value_only_bitwise(self):
         params = net_params(seed=7)
         keys, values = CONTEXTS["four-rows"]
-        taped = velocity_forward(TapeReader(Tape(), params), NET_X, 0.25, keys,
-                                 values, NET_PROMPT)
-        plain = velocity_forward(params, NET_X, 0.25, keys, values, NET_PROMPT)
+        taped = ops.velocity(TapeReader(Tape(), params), NET_X, 0.25, keys, values, NET_PROMPT)
+        plain = ops.velocity(params, NET_X, 0.25, keys, values, NET_PROMPT)
         assert np.array_equal(taped.value, plain)
 
     def test_taped_call_leaves_no_reference_cycle(self):
@@ -361,8 +360,8 @@ class TestVelocityOp:
         # the cycle collector runs: a training run's memory then grows.
         tape = Tape()
         alive = weakref.ref(tape)
-        velocity_forward(TapeReader(tape, net_params(seed=7)), NET_X, 0.25,
-                         *CONTEXTS["four-rows"], NET_PROMPT)
+        ops.velocity(TapeReader(tape, net_params(seed=7)), NET_X, 0.25,
+                     *CONTEXTS["four-rows"], NET_PROMPT)
         gc.disable()
         try:
             del tape
@@ -380,7 +379,7 @@ class TestBackwardRowOrder:
     @staticmethod
     def backward(params, x, t, keys, values, prompt, g):
         tape = Tape()
-        out = velocity_forward(TapeReader(tape, params), x, t, keys, values, prompt)
+        out = ops.velocity(TapeReader(tape, params), x, t, keys, values, prompt)
         return tape._backwards[out.idx](g)
 
     @pytest.mark.parametrize("memory", [0, 3, 12])
@@ -408,3 +407,28 @@ class TestBackwardRowOrder:
         # The test tells the orders apart wherever they differ: from three rows on
         # (a sum of two commutes).
         assert forward_order_moves == (rows > 2)
+
+    @pytest.mark.parametrize("memory", [0, 12])
+    def test_leading_dims_equal_the_flattened_rows(self, memory):
+        # A replay's carrying steps: (rows, blocks, k, F, d) views of a forward over
+        # every step, summed in (row, block, step) order like the 3-D copy of them.
+        shape, (R, B, S, k) = NetworkShape(), (3, 2, 4, 2)
+        rng = np.random.default_rng(memory)
+        layout = build_layout(shape)
+        weights = Weights(Params(rng.normal(size=layout.total) * 0.5, layout))
+        x, t = rng.normal(size=(R, B, S, 3, shape.latent_dim)), rng.uniform(size=(R, B, S))
+        keys, values = rng.normal(size=(2, R, B, S, memory, shape.hidden_dim))
+        aug = augment(input_buffer(x.shape, rng.normal(size=shape.prompt_dim)), x, t)
+        _, (*saved, scale) = _forward(weights, aug, *ops.joint(x.shape, keys, values), memory)
+        g = rng.normal(size=(R, B, k, 3, shape.latent_dim))
+        g *= np.logspace(-8, 8, R * B * k).reshape(R, B, k, 1, 1)
+        carrying = np.s_[:, :, :k]
+
+        def flat(a):
+            return np.ascontiguousarray(a[carrying]).reshape(-1, *a.shape[3:])
+
+        got = _vjp(g, weights.w, aug[carrying], (*(a[carrying] for a in saved), scale), memory)
+        want = _vjp(g.reshape(-1, *g.shape[3:]), weights.w, flat(aug),
+                    (*(flat(a) for a in saved), scale), memory)
+        for name, a, b in zip(SEGMENTS, got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -111,26 +111,25 @@ def tiny_rollout(seed=0, num_blocks=5, record=False):
 class TestVelocityEval:
     def test_deterministic(self, tiny_params):
         _, keys, values = row_memory(one_row_cache())
-        a = velocity_forward(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
-        b = velocity_forward(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
+        a = ops.velocity(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
+        b = ops.velocity(tiny_params, np.ones((1, 3, 3)), 0.25, keys, values, PROMPT)
         assert np.array_equal(a, b)
 
     def test_zero_head_gives_zero_velocity(self, tiny_params):
         p = tiny_params.copy()
         p.segment("head2_w")[:] = 0.0
         p.segment("head2_b")[:] = 0.0
-        out = velocity_forward(p, np.ones((1, 3, 3)), 0.0, *row_memory(one_row_cache())[1:],
-                               PROMPT)
+        out = ops.velocity(p, np.ones((1, 3, 3)), 0.0, *row_memory(one_row_cache())[1:], PROMPT)
         np.testing.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_perturbing_local_entry_changes_output(self):
         params, res = tiny_rollout(seed=2, num_blocks=5)
         _, keys, values = row_memory(default_memory(res.history))
         x = np.full((1, 3, 3), 0.2)
-        before = velocity_forward(params, x, 0.5, keys[None], values[None], PROMPT)
+        before = ops.velocity(params, x, 0.5, keys[None], values[None], PROMPT)
         bumped = values.copy()
         bumped[3 + 4] += 0.5  # local slot 4, after the 3 sink rows
-        after = velocity_forward(params, x, 0.5, keys[None], bumped[None], PROMPT)
+        after = ops.velocity(params, x, 0.5, keys[None], bumped[None], PROMPT)
         assert not np.array_equal(before, after)
 
 
@@ -178,7 +177,7 @@ class TestFusedProjection:
 
         aug, want, saved = oracle(weights, x, t, keys, values, prompt)
         inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
-        assert np.array_equal(velocity_forward(params, x, t, keys, values, prompt, inputs), want)
+        assert np.array_equal(velocity_forward(params, x, t, inputs), want)
         assert np.array_equal(inputs.aug, aug)
         assert np.array_equal(inputs.keys, saved[2]) and np.array_equal(inputs.values, saved[3])
         # The in-place forward's own intermediates, on fresh buffers.
@@ -191,7 +190,7 @@ class TestFusedProjection:
         # The taped node's twelve adjoints are _vjp's on the oracle's intermediates.
         tape, proj = Tape(), rng.normal(size=x.shape)
         reader = TapeReader(tape, params)
-        node = velocity_forward(reader, x, t, keys, values, prompt)
+        node = ops.velocity(reader, x, t, keys, values, prompt)
         assert np.array_equal(node.value, want)
         adj = tape.backward(ops.asum(ops.mul(node, proj)))
         expect = list(_vjp(proj, weights.w, aug, saved, memory))
@@ -209,7 +208,7 @@ class TestFusedProjection:
         inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
         xs = [x[0]] + [x * s for s in (0.5, -1.5, 2.0)]
         for t, xt in zip((0.0, 0.25, 0.5, 0.75), xs):
-            got = velocity_forward(params, xt, t, keys, values, prompt, inputs)
+            got = velocity_forward(params, xt, t, inputs)
             aug, want, (*_, keys_all, values_all, _, _, _, _) = oracle(
                 weights, np.broadcast_to(xt, x.shape), t, keys, values, prompt)
             assert np.array_equal(got, want)
@@ -232,12 +231,12 @@ class TestFusedProjection:
 
         shared = Tape()
         reader = TapeReader(shared, params)
-        nodes = [velocity_forward(reader, x, t, k, v, prompt)
+        nodes = [ops.velocity(reader, x, t, k, v, prompt)
                  for _, prompt, x, k, v in calls]
         for node, (_, prompt, x, k, v) in zip(nodes, calls):
             own = Tape()
             own_reader = TapeReader(own, params)
-            want = adjoints(own, own_reader, velocity_forward(own_reader, x, t, k, v, prompt))
+            want = adjoints(own, own_reader, ops.velocity(own_reader, x, t, k, v, prompt))
             got = adjoints(shared, reader, node)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -397,7 +396,7 @@ def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, reco
             xb, t, ts = noise, 0.0, []
             inputs = Inputs(weights, input_buffer((len(rows), *noise.shape), prompt), keys, values)
             for k in range(cfg.num_steps):
-                v = velocity_forward(params, xb, t, keys, values, prompt, inputs)
+                v = velocity_forward(params, xb, t, inputs)
                 z[rows, k], u_hat[rows, k] = xb, v
                 ts.append(t)
                 xb, t = xb + cfg.dt * v, t + cfg.dt

@@ -82,7 +82,7 @@ def reference_energy(reader, group, row, grad_steps=None, include_all_steps=True
             continue
         keys, values = memory(group, row, group.pivot_block + j)
         r = reader if carrying or not isinstance(reader, ad.TapeReader) else reader.params
-        v = network.velocity_forward(r, z, t, keys, values, group.prompt)
+        v = ops.velocity(r, z, t, keys, values, group.prompt)
         diff = ops.sub(v, u_hat)
         term = ops.mul(ops.asum(ops.mul(diff, diff)), 1.0 / d)
         total = ops.add(total, ad.value(term) if not carrying else term)
@@ -129,7 +129,7 @@ class TestReplayEnergy:
         z, cfg = np.zeros((1, 3)), GeneratorConfig(frames_per_block=1, num_steps=1)
         keys, values = np.ones((1, 5)), np.ones((1, 5))  # a one-frame memory
         prompt = np.array([0.3, -0.2])
-        v = np.asarray(network.velocity_forward(tiny_params, z, 0.0, keys, values, prompt))
+        v = np.asarray(ops.velocity(tiny_params, z, 0.0, keys, values, prompt))
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
         contexts = ReplayContexts(keys[None, None], values[None, None], np.array([1]))
         group = RolloutGroup(pivot_block=5, window=1, prompt=prompt, gen_cfg=cfg, frames=None,
@@ -149,8 +149,7 @@ class TestReplayEnergy:
         d = 3
         for z, u_hat, t, j in zip(zs[row], u_hats[row], ts, window):
             keys, values = memory(inst.group, row, inst.group.pivot_block + j)
-            v = np.asarray(network.velocity_forward(inst.params, z, t, keys, values,
-                                                    inst.group.prompt))
+            v = np.asarray(ops.velocity(inst.params, z, t, keys, values, inst.group.prompt))
             for frame in range(v.shape[0]):
                 for dim in range(d):
                     total += (v[frame, dim] - u_hat[frame, dim]) ** 2 / d
@@ -300,24 +299,52 @@ class TestBatchedReplay:
         calls.clear()
         eval_ref = gibbs(np.zeros(len(group.frames) - 1), pcfg.tau)
         total_loss_grad(params, group, None, eval_ref, pcfg)
-        # taped calls for the carrying steps, value-only ones for the rest
-        assert sorted(calls) == [False] * sizes + [True] * sizes
+        # one taped call over every counted step, none value-only for the steps
+        # that carry no gradient
+        assert calls == [True] * sizes
 
     @pytest.mark.parametrize("grad_steps", [2, None])
     def test_each_pass_reads_each_segment_once(self, monkeypatch, grad_steps):
         # Two memory sizes, so two network calls per pass, over one read.
         params, group = replay_group(mixed=True)
+        pcfg, rows = PolicyConfig(grad_steps=grad_steps), branch_rows(group)
         segments, real_segment = [], Params.segment
         monkeypatch.setattr(Params, "segment",
                             lambda self, name: segments.append(name) or real_segment(self, name))
-        replay_energies(params, group, branch_rows(group))
+        replay_energies(params, group, rows, pcfg)
         assert sorted(segments) == sorted(network.SEGMENTS)
+        weights = network.Weights(params)
         segments.clear()
-        # A taped replay's value-only pass reads the parameters once, and not
-        # at all when every step carries gradient; the taped pass reads leaves.
-        replay_energies(ad.TapeReader(ad.Tape(), params), group, branch_rows(group),
-                        PolicyConfig(grad_steps=grad_steps))
-        assert sorted(segments) == (sorted(network.SEGMENTS) if grad_steps else [])
+        # A taped pass reads its tape leaves, whichever steps carry gradient, and
+        # a pass given the parameters' weights reads nothing.
+        replay_energies(ad.TapeReader(ad.Tape(), params), group, rows, pcfg)
+        for reader in (params, ad.TapeReader(ad.Tape(), params)):
+            replay_energies(reader, group, rows, pcfg, weights)
+        assert segments == []
+
+    @pytest.mark.parametrize("include_all_steps", [True, False])
+    @pytest.mark.parametrize("grad_steps", [1, 2, 4, None], ids=["1", "2", "S", "None"])
+    def test_one_call_equals_the_two_call_split_bitwise(self, replay_case, grad_steps,
+                                                         include_all_steps):
+        # Per memory size, one taped call whose pullback reads the carrying steps
+        # alone, against a value-only call for the rest and a taped one for them.
+        _, params, group = replay_case
+        assert group.gen_cfg.num_steps == 4
+        pcfg = PolicyConfig(grad_steps=grad_steps, include_all_steps=include_all_steps)
+        for rows in (list(branch_rows(group)), [5, 2, 3]):  # a slice, and a gather
+            scale = np.random.default_rng(len(rows)).normal(size=len(rows))
+
+            def gradient(energies):
+                return grad(params, lambda r: ops.asum(ops.mul(energies(r), scale)))[1]
+
+            for reader in (params, ad.TapeReader(ad.Tape(), params)):
+                got = ad.value(replay_energies(reader, group, rows, pcfg))
+                want = ad.value(ops.two_call_replay_energies(reader, group, rows, pcfg))
+                assert got.tobytes() == want.tobytes()
+            got = gradient(lambda r: replay_energies(r, group, rows, pcfg))
+            want = gradient(lambda r: ops.two_call_replay_energies(r, group, rows, pcfg))
+            assert np.linalg.norm(want) > 1e-3
+            assert got.tobytes() == want.tobytes()
 
 
 class TestReplayBatch:

@@ -14,7 +14,7 @@ from kvgrpo.cache import FrameHistory, KVCache, memory_frames
 from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import Block, GeneratorConfig
-from kvgrpo.network import NetworkShape, param_init, velocity_forward
+from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.params import Params
 from kvgrpo.policy import replay_energies
 from kvgrpo.routing import (GroupSeeds, RolloutPlan, RoutingDecision, build_replay_contexts,
@@ -36,7 +36,7 @@ def replay_velocities(params, group, row):
     out, (t, _, window) = [], group.replay_schedule()
     for z, t, j in zip(group.replay[0][row], t, window):
         keys, values = memory(group, row, group.pivot_block + j)
-        out.append(velocity_forward(params, z, t, keys, values, group.prompt))
+        out.append(ops.velocity(params, z, t, keys, values, group.prompt))
     return out
 
 
@@ -574,7 +574,7 @@ class ReferenceRollout:
         self.lengths[b].add(len(keys))
         rows = []
         for _ in range(cfg.num_steps):
-            v = velocity_forward(self.params, x, t, keys, values, self.prompt)
+            v = ops.velocity(self.params, x, t, keys, values, self.prompt)
             rows.append((x, v, t))
             x, t = x + cfg.dt * v, t + cfg.dt
         # The block's z, u_hat, times, 1-based steps and block, one row per step.

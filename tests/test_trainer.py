@@ -352,6 +352,46 @@ class TestTrainIteration:
         expected = (adv @ per_branch - adv.sum() * mix) / (G * tau)
         assert rel_l2(g, expected) < 1e-10
 
+    def test_call_budget_of_a_trained_default_iteration(self, monkeypatch):
+        # The default config: the rollout's calls, then one value-only call at the
+        # reference and one taped call per memory size, the rollout's weights read
+        # once and the reference's taken from the caller.  A taped pass split into
+        # a value-only and a taped call again fails here.
+        from kvgrpo import network
+        from kvgrpo.autodiff import TapeReader
+        cfg = TrainerConfig().validate()
+        state = init_state(cfg)
+        ref_weights = network.Weights(state.ref)
+        calls, reads = [], []
+        real_forward, real_weights = network.velocity_forward, network.Weights.__init__
+        monkeypatch.setattr(network, "velocity_forward",
+                            lambda reader, *a: calls.append(reader) or real_forward(reader, *a))
+        monkeypatch.setattr(network.Weights, "__init__",
+                            lambda self, reader: reads.append(reader) or real_weights(self, reader))
+        for _ in range(10):
+            calls.clear(), reads.clear()
+            entering = state.params
+            record = train_iteration(state, cfg, None, ref_weights)
+            if not record.skipped:
+                break
+        assert not record.skipped and record.error is None
+        sizes = len(set(state.group.contexts.sizes.tolist()))
+        kinds = ["rollout" if r is entering else "reference" if r is state.ref
+                 else "taped" if isinstance(r, TapeReader) and r.params is entering else r
+                 for r in calls]
+        assert kinds == (["rollout"] * (cfg.num_blocks * cfg.denoise_steps)
+                         + ["reference"] * sizes + ["taped"] * sizes)
+        assert reads == [entering]
+
+    def test_a_run_reads_the_reference_weights_once(self, monkeypatch):
+        from kvgrpo import network
+        cfg = small_config(max_iterations=5)
+        reads, real_weights = [], network.Weights.__init__
+        monkeypatch.setattr(network.Weights, "__init__",
+                            lambda self, reader: reads.append(1) or real_weights(self, reader))
+        run(RunConfig(trainer=cfg).validate())
+        assert len(reads) == cfg.max_iterations + 1  # each rollout's, and the reference's
+
     def test_seeds_advance_on_skip(self):
         from kvgrpo.trainer import iteration_seeds
         cfg = small_config()
