@@ -4,10 +4,10 @@ A frame's key and value are one row each, and only this module knows their
 layout.  :class:`FrameHistory` holds a whole group as (G, N, h) arrays,
 allocated once per rollout and written one block at a time; it keeps every
 frame after the memories evict it, since branches route from older frames.  A
-memory is frame indices, laid out by :func:`memory_frames`.  A rollout's are
-indexed per length by :func:`buckets`, each gathered into the buffers the network
-attends over; a default-layout memory, one index that every row reads from its own
-history row, is a :class:`KVCache`.  An empty memory is a zero-length (..., 0, h) array.
+memory is frame indices, laid out by :func:`memory_frames`.  A rollout's are indexed
+per length by :func:`buckets`, each taken from the flat history rows into the buffers
+the network attends over; a default-layout memory, one index that every row reads from
+its own history row, is a :class:`KVCache`.  An empty memory is a zero-length (..., 0, h) array.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ class FrameHistory:
         self.length = stop
 
     def take(self, rows: np.ndarray, index: np.ndarray, frames: int):
-        """The joint (rows, M + ``frames``, h) keys and values of a bucket, one gather each:
-        its memory at ``rows`` and ``index``, then rows the network writes a block's into."""
-        at = rows[:, None], np.concatenate((index, np.zeros((len(rows), frames), np.intp)), 1)
-        return self.keys[at], self.values[at]
+        """The joint (rows, M + ``frames``, h) keys and values of a bucket, one flat ``take``
+        each: its memory at ``rows`` and ``index``, then rows the network writes a block's into."""
+        at = np.zeros((len(rows), index.shape[1] + frames), np.intp)  # of the (G * N, h) rows
+        np.add(index, rows[:, None] * self.keys.shape[1], out=at[:, :index.shape[1]])
+        return [a.reshape(-1, a.shape[-1]).take(at, 0) for a in (self.keys, self.values)]
 
     def default_cache(self, upto_frame: int, sink_size: int = 3,
                       local_capacity: int = 9) -> "KVCache":

@@ -89,7 +89,8 @@ def input_buffer(shape: tuple[int, ...], prompt: np.ndarray):
 
 def augment(aug: np.ndarray, x: np.ndarray, t):
     """Write latents ``x`` at time ``t`` (a float, or one per block) into an input buffer."""
-    aug[..., :np.shape(x)[-1]], aug[..., np.shape(x)[-1]] = x, np.asarray(t)[..., None]
+    d = np.shape(x)[-1]
+    aug[..., :d], aug[..., d] = x, (t if isinstance(t, float) else np.asarray(t)[..., None])
     return aug
 
 
@@ -112,10 +113,11 @@ def _affine(x, w, b, activation=None):
     return y if activation is None else activation(y, out=y)
 
 
-def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray):
-    """Key/value projections for frames, as one [wk | wv] projection.  Finished
-    frames are embedded at t=1 (the clean end of the flow path)."""
-    e = _affine(augment(input_buffer(np.shape(x), prompt), x, 1.0), *weights.w[:2], np.tanh)
+def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray, aug=None):
+    """Key/value projections for frames, as one [wk | wv] projection.  Finished frames
+    are embedded at t=1 (the clean end of the flow path), in their input buffer ``aug``."""
+    aug = input_buffer(np.shape(x), prompt) if aug is None else aug
+    e = _affine(augment(aug, x, 1.0), *weights.w[:2], np.tanh)
     kv, h = _affine(e, weights.wkv, weights.bkv), len(weights.bkv) // 2
     return kv[..., :h], kv[..., h:]
 

@@ -33,11 +33,11 @@ class RewardSpec:
 def reward_target(frames, target: np.ndarray):
     """Negative mean squared distance of the final frame latents to a target:
     a number for (N, d) frames, one per trajectory for a (..., N, d) stack."""
-    frames = np.asarray(frames, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    frames, target = np.asarray(frames, dtype=np.float64), np.asarray(target, dtype=np.float64)
     if target.shape != frames.shape[-1:]:
         raise ConfigError(f"target has shape {target.shape}, frames have dim {frames.shape[-1]}")
-    return -np.mean((frames - target) ** 2, axis=(-2, -1))
+    d = frames - target  # squared in place, then summed and divided as np.mean does
+    return -(np.add.reduce(np.square(d, out=d), axis=(-2, -1)) / (d.shape[-2] * d.shape[-1]))
 
 
 def reward_smoothness(frames):
@@ -46,13 +46,11 @@ def reward_smoothness(frames):
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-2] < 2:
         raise ValueError(f"smoothness needs at least two frames, got {frames.shape[-2]}")
-    return -np.mean(np.diff(frames, axis=-2) ** 2, axis=(-2, -1))
+    d = frames[..., 1:, :] - frames[..., :-1, :]  # as np.diff, then as in reward_target
+    return -(np.add.reduce(np.square(d, out=d), axis=(-2, -1)) / (d.shape[-2] * d.shape[-1]))
 
 
-COMPONENTS = {
-    "target": lambda frames, target: reward_target(frames, target),
-    "smoothness": lambda frames, target: reward_smoothness(frames),
-}
+COMPONENTS = {"target": reward_target, "smoothness": lambda frames, _: reward_smoothness(frames)}
 
 
 def composite(frames, spec: RewardSpec, target: np.ndarray | None = None):
@@ -64,9 +62,9 @@ def composite(frames, spec: RewardSpec, target: np.ndarray | None = None):
         raise ConfigError(
             f"{spec.segment_count} segments need at least that many frames, "
             f"got {frames.shape[-2]}")
-    if target is None:
-        target = np.zeros(frames.shape[-1])
+    target = np.zeros(frames.shape[-1]) if target is None else target
+    k = spec.segment_count  # one: the split, the stack and the mean are identities
     totals = [sum(w * COMPONENTS[name](seg, target) for name, w in spec.components)
-              for seg in np.array_split(frames, spec.segment_count, axis=-2)]
+              for seg in (np.array_split(frames, k, axis=-2) if k > 1 else [frames])]
     # Segments last: each trajectory's totals are summed as a lone trajectory's.
-    return np.mean(np.stack(totals, axis=-1), axis=-1)
+    return totals[0] if k == 1 else np.add.reduce(np.stack(totals, axis=-1), axis=-1) / k

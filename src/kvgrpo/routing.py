@@ -8,13 +8,13 @@ the parameters: :func:`plan_rollout` draws a group's start noise and routings, e
 from its own seed (:func:`seed_states` makes them all in one pass), and
 :meth:`RolloutPlan.build` lays out every block's memories, by each row's
 :func:`routed_layout` (checked once, at the block that routes), as history indices
-per memory-length bucket.  A trainer may plan ahead; :func:`rollout_group` only
-gathers what the plan indexes, and solves each block once for all trajectories, with
-one network call per solver step.  A group is its arrays, one row per trajectory:
-row 0 is the anchor and row g branch g, in its frames, history, rewards and cached
-window solver steps (latents and velocities; the config times them), replayed later
-under default-layout memories gathered once per window block into replay contexts, and
-from them laid out once into the group's replay batch.
+per memory-length bucket, pickled packed in one array.  A trainer may plan ahead;
+:func:`rollout_group` only gathers what the plan indexes, in one input buffer per row count,
+and solves each block once for all trajectories, with one network call per solver step.  A
+group is its arrays, one row per trajectory: row 0 is the anchor and row g branch g, in its
+frames, history, rewards and cached window solver steps (latents and velocities; the config
+times them), replayed later under default-layout memories gathered once per window block
+into replay contexts, and from them laid out once into the group's replay batch.
 """
 
 from __future__ import annotations
@@ -160,6 +160,19 @@ class RolloutPlan:
             memories.append(buckets(rows))
         return RolloutPlan(noise, routings, pivot, window, tuple(memories), cfg)
 
+    def __reduce__(self):  # every bucket's rows and index packed in one intp array
+        packed = np.concatenate([a.ravel() for b in self.memories for bucket in b for a in bucket])
+        return RolloutPlan.unpack, (self.noise, self.routings, self.pivot, self.window, self.cfg,
+                                    [[i.shape for _, i in b] for b in self.memories], packed)
+
+    @staticmethod
+    def unpack(noise, routings, pivot, window, cfg, shapes, packed) -> "RolloutPlan":
+        """A pickled plan, each bucket's rows and then its index a view of ``packed``."""
+        stop = 0
+        return RolloutPlan(noise, routings, pivot, window, tuple(
+            [(packed[stop:(stop := stop + n)], packed[stop:(stop := stop + n * m)].reshape(n, m))
+             for n, m in block] for block in shapes), cfg)
+
 
 @dataclass(frozen=True)
 class _Seeded(np.random.bit_generator.ISeedSequence):
@@ -231,10 +244,10 @@ def plan_rollout(num_blocks: int, pivot: int, window: int, num_branches: int,
 def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivot: int,
                   window: int, plan: RolloutPlan, weights=None) -> RolloutGroup:
     """The anchor (row 0) and the routed branches of ``plan``, made by
-    :func:`plan_rollout` for this config, pivot and window, over ``len(plan.noise)``
-    blocks: per block, a gather of the plan's memories, one
-    :func:`generate_block` and one :func:`write_back` call, with ``weights`` read once if not
-    given.  Every window solver step is written into the group's record, the anchor's too.
+    :func:`plan_rollout` for this config, pivot and window, over ``len(plan.noise)`` blocks:
+    per block, a gather of the plan's memories, one :func:`generate_block` and one
+    :func:`write_back` call, with ``weights`` read once if not given, in one input buffer per
+    row count.  Every window solver step goes into the group's record, the anchor's too.
     """
     num_blocks = len(plan.noise)
     if (plan.pivot, plan.window, len(plan.memories)) != (pivot, window, num_blocks):
@@ -250,14 +263,15 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
     frames = np.zeros((G, num_blocks * F, shape.latent_dim))
     z, u_hat = np.empty((2, G, window * S, F, shape.latent_dim))
     weights = network.Weights(params) if weights is None else weights
+    inputs = [network.input_buffer((n, F, shape.latent_dim), prompt) for n in (1, G)]
     for b, memories in enumerate(plan.memories, 1):
-        k, L = (b - pivot) * S, len(history)  # the block's first step in the record
+        k, L, aug = (b - pivot) * S, len(history), inputs[b >= pivot]  # k: its first record step
         block = generate_block(
             params, [(rows, *history.take(rows, index, F)) for rows, index in memories], b,
-            plan.noise[b - 1], prompt, weights,
-            (z[:, k:k + S], u_hat[:, k:k + S]) if pivot <= b < pivot + window else None, cfg)
-        write_back(history, block, weights, prompt)
-        frames[:, L:L + F] = block.frames
+            plan.noise[b - 1], prompt, weights, (z[:, k:k + S], u_hat[:, k:k + S])
+            if pivot <= b < pivot + window else None, cfg, aug, frames[:len(aug), L:L + F])
+        write_back(history, block, weights, prompt, aug)
+    frames[1:, :(pivot - 1) * F] = frames[0, :(pivot - 1) * F]  # the prefix is every row's
     return RolloutGroup(pivot, window, np.asarray(prompt), cfg, frames, history, (z, u_hat),
                         plan.routings[pivot])
 

@@ -117,11 +117,12 @@ def init_state(cfg: TrainerConfig) -> TrainerState:
                         Adam(params.layout.total))
 
 
-def _policy_cfg(cfg: TrainerConfig) -> PolicyConfig:
-    return PolicyConfig(cfg.temperature, cfg.kl_penalty_weight, cfg.clip_eps_low,
-                        cfg.clip_eps_high, cfg.advantage_clip_max,
-                        cfg.grad_replay_steps, cfg.energy_includes_all_steps,
-                        cfg.surrogate, cfg.l2_sigma)
+def run_constants(cfg: TrainerConfig) -> tuple:
+    """The prompt, :class:`PolicyConfig`, reward spec and target: what :func:`run` reads once."""
+    return cfg.prompt(), PolicyConfig(
+        cfg.temperature, cfg.kl_penalty_weight, cfg.clip_eps_low, cfg.clip_eps_high,
+        cfg.advantage_clip_max, cfg.grad_replay_steps, cfg.energy_includes_all_steps,
+        cfg.surrogate, cfg.l2_sigma), cfg.reward_spec(), cfg.reward_target()
 
 
 def iteration_seeds(cfg: TrainerConfig, iteration: int) -> tuple[int, GroupSeeds]:
@@ -137,11 +138,6 @@ def iteration_seeds(cfg: TrainerConfig, iteration: int) -> tuple[int, GroupSeeds
     return pivot, GroupSeeds(noise, routing)
 
 
-def _generator_cfg(cfg: TrainerConfig) -> GeneratorConfig:
-    return GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps, cfg.sink_size,
-                           cfg.local_size)
-
-
 @dataclass(frozen=True)
 class IterationPlan:
     """Everything about one iteration that does not depend on the parameters."""
@@ -155,7 +151,8 @@ def plan_iteration(cfg: TrainerConfig, iteration: int) -> IterationPlan:
     pivot, seeds = iteration_seeds(cfg, iteration)
     window = min(cfg.perturbed_blocks, cfg.num_blocks - pivot + 1)
     return IterationPlan(iteration, plan_rollout(
-        cfg.num_blocks, pivot, window, cfg.branch_number, seeds, _generator_cfg(cfg),
+        cfg.num_blocks, pivot, window, cfg.branch_number, seeds,
+        GeneratorConfig(cfg.frames_per_block, cfg.denoise_steps, cfg.sink_size, cfg.local_size),
         cfg.latent_dim, tuple(tuple(c) for c in cfg.local_kv_choices),
         cfg.routing_mode == "per_block"))
 
@@ -167,20 +164,20 @@ def learning_rate_at(cfg: TrainerConfig, iteration: int) -> float:
     return cfg.learning_rate * min(1.0, iteration / cfg.warmup_steps)
 
 
-def score_group(group: RolloutGroup, cfg: TrainerConfig) -> None:
-    """Fill the group's rewards in place, scoring its rows at once; a
-    non-finite reward raises NumericalError."""
-    group.rewards = check_finite(composite(group.frames, cfg.reward_spec(),
-                                           cfg.reward_target()), "rewards")
+def score_group(group: RolloutGroup, cfg: TrainerConfig, constants=None) -> None:
+    """Fill the group's rewards in place, scoring its rows at once by the reward spec and
+    target of the :func:`run_constants`; a non-finite reward raises NumericalError."""
+    *_, spec, target = constants or run_constants(cfg)
+    group.rewards = check_finite(composite(group.frames, spec, target), "rewards")
 
 
 def train_iteration(state: TrainerState, cfg: TrainerConfig, plan: IterationPlan | None = None,
-                    ref_weights: Weights | None = None) -> IterationRecord:
-    """One full iteration, following ``plan`` (planned here when None).  On a
-    guard skip or a numerical error the parameters and the optimizer are left
-    untouched (bitwise) and the record says so, holding no update's numbers
-    after an error in any epoch; an error in the rollout or the rewards leaves
-    the record without rewards and ``state.group`` empty.  One value-only
+                    ref_weights: Weights | None = None, constants=None) -> IterationRecord:
+    """One full iteration, following ``plan`` (planned here when None) with the
+    :func:`run_constants` ``constants`` (made when None).  On a guard skip or a numerical
+    error the parameters and the optimizer are left untouched (bitwise) and the record says
+    so, holding no update's numbers after an error in any epoch; an error in the rollout or
+    the rewards leaves the record without rewards and ``state.group`` empty.  One value-only
     replay runs: at the parameters if skipped, else at the reference (its :class:`Weights`
     ``ref_weights``, if given); the old policy comes from the first taped epoch, and the
     passes at the rolled-out parameters share the rollout's weights."""
@@ -196,24 +193,23 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig, plan: IterationPlan
     record = IterationRecord(iteration=it, pivot_block=pivot, window=window,
                              learning_rate=learning_rate_at(cfg, it))
 
-    pcfg = _policy_cfg(cfg)
+    prompt, pcfg, *_ = constants = constants or run_constants(cfg)
     # Adam.apply and ema_update rebind their arrays, never write into them.
     entering = state.params, state.opt.m, state.opt.v, state.opt.step
     try:
         weights = Weights(state.params)
-        group = rollout_group(state.params, cfg.prompt(), _generator_cfg(cfg), pivot, window,
+        group = rollout_group(state.params, prompt, plan.rollout.cfg, pivot, window,
                               plan.rollout, weights)
-        score_group(group, cfg)
+        score_group(group, cfg, constants)
         state.group = group
         anchor, rewards = group.rewards[0], group.rewards[1:]
-        record.anchor_reward = float(anchor)
-        record.branch_rewards = [float(r) for r in rewards]
+        record.anchor_reward, record.branch_rewards = float(anchor), rewards.tolist()
         record.reward_mean, record.reward_std = float(rewards.mean()), float(rewards.std())
         group.contexts = build_replay_contexts(group, cfg.replay_context)
         if guard(rewards, anchor):
             record.skipped = True
-            record.branch_energies = [float(e) for e in policy.surrogate_energies(
-                state.params, group, pcfg, weights)]
+            record.branch_energies = policy.surrogate_energies(
+                state.params, group, pcfg, weights).tolist()
         else:
             eval_ref = gibbs(policy.surrogate_energies(state.ref, group, pcfg, ref_weights),
                              cfg.temperature)
@@ -227,8 +223,8 @@ def train_iteration(state: TrainerState, cfg: TrainerConfig, plan: IterationPlan
                                                learning_rate_at(cfg, it))
             state.ema = ema_update(state.ema, state.params, cfg.ema_decay)
             # The last epoch's numbers, written once every epoch has succeeded.
-            record.branch_energies = [float(e) for e in energies]
-            record.per_branch_ratio = [float(r) for r in breakdown.per_branch_ratio]
+            record.branch_energies = energies.tolist()
+            record.per_branch_ratio = breakdown.per_branch_ratio.tolist()
             record.loss_ppo = breakdown.ppo
             record.kl_value = breakdown.kl
             record.loss_total = breakdown.total
@@ -413,9 +409,10 @@ def run(run_cfg: RunConfig, on_record=None) -> TrainResult:
                                 to_flat_dict(run_cfg), state.iteration, state.ema)
 
         checkpoint("init")
-        ref_weights = Weights(state.ref)  # the reference is never written during a run
+        ref_weights, constants = Weights(state.ref), run_constants(cfg)  # a run writes neither
         for _ in range(cfg.max_iterations):
-            record = train_iteration(state, cfg, sidecar.next(state.iteration + 1), ref_weights)
+            record = train_iteration(state, cfg, sidecar.next(state.iteration + 1), ref_weights,
+                                     constants)
             result.records.append(record)
             # Ctrl-C waits until the record and its group are both out (POSIX, as fork).
             mask = sidecar.pid and signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})

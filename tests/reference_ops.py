@@ -8,7 +8,9 @@ memory gather that a group's default memory, one index for every row, replaced,
 the per-block noise draw that the planner's batched seeds replaced, the network
 call on fresh inputs that every caller now lays out itself, and the replay that
 made two calls per memory size under a gradient (a value-only one for the steps
-carrying none), which ``test_policy`` asserts the one taped call equals bit for bit.
+carrying none), which ``test_policy`` asserts the one taped call equals bit for bit, and the
+reward composite through numpy's ``mean``, ``diff``, ``array_split`` and ``stack``, which
+``test_rewards`` asserts the bare reductions equal byte for byte.
 
 Each op evaluates eagerly in numpy on plain arrays and records a tape node as
 soon as one operand is a :class:`~kvgrpo.autodiff.Var`; the node's adjoint
@@ -334,3 +336,20 @@ def block_noise(noise_seed: int, block_index: int, frames: int, dim: int) -> np.
     seed shares each block's x_T."""
     rng = np.random.default_rng(np.random.SeedSequence((noise_seed, block_index)))
     return rng.standard_normal((frames, dim))
+
+
+# ---------------------------------------------------------------------------
+# The reward composite through numpy's wrappers
+# ---------------------------------------------------------------------------
+
+
+def composite(frames, spec, target=None):
+    """``kvgrpo.rewards.composite`` as it was written on ``np.mean``, ``np.diff``,
+    ``np.array_split`` and ``np.stack``, whatever the segment count."""
+    frames = np.asarray(frames, dtype=np.float64)
+    target = np.zeros(frames.shape[-1]) if target is None else target
+    parts = {"target": lambda seg: -np.mean((seg - target) ** 2, axis=(-2, -1)),
+             "smoothness": lambda seg: -np.mean(np.diff(seg, axis=-2) ** 2, axis=(-2, -1))}
+    totals = [sum(w * parts[name](seg) for name, w in spec.components)
+              for seg in np.array_split(frames, spec.segment_count, axis=-2)]
+    return np.mean(np.stack(totals, axis=-1), axis=-1)

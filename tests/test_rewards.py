@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from kvgrpo.errors import ConfigError
 from kvgrpo.rewards import RewardSpec, composite, reward_smoothness, reward_target
 
+import reference_ops as ops
+
 
 def frames(*rows):
     return np.array(rows, dtype=float)
@@ -160,3 +162,31 @@ class TestStackedScoring:
             expected = np.array([composite_oracle(f, spec, target) for f in group])
             assert got.shape == (count,)
             assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def scored_groups(draw):
+    """A reward spec of one or both components, any weights, 1, 2, 3, 8 or 9 segments of
+    at least two frames, and 1-17 trajectories (or one lone (N, d) trajectory) at a scale
+    from all-zero (every distance is -0.0 before the weights) up, with a zero or drawn target."""
+    segments = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    names = draw(st.sampled_from([("target",), ("smoothness",), ("target", "smoothness"),
+                                  ("smoothness", "target")]))
+    weights = st.floats(-3, 3, allow_nan=False)
+    spec = RewardSpec(tuple((name, draw(weights)) for name in names), segments)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, n, d = draw(st.integers(1, 17)), draw(st.integers(2 * segments, 31)), 8
+    lead = (rows,) if draw(st.booleans()) else ()
+    frames = rng.normal(size=(*lead, n, d)) * draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    target = np.zeros(d) if draw(st.booleans()) else rng.normal(size=d)
+    return frames, spec, target
+
+
+class TestReductionsWithoutWrappers:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_groups())
+    def test_equals_the_wrapped_composite_bytewise(self, case):
+        frames, spec, target = case
+        got, want = composite(frames, spec, target), ops.composite(frames, spec, target)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

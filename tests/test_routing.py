@@ -1,6 +1,8 @@
 """Exploration mechanics: routable sets, routing draws, branch memories, group
 rollouts, and replay contexts."""
 
+import pickle
+import pickletools
 import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -764,6 +766,28 @@ class TestPlannedMemories:
         for it in range(1, 51):
             assert_planned_as_the_oracle(plan_iteration(cfg, it).rollout, gen_cfg)
 
+    @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+    def test_golden_plans_survive_pickling(self, name):
+        # The sidecar sends each plan pickled: every bucket's rows and index come back as
+        # views of one packed intp array, beside the noise, the only other array.
+        cfg = from_flat_dict({**GOLDEN_CONFIGS[name], **GOLDEN_RUN}).trainer
+        for it in range(1, 26):
+            plan = plan_iteration(cfg, it)
+            data = pickle.dumps(plan)
+            assert ndarrays_in(data) == 2
+            got, want = pickle.loads(data).rollout, plan.rollout
+            assert got.noise.dtype == want.noise.dtype and got.noise.shape == want.noise.shape
+            assert got.noise.tobytes() == want.noise.tobytes()
+            assert got.routings == want.routings and got.cfg == want.cfg
+            assert (got.pivot, got.window) == (want.pivot, want.window)
+            assert len(got.memories) == len(want.memories)
+            for got_block, want_block in zip(got.memories, want.memories):
+                assert len(got_block) == len(want_block)
+                for got_arrays, want_arrays in zip(got_block, want_block):
+                    for a, b in zip(got_arrays, want_arrays):
+                        assert a.dtype == b.dtype == np.intp and a.shape == b.shape
+                        assert a.tolist() == b.tolist()
+
     @pytest.mark.parametrize("indices", [(3, 5, 6, 7, 8, 9), (4, 4, 5, 6, 7, 8)],
                              ids=["out-of-range", "repeated"])
     def test_invalid_routing_rejected_when_planned(self, indices):
@@ -843,6 +867,84 @@ class TestPlannedMemories:
         assert plan.cfg == made
         with pytest.raises(ContractError, match=re.escape(f"the plan is for {made}, not {cfg}")):
             rollout_group(params, PROMPT, cfg, 8, 2, plan)
+
+
+def ndarrays_in(data: bytes) -> int:
+    """The arrays a pickle builds: its uses of numpy's array reconstructor, by name or
+    from the memo."""
+    strings, memo, count, top = [], [], 0, None
+    for op, arg, _ in pickletools.genops(data):
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8"):
+            strings.append(top := arg)
+        elif op.name in ("STACK_GLOBAL", "GLOBAL"):
+            top = ".".join(strings[-2:]) if op.name == "STACK_GLOBAL" else arg.replace(" ", ".")
+            count += top.endswith("._reconstruct")
+        elif op.name == "MEMOIZE":
+            memo.append(top)
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            top = memo[arg]
+            count += isinstance(top, str) and top.endswith("._reconstruct")
+        else:
+            top = None
+    return count
+
+
+class TestRolloutBuffers:
+    """A rollout's bookkeeping around its network calls: one input buffer per row
+    count, shared by every block's solve and projection, and the group's blocks written
+    straight into the group's arrays."""
+
+    def test_one_input_buffer_per_row_count(self, monkeypatch):
+        params, prompt = param_init(SHAPE, 0), np.linspace(0.5, -0.5, 4)
+        plan = plan_iteration(from_flat_dict({}).trainer, 1).rollout
+        made, real = [], network.input_buffer
+        monkeypatch.setattr(network, "input_buffer",
+                            lambda shape, prompt: made.append(shape) or real(shape, prompt))
+        group = rollout_group(params, prompt, plan.cfg, plan.pivot, plan.window, plan)
+        F, d = plan.cfg.frames_per_block, SHAPE.latent_dim
+        assert plan.pivot > 1 and made == [(1, F, d), (len(group.frames), F, d)]
+
+    def test_a_given_buffer_is_the_projections_input(self, monkeypatch):
+        params, prompt = param_init(SHAPE, 0), np.linspace(0.5, -0.5, 4)
+        weights, x = network.Weights(params), np.random.default_rng(0).normal(size=(5, 3, 8))
+        want = network.kv_for_frames(weights, x, prompt)
+        aug = network.input_buffer(x.shape, prompt)
+        aug[..., :9] = np.nan  # latents and time, which the projection writes
+        made, real = [], network.input_buffer
+        monkeypatch.setattr(network, "input_buffer",
+                            lambda shape, prompt: made.append(shape) or real(shape, prompt))
+        got = network.kv_for_frames(weights, x, prompt, aug)
+        assert made == []
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_in_order_blocks_write_into_the_group(self, monkeypatch):
+        # Each window step is in the group's record before the next network call, and a
+        # block's frames are the group's: no block-local copy of either.
+        params, prompt = param_init(SHAPE, 0), np.linspace(0.5, -0.5, 4)
+        plan = plan_iteration(from_flat_dict({}).trainer, 1).rollout
+        blocks, steps, solving = [], [], []
+        real_block, real_forward = routing.generate_block, network.velocity_forward
+
+        def block(*args):
+            solving[:] = [args[6]]
+            blocks.append(real_block(*args))
+            return blocks[-1]
+
+        def forward(reader, x, t, inputs):
+            if (record := solving[0]) is not None and steps:
+                k, (z, v) = len(steps) % plan.cfg.num_steps, steps[-1]
+                if k:
+                    assert record[0][:, k - 1].tobytes() == np.broadcast_to(z, v.shape).tobytes()
+                    assert record[1][:, k - 1].tobytes() == v.tobytes()
+            steps.append((x, real_forward(reader, x, t, inputs)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(routing, "generate_block", block)
+        monkeypatch.setattr(network, "velocity_forward", forward)
+        group = rollout_group(params, prompt, plan.cfg, plan.pivot, plan.window, plan)
+        for b in blocks:  # the prefix solves row 0 alone
+            assert np.shares_memory(b.frames, group.frames), b.block_index
+            assert len(b.frames) == (len(group.frames) if b.block_index >= plan.pivot else 1)
 
 
 class TestReplayContextsMatchReference:
