@@ -92,6 +92,6 @@ class KVCache:
     frames: tuple[int, ...]
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's (G, M, h) keys and values, one gather each."""
-        index = np.array(self.frames, np.intp) - 1
-        return self.history.keys[:, index], self.history.values[:, index]
+        """Every row's (G, M, h) keys and values, one ``take`` each."""
+        index = np.fromiter(self.frames, np.intp, len(self.frames)) - 1
+        return self.history.keys.take(index, 1), self.history.values.take(index, 1)

@@ -37,7 +37,7 @@ def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass
 class CheckInstance:
     params: Params
-    group: RolloutGroup     # scored, with its replay contexts
+    group: RolloutGroup     # scored, with its window blocks' replay memories
 
 
 def make_instance(seed: int) -> CheckInstance:

@@ -75,8 +75,8 @@ def replay_energies(reader, group: RolloutGroup, rows,
                     cfg: PolicyConfig = PolicyConfig(grad_steps=None), weights=None):
     """Per-row sum of the per-dimension-normalized squared residuals between
     the cached rollout velocities of the group rows ``rows`` and their replay
-    under the group's default-layout contexts, with one network call per memory
-    size over those rows' counted steps, row by row, a view of the group's
+    under each window block's default-layout memory (``group.contexts``), with one network
+    call per memory size over those rows' counted steps, row by row, a view of the group's
     :meth:`~kvgrpo.routing.RolloutGroup.replay_batch`, with the reader's ``weights``
     (:class:`~kvgrpo.network.Weights`, read here if None).  Only the first ``cfg.grad_steps``
     solver steps of each block (all if None) carry gradient, a taped call's pullback reading

@@ -13,14 +13,14 @@ per memory-length bucket, pickled packed in one array.  A trainer may plan ahead
 and solves each block once for all trajectories, with one network call per solver step.  A
 group is its arrays, one row per trajectory: row 0 is the anchor and row g branch g, in its
 frames, history, rewards and cached window solver steps (latents and velocities; the config
-times them), replayed later under default-layout memories gathered once per window block
-into replay contexts, and from them laid out once into the group's replay batch.
+times them), replayed later under default-layout memories, one history gather per window
+block, each broadcast over its block's steps once into the group's replay batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class RolloutGroup:
     replay: tuple            # the window's (z, u_hat) steps, each (G, window * S, F, d)
     routings: tuple[RoutingDecision | None, ...]   # the pivot's, None for the anchor
     rewards: np.ndarray | None = None               # (G,), once scored
-    contexts: ReplayContexts | None = None          # once built, to replay the window
+    contexts: tuple | None = None   # each window block's memories, to replay the window
     _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -74,17 +74,24 @@ class RolloutGroup:
     def replay_batch(self) -> list:
         """Per memory size, shortest first, its recorded steps (whole window blocks, in order)
         and every row's network inputs (:class:`~kvgrpo.network.Inputs`) and velocities there,
-        each (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object."""
+        each (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object: a size's
+        blocks are consecutive, as memories only grow, so its latents, times and velocities are
+        slices of the steps, and each block's memory is broadcast over its steps once."""
         made = self._batch
         if made is None or made[0] is not self.replay or made[1] is not self.contexts:
-            (z, u_hat), ctx, (t, _, window) = self.replay, self.contexts, self.replay_schedule()
-            sizes, by_size = ctx.sizes[window], []
-            for n in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma
-                s = np.flatnonzero(sizes == n)
-                kv = np.empty((2, len(z), len(s), n + z.shape[2], ctx.keys.shape[-1]))
-                kv[:, ..., :n, :] = [a[:len(z), window[s], :n] for a in (ctx.keys, ctx.values)]
-                aug = network.input_buffer((len(z), len(s), *z.shape[2:]), self.prompt)
-                by_size.append((s, network.augment(aug, z[:, s], t[s]), *kv, u_hat[:, s]))
+            (z, u_hat), times, S = self.replay, self.gen_cfg.times, self.gen_cfg.num_steps
+            by_size, stop = [], 0
+            for n, run in groupby(self.contexts, lambda memory: memory[0].shape[1]):
+                blocks = list(run)
+                at = slice(stop, stop := stop + len(blocks) * S)
+                kv = np.empty((2, len(z), len(blocks), S, n + z.shape[2], blocks[0][0].shape[-1]))
+                for i, memory in enumerate(blocks):
+                    for buf, rows in zip(kv, memory):
+                        buf[:, i, :, :n] = rows[:len(z), None]
+                aug = network.input_buffer(z[:, at].shape, self.prompt)
+                network.augment(aug, z[:, at], np.array(times * len(blocks)))
+                by_size.append((np.arange(at.start, stop), aug,
+                                *kv.reshape(2, len(z), -1, *kv.shape[-2:]), u_hat[:, at]))
             made = self._batch = (self.replay, self.contexts, by_size)
         return made[2]
 
@@ -276,39 +283,19 @@ def rollout_group(params: Params, prompt: np.ndarray, cfg: GeneratorConfig, pivo
                         plan.routings[pivot])
 
 
-@dataclass
-class ReplayContexts:
-    """Default-layout memories for replaying each trajectory's window steps.
-
-    ``keys[i, j]`` and ``values[i, j]`` condition the group's row ``i`` at the
-    j-th window block; their first ``sizes[j]`` rows are filled (a
-    window starting before the memory is full has shorter memories at first).
-    Entries come from the stored rollout history, so the contexts are plain
-    numbers: replay gradients flow through the velocity evaluation only,
-    exactly as at rollout time.
-    """
-
-    keys: np.ndarray       # (trajectories, window blocks, M, h)
-    values: np.ndarray     # (trajectories, window blocks, M, h)
-    sizes: np.ndarray      # (window blocks,)
-
-
-def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> ReplayContexts:
-    """Per-branch unperturbed contexts for the window blocks, one history
-    gather per block.  ``source="branch"`` rebuilds each context from that branch's own generated
-    frames (perturbed states written back); ``source="anchor"`` conditions every
-    branch on the anchor's frames instead.
+def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> tuple:
+    """Each window block's default-layout memory ``(keys, values)``, one history gather per
+    block: every row's own (G, M, h), rebuilt from its generated frames (perturbed states
+    written back), under ``source="branch"``; under ``source="anchor"`` the anchor's
+    (1, M, h), which every row is replayed under.  A window starting before the memory is
+    full has shorter memories at first.  The memories are plain numbers from the stored
+    rollout history: replay gradients flow through the velocity evaluation only, exactly as
+    at rollout time.
     """
     if source not in ("branch", "anchor"):
         raise ConfigError(f"replay context source must be 'branch' or 'anchor', got {source!r}")
-    cfg, history = group.gen_cfg, group.history
-    memories = [history.default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
-                                      cfg.local_size).stacked()
-                for b in group.window_block_indices]
-    sizes = np.array([k.shape[1] for k, _ in memories])
-    shape = (len(history.keys), len(sizes), sizes.max(), history.keys.shape[2])
-    keys, values = np.zeros(shape), np.zeros(shape)
-    rows = slice(0, 1) if source == "anchor" else slice(None)
-    for j, (k, v) in enumerate(memories):
-        keys[:, j, :sizes[j]], values[:, j, :sizes[j]] = k[rows], v[rows]
-    return ReplayContexts(keys, values, sizes)
+    cfg, rows = group.gen_cfg, slice(0, 1) if source == "anchor" else slice(None)
+    return tuple((k[rows], v[rows]) for k, v in (
+        group.history.default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
+                                    cfg.local_size).stacked()
+        for b in group.window_block_indices))

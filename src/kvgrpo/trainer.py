@@ -171,6 +171,7 @@ def score_group(group: RolloutGroup, cfg: TrainerConfig, constants=None) -> None
     group.rewards = check_finite(composite(group.frames, spec, target), "rewards")
 
 
+@np.errstate(all="ignore")  # the finite checks raise what would warn
 def train_iteration(state: TrainerState, cfg: TrainerConfig, plan: IterationPlan | None = None,
                     ref_weights: Weights | None = None, constants=None) -> IterationRecord:
     """One full iteration, following ``plan`` (planned here when None) with the

@@ -18,6 +18,7 @@ from kvgrpo.errors import ConfigError, InsufficientHistoryError
 from kvgrpo.network import NetworkShape, build_layout, param_init
 from kvgrpo.params import Layout, Params
 from kvgrpo.trainer import plan_iteration
+from test_trainer import PROBE_M
 
 
 def small_run_config(tmp_path=None, **overrides) -> RunConfig:
@@ -933,6 +934,21 @@ class TestCli:
         assert "bad-config.json" in captured.err
         assert " = " not in captured.out
         assert main(["--config", str(path), "train"]) == 1
+
+    def test_train_records_an_overflow_and_prints_no_numpy_warning(self, tmp_path):
+        # Under Python's default warning filters, as a user runs it: the overflow
+        # becomes an error record, never a raw RuntimeWarning on stderr.
+        path = tmp_path / "probe_m.json"
+        save_config(from_flat_dict(PROBE_M), path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-m", "kvgrpo.cli", "--config", str(path),
+                               "--out-dir", str(tmp_path / "out"), "train"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr, done.stderr
+        records, cut = read_metrics(tmp_path / "out" / "metrics.jsonl")
+        assert cut is None and len(records) == 3 and any(r["error"] for r in records)
 
     def test_importing_the_cli_leaves_numpy_unloaded(self):
         # The CLI pins the BLAS thread count before numpy loads; importing the

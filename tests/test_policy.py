@@ -22,8 +22,8 @@ from kvgrpo.policy import (ADV_EPS, LossBreakdown, PolicyConfig, PolicyEval,
                            gibbs, guard, latent_l2_energies, pg_surrogate_value,
                            ppo_kl_loss, replay_energies, surrogate_energies,
                            total_loss_grad)
-from kvgrpo.routing import (GroupSeeds, ReplayContexts, RolloutGroup, build_replay_contexts,
-                            plan_rollout, rollout_group)
+from kvgrpo.routing import (GroupSeeds, RolloutGroup, build_replay_contexts, plan_rollout,
+                            rollout_group)
 import reference_ops as ops
 from test_routing import memory, roll
 
@@ -131,7 +131,7 @@ class TestReplayEnergy:
         prompt = np.array([0.3, -0.2])
         v = np.asarray(ops.velocity(tiny_params, z, 0.0, keys, values, prompt))
         u_hat = v - np.array([[1.0, 0.0, 0.0]])
-        contexts = ReplayContexts(keys[None, None], values[None, None], np.array([1]))
+        contexts = ((keys[None], values[None]),)
         group = RolloutGroup(pivot_block=5, window=1, prompt=prompt, gen_cfg=cfg, frames=None,
                              history=None, replay=(z[None, None], u_hat[None, None]),
                              routings=(None,), contexts=contexts)
@@ -276,15 +276,15 @@ class TestBatchedReplay:
 
     def test_mixed_case_has_two_memory_sizes(self):
         _, group = replay_group(mixed=True)
-        assert build_replay_contexts(group).sizes.tolist() == [9, 12, 12, 12]
+        assert [k.shape[1] for k, _ in build_replay_contexts(group)] == [9, 12, 12, 12]
 
     def test_empty_case_has_empty_memories(self):
         _, group = replay_group(mixed=False, empty=True)
-        assert build_replay_contexts(group).sizes.tolist() == [0, 0, 0, 0]
+        assert [k.shape[1] for k, _ in build_replay_contexts(group)] == [0, 0, 0, 0]
 
     def test_one_network_call_per_pass_and_memory_size(self, replay_case, monkeypatch):
         _, params, group = replay_case
-        sizes = len(np.unique(group.contexts.sizes))
+        sizes = len({k.shape[1] for k, _ in group.contexts})
         calls = []
         real = network.velocity_forward
 

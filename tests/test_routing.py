@@ -1,5 +1,5 @@
 """Exploration mechanics: routable sets, routing draws, branch memories, group
-rollouts, and replay contexts."""
+rollouts, and the replay's memories."""
 
 import pickle
 import pickletools
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kvgrpo import cache, checks, network, routing
+from kvgrpo import autodiff as ad, cache, checks, network, routing
 from kvgrpo.cache import FrameHistory, KVCache, memory_frames
 from kvgrpo.config import from_flat_dict
 from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
@@ -42,11 +42,14 @@ def replay_velocities(params, group, row):
     return out
 
 
-def memory(group, branch_id, block):
-    """The filled rows of one trajectory's replay memory at one window block."""
-    contexts, j = group.contexts, block - group.pivot_block
-    n = contexts.sizes[j]
-    return contexts.keys[branch_id, j, :n], contexts.values[branch_id, j, :n]
+def memory(group, row, block):
+    """One trajectory's replay memory at one window block, as the group's replay
+    batch lays it out at the block's first step."""
+    step = (block - group.pivot_block) * group.gen_cfg.num_steps
+    for s, _, keys, values, _ in group.replay_batch():
+        if step in s:
+            i, n = s.tolist().index(step), keys.shape[-2] - group.gen_cfg.frames_per_block
+            return keys[row, i, :n], values[row, i, :n]
 
 
 def roll(params, prompt, num_blocks, pivot, window, num_branches, seeds,
@@ -963,22 +966,49 @@ class TestReplayContextsMatchReference:
         memories = [[histories[0 if source == "anchor" else g].default_cache(
             cfg.frames_per_block * (b - 1), cfg.sink_size, cfg.local_size)
             for b in group.window_block_indices] for g in range(len(histories))]
-        sizes = np.array([len(m.frames) for m in memories[0]])
-        shape = (len(histories), len(sizes), sizes.max(), SHAPE.hidden_dim)
-        keys, values = np.zeros(shape), np.zeros(shape)
-        for i, row in enumerate(memories):
-            for j, m in enumerate(row):
-                keys[i, j, :sizes[j]], values[i, j, :sizes[j]] = m.keys, m.values
 
         calls = []
         real = FrameHistory.default_cache
         monkeypatch.setattr(FrameHistory, "default_cache",
                             lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
-        contexts = build_replay_contexts(group, source)
+        group.contexts = build_replay_contexts(group, source)
         monkeypatch.undo()
         assert len(calls) == group.window  # one gather per window block, all rows
-        assert (len(set(sizes.tolist())) > 1) == mixed
-        assert contexts.sizes.tolist() == sizes.tolist()
-        assert contexts.keys.shape == keys.shape
-        assert contexts.keys.tobytes() == keys.tobytes()
-        assert contexts.values.tobytes() == values.tobytes()
+        batch, steps = group.replay_batch(), []
+        assert (len(batch) > 1) == mixed
+        for s, _, keys, values, _ in batch:  # every row, step and size
+            n = keys.shape[-2] - cfg.frames_per_block
+            for i, step in enumerate(s.tolist()):
+                steps.append(step)
+                for g, row in enumerate(memories):
+                    m = row[step // cfg.num_steps]
+                    assert n == len(m.frames)
+                    assert keys[g, i, :n].tobytes() == m.keys.tobytes()
+                    assert values[g, i, :n].tobytes() == m.values.tobytes()
+        assert steps == list(range(group.window * cfg.num_steps))
+
+    def test_one_stacked_gather_per_window_block_and_none_in_later_passes(self, monkeypatch):
+        params, prompt, cfg = param_init(SHAPE, 3), np.linspace(0.5, -0.5, 4), GeneratorConfig()
+        group = roll(params, prompt, 8, 4, 4, 6, GroupSeeds(31, 32), cfg, ((5, 2),))
+        calls = defaultdict(int)
+        for owner, name in ((KVCache, "stacked"), (FrameHistory, "default_cache"),
+                            (FrameHistory, "take")):
+            def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        group.contexts = build_replay_contexts(group)
+        assert dict(calls) == {"default_cache": group.window, "stacked": group.window}
+        rows = range(1, len(group.frames))
+        for reader in (params, ad.TapeReader(ad.Tape(), params), params):
+            replay_energies(reader, group, rows)
+        assert len(group.replay_batch()) == 2  # two memory sizes, laid out once
+        assert dict(calls) == {"default_cache": group.window, "stacked": group.window}
+
+    @pytest.mark.parametrize("source", ["branch", "anchor"])
+    def test_batch_targets_are_views_of_the_recorded_velocities(self, check_instance, source):
+        group = replace(check_instance.group,
+                        contexts=build_replay_contexts(check_instance.group, source))
+        for s, _, _, _, targets in group.replay_batch():
+            assert np.shares_memory(targets, group.replay[1])
+            assert targets.tobytes() == group.replay[1][:, s].tobytes()

@@ -16,10 +16,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kvgrpo.checks import make_instance, rel_l2
-from kvgrpo.config import RunConfig, TrainerConfig
-from kvgrpo.errors import ContractError, InsufficientHistoryError
+from kvgrpo.config import RunConfig, TrainerConfig, from_flat_dict
+from kvgrpo.errors import ConfigError, ContractError, InsufficientHistoryError
 from kvgrpo.flow import GeneratorConfig
 from kvgrpo.network import NetworkShape, param_init
 from kvgrpo.routing import RolloutGroup, RoutingDecision
@@ -375,7 +376,7 @@ class TestTrainIteration:
             if not record.skipped:
                 break
         assert not record.skipped and record.error is None
-        sizes = len(set(state.group.contexts.sizes.tolist()))
+        sizes = len({k.shape[1] for k, _ in state.group.contexts})
         kinds = ["rollout" if r is entering else "reference" if r is state.ref
                  else "taped" if isinstance(r, TapeReader) and r.params is entering else r
                  for r in calls]
@@ -1082,3 +1083,88 @@ class TestTrajectoryDump:
         with pytest.raises(ValueError):
             _dump_trajectories(sent.append, group, SimpleNamespace(iteration=1))
         assert sent == []
+
+
+# A config that validate accepts whose third PPO epoch overflows the ratio's exp:
+# the run must record the error and carry on, under any warning filter.
+PROBE_M = {"seed": 14, "latent_dim": 3, "hidden_dim": 1, "prompt_dim": 1, "frames_per_block": 2,
+           "denoise_steps": 4, "sink_size": 0, "local_size": 5, "num_blocks": 5,
+           "branch_number": 4, "perturbed_blocks": 5, "pivot_blocks": [3, 2],
+           "local_kv_choices": [[3, 2], [8, 8], [1, 1]], "routing_mode": "per_block",
+           "grad_replay_steps": 3, "ppo_epochs": 3, "reward_segments": 3, "temperature": 0.01,
+           "learning_rate": 1.0, "max_iterations": 3}
+
+small_floats = st.floats(-1.0, 1.0)
+# Every TrainerConfig knob at small shapes, those sized by others in SIZED.  Routability
+# and segment counts are left to chance, so some draws are rejected.
+KNOBS = {
+    "seed": st.integers(0, 99), "latent_dim": st.integers(1, 3), "hidden_dim": st.integers(1, 3),
+    "prompt_dim": st.integers(1, 2), "frames_per_block": st.integers(1, 3),
+    "denoise_steps": st.integers(1, 4), "sink_size": st.integers(0, 2),
+    "local_size": st.integers(0, 6), "num_blocks": st.integers(2, 5),
+    "branch_number": st.integers(2, 4), "perturbed_blocks": st.integers(1, 5),
+    "local_kv_choices": st.lists(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n)).map(list)), min_size=1, max_size=3),
+    "routing_mode": st.sampled_from(["fixed", "per_block"]),
+    "replay_context": st.sampled_from(["branch", "anchor"]),
+    "surrogate": st.sampled_from(["replay", "latent_l2"]), "l2_sigma": st.floats(0.1, 2.0),
+    "temperature": st.sampled_from([0.01, 1.0, 3.0]), "energy_includes_all_steps": st.booleans(),
+    "ppo_epochs": st.integers(1, 3), "clip_eps_low": st.floats(0.05, 0.5),
+    "clip_eps_high": st.floats(0.05, 0.5), "advantage_clip_max": st.floats(0.5, 3.0),
+    "kl_penalty_weight": st.floats(0.0, 5.0), "learning_rate": st.sampled_from([1e-3, 1e-2, 1.0]),
+    "warmup_steps": st.integers(0, 3), "max_grad_norm": st.floats(0.1, 2.0),
+    "ema_decay": st.floats(0.0, 0.999), "max_iterations": st.just(3),
+    "reward_components": st.lists(st.tuples(st.sampled_from(["target", "smoothness"]),
+                                            st.floats(0.1, 1.0)).map(list),
+                                  min_size=1, max_size=2),
+    "reward_segments": st.integers(1, 3),
+}
+SIZED = {
+    "prompt_values": lambda f: st.none() | st.lists(small_floats, min_size=f["prompt_dim"],
+                                                    max_size=f["prompt_dim"]),
+    "pivot_blocks": lambda f: st.lists(st.integers(2, f["num_blocks"]), min_size=1, max_size=2),
+    "grad_replay_steps": lambda f: st.integers(1, f["denoise_steps"]),
+    "reward_target_values": lambda f: st.none() | st.lists(small_floats, min_size=f["latent_dim"],
+                                                           max_size=f["latent_dim"]),
+}
+
+
+@st.composite
+def flat_configs(draw) -> dict:
+    flat = {name: draw(knob) for name, knob in KNOBS.items()}
+    return {**flat, **{name: draw(knob(flat)) for name, knob in SIZED.items()}}
+
+
+def assert_finite_or_error(record) -> None:
+    if record.error is None:
+        values = [v for v in record.to_json().values() if not isinstance(v, (str, bool))]
+        flat = [float(x) for v in values if v is not None for x in np.ravel(v)]
+        assert np.all(np.isfinite(flat)), record
+
+
+class TestConfigSpace:
+    """Every accepted config runs to the end under the suite's warning filters,
+    which turn a floating-point RuntimeWarning into an error."""
+
+    def test_probe_m_records_its_overflow_and_runs_on(self):
+        records = run(from_flat_dict(PROBE_M)).records
+        assert [r.iteration for r in records] == [1, 2, 3]
+        assert any(r.error for r in records)
+        for record in records:
+            assert_finite_or_error(record)
+
+    def test_the_strategy_draws_every_knob(self):
+        assert {*KNOBS, *SIZED} == set(TrainerConfig.__dataclass_fields__)
+
+    @settings(max_examples=150, deadline=3000)
+    @given(flat=flat_configs())
+    @example(flat=PROBE_M)
+    def test_a_config_is_rejected_or_runs_to_the_end(self, flat):
+        try:
+            cfg = from_flat_dict(flat)
+        except ConfigError:
+            return
+        records = run(cfg).records
+        assert [r.iteration for r in records] == [1, 2, 3]
+        for record in records:
+            assert_finite_or_error(record)
