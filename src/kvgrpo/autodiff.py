@@ -71,13 +71,6 @@ class Var:
     def value(self):
         return self.tape._values[self.idx]
 
-    @property
-    def shape(self):
-        return np.shape(self.value)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Var(idx={self.idx}, shape={self.shape})"
-
 
 def value(x):
     """Underlying numeric value of a Var, array, or scalar."""

@@ -160,7 +160,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .checkpoint import MAGIC, load_checkpoint
-    from .config import load_json_object, read_metrics
+    from .config import load_json_object, read_metrics, read_trajectories
 
     path = Path(args.path)
     if not path.exists():
@@ -186,15 +186,20 @@ def cmd_inspect(args) -> int:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
-    try:  # one JSON value: a config, unless it is a metrics record
-        lone = json.loads(text)
+    try:  # one JSON value: a config, unless a metrics record; of JSON lines, the first
+        first = json.loads(text.lstrip().partition("\n")[0] if "\n{" in text.strip() else text)
     except ValueError:
-        lone = None
-    if (path.suffix == ".jsonl" or "\n{" in text.strip()
-            or isinstance(lone, dict) and {"iteration", "skipped"} <= lone.keys()):
-        records, cut = read_metrics(path, text)
+        first = None
+    dump = isinstance(first, dict) and "blocks" in first  # a trajectory dump: a line per row
+    if (dump or path.suffix == ".jsonl" or "\n{" in text.strip()
+            or isinstance(first, dict) and {"iteration", "skipped"} <= first.keys()):
+        records, cut = read_trajectories(path) if dump else read_metrics(path, text)
         if cut:  # what a crash mid-write leaves: a last line with no newline
             print(f"note: ignoring cut final line {cut}")
+        if dump:  # each line's iteration: a group's rows share one
+            print(f"trajectories: {path} ({len(records)} lines, {len(set(records))} groups)")
+            print(f"  iterations: {records[0]} to {records[-1]}")
+            return EXIT_OK
         print(f"metrics: {path} ({len(records)} records)")
         # A record whose rollout failed carries no rewards.
         rewarded = [r for r in records if r.get("anchor_reward") is not None]

@@ -57,9 +57,9 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     in the first M rows (M = 0: empty), as :meth:`~kvgrpo.cache.FrameHistory.take`
     gathers them.  ``weights`` are the :class:`~kvgrpo.network.Weights` of ``params``.
 
-    Each solver step makes one network call over every row, bucket after bucket, attending
-    once per bucket at ``cfg.times[k]``, in the rows' input buffer ``aug`` (made if None); rows
-    are not padded to one length, which would change the reduction lengths and so the bits.
+    Each solver step writes its latents and time ``cfg.times[k]`` into the rows' input buffer
+    ``aug`` (made if None) for one network call over every row, attending once per bucket;
+    rows are not padded to one length, which would change the reduction lengths and so the bits.
     Row g's latents entering step k and their velocity go to ``replay[0][g, k]`` and
     ``replay[1][g, k]`` (unless ``replay`` is None), its final latents to ``out[g]`` (new if
     None): as made, or one scatter each after the solve for buckets out of row order.
@@ -71,12 +71,12 @@ def generate_block(params: Params, buckets: list, block_index: int, noise: np.nd
     memories = (list(keys), list(values)) if len(buckets) > 1 else (keys[0], values[0])
     frames = np.empty((len(order), *noise.shape)) if out is None else out
     aug = network.input_buffer(frames.shape, prompt) if aug is None else aug
-    inputs, x, dt = network.Inputs(weights, aug, *memories), noise, cfg.dt
+    x, dt = noise, cfg.dt
     steps = replay if replay is None or isinstance(at, slice) else np.empty(
         (2, len(order), cfg.num_steps, *noise.shape))
     with np.errstate(all="ignore"):  # the check below raises what would warn
         for k, t in enumerate(cfg.times):
-            v = network.velocity_forward(params, x, t, inputs)
+            v = network.velocity_forward(params, weights, network.augment(aug, x, t), *memories)
             if steps is not None:
                 steps[0][:, k], steps[1][:, k] = x, v
             x = x + dt * v

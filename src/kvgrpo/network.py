@@ -2,11 +2,10 @@
 key/value memory, and a two-layer head.
 
 The forward pass is plain numpy, on one block or a stack of them (a replay pass or a
-rollout step runs all its rows as one), with one Q/K/V projection through the
-:class:`Weights` read once per call and attention once per memory, each step after a
-product in place in it, over joint [memory ; block] buffers its caller lays out.  Given a
-:class:`Params` it returns the velocity array (rollouts, replay values, finite differences);
-given a :class:`~kvgrpo.autodiff.TapeReader` one tape node, whose hand-derived VJP reads
+rollout step runs all its rows as one), over the input rows and joint [memory ; block]
+key/value buffers its caller lays out, one Q/K/V projection and attention per memory, each
+step after a product in place in it.  It returns the velocity array for a :class:`Params`,
+and for a :class:`~kvgrpo.autodiff.TapeReader` one tape node, whose hand-derived VJP reads
 only the rows its caller picks, takes one fused Q/K/V adjoint and sums them last row first.
 """
 
@@ -122,63 +121,49 @@ def kv_for_frames(weights: Weights, x: np.ndarray, prompt: np.ndarray, aug=None)
     return kv[..., :h], kv[..., h:]
 
 
-class Inputs:
-    """A velocity call's :class:`Weights`, [latents | time | prompt] rows ``aug`` and joint
-    (..., M + F, h) key/value buffers, the memory in the first M rows and the block's, which
-    each call writes, in the last F (lists of them, the rows in memory order: value-only).
-    Calls with one reader, memory and prompt (a block's solver steps) can share one."""
-
-    def __init__(self, weights: Weights, aug: np.ndarray, keys, values) -> None:
-        self.weights, self.aug, self.keys, self.values = weights, aug, keys, values
-        frames = aug.shape[-2]
-        self.n_ctx = ([k.shape[-2] - frames for k in keys] if isinstance(keys, list)
-                      else keys.shape[-2] - frames)
-
-
-def velocity_forward(reader, x: np.ndarray, t, inputs: Inputs, taped=...):
+def velocity_forward(reader, weights: Weights, aug, keys, values, taped=...):
     """Predicted velocity for every frame of a block, or of a stack of blocks.
 
-    ``x`` is one (F, d) block at flow time ``t``, or rows of blocks, any number of leading
-    dims, with one time each in ``t``, over the memories of ``inputs``: attention runs over
-    [memory ; block] jointly in its buffers (the memories and the prompt unread), after ``x``,
-    broadcast to its rows, and ``t`` are written there (unless ``x`` is None).  Returns an
-    array for a :class:`Params` reader, and for a tape reader one node whose parents are the
+    ``aug`` holds the [latents | time | prompt] rows of one (F, d) block or of rows of them,
+    any number of leading dims, as :func:`augment` writes them, and ``keys`` and ``values``
+    the joint (..., M + F, h) buffers over them (lists of them, the rows in memory order:
+    value-only): attention runs over [memory ; block] jointly, the memory in their first M
+    rows, after the block's keys and values are written in their last F.  Returns an array
+    for a :class:`Params` reader, and for a tape reader one node whose parents are the
     segments in ``SEGMENTS`` order, valued at every row's velocity, whose adjoint covers only
     the rows the index ``taped`` picks (all by default): its pullback reads those rows alone.
     """
-    aug = inputs.aug if x is None else augment(inputs.aug, x, t)
-    weights, n_ctx = inputs.weights, inputs.n_ctx
-    out, (*saved, scale) = _forward(weights, aug, inputs.keys, inputs.values, n_ctx)
+    out, (*saved, scale) = _forward(weights, aug, keys, values)
     if not isinstance(reader, ad.TapeReader):
         return out
     aug, saved = aug[taped], (*(a[taped] for a in saved), scale)
     return reader.tape.push(out, tuple(reader.segment(name).idx for name in SEGMENTS),
-                            lambda g: _vjp(g, weights.w, aug, saved, n_ctx))
+                            lambda g: _vjp(g, weights.w, aug, saved))
 
 
-def _forward(weights: Weights, aug, keys, vals, n_ctx):
+def _forward(weights: Weights, aug, keys, vals):
     """Network output for an (F, in) block or (R, F, in) rows, and the intermediates its
     backward needs, from one Q/K/V projection and one attention per memory (in lists of
-    them: value-only), the block's keys and values written after its ``n_ctx`` rows.
+    them: value-only), the block's keys and values written in the buffers' last F rows.
     Each step after a product runs in place in it, in the out-of-place order: no bit moves."""
     (ew, eb, *_, w1, b1, w2, b2), h = weights.w, len(weights.bkv) // 2
     e = _affine(aug, ew, eb, np.tanh)
     qkv = _affine(e, weights.wqkv, weights.bqkv)
-    if isinstance(n_ctx, list):
+    if isinstance(keys, list):
         att, stop = np.empty((*qkv.shape[:-1], h)), 0
-        for k, v, n in zip(keys, vals, n_ctx):
+        for k, v in zip(keys, vals):
             rows = slice(stop, stop := stop + len(k))
-            p, _ = _attend(weights, qkv[rows], k, v, n, att[rows])
+            p, _ = _attend(weights, qkv[rows], k, v, att[rows])
     else:
-        p, att = _attend(weights, qkv, keys, vals, n_ctx)
+        p, att = _attend(weights, qkv, keys, vals)
     hid = _affine(att, w1, b1, np.tanh)
     return _affine(hid, w2, b2), (e, qkv, keys, vals, p, att, hid, weights.scale)
 
 
-def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
+def _attend(weights: Weights, qkv, keys, vals, out=None):
     """One memory's softmax ``p`` and ``p @ vals``, into ``out`` if given."""
-    h = keys.shape[-1]
-    keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
+    h, frames = keys.shape[-1], qkv.shape[-2]
+    keys[..., -frames:, :], vals[..., -frames:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
     p = qkv[..., :h] @ keys.swapaxes(-1, -2)  # the scores, then their softmax in place
     np.multiply(p, weights.scale, out=p)
     np.exp(np.subtract(p, np.maximum.reduce(p, axis=-1, keepdims=True), out=p), out=p)
@@ -186,18 +171,18 @@ def _attend(weights: Weights, qkv, keys, vals, n_ctx, out=None):
     return p, (p @ vals if out is None else np.matmul(p, vals, out=out))
 
 
-def _vjp(g, w, aug, saved, n_ctx):
+def _vjp(g, w, aug, saved):
     """Adjoints of the segments in ``SEGMENTS`` order, given the output adjoint ``g``: the
-    Q, K and V ones column blocks of one fused adjoint, the block's keys and values from its
-    own columns of the scores and softmax, after writing them back from the saved projection
-    (a call in between may have written its own).  For rows of blocks (any leading dims) each is
-    summed over the rows in flattened order, last row first (``np.add.reduce`` on a reversed
-    view), as the tape adds them when each row is its own node.  That order, every product's
-    and the embedding adjoint's (from v + from k) + from q are part of the bit-reproducibility
-    contract: reordering moves fixed-seed runs' bits."""
+    Q, K and V ones column blocks of one fused adjoint, the block's keys and values (the
+    buffers' last F rows) from its own columns of the scores and softmax, after writing them
+    back from the saved projection (a call in between may have written its own).  For rows of
+    blocks (any leading dims) each is summed over the rows in flattened order, last row first
+    (``np.add.reduce`` on a reversed view), as the tape adds them when each row is its own
+    node.  That order, every product's and the embedding adjoint's (from v + from k) + from q
+    are part of the bit-reproducibility contract: reordering moves fixed-seed runs' bits."""
     wq_t, wk_t, wv_t, w1_t, w2_t = (np.ascontiguousarray(w[i].T) for i in (2, 4, 6, 8, 10))
-    (e, qkv, keys, vals, p, att, hid, scale), h = saved, len(wq_t)
-    keys[..., n_ctx:, :], vals[..., n_ctx:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
+    (e, qkv, keys, vals, p, att, hid, scale), h, frames = saved, len(wq_t), aug.shape[-2]
+    keys[..., -frames:, :], vals[..., -frames:, :] = qkv[..., h:2 * h], qkv[..., 2 * h:]
     q = qkv[..., :h]
 
     def tr(a):
@@ -210,8 +195,8 @@ def _vjp(g, w, aug, saved, n_ctx):
     g_qkv = np.empty((*e.shape[:-1], 3 * h))
     g_q, g_k, g_v = g_qkv[..., :h], g_qkv[..., h:2 * h], g_qkv[..., 2 * h:]
     np.matmul(g_scores, keys, out=g_q)
-    g_k[...] = tr(tr(q) @ g_scores[..., n_ctx:])
-    np.matmul(tr(p[..., n_ctx:]), g_att, out=g_v)
+    g_k[...] = tr(tr(q) @ g_scores[..., -frames:])
+    np.matmul(tr(p[..., -frames:]), g_att, out=g_v)
     g_e = (g_v @ wv_t + g_k @ wk_t) + g_q @ wq_t
     g_pre = g_e * (1.0 - e * e)
     adjoints = [a if g.ndim == 2 else np.add.reduce(a.reshape(-1, *a.shape[g.ndim - 2:])[::-1])

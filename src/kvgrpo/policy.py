@@ -100,8 +100,7 @@ def replay_energies(reader, group: RolloutGroup, rows,
         # A size's steps are whole window blocks: its counted steps are a view.
         aug, keys, values, targets = (a[at].reshape(len(rows), -1, S, *a.shape[2:])[counted]
                                       for a in inputs)
-        v = network.velocity_forward(reader, None, None,
-                                     network.Inputs(weights, aug, keys, values), carrying)
+        v = network.velocity_forward(reader, weights, aug, keys, values, carrying)
         diff = ad.value(v) - targets  # each step's squares summed as one contiguous run
         terms[:, 1 + s.reshape(-1, S)[counted[1:]].ravel()] = np.add.reduce(
             (diff * diff).reshape(len(rows), -1, diff[0, 0, 0].size), axis=2) * (1.0 / d)

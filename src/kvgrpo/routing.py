@@ -62,18 +62,9 @@ class RolloutGroup:
     contexts: tuple | None = None   # each window block's memories, to replay the window
     _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def window_block_indices(self) -> list[int]:
-        return list(range(self.pivot_block, self.pivot_block + self.window))
-
-    def replay_schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each recorded step's flow time, 1-based solver step and 0-based window block."""
-        S, k = self.gen_cfg.num_steps, np.arange(self.window * self.gen_cfg.num_steps)
-        return np.array(self.gen_cfg.times * self.window), k % S + 1, k // S
-
     def replay_batch(self) -> list:
         """Per memory size, shortest first, its recorded steps (whole window blocks, in order)
-        and every row's network inputs (:class:`~kvgrpo.network.Inputs`) and velocities there,
+        and every row's :func:`~kvgrpo.network.velocity_forward` inputs and velocities there,
         each (rows, steps, ...), laid out once per ``replay`` and ``contexts`` object: a size's
         blocks are consecutive, as memories only grow, so its latents, times and velocities are
         slices of the steps, and each block's memory is broadcast over its steps once."""
@@ -298,4 +289,4 @@ def build_replay_contexts(group: RolloutGroup, source: str = "branch") -> tuple:
     return tuple((k[rows], v[rows]) for k, v in (
         group.history.default_cache(cfg.frames_per_block * (b - 1), cfg.sink_size,
                                     cfg.local_size).stacked()
-        for b in group.window_block_indices))
+        for b in range(group.pivot_block, group.pivot_block + group.window)))

@@ -263,11 +263,19 @@ def network_forward(w, aug, keys, vals, n_ctx):
 
 
 def velocity(reader, x, t, keys, values, prompt):
-    """``network.velocity_forward`` on fresh inputs, as it ran without them: the
-    (..., M, h) memories copied into joint buffers, the reader's weights read."""
-    aug = network.input_buffer(np.shape(x), prompt)
-    inputs = network.Inputs(network.Weights(reader), aug, *joint(np.shape(x), keys, values))
-    return network.velocity_forward(reader, x, t, inputs)
+    """``network.velocity_forward`` on fresh buffers: ``x`` at time ``t`` written into a
+    new input buffer, the (..., M, h) memories copied into joint buffers, the reader's
+    weights read."""
+    aug = network.augment(network.input_buffer(np.shape(x), prompt), x, t)
+    return network.velocity_forward(reader, network.Weights(reader), aug,
+                                    *joint(np.shape(x), keys, values))
+
+
+def replay_schedule(group):
+    """Each recorded step of ``group``'s window: its flow time, 1-based solver step and
+    0-based window block."""
+    S, k = group.gen_cfg.num_steps, np.arange(group.window * group.gen_cfg.num_steps)
+    return np.array(group.gen_cfg.times * group.window), k % S + 1, k // S
 
 
 def two_call_replay_energies(reader, group, rows, cfg):
@@ -276,7 +284,7 @@ def two_call_replay_energies(reader, group, rows, cfg):
     then a taped call for the carrying ones, each over a gather of its steps (a basic
     slice when it takes all of a size's steps), with one node per taped call."""
     d = network.shape_from_layout(reader.layout).latent_dim
-    rows, step = list(rows), group.replay_schedule()[1]
+    rows, step = list(rows), replay_schedule(group)[1]
     at = slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
     carrying = step <= (np.inf if cfg.grad_steps is None else cfg.grad_steps)
     counted = carrying | cfg.include_all_steps
@@ -291,7 +299,7 @@ def two_call_replay_energies(reader, group, rows, cfg):
             cols = None if picked.all() else np.flatnonzero(picked)
             aug, keys, values, targets = ((a[at] if cols is None else np.take(a[at], cols, axis=1))
                                           .reshape(-1, *a.shape[2:]) for a in inputs)
-            v = network.velocity_forward(r, None, None, network.Inputs(weights, aug, keys, values))
+            v = network.velocity_forward(r, weights, aug, keys, values)
             diff = value(v) - targets
             terms[:, 1 + s[picked]] = np.add.reduce(
                 (diff * diff).reshape(len(rows), -1, diff[0].size), axis=2) * (1.0 / d)

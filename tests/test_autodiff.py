@@ -419,7 +419,7 @@ class TestBackwardRowOrder:
         x, t = rng.normal(size=(R, B, S, 3, shape.latent_dim)), rng.uniform(size=(R, B, S))
         keys, values = rng.normal(size=(2, R, B, S, memory, shape.hidden_dim))
         aug = augment(input_buffer(x.shape, rng.normal(size=shape.prompt_dim)), x, t)
-        _, (*saved, scale) = _forward(weights, aug, *ops.joint(x.shape, keys, values), memory)
+        _, (*saved, scale) = _forward(weights, aug, *ops.joint(x.shape, keys, values))
         g = rng.normal(size=(R, B, k, 3, shape.latent_dim))
         g *= np.logspace(-8, 8, R * B * k).reshape(R, B, k, 1, 1)
         carrying = np.s_[:, :, :k]
@@ -427,8 +427,8 @@ class TestBackwardRowOrder:
         def flat(a):
             return np.ascontiguousarray(a[carrying]).reshape(-1, *a.shape[3:])
 
-        got = _vjp(g, weights.w, aug[carrying], (*(a[carrying] for a in saved), scale), memory)
+        got = _vjp(g, weights.w, aug[carrying], (*(a[carrying] for a in saved), scale))
         want = _vjp(g.reshape(-1, *g.shape[3:]), weights.w, flat(aug),
-                    (*(flat(a) for a in saved), scale), memory)
+                    (*(flat(a) for a in saved), scale))
         for name, a, b in zip(SEGMENTS, got, want, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

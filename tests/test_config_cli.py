@@ -18,7 +18,7 @@ from kvgrpo.errors import ConfigError, InsufficientHistoryError
 from kvgrpo.network import NetworkShape, build_layout, param_init
 from kvgrpo.params import Layout, Params
 from kvgrpo.trainer import plan_iteration
-from test_trainer import PROBE_M
+from test_trainer import PROBE_M, dumped_groups
 
 
 def small_run_config(tmp_path=None, **overrides) -> RunConfig:
@@ -828,16 +828,26 @@ class TestCli:
         assert main(["inspect", str(path)]) == 1
         assert "line 1 is not valid JSON" in capsys.readouterr().err
 
-    def test_inspect_refuses_a_trajectory_dump(self, tmp_path, capsys):
+    def test_inspect_summarizes_a_trajectory_dump(self, tmp_path, capsys):
+        # The run's own dump is read as one: a line per trajectory, a group per
+        # iteration, and a cut last line set aside as in a metrics file.
         cfg_path = write_small_config(tmp_path, max_iterations=3)
         out_dir = tmp_path / "rund"
         assert main(["--config", str(cfg_path), "--out-dir", str(out_dir),
                      "--set", "dump_trajectories=true", "train"]) == 0
         capsys.readouterr()
-        assert main(["inspect", str(out_dir / "trajectories.jsonl")]) == 1
-        captured = capsys.readouterr()
-        assert "not a metrics file: line 1 carries 'blocks'" in captured.err
-        assert "records)" not in captured.out
+        dump = out_dir / "trajectories.jsonl"
+        assert main(["inspect", str(dump)]) == 0
+        groups, lines = len(dumped_groups(out_dir)), len(dump.read_text().splitlines())
+        assert capsys.readouterr().out == (f"trajectories: {dump} ({lines} lines, {groups} groups)"
+                                           f"\n  iterations: 1 to 3\n")
+        assert groups == 3 and lines == 3 * (1 + 4)  # the anchor and 4 branches
+        text = dump.read_text()
+        dump.write_text(text[:text.rindex("\n", 0, -1) + 40])
+        assert main(["inspect", str(dump)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"note: ignoring cut final line {lines}\n")
+        assert f"({lines - 1} lines, {groups} groups)" in out
         assert main(["inspect", str(out_dir / "metrics.jsonl")]) == 0
         assert "(3 records)" in capsys.readouterr().out
 

@@ -15,7 +15,7 @@ from kvgrpo.cache import FrameHistory, memory_frames
 from kvgrpo.errors import ContractError, NumericalError
 from kvgrpo import network
 from kvgrpo.flow import Block, GeneratorConfig, generate_block, write_back
-from kvgrpo.network import (SEGMENTS, Inputs, NetworkShape, Weights, _forward, _vjp,
+from kvgrpo.network import (SEGMENTS, NetworkShape, Weights, _forward, _vjp, augment,
                             build_layout, input_buffer, kv_for_frames, param_init,
                             shape_from_layout, velocity_forward)
 from kvgrpo.params import Params
@@ -156,6 +156,19 @@ def assert_same_saved(got, want):
     assert all(np.array_equal(a, b) and np.shape(a) == np.shape(b) for a, b in zip(got, want))
 
 
+@st.composite
+def velocity_calls(draw):
+    """A velocity call's shapes: a block of 1-4 frames, over one memory of 0-15 rows (0 is
+    the empty memory, whose joint buffers are the block's rows alone) with 0-2 leading
+    dims, or over a value-only list of two memory lengths, 1-2 rows each, with 0-1 more
+    leading dims; and a seed for the numbers."""
+    frames = draw(st.integers(1, 4))
+    lengths = sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=2)))
+    counts = [draw(st.integers(1, 2)) for _ in lengths] if len(lengths) == 2 else []
+    rest = tuple(draw(st.lists(st.integers(1, 3), max_size=2 - bool(counts))))
+    return frames, lengths, counts, rest, draw(st.integers(0, 2**16))
+
+
 class TestFusedProjection:
     """One [wq | wk | wv] projection per call, and one [wk | wv] projection per
     finished block, each bias add and activation in place in its product, give
@@ -176,12 +189,12 @@ class TestFusedProjection:
         prompt, weights = rng.normal(size=shape.prompt_dim), Weights(params)
 
         aug, want, saved = oracle(weights, x, t, keys, values, prompt)
-        inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
-        assert np.array_equal(velocity_forward(params, x, t, inputs), want)
-        assert np.array_equal(inputs.aug, aug)
-        assert np.array_equal(inputs.keys, saved[2]) and np.array_equal(inputs.values, saved[3])
+        buf, joint = input_buffer(x.shape, prompt), ops.joint(x.shape, keys, values)
+        assert np.array_equal(velocity_forward(params, weights, augment(buf, x, t), *joint), want)
+        assert np.array_equal(buf, aug)
+        assert np.array_equal(joint[0], saved[2]) and np.array_equal(joint[1], saved[3])
         # The in-place forward's own intermediates, on fresh buffers.
-        out, got = _forward(weights, aug, *ops.joint(x.shape, keys, values), memory)
+        out, got = _forward(weights, aug, *ops.joint(x.shape, keys, values))
         assert np.array_equal(out, want)
         assert_same_saved(got, saved)
         assert all(np.array_equal(a, b) for a, b in zip(
@@ -193,28 +206,70 @@ class TestFusedProjection:
         node = ops.velocity(reader, x, t, keys, values, prompt)
         assert np.array_equal(node.value, want)
         adj = tape.backward(ops.asum(ops.mul(node, proj)))
-        expect = list(_vjp(proj, weights.w, aug, saved, memory))
+        expect = list(_vjp(proj, weights.w, aug, saved))
         got = [adj[reader.leaves[name].idx] for name in SEGMENTS]
         assert len(expect) == 12 and all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     @pytest.mark.parametrize("memory", [0, 12], ids=["empty", "memory"])
     @pytest.mark.parametrize("rows", [1, 16])
     def test_shared_inputs_equal_fresh_calls(self, memory, rows):
-        # As generate_block drives them: one Inputs, the (3, d) start noise
-        # broadcast against the rows, then each step's latents at a scalar time.  Each call overwrites only
-        # the latents, time and block rows; the prompt columns stay.
+        # As generate_block drives them: one set of buffers, the (3, d) start noise
+        # broadcast against the rows, then each step's latents at a scalar time.  Each step
+        # overwrites only the latents, time and block rows; the prompt columns stay.
         params, prompt, x, keys, values = random_call(NetworkShape(), rows, memory, rows)
         weights = Weights(params)
-        inputs = Inputs(weights, input_buffer(x.shape, prompt), *ops.joint(x.shape, keys, values))
+        buf, joint = input_buffer(x.shape, prompt), ops.joint(x.shape, keys, values)
         xs = [x[0]] + [x * s for s in (0.5, -1.5, 2.0)]
         for t, xt in zip((0.0, 0.25, 0.5, 0.75), xs):
-            got = velocity_forward(params, xt, t, inputs)
+            got = velocity_forward(params, weights, augment(buf, xt, t), *joint)
             aug, want, (*_, keys_all, values_all, _, _, _, _) = oracle(
                 weights, np.broadcast_to(xt, x.shape), t, keys, values, prompt)
             assert np.array_equal(got, want)
-            assert np.array_equal(inputs.aug, aug)
-            assert np.array_equal(inputs.keys, keys_all)
-            assert np.array_equal(inputs.values, values_all)
+            assert np.array_equal(buf, aug)
+            assert np.array_equal(joint[0], keys_all)
+            assert np.array_equal(joint[1], values_all)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=velocity_calls())
+    def test_the_block_is_the_buffers_last_rows(self, case):
+        # Whatever F, the memory lengths and the leading dims, the block's keys and values
+        # are the joint buffers' last F rows: the call equals the oracle, which is told each
+        # memory's length, bit for bit, and one memory's taped node has the twelve
+        # adjoints _vjp gives on the oracle's intermediates.
+        frames, lengths, counts, rest, seed = case
+        rng = np.random.default_rng(seed)
+        params = Params(rng.normal(size=build_layout(TINY).total) * 0.5, build_layout(TINY))
+        weights, prompt = Weights(params), rng.normal(size=TINY.prompt_dim)
+        lead = (sum(counts), *rest) if counts else rest
+        x = rng.normal(size=(*lead, frames, TINY.latent_dim))
+        t = rng.uniform(size=lead) if lead else 0.25
+        parts, stop = [], 0  # per memory: its rows of x, and its (..., M, h) keys and values
+        for n, count in zip(lengths, counts or [None]):
+            rows = slice(None) if count is None else slice(stop, stop := stop + count)
+            parts.append((rows, *rng.normal(size=(2, *x[rows].shape[:-2], n, TINY.hidden_dim))))
+        want = [oracle(weights, x[rows], t[rows] if lead else t, k, v, prompt)
+                for rows, k, v in parts]
+        aug = augment(input_buffer(x.shape, prompt), x, t)
+        joints = [ops.joint(x[rows].shape, k, v) for rows, k, v in parts]
+        got = velocity_forward(params, weights, aug, *(map(list, zip(*joints)) if counts
+                                                      else joints[0]))
+
+        def same(a, b):  # at F = 1 each block's fused projection is a matrix-vector
+            # product, whose BLAS sums differ from the three narrower ones' in the last bits
+            return (a.tobytes() == b.tobytes() if frames > 1
+                    else np.allclose(a, b, rtol=1e-12, atol=1e-14))
+
+        assert same(got, np.concatenate([out for _, out, _ in want]))
+        if counts:
+            return
+        (oracle_aug, _, saved), = want
+        tape, proj = Tape(), rng.normal(size=x.shape)
+        reader = TapeReader(tape, params)
+        node = velocity_forward(reader, weights, aug, *ops.joint(x.shape, *parts[0][1:]))
+        adj = tape.backward(ops.asum(ops.mul(node, proj)))
+        expect = _vjp(proj, weights.w, oracle_aug, saved)
+        assert len(expect) == 12 and all(same(adj[reader.leaves[name].idx], a)
+                                         for name, a in zip(SEGMENTS, expect))
 
     @pytest.mark.parametrize("rows", [None, 5])
     def test_taped_calls_share_no_buffer(self, rows):
@@ -300,14 +355,19 @@ class TestGenerateBlock:
         # last bits; the network must see the time the rollout saw, and the
         # config's times, which the replay reads, must be that time.
         cfg, seen, real = GeneratorConfig(num_steps=num_steps), [], network.velocity_forward
-        monkeypatch.setattr(network, "velocity_forward",
-                            lambda p, x, t, *args: seen.append(t) or real(p, x, t, *args))
+
+        def spy(reader, weights, aug, *memory):
+            times = aug[..., TINY.latent_dim]  # the buffer's time column, one time per step
+            seen.append(times.flat[0])
+            assert (times == seen[-1]).all()
+            return real(reader, weights, aug, *memory)
+
+        monkeypatch.setattr(network, "velocity_forward", spy)
         generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT, True, cfg)
         accumulated = [0.0]
         while len(accumulated) < num_steps:
             accumulated.append(accumulated[-1] + cfg.dt)
         assert seen == cfg.times == accumulated
-        assert all(type(t) is float for t in seen)
 
     def test_different_noise_seeds_differ(self, tiny_params):
         b1, _ = generate_one(tiny_params, one_row_cache(), 1, 9, PROMPT)
@@ -394,9 +454,9 @@ def per_bucket_oracle(params, buckets, block_index, noise, prompt, weights, reco
     with np.errstate(all="ignore"):
         for rows, keys, values in buckets:
             xb, t, ts = noise, 0.0, []
-            inputs = Inputs(weights, input_buffer((len(rows), *noise.shape), prompt), keys, values)
+            aug = input_buffer((len(rows), *noise.shape), prompt)
             for k in range(cfg.num_steps):
-                v = velocity_forward(params, xb, t, inputs)
+                v = velocity_forward(params, weights, augment(aug, xb, t), keys, values)
                 z[rows, k], u_hat[rows, k] = xb, v
                 ts.append(t)
                 xb, t = xb + cfg.dt * v, t + cfg.dt
@@ -451,14 +511,14 @@ class TestMixedMemoryLengths:
         real = velocity_forward
 
         def counted(*args, **kwargs):
-            calls.append(np.shape(args[1]))
+            calls.append(np.shape(args[2]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr("kvgrpo.network.velocity_forward", counted)
         buckets = TestSolverPaths.buckets("interleaved")
         generate_block(tiny_params, buckets, 7, block_noise(9, 7, 3, 3), PROMPT,
                        Weights(tiny_params), new_record(3))
-        assert calls == [(3, 3)] + [(3, 3, 3)] * 3  # the noise, then every row
+        assert calls == [(3, 3, 6)] * 4  # every row's input, one call per step
 
     @pytest.mark.parametrize("bad", range(4))
     @pytest.mark.parametrize("where", ["keys", "values"])

@@ -74,7 +74,7 @@ def reference_energy(reader, group, row, grad_steps=None, include_all_steps=True
     (It squared with a tape op of its own; a product with a shared operand
     gets the same adjoint, (g * diff) + (g * diff) = (2 * g) * diff, exactly.)"""
     d = reader.layout.segments["head2_w"][1][1]
-    (zs, u_hats), (ts, steps, window) = group.replay, group.replay_schedule()
+    (zs, u_hats), (ts, steps, window) = group.replay, ops.replay_schedule(group)
     total = 0.0
     for z, u_hat, t, step, j in zip(zs[row], u_hats[row], ts, steps, window):
         carrying = grad_steps is None or step <= grad_steps
@@ -142,7 +142,7 @@ class TestReplayEnergy:
     def test_matches_double_loop_oracle(self, check_instance):
         inst = check_instance
         (zs, u_hats), row = inst.group.replay, 3
-        ts, _, window = inst.group.replay_schedule()
+        ts, _, window = ops.replay_schedule(inst.group)
         got = float(energy(inst.params, inst.group, row))
         # direct two-level summation using only public pieces
         total = 0.0
@@ -632,7 +632,8 @@ class TestLatentL2:
         group = check_instance.group
         energies = latent_l2_energies(group, sigma=0.7)
         F = group.gen_cfg.frames_per_block
-        blocks = [group.frames[:, (b - 1) * F:b * F] for b in group.window_block_indices]
+        window = range(group.pivot_block, group.pivot_block + group.window)
+        blocks = [group.frames[:, (b - 1) * F:b * F] for b in window]
         anchor, *rows = np.concatenate(blocks, axis=1)
         for e, mine in zip(energies, rows):
             assert e == pytest.approx(np.linalg.norm(mine - anchor) ** 2 / (2 * 0.49),

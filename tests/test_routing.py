@@ -35,7 +35,7 @@ PROMPT = np.array([0.3, -0.2])
 def replay_velocities(params, group, row):
     """Each cached solver step of one row of a group, re-evaluated under its
     restored default-layout context."""
-    out, (t, _, window) = [], group.replay_schedule()
+    out, (t, _, window) = [], ops.replay_schedule(group)
     for z, t, j in zip(group.replay[0][row], t, window):
         keys, values = memory(group, row, group.pivot_block + j)
         out.append(ops.velocity(params, z, t, keys, values, group.prompt))
@@ -284,7 +284,7 @@ class TestRolloutGroup:
     def test_replay_tuple_counts(self):
         # Window of 5 blocks at 4 steps each: 20 tuples per trajectory.
         _, group = make_group(num_blocks=9, pivot=5, window=5, branches=2)
-        t, step, window = group.replay_schedule()
+        t, step, window = ops.replay_schedule(group)
         assert len(t) == len(step) == len(window) == 20
         assert group.replay[0].shape[:2] == group.replay[1].shape[:2] == (3, 20)
         assert t.tolist() == [0.0, 0.25, 0.5, 0.75] * 5 and step.tolist() == [1, 2, 3, 4] * 5
@@ -430,7 +430,7 @@ class TestReplayContexts:
 
     def test_replay_eval_count(self, check_instance):
         group = check_instance.group
-        assert len(group.replay_schedule()[0]) == group.window * 4
+        assert len(ops.replay_schedule(group)[0]) == group.window * 4
         assert group.replay[0].shape[:2] == (len(group.frames), group.window * 4)
 
     def test_anchor_source_shares_contexts(self):
@@ -713,7 +713,7 @@ class TestLockstepMatchesReference:
                 assert mine.tobytes() == theirs.frames.tobytes()
             # The record, and the times, steps and blocks derived from the config,
             # against the ones the reference's own solver loop accumulated.
-            t, step, window = group.replay_schedule()
+            t, step, window = ops.replay_schedule(group)
             recorded = (group.replay[0][g], group.replay[1][g], t, step, pivot + window)
             for field, mine, theirs in zip(("z", "u_hat", "t", "step", "block"), recorded,
                                            replay):
@@ -933,14 +933,15 @@ class TestRolloutBuffers:
             blocks.append(real_block(*args))
             return blocks[-1]
 
-        def forward(reader, x, t, inputs):
+        def forward(reader, weights, aug, *memory):
             if (record := solving[0]) is not None and steps:
                 k, (z, v) = len(steps) % plan.cfg.num_steps, steps[-1]
                 if k:
-                    assert record[0][:, k - 1].tobytes() == np.broadcast_to(z, v.shape).tobytes()
+                    assert record[0][:, k - 1].tobytes() == z.tobytes()
                     assert record[1][:, k - 1].tobytes() == v.tobytes()
-            steps.append((x, real_forward(reader, x, t, inputs)))
-            return steps[-1][1]
+            v = real_forward(reader, weights, aug, *memory)
+            steps.append((aug[..., :v.shape[-1]].copy(), v))  # the latents the step read
+            return v
 
         monkeypatch.setattr(routing, "generate_block", block)
         monkeypatch.setattr(network, "velocity_forward", forward)
@@ -965,7 +966,7 @@ class TestReplayContextsMatchReference:
 
         memories = [[histories[0 if source == "anchor" else g].default_cache(
             cfg.frames_per_block * (b - 1), cfg.sink_size, cfg.local_size)
-            for b in group.window_block_indices] for g in range(len(histories))]
+            for b in range(pivot, pivot + group.window)] for g in range(len(histories))]
 
         calls = []
         real = FrameHistory.default_cache

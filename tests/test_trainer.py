@@ -721,7 +721,9 @@ def interrupt_train(out: Path, *settings: str) -> None:
             proc.kill()
             proc.communicate()
     assert len(sidecars) == 1
-    assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
+    tail = err[-4000:].decode(errors="replace")
+    assert proc.returncode == -signal.SIGINT, f"exit {proc.returncode}; stderr ends:\n{tail}"
+    assert b"KeyboardInterrupt" in err, f"exit {proc.returncode}; stderr ends:\n{tail}"
     with pytest.raises(ProcessLookupError):
         os.kill(sidecars[0], 0)
 
